@@ -1637,9 +1637,9 @@ let all_benches =
     ("io", io_bench);
   ]
 
-(* Machine-readable results: one object per scenario run, with wall time and
-   the process-wide physical page I/O it caused (Stats.grand_total_io is
-   monotonic across every database the scenario builds). *)
+(* Machine-readable results: one object per scenario run, with wall time,
+   [total_io] and every counter of [Stats.all] by name.  The counts are
+   deltas of [Stats.grand], which sums every database the scenario builds. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -1660,31 +1660,17 @@ let write_json path results =
     (fun () ->
       output_string oc "{\n  \"benchmarks\": [\n";
       List.iteri
-        (fun i
-             ( name,
-               wall,
-               io,
-               (cf, sp, rp, dr, rr),
-               (wa, wf),
-               (fs, fa, aw),
-               (pd, ad, hm, fo, rc) ) ->
-          let extras =
-            match List.assoc_opt name !gate_metrics with
-            | None -> ""
-            | Some kvs ->
-                String.concat ""
-                  (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %d" k v) kvs)
+        (fun i (name, wall, d) ->
+          let kvs =
+            (("total_io", Stats.total_io d)
+            :: List.map (fun (c, key, _) -> (key, Stats.get d c)) Stats.all)
+            @ Option.value ~default:[] (List.assoc_opt name !gate_metrics)
           in
           Printf.fprintf oc
-            "    {\"name\": \"%s\", \"wall_seconds\": %.6f, \"total_io\": %d, \
-             \"checksum_failures\": %d, \"scrub_pages\": %d, \"repairs\": %d, \
-             \"degraded_reads\": %d, \"read_retries\": %d, \"wal_appends\": %d, \
-             \"wal_flushes\": %d, \"frames_shipped\": %d, \"frames_applied\": \
-             %d, \"acks_waited\": %d, \"peer_deaths\": %d, \"ack_demotions\": \
-             %d, \"heartbeats_missed\": %d, \"failovers\": %d, \"reconnects\": \
-             %d%s}%s\n"
-            (json_escape name) wall io cf sp rp dr rr wa wf fs fa aw pd ad hm
-            fo rc extras
+            "    {\"name\": \"%s\", \"wall_seconds\": %.6f%s}%s\n"
+            (json_escape name) wall
+            (String.concat ""
+               (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %d" k v) kvs))
             (if i = List.length results - 1 then "" else ","))
         results;
       output_string oc "  ]\n}\n")
@@ -1709,23 +1695,11 @@ let () =
         match List.assoc_opt name all_benches with
         | Some f ->
             let t0 = Unix.gettimeofday () in
-            let io0 = Stats.grand_total_io () in
-            let cf0, sp0, rp0, dr0, rr0 = Stats.grand_robustness () in
-            let wa0, wf0 = Stats.grand_wal () in
-            let fs0, fa0, aw0 = Stats.grand_repl () in
-            let pd0, ad0, hm0, fo0, rc0 = Stats.grand_failover () in
+            let before = Stats.copy Stats.grand in
             f ();
-            let cf, sp, rp, dr, rr = Stats.grand_robustness () in
-            let wa, wf = Stats.grand_wal () in
-            let fs, fa, aw = Stats.grand_repl () in
-            let pd, ad, hm, fo, rc = Stats.grand_failover () in
             ( name,
               Unix.gettimeofday () -. t0,
-              Stats.grand_total_io () - io0,
-              (cf - cf0, sp - sp0, rp - rp0, dr - dr0, rr - rr0),
-              (wa - wa0, wf - wf0),
-              (fs - fs0, fa - fa0, aw - aw0),
-              (pd - pd0, ad - ad0, hm - hm0, fo - fo0, rc - rc0) )
+              Stats.diff Stats.grand before )
         | None ->
             Printf.eprintf "unknown bench %S; available: %s\n" name
               (String.concat ", " (List.map fst all_benches));

@@ -164,16 +164,17 @@ let create ?(max_leaf_entries = max_int) ?(max_internal_entries = max_int) pager
 let file_id t = t.file
 let root t = t.root
 let entry_count t = t.count
+let free_pages t = t.free_pages
 
 let attach ?(max_leaf_entries = max_int) ?(max_internal_entries = max_int) pager
-    ~file ~root ~count =
+    ~file ~root ~count ~free_pages =
   let t =
     {
       pager;
       file;
       root;
       count;
-      free_pages = [];
+      free_pages;
       key_witness = None;
       max_leaf = max_leaf_entries;
       max_internal = max_internal_entries;

@@ -30,9 +30,14 @@ val attach :
   file:int ->
   root:int ->
   count:int ->
+  free_pages:int list ->
   t
-(** Reopen a tree persisted in an existing file (database image load).
-    Freed pages from before the save are not reclaimed. *)
+(** Reopen a tree persisted in an existing file (database image load),
+    with the free-page list {!free_pages} returned at save time. *)
+
+val free_pages : t -> int list
+(** Pages freed by merges and [bulk_load], in the order [alloc] reuses
+    them. *)
 
 val file_id : t -> int
 val entry_count : t -> int

@@ -563,9 +563,9 @@ let with_charge t txn f =
       Fun.protect
         ~finally:(fun () -> t.charging <- false)
         (fun () ->
-          let io0 = Stats.grand_total_io () in
+          let io0 = Stats.total_io Stats.grand in
           let r = f () in
-          Txn.charge_io tx (Stats.grand_total_io () - io0);
+          Txn.charge_io tx (Stats.total_io Stats.grand - io0);
           Txn.bump_ops tx;
           r)
   | _ -> f ()
@@ -771,7 +771,7 @@ let finish t tx state =
 
 let commit t tx =
   txn_check t tx;
-  let io0 = Stats.grand_total_io () in
+  let io0 = Stats.total_io Stats.grand in
   free_txn_tombstones t (Txn.tombstones tx);
   (match t.wal with
   | Some w when Txn.begun tx && not t.replaying ->
@@ -780,7 +780,7 @@ let commit t tx =
          every record the transaction buffered. *)
       Wal.sync w
   | _ -> ());
-  Txn.charge_io tx (Stats.grand_total_io () - io0);
+  Txn.charge_io tx (Stats.total_io Stats.grand - io0);
   finish t tx Txn.Committed;
   let s = stats t in
   Stats.bump s Stats.Txn_commits
@@ -811,7 +811,7 @@ let restore_image t (img : Txn.undo_image) =
 
 let abort t tx =
   txn_check t tx;
-  let io0 = Stats.grand_total_io () in
+  let io0 = Stats.total_io Stats.grand in
   t.compensating <- true;
   Fun.protect
     ~finally:(fun () -> t.compensating <- false)
@@ -831,7 +831,7 @@ let abort t tx =
       ignore (Wal.append w (Wal.Txn_abort (Txn.id tx)));
       Wal.sync w
   | _ -> ());
-  Txn.charge_io tx (Stats.grand_total_io () - io0);
+  Txn.charge_io tx (Stats.total_io Stats.grand - io0);
   finish t tx Txn.Aborted;
   let s = stats t in
   Stats.bump s Stats.Txn_aborts
@@ -865,13 +865,42 @@ type deref_plan =
   | P_walk of (string * int) list * int
       (* functional joins: (type, step value index) list, then terminal index *)
 
-let plan_deref t ~set expr =
+(* [expr]'s dot-separated parts, last first: the terminal field, then the
+   reference steps in reverse. *)
+let rev_parts expr =
   let parts = String.split_on_char '.' (String.trim expr) in
-  let parts = List.filter (fun s -> s <> "") parts in
-  match List.rev parts with
+  List.rev (List.filter (fun s -> s <> "") parts)
+
+(* Validate and compile the plain walk: the functional joins that follow
+   the references themselves, ignoring any replicated data. *)
+let plan_walk t ~set ~steps ~terminal =
+  let rec compile ty_name acc = function
+    | [] -> (
+        let ty = Schema.find_type t.schema ty_name in
+        match Ty.field_opt ty terminal with
+        | Some { Ty.ftype = Ty.Scalar _ | Ty.Ref _; _ } ->
+            (List.rev acc, Ty.field_index ty terminal)
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Db.deref: type %s has no field %s" ty_name
+                 terminal))
+    | step :: rest -> (
+        let ty = Schema.find_type t.schema ty_name in
+        match Ty.field_opt ty step with
+        | Some { Ty.ftype = Ty.Ref target; _ } ->
+            compile target ((ty_name, Ty.field_index ty step) :: acc) rest
+        | Some _ | None ->
+            invalid_arg
+              (Printf.sprintf "Db.deref: %s.%s is not a reference attribute"
+                 ty_name step))
+  in
+  compile (Schema.set_type t.schema set).Ty.tname [] steps
+
+let plan_deref t ~set expr =
+  match rev_parts expr with
   | [] | [ _ ] ->
       invalid_arg (Printf.sprintf "Db.deref: %S is not a path expression" expr)
-  | terminal :: rev_steps ->
+  | terminal :: rev_steps -> (
       let steps = List.rev rev_steps in
       let covering =
         List.filter
@@ -895,7 +924,7 @@ let plan_deref t ~set expr =
       let separate =
         List.find_opt (fun (r : Schema.replication) -> r.Schema.strategy = Schema.Separate) covering
       in
-      (match (inplace, separate) with
+      match (inplace, separate) with
       | Some r, _ ->
           P_hidden
             ( Schema.hidden_index t.schema set ~rep_id:r.Schema.rep_id
@@ -913,53 +942,36 @@ let plan_deref t ~set expr =
           in
           P_sprime (idx, offset)
       | None, None ->
-          (* Validate and compile the plain walk. *)
-          let rec compile ty_name acc = function
-            | [] ->
-                let ty = Schema.find_type t.schema ty_name in
-                (match Ty.field_opt ty terminal with
-                | Some { Ty.ftype = Ty.Scalar _; _ } | Some { Ty.ftype = Ty.Ref _; _ } ->
-                    P_walk (List.rev acc, Ty.field_index ty terminal)
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Db.deref: type %s has no field %s" ty_name terminal))
-            | step :: rest -> (
-                let ty = Schema.find_type t.schema ty_name in
-                match Ty.field_opt ty step with
-                | Some { Ty.ftype = Ty.Ref target; _ } ->
-                    compile target ((ty_name, Ty.field_index ty step) :: acc) rest
-                | Some _ | None ->
-                    invalid_arg
-                      (Printf.sprintf "Db.deref: %s.%s is not a reference attribute"
-                         ty_name step))
-          in
-          compile (Schema.set_type t.schema set).Ty.tname [] steps)
+          let hops, terminal_idx = plan_walk t ~set ~steps ~terminal in
+          P_walk (hops, terminal_idx))
 
-(* Evaluate a path expression by actually following the references
-   (ignoring any replicated data). *)
-let deref_walk t ~set record expr =
-  let parts = String.split_on_char '.' (String.trim expr) in
-  let parts = List.filter (fun s -> s <> "") parts in
-  let rec walk ty_name record = function
-    | [] -> invalid_arg "Db.deref: empty path"
-    | [ terminal ] ->
-        let ty = Schema.find_type t.schema ty_name in
-        value_at record (Ty.field_index ty terminal)
-    | step :: rest -> (
-        let ty = Schema.find_type t.schema ty_name in
-        match value_at record (Ty.field_index ty step) with
+(* Follow a [P_walk]'s references from [record], read-locking each hop
+   under [txn]. *)
+let eval_walk ?txn t record hops terminal_idx =
+  let rec walk record = function
+    | [] -> value_at record terminal_idx
+    | (_, step_idx) :: rest -> (
+        match value_at record step_idx with
         | Value.VRef oid ->
+            locking t txn (fun tx ->
+                lock_read t tx ~set:(set_of_oid t oid) oid);
             let hf = file_of_oid t oid in
-            walk
-              (match Ty.field ty step with
-              | { Ty.ftype = Ty.Ref target; _ } -> target
-              | _ -> assert false)
-              (Record.decode (Heap_file.read hf oid))
-              rest
+            walk (Record.decode (Heap_file.read hf oid)) rest
         | Value.VNull -> Value.VNull
-        | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: non-reference on path")
+        | Value.VInt _ | Value.VString _ ->
+            invalid_arg "Db.deref: non-reference on path")
   in
-  walk (Schema.set_type t.schema set).Ty.tname record parts
+  walk record hops
+
+(* The fallback when a replicated copy cannot be trusted: the functional
+   join, without locks, as a read of the authoritative source objects. *)
+let deref_by_join t ~set record expr =
+  match rev_parts expr with
+  | terminal :: rev_steps ->
+      let steps = List.rev rev_steps in
+      let hops, terminal_idx = plan_walk t ~set ~steps ~terminal in
+      eval_walk t record hops terminal_idx
+  | [] -> invalid_arg "Db.deref: empty path"
 
 let deref_record ?txn ?oid t ~set record expr =
   match plan_deref t ~set expr with
@@ -980,7 +992,7 @@ let deref_record ?txn ?oid t ~set record expr =
         | None ->
             if Engine.pending_count t.engine = 0 then value_at record idx
             else (* correctness first: evaluate through the references *)
-              deref_walk t ~set record expr)
+              deref_by_join t ~set record expr)
   | P_sprime (idx, offset) -> (
       match value_at record idx with
       | Value.VRef sp -> (
@@ -1003,24 +1015,11 @@ let deref_record ?txn ?oid t ~set record expr =
             (* The S' page is quarantined.  The replicated value is only a
                copy: degrade gracefully to the functional join over the
                source objects, which remain authoritative. *)
-            Stats.note_degraded_read (stats t);
-            deref_walk t ~set record expr)
+            Stats.bump (stats t) Stats.Degraded_reads;
+            deref_by_join t ~set record expr)
       | Value.VNull -> Value.VNull
       | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: corrupt sref slot")
-  | P_walk (hops, terminal_idx) ->
-      let rec walk record = function
-        | [] -> value_at record terminal_idx
-        | (_, step_idx) :: rest -> (
-            match value_at record step_idx with
-            | Value.VRef oid ->
-                locking t txn (fun tx -> lock_read t tx ~set:(set_of_oid t oid) oid);
-                let hf = file_of_oid t oid in
-                walk (Record.decode (Heap_file.read hf oid)) rest
-            | Value.VNull -> Value.VNull
-            | Value.VInt _ | Value.VString _ ->
-                invalid_arg "Db.deref: non-reference on path")
-      in
-      walk record hops
+  | P_walk (hops, terminal_idx) -> eval_walk ?txn t record hops terminal_idx
 
 let deref ?txn t ~set oid expr =
   with_charge t txn (fun () ->
@@ -1101,7 +1100,7 @@ let referencers t ~source_set ~attr target_oid =
       (* The level-1 link page is quarantined: the inverted path is just
          replicated data, so degrade to scanning the (authoritative) source
          set. *)
-      Stats.note_degraded_read (stats t);
+      Stats.bump (stats t) Stats.Degraded_reads;
       scan ()
 
 (* ------------------------------------------------------------------ *)
@@ -1171,7 +1170,7 @@ let scrub t =
     with
     | () -> true
     | exception (Lock.Would_block _ | Lock.Deadlock _) ->
-        Stats.note_maint_yield (stats t);
+        Stats.bump (stats t) Stats.Maint_lock_yields;
         false
   in
   Fun.protect
@@ -1241,7 +1240,7 @@ let dangling_references t =
 (* ------------------------------------------------------------------ *)
 (* Database images (save / load)                                       *)
 
-let image_magic = "FREPIMG2"
+let image_magic = "FREPIMG3"
 
 let u8_of_rep_state = function
   | Schema.Building -> 0
@@ -1353,7 +1352,10 @@ let save t path =
       put_u8 (if d.Schema.clustered then 1 else 0);
       put_u32 (Btree.file_id rt.tree);
       put_u32 (Btree.root rt.tree);
-      put_u64 (Btree.entry_count rt.tree))
+      put_u64 (Btree.entry_count rt.tree);
+      let free = Btree.free_pages rt.tree in
+      put_u32 (List.length free);
+      List.iter put_u32 free)
     index_defs;
   (* Replication storage bindings. *)
   let links, sprimes = Store.bindings t.store in
@@ -1487,8 +1489,9 @@ let load_image ?(frames = 256) ?backend path =
         let file_id = get_u32 () in
         let root = get_u32 () in
         let count = get_u64 () in
+        let free_pages = List.init (get_u32 ()) (fun _ -> get_u32 ()) in
         Schema.add_index t.schema { Schema.iname; iset; ifield; clustered };
-        (iname, iset, ifield, file_id, root, count))
+        (iname, iset, ifield, file_id, root, count, free_pages))
   in
   let nlinks = get_u16 () in
   let link_bindings =
@@ -1530,8 +1533,8 @@ let load_image ?(frames = 256) ?backend path =
       Hashtbl.replace t.data_files file_id (name, hf))
     set_bindings;
   List.iter
-    (fun (iname, iset, ifield, file_id, root, count) ->
-      let tree = Btree.attach t.pager ~file:file_id ~root ~count in
+    (fun (iname, iset, ifield, file_id, root, count, free_pages) ->
+      let tree = Btree.attach t.pager ~file:file_id ~root ~count ~free_pages in
       let value_index = resolve_index_field t ~set:iset ~field:ifield in
       let def = List.find (fun d -> d.Schema.iname = iname) (Schema.indexes t.schema) in
       Hashtbl.replace t.indexes iname { def; tree; value_index })
@@ -1724,7 +1727,7 @@ let replica_apply t lsn record =
   Fun.protect
     ~finally:(fun () -> t.replaying <- false)
     (fun () -> Recovery.feed s lsn record);
-  Stats.note_frame_applied (Pager.stats t.pager)
+  Stats.bump (Pager.stats t.pager) Stats.Frames_applied
 
 (* Failover: turn this replica into the epoch's new master.  Its applied
    prefix becomes the authoritative history — a fresh log is attached at

@@ -64,7 +64,11 @@ let remaining_pages j =
 
 let backlog t = List.fold_left (fun acc j -> acc + remaining_pages j) 0 t.queue
 
-let note_backlog t = Stats.set_maint_backlog t.stats ~pages:(backlog t)
+let note_backlog t = Stats.set t.stats Stats.Maint_backfill_pending (backlog t)
+
+let count_step t ~pages =
+  Stats.bump t.stats Stats.Maint_steps;
+  Stats.add t.stats Stats.Maint_pages_walked pages
 
 let enqueue t j =
   if find t j.job_id <> None then
@@ -112,7 +116,7 @@ let step_walk t j w ~quantum =
     with
     | exception (Lock.Would_block _ | Lock.Deadlock _) ->
         Lock.release_all t.locks ~txn:w.owner;
-        Stats.note_maint_yield t.stats;
+        Stats.bump t.stats Stats.Maint_lock_yields;
         rotate t;
         `Yield
     | () ->
@@ -123,7 +127,7 @@ let step_walk t j w ~quantum =
         List.iter w.process oids;
         w.cursor <- upto;
         Lock.release_all t.locks ~txn:w.owner;
-        Stats.note_maint_step t.stats ~pages:(upto - from);
+        count_step t ~pages:(upto - from);
         if w.cursor >= Heap_file.page_count w.file then begin
           j.complete ();
           dequeue t j
@@ -149,10 +153,10 @@ let step t ~quantum =
       | Custom c -> (
           match c.custom_step ~quantum with
           | `More ->
-              Stats.note_maint_step t.stats ~pages:quantum;
+              count_step t ~pages:quantum;
               `Progress
           | `Yield ->
-              Stats.note_maint_yield t.stats;
+              Stats.bump t.stats Stats.Maint_lock_yields;
               rotate t;
               `Yield
           | `Done ->
@@ -175,7 +179,7 @@ let advance_to t ~job ~upto =
             List.iter w.process (Heap_file.oids_on_page w.file ~page)
           done;
           if upto > w.cursor then
-            Stats.note_maint_step t.stats ~pages:(upto - w.cursor);
+            count_step t ~pages:(upto - w.cursor);
           w.cursor <- max w.cursor upto;
           note_backlog t)
 

@@ -68,13 +68,13 @@ module Master = struct
         (fun acc p -> if p.alive then max acc p.buf_bytes else acc)
         0 m.peers
     in
-    Stats.set_replica_lag (stats m) ~bytes:lag
+    Stats.set (stats m) Stats.Replica_lag_bytes lag
 
   let kill_peer m peer =
     if peer.alive then begin
       peer.alive <- false;
       peer.pstate <- Dead;
-      Stats.note_peer_death (stats m);
+      Stats.bump (stats m) Stats.Peer_deaths;
       m.on_event
         (Printf.sprintf "repl: peer %s declared dead" peer.tr.Transport.label)
     end
@@ -91,7 +91,7 @@ module Master = struct
   let demote m peer =
     if peer.synchronous then begin
       peer.synchronous <- false;
-      Stats.note_ack_demotion (stats m);
+      Stats.bump (stats m) Stats.Ack_demotions;
       m.on_event
         (Printf.sprintf "repl: peer %s demoted to async (ack deadline missed)"
            peer.tr.Transport.label)
@@ -114,7 +114,7 @@ module Master = struct
                  (Proto.Frames (List.map snd frames)));
             List.iter
               (fun (lsn, _) ->
-                Stats.note_frame_shipped (stats m);
+                Stats.bump (stats m) Stats.Frames_shipped;
                 if Int64.compare lsn peer.shipped_lsn > 0 then
                   peer.shipped_lsn <- lsn)
               frames);
@@ -260,7 +260,7 @@ module Master = struct
           let lsn = Wal.last_lsn m.wal in
           List.iter (fun peer -> ship_frames m peer batch) m.peers;
           if List.exists (fun p -> p.alive && p.synchronous) m.peers then
-            Stats.note_ack_waited (stats m);
+            Stats.bump (stats m) Stats.Acks_waited;
           List.iter
             (fun peer ->
               if peer.alive && peer.synchronous then await_ack m peer lsn)
@@ -393,13 +393,14 @@ module Master = struct
           if p.alive then begin
             let silent = now - p.last_heard in
             if silent >= m.liveness.dead_after then begin
-              if p.pstate = Live then Stats.note_heartbeat_missed (stats m);
+              if p.pstate = Live then
+                Stats.bump (stats m) Stats.Heartbeats_missed;
               kill_peer m p
             end
             else if silent >= m.liveness.suspect_after then begin
               if p.pstate = Live then begin
                 p.pstate <- Suspect;
-                Stats.note_heartbeat_missed (stats m);
+                Stats.bump (stats m) Stats.Heartbeats_missed;
                 m.on_event
                   (Printf.sprintf "repl: peer %s suspected (silent %d ticks)"
                      p.tr.Transport.label silent)
@@ -484,14 +485,15 @@ module Replica = struct
     | Some db -> db
     | None -> invalid_arg "Repl.Replica.db: not bootstrapped yet"
 
-  let note f r = match r.db with Some db -> f (Db.stats db) | None -> ()
+  let note c r =
+    match r.db with Some db -> Stats.bump (Db.stats db) c | None -> ()
 
   let reconnect r tr =
     r.tr <- tr;
     r.gap_pending <- false;
     r.mstate <- Live;
     r.last_heard <- Clock.now r.clock;
-    note Stats.note_reconnect r;
+    note Stats.Reconnects r;
     tr.Transport.send
       (Proto.encode ~epoch:r.epoch (Proto.Hello { last_lsn = r.last_applied }))
 
@@ -716,15 +718,15 @@ module Replica = struct
     let silent = now - r.last_heard in
     if silent >= r.liveness.dead_after then begin
       if r.mstate <> Dead then begin
-        if r.mstate = Live then note Stats.note_heartbeat_missed r;
+        if r.mstate = Live then note Stats.Heartbeats_missed r;
         r.mstate <- Dead;
-        note Stats.note_peer_death r
+        note Stats.Peer_deaths r
       end
     end
     else if silent >= r.liveness.suspect_after then
       if r.mstate = Live then begin
         r.mstate <- Suspect;
-        note Stats.note_heartbeat_missed r
+        note Stats.Heartbeats_missed r
       end
 
   (* Failover: this replica becomes the master of the next epoch.  Its
@@ -735,7 +737,7 @@ module Replica = struct
     let _new_epoch : int =
       Db.promote_replica d ~wal_path ~last_lsn:r.last_applied
     in
-    Stats.note_failover (Db.stats d);
+    Stats.bump (Db.stats d) Stats.Failovers;
     r.epoch <- Db.epoch d;
     Master.create ?mode ?clock ?liveness ?ack_deadline ?on_event
       ~fork:r.last_applied d

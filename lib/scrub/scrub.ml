@@ -108,12 +108,12 @@ let rec sweep_step sw ~budget =
           let page = sw.sw_page in
           sw.sw_page <- page + 1;
           sw.sw_scanned <- sw.sw_scanned + 1;
-          Stats.note_scrub_page (Pager.stats pager);
+          Stats.bump (Pager.stats pager) Stats.Scrub_pages;
           let rec attempt n =
             match Disk.read_page disk ~file:fid ~page sw.sw_scratch with
             | () -> ()
             | exception Disk.Read_error _ when n < max_read_attempts ->
-                Stats.note_read_retry (Pager.stats pager);
+                Stats.bump (Pager.stats pager) Stats.Read_retries;
                 attempt (n + 1)
             | exception Disk.Read_error _ ->
                 sw.sw_notes <-
@@ -149,7 +149,7 @@ let finish ?(log_repair = fun ~rep_id:_ ~source:_ -> ())
   in
   let repair_done () =
     incr repairs;
-    Stats.note_repair stats
+    Stats.bump stats Stats.Repairs
   in
   (* Repairs write through foreground-visible objects, so each one asks the
      guard first (lib/core wires it to short X locks under a job-scoped

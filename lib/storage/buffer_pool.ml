@@ -106,7 +106,7 @@ let read_with_retry t ~file ~page buf =
   let rec attempt n =
     try Disk.read_page t.disk ~file ~page buf
     with Disk.Read_error _ when n < max_read_attempts ->
-      Stats.note_read_retry stats;
+      Stats.bump stats Stats.Read_retries;
       attempt (n + 1)
   in
   attempt 1
@@ -141,7 +141,7 @@ let install t ~file ~page ~read =
   if read then begin
     (try read_with_retry t ~file ~page t.scratch
      with e ->
-       Stats.note_failed_read (Disk.stats t.disk);
+       Stats.bump (Disk.stats t.disk) Stats.Failed_reads;
        raise e);
     install_at t idx ~file ~page (Some t.scratch)
   end
@@ -160,7 +160,7 @@ let prefetch_run t ~file ~page =
        if not (Hashtbl.mem t.table (file, p)) then begin
          let idx = install t ~file ~page:p ~read:true in
          t.frames.(idx).prefetched <- true;
-         Stats.note_prefetch_issued stats
+         Stats.bump stats Stats.Prefetch_issued
        end
      done
    with Exhausted | Disk.Read_error _ | Disk.Corrupt_page _ -> ());
@@ -177,7 +177,7 @@ let lookup t ~file ~page ~for_new =
       let f = t.frames.(idx) in
       if f.prefetched then begin
         f.prefetched <- false;
-        Stats.note_prefetch_hit stats
+        Stats.bump stats Stats.Prefetch_hits
       end;
       f.referenced <- true;
       idx

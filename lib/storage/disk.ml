@@ -199,11 +199,10 @@ let read_page t ~file ~page buf =
   B.read b ~file ~page t.scratch;
   if B.read_sum b ~file ~page <> sum_of t t.scratch then begin
     quarantine t ~file ~page;
-    Stats.note_checksum_failure t.stats;
+    Stats.bump t.stats Stats.Checksum_failures;
     raise (Corrupt_page { file; page })
   end;
   Bytes.blit t.scratch 0 buf 0 t.page_size;
-  Stats.bump t.stats Stats.Page_reads;
   Stats.record_read t.stats ~file
 
 let write_page t ~file ~page buf =
@@ -229,7 +228,6 @@ let write_page t ~file ~page buf =
   B.write_sum b ~file ~page ~sum:(sum_of t buf);
   (* rewriting a page with fresh, checksummed content lifts its quarantine *)
   clear_quarantine t ~file ~page;
-  Stats.bump t.stats Stats.Page_writes;
   Stats.record_write t.stats ~file
 
 let dump_page t ~file ~page =

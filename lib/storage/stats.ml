@@ -38,6 +38,176 @@ type t = {
   by_file : (int, int * int) Hashtbl.t;
 }
 
+type counter =
+  | Page_reads
+  | Page_writes
+  | Buffer_hits
+  | Pages_allocated
+  | Objects_read
+  | Objects_written
+  | Wal_appends
+  | Wal_bytes
+  | Recovery_replays
+  | Txn_commits
+  | Txn_aborts
+  | Lock_waits
+  | Deadlocks
+  | Undo_applied
+  | Checksum_failures
+  | Scrub_pages
+  | Repairs
+  | Degraded_reads
+  | Read_retries
+  | Failed_reads
+  | Prefetch_issued
+  | Prefetch_hits
+  | Wal_flushes
+  | Frames_shipped
+  | Frames_applied
+  | Acks_waited
+  | Replica_lag_bytes
+  | Maint_steps
+  | Maint_pages_walked
+  | Maint_lock_yields
+  | Maint_backfill_pending
+  | Peer_deaths
+  | Ack_demotions
+  | Heartbeats_missed
+  | Failovers
+  | Reconnects
+
+type kind = Counter | Gauge
+
+(* The one table of counters, in [pp] order.  Every loop below ([reset],
+   [diff], [pp]) and the bench JSON walk it, so a new counter is one field
+   (zeroed in [create]), one constructor, one row here and one arm in each
+   of [get]/[shift]. *)
+let all =
+  [
+    (Page_reads, "reads", Counter);
+    (Page_writes, "writes", Counter);
+    (Buffer_hits, "hits", Counter);
+    (Pages_allocated, "allocated", Counter);
+    (Objects_read, "obj_read", Counter);
+    (Objects_written, "obj_written", Counter);
+    (Wal_appends, "wal_appends", Counter);
+    (Wal_bytes, "wal_bytes", Counter);
+    (Wal_flushes, "wal_flushes", Counter);
+    (Recovery_replays, "replays", Counter);
+    (Txn_commits, "commits", Counter);
+    (Txn_aborts, "aborts", Counter);
+    (Lock_waits, "lock_waits", Counter);
+    (Deadlocks, "deadlocks", Counter);
+    (Undo_applied, "undone", Counter);
+    (Checksum_failures, "checksum_failures", Counter);
+    (Scrub_pages, "scrub_pages", Counter);
+    (Repairs, "repairs", Counter);
+    (Degraded_reads, "degraded_reads", Counter);
+    (Read_retries, "read_retries", Counter);
+    (Failed_reads, "failed_reads", Counter);
+    (Prefetch_issued, "prefetch_issued", Counter);
+    (Prefetch_hits, "prefetch_hits", Counter);
+    (Frames_shipped, "frames_shipped", Counter);
+    (Frames_applied, "frames_applied", Counter);
+    (Acks_waited, "acks_waited", Counter);
+    (Replica_lag_bytes, "replica_lag_bytes", Gauge);
+    (Maint_steps, "maint_steps", Counter);
+    (Maint_pages_walked, "maint_pages_walked", Counter);
+    (Maint_lock_yields, "maint_lock_yields", Counter);
+    (Maint_backfill_pending, "maint_backfill_pending", Gauge);
+    (Peer_deaths, "peer_deaths", Counter);
+    (Ack_demotions, "ack_demotions", Counter);
+    (Heartbeats_missed, "heartbeats_missed", Counter);
+    (Failovers, "failovers", Counter);
+    (Reconnects, "reconnects", Counter);
+  ]
+
+let[@inline] get t = function
+  | Page_reads -> t.page_reads
+  | Page_writes -> t.page_writes
+  | Buffer_hits -> t.buffer_hits
+  | Pages_allocated -> t.pages_allocated
+  | Objects_read -> t.objects_read
+  | Objects_written -> t.objects_written
+  | Wal_appends -> t.wal_appends
+  | Wal_bytes -> t.wal_bytes
+  | Recovery_replays -> t.recovery_replays
+  | Txn_commits -> t.txn_commits
+  | Txn_aborts -> t.txn_aborts
+  | Lock_waits -> t.lock_waits
+  | Deadlocks -> t.deadlocks
+  | Undo_applied -> t.undo_applied
+  | Checksum_failures -> t.checksum_failures
+  | Scrub_pages -> t.scrub_pages
+  | Repairs -> t.repairs
+  | Degraded_reads -> t.degraded_reads
+  | Read_retries -> t.read_retries
+  | Failed_reads -> t.failed_reads
+  | Prefetch_issued -> t.prefetch_issued
+  | Prefetch_hits -> t.prefetch_hits
+  | Wal_flushes -> t.wal_flushes
+  | Frames_shipped -> t.frames_shipped
+  | Frames_applied -> t.frames_applied
+  | Acks_waited -> t.acks_waited
+  | Replica_lag_bytes -> t.replica_lag_bytes
+  | Maint_steps -> t.maint_steps
+  | Maint_pages_walked -> t.maint_pages_walked
+  | Maint_lock_yields -> t.maint_lock_yields
+  | Maint_backfill_pending -> t.maint_backfill_pending
+  | Peer_deaths -> t.peer_deaths
+  | Ack_demotions -> t.ack_demotions
+  | Heartbeats_missed -> t.heartbeats_missed
+  | Failovers -> t.failovers
+  | Reconnects -> t.reconnects
+
+(* The one mutation point for the counter fields (rule C1 bans bare
+   [s.f <- ...] outside this module), so moving the counters to [Atomic]
+   later is a change to this match, not to every call site.  It adds a
+   delta rather than storing a value, so [add] costs two switches. *)
+let[@inline] shift t c n =
+  match c with
+  | Page_reads -> t.page_reads <- t.page_reads + n
+  | Page_writes -> t.page_writes <- t.page_writes + n
+  | Buffer_hits -> t.buffer_hits <- t.buffer_hits + n
+  | Pages_allocated -> t.pages_allocated <- t.pages_allocated + n
+  | Objects_read -> t.objects_read <- t.objects_read + n
+  | Objects_written -> t.objects_written <- t.objects_written + n
+  | Wal_appends -> t.wal_appends <- t.wal_appends + n
+  | Wal_bytes -> t.wal_bytes <- t.wal_bytes + n
+  | Recovery_replays -> t.recovery_replays <- t.recovery_replays + n
+  | Txn_commits -> t.txn_commits <- t.txn_commits + n
+  | Txn_aborts -> t.txn_aborts <- t.txn_aborts + n
+  | Lock_waits -> t.lock_waits <- t.lock_waits + n
+  | Deadlocks -> t.deadlocks <- t.deadlocks + n
+  | Undo_applied -> t.undo_applied <- t.undo_applied + n
+  | Checksum_failures -> t.checksum_failures <- t.checksum_failures + n
+  | Scrub_pages -> t.scrub_pages <- t.scrub_pages + n
+  | Repairs -> t.repairs <- t.repairs + n
+  | Degraded_reads -> t.degraded_reads <- t.degraded_reads + n
+  | Read_retries -> t.read_retries <- t.read_retries + n
+  | Failed_reads -> t.failed_reads <- t.failed_reads + n
+  | Prefetch_issued -> t.prefetch_issued <- t.prefetch_issued + n
+  | Prefetch_hits -> t.prefetch_hits <- t.prefetch_hits + n
+  | Wal_flushes -> t.wal_flushes <- t.wal_flushes + n
+  | Frames_shipped -> t.frames_shipped <- t.frames_shipped + n
+  | Frames_applied -> t.frames_applied <- t.frames_applied + n
+  | Acks_waited -> t.acks_waited <- t.acks_waited + n
+  | Replica_lag_bytes -> t.replica_lag_bytes <- t.replica_lag_bytes + n
+  | Maint_steps -> t.maint_steps <- t.maint_steps + n
+  | Maint_pages_walked -> t.maint_pages_walked <- t.maint_pages_walked + n
+  | Maint_lock_yields -> t.maint_lock_yields <- t.maint_lock_yields + n
+  | Maint_backfill_pending ->
+      t.maint_backfill_pending <- t.maint_backfill_pending + n
+  | Peer_deaths -> t.peer_deaths <- t.peer_deaths + n
+  | Ack_demotions -> t.ack_demotions <- t.ack_demotions + n
+  | Heartbeats_missed -> t.heartbeats_missed <- t.heartbeats_missed + n
+  | Failovers -> t.failovers <- t.failovers + n
+  | Reconnects -> t.reconnects <- t.reconnects + n
+
+let reset t =
+  List.iter (fun (c, _, _) -> shift t c (-get t c)) all;
+  Hashtbl.reset t.by_file
+
 let create () =
   {
     page_reads = 0;
@@ -79,375 +249,52 @@ let create () =
     by_file = Hashtbl.create 16;
   }
 
-let reset t =
-  t.page_reads <- 0;
-  t.page_writes <- 0;
-  t.buffer_hits <- 0;
-  t.pages_allocated <- 0;
-  t.objects_read <- 0;
-  t.objects_written <- 0;
-  t.wal_appends <- 0;
-  t.wal_bytes <- 0;
-  t.recovery_replays <- 0;
-  t.txn_commits <- 0;
-  t.txn_aborts <- 0;
-  t.lock_waits <- 0;
-  t.deadlocks <- 0;
-  t.undo_applied <- 0;
-  t.checksum_failures <- 0;
-  t.scrub_pages <- 0;
-  t.repairs <- 0;
-  t.degraded_reads <- 0;
-  t.read_retries <- 0;
-  t.failed_reads <- 0;
-  t.prefetch_issued <- 0;
-  t.prefetch_hits <- 0;
-  t.wal_flushes <- 0;
-  t.frames_shipped <- 0;
-  t.frames_applied <- 0;
-  t.acks_waited <- 0;
-  t.replica_lag_bytes <- 0;
-  t.maint_steps <- 0;
-  t.maint_pages_walked <- 0;
-  t.maint_lock_yields <- 0;
-  t.maint_backfill_pending <- 0;
-  t.peer_deaths <- 0;
-  t.ack_demotions <- 0;
-  t.heartbeats_missed <- 0;
-  t.failovers <- 0;
-  t.reconnects <- 0;
-  Hashtbl.reset t.by_file
+(* The process-wide block: every [add] and [set] lands here too, and nothing
+   resets it, so a caller measures any span of work — across every database
+   it builds — as the [diff] of two [copy]s. *)
+let grand = create ()
 
-(* The one blessed mutation point for the counter fields.  Every increment
-   in the tree goes through [add] (rule C1 bans bare [s.f <- s.f + n]
-   outside this module), so moving the counters to [Atomic] fetch-and-add
-   later is a change to this single match, not to every call site. *)
-type counter =
-  | Page_reads
-  | Page_writes
-  | Buffer_hits
-  | Pages_allocated
-  | Objects_read
-  | Objects_written
-  | Wal_appends
-  | Wal_bytes
-  | Recovery_replays
-  | Txn_commits
-  | Txn_aborts
-  | Lock_waits
-  | Deadlocks
-  | Undo_applied
-  | Checksum_failures
-  | Scrub_pages
-  | Repairs
-  | Degraded_reads
-  | Read_retries
-  | Failed_reads
-  | Prefetch_issued
-  | Prefetch_hits
-  | Wal_flushes
-  | Frames_shipped
-  | Frames_applied
-  | Acks_waited
-  | Maint_steps
-  | Maint_pages_walked
-  | Maint_lock_yields
-  | Peer_deaths
-  | Ack_demotions
-  | Heartbeats_missed
-  | Failovers
-  | Reconnects
+let copy t = { t with by_file = Hashtbl.copy t.by_file }
 
 let add t c n =
-  match c with
-  | Page_reads -> t.page_reads <- t.page_reads + n
-  | Page_writes -> t.page_writes <- t.page_writes + n
-  | Buffer_hits -> t.buffer_hits <- t.buffer_hits + n
-  | Pages_allocated -> t.pages_allocated <- t.pages_allocated + n
-  | Objects_read -> t.objects_read <- t.objects_read + n
-  | Objects_written -> t.objects_written <- t.objects_written + n
-  | Wal_appends -> t.wal_appends <- t.wal_appends + n
-  | Wal_bytes -> t.wal_bytes <- t.wal_bytes + n
-  | Recovery_replays -> t.recovery_replays <- t.recovery_replays + n
-  | Txn_commits -> t.txn_commits <- t.txn_commits + n
-  | Txn_aborts -> t.txn_aborts <- t.txn_aborts + n
-  | Lock_waits -> t.lock_waits <- t.lock_waits + n
-  | Deadlocks -> t.deadlocks <- t.deadlocks + n
-  | Undo_applied -> t.undo_applied <- t.undo_applied + n
-  | Checksum_failures -> t.checksum_failures <- t.checksum_failures + n
-  | Scrub_pages -> t.scrub_pages <- t.scrub_pages + n
-  | Repairs -> t.repairs <- t.repairs + n
-  | Degraded_reads -> t.degraded_reads <- t.degraded_reads + n
-  | Read_retries -> t.read_retries <- t.read_retries + n
-  | Failed_reads -> t.failed_reads <- t.failed_reads + n
-  | Prefetch_issued -> t.prefetch_issued <- t.prefetch_issued + n
-  | Prefetch_hits -> t.prefetch_hits <- t.prefetch_hits + n
-  | Wal_flushes -> t.wal_flushes <- t.wal_flushes + n
-  | Frames_shipped -> t.frames_shipped <- t.frames_shipped + n
-  | Frames_applied -> t.frames_applied <- t.frames_applied + n
-  | Acks_waited -> t.acks_waited <- t.acks_waited + n
-  | Maint_steps -> t.maint_steps <- t.maint_steps + n
-  | Maint_pages_walked -> t.maint_pages_walked <- t.maint_pages_walked + n
-  | Maint_lock_yields -> t.maint_lock_yields <- t.maint_lock_yields + n
-  | Peer_deaths -> t.peer_deaths <- t.peer_deaths + n
-  | Ack_demotions -> t.ack_demotions <- t.ack_demotions + n
-  | Heartbeats_missed -> t.heartbeats_missed <- t.heartbeats_missed + n
-  | Failovers -> t.failovers <- t.failovers + n
-  | Reconnects -> t.reconnects <- t.reconnects + n
+  shift t c n;
+  shift grand c n
 
 let bump t c = add t c 1
 
-(* Process-wide physical I/O, across every Stats block ever created.  Never
-   reset: callers take deltas.  Lets the benchmark driver attribute total
-   I/O to a scenario even when the scenario builds several databases. *)
-let grand_io = ref 0
-
-let grand_total_io () = !grand_io
-
-(* Same idea for the robustness counters: process-wide monotonic totals so
-   the bench driver can report per-scenario deltas even when a scenario
-   builds several databases (each with its own Stats block). *)
-let g_checksum_failures = ref 0
-let g_scrub_pages = ref 0
-let g_repairs = ref 0
-let g_degraded_reads = ref 0
-let g_read_retries = ref 0
-
-let grand_robustness () =
-  (!g_checksum_failures, !g_scrub_pages, !g_repairs, !g_degraded_reads, !g_read_retries)
-
-let note_checksum_failure t =
-  add t Checksum_failures 1;
-  incr g_checksum_failures
-
-let note_scrub_page t =
-  add t Scrub_pages 1;
-  incr g_scrub_pages
-
-let note_repair t =
-  add t Repairs 1;
-  incr g_repairs
-
-let note_degraded_read t =
-  add t Degraded_reads 1;
-  incr g_degraded_reads
-
-let note_read_retry t =
-  add t Read_retries 1;
-  incr g_read_retries
-
-let note_failed_read t = add t Failed_reads 1
-let note_prefetch_issued t = add t Prefetch_issued 1
-let note_prefetch_hit t = add t Prefetch_hits 1
-
-(* Process-wide WAL totals, like [grand_io]: the bench driver reports
-   per-scenario append/flush deltas even when a scenario builds several
-   databases (each with its own Stats block and log handle). *)
-let g_wal_appends = ref 0
-let g_wal_flushes = ref 0
-let grand_wal () = (!g_wal_appends, !g_wal_flushes)
-
-let note_wal_append t ~bytes =
-  add t Wal_appends 1;
-  add t Wal_bytes bytes;
-  incr g_wal_appends
-
-let note_wal_flush t =
-  add t Wal_flushes 1;
-  incr g_wal_flushes
-
-(* Process-wide replication-shipping totals, same pattern as [grand_wal]:
-   the bench driver reports per-scenario deltas even when a scenario builds
-   a master and several replicas (each with its own Stats block). *)
-let g_frames_shipped = ref 0
-let g_frames_applied = ref 0
-let g_acks_waited = ref 0
-let grand_repl () = (!g_frames_shipped, !g_frames_applied, !g_acks_waited)
-
-let note_frame_shipped t =
-  add t Frames_shipped 1;
-  incr g_frames_shipped
-
-let note_frame_applied t =
-  add t Frames_applied 1;
-  incr g_frames_applied
-
-let note_ack_waited t =
-  add t Acks_waited 1;
-  incr g_acks_waited
-
-let set_replica_lag t ~bytes = t.replica_lag_bytes <- bytes
-
-(* Process-wide background-maintenance totals, same pattern as [grand_wal]:
-   the bench driver reports per-scenario deltas even when a scenario builds
-   several databases. *)
-let g_maint_steps = ref 0
-let g_maint_yields = ref 0
-let grand_maint () = (!g_maint_steps, !g_maint_yields)
-
-let note_maint_step t ~pages =
-  add t Maint_steps 1;
-  add t Maint_pages_walked pages;
-  incr g_maint_steps
-
-let note_maint_yield t =
-  add t Maint_lock_yields 1;
-  incr g_maint_yields
-
-let set_maint_backlog t ~pages = t.maint_backfill_pending <- pages
-
-(* Process-wide failover/liveness totals, same pattern as [grand_repl]: the
-   bench driver reports per-scenario deltas even when a scenario builds a
-   whole cluster (each node with its own Stats block). *)
-let g_peer_deaths = ref 0
-let g_ack_demotions = ref 0
-let g_heartbeats_missed = ref 0
-let g_failovers = ref 0
-let g_reconnects = ref 0
-
-let grand_failover () =
-  (!g_peer_deaths, !g_ack_demotions, !g_heartbeats_missed, !g_failovers, !g_reconnects)
-
-let note_peer_death t =
-  add t Peer_deaths 1;
-  incr g_peer_deaths
-
-let note_ack_demotion t =
-  add t Ack_demotions 1;
-  incr g_ack_demotions
-
-let note_heartbeat_missed t =
-  add t Heartbeats_missed 1;
-  incr g_heartbeats_missed
-
-let note_failover t =
-  add t Failovers 1;
-  incr g_failovers
-
-let note_reconnect t =
-  add t Reconnects 1;
-  incr g_reconnects
+let set t c v =
+  shift t c (v - get t c);
+  shift grand c (v - get grand c)
 
 let record_read t ~file =
-  incr grand_io;
+  bump t Page_reads;
   let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
   Hashtbl.replace t.by_file file (r + 1, w)
 
 let record_write t ~file =
-  incr grand_io;
+  bump t Page_writes;
   let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
   Hashtbl.replace t.by_file file (r, w + 1)
 
-let file_io t ~file = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file)
-
-let copy t =
-  {
-    page_reads = t.page_reads;
-    page_writes = t.page_writes;
-    buffer_hits = t.buffer_hits;
-    pages_allocated = t.pages_allocated;
-    objects_read = t.objects_read;
-    objects_written = t.objects_written;
-    wal_appends = t.wal_appends;
-    wal_bytes = t.wal_bytes;
-    recovery_replays = t.recovery_replays;
-    txn_commits = t.txn_commits;
-    txn_aborts = t.txn_aborts;
-    lock_waits = t.lock_waits;
-    deadlocks = t.deadlocks;
-    undo_applied = t.undo_applied;
-    checksum_failures = t.checksum_failures;
-    scrub_pages = t.scrub_pages;
-    repairs = t.repairs;
-    degraded_reads = t.degraded_reads;
-    read_retries = t.read_retries;
-    failed_reads = t.failed_reads;
-    prefetch_issued = t.prefetch_issued;
-    prefetch_hits = t.prefetch_hits;
-    wal_flushes = t.wal_flushes;
-    frames_shipped = t.frames_shipped;
-    frames_applied = t.frames_applied;
-    acks_waited = t.acks_waited;
-    replica_lag_bytes = t.replica_lag_bytes;
-    maint_steps = t.maint_steps;
-    maint_pages_walked = t.maint_pages_walked;
-    maint_lock_yields = t.maint_lock_yields;
-    maint_backfill_pending = t.maint_backfill_pending;
-    peer_deaths = t.peer_deaths;
-    ack_demotions = t.ack_demotions;
-    heartbeats_missed = t.heartbeats_missed;
-    failovers = t.failovers;
-    reconnects = t.reconnects;
-    by_file = Hashtbl.copy t.by_file;
-  }
+let file_io t ~file =
+  Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file)
 
 let diff now before =
-  let by_file = Hashtbl.copy now.by_file in
+  let d = copy now in
   Hashtbl.iter
     (fun file (r0, w0) ->
-      let r1, w1 = Option.value ~default:(0, 0) (Hashtbl.find_opt by_file file) in
-      Hashtbl.replace by_file file (r1 - r0, w1 - w0))
+      let r1, w1 = file_io d ~file in
+      Hashtbl.replace d.by_file file (r1 - r0, w1 - w0))
     before.by_file;
-  {
-    page_reads = now.page_reads - before.page_reads;
-    page_writes = now.page_writes - before.page_writes;
-    buffer_hits = now.buffer_hits - before.buffer_hits;
-    pages_allocated = now.pages_allocated - before.pages_allocated;
-    objects_read = now.objects_read - before.objects_read;
-    objects_written = now.objects_written - before.objects_written;
-    wal_appends = now.wal_appends - before.wal_appends;
-    wal_bytes = now.wal_bytes - before.wal_bytes;
-    recovery_replays = now.recovery_replays - before.recovery_replays;
-    txn_commits = now.txn_commits - before.txn_commits;
-    txn_aborts = now.txn_aborts - before.txn_aborts;
-    lock_waits = now.lock_waits - before.lock_waits;
-    deadlocks = now.deadlocks - before.deadlocks;
-    undo_applied = now.undo_applied - before.undo_applied;
-    checksum_failures = now.checksum_failures - before.checksum_failures;
-    scrub_pages = now.scrub_pages - before.scrub_pages;
-    repairs = now.repairs - before.repairs;
-    degraded_reads = now.degraded_reads - before.degraded_reads;
-    read_retries = now.read_retries - before.read_retries;
-    failed_reads = now.failed_reads - before.failed_reads;
-    prefetch_issued = now.prefetch_issued - before.prefetch_issued;
-    prefetch_hits = now.prefetch_hits - before.prefetch_hits;
-    wal_flushes = now.wal_flushes - before.wal_flushes;
-    frames_shipped = now.frames_shipped - before.frames_shipped;
-    frames_applied = now.frames_applied - before.frames_applied;
-    acks_waited = now.acks_waited - before.acks_waited;
-    maint_steps = now.maint_steps - before.maint_steps;
-    maint_pages_walked = now.maint_pages_walked - before.maint_pages_walked;
-    maint_lock_yields = now.maint_lock_yields - before.maint_lock_yields;
-    peer_deaths = now.peer_deaths - before.peer_deaths;
-    ack_demotions = now.ack_demotions - before.ack_demotions;
-    heartbeats_missed = now.heartbeats_missed - before.heartbeats_missed;
-    failovers = now.failovers - before.failovers;
-    reconnects = now.reconnects - before.reconnects;
-    (* gauges, not counters: report the current value, not a delta *)
-    replica_lag_bytes = now.replica_lag_bytes;
-    maint_backfill_pending = now.maint_backfill_pending;
-    by_file;
-  }
+  List.iter
+    (fun (c, _, kind) -> if kind = Counter then shift d c (-get before c))
+    all;
+  d
 
 let total_io t = t.page_reads + t.page_writes
 
 let pp fmt t =
-  Format.fprintf fmt
-    "reads=%d writes=%d hits=%d allocated=%d obj_read=%d obj_written=%d \
-     wal_appends=%d wal_bytes=%d wal_flushes=%d replays=%d commits=%d \
-     aborts=%d lock_waits=%d deadlocks=%d undone=%d checksum_failures=%d \
-     scrub_pages=%d repairs=%d degraded_reads=%d read_retries=%d \
-     failed_reads=%d prefetch_issued=%d prefetch_hits=%d frames_shipped=%d \
-     frames_applied=%d acks_waited=%d replica_lag_bytes=%d maint_steps=%d \
-     maint_pages_walked=%d maint_lock_yields=%d maint_backfill_pending=%d \
-     peer_deaths=%d ack_demotions=%d heartbeats_missed=%d failovers=%d \
-     reconnects=%d"
-    t.page_reads t.page_writes t.buffer_hits t.pages_allocated t.objects_read
-    t.objects_written t.wal_appends t.wal_bytes t.wal_flushes
-    t.recovery_replays t.txn_commits t.txn_aborts t.lock_waits t.deadlocks
-    t.undo_applied t.checksum_failures t.scrub_pages t.repairs
-    t.degraded_reads t.read_retries t.failed_reads t.prefetch_issued
-    t.prefetch_hits t.frames_shipped t.frames_applied t.acks_waited
-    t.replica_lag_bytes t.maint_steps t.maint_pages_walked
-    t.maint_lock_yields t.maint_backfill_pending t.peer_deaths
-    t.ack_demotions t.heartbeats_missed t.failovers t.reconnects
+  List.iteri
+    (fun i (c, name, _) ->
+      Format.fprintf fmt "%s%s=%d" (if i = 0 then "" else " ") name (get t c))
+    all

@@ -2,221 +2,144 @@
 
     The paper's entire evaluation is in units of page I/Os, so the storage
     layer counts every physical page read and write.  Buffer-pool hits are
-    tracked separately: a hit is a logical access that costs no I/O. *)
+    tracked separately: a hit is a logical access that costs no I/O.
+
+    A block holds one [int] per {!counter}; the field for [Page_reads] is
+    [page_reads], and so on.  Fields are read directly; they are changed
+    only through {!add}/{!bump} (counters) and {!set} (the two gauges), the
+    single mutation point that lint rule C1 enforces. *)
 
 type t = {
-  mutable page_reads : int;  (** physical page reads from disk *)
-  mutable page_writes : int;  (** physical page writes to disk *)
-  mutable buffer_hits : int;  (** logical accesses served from the pool *)
+  mutable page_reads : int;
+  mutable page_writes : int;
+  mutable buffer_hits : int;
   mutable pages_allocated : int;
   mutable objects_read : int;
   mutable objects_written : int;
-  mutable wal_appends : int;  (** records appended to the write-ahead log *)
-  mutable wal_bytes : int;  (** bytes written to the write-ahead log *)
-  mutable recovery_replays : int;  (** log records redone by [Db.recover] *)
-  mutable txn_commits : int;  (** transactions committed *)
-  mutable txn_aborts : int;  (** transactions rolled back (any reason) *)
-  mutable lock_waits : int;  (** lock requests that blocked *)
-  mutable deadlocks : int;  (** wait-for cycles broken by aborting a victim *)
-  mutable undo_applied : int;  (** before-images restored by abort/recovery *)
+  mutable wal_appends : int;
+  mutable wal_bytes : int;
+  mutable recovery_replays : int;
+  mutable txn_commits : int;
+  mutable txn_aborts : int;
+  mutable lock_waits : int;
+  mutable deadlocks : int;
+  mutable undo_applied : int;
   mutable checksum_failures : int;
-      (** physical reads rejected because the page checksum did not match *)
-  mutable scrub_pages : int;  (** pages verified by {!Scrub} sweeps *)
-  mutable repairs : int;  (** replicated values / link objects rebuilt *)
+  mutable scrub_pages : int;
+  mutable repairs : int;
   mutable degraded_reads : int;
-      (** queries that fell back to the functional join because a replica
-          page was quarantined *)
   mutable read_retries : int;
-      (** physical reads retried after a transient fault *)
   mutable failed_reads : int;
-      (** buffer-pool installs whose physical read failed after retries;
-          the victim frame is kept, so [buffer_hits + page_reads +
-          failed_reads] accounts for every lookup *)
   mutable prefetch_issued : int;
-      (** pages read ahead of demand by the sequential prefetcher *)
   mutable prefetch_hits : int;
-      (** lookups served by a frame the prefetcher loaded *)
   mutable wal_flushes : int;
-      (** physical flushes of the write-ahead log (group commit batches
-          many appends per flush) *)
   mutable frames_shipped : int;
-      (** log frames shipped to replication peers by a master *)
   mutable frames_applied : int;
-      (** log frames applied through the redo path by a replica *)
   mutable acks_waited : int;
-      (** ack-mode commit barriers: syncs that blocked on replica acks *)
   mutable replica_lag_bytes : int;
-      (** gauge (not a counter): bytes buffered for the slowest async
-          replication peer at the last update *)
   mutable maint_steps : int;
-      (** background-maintenance quanta executed (lib/maint) *)
   mutable maint_pages_walked : int;
-      (** heap pages processed by maintenance cursors *)
   mutable maint_lock_yields : int;
-      (** maintenance quanta that released their locks and backed off
-          because a foreground transaction held a conflicting lock *)
   mutable maint_backfill_pending : int;
-      (** gauge (not a counter): heap pages the queued maintenance jobs
-          have still to walk, at the last update *)
   mutable peer_deaths : int;
-      (** replication peers declared Dead: heartbeat deadline missed or
-          transport disconnected *)
   mutable ack_demotions : int;
-      (** ack-mode commits that proceeded without a replica because its ack
-          deadline expired (the peer is demoted to async) *)
   mutable heartbeats_missed : int;
-      (** heartbeat deadlines missed by a peer (each miss moves the peer
-          one step along Live -> Suspect -> Dead) *)
   mutable failovers : int;
-      (** replica promotions to master (epoch bumps) *)
   mutable reconnects : int;
-      (** transport reconnect attempts made by the backoff dialer *)
   by_file : (int, int * int) Hashtbl.t;
       (** per-file (reads, writes) attribution, keyed by disk file id *)
 }
 
-val create : unit -> t
-val reset : t -> unit
-val copy : t -> t
-
-(** One constructor per counter field of {!t}.  The two gauges
-    ([replica_lag_bytes], [maint_backfill_pending]) are deliberately
-    absent: they are set, not accumulated — use {!set_replica_lag} and
-    {!set_maint_backlog}. *)
 type counter =
-  | Page_reads
-  | Page_writes
-  | Buffer_hits
+  | Page_reads  (** physical page reads from disk *)
+  | Page_writes  (** physical page writes to disk *)
+  | Buffer_hits  (** logical accesses served from the pool *)
   | Pages_allocated
   | Objects_read
   | Objects_written
-  | Wal_appends
-  | Wal_bytes
-  | Recovery_replays
+  | Wal_appends  (** records appended to the write-ahead log *)
+  | Wal_bytes  (** bytes written to the write-ahead log *)
+  | Recovery_replays  (** log records redone by [Db.recover] *)
   | Txn_commits
-  | Txn_aborts
-  | Lock_waits
-  | Deadlocks
-  | Undo_applied
-  | Checksum_failures
-  | Scrub_pages
-  | Repairs
+  | Txn_aborts  (** transactions rolled back (any reason) *)
+  | Lock_waits  (** lock requests that blocked *)
+  | Deadlocks  (** wait-for cycles broken by aborting a victim *)
+  | Undo_applied  (** before-images restored by abort/recovery *)
+  | Checksum_failures  (** physical reads whose page checksum failed *)
+  | Scrub_pages  (** pages verified by {!Scrub} sweeps *)
+  | Repairs  (** replicated values / link objects rebuilt *)
   | Degraded_reads
-  | Read_retries
+      (** queries that fell back to the functional join because a replica
+          page was quarantined *)
+  | Read_retries  (** physical reads retried after a transient fault *)
   | Failed_reads
-  | Prefetch_issued
-  | Prefetch_hits
-  | Wal_flushes
-  | Frames_shipped
-  | Frames_applied
-  | Acks_waited
-  | Maint_steps
-  | Maint_pages_walked
+      (** pool installs whose physical read failed after retries, so
+          [buffer_hits + page_reads + failed_reads] covers every lookup *)
+  | Prefetch_issued  (** pages read ahead by the sequential prefetcher *)
+  | Prefetch_hits  (** lookups served by a frame the prefetcher loaded *)
+  | Wal_flushes  (** physical log flushes (one per group-commit batch) *)
+  | Frames_shipped  (** log frames shipped to peers by a master *)
+  | Frames_applied  (** log frames redone by a replica *)
+  | Acks_waited  (** ack-mode commit barriers that waited for replicas *)
+  | Replica_lag_bytes
+      (** gauge: bytes buffered for the slowest async peer *)
+  | Maint_steps  (** background-maintenance quanta run (lib/maint) *)
+  | Maint_pages_walked  (** heap pages processed by maintenance cursors *)
   | Maint_lock_yields
-  | Peer_deaths
-  | Ack_demotions
-  | Heartbeats_missed
-  | Failovers
-  | Reconnects
+      (** maintenance quanta that backed off from a foreground lock *)
+  | Maint_backfill_pending
+      (** gauge: heap pages the queued maintenance jobs have still to walk *)
+  | Peer_deaths  (** peers declared Dead (heartbeat or disconnect) *)
+  | Ack_demotions  (** ack-mode commits that gave up on a late replica *)
+  | Heartbeats_missed  (** heartbeat deadlines missed by a peer *)
+  | Failovers  (** replica promotions to master (epoch bumps) *)
+  | Reconnects  (** transport reconnect attempts by the backoff dialer *)
+
+(** A [Counter] only grows; a [Gauge] is overwritten with {!set}, and
+    {!diff} reports its current value rather than a delta. *)
+type kind = Counter | Gauge
+
+val all : (counter * string * kind) list
+(** Every counter once, in {!pp} order, with its printed name. *)
+
+val create : unit -> t
+
+val grand : t
+(** The process-wide block.  Every {!add} and {!set} on any block also lands
+    here, and nothing resets it, so a caller measures work spread over
+    several databases as the {!diff} of two {!copy}s.  Its [by_file] table
+    stays empty. *)
+
+val reset : t -> unit
+val copy : t -> t
+val get : t -> counter -> int
+(** [get t c] is the field of [t] that [c] names. *)
 
 val add : t -> counter -> int -> unit
-(** [add t c n] adds [n] to counter [c].  This is the only place in the
-    tree that mutates a counter field (enforced by lint rule C1), so the
-    representation can later move to [Atomic] fetch-and-add without
-    touching call sites.  Note the [note_*] helpers below also maintain
-    process-wide totals; prefer them where one exists. *)
+(** [add t c n] adds [n] to [c] in [t] and in {!grand}. *)
 
 val bump : t -> counter -> unit
 (** [bump t c] is [add t c 1]. *)
 
+val set : t -> counter -> int -> unit
+(** [set t c v] sets gauge [c] to [v] in [t] and in {!grand}. *)
+
 val diff : t -> t -> t
-(** [diff now before] is the per-counter difference. *)
+(** [diff now before]: counters and [by_file] are differences, gauges keep
+    [now]'s value. *)
 
 val total_io : t -> int
 (** [page_reads + page_writes] — the quantity the paper's C functions
     estimate. *)
 
 val record_read : t -> file:int -> unit
+(** Count one physical read of [file]: [Page_reads] plus [by_file]. *)
+
 val record_write : t -> file:int -> unit
+(** Count one physical write of [file]: [Page_writes] plus [by_file]. *)
 
 val file_io : t -> file:int -> int * int
 (** (reads, writes) charged to one file since the last reset. *)
 
-val grand_total_io : unit -> int
-(** Process-wide physical page I/O across every stats block ever created.
-    Monotonic (never reset); callers take before/after deltas.  Lets the
-    benchmark driver attribute I/O to a scenario that builds several
-    databases. *)
-
-val grand_robustness : unit -> int * int * int * int * int
-(** Process-wide monotonic totals of [(checksum_failures, scrub_pages,
-    repairs, degraded_reads, read_retries)] across every stats block ever
-    created; callers take before/after deltas, like {!grand_total_io}. *)
-
-(** Incrementers for the robustness counters.  They bump both the per-block
-    field and the process-wide total, so use these rather than assigning the
-    fields directly. *)
-
-val note_checksum_failure : t -> unit
-val note_scrub_page : t -> unit
-val note_repair : t -> unit
-val note_degraded_read : t -> unit
-val note_read_retry : t -> unit
-val note_failed_read : t -> unit
-val note_prefetch_issued : t -> unit
-val note_prefetch_hit : t -> unit
-
-val grand_wal : unit -> int * int
-(** Process-wide monotonic [(wal_appends, wal_flushes)] across every stats
-    block; callers take before/after deltas, like {!grand_total_io}. *)
-
-val note_wal_append : t -> bytes:int -> unit
-(** Count one appended log record of [bytes] framed bytes (bumps the
-    per-block and process-wide counters). *)
-
-val note_wal_flush : t -> unit
-(** Count one physical flush of the log. *)
-
-val grand_repl : unit -> int * int * int
-(** Process-wide monotonic [(frames_shipped, frames_applied, acks_waited)]
-    across every stats block; callers take before/after deltas, like
-    {!grand_total_io}. *)
-
-val note_frame_shipped : t -> unit
-val note_frame_applied : t -> unit
-val note_ack_waited : t -> unit
-
-val set_replica_lag : t -> bytes:int -> unit
-(** Set the replication-lag gauge: bytes buffered for the slowest async
-    peer.  A gauge, so {!diff} reports the current value, not a delta. *)
-
-val grand_maint : unit -> int * int
-(** Process-wide monotonic [(maint_steps, maint_lock_yields)] across every
-    stats block; callers take before/after deltas, like {!grand_total_io}. *)
-
-val note_maint_step : t -> pages:int -> unit
-(** Count one executed maintenance quantum that walked [pages] heap pages
-    (bumps the per-block and process-wide counters). *)
-
-val note_maint_yield : t -> unit
-(** Count one maintenance quantum that yielded to foreground locks. *)
-
-val set_maint_backlog : t -> pages:int -> unit
-(** Set the maintenance-backlog gauge: heap pages still to walk across all
-    queued jobs.  A gauge, so {!diff} reports the current value. *)
-
-val grand_failover : unit -> int * int * int * int * int
-(** Process-wide monotonic [(peer_deaths, ack_demotions, heartbeats_missed,
-    failovers, reconnects)] across every stats block; callers take
-    before/after deltas, like {!grand_total_io}. *)
-
-(** Incrementers for the failover/liveness counters (per-block plus
-    process-wide, like the robustness counters). *)
-
-val note_peer_death : t -> unit
-val note_ack_demotion : t -> unit
-val note_heartbeat_missed : t -> unit
-val note_failover : t -> unit
-val note_reconnect : t -> unit
-
 val pp : Format.formatter -> t -> unit
+(** [name=value] for every entry of {!all}, separated by single spaces. *)

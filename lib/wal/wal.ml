@@ -405,7 +405,7 @@ let sync t =
     end;
     t.pending_bytes <- 0;
     t.flushes <- t.flushes + 1;
-    (match t.stats with Some s -> Stats.note_wal_flush s | None -> ());
+    (match t.stats with Some s -> Stats.bump s Stats.Wal_flushes | None -> ());
     (* The frame tap fires after the physical flush, with the batch this
        sync made durable, in append order.  Replication shipping hangs off
        this hook: anything a tap observer sees is already on disk, so a
@@ -664,7 +664,9 @@ let write_record t lsn record =
   t.bytes <- t.bytes + Bytes.length frame;
   t.pending_bytes <- t.pending_bytes + Bytes.length frame;
   (match t.stats with
-  | Some s -> Stats.note_wal_append s ~bytes:(Bytes.length frame)
+  | Some s ->
+      Stats.bump s Stats.Wal_appends;
+      Stats.add s Stats.Wal_bytes (Bytes.length frame)
   | None -> ());
   (match t.tap with
   | Some _ -> t.tap_pending <- (lsn, frame) :: t.tap_pending

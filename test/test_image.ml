@@ -14,6 +14,10 @@ module Exec = Fieldrep_query.Exec
 module Lang = Fieldrep_query.Lang
 module Gen = Fieldrep_workload.Gen
 module Engine = Fieldrep_replication.Engine
+module Pager = Fieldrep_storage.Pager
+module Disk = Fieldrep_storage.Disk
+module Transport = Fieldrep_repl.Transport
+module Repl = Fieldrep_repl.Repl
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -248,6 +252,76 @@ let test_rs_database_roundtrip () =
   Db.check_integrity db2;
   Sys.remove path
 
+(* An R/S database on small pages, then deletes of most of R: the R index
+   merges leaves and frees their pages. *)
+let churned_db ~durable =
+  let built =
+    Gen.build
+      {
+        Gen.default_spec with
+        Gen.s_count = 100;
+        sharing = 4;
+        strategy = Fieldrep_costmodel.Params.Inplace;
+        page_size = 512;
+        durable;
+      }
+  in
+  let db = built.Gen.db in
+  let r_oids = ref [] in
+  Db.scan db ~set:"R" (fun oid _ -> r_oids := oid :: !r_oids);
+  List.iteri
+    (fun i oid -> if i mod 4 <> 0 then Db.delete db ~set:"R" oid)
+    !r_oids;
+  db
+
+let insert_r db ~from n =
+  let s = List.hd (Db.index_lookup db ~index:Gen.s_index (Key.Int 0)) in
+  for k = from to from + n - 1 do
+    ignore
+      (Db.insert db ~set:"R" [ Value.VInt k; vstr "pad"; Value.VRef s ])
+  done
+
+let index_pages db = (Db.index_stats db ~index:Gen.r_index).Db.pages
+
+let test_free_pages_survive_load () =
+  let db = churned_db ~durable:false in
+  let path = tmp "free_pages" in
+  Db.save db path;
+  let twin = Db.load path in
+  Sys.remove path;
+  checki "same index pages after load" (index_pages db) (index_pages twin);
+  (* Both trees must reuse the pages the deletes freed, in the same order. *)
+  insert_r db ~from:10_000 300;
+  insert_r twin ~from:10_000 300;
+  checki "same index pages after inserts" (index_pages db) (index_pages twin);
+  Db.check_integrity twin
+
+(* Digest of every page of every disk file. *)
+let disk_digest db =
+  Pager.flush (Db.pager db);
+  let disk = Pager.disk (Db.pager db) in
+  List.map
+    (fun id ->
+      ( id,
+        List.init (Disk.page_count disk id) (fun page ->
+            Digest.bytes (Disk.dump_page disk ~file:id ~page)) ))
+    (List.sort compare (Disk.file_ids disk))
+
+let test_snapshot_replica_matches_pages () =
+  let db = churned_db ~durable:true in
+  let m = Repl.Master.create db in
+  let ma, rb, _, _ = Transport.loopback () in
+  let r = Repl.Replica.connect rb in
+  let pump () = ignore (Repl.Replica.drain r) in
+  ignore (Repl.Master.attach ~pump m ma);
+  ignore (Repl.Replica.drain r);
+  insert_r db ~from:10_000 300;
+  Repl.Master.pump m;
+  ignore (Repl.Replica.drain r);
+  let rdb = Repl.Replica.db r in
+  checki "same index pages" (index_pages db) (index_pages rdb);
+  checkb "pages byte-identical" true (disk_digest db = disk_digest rdb)
+
 let () =
   Alcotest.run "fieldrep_image"
     [
@@ -263,5 +337,9 @@ let () =
             test_pending_lazy_with_mixed_indexes;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage;
           Alcotest.test_case "R/S database roundtrip" `Quick test_rs_database_roundtrip;
+          Alcotest.test_case "index free pages survive load" `Quick
+            test_free_pages_survive_load;
+          Alcotest.test_case "snapshot replica pages match master" `Quick
+            test_snapshot_replica_matches_pages;
         ] );
     ]

@@ -27,8 +27,114 @@ let test_per_file_stats () =
   Alcotest.(check (pair int int)) "file 3" (2, 1) (Stats.file_io stats ~file:3);
   Alcotest.(check (pair int int)) "file 7" (1, 0) (Stats.file_io stats ~file:7);
   Alcotest.(check (pair int int)) "untouched" (0, 0) (Stats.file_io stats ~file:9);
+  checki "reads counted" 3 stats.Stats.page_reads;
+  checki "writes counted" 1 stats.Stats.page_writes;
   Stats.reset stats;
   Alcotest.(check (pair int int)) "reset" (0, 0) (Stats.file_io stats ~file:3)
+
+(* Every counter holds a different value: its rank in field order. *)
+let distinct_block () =
+  {
+    Stats.page_reads = 1;
+    page_writes = 2;
+    buffer_hits = 3;
+    pages_allocated = 4;
+    objects_read = 5;
+    objects_written = 6;
+    wal_appends = 7;
+    wal_bytes = 8;
+    recovery_replays = 9;
+    txn_commits = 10;
+    txn_aborts = 11;
+    lock_waits = 12;
+    deadlocks = 13;
+    undo_applied = 14;
+    checksum_failures = 15;
+    scrub_pages = 16;
+    repairs = 17;
+    degraded_reads = 18;
+    read_retries = 19;
+    failed_reads = 20;
+    prefetch_issued = 21;
+    prefetch_hits = 22;
+    wal_flushes = 23;
+    frames_shipped = 24;
+    frames_applied = 25;
+    acks_waited = 26;
+    replica_lag_bytes = 27;
+    maint_steps = 28;
+    maint_pages_walked = 29;
+    maint_lock_yields = 30;
+    maint_backfill_pending = 31;
+    peer_deaths = 32;
+    ack_demotions = 33;
+    heartbeats_missed = 34;
+    failovers = 35;
+    reconnects = 36;
+    by_file = Hashtbl.create 1;
+  }
+
+(* The printed form is pinned: tools and logs parse it. *)
+let test_pp_pinned () =
+  Alcotest.(check string)
+    "pp"
+    "reads=1 writes=2 hits=3 allocated=4 obj_read=5 obj_written=6 \
+     wal_appends=7 wal_bytes=8 wal_flushes=23 replays=9 commits=10 aborts=11 \
+     lock_waits=12 deadlocks=13 undone=14 checksum_failures=15 scrub_pages=16 \
+     repairs=17 degraded_reads=18 read_retries=19 failed_reads=20 \
+     prefetch_issued=21 prefetch_hits=22 frames_shipped=24 frames_applied=25 \
+     acks_waited=26 replica_lag_bytes=27 maint_steps=28 maint_pages_walked=29 \
+     maint_lock_yields=30 maint_backfill_pending=31 peer_deaths=32 \
+     ack_demotions=33 heartbeats_missed=34 failovers=35 reconnects=36"
+    (Format.asprintf "%a" Stats.pp (distinct_block ()))
+
+let test_table_covers_every_counter () =
+  let s = distinct_block () in
+  Alcotest.(check (list int))
+    "each field read exactly once" (List.init 36 succ)
+    (List.sort compare (List.map (fun (c, _, _) -> Stats.get s c) Stats.all));
+  let names = List.map (fun (_, name, _) -> name) Stats.all in
+  checki "names distinct" 36 (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string))
+    "gauges"
+    [ "replica_lag_bytes"; "maint_backfill_pending" ]
+    (List.filter_map
+       (fun (_, name, kind) -> if kind = Stats.Gauge then Some name else None)
+       Stats.all)
+
+let test_grand_sums_blocks () =
+  let g0 = Stats.copy Stats.grand in
+  let a = Stats.create () and b = Stats.create () in
+  Stats.bump a Stats.Repairs;
+  Stats.add b Stats.Repairs 2;
+  Stats.bump b Stats.Wal_flushes;
+  let d = Stats.diff Stats.grand g0 in
+  checki "repairs of both blocks" 3 d.Stats.repairs;
+  checki "flushes" 1 d.Stats.wal_flushes;
+  checki "block a alone" 1 a.Stats.repairs
+
+let test_diff_keeps_gauges () =
+  let s = Stats.create () in
+  Stats.add s Stats.Wal_bytes 10;
+  Stats.set s Stats.Replica_lag_bytes 7;
+  Stats.set s Stats.Maint_backfill_pending 5;
+  let before = Stats.copy s in
+  Stats.add s Stats.Wal_bytes 4;
+  Stats.set s Stats.Replica_lag_bytes 9;
+  let d = Stats.diff s before in
+  checki "counter is a delta" 4 d.Stats.wal_bytes;
+  checki "changed gauge is current" 9 d.Stats.replica_lag_bytes;
+  checki "unchanged gauge is current" 5 d.Stats.maint_backfill_pending
+
+let test_reset_spares_grand () =
+  let s = Stats.create () in
+  Stats.bump s Stats.Failovers;
+  let g = Stats.copy Stats.grand in
+  Stats.reset s;
+  checki "block reset" 0 s.Stats.failovers;
+  List.iter
+    (fun (c, name, _) -> checki name (Stats.get g c) (Stats.get Stats.grand c))
+    Stats.all
 
 let test_io_breakdown_attributes_structures () =
   let built =
@@ -130,6 +236,13 @@ let () =
       ( "io attribution",
         [
           Alcotest.test_case "per-file stats" `Quick test_per_file_stats;
+          Alcotest.test_case "pp pinned" `Quick test_pp_pinned;
+          Alcotest.test_case "table covers every counter" `Quick
+            test_table_covers_every_counter;
+          Alcotest.test_case "grand sums blocks" `Quick test_grand_sums_blocks;
+          Alcotest.test_case "diff keeps gauges" `Quick test_diff_keeps_gauges;
+          Alcotest.test_case "reset spares grand" `Quick
+            test_reset_spares_grand;
           Alcotest.test_case "update query breakdown" `Quick
             test_io_breakdown_attributes_structures;
           Alcotest.test_case "read query per strategy" `Quick

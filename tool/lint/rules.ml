@@ -537,7 +537,7 @@ let s1 i =
 (* lost-update race the moment two domains touch the same block; every    *)
 (* counter bump goes through the blessed Stats.bump/Stats.add so the      *)
 (* representation can become Atomic in one place.  The single permitted   *)
-(* mutation site is Stats.add itself (lib/storage/stats.ml).  Scope:      *)
+(* mutation site is the one match inside lib/storage/stats.ml.  Scope:    *)
 (* lib/, bin/ and bench/.                                                 *)
 
 let c1_stats_fields =
