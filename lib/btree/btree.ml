@@ -5,21 +5,23 @@ module Pager = Fieldrep_storage.Pager
 
 type entry = Key.t * Oid.t
 
+(* A decoded node.  Searches and single-entry edits work on the page bytes
+   in place; a node is decoded only when its structure changes (split,
+   merge, rotation, separator update) and by [check_invariants]. *)
 type node =
   | Leaf of { entries : entry array; next : int (* page, -1 = none *) }
   | Internal of { children : int array; seps : entry array }
-      (* Array.length children = Array.length seps + 1; seps.(i) is the
-         first entry of the subtree under children.(i + 1). *)
+      (* Array.length children = Array.length seps + 1; seps.(i) is exactly
+         the minimum entry of the subtree under children.(i + 1). *)
 
 type t = {
   pager : Pager.t;
   file : int;
   mutable root : int;
+  mutable height : int;  (* levels; 1 = the root is a leaf *)
   mutable count : int;
   mutable free_pages : int list;
   mutable key_witness : Key.t option;
-  max_leaf : int;
-  max_internal : int;
 }
 
 let min_oid = { Oid.file = 0; page = 0; slot = 0 }
@@ -30,18 +32,21 @@ let compare_entry (k1, o1) (k2, o2) =
 (* ------------------------------------------------------------------ *)
 (* Node (de)serialization                                              *)
 
+(* A node page is tag u8 | count u16 | link u32 | entries.  The link is
+   the next leaf (leaf) or child 0 (internal).  A leaf entry is key | oid;
+   an internal entry is separator key | oid | child u32. *)
 let tag_leaf = 0
 let tag_internal = 1
 let none_page = 0xffff_ffff
+let header = 1 + 2 + 4
 
 let entry_size (k, _) = Key.encoded_size k + Oid.encoded_size
 
 let node_bytes = function
   | Leaf { entries; _ } ->
-      Array.fold_left (fun acc e -> acc + entry_size e) (1 + 2 + 4) entries
-  | Internal { children; seps } ->
-      ignore children;
-      Array.fold_left (fun acc e -> acc + entry_size e + 4) (1 + 2 + 4) seps
+      Array.fold_left (fun acc e -> acc + entry_size e) header entries
+  | Internal { seps; _ } ->
+      Array.fold_left (fun acc e -> acc + entry_size e + 4) header seps
 
 let write_entry buf off (k, o) =
   let off = Key.encode buf off k in
@@ -71,6 +76,7 @@ let serialize node buf =
         seps;
       ignore !off
 
+(* The decoding reference: whole nodes through the Key/Oid codecs. *)
 let deserialize buf =
   let tag, off = Wire.get_u8 buf 0 in
   if tag = tag_leaf then begin
@@ -119,43 +125,93 @@ let alloc_page t =
 let free_page t page = t.free_pages <- page :: t.free_pages
 
 (* ------------------------------------------------------------------ *)
+(* In-place access to a node page                                      *)
+
+let is_leaf buf =
+  let tag = Bytes.get_uint8 buf 0 in
+  if tag = tag_leaf then true
+  else if tag = tag_internal then false
+  else raise (Wire.Corrupt (Printf.sprintf "Btree: bad node tag %d" tag))
+
+let expect_leaf buf leaf =
+  if is_leaf buf <> leaf then raise (Wire.Corrupt "Btree: node at the wrong depth")
+
+let count_at buf = Bytes.get_uint16_le buf 1
+let set_count buf n = Bytes.set_uint16_le buf 1 n
+let u32_at buf off =
+  Bytes.get_uint16_le buf off lor (Bytes.get_uint16_le buf (off + 2) lsl 16)
+
+let next_leaf buf =
+  match u32_at buf 3 with next when next = none_page -> -1 | next -> next
+
+let entry_size_at buf off = Key.encoded_size_at buf off + Oid.encoded_size
+
+(* [Oid.compare oid o] for the oid o encoded at [off].  The packed LE i64
+   holds slot (bits 0-15), page (16-47) and file (48-63); comparing the
+   three fields keeps [Oid.compare]'s order, which a signed compare of the
+   i64 would not ([Oid.nil]'s file sets the sign bit). *)
+let compare_oid_at (oid : Oid.t) buf off =
+  match Int.compare oid.file (Bytes.get_uint16_le buf (off + 6)) with
+  | 0 -> (
+      match Int.compare oid.page (u32_at buf (off + 2)) with
+      | 0 -> Int.compare oid.slot (Bytes.get_uint16_le buf off)
+      | c -> c)
+  | c -> c
+
+(* [compare_entry (key, oid) e] for the entry e encoded at [off]. *)
+let compare_entry_at key oid buf off =
+  match Key.compare_encoded key buf off with
+  | 0 -> compare_oid_at oid buf (off + Key.encoded_size_at buf off)
+  | c -> c
+
+let entry_at buf off =
+  let e, _ = read_entry buf off in
+  e
+
+(* Offset just past [n] entries starting at [off]; [extra] is 4 for the
+   child pointer after each internal entry. *)
+let rec skip_entries buf off n ~extra =
+  if n = 0 then off
+  else skip_entries buf (off + entry_size_at buf off + extra) (n - 1) ~extra
+
+(* [k off i] at the first leaf entry >= (key, oid): its offset and index
+   (i = count when there is none). *)
+let seek_leaf buf key oid k =
+  let n = count_at buf in
+  let rec go off i =
+    if i < n && compare_entry_at key oid buf off > 0 then
+      go (off + entry_size_at buf off) (i + 1)
+    else k off i
+  in
+  go header 0
+
+(* [k idx child off] for the child that can hold (key, oid): [idx] is the
+   number of separators <= (key, oid), [child] = children.(idx), and [off]
+   is the offset of separator [idx] (the end of the entries when idx =
+   count). *)
+let seek_child buf key oid k =
+  let n = count_at buf in
+  let rec go off i child =
+    if i < n && compare_entry_at key oid buf off >= 0 then
+      let ptr = off + entry_size_at buf off in
+      go (ptr + 4) (i + 1) (u32_at buf ptr)
+    else k i child off
+  in
+  go header 0 (u32_at buf 3)
+
+(* ------------------------------------------------------------------ *)
 (* Capacity policy                                                     *)
 
-let max_entries t = function
-  | Leaf _ -> t.max_leaf
-  | Internal _ -> t.max_internal
-
-let entry_count_of = function
-  | Leaf { entries; _ } -> Array.length entries
-  | Internal { seps; _ } -> Array.length seps
-
-let overfull t node =
-  node_bytes node > Pager.page_size t.pager
-  || entry_count_of node > max_entries t node
-
-let underfull t node =
-  let cap = max_entries t node in
-  if cap < max_int then entry_count_of node < (cap + 1) / 2
-  else 4 * node_bytes node < Pager.page_size t.pager
+let overfull t node = node_bytes node > Pager.page_size t.pager
+let underfull t node = 4 * node_bytes node < Pager.page_size t.pager
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let create ?(max_leaf_entries = max_int) ?(max_internal_entries = max_int) pager =
-  if max_leaf_entries < 2 || max_internal_entries < 2 then
-    invalid_arg "Btree.create: entry caps must be >= 2";
+let create pager =
   let file = Pager.create_file pager in
   let t =
-    {
-      pager;
-      file;
-      root = 0;
-      count = 0;
-      free_pages = [];
-      key_witness = None;
-      max_leaf = max_leaf_entries;
-      max_internal = max_internal_entries;
-    }
+    { pager; file; root = 0; height = 1; count = 0; free_pages = []; key_witness = None }
   in
   t.root <- alloc_page t;
   write_node t t.root (Leaf { entries = [||]; next = -1 });
@@ -166,30 +222,19 @@ let root t = t.root
 let entry_count t = t.count
 let free_pages t = t.free_pages
 
-let attach ?(max_leaf_entries = max_int) ?(max_internal_entries = max_int) pager
-    ~file ~root ~count ~free_pages =
-  let t =
-    {
-      pager;
-      file;
-      root;
-      count;
-      free_pages;
-      key_witness = None;
-      max_leaf = max_leaf_entries;
-      max_internal = max_internal_entries;
-    }
+let attach pager ~file ~root ~count ~free_pages =
+  let t = { pager; file; root; height = 1; count; free_pages; key_witness = None } in
+  (* One walk down the left spine finds the height and recovers the key
+     variant from any entry. *)
+  let rec spine page depth =
+    t.height <- depth;
+    match read_node t page with
+    | Leaf { entries; _ } ->
+        if Array.length entries > 0 then t.key_witness <- Some (fst entries.(0))
+    | Internal { children; _ } -> spine children.(0) (depth + 1)
   in
-  (* Recover the key variant from any entry. *)
-  (try
-     let rec first page =
-       match read_node t page with
-       | Leaf { entries; _ } ->
-           if Array.length entries > 0 then t.key_witness <- Some (fst entries.(0))
-       | Internal { children; _ } -> first children.(0)
-     in
-     first root
-   (* Decode failures just mean no witness; storage faults (Corrupt_page,
+  (try spine root 1
+   (* Decode failures just end the walk; storage faults (Corrupt_page,
       Read_error) must keep propagating to the scrub machinery. *)
    with Invalid_argument _ | Failure _ | Wire.Corrupt _ -> ());
   t
@@ -210,13 +255,7 @@ let leaf_count t =
   in
   walk (leftmost t.root) 0
 
-let height t =
-  let rec depth page =
-    match read_node t page with
-    | Leaf _ -> 1
-    | Internal { children; _ } -> 1 + depth children.(0)
-  in
-  depth t.root
+let height t = t.height
 
 let check_key t key =
   match t.key_witness with
@@ -228,65 +267,49 @@ let check_key t key =
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
-(* Index of the child to descend into for [probe]: the last child whose
-   separated range can contain it. *)
-let child_index seps probe =
-  (* first separator strictly greater than probe *)
-  let n = Array.length seps in
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare_entry seps.(mid) probe <= 0 then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  bsearch 0 n
+(* One page of a range scan: descend into a child (noting whether the
+   range ends within it), or the hits of one leaf, newest first, and the
+   leaf to continue at (-1 once the range has ended). *)
+type visit = Descend of int * bool | Hits of entry list * int
 
-(* Position of the first entry >= probe within a sorted entry array. *)
-let lower_bound entries probe =
-  let n = Array.length entries in
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if compare_entry entries.(mid) probe < 0 then bsearch (mid + 1) hi
-      else bsearch lo mid
-  in
-  bsearch 0 n
-
-let rec leaf_for t page probe =
-  match read_node t page with
-  | Leaf { entries; next } -> (entries, next)
-  | Internal { children; seps } ->
-      leaf_for t children.(child_index seps probe) probe
-
-(* Walk entries in [lo, hi] starting from the leaf containing lo. *)
+(* Entries in [lo, hi], from the leaf holding the first entry >= lo along
+   the chain.  Each page is searched and scanned under one pin, and only
+   the hits are decoded; [f] runs after the leaf is unpinned. *)
 let iter_range t ~lo ~hi f =
   if Key.compare lo hi <= 0 then begin
-    let probe = (lo, min_oid) in
-    let entries0, next0 = leaf_for t t.root probe in
-    let rec walk entries next start =
-      let n = Array.length entries in
-      let rec scan i =
-        if i >= n then
-          if next >= 0 then begin
-            match read_node t next with
-            | Leaf l2 -> walk l2.entries l2.next 0
-            | Internal _ -> raise (Wire.Corrupt "Btree: leaf chain hits internal node")
-          end
-          else ()
-        else begin
-          let k, o = entries.(i) in
-          if Key.compare k hi > 0 then ()
-          else begin
-            f k o;
-            scan (i + 1)
-          end
-        end
+    (* [bounded]: the separator just right of the descent path has a key
+       above [hi], so the range ends within the leaf the descent reaches. *)
+    let rec visit page ~descending ~bounded =
+      let step =
+        Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+            if not (is_leaf buf) then begin
+              if not descending then
+                raise (Wire.Corrupt "Btree: leaf chain hits internal node");
+              seek_child buf lo min_oid (fun idx child off ->
+                  let bounded =
+                    if idx < count_at buf then Key.compare_encoded hi buf off < 0
+                    else bounded
+                  in
+                  Descend (child, bounded))
+            end
+            else begin
+              let n = count_at buf in
+              let rec scan off i hits =
+                if i >= n then Hits (hits, if bounded then -1 else next_leaf buf)
+                else if Key.compare_encoded hi buf off < 0 then Hits (hits, -1)
+                else scan (off + entry_size_at buf off) (i + 1) (entry_at buf off :: hits)
+              in
+              if descending then seek_leaf buf lo min_oid (fun off i -> scan off i [])
+              else scan header 0 []
+            end)
       in
-      scan start
+      match step with
+      | Descend (child, bounded) -> visit child ~descending:true ~bounded
+      | Hits (hits, next) ->
+          List.iter (fun (k, o) -> f k o) (List.rev hits);
+          if next >= 0 then visit next ~descending:false ~bounded:false
     in
-    walk entries0 next0 (lower_bound entries0 probe)
+    visit t.root ~descending:true ~bounded:false
   end
 
 let fold_range t ~lo ~hi ~init ~f =
@@ -350,231 +373,275 @@ let split_point entries extra_per_entry =
   in
   max 1 (min (n - 1) (scan 0 0))
 
-(* Returns [Some (sep, right_page)] when the node split. *)
-let rec insert_rec t page entry =
+(* Where an internal node's separators split around the one promoted (or
+   rotated) up: with three or more, each half keeps at least one, so
+   neither is left a lone child pointer when separators are large. *)
+let promote_point seps = max 1 (min (split_point seps 4) (Array.length seps - 2))
+
+(* Insert into the leaf in place when the entry fits: shift the tail
+   right and write the entry into the frame.  Otherwise returns the
+   entry's index, for [split_leaf]. *)
+let insert_in_leaf t page key oid =
+  Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+      expect_leaf buf true;
+      seek_leaf buf key oid (fun off i ->
+          let n = count_at buf in
+          if i < n && compare_entry_at key oid buf off = 0 then
+            invalid_arg "Btree.insert: duplicate (key, oid) entry";
+          let stop = skip_entries buf off (n - i) ~extra:0 in
+          let size = Key.encoded_size key + Oid.encoded_size in
+          if stop + size > Bytes.length buf then i
+          else begin
+            Bytes.blit buf off buf (off + size) (stop - off);
+            ignore (Oid.encode buf (Key.encode buf off key) oid);
+            set_count buf (n + 1);
+            -1
+          end))
+
+(* Returns the separator and right page of the split. *)
+let split_leaf t page i entry =
   match read_node t page with
   | Leaf { entries; next } ->
-      let i = lower_bound entries entry in
-      if i < Array.length entries && compare_entry entries.(i) entry = 0 then
-        invalid_arg "Btree.insert: duplicate (key, oid) entry";
       let entries = array_insert entries i entry in
-      let node = Leaf { entries; next } in
-      if not (overfull t node) then begin
-        write_node t page node;
-        None
-      end
-      else begin
-        let split = split_point entries 0 in
-        let left = Array.sub entries 0 split in
-        let right = Array.sub entries split (Array.length entries - split) in
-        let right_page = alloc_page t in
-        write_node t right_page (Leaf { entries = right; next });
-        write_node t page (Leaf { entries = left; next = right_page });
-        Some (right.(0), right_page)
-      end
-  | Internal { children; seps } -> (
-      let idx = child_index seps entry in
-      match insert_rec t children.(idx) entry with
-      | None -> None
-      | Some (sep, new_child) ->
-          let seps = array_insert seps idx sep in
-          let children = array_insert children (idx + 1) new_child in
-          let node = Internal { children; seps } in
-          if not (overfull t node) then begin
-            write_node t page node;
-            None
-          end
-          else begin
-            (* Promote the separator at the split point ("move up"). *)
-            let split = split_point seps 4 in
-            let promoted = seps.(split) in
-            let left_seps = Array.sub seps 0 split in
-            let right_seps = Array.sub seps (split + 1) (Array.length seps - split - 1) in
-            let left_children = Array.sub children 0 (split + 1) in
-            let right_children =
-              Array.sub children (split + 1) (Array.length children - split - 1)
-            in
-            let right_page = alloc_page t in
-            write_node t right_page (Internal { children = right_children; seps = right_seps });
-            write_node t page (Internal { children = left_children; seps = left_seps });
-            Some (promoted, right_page)
-          end)
+      let split = split_point entries 0 in
+      let left = Array.sub entries 0 split in
+      let right = Array.sub entries split (Array.length entries - split) in
+      let right_page = alloc_page t in
+      write_node t right_page (Leaf { entries = right; next });
+      write_node t page (Leaf { entries = left; next = right_page });
+      (right.(0), right_page)
+  | Internal _ -> raise (Wire.Corrupt "Btree: node at the wrong depth")
+
+(* [level] counts down to 1 at the leaves.  Returns [Some (sep,
+   right_page)] when the node split. *)
+let rec insert_rec t page level key oid =
+  if level = 1 then
+    match insert_in_leaf t page key oid with
+    | -1 -> None
+    | i -> Some (split_leaf t page i (key, oid))
+  else begin
+    let idx, child =
+      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+          expect_leaf buf false;
+          seek_child buf key oid (fun idx child _ -> (idx, child)))
+    in
+    match insert_rec t child (level - 1) key oid with
+    | None -> None
+    | Some (sep, new_child) -> (
+        match read_node t page with
+        | Leaf _ -> raise (Wire.Corrupt "Btree: node at the wrong depth")
+        | Internal { children; seps } ->
+            let seps = array_insert seps idx sep in
+            let children = array_insert children (idx + 1) new_child in
+            let node = Internal { children; seps } in
+            if not (overfull t node) then begin
+              write_node t page node;
+              None
+            end
+            else begin
+              (* Promote the separator at the split point ("move up"). *)
+              let split = promote_point seps in
+              let promoted = seps.(split) in
+              let left_seps = Array.sub seps 0 split in
+              let right_seps = Array.sub seps (split + 1) (Array.length seps - split - 1) in
+              let left_children = Array.sub children 0 (split + 1) in
+              let right_children =
+                Array.sub children (split + 1) (Array.length children - split - 1)
+              in
+              let right_page = alloc_page t in
+              write_node t right_page (Internal { children = right_children; seps = right_seps });
+              write_node t page (Internal { children = left_children; seps = left_seps });
+              Some (promoted, right_page)
+            end)
+  end
 
 let insert t key oid =
   check_key t key;
-  (match insert_rec t t.root (key, oid) with
+  (match insert_rec t t.root t.height key oid with
   | None -> ()
   | Some (sep, right_page) ->
-      (* Root split: move the old root to a fresh page and make the root an
-         internal node, so t.root stays stable. *)
-      let old_root = read_node t t.root in
+      (* Root split: move the left half to a fresh page and make the root
+         an internal node over it and the new right page, so t.root stays
+         stable. *)
       let moved = alloc_page t in
-      write_node t moved old_root;
-      (* The right sibling produced by the split still references the root
-         page via nothing (internals hold child pages; the split wrote left
-         into t.root).  Re-point: left child is [moved]. *)
-      (match old_root with
-      | Leaf _ | Internal _ -> ());
-      write_node t t.root (Internal { children = [| moved; right_page |]; seps = [| sep |] }));
+      write_node t moved (read_node t t.root);
+      write_node t t.root (Internal { children = [| moved; right_page |]; seps = [| sep |] });
+      t.height <- t.height + 1);
   t.count <- t.count + 1
 
 (* ------------------------------------------------------------------ *)
 (* Delete                                                              *)
 
-let first_entry t page =
-  let rec go page =
-    match read_node t page with
-    | Leaf { entries; _ } ->
-        if Array.length entries = 0 then None else Some entries.(0)
-    | Internal { children; _ } -> go children.(0)
-  in
-  go page
+(* How a delete changed a subtree's minimum: it did not, it is now [e],
+   or the subtree is empty. *)
+type min_change = Same | Now of entry | Emptied
 
-(* Rebalance children.(idx) of the internal node at [page] if underfull.
-   Returns the (possibly rewritten) parent node. *)
-let rebalance_child t (node : node) idx =
-  match node with
-  | Leaf _ -> node
-  | Internal { children; seps } -> (
-      let child_page = children.(idx) in
-      let child = read_node t child_page in
-      if not (underfull t child) then node
-      else begin
-        (* Prefer the right sibling; fall back to the left one. *)
-        let sib_idx = if idx + 1 <= Array.length seps then idx + 1 else idx - 1 in
-        if sib_idx < 0 || sib_idx > Array.length seps then node
-        else begin
-          let left_idx = min idx sib_idx in
-          let right_idx = max idx sib_idx in
-          let left_page = children.(left_idx) in
-          let right_page = children.(right_idx) in
-          let left = read_node t left_page in
-          let right = read_node t right_page in
-          let merged =
-            match (left, right) with
-            | Leaf a, Leaf b ->
-                Some (Leaf { entries = Array.append a.entries b.entries; next = b.next })
-            | Internal a, Internal b ->
-                Some
-                  (Internal
-                     {
-                       children = Array.append a.children b.children;
-                       seps =
-                         Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ];
-                     })
-            | Leaf _, Internal _ | Internal _, Leaf _ -> None
-          in
-          match merged with
-          | Some m when not (overfull t m) ->
-              write_node t left_page m;
-              free_page t right_page;
-              Internal
-                {
-                  children = array_remove children right_idx;
-                  seps = array_remove seps left_idx;
-                }
-          | Some _ | None -> (
-              (* Merge impossible: redistribute the combined content evenly
-                 by serialized size, which lifts the underfull side above
-                 threshold in one step. *)
-              match (left, right) with
-              | Leaf a, Leaf b ->
-                  let combined = Array.append a.entries b.entries in
-                  if Array.length combined < 2 then node
-                  else begin
-                    let split = split_point combined 0 in
-                    let l = Array.sub combined 0 split in
-                    let r = Array.sub combined split (Array.length combined - split) in
-                    write_node t left_page (Leaf { entries = l; next = a.next });
-                    write_node t right_page (Leaf { entries = r; next = b.next });
-                    let seps = Array.copy seps in
-                    seps.(left_idx) <- r.(0);
-                    Internal { children; seps }
-                  end
-              | Internal a, Internal b ->
-                  (* Rotate through the parent separator: combined separator
-                     list is a.seps ++ [parent sep] ++ b.seps. *)
-                  let all_children = Array.append a.children b.children in
-                  let all_seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ] in
-                  if Array.length all_seps < 2 then node
-                  else begin
-                    let split = split_point all_seps 4 in
-                    let promoted = all_seps.(split) in
-                    write_node t left_page
-                      (Internal
-                         {
-                           children = Array.sub all_children 0 (split + 1);
-                           seps = Array.sub all_seps 0 split;
-                         });
-                    write_node t right_page
-                      (Internal
-                         {
-                           children =
-                             Array.sub all_children (split + 1)
-                               (Array.length all_children - split - 1);
-                           seps =
-                             Array.sub all_seps (split + 1)
-                               (Array.length all_seps - split - 1);
-                         });
-                    let seps = Array.copy seps in
-                    seps.(left_idx) <- promoted;
-                    Internal { children; seps }
-                  end
-              | Leaf _, Internal _ | Internal _, Leaf _ ->
-                  raise (Wire.Corrupt "Btree: siblings at different depths"))
-        end
-      end)
+(* What a delete tells the parent about the child it descended into. *)
+type removal = Absent | Removed of { min : min_change; underfull : bool }
 
-let rec delete_rec t page entry =
-  match read_node t page with
-  | Leaf { entries; next } ->
-      let i = lower_bound entries entry in
-      if i < Array.length entries && compare_entry entries.(i) entry = 0 then begin
-        write_node t page (Leaf { entries = array_remove entries i; next });
-        true
-      end
-      else false
-  | Internal { children; seps } ->
-      let idx = child_index seps entry in
-      let found = delete_rec t children.(idx) entry in
-      if found then begin
-        let node = rebalance_child t (Internal { children; seps }) idx in
-        (* Deleting the first entry of a subtree can stale the separator
-           guiding into it; refresh from the actual subtree minimum. *)
-        let node =
-          match node with
-          | Internal { children; seps } ->
-              let seps = Array.copy seps in
-              Array.iteri
-                (fun i _ ->
-                  match first_entry t children.(i + 1) with
-                  | Some e -> seps.(i) <- e
-                  | None -> ())
-                seps;
-              Internal { children; seps }
-          | Leaf _ as l -> l
-        in
-        write_node t page node
-      end;
-      found
+(* Remove the entry from the leaf in place: one blit shifts the tail
+   left. *)
+let delete_in_leaf t page key oid =
+  Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+      expect_leaf buf true;
+      seek_leaf buf key oid (fun off i ->
+          let n = count_at buf in
+          if i >= n || compare_entry_at key oid buf off <> 0 then Absent
+          else begin
+            let size = entry_size_at buf off in
+            let stop = skip_entries buf (off + size) (n - i - 1) ~extra:0 in
+            Bytes.blit buf (off + size) buf off (stop - off - size);
+            set_count buf (n - 1);
+            let min =
+              if i > 0 then Same else if n = 1 then Emptied else Now (entry_at buf header)
+            in
+            Removed { min; underfull = 4 * (stop - size) < Bytes.length buf }
+          end))
+
+(* Rebalance the underfull children.(idx) with a sibling: merge the two
+   when the result fits, otherwise redistribute their content evenly by
+   serialized size.  Both rely on seps being exact subtree minima, since
+   merges and rotations pull the parent separator down into the child.
+   Returns the parent's new content. *)
+let rebalance_child t children seps idx =
+  let parent = Internal { children; seps } in
+  (* Prefer the right sibling; fall back to the left one. *)
+  let sib_idx = if idx < Array.length seps then idx + 1 else idx - 1 in
+  if sib_idx < 0 then parent
+  else begin
+    let left_idx = min idx sib_idx in
+    let right_idx = max idx sib_idx in
+    let left_page = children.(left_idx) in
+    let right_page = children.(right_idx) in
+    let left = read_node t left_page in
+    let right = read_node t right_page in
+    let merged =
+      match (left, right) with
+      | Leaf a, Leaf b ->
+          Some (Leaf { entries = Array.append a.entries b.entries; next = b.next })
+      | Internal a, Internal b ->
+          Some
+            (Internal
+               {
+                 children = Array.append a.children b.children;
+                 seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ];
+               })
+      | Leaf _, Internal _ | Internal _, Leaf _ -> None
+    in
+    match merged with
+    | Some m when not (overfull t m) ->
+        write_node t left_page m;
+        free_page t right_page;
+        Internal
+          { children = array_remove children right_idx; seps = array_remove seps left_idx }
+    | Some _ | None -> (
+        (* Merge impossible: redistribute the combined content evenly by
+           serialized size, which lifts the underfull side above threshold
+           in one step. *)
+        match (left, right) with
+        | Leaf a, Leaf b ->
+            let combined = Array.append a.entries b.entries in
+            if Array.length combined < 2 then parent
+            else begin
+              let split = split_point combined 0 in
+              let l = Array.sub combined 0 split in
+              let r = Array.sub combined split (Array.length combined - split) in
+              write_node t left_page (Leaf { entries = l; next = a.next });
+              write_node t right_page (Leaf { entries = r; next = b.next });
+              seps.(left_idx) <- r.(0);
+              parent
+            end
+        | Internal a, Internal b ->
+            (* Rotate through the parent separator: combined separator list
+               is a.seps ++ [parent sep] ++ b.seps. *)
+            let all_children = Array.append a.children b.children in
+            let all_seps = Array.concat [ a.seps; [| seps.(left_idx) |]; b.seps ] in
+            if Array.length all_seps < 2 then parent
+            else begin
+              let split = promote_point all_seps in
+              write_node t left_page
+                (Internal
+                   {
+                     children = Array.sub all_children 0 (split + 1);
+                     seps = Array.sub all_seps 0 split;
+                   });
+              write_node t right_page
+                (Internal
+                   {
+                     children =
+                       Array.sub all_children (split + 1) (Array.length all_children - split - 1);
+                     seps = Array.sub all_seps (split + 1) (Array.length all_seps - split - 1);
+                   });
+              seps.(left_idx) <- all_seps.(split);
+              parent
+            end
+        | Leaf _, Internal _ | Internal _, Leaf _ ->
+            raise (Wire.Corrupt "Btree: siblings at different depths"))
+  end
+
+(* A delete can stale only seps.(idx - 1), the separator into the child
+   whose minimum it removed; that one is set before any rebalance pulls
+   it down.  An internal node is decoded and rewritten only then or when
+   its child underflowed. *)
+let rec delete_rec t page level key oid =
+  if level = 1 then delete_in_leaf t page key oid
+  else begin
+    let idx, child, used =
+      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+          expect_leaf buf false;
+          seek_child buf key oid (fun idx child off ->
+              (idx, child, skip_entries buf off (count_at buf - idx) ~extra:4)))
+    in
+    match delete_rec t child (level - 1) key oid with
+    | Absent -> Absent
+    | Removed { min = Same; underfull = false } ->
+        Removed { min = Same; underfull = 4 * used < Pager.page_size t.pager }
+    | Removed { min = Now _ as min; underfull = false } when idx = 0 ->
+        Removed { min; underfull = 4 * used < Pager.page_size t.pager }
+    | Removed { min; underfull = child_underfull } -> (
+        match read_node t page with
+        | Leaf _ -> raise (Wire.Corrupt "Btree: node at the wrong depth")
+        | Internal { children; seps } ->
+            let nseps = Array.length seps in
+            (if idx > 0 then
+               match min with
+               | Now e -> seps.(idx - 1) <- e
+               (* An emptied child is merged with its right sibling,
+                  whose minimum then heads the merged node. *)
+               | Emptied -> if idx < nseps then seps.(idx - 1) <- seps.(idx)
+               | Same -> ());
+            let min =
+              match min with
+              | _ when idx > 0 -> Same
+              | Emptied when nseps > 0 -> Now seps.(0)
+              | Same | Now _ | Emptied -> min
+            in
+            let node =
+              if child_underfull then rebalance_child t children seps idx
+              else Internal { children; seps }
+            in
+            write_node t page node;
+            Removed { min; underfull = underfull t node })
+  end
 
 let delete t key oid =
-  let found = delete_rec t t.root (key, oid) in
-  if found then begin
-    t.count <- t.count - 1;
-    (* Collapse a root with a single child. *)
-    let rec collapse () =
-      match read_node t t.root with
-      | Internal { children; seps } when Array.length seps = 0 ->
-          let child = read_node t children.(0) in
-          write_node t t.root child;
-          free_page t children.(0);
-          collapse ()
-      | Internal _ | Leaf _ -> ()
-    in
-    collapse ()
-  end;
-  found
+  match delete_rec t t.root t.height key oid with
+  | Absent -> false
+  | Removed { underfull; _ } ->
+      t.count <- t.count - 1;
+      (* Collapse a root with a single child (which is underfull). *)
+      let rec collapse () =
+        match read_node t t.root with
+        | Internal { children; seps } when Array.length seps = 0 ->
+            let child = read_node t children.(0) in
+            write_node t t.root child;
+            free_page t children.(0);
+            t.height <- t.height - 1;
+            collapse ()
+        | Internal _ | Leaf _ -> ()
+      in
+      if underfull then collapse ();
+      true
 
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                           *)
@@ -594,18 +661,14 @@ let bulk_load t entries =
   let n = Array.length entries in
   if n = 0 then ()
   else begin
-    let page_budget = Pager.page_size t.pager - (1 + 2 + 4) in
-    (* Chunk into leaves under both the byte and entry-count budgets. *)
+    let page_budget = Pager.page_size t.pager - header in
+    (* Chunk into leaves under the byte budget. *)
     let leaves = ref [] in
     let start = ref 0 in
     while !start < n do
       let bytes = ref 0 in
       let stop = ref !start in
-      while
-        !stop < n
-        && !stop - !start < t.max_leaf
-        && !bytes + entry_size entries.(!stop) <= page_budget
-      do
+      while !stop < n && !bytes + entry_size entries.(!stop) <= page_budget do
         bytes := !bytes + entry_size entries.(!stop);
         incr stop
       done;
@@ -629,8 +692,8 @@ let bulk_load t entries =
           write_node t leaf_pages.(i) (Leaf { entries = chunk; next }))
         leaves;
       (* Build internal levels bottom-up. *)
-      let rec build (pages : int array) (firsts : entry array) =
-        if Array.length pages = 1 then pages.(0)
+      let rec build (pages : int array) (firsts : entry array) height =
+        if Array.length pages = 1 then (pages.(0), height)
         else begin
           let groups = ref [] in
           let start = ref 0 in
@@ -640,7 +703,6 @@ let bulk_load t entries =
             let stop = ref !start in
             while
               !stop < m
-              && !stop - !start <= t.max_internal
               && (!stop = !start
                  || !bytes + entry_size firsts.(!stop) + 4 <= page_budget - 4)
             do
@@ -665,14 +727,15 @@ let bulk_load t entries =
               groups
           in
           let parent_firsts = List.map (fun (a, _) -> firsts.(a)) groups in
-          build (Array.of_list parent_pages) (Array.of_list parent_firsts)
+          build (Array.of_list parent_pages) (Array.of_list parent_firsts) (height + 1)
         end
       in
       let firsts = Array.map (fun chunk -> chunk.(0)) leaves in
-      let top = build leaf_pages firsts in
+      let top, height = build leaf_pages firsts 1 in
       let top_node = read_node t top in
       write_node t t.root top_node;
       free_page t top;
+      t.height <- height;
       t.count <- n
     end
   end
@@ -742,9 +805,10 @@ let check_invariants t =
         in
         (depth0 + 1, bounds, total)
   in
-  let _, _, total = check t.root ~is_root:true ~rightmost:true in
+  let depth, _, total = check t.root ~is_root:true ~rightmost:true in
   if total <> t.count then
     fail "entry count mismatch: counted %d, cached %d" total t.count;
+  if depth <> t.height then fail "height mismatch: counted %d, cached %d" depth t.height;
   (* The left-to-right leaf order discovered by the recursion must agree
      with the next-pointer chain. *)
   let in_order = List.rev !leaf_chain in

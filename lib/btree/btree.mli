@@ -7,25 +7,24 @@
     entry, which keeps duplicate runs searchable from the leftmost
     occurrence.
 
-    Nodes occupy one page each; splits are byte-driven, deletes rebalance by
-    borrowing or merging, and leaves are chained for range scans.  This is
-    the index structure the paper assumes on [field_r] / [field_s]
-    (clustered or not is a property of the heap file's physical order, not
-    of the tree). *)
+    Nodes occupy one page each and their capacity is set by bytes alone;
+    splits are byte-driven, deletes rebalance by borrowing or merging, and
+    leaves are chained for range scans.  Lookups and single-entry inserts
+    and deletes search and edit the serialized node in its buffer-pool
+    frame; a node is decoded only when its structure changes.  This is the
+    index structure the paper assumes on [field_r] / [field_s] (clustered
+    or not is a property of the heap file's physical order, not of the
+    tree). *)
 
 type t
 
-val create : ?max_leaf_entries:int -> ?max_internal_entries:int -> Fieldrep_storage.Pager.t -> t
-(** A fresh empty tree in its own file.  The optional caps bound the entry
-    count per node below what the page size allows — used to pin the fanout
-    to the cost model's [m]. *)
+val create : Fieldrep_storage.Pager.t -> t
+(** A fresh empty tree in its own file. *)
 
 val root : t -> int
 (** Page number of the root node (stable for the tree's lifetime). *)
 
 val attach :
-  ?max_leaf_entries:int ->
-  ?max_internal_entries:int ->
   Fieldrep_storage.Pager.t ->
   file:int ->
   root:int ->
@@ -42,7 +41,7 @@ val free_pages : t -> int list
 val file_id : t -> int
 val entry_count : t -> int
 val height : t -> int
-(** 1 for a lone leaf. *)
+(** 1 for a lone leaf.  Kept up to date by every change; reads no page. *)
 
 val page_count : t -> int
 
@@ -78,5 +77,7 @@ val bulk_load : t -> (Key.t * Fieldrep_storage.Oid.t) array -> unit
 
 val check_invariants : t -> unit
 (** Raises [Failure] describing the first violated invariant: global order,
-    uniform depth, separator correctness, leaf chaining, node size bounds.
+    uniform depth, separators equal to their right subtree's minimum, leaf
+    chaining, node size bounds, cached height and count.  Decodes every
+    node, so it is the reference the in-place paths are checked against.
     For tests. *)

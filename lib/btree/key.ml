@@ -36,6 +36,8 @@ let encode buf off = function
       let off = Wire.put_u8 buf off tag_string in
       Wire.put_string buf off s
 
+let bad_tag tag = raise (Wire.Corrupt (Printf.sprintf "Key: bad tag %d" tag))
+
 let decode buf off =
   let tag, off = Wire.get_u8 buf off in
   if tag = tag_int then
@@ -44,6 +46,38 @@ let decode buf off =
   else if tag = tag_string then
     let s, off = Wire.get_string buf off in
     (String s, off)
-  else raise (Wire.Corrupt (Printf.sprintf "Key: bad tag %d" tag))
+  else bad_tag tag
+
+let encoded_size_at buf off =
+  let tag = Bytes.get_uint8 buf off in
+  if tag = tag_int then 1 + 8
+  else if tag = tag_string then 1 + 2 + Bytes.get_uint16_le buf (off + 1)
+  else bad_tag tag
+
+(* [Stdlib.String.compare s b] for the [len] bytes b at [pos]. *)
+let compare_string_at s buf pos len =
+  let n = String.length s in
+  let rec go i =
+    if i = n || i = len then Stdlib.Int.compare n len
+    else
+      match Char.compare s.[i] (Bytes.get buf (pos + i)) with
+      | 0 -> go (i + 1)
+      | c -> c
+  in
+  go 0
+
+let compare_encoded key buf off =
+  let tag = Bytes.get_uint8 buf off in
+  match key with
+  | Int v ->
+      if tag = tag_int then
+        Stdlib.Int.compare v (Int64.to_int (Bytes.get_int64_le buf (off + 1)))
+      else if tag = tag_string then -1
+      else bad_tag tag
+  | String s ->
+      if tag = tag_string then
+        compare_string_at s buf (off + 3) (Bytes.get_uint16_le buf (off + 1))
+      else if tag = tag_int then 1
+      else bad_tag tag
 
 let min_int_key = Int min_int

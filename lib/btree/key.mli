@@ -18,5 +18,13 @@ val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
 val decode : Bytes.t -> int -> t * int
 
+val encoded_size_at : Bytes.t -> int -> int
+(** Size of the key encoded at the offset, read from its header alone. *)
+
+val compare_encoded : t -> Bytes.t -> int -> int
+(** [compare_encoded k buf off] is [compare k k'] for the key [k'] encoded
+    at [off], read in place without decoding it.  Both raise
+    [Wire.Corrupt] on an unknown tag. *)
+
 val min_int_key : t
 (** Smallest possible [Int] key. *)

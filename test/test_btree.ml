@@ -12,8 +12,7 @@ let checkb = Alcotest.(check bool)
 let oid i = { Oid.file = 1; page = i / 100; slot = i mod 100 }
 let mk_pager ?(page_size = 512) () = Pager.create ~page_size ~frames:64 ()
 
-let mk_tree ?page_size ?max_leaf_entries ?max_internal_entries () =
-  Btree.create ?max_leaf_entries ?max_internal_entries (mk_pager ?page_size ())
+let mk_tree ?page_size () = Btree.create (mk_pager ?page_size ())
 
 (* ------------------------------------------------------------------ *)
 (* Key                                                                 *)
@@ -33,6 +32,33 @@ let test_key_order () =
   checkb "string order" true (Key.compare (Key.String "a") (Key.String "b") < 0);
   checkb "same variant check" true (Key.same_variant (Key.Int 1) (Key.Int 9));
   checkb "cross variant check" false (Key.same_variant (Key.Int 1) (Key.String "x"))
+
+let test_key_compare_encoded () =
+  let keys =
+    [
+      Key.Int min_int; Key.Int (-5); Key.Int 0; Key.Int 7; Key.Int max_int; Key.String "";
+      Key.String "a"; Key.String "a\000"; Key.String "ab"; Key.String "b"; Key.String "\255";
+    ]
+  in
+  let sign c = Int.compare c 0 in
+  List.iter
+    (fun k' ->
+      let buf = Bytes.create (3 + Key.encoded_size k') in
+      ignore (Key.encode buf 3 k');
+      checki "size read in place" (Key.encoded_size k') (Key.encoded_size_at buf 3);
+      List.iter
+        (fun k ->
+          checki
+            (Printf.sprintf "%s vs %s" (Key.to_string k) (Key.to_string k'))
+            (sign (Key.compare k k'))
+            (sign (Key.compare_encoded k buf 3)))
+        keys;
+      Bytes.set buf 3 '\007';
+      (try
+         ignore (Key.compare_encoded (Key.Int 0) buf 3);
+         Alcotest.fail "expected Wire.Corrupt"
+       with Fieldrep_util.Wire.Corrupt _ -> ()))
+    keys
 
 (* ------------------------------------------------------------------ *)
 (* Basic operations                                                    *)
@@ -61,6 +87,34 @@ let test_duplicate_keys () =
   (* Returned in OID order. *)
   let sorted = List.sort Oid.compare oids in
   checkb "oid order" true (List.equal Oid.equal oids sorted);
+  Btree.check_invariants t
+
+(* Entries compared in place must follow [Oid.compare]: file, then page,
+   then slot, all unsigned, [Oid.nil]'s top file bit included. *)
+let test_oid_order_in_place () =
+  let t = mk_tree ~page_size:128 () in
+  let oids =
+    [
+      Oid.nil;
+      { Oid.file = 0; page = 0; slot = 0 };
+      { Oid.file = 0x8000; page = 1; slot = 2 };
+      { Oid.file = 0x7fff; page = 0xffff_ffff; slot = 0xffff };
+      { Oid.file = 1; page = 0x8000_0000; slot = 1 };
+      { Oid.file = 1; page = 0x7fff_ffff; slot = 9 };
+      { Oid.file = 1; page = 3; slot = 0x8000 };
+      { Oid.file = 1; page = 3; slot = 4 };
+    ]
+  in
+  List.iter
+    (fun o ->
+      Btree.insert t (Key.Int 5) o;
+      Btree.insert t (Key.Int 6) o)
+    oids;
+  Btree.check_invariants t;
+  let sorted = List.sort Oid.compare oids in
+  checkb "find in Oid.compare order" true (List.equal Oid.equal sorted (Btree.find t (Key.Int 5)));
+  List.iter (fun o -> checkb "deleted" true (Btree.delete t (Key.Int 5) o)) (List.rev oids);
+  checkb "other key intact" true (List.equal Oid.equal sorted (Btree.find t (Key.Int 6)));
   Btree.check_invariants t
 
 let test_duplicate_entry_rejected () =
@@ -105,13 +159,14 @@ let test_split_growth () =
   done
 
 let test_capped_fanout () =
-  let t = mk_tree ~max_leaf_entries:4 ~max_internal_entries:4 () in
+  (* A 128-byte page holds at most 7 Int entries per leaf and 6 children
+     per internal node, so 64 entries need at least 3 levels. *)
+  let t = mk_tree ~page_size:128 () in
   for i = 0 to 63 do
-    Btree.insert t (Key.Int i) (oid i)
+    Btree.insert t (Key.Int i) (oid i);
+    Btree.check_invariants t
   done;
-  Btree.check_invariants t;
-  (* With fanout <= 5 and 64 entries, height must be at least 3. *)
-  checkb "height reflects cap" true (Btree.height t >= 3)
+  checkb "height reflects the page's fanout" true (Btree.height t >= 3)
 
 let test_reverse_and_random_insert_orders () =
   List.iter
@@ -161,13 +216,17 @@ let test_range_scan_empty_and_degenerate () =
   checki "point range" 1 !hits
 
 let test_range_scan_spans_leaves () =
-  let t = mk_tree ~max_leaf_entries:4 () in
+  let t = mk_tree ~page_size:128 () in
   for i = 0 to 99 do
     Btree.insert t (Key.Int i) (oid i)
   done;
-  let count = ref 0 in
-  Btree.iter_range t ~lo:(Key.Int 10) ~hi:(Key.Int 89) (fun _ _ -> incr count);
-  checki "spans many leaves" 80 !count
+  checkb "at most 7 entries per leaf" true (Btree.leaf_count t >= 15);
+  let seen = ref [] in
+  Btree.iter_range t ~lo:(Key.Int 10) ~hi:(Key.Int 89) (fun k _ -> seen := k :: !seen);
+  Alcotest.(check (list string))
+    "spans many leaves, in order"
+    (List.init 80 (fun i -> string_of_int (10 + i)))
+    (List.rev_map Key.to_string !seen)
 
 (* ------------------------------------------------------------------ *)
 (* Deletes                                                             *)
@@ -231,6 +290,77 @@ let test_delete_interleaved_with_insert () =
   Btree.check_invariants t;
   checki "final count" (Hashtbl.length model) (Btree.entry_count t)
 
+(* Grow a tree on 128-byte pages to height 4 with an insert-heavy half,
+   then shrink it with a delete-heavy half, so merges and rotations pull
+   separators down between internal nodes.  Every separator must stay its
+   right subtree's exact minimum after every op. *)
+let test_delete_heavy_separators () =
+  for seed = 1 to 300 do
+    let rng = Splitmix.create seed in
+    let t = mk_tree ~page_size:128 () in
+    let model = Hashtbl.create 512 in
+    for step = 1 to 600 do
+      let k = Splitmix.int rng 80 and o = Splitmix.int rng 5 in
+      let present = Hashtbl.mem model (k, o) in
+      let insert_pct = if step <= 300 then 80 else 30 in
+      if Splitmix.int rng 100 < insert_pct then begin
+        if not present then begin
+          Btree.insert t (Key.Int k) (oid o);
+          Hashtbl.replace model (k, o) ()
+        end
+      end
+      else begin
+        checkb "delete agrees with model" present (Btree.delete t (Key.Int k) (oid o));
+        Hashtbl.remove model (k, o)
+      end;
+      try Btree.check_invariants t
+      with Failure msg -> Alcotest.failf "seed %d, op %d: %s" seed step msg
+    done;
+    let expected =
+      Hashtbl.fold (fun (k, o) () acc -> (k, o) :: acc) model []
+      |> List.sort compare
+      |> List.map (fun (k, o) -> (string_of_int k, Oid.to_string (oid o)))
+    in
+    let got = ref [] in
+    Btree.iter_all t (fun k o -> got := (Key.to_string k, Oid.to_string o) :: !got);
+    Alcotest.(check (list (pair string string))) "matches the model" expected (List.rev !got)
+  done
+
+(* 75-byte string keys on 256-byte pages: a leaf holds one or two
+   entries and an internal node one or two separators, so deletes empty
+   leaves anywhere in the tree and splits and rotations work on three
+   separators.  A bulk-loaded tail leaf of one entry empties too. *)
+let test_delete_empties_leaves () =
+  let t = mk_tree () in
+  Btree.bulk_load t (Array.init 30 (fun i -> (Key.Int i, oid i)));
+  checki "two leaves, the tail holding one entry" 2 (Btree.leaf_count t);
+  checkb "tail emptied" true (Btree.delete t (Key.Int 29) (oid 29));
+  Btree.check_invariants t;
+  checki "collapsed to one leaf" 1 (Btree.height t);
+  let key i = Key.String (String.make 70 'k' ^ Printf.sprintf "%05d" i) in
+  for seed = 1 to 40 do
+    let rng = Splitmix.create seed in
+    let t = mk_tree ~page_size:256 () in
+    let model = Hashtbl.create 64 in
+    for step = 1 to 400 do
+      let i = Splitmix.int rng 60 in
+      let present = Hashtbl.mem model i in
+      if Splitmix.int rng 100 < if step <= 200 then 75 else 35 then begin
+        if not present then begin
+          Btree.insert t (key i) (oid i);
+          Hashtbl.replace model i ()
+        end
+      end
+      else begin
+        checkb "delete agrees with model" present (Btree.delete t (key i) (oid i));
+        Hashtbl.remove model i
+      end;
+      try Btree.check_invariants t
+      with Failure msg -> Alcotest.failf "seed %d, op %d: %s" seed step msg
+    done;
+    Hashtbl.iter (fun i () -> checkb "present" true (Btree.find t (key i) = [ oid i ])) model
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Bulk load                                                           *)
 
@@ -292,6 +422,80 @@ let test_lookup_io_is_height_bound () =
   Pager.run_cold pager (fun () -> ignore (Btree.find_first t (Key.Int 2500)));
   let reads = (Pager.stats pager).Fieldrep_storage.Stats.page_reads in
   checkb "descent reads <= height + 1" true (reads <= h + 1)
+
+(* 40 000 Int entries on 4096-byte pages: 240 entries per leaf under a
+   single internal root. *)
+let big_tree () =
+  let pager = Pager.create ~page_size:4096 ~frames:512 () in
+  let t = Btree.create pager in
+  Btree.bulk_load t (Array.init 40_000 (fun i -> (Key.Int i, oid i)));
+  (pager, t)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let pool_lookups pager =
+  let s = Pager.stats pager in
+  s.Fieldrep_storage.Stats.buffer_hits + s.Fieldrep_storage.Stats.page_reads
+
+let test_lookup_is_height_pool_lookups () =
+  let pager, t = big_tree () in
+  checki "height" 2 (Btree.height t);
+  let lookups k =
+    let before = pool_lookups pager in
+    ignore (Btree.find t (Key.Int k));
+    pool_lookups pager - before
+  in
+  (* Keys inside a leaf, at a leaf's end (the separator after it bounds
+     the scan), at either end of the tree, and past it. *)
+  List.iter
+    (fun k -> checki (Printf.sprintf "lookups for %d" k) (Btree.height t) (lookups k))
+    [ 20_011; 11_999; 0; 39_999; 40_500 ];
+  (* The descent probes (key, smallest oid), so a key heading a leaf
+     scans the end of the leaf before it too. *)
+  checki "lookups for a leaf's first key" (Btree.height t + 1) (lookups 12_000);
+  ignore (Btree.delete t (Key.Int 5_000) (oid 5_000));
+  let before = pool_lookups pager in
+  checkb "absent" true (Btree.find t (Key.Int 5_000) = []);
+  checki "lookups for an absent key" (Btree.height t) (pool_lookups pager - before)
+
+let test_find_allocation () =
+  let _, t = big_tree () in
+  ignore (Btree.find t (Key.Int 17_001));
+  let words = minor_words (fun () -> ignore (Btree.find t (Key.Int 20_011))) in
+  checkb (Printf.sprintf "find allocates %d <= 500 words" words) true (words <= 500)
+
+let test_delete_insert_allocation () =
+  let _, t = big_tree () in
+  let k = Key.Int 20_011 and o = oid 20_011 in
+  let words =
+    minor_words (fun () ->
+        ignore (Btree.delete t k o);
+        Btree.insert t k o)
+  in
+  checkb (Printf.sprintf "delete + insert allocate %d <= 2000 words" words) true (words <= 2000);
+  Btree.check_invariants t
+
+(* Pages written back by [f], with the pool flushed before and after. *)
+let pages_written pager f =
+  Pager.flush pager;
+  let before = (Pager.stats pager).Fieldrep_storage.Stats.page_writes in
+  f ();
+  Pager.flush pager;
+  (Pager.stats pager).Fieldrep_storage.Stats.page_writes - before
+
+let test_delete_writes_only_what_changed () =
+  let pager, t = big_tree () in
+  checki "a delete inside a leaf writes only the leaf" 1
+    (pages_written pager (fun () -> ignore (Btree.delete t (Key.Int 20_011) (oid 20_011))));
+  checki "an insert that fits writes only the leaf" 1
+    (pages_written pager (fun () -> Btree.insert t (Key.Int 20_011) (oid 20_011)));
+  (* 12 000 heads the 51st leaf: the root's separator into it changes. *)
+  checki "deleting a leaf's first entry writes the leaf and the root" 2
+    (pages_written pager (fun () -> ignore (Btree.delete t (Key.Int 12_000) (oid 12_000))));
+  Btree.check_invariants t
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -361,11 +565,13 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_key_roundtrip;
           Alcotest.test_case "order" `Quick test_key_order;
+          Alcotest.test_case "compare in place" `Quick test_key_compare_encoded;
         ] );
       ( "basic",
         [
           Alcotest.test_case "insert/find" `Quick test_insert_find;
           Alcotest.test_case "duplicate keys" `Quick test_duplicate_keys;
+          Alcotest.test_case "oid order in place" `Quick test_oid_order_in_place;
           Alcotest.test_case "duplicate entries rejected" `Quick test_duplicate_entry_rejected;
           Alcotest.test_case "mixed variants rejected" `Quick test_mixed_variants_rejected;
           Alcotest.test_case "string keys" `Quick test_string_keys;
@@ -388,6 +594,8 @@ let () =
           Alcotest.test_case "one duplicate" `Quick test_delete_one_duplicate;
           Alcotest.test_case "delete everything" `Quick test_delete_everything;
           Alcotest.test_case "interleaved" `Quick test_delete_interleaved_with_insert;
+          Alcotest.test_case "delete-heavy separators" `Quick test_delete_heavy_separators;
+          Alcotest.test_case "deletes empty leaves" `Quick test_delete_empties_leaves;
         ] );
       ( "bulk_load",
         [
@@ -396,6 +604,15 @@ let () =
           Alcotest.test_case "rejects non-empty" `Quick test_bulk_load_rejects_nonempty;
           Alcotest.test_case "mutate after load" `Quick test_bulk_load_then_mutate;
         ] );
-      ("io", [ Alcotest.test_case "lookup bounded by height" `Quick test_lookup_io_is_height_bound ]);
+      ( "io",
+        [
+          Alcotest.test_case "lookup bounded by height" `Quick test_lookup_io_is_height_bound;
+          Alcotest.test_case "lookup is height pool lookups" `Quick
+            test_lookup_is_height_pool_lookups;
+          Alcotest.test_case "find allocation" `Quick test_find_allocation;
+          Alcotest.test_case "delete + insert allocation" `Quick test_delete_insert_allocation;
+          Alcotest.test_case "delete writes only what changed" `Quick
+            test_delete_writes_only_what_changed;
+        ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]
