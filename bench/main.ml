@@ -1020,7 +1020,7 @@ let scrub_bench () =
     \ reads before the scrub detour through functional joins, the scrub\n\
     \ rebuilds the replicated state from the source objects, and a second\n\
     \ sweep confirms the repair converged)\n\n";
-  let rows = ref [] in
+  let rows = ref [] and unconverged = ref [] in
   List.iter
     (fun (label, strategy, collapse) ->
       let db = Gen.employee_db ~norgs:6 ~ndepts:40 ~nemps:2500 ~seed:83 () in
@@ -1057,6 +1057,8 @@ let scrub_bench () =
       let wall = Unix.gettimeofday () -. t0 in
       Db.check_integrity db;
       let second = Db.scrub db in
+      let residue = second.Scrub.checksum_failures + second.Scrub.repairs in
+      if residue <> 0 then unconverged := label :: !unconverged;
       rows :=
         [
           label;
@@ -1066,7 +1068,7 @@ let scrub_bench () =
           string_of_int report.Scrub.repairs;
           string_of_int degraded;
           T.fixed 1 (wall *. 1000.0);
-          string_of_int (second.Scrub.checksum_failures + second.Scrub.repairs);
+          string_of_int residue;
         ]
         :: !rows)
     [
@@ -1086,7 +1088,14 @@ let scrub_bench () =
         "scrub ms";
         "2nd sweep";
       ]
-    (List.rev !rows)
+    (List.rev !rows);
+  (* A second scrub that still finds work means the repair did not
+     converge: fail the run. *)
+  if !unconverged <> [] then begin
+    Printf.eprintf "scrub did not converge for: %s\n"
+      (String.concat ", " (List.rev !unconverged));
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Repl: read capacity vs replica count over WAL shipping              *)

@@ -341,6 +341,20 @@ let enqueue_teardown t (rep : Schema.replication) =
   in
   Maint.enqueue t.maint job
 
+(* Start an online reconfiguration; the entry points and log replay share
+   these. *)
+let start_backfill t ~options ~strategy path =
+  let rep =
+    Schema.add_replication t.schema ~options ~state:Schema.Building ~strategy
+      path
+  in
+  Engine.recompile t.engine;
+  enqueue_backfill t rep
+
+let start_teardown t (rep : Schema.replication) =
+  Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropping;
+  enqueue_teardown t rep
+
 let maint_step ?(quantum = 4) t =
   check_primary t "Db.maint_step";
   Maint.step t.maint ~quantum
@@ -397,13 +411,7 @@ let replicate t ?options ~strategy path =
        then backfill existing objects behind the maintenance cursor. *)
     log_mutation t
       (Wal.Replicate_online { path = Path.to_string path; strategy; options })
-      (fun () ->
-        let rep =
-          Schema.add_replication t.schema ~options ~state:Schema.Building
-            ~strategy path
-        in
-        Engine.recompile t.engine;
-        enqueue_backfill t rep)
+      (fun () -> start_backfill t ~options ~strategy path)
 
 let unreplicate t path =
   check_primary t "Db.unreplicate";
@@ -438,9 +446,7 @@ let unreplicate t path =
   Engine.flush_pending t.engine;
   log_mutation t
     (Wal.Unreplicate { path = Path.to_string path })
-    (fun () ->
-      Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropping;
-      enqueue_teardown t rep);
+    (fun () -> start_teardown t rep);
   (* Quiesced callers (and replay) see the drop complete synchronously,
      mirroring the bulk [replicate] fast path. *)
   if Hashtbl.length t.active = 0 && not t.replaying then maint_drain t
@@ -1618,19 +1624,12 @@ let recovery_applier t =
             then Engine.refresh t.engine rep source);
     replicate_online =
       (fun ~strategy ~options ~path ->
-        let rep =
-          Schema.add_replication t.schema ~options ~state:Schema.Building
-            ~strategy (Path.parse path)
-        in
-        Engine.recompile t.engine;
-        enqueue_backfill t rep);
+        start_backfill t ~options ~strategy (Path.parse path));
     unreplicate =
       (fun ~path ->
         match Schema.find_replication t.schema (Path.parse path) with
         | None -> ()
-        | Some rep ->
-            Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropping;
-            enqueue_teardown t rep);
+        | Some rep -> start_teardown t rep);
     maint_step = (fun ~job ~upto -> Maint.advance_to t.maint ~job ~upto);
     maint_done = (fun ~job -> Maint.finish t.maint ~job);
     epoch_change = (fun ~epoch -> if epoch > t.epoch then t.epoch <- epoch);
@@ -1694,7 +1693,7 @@ let recover ?frames ?wal_path ?backend path =
     losers;
   let stats = Pager.stats t.pager in
   Stats.bump stats Stats.Recovery_replays;
-  Invariants.check_all t.engine;
+  Invariants.check t.engine;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -38,10 +38,10 @@ let hidden_slot tbl source =
       r
 
 (* Recompute every expected structure by scanning the source sets.  This is
-   the ground truth both for {!Invariants} (compare and report) and for
-   [Scrub] (compare and repair): every replicated value is derivable by the
-   forward walk below, which is why replicas are repairable from source
-   objects while source fields themselves are not. *)
+   the ground truth {!Invariants} audits against: every replicated value is
+   derivable by the forward walk below, which is why replicas are
+   repairable from source objects while source fields themselves are
+   not. *)
 let compute (env : Engine.env) =
   let schema = env.Engine.schema in
   let registry = env.Engine.registry in

@@ -6,9 +6,9 @@
     This module performs that walk once over every source set and returns
     the expected state of every derived structure.
 
-    {!Invariants} compares the expectation with what is stored and reports
-    violations; [Scrub] compares and {e repairs}.  Both must agree on the
-    ground truth, which is why the walk lives here and nowhere else. *)
+    {!Invariants} is its only consumer: it compares the expectation with
+    what is stored and returns the divergences, which the invariant check
+    reports and [Scrub] repairs. *)
 
 module Oid = Fieldrep_storage.Oid
 module Value = Fieldrep_model.Value

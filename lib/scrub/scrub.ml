@@ -1,5 +1,4 @@
 module Oid = Fieldrep_storage.Oid
-module Listx = Fieldrep_util.Listx
 module Wire = Fieldrep_util.Wire
 module Disk = Fieldrep_storage.Disk
 module Pager = Fieldrep_storage.Pager
@@ -7,15 +6,13 @@ module Page = Fieldrep_storage.Page
 module Stats = Fieldrep_storage.Stats
 module Heap_file = Fieldrep_storage.Heap_file
 module Schema = Fieldrep_model.Schema
-module Path = Fieldrep_model.Path
-module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Record = Fieldrep_model.Record
 module Engine = Fieldrep_replication.Engine
 module Registry = Fieldrep_replication.Registry
 module Store = Fieldrep_replication.Store
 module Link_object = Fieldrep_replication.Link_object
-module Recompute = Fieldrep_replication.Recompute
+module Invariants = Fieldrep_replication.Invariants
 
 type report = {
   pages_scanned : int;
@@ -129,8 +126,41 @@ let rec sweep_step sw ~budget =
           sweep_step sw ~budget:(budget - 1)
         end
 
-let finish ?(log_repair = fun ~rep_id:_ ~source:_ -> ())
-    ?(guard = fun (_ : Oid.t) -> true) (sw : sweep) =
+(* A link id's declaration, named in the repair record of a link rebuild. *)
+let rep_of_link registry link_id =
+  match Registry.link_kind registry link_id with
+  | Some (Registry.L_path node_id) -> (
+      match (Registry.node registry node_id).Registry.passing with
+      | rep :: _ -> Some rep.Schema.rep_id
+      | [] -> None)
+  | Some (Registry.L_collapsed node_id) ->
+      List.find_map
+        (fun (t : Registry.terminal) ->
+          match t.Registry.kind with
+          | Registry.K_collapsed id when id = link_id ->
+              Some t.Registry.rep.Schema.rep_id
+          | _ -> None)
+        (Registry.node registry node_id).Registry.terminals
+  | Some (Registry.L_sref _) | None -> None
+
+(* Repair order.  Each round repairs only the first tier that has work,
+   then audits again, so every later tier sees the state the earlier ones
+   left: link structure first; then severing references to dead S'
+   records, before any refresh can recycle their slots; then refreshes
+   and S' values; then S' refcounts and owner pairs, which the refreshes
+   move.  Tier 4 is reported, never repaired. *)
+let tier : Invariants.finding -> int = function
+  | Stray_link _ | Membership _ | Shared_link _ | Orphan_link _ -> 0
+  | Sref { problem = Dead; _ } | Sref_pair { wanted = None; _ } -> 1
+  | Stale_hidden _ | Sref _ | Sprime_values _ -> 2
+  | Sprime_refcount _ | Sref_pair { stored = None; _ } -> 3
+  | Sref_pair _ | Unreadable _ -> 4
+
+(* A round that still repairs after this many audits is reported as not
+   converging rather than looping. *)
+let max_rounds = 16
+
+let finish ~log_repair ~guard (sw : sweep) =
   let env = sw.sw_env in
   let data_sets = sw.sw_data_sets in
   let link_files = sw.sw_link_files in
@@ -139,17 +169,12 @@ let finish ?(log_repair = fun ~rep_id:_ ~source:_ -> ())
   let disk = Pager.disk pager in
   let stats = Pager.stats pager in
   let page_size = Pager.page_size pager in
-  let schema = env.Engine.schema in
   let registry = env.Engine.registry in
   let _, sprime_bindings = Store.bindings store in
   let repairs = ref 0 in
   let unrepairable = ref sw.sw_notes in
   let note fmt =
     Printf.ksprintf (fun s -> unrepairable := s :: !unrepairable) fmt
-  in
-  let repair_done () =
-    incr repairs;
-    Stats.bump stats Stats.Repairs
   in
   (* Repairs write through foreground-visible objects, so each one asks the
      guard first (lib/core wires it to short X locks under a job-scoped
@@ -242,603 +267,225 @@ let finish ?(log_repair = fun ~rep_id:_ ~source:_ -> ())
                    may be silently corrupt"
                   set_name page))
     (List.rev sw.sw_corrupt);
-  (* Phase 3: logical verify and repair against the recomputed ground
-     truth.  Only [Active] declarations are audited: a path mid-backfill or
-     mid-teardown is intentionally divergent, and its maintenance job — not
-     scrub — is responsible for converging it. *)
-  (match
-     try Some (Recompute.compute env)
-     with Disk.Corrupt_page { file; page } ->
-       note
-         "logical scrub skipped: page %d of file %d is unreadable, ground \
-          truth cannot be recomputed"
-         page file;
-       None
-   with
-  | None -> ()
-  | Some exp ->
-      let find_rep rep_id =
-        List.find_opt
-          (fun (r : Schema.replication) -> r.Schema.rep_id = rep_id)
-          (Schema.replications schema)
-      in
-      let refreshed = Hashtbl.create 32 in
-      let do_refresh (rep : Schema.replication) source_oid =
-        let key = (rep.Schema.rep_id, Oid.to_int64 source_oid) in
-        if (not (Hashtbl.mem refreshed key)) && locked source_oid then begin
-          Hashtbl.replace refreshed key ();
-          log_repair ~rep_id:rep.Schema.rep_id ~source:source_oid;
-          Engine.refresh env rep source_oid;
-          repair_done ()
+  (* Blanked pages dropped heads without going through [delete]; restore
+     accurate object counts on the affected handles. *)
+  Hashtbl.iter
+    (fun fid () ->
+      (match Hashtbl.find_opt link_files fid with
+      | Some (id :: _) -> (
+          match Store.link_file_opt store id with
+          | Some hf -> Heap_file.recount hf
+          | None -> ())
+      | _ -> ());
+      List.iter
+        (fun (rep_id, f) ->
+          if f = fid then
+            match Store.sprime_file_opt store rep_id with
+            | Some hf -> Heap_file.recount hf
+            | None -> ())
+        sprime_bindings)
+    touched_files;
+  (* Phase 3: logical repair.  {!Invariants} audits the derived state
+     against the recomputed ground truth; scrub repairs its findings, a
+     tier per round, until a round repairs nothing.  Only derived state
+     is written. *)
+  let read_data oid =
+    Record.decode (Heap_file.read (env.Engine.file_of_oid oid) oid)
+  in
+  let write_data oid record =
+    Heap_file.update (env.Engine.file_of_oid oid) oid (Record.encode record)
+  in
+  let modify oid f = write_data oid (f (read_data oid)) in
+  (* Per round: link objects rebuilt this round, and refreshes already
+     run.  A purge never frees an OID a rebuild claimed — freed slots are
+     recycled, so a stale pair may now name another target's fresh link
+     object. *)
+  let claimed = Oid.Table.create 16 in
+  let refreshed = Hashtbl.create 16 in
+  let repaired () =
+    incr repairs;
+    Stats.bump stats Stats.Repairs;
+    `Repaired
+  in
+  (* A repair writing through data object [subject]: guarded, and
+     announced before anything is written. *)
+  let fix rep_id subject write =
+    if not (locked subject) then `Skipped
+    else begin
+      Option.iter (fun rep_id -> log_repair ~rep_id ~source:subject) rep_id;
+      write ();
+      repaired ()
+    end
+  in
+  let refresh rep_id source before =
+    match Engine.rep_of_id env rep_id with
+    | Some rep when not (Hashtbl.mem refreshed (rep_id, source)) ->
+        Hashtbl.replace refreshed (rep_id, source) ();
+        fix (Some rep_id) source (fun () ->
+            before ();
+            Engine.refresh env rep source)
+    | Some _ -> `Skipped
+    | None -> `Left
+  in
+  let purge_link link_oid =
+    if Store.is_link_oid store link_oid && not (Oid.Table.mem claimed link_oid)
+    then
+      Option.iter
+        (fun lf -> Heap_file.purge lf link_oid)
+        (Store.file_of_oid store link_oid)
+  in
+  let rebuild ~purge link_id target (expected : Link_object.entry list) =
+    let stored_as =
+      match (Store.link_file_opt store link_id, expected) with
+      | Some lf, _ ->
+          Some
+            (fun () ->
+              let loid =
+                Heap_file.insert lf
+                  (Link_object.encode (Link_object.of_entries expected))
+              in
+              Oid.Table.replace claimed loid ();
+              loid)
+      | None, [ e ] ->
+          (* No link file was ever materialised for this id: store the
+             single member as a direct pair, as small-link elimination
+             would. *)
+          Some (fun () -> e.Link_object.member)
+      | None, _ -> None
+    in
+    match stored_as with
+    | None -> `Left
+    | Some stored_as ->
+        fix (rep_of_link registry link_id) target (fun () ->
+            let r = read_data target in
+            (match Record.find_link r link_id with
+            | Some pair when purge -> purge_link pair.Record.link_oid
+            | Some _ | None -> ());
+            write_data target
+              (Record.add_link (Record.remove_link r link_id)
+                 { Record.link_oid = stored_as (); link_id }))
+  in
+  (* The owner an S' record names, when it still decodes. *)
+  let sprime_owner hf sp =
+    match Record.field (Record.decode (Heap_file.read hf sp)) 1 with
+    | Value.VRef owner -> Some owner
+    | _ -> None
+    | exception _ -> None
+  in
+  (* Drop [owner]'s sref pair if it still names [sp]. *)
+  let drop_pair owner link_id sp =
+    match read_data owner with
+    | r -> (
+        match Record.find_link r link_id with
+        | Some pair when Oid.equal pair.Record.link_oid sp ->
+            write_data owner (Record.remove_link r link_id)
+        | Some _ | None -> ())
+    | exception _ -> ()
+  in
+  let repair : Invariants.finding -> _ = function
+    | Stale_hidden { rep_id; source; _ } -> refresh rep_id source ignore
+    (* Severing a reference to a dead or foreign S' record is neither
+       guarded nor logged: left in place, it would alias whatever S' a
+       later refresh puts in the freed slot, and the refresh that follows
+       is logged. *)
+    | Sref { source; slot; problem = Dead; _ } ->
+        modify source (fun r -> Record.set_field r slot Value.VNull);
+        repaired ()
+    | Sref_pair { link_id; owner; stored = Some sp; wanted = None; _ } ->
+        drop_pair owner link_id sp;
+        repaired ()
+    | Sref { rep_id; source; slot; problem = Not_a_ref; _ } ->
+        refresh rep_id source (fun () ->
+            modify source (fun r -> Record.set_field r slot Value.VNull))
+    | Sref { rep_id; source; _ } -> refresh rep_id source ignore
+    | Sprime_values { rep_id; sprime; final; expected } -> (
+        match Store.sprime_file_opt store rep_id with
+        | Some hf when sprime_owner hf sprime = Some final ->
+            (* The owner check guards against a slot recycled by a refresh
+               earlier in the round. *)
+            fix (Some rep_id) final (fun () ->
+                let r = Record.decode (Heap_file.read hf sprime) in
+                let r, _ =
+                  List.fold_left
+                    (fun (r, i) v -> (Record.set_field r i v, i + 1))
+                    (r, Engine.sprime_field_offset) expected
+                in
+                Heap_file.update hf sprime (Record.encode r))
+        | Some _ | None -> `Skipped)
+    | Sprime_refcount { rep_id; link_id; sprime; stored; claimed } -> (
+        match Store.sprime_file_opt store rep_id with
+        | Some hf when claimed = 0 ->
+            (* Nothing claims it: drop it, and its owner's pair naming it. *)
+            Option.iter
+              (fun owner -> drop_pair owner link_id sprime)
+              (sprime_owner hf sprime);
+            Heap_file.purge hf sprime;
+            repaired ()
+        | Some hf when stored <> None ->
+            let r = Record.decode (Heap_file.read hf sprime) in
+            Heap_file.update hf sprime
+              (Record.encode (Record.set_field r 0 (Value.VInt claimed)));
+            repaired ()
+        | Some _ | None -> `Left)
+    | Sref_pair { rep_id; link_id; owner; stored = None; wanted = Some sp } ->
+        fix (Some rep_id) owner (fun () ->
+            modify owner (fun r ->
+                Record.add_link r { Record.link_oid = sp; link_id }))
+    | Stray_link { link_id; target } ->
+        fix (rep_of_link registry link_id) target (fun () ->
+            let r = read_data target in
+            Option.iter
+              (fun (pair : Record.link) -> purge_link pair.Record.link_oid)
+              (Record.find_link r link_id);
+            write_data target (Record.remove_link r link_id))
+    | Membership { link_id; target; expected; _ } ->
+        rebuild ~purge:true link_id target expected
+    | Shared_link { link_id; target; expected; _ } ->
+        rebuild ~purge:false link_id target expected
+    | Orphan_link { link_id; link_oid } -> (
+        match Store.link_file_opt store link_id with
+        | Some lf when not (Oid.Table.mem claimed link_oid) ->
+            Heap_file.purge lf link_oid;
+            repaired ()
+        | Some _ | None -> `Left)
+    | Sref_pair _ | Unreadable _ -> `Left
+  in
+  let rec round n =
+    match Invariants.findings env with
+    | exception
+        (( Disk.Corrupt_page _ | Disk.Read_error _ | Invalid_argument _
+         | Failure _ | Wire.Corrupt _ ) as e) ->
+        note "logical scrub skipped: ground truth cannot be recomputed (%s)"
+          (Printexc.to_string e)
+    | findings ->
+        Oid.Table.reset claimed;
+        Hashtbl.reset refreshed;
+        let left = ref [] in
+        let run t =
+          List.fold_left
+            (fun any f ->
+              if tier f <> t then any
+              else
+                match repair f with
+                | `Repaired -> true
+                | `Skipped -> any
+                | `Left ->
+                    left := f :: !left;
+                    any)
+            false findings
+        in
+        if List.exists run [ 0; 1; 2; 3 ] then begin
+          if n < max_rounds then round (n + 1)
+          else note "logical repair did not converge in %d rounds" max_rounds
         end
-      in
-      let pending rep_id oid =
-        Hashtbl.mem env.Engine.pending (rep_id, Oid.to_int64 oid)
-      in
-      let rep_of_link link_id =
-        match Registry.link_kind registry link_id with
-        | Some (Registry.L_path node_id) -> (
-            match (Registry.node registry node_id).Registry.passing with
-            | rep :: _ -> Some rep
-            | [] -> None)
-        | Some (Registry.L_collapsed node_id) ->
-            List.find_map
-              (fun (t : Registry.terminal) ->
-                match t.Registry.kind with
-                | Registry.K_collapsed id when id = link_id ->
-                    Some t.Registry.rep
-                | _ -> None)
-              (Registry.node registry node_id).Registry.terminals
-        | Some (Registry.L_sref _) | None -> None
-      in
-      (* Tolerant head iteration: skip quarantined pages, report objects
-         whose chains were severed by one. *)
-      let iter_live hf f =
-        let fid = Heap_file.file_id hf in
-        for page = 0 to Pager.page_count pager fid - 1 do
-          if not (Disk.quarantined disk ~file:fid ~page) then begin
-            let slots =
-              Pager.with_page_read pager ~file:fid ~page (fun buf ->
-                  Page.fold (fun acc slot _ -> slot :: acc) [] buf)
-            in
-            List.iter
-              (fun slot ->
-                let oid = { Oid.file = fid; page; slot } in
-                if Heap_file.exists hf oid then
-                  match Heap_file.read hf oid with
-                  | bytes -> f oid bytes
-                  | exception _ ->
-                      note "object %s: unreadable (chain severed by a corrupt page)"
-                        (Oid.to_string oid))
-              (List.rev slots)
-          end
-        done
-      in
-      let read_data oid =
-        Record.decode (Heap_file.read (env.Engine.file_of_oid oid) oid)
-      in
-      let write_data oid record =
-        Heap_file.update (env.Engine.file_of_oid oid) oid (Record.encode record)
-      in
-      (* Pass A: hidden copies and stray link pairs on data objects. *)
-      List.iter
-        (fun (set_name, hf) ->
-          iter_live hf (fun oid bytes ->
-              match Record.decode bytes with
-              | exception _ ->
-                  note "set %s: object %s does not decode; unrepairable"
-                    set_name (Oid.to_string oid)
-              | record ->
-                  (match Hashtbl.find_opt exp.Recompute.hidden oid with
-                  | Some slot ->
-                      List.iter
-                        (fun (rep_id, idx, v) ->
-                          if
-                            (not (pending rep_id oid))
-                            && not
-                                 (Value.equal
-                                    (Recompute.value_or_null record idx)
-                                    v)
-                          then
-                            match find_rep rep_id with
-                            | Some rep -> do_refresh rep oid
-                            | None -> ())
-                        !slot
-                  | None -> ());
-                  List.iter
-                    (fun (pair : Record.link) ->
-                      let link_id = pair.Record.link_id in
-                      match Registry.link_kind registry link_id with
-                      | Some (Registry.L_path _ | Registry.L_collapsed _)
-                        when not (Engine.link_active env link_id) ->
-                          (* Mid-reconfiguration: the maintenance job owns
-                             this link's state; scrub must not judge it. *)
-                          ()
-                      | Some (Registry.L_path _ | Registry.L_collapsed _) ->
-                          let expected_there =
-                            match
-                              Hashtbl.find_opt exp.Recompute.memberships
-                                (link_id, oid)
-                            with
-                            | Some tbl -> Hashtbl.length tbl > 0
-                            | None -> false
-                          in
-                          if (not expected_there) && locked oid then begin
-                            (match rep_of_link link_id with
-                            | Some rep ->
-                                log_repair ~rep_id:rep.Schema.rep_id
-                                  ~source:oid
-                            | None -> ());
-                            if Store.is_link_oid store pair.Record.link_oid
-                            then (
-                              match
-                                Store.file_of_oid store pair.Record.link_oid
-                              with
-                              | Some lf ->
-                                  Heap_file.purge lf pair.Record.link_oid
-                              | None -> ());
-                            let fresh = read_data oid in
-                            write_data oid (Record.remove_link fresh link_id);
-                            repair_done ()
-                          end
-                      | Some (Registry.L_sref _) | None -> ())
-                    record.Record.links))
-        data_sets;
-      (* Pass B: every expected membership is stored, with the right
-         members.  Anything divergent is rebuilt from a fresh link object. *)
-      let referenced = Oid.Table.create 64 in
-      Hashtbl.iter
-        (fun (link_id, target) tbl ->
-          if Hashtbl.length tbl > 0 then
-            match Registry.link_kind registry link_id with
-            | Some (Registry.L_sref _) | None -> ()
-            | Some (Registry.L_path _ | Registry.L_collapsed _) -> (
-                match read_data target with
-                | exception _ ->
-                    note "link %d: target %s unreadable; membership not verified"
-                      link_id (Oid.to_string target)
-                | target_rec -> (
-                    let expected_entries =
-                      Hashtbl.fold
-                        (fun member tag acc ->
-                          { Link_object.member; tag } :: acc)
-                        tbl []
-                      |> List.sort (fun (a : Link_object.entry) b ->
-                             Oid.compare a.Link_object.member
-                               b.Link_object.member)
-                    in
-                    let stored = Record.find_link target_rec link_id in
-                    let lf_opt = Store.link_file_opt store link_id in
-                    let ok =
-                      match stored with
-                      | None -> false
-                      | Some pair ->
-                          if Store.is_link_oid store pair.Record.link_oid then
-                            (* A rebuilt link object of ANOTHER target may
-                               have landed in this (freed) slot: a stored
-                               OID someone else already claimed is never
-                               ours, however plausible its entries look. *)
-                            (not (Oid.Table.mem referenced pair.Record.link_oid))
-                            &&
-                            match lf_opt with
-                            | None -> false
-                            | Some lf -> (
-                                match
-                                  Link_object.entries
-                                    (Link_object.decode
-                                       (Heap_file.read lf pair.Record.link_oid))
-                                with
-                                | entries ->
-                                    List.length entries
-                                    = List.length expected_entries
-                                    && List.for_all2
-                                         (fun (a : Link_object.entry)
-                                              (e : Link_object.entry) ->
-                                           Oid.equal a.Link_object.member
-                                             e.Link_object.member
-                                           && (Oid.is_nil a.Link_object.tag
-                                              || Oid.equal a.Link_object.tag
-                                                   e.Link_object.tag))
-                                         entries expected_entries
-                                | exception _ -> false)
-                          else
-                            (match expected_entries with
-                            | [ e ] ->
-                                Oid.equal pair.Record.link_oid
-                                  e.Link_object.member
-                            | _ -> false)
-                    in
-                    if ok then (
-                      match stored with
-                      | Some pair
-                        when Store.is_link_oid store pair.Record.link_oid ->
-                          Oid.Table.replace referenced pair.Record.link_oid ()
-                      | _ -> ())
-                    else if not (locked target) then (
-                      (* Deferred: keep the stored link object off the orphan
-                         list — [target] still references it. *)
-                      match stored with
-                      | Some pair
-                        when Store.is_link_oid store pair.Record.link_oid ->
-                          Oid.Table.replace referenced pair.Record.link_oid ()
-                      | _ -> ())
-                    else begin
-                      (match rep_of_link link_id with
-                      | Some rep ->
-                          log_repair ~rep_id:rep.Schema.rep_id ~source:target
-                      | None -> ());
-                      (match stored with
-                      | Some pair
-                        when Store.is_link_oid store pair.Record.link_oid
-                             && not
-                                  (Oid.Table.mem referenced
-                                     pair.Record.link_oid) -> (
-                          (* Only purge what no earlier rebuild claimed —
-                             freed slots get recycled, so this OID may now
-                             hold another target's fresh link object. *)
-                          match lf_opt with
-                          | Some lf -> Heap_file.purge lf pair.Record.link_oid
-                          | None -> ())
-                      | _ -> ());
-                      let fresh = read_data target in
-                      let fresh = Record.remove_link fresh link_id in
-                      (match (lf_opt, expected_entries) with
-                      | Some lf, _ ->
-                          let loid =
-                            Heap_file.insert lf
-                              (Link_object.encode
-                                 (Link_object.of_entries expected_entries))
-                          in
-                          write_data target
-                            (Record.add_link fresh
-                               { Record.link_oid = loid; link_id });
-                          Oid.Table.replace referenced loid ();
-                          repair_done ()
-                      | None, [ e ] ->
-                          (* No link file was ever materialised for this id:
-                             store the single member as a direct pair, as the
-                             engine's small-link elimination would. *)
-                          write_data target
-                            (Record.add_link fresh
-                               {
-                                 Record.link_oid = e.Link_object.member;
-                                 link_id;
-                               });
-                          repair_done ()
-                      | None, _ ->
-                          note
-                            "link %d of %s: no link file exists to rebuild a \
-                             %d-member membership"
-                            link_id (Oid.to_string target)
-                            (List.length expected_entries))
-                    end)))
-        exp.Recompute.memberships;
-      (* Orphan link objects: purge what no expected membership references.
-         Skipped whenever a data page is still quarantined — the pairs of its
-         unreadable objects are unknown, so nothing is provably orphaned.
-         Also skipped per file when any of its link ids belongs to a path
-         mid-reconfiguration: a half-backfilled (or half-torn-down) link
-         file is full of entries the Active-only expectation cannot see. *)
-      let data_fids =
-        List.map (fun (_, hf) -> Heap_file.file_id hf) data_sets
-      in
-      let data_quarantined =
-        List.exists
-          (fun (f, _) -> List.mem f data_fids)
-          (Disk.quarantined_pages disk)
-      in
-      if data_quarantined then
-        note "orphan link-object sweep skipped: a data page is quarantined"
-      else
-        Hashtbl.iter
-          (fun _fid ids ->
-            match ids with
-            | [] -> ()
-            | id :: _ -> (
-                if List.for_all (Engine.link_active env) ids then
-                  match Store.link_file_opt store id with
-                  | None -> ()
-                  | Some hf ->
-                      let orphans = ref [] in
-                      Heap_file.iter_oids hf (fun loid ->
-                          if not (Oid.Table.mem referenced loid) then
-                            orphans := loid :: !orphans);
-                      List.iter
-                        (fun loid ->
-                          Heap_file.purge hf loid;
-                          repair_done ())
-                        !orphans))
-          link_files;
-      (* Pass C: separate replications — the source's S' reference, the S'
-         record's owner, values and reference count. *)
-      List.iter
-        (fun (rep : Schema.replication) ->
-          match rep.Schema.strategy with
-          | Schema.Inplace -> ()
-          | Schema.Separate -> (
-              let set = rep.Schema.rpath.Path.source_set in
-              let nodes = Registry.chain registry rep in
-              let _, term = Registry.terminal_of registry rep in
-              let sref_link =
-                match term.Registry.kind with
-                | Registry.K_separate id -> id
-                | Registry.K_inplace | Registry.K_collapsed _ -> assert false
-              in
-              let idx =
-                Schema.hidden_index schema set ~rep_id:rep.Schema.rep_id
-                  ~field:None
-              in
-              let src_file = env.Engine.file_of_set set in
-              let sp_file_opt = Store.sprime_file_opt store rep.Schema.rep_id in
-              let final_ty =
-                Schema.find_type schema
-                  (Listx.last_exn ~what:"Scrub: empty chain" nodes)
-                    .Registry.to_type
-              in
-              let detach_dead_sref source_oid sp =
-                (* The S' object died with a blanked page.  Null the slot and
-                   drop the owner's sref pair by hand so [refresh] does not
-                   try to decrement a reference count that no longer
-                   exists. *)
-                let fresh = read_data source_oid in
-                if idx < Array.length fresh.Record.values then
-                  write_data source_oid (Record.set_field fresh idx Value.VNull);
-                match
-                  Option.join
-                    (Hashtbl.find_opt exp.Recompute.sep_final
-                       (rep.Schema.rep_id, source_oid))
-                with
-                | None -> ()
-                | Some f -> (
-                    match read_data f with
-                    | exception _ -> ()
-                    | f_rec -> (
-                        match Record.find_link f_rec sref_link with
-                        | Some pair when Oid.equal pair.Record.link_oid sp ->
-                            write_data f (Record.remove_link f_rec sref_link)
-                        | _ -> ()))
-              in
-              (* Before any refresh runs, sever every reference to an S'
-                 object that died with a blanked page — both the sources'
-                 hidden slots and the owning finals' sref pairs.  Refresh
-                 recycles freed slots, so a stale reference left in place
-                 would alias a freshly rebuilt S' of some other final
-                 object (and refresh itself would try to decrement a
-                 reference count through it). *)
-              let sp_dead sp =
-                match sp_file_opt with
-                | None -> true
-                | Some sp_file -> (
-                    match Record.decode (Heap_file.read sp_file sp) with
-                    | _ -> false
-                    | exception _ -> true)
-              in
-              let finals = Oid.Table.create 16 in
-              Hashtbl.iter
-                (fun (rid, _) fo ->
-                  if rid = rep.Schema.rep_id then
-                    match fo with
-                    | Some f -> Oid.Table.replace finals f ()
-                    | None -> ())
-                exp.Recompute.sep_final;
-              Oid.Table.iter
-                (fun f () ->
-                  match read_data f with
-                  | exception _ -> ()
-                  | f_rec -> (
-                      match Record.find_link f_rec sref_link with
-                      | Some pair when sp_dead pair.Record.link_oid ->
-                          write_data f (Record.remove_link f_rec sref_link)
-                      | _ -> ()))
-                finals;
-              iter_live src_file (fun source_oid bytes ->
-                  match Record.decode bytes with
-                  | exception _ -> ()
-                  | record -> (
-                      match Recompute.value_or_null record idx with
-                      | Value.VRef sp when sp_dead sp ->
-                          if idx < Array.length record.Record.values then
-                            write_data source_oid
-                              (Record.set_field record idx Value.VNull)
-                      | _ -> ()));
-              let value_checked = Oid.Table.create 8 in
-              iter_live src_file (fun source_oid bytes ->
-                  match Record.decode bytes with
-                  | exception _ -> ()
-                  | record ->
-                      if not (pending rep.Schema.rep_id source_oid) then begin
-                        let exp_final =
-                          Option.join
-                            (Hashtbl.find_opt exp.Recompute.sep_final
-                               (rep.Schema.rep_id, source_oid))
-                        in
-                        match (Recompute.value_or_null record idx, exp_final)
-                        with
-                        | Value.VNull, None -> ()
-                        | Value.VNull, Some _ -> do_refresh rep source_oid
-                        | Value.VRef sp, None ->
-                            (match sp_file_opt with
-                            | Some sp_file
-                              when not (Heap_file.exists sp_file sp) ->
-                                detach_dead_sref source_oid sp
-                            | _ -> ());
-                            do_refresh rep source_oid
-                        | Value.VRef sp, Some f -> (
-                            match sp_file_opt with
-                            | None ->
-                                detach_dead_sref source_oid sp;
-                                do_refresh rep source_oid
-                            | Some sp_file -> (
-                                match
-                                  Record.decode (Heap_file.read sp_file sp)
-                                with
-                                | exception _ ->
-                                    detach_dead_sref source_oid sp;
-                                    do_refresh rep source_oid
-                                | sp_rec -> (
-                                    match Record.field sp_rec 1 with
-                                    | Value.VRef owner when Oid.equal owner f
-                                      ->
-                                        (* Right S'; verify its replicated
-                                           values once. *)
-                                        if
-                                          not
-                                            (Oid.Table.mem value_checked sp)
-                                        then begin
-                                          Oid.Table.replace value_checked sp
-                                            ();
-                                          match read_data f with
-                                          | exception _ -> ()
-                                          | final_rec ->
-                                              let updated = ref sp_rec in
-                                              let dirty = ref false in
-                                              List.iteri
-                                                (fun i (fname, _) ->
-                                                  let want =
-                                                    Recompute.value_or_null
-                                                      final_rec
-                                                      (Ty.field_index final_ty
-                                                         fname)
-                                                  in
-                                                  let at =
-                                                    Engine.sprime_field_offset
-                                                    + i
-                                                  in
-                                                  if
-                                                    not
-                                                      (Value.equal
-                                                         (Record.field
-                                                            !updated at)
-                                                         want)
-                                                  then begin
-                                                    updated :=
-                                                      Record.set_field
-                                                        !updated at want;
-                                                    dirty := true
-                                                  end)
-                                                term.Registry.fields;
-                                              if !dirty && locked f then begin
-                                                log_repair
-                                                  ~rep_id:rep.Schema.rep_id
-                                                  ~source:source_oid;
-                                                Heap_file.update sp_file sp
-                                                  (Record.encode !updated);
-                                                repair_done ()
-                                              end
-                                        end
-                                    | _ -> do_refresh rep source_oid)))
-                        | (Value.VInt _ | Value.VString _), _ ->
-                            if locked source_oid then begin
-                              let fresh = read_data source_oid in
-                              write_data source_oid
-                                (Record.set_field fresh idx Value.VNull);
-                              do_refresh rep source_oid
-                            end
-                      end);
-              (* Reference-count and orphan audit over the S' file. *)
-              match sp_file_opt with
-              | None -> ()
-              | Some sp_file ->
-                  let claims = Oid.Table.create 32 in
-                  iter_live src_file (fun _ bytes ->
-                      match Record.decode bytes with
-                      | exception _ -> ()
-                      | r -> (
-                          match Recompute.value_or_null r idx with
-                          | Value.VRef sp ->
-                              Oid.Table.replace claims sp
-                                (1
-                                + Option.value ~default:0
-                                    (Oid.Table.find_opt claims sp))
-                          | _ -> ()));
-                  let to_purge = ref [] in
-                  let to_fix = ref [] in
-                  let to_pair = ref [] in
-                  Heap_file.iter_oids sp_file (fun sp ->
-                      match Record.decode (Heap_file.read sp_file sp) with
-                      | exception _ -> to_purge := (sp, None) :: !to_purge
-                      | sp_rec -> (
-                          let claimed =
-                            Option.value ~default:0
-                              (Oid.Table.find_opt claims sp)
-                          in
-                          if claimed = 0 then
-                            to_purge := (sp, Some sp_rec) :: !to_purge
-                          else begin
-                            if Value.as_int (Record.field sp_rec 0) <> claimed
-                            then to_fix := (sp, sp_rec, claimed) :: !to_fix;
-                            match Record.field sp_rec 1 with
-                            | Value.VRef owner -> (
-                                match read_data owner with
-                                | exception _ -> ()
-                                | o_rec -> (
-                                    match Record.find_link o_rec sref_link with
-                                    | Some pair
-                                      when Oid.equal pair.Record.link_oid sp ->
-                                        ()
-                                    | _ -> to_pair := (sp, owner) :: !to_pair))
-                            | _ -> ()
-                          end));
-                  List.iter
-                    (fun (sp, sp_rec) ->
-                      (match sp_rec with
-                      | Some r -> (
-                          match Record.field r 1 with
-                          | Value.VRef owner -> (
-                              match read_data owner with
-                              | exception _ -> ()
-                              | o_rec -> (
-                                  match Record.find_link o_rec sref_link with
-                                  | Some pair
-                                    when Oid.equal pair.Record.link_oid sp ->
-                                      write_data owner
-                                        (Record.remove_link o_rec sref_link)
-                                  | _ -> ()))
-                          | _ -> ())
-                      | None -> ());
-                      Heap_file.purge sp_file sp;
-                      repair_done ())
-                    !to_purge;
-                  List.iter
-                    (fun (sp, sp_rec, claimed) ->
-                      Heap_file.update sp_file sp
-                        (Record.encode
-                           (Record.set_field sp_rec 0 (Value.VInt claimed)));
-                      repair_done ())
-                    !to_fix;
-                  List.iter
-                    (fun (sp, owner) ->
-                      match read_data owner with
-                      | exception _ -> ()
-                      | o_rec ->
-                          write_data owner
-                            (Record.add_link
-                               (Record.remove_link o_rec sref_link)
-                               { Record.link_oid = sp; link_id = sref_link });
-                          repair_done ())
-                    !to_pair))
-        (List.filter
-           (fun (r : Schema.replication) ->
-             Schema.rep_state schema r.Schema.rep_id = Schema.Active)
-           (Schema.replications schema));
-      (* Blanked pages dropped heads without going through [delete]; restore
-         accurate object counts on the affected handles. *)
-      Hashtbl.iter
-        (fun fid () ->
-          (match Hashtbl.find_opt link_files fid with
-          | Some (id :: _) -> (
-              match Store.link_file_opt store id with
-              | Some hf -> Heap_file.recount hf
-              | None -> ())
-          | _ -> ());
+        else begin
+          ignore (run 4);
           List.iter
-            (fun (rep_id, f) ->
-              if f = fid then
-                match Store.sprime_file_opt store rep_id with
-                | Some hf -> Heap_file.recount hf
-                | None -> ())
-            sprime_bindings)
-        touched_files);
+            (fun f -> note "unrepaired: %s" (Invariants.describe f))
+            (List.rev !left)
+        end
+  in
+  round 1;
   Pager.flush pager;
   {
     pages_scanned = sw.sw_scanned;
@@ -847,8 +494,3 @@ let finish ?(log_repair = fun ~rep_id:_ ~source:_ -> ())
     quarantined = Disk.quarantined_pages disk;
     unrepairable = List.rev !unrepairable;
   }
-
-let run ?log_repair ?guard (env : Engine.env) ~data_sets =
-  let sw = sweep_start env ~data_sets in
-  while sweep_step sw ~budget:64 do () done;
-  finish ?log_repair ?guard sw

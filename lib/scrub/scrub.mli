@@ -2,9 +2,10 @@
 
     Field replication stores {e derivable redundancy}: every hidden copy,
     link-object membership and S' record can be recomputed by walking the
-    forward path from clean source objects ({!Fieldrep_replication.Recompute}
-    is that walk, shared with the invariant checker).  Scrub exploits this to
-    turn detected corruption back into clean state:
+    forward path from clean source objects.  One audit,
+    {!Fieldrep_replication.Invariants}, compares what is stored with that
+    walk and returns typed findings; it has two consumers, the invariant
+    check (report) and scrub (repair).  Scrub runs in three phases:
 
     - a {b physical sweep} reads every page of the data, link and S' files
       through the checksum-verifying disk layer, counting and quarantining
@@ -14,15 +15,16 @@
       re-sealed only if every record on them still decodes, because source
       fields have no second authoritative copy and can only be {e reported},
       never silently "fixed";
-    - a {b logical pass} compares stored derived state against the
-      recomputed expectation and repairs divergences: hidden copies are
+    - a {b logical pass} audits, repairs the findings, and audits again
+      until a round repairs nothing: hidden copies and S' references are
       refreshed through {!Fieldrep_replication.Engine.refresh}, memberships
-      are rebuilt from fresh link objects, S' records are reconstructed and
-      their reference counts re-audited.
+      are rebuilt as fresh link objects, stray pairs and orphan link objects
+      are dropped, and S' values, reference counts and owner pairs are
+      rewritten.  Findings scrub cannot repair are reported.
 
-    Every repair is announced through [log_repair] {e before} it mutates
-    anything, so a write-ahead log can persist a [Scrub_repair] record and
-    recovery can replay the repair after a crash. *)
+    Every repair that writes through a data object is announced through
+    [log_repair] {e before} it writes, so a write-ahead log can persist a
+    [Scrub_repair] record and recovery can replay it after a crash. *)
 
 module Oid = Fieldrep_storage.Oid
 module Heap_file = Fieldrep_storage.Heap_file
@@ -63,30 +65,21 @@ val sweep_step : sweep -> budget:int -> bool
     Returns [true] while pages remain, [false] once the sweep is done. *)
 
 val finish :
-  ?log_repair:(rep_id:int -> source:Oid.t -> unit) ->
-  ?guard:(Oid.t -> bool) ->
+  log_repair:(rep_id:int -> source:Oid.t -> unit) ->
+  guard:(Oid.t -> bool) ->
   sweep ->
   report
-(** Triage the sweep's corrupt pages, then logically verify and repair
-    derived state against the recomputed ground truth.  [log_repair] is
-    invoked before each repair with the replication and source object
-    about to be refreshed; wire it to WAL appending for durable repairs.
+(** Triage the sweep's corrupt pages, then audit derived state and repair
+    the findings.  [log_repair] is invoked before each repair that writes
+    through a data object, with the declaration and that object; wire it
+    to WAL appending for durable repairs.
 
-    [guard oid] is asked before any repair that writes through a
-    foreground-visible object (default: always [true]); wire it to
-    short-duration X locks to scrub alongside active transactions.  A
-    refused repair is {e deferred} — reported in [unrepairable] and left
-    for a later scrub — never half-applied.
+    [guard oid] is asked before such a repair; wire it to short-duration
+    X locks to scrub alongside active transactions.  A refused repair is
+    {e deferred} — reported in [unrepairable] and left for a later scrub —
+    never half-applied.  (Severing a reference to a dead S' record is not
+    guarded: a later refresh could recycle the slot it names.)
 
     Only [Active] replication declarations are audited: link state of a
     path mid-backfill or mid-teardown belongs to its maintenance job and
     is skipped. *)
-
-val run :
-  ?log_repair:(rep_id:int -> source:Oid.t -> unit) ->
-  ?guard:(Oid.t -> bool) ->
-  Engine.env ->
-  data_sets:(string * Heap_file.t) list ->
-  report
-(** Scrub the whole database in one call:
-    [sweep_start] + [sweep_step] to exhaustion + [finish]. *)

@@ -23,6 +23,7 @@ module Path = Fieldrep_model.Path
 module Record = Fieldrep_model.Record
 module Engine = Fieldrep_replication.Engine
 module Store = Fieldrep_replication.Store
+module Link_object = Fieldrep_replication.Link_object
 module Invariants = Fieldrep_replication.Invariants
 module Scrub = Fieldrep_scrub.Scrub
 module Gen = Fieldrep_workload.Gen
@@ -302,16 +303,131 @@ let overwrite_derived db strat =
       let r = Record.set_field r 0 (Value.VInt 99) in
       Heap_file.update sp_file !victim (Record.encode r)
 
-let test_matrix_derived_values strat () =
+(* The divergence matrix: one row per kind of divergence the audit finds,
+   each made by editing one object behind the engine's back.  Every row
+   must be visible to the invariant checker, repaired by one scrub, pass
+   the deep check afterwards, and leave a second scrub nothing to do. *)
+
+let all_strats = [ S_inplace; S_separate; S_collapsed ]
+
+let rewrite hf oid f =
+  Heap_file.update hf oid (Record.encode (f (Record.decode (Heap_file.read hf oid))))
+
+let set_file db set = (Db.engine db).Engine.file_of_set set
+
+let store db = (Db.engine db).Engine.store
+
+let first_emp db =
+  let first = ref Oid.nil in
+  Heap_file.iter_oids (set_file db "Emp1") (fun o -> if Oid.is_nil !first then first := o);
+  !first
+
+(* The first target whose pair names a link object (not a direct pair):
+   its set, OID and that pair. *)
+let linked_target db =
+  let found = ref None in
+  List.iter
+    (fun set ->
+      Heap_file.iter (set_file db set) (fun oid bytes ->
+          List.iter
+            (fun (pair : Record.link) ->
+              if !found = None && Store.is_link_oid (store db) pair.Record.link_oid then
+                found := Some (set, oid, pair))
+            (Record.decode bytes).Record.links))
+    [ "Dept"; "Org" ];
+  match !found with
+  | Some t -> t
+  | None -> Alcotest.fail "no target holds a link object"
+
+let link_file_of db (pair : Record.link) =
+  Option.get (Store.file_of_oid (store db) pair.Record.link_oid)
+
+let sprime_file db =
+  let rep = List.hd (Schema.replications (Db.schema db)) in
+  Option.get (Store.sprime_file_opt (store db) rep.Schema.rep_id)
+
+let sprime_oids db =
+  let acc = ref [] in
+  Heap_file.iter_oids (sprime_file db) (fun o -> acc := o :: !acc);
+  List.rev !acc
+
+let sprime_owner db sp =
+  Value.as_ref (Record.field (Record.decode (Heap_file.read (sprime_file db) sp)) 1)
+
+let stray_link_pair db =
+  let _, _, pair = linked_target db in
+  let emp = first_emp db in
+  rewrite (set_file db "Emp1") emp (fun r ->
+      Record.add_link r { Record.link_oid = emp; link_id = pair.Record.link_id })
+
+let wrong_link_member db =
+  let _, _, pair = linked_target db in
+  let lf = link_file_of db pair in
+  let lo = Link_object.decode (Heap_file.read lf pair.Record.link_oid) in
+  let victim = List.hd (Link_object.entries lo) in
+  let outsider = ref Oid.nil in
+  Heap_file.iter_oids (set_file db "Emp1") (fun o ->
+      if Oid.is_nil !outsider && not (Link_object.mem lo o) then outsider := o);
+  let lo =
+    Link_object.add
+      (Link_object.remove lo victim.Link_object.member)
+      { victim with Link_object.member = !outsider }
+  in
+  Heap_file.update lf pair.Record.link_oid (Link_object.encode lo)
+
+let missing_membership db =
+  let set, target, pair = linked_target db in
+  rewrite (set_file db set) target (fun r -> Record.remove_link r pair.Record.link_id)
+
+let orphan_link_object db =
+  let _, _, pair = linked_target db in
+  ignore
+    (Heap_file.insert (link_file_of db pair)
+       (Link_object.encode
+          (Link_object.of_entries [ { Link_object.member = first_emp db; tag = Oid.nil } ])))
+
+let sprime_wrong_owner db =
+  match sprime_oids db with
+  | sp1 :: sp2 :: _ ->
+      let other = sprime_owner db sp2 in
+      rewrite (sprime_file db) sp1 (fun r -> Record.set_field r 1 (Value.VRef other))
+  | _ -> Alcotest.fail "need two S' records"
+
+let missing_sref_pair db =
+  let sp = List.hd (sprime_oids db) in
+  let owner = sprime_owner db sp in
+  let hf = set_file db "Org" in
+  rewrite hf owner (fun r ->
+      match
+        List.find_opt
+          (fun (p : Record.link) -> Oid.equal p.Record.link_oid sp)
+          r.Record.links
+      with
+      | Some p -> Record.remove_link r p.Record.link_id
+      | None -> Alcotest.fail "owner holds no sref pair")
+
+let divergences =
+  [
+    ("derived values", all_strats, fun db strat -> overwrite_derived db strat);
+    ("stray link pair", all_strats, fun db _ -> stray_link_pair db);
+    ("wrong link member", all_strats, fun db _ -> wrong_link_member db);
+    ("missing membership", all_strats, fun db _ -> missing_membership db);
+    ("orphan link object", all_strats, fun db _ -> orphan_link_object db);
+    ("S' wrong owner", [ S_separate ], fun db _ -> sprime_wrong_owner db);
+    ("missing sref pair", [ S_separate ], fun db _ -> missing_sref_pair db);
+  ]
+
+let test_divergence corrupt strat () =
   let db = build_employee strat in
   let expected = snapshot db in
-  overwrite_derived db strat;
+  corrupt db strat;
   checkb "corruption visible to the invariant checker" true
     (Invariants.errors (Db.engine db) <> []);
   let r = Db.scrub db in
   checkb "logical repairs performed" true (r.Scrub.repairs >= 1);
   Db.check_integrity db;
-  assert_snapshot db expected
+  assert_snapshot db expected;
+  checki "second scrub repairs nothing" 0 (Db.scrub db).Scrub.repairs
 
 (* ------------------------------------------------------------------ *)
 (* Source fields are not derivable                                     *)
@@ -502,17 +618,21 @@ let () =
           Alcotest.test_case "scrub_repair codec" `Quick test_wal_scrub_repair_roundtrip;
         ] );
       ( "scrub matrix",
-        List.concat_map
+        List.map
           (fun strat ->
-            [
-              Alcotest.test_case
-                (strat_name strat ^ ": link page rot")
-                `Quick (test_matrix_link_page strat);
-              Alcotest.test_case
-                (strat_name strat ^ ": derived values")
-                `Quick (test_matrix_derived_values strat);
-            ])
-          [ S_inplace; S_separate; S_collapsed ]
+            Alcotest.test_case
+              (strat_name strat ^ ": link page rot")
+              `Quick (test_matrix_link_page strat))
+          all_strats
+        @ List.concat_map
+            (fun (name, strats, corrupt) ->
+              List.map
+                (fun strat ->
+                  Alcotest.test_case
+                    (strat_name strat ^ ": " ^ name)
+                    `Quick (test_divergence corrupt strat))
+                strats)
+            divergences
         @ [ Alcotest.test_case "separate: S' page rot" `Quick test_matrix_sprime_page ]
       );
       ( "unrepairable",
