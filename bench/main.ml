@@ -1,12 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§6), runs the empirical validation the paper never could,
-   ablates the §4.3 optimizations, and times core operations with Bechamel.
+   and ablates the §4.3 optimizations.  Per-operation machine cost (ns and
+   allocated words per layer) lives in perfbench's layer probe.
 
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- figure-11 table-12 figure-13 table-14
      dune exec bench/main.exe -- validate ablate-small-links ablate-collapse
-     dune exec bench/main.exe -- path-index space micro
+     dune exec bench/main.exe -- path-index space
 *)
 
 module Db = Fieldrep.Db
@@ -669,91 +670,6 @@ let space () =
     ~header:
       [ "configuration"; "R meas"; "R model"; "S meas"; "S model"; "aux meas"; "aux model" ]
     (List.rev !rows)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (wall-clock time of core operations)      *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel, wall-clock time per operation)";
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let emp_plain = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:2000 ~seed:61 () in
-  let emp_inplace = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:2000 ~seed:61 () in
-  Db.replicate emp_inplace ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
-  let emp_separate = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:2000 ~seed:61 () in
-  Db.replicate emp_separate ~strategy:Schema.Separate (Path.parse "Emp1.dept.org.name");
-  let emps db = Exec.matching_oids db ~set:"Emp1" None |> Array.of_list in
-  let emps_plain = emps emp_plain in
-  let emps_inplace = emps emp_inplace in
-  let emps_separate = emps emp_separate in
-  let orgs = Exec.matching_oids emp_inplace ~set:"Org" None |> Array.of_list in
-  let counter = ref 0 in
-  let deref db arr () =
-    incr counter;
-    ignore (Db.deref db ~set:"Emp1" arr.(!counter mod Array.length arr) "dept.org.name")
-  in
-  let tests =
-    [
-      Test.make ~name:"deref 2-level (no replication)" (Staged.stage (deref emp_plain emps_plain));
-      Test.make ~name:"deref 2-level (in-place)" (Staged.stage (deref emp_inplace emps_inplace));
-      Test.make ~name:"deref 2-level (separate)" (Staged.stage (deref emp_separate emps_separate));
-      Test.make ~name:"propagate org.name (in-place)"
-        (Staged.stage (fun () ->
-             incr counter;
-             Db.update_field emp_inplace ~set:"Org"
-               orgs.(!counter mod Array.length orgs)
-               ~field:"name"
-               (Value.VString (Printf.sprintf "bench-%d" !counter))));
-      Test.make ~name:"btree point lookup"
-        (let b = Gen.build { Gen.default_spec with Gen.s_count = 2000; seed = 67 } in
-         Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Db.index_lookup b.Gen.db ~index:Gen.r_index (Key.Int (!counter mod 2000)))));
-      Test.make ~name:"insert employee"
-        (let fresh = Gen.employee_db ~norgs:4 ~ndepts:30 ~nemps:100 ~seed:71 () in
-         Db.replicate fresh ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
-         let depts = Exec.matching_oids fresh ~set:"Dept" None |> Array.of_list in
-         Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Db.insert fresh ~set:"Emp1"
-                  [
-                    Value.VString (Printf.sprintf "bench-emp-%d" !counter);
-                    Value.VInt 30;
-                    Value.VInt 50_000;
-                    Value.VRef depts.(!counter mod Array.length depts);
-                  ])));
-    ]
-  in
-  let benchmark test =
-    let quota = Time.second 0.25 in
-    Benchmark.all (Benchmark.cfg ~quota ~kde:None ()) Instance.[ monotonic_clock ] test
-  in
-  let results =
-    List.map
-      (fun test ->
-        let results = benchmark test in
-        let analysis =
-          Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            Instance.monotonic_clock results
-        in
-        (Test.Elt.name (List.hd (Test.elements test)), analysis))
-      tests
-  in
-  let rows =
-    List.map
-      (fun (name, analysis) ->
-        let estimate =
-          Hashtbl.fold
-            (fun _ ols acc ->
-              match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> acc)
-            analysis 0.0
-        in
-        [ name; Printf.sprintf "%.1f ns" estimate ])
-      results
-  in
-  T.print ~header:[ "operation"; "time/op" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* W1: write-ahead logging overhead on the paper's update mixes        *)
@@ -1635,7 +1551,6 @@ let all_benches =
     ("k-sweep", k_sweep);
     ("warm-cache", warm_cache);
     ("space", space);
-    ("micro", micro);
     ("wal", wal_overhead);
     ("txn", txn_bench);
     ("scrub", scrub_bench);

@@ -291,6 +291,13 @@ let log_maint t record =
       Wal.sync w
   | Some _ | None -> ()
 
+(* A walk job's per-source step: one walk of the stored record names the
+   quantum's lock targets and feeds the operation applied under them. *)
+let maint_prepare t ~set hf prepare apply oid =
+  let walk = prepare t.engine ~set (Record.decode (Heap_file.read hf oid)) in
+  ( List.map (fun o -> (set_of_oid t o, o)) (Engine.touches walk),
+    fun () -> apply walk oid )
+
 (* The job id IS the rep id: [Maint_step]/[Maint_done] records name it,
    and a declaration never has two jobs in flight (Building and Dropping
    are mutually exclusive states). *)
@@ -301,14 +308,11 @@ let enqueue_backfill t (rep : Schema.replication) =
     Maint.walk_job
       ~label:(Printf.sprintf "backfill %s" (Path.to_string rep.Schema.rpath))
       ~job_id:rep.Schema.rep_id ~owner:(fresh_owner t) ~set ~file:hf
-      ~write_targets:(fun oid ->
-        let record = Record.decode (Heap_file.read hf oid) in
-        List.map
-          (fun o -> (set_of_oid t o, o))
-          (Engine.write_set_attach t.engine ~set record))
+      ~prepare:
+        (maint_prepare t ~set hf Engine.prepare_attach
+           (Engine.backfill_source t.engine rep))
       ~log_step:(fun ~upto ->
         log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
-      ~process:(fun oid -> Engine.backfill_source t.engine rep oid)
       ~complete:(fun () ->
         log_maint t (Wal.Maint_done { job = rep.Schema.rep_id });
         Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Active)
@@ -322,13 +326,11 @@ let enqueue_teardown t (rep : Schema.replication) =
     Maint.walk_job
       ~label:(Printf.sprintf "teardown %s" (Path.to_string rep.Schema.rpath))
       ~job_id:rep.Schema.rep_id ~owner:(fresh_owner t) ~set ~file:hf
-      ~write_targets:(fun oid ->
-        List.map
-          (fun o -> (set_of_oid t o, o))
-          (Engine.write_set_delete t.engine ~set oid))
+      ~prepare:
+        (maint_prepare t ~set hf Engine.prepare_detach
+           (Engine.teardown_source t.engine rep))
       ~log_step:(fun ~upto ->
         log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
-      ~process:(fun oid -> Engine.teardown_source t.engine rep oid)
       ~complete:(fun () ->
         log_maint t (Wal.Maint_done { job = rep.Schema.rep_id });
         Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropped;
@@ -554,8 +556,8 @@ let lock_write t tx ~set oid =
   lock t tx (Lock.Set set) Lock.IX;
   lock t tx (Lock.Obj oid) Lock.X
 
-(* Exclusive locks on an estimated write set (data objects propagation
-   will touch), each with an intention lock on its owning set. *)
+(* Exclusive locks on the data objects a prepared operation will write,
+   each with an intention lock on its owning set. *)
 let lock_targets t tx oids =
   List.iter (fun oid -> lock_write t tx ~set:(set_of_oid t oid) oid) oids
 
@@ -576,21 +578,22 @@ let with_charge t txn f =
           r)
   | _ -> f ()
 
-(* Capture the object's before-image the first time this transaction
-   touches it, and log it ahead of the operation's redo record so crash
-   recovery can roll the transaction back from the log alone. *)
-let capture_undo t txn ~set oid ~present =
+(* Capture the object's before-image ([None]: the object is being
+   created) the first time this transaction touches it, and log it ahead
+   of the operation's redo record so crash recovery can roll the
+   transaction back from the log alone. *)
+let capture_undo t txn ~set oid before =
   match txn with
   | None -> ()
   | Some tx ->
       if (not (t.compensating || t.replaying)) && not (Txn.touched tx ~set oid)
       then begin
+        let present = Option.is_some before in
         let values =
-          if not present then []
-          else
-            let record = Record.decode (Heap_file.read (set_file t set) oid) in
-            let n = Ty.arity (Schema.set_type t.schema set) in
-            List.init n (fun i -> value_at record i)
+          match before with
+          | None -> []
+          | Some record ->
+              List.init (Ty.arity (Schema.set_type t.schema set)) (value_at record)
         in
         ensure_begin t tx;
         (match t.wal with
@@ -628,18 +631,19 @@ let insert ?txn t ~set values =
             (function
               | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
               | Value.VInt _ | Value.VString _ | Value.VNull -> ())
-            values;
-          lock_targets t tx (Engine.write_set_attach t.engine ~set record));
+            values);
+      let walk = Engine.prepare_attach t.engine ~set record in
+      locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
       let oid =
         log_mutation ?txn t (Wal.Insert { set; values }) (fun () ->
             let oid = Heap_file.insert (set_file t set) (Record.encode record) in
             List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-            Engine.on_insert t.engine ~set oid;
+            Engine.on_insert t.engine walk oid;
             oid)
       in
       locking t txn (fun tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X);
       (* first touch is the creation itself: undo deletes the object *)
-      capture_undo t txn ~set oid ~present:false;
+      capture_undo t txn ~set oid None;
       oid)
 
 (* Re-create an object in its original slot: the second half of undoing a
@@ -654,7 +658,8 @@ let insert_at_impl t ~set oid values =
       in
       Heap_file.insert_at (set_file t set) oid (Record.encode record);
       List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-      Engine.on_insert t.engine ~set oid)
+      (* walk once the slot is live: a self-referential path reaches it *)
+      Engine.on_insert t.engine (Engine.prepare_attach t.engine ~set record) oid)
 
 let get ?txn t ~set oid =
   locking t txn (fun tx -> lock_read t tx ~set oid);
@@ -666,14 +671,16 @@ let get ?txn t ~set oid =
    cannot be recycled while the deleting transaction is undecided. *)
 let delete_impl ?txn ~pin t ~set oid =
   with_charge t txn (fun () ->
-      locking t txn (fun tx ->
-          lock_write t tx ~set oid;
-          lock_targets t tx (Engine.write_set_delete t.engine ~set oid));
-      capture_undo t txn ~set oid ~present:true;
+      locking t txn (fun tx -> lock_write t tx ~set oid);
+      let hf = set_file t set in
+      (* Detaching rewrites only link sections and S' objects, so this
+         one decode serves the walk, the before-image and index removal. *)
+      let record = Record.decode (Heap_file.read hf oid) in
+      let walk = Engine.prepare_detach t.engine ~set record in
+      locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
+      capture_undo t txn ~set oid (Some record);
       log_mutation ?txn t (Wal.Delete { set; oid }) (fun () ->
-          Engine.on_delete t.engine ~set oid;
-          let hf = set_file t set in
-          let record = Record.decode (Heap_file.read hf oid) in
+          Engine.on_delete t.engine walk oid;
           List.iter (fun rt -> index_remove rt oid record) (indexes_of_set t set);
           if pin then Heap_file.delete_pinned hf oid else Heap_file.delete hf oid);
       match txn with
@@ -701,35 +708,46 @@ let update_field ?txn t ~set oid ~field value =
   let idx = Ty.field_index ty field in
   let hf = set_file t set in
   with_charge t txn @@ fun () ->
-  locking t txn (fun tx ->
-      lock_write t tx ~set oid;
-      match fdef.Ty.ftype with
-      | Ty.Scalar _ ->
-          (* inverted-path fan-out: sources whose hidden copies change *)
-          lock_targets t tx (Engine.write_set_scalar t.engine oid ~field)
-      | Ty.Ref _ ->
-          (* A reference update restructures inverted paths; the set of
-             affected sources is unbounded, so escalate to set-level
-             exclusive locks on every source set of a path through this
-             step (the inverted path names them directly). *)
-          List.iter
-            (fun s -> lock t tx (Lock.Set s) Lock.X)
-            (Engine.ref_update_scope t.engine ~set ~field);
-          (match value with
-          | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
-          | Value.VInt _ | Value.VString _ | Value.VNull -> ());
-          let old_v = value_at (Record.decode (Heap_file.read hf oid)) idx in
-          let targets =
-            List.filter_map
-              (function Value.VRef o -> Some o | _ -> None)
-              [ old_v; value ]
-          in
-          lock_targets t tx
-            (Engine.write_set_ref_targets t.engine ~set ~field targets));
-  let before = Record.decode (Heap_file.read hf oid) in
+  locking t txn (fun tx -> lock_write t tx ~set oid);
+  let read_before () = Record.decode (Heap_file.read hf oid) in
+  let before, propagate =
+    match fdef.Ty.ftype with
+    | Ty.Scalar _ ->
+        let before = read_before () in
+        (* inverted-path fan-out, locked even if the value is unchanged *)
+        let fanout =
+          if txn = None && Value.equal (value_at before idx) value then None
+          else Some (Engine.prepare_scalar t.engine before ~field)
+        in
+        locking t txn (fun tx ->
+            Option.iter (fun f -> lock_targets t tx (Engine.fanout_touches f)) fanout);
+        (before, `Scalar fanout)
+    | Ty.Ref _ ->
+        (* A reference update restructures inverted paths; the set of
+           affected sources is unbounded, so escalate to set-level
+           exclusive locks on every source set of a path through this
+           step (the inverted path names them directly). *)
+        locking t txn (fun tx ->
+            List.iter
+              (fun s -> lock t tx (Lock.Set s) Lock.X)
+              (Engine.ref_update_scope t.engine ~set ~field);
+            match value with
+            | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
+            | Value.VInt _ | Value.VString _ | Value.VNull -> ());
+        let before = read_before () in
+        locking t txn (fun tx ->
+            let targets =
+              List.filter_map
+                (function Value.VRef o -> Some o | _ -> None)
+                [ value_at before idx; value ]
+            in
+            lock_targets t tx
+              (Engine.write_set_ref_targets t.engine ~set ~field targets));
+        (before, `Ref)
+  in
   let old_value = value_at before idx in
   if not (Value.equal old_value value) then begin
-    capture_undo t txn ~set oid ~present:true;
+    capture_undo t txn ~set oid (Some before);
     log_mutation ?txn t (Wal.Update { set; oid; field; value }) (fun () ->
         let after = Record.set_field before idx value in
         Heap_file.update hf oid (Record.encode after);
@@ -738,9 +756,10 @@ let update_field ?txn t ~set oid ~field value =
         List.iter
           (fun rt -> if rt.value_index = idx then index_update rt oid ~before ~after)
           (indexes_of_set t set);
-        match fdef.Ty.ftype with
-        | Ty.Scalar _ -> Engine.on_scalar_update t.engine ~set oid ~field value
-        | Ty.Ref _ ->
+        match propagate with
+        | `Scalar fanout ->
+            Option.iter (fun f -> Engine.on_scalar_update t.engine f ~field value) fanout
+        | `Ref ->
             Engine.on_ref_update t.engine ~set oid ~field ~old_value ~new_value:value)
   end
 

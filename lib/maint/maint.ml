@@ -12,9 +12,8 @@ type walk = {
   set : string;
   file : Heap_file.t;
   mutable cursor : int;
-  write_targets : Oid.t -> (string * Oid.t) list;
+  prepare : Oid.t -> (string * Oid.t) list * (unit -> unit);
   log_step : upto:int -> unit;
-  process : Oid.t -> unit;
 }
 
 type custom = { custom_step : quantum:int -> [ `More | `Yield | `Done ] }
@@ -28,13 +27,11 @@ type job = {
   complete : unit -> unit;
 }
 
-let walk_job ~label ~job_id ~owner ~set ~file ~write_targets ~log_step
-    ~process ~complete =
+let walk_job ~label ~job_id ~owner ~set ~file ~prepare ~log_step ~complete =
   {
     label;
     job_id;
-    body =
-      Walk { owner; set; file; cursor = 0; write_targets; log_step; process };
+    body = Walk { owner; set; file; cursor = 0; prepare; log_step };
     complete;
   }
 
@@ -83,10 +80,10 @@ let dequeue t j =
 let rotate t =
   match t.queue with [] | [ _ ] -> () | j :: rest -> t.queue <- rest @ [ j ]
 
-(* One quantum of a walk job.  The lock set is computed before anything is
-   acquired: the engine is cooperative and single-threaded, so the reads
-   that compute it cannot race a foreground writer, and a conflict
-   surfaces with no partial effects — release and retry later. *)
+(* One quantum of a walk job.  Every source is prepared and locked before
+   any is applied: the engine is cooperative and single-threaded, so the
+   prepare walks cannot race a foreground writer, and a conflict surfaces
+   with no partial effects — release and retry later. *)
 let step_walk t j w ~quantum =
   let pages = Heap_file.page_count w.file in
   if w.cursor >= pages then begin
@@ -104,14 +101,16 @@ let step_walk t j w ~quantum =
     in
     match
       Lock.acquire t.locks ~txn:w.owner (Lock.Set w.set) Lock.IX;
-      List.iter
+      List.map
         (fun oid ->
           Lock.acquire t.locks ~txn:w.owner (Lock.Obj oid) Lock.X;
+          let targets, apply = w.prepare oid in
           List.iter
             (fun (set, target) ->
               Lock.acquire t.locks ~txn:w.owner (Lock.Set set) Lock.IX;
               Lock.acquire t.locks ~txn:w.owner (Lock.Obj target) Lock.X)
-            (w.write_targets oid))
+            targets;
+          apply)
         oids
     with
     | exception (Lock.Would_block _ | Lock.Deadlock _) ->
@@ -119,12 +118,12 @@ let step_walk t j w ~quantum =
         Stats.bump t.stats Stats.Maint_lock_yields;
         rotate t;
         `Yield
-    | () ->
+    | applies ->
         (* Write-ahead: the quantum is durable before it mutates a page,
            so a crash anywhere past this point replays it (idempotently)
            to completion. *)
         w.log_step ~upto;
-        List.iter w.process oids;
+        List.iter (fun apply -> apply ()) applies;
         w.cursor <- upto;
         Lock.release_all t.locks ~txn:w.owner;
         count_step t ~pages:(upto - from);
@@ -176,7 +175,9 @@ let advance_to t ~job ~upto =
       | Walk w ->
           let last = min upto (Heap_file.page_count w.file) in
           for page = w.cursor to last - 1 do
-            List.iter w.process (Heap_file.oids_on_page w.file ~page)
+            List.iter
+              (fun oid -> snd (w.prepare oid) ())
+              (Heap_file.oids_on_page w.file ~page)
           done;
           if upto > w.cursor then
             count_step t ~pages:(upto - w.cursor);

@@ -4,14 +4,15 @@
     A maintenance {e job} is a cursor over a heap file that advances in
     bounded {e work quanta}.  Each quantum:
 
-    + computes the sources on the next [quantum] pages and the data
-      objects their per-source operation will write,
+    + prepares the per-source operation of each source on the next
+      [quantum] pages — one read-only walk that names the data objects
+      the operation will write —
     + acquires short-duration locks through the foreground lock manager —
       [IX] on each touched set, [X] on each touched object — under a
       job-scoped lock owner,
     + logs one [Maint_step] record (via the [log_step] callback) {e before}
-      mutating anything, then runs the per-source operation over the
-      quantum's sources,
+      mutating anything, then applies the prepared operations in source
+      order,
     + releases every lock it took.
 
     If any lock conflicts with a foreground transaction, the quantum
@@ -44,18 +45,20 @@ val walk_job :
   owner:int ->
   set:string ->
   file:Heap_file.t ->
-  write_targets:(Oid.t -> (string * Oid.t) list) ->
+  prepare:(Oid.t -> (string * Oid.t) list * (unit -> unit)) ->
   log_step:(upto:int -> unit) ->
-  process:(Oid.t -> unit) ->
   complete:(unit -> unit) ->
   job
 (** A resumable page-cursor walk over [file] (the heap file of [set]),
-    starting at page 0.  [write_targets oid] names the [(set, object)]
-    pairs the per-source operation may write {e besides} the source itself
-    (the source and its set are locked implicitly).  [process] must be
-    idempotent — a replayed quantum re-runs it.  [complete] runs once,
-    after the cursor passes the last page (it should log [Maint_done] and
-    flip the declaration's state). *)
+    starting at page 0.  [prepare oid] walks the source read-only and
+    returns [(targets, apply)]: the [(set, object)] pairs the per-source
+    operation will write {e besides} the source itself (the source and
+    its set are locked implicitly), and the operation itself.  [apply]
+    runs after every source of the quantum was prepared and locked, so it
+    must re-read what it rewrites; it must be idempotent — a replayed
+    quantum re-runs it.  [complete] runs once, after the cursor passes the
+    last page (it should log [Maint_done] and flip the declaration's
+    state). *)
 
 val custom_job :
   label:string ->
@@ -109,9 +112,9 @@ val step : t -> quantum:int -> [ `Progress | `Yield | `Idle ]
     already-logged records must not be logged again. *)
 
 val advance_to : t -> job:int -> upto:int -> unit
-(** Re-run the per-source operation of walk job [job] over pages
-    [cursor, upto) — lock-free and without calling [log_step] — and move
-    its cursor to [upto].  Raises [Failure] on an unknown job id or a
+(** Prepare and apply the per-source operation of walk job [job] over
+    pages [cursor, upto) — lock-free and without calling [log_step] — and
+    move its cursor to [upto].  Raises [Failure] on an unknown job id or a
     custom job: a logged [Maint_step] must name a queued walk job. *)
 
 val finish : t -> job:int -> unit

@@ -144,6 +144,10 @@ let deref env ~from_type record step =
         (Printf.sprintf "Engine: step %s holds non-reference %s" step
            (Value.to_string v))
 
+let as_ref_opt = function
+  | Value.VRef oid -> Some oid
+  | Value.VNull | Value.VInt _ | Value.VString _ -> None
+
 (* ------------------------------------------------------------------ *)
 (* Memberships                                                         *)
 
@@ -279,57 +283,93 @@ let rec cascade_off env (node : Registry.node) x_oid =
 (* ------------------------------------------------------------------ *)
 (* Inverted traversal                                                  *)
 
-let membership_of env (node : Registry.node) x_oid =
+let membership_of env (node : Registry.node) x_rec =
   match node.Registry.link_id with
   | None -> Link_object.empty
-  | Some link_id ->
-      let x_rec = read_record env x_oid in
-      fst (read_membership env ~link_id x_rec)
+  | Some link_id -> fst (read_membership env ~link_id x_rec)
 
-let sources_of env node target_oid =
-  let rec collect (node : Registry.node) x_oid =
-    let members = Link_object.members (membership_of env node x_oid) in
+(* Sources reaching the object [x_rec] through [node]'s inverted sub-path. *)
+let sources_under env node x_rec =
+  let rec collect (node : Registry.node) x_rec =
+    let members = Link_object.members (membership_of env node x_rec) in
     match Registry.parent env.registry node with
     | None -> members
-    | Some parent -> List.concat_map (collect parent) members
+    | Some parent ->
+        List.concat_map (fun m -> collect parent (read_record env m)) members
   in
-  List.sort_uniq Oid.compare (collect node target_oid)
+  List.sort_uniq Oid.compare (collect node x_rec)
+
+let sources_of env node target_oid =
+  sources_under env node (read_record env target_oid)
 
 (* ------------------------------------------------------------------ *)
 (* Forward walks and terminal maintenance                              *)
 
-(* Objects along a path from a source object, as (node, oid) pairs; stops at
-   the first null reference. *)
-let forward_targets env (nodes : Registry.node list) source_rec =
-  let rec go acc current_rec = function
-    | [] -> List.rev acc
-    | (node : Registry.node) :: rest -> (
-        match deref env ~from_type:node.Registry.from_type current_rec node.Registry.step with
-        | None -> List.rev acc
-        | Some oid ->
-            let r = read_record env oid in
-            go ((node, oid, r) :: acc) r rest)
-  in
-  go [] source_rec nodes
+(* One source's forward path under [rep], walked once and shared by the
+   lock set and the apply that follows: the objects on the path (stopping
+   at the first null reference), the final object when the path is
+   complete, the final's replicated values for in-place and collapsed
+   terminals (null when the path is broken), and the S' object a separate
+   terminal's hidden reference names.  OIDs and user-field values only:
+   apply re-reads any object before it rewrites it. *)
+type path = {
+  rep : Schema.replication;
+  chain : (Registry.node * Oid.t) list;
+  final : Oid.t option;
+  values : Value.t list;
+  sprime : Oid.t option;
+}
 
-let final_of env nodes source_rec =
-  let targets = forward_targets env nodes source_rec in
-  if List.length targets = List.length nodes then
-    match List.rev targets with
-    | (_, oid, r) :: _ -> Some (oid, r)
-    | [] -> None
-  else None
+(* Read-only.  A separate terminal's final is named but not read. *)
+let walk_path env (rep : Schema.replication) source_rec =
+  let _, term = Registry.terminal_of env.registry rep in
+  let fields = term.Registry.fields in
+  let rec go chain record = function
+    | [] -> invalid_arg "Engine.walk_path: empty chain"
+    | (node : Registry.node) :: rest -> (
+        match
+          deref env ~from_type:node.Registry.from_type record node.Registry.step
+        with
+        | None -> (chain, None, List.map (fun _ -> Value.VNull) fields)
+        | Some oid when rest = [] ->
+            let values =
+              match term.Registry.kind with
+              | Registry.K_separate _ -> []
+              | Registry.K_inplace | Registry.K_collapsed _ ->
+                  let final_rec = read_record env oid in
+                  let ty = Schema.find_type env.schema node.Registry.to_type in
+                  List.map
+                    (fun (f, _) -> value_or_null final_rec (Ty.field_index ty f))
+                    fields
+            in
+            ((node, oid) :: chain, Some oid, values)
+        | Some oid -> go ((node, oid) :: chain) (read_record env oid) rest)
+  in
+  let chain, final, values =
+    go [] source_rec (Registry.chain env.registry rep)
+  in
+  let sprime =
+    match term.Registry.kind with
+    | Registry.K_separate _ ->
+        as_ref_opt
+          (value_or_null source_rec
+             (Schema.hidden_index env.schema rep.Schema.rpath.Path.source_set
+                ~rep_id:rep.Schema.rep_id ~field:None))
+    | Registry.K_inplace | Registry.K_collapsed _ -> None
+  in
+  { rep; chain = List.rev chain; final; values; sprime }
 
 let sprime_field_offset = 2
 
 (* Fetch or create the S' object of a final object for a separate path.
-   Fresh S' objects start with refcount 0; callers bump it. *)
-let sprime_for env (rep : Schema.replication) ~sref_link ~fields final_oid final_rec =
+   The final is read here, not taken from a walk: an earlier write of the
+   same operation may have rewritten its link section.  Fresh S' objects
+   start with refcount 0; callers bump it. *)
+let sprime_for env (rep : Schema.replication) ~sref_link ~fields final_oid =
+  let final_rec = read_record env final_oid in
   match Record.find_link final_rec sref_link with
   | Some pair -> pair.Record.link_oid
   | None ->
-      let final_ty = Schema.set_type env.schema rep.Schema.rpath.Path.source_set in
-      ignore final_ty;
       let ty =
         Schema.find_type env.schema
           (Listx.nth_exn ~what:"Engine.sprime_for: path level out of type chain"
@@ -439,89 +479,84 @@ let batched_rewrite env ~set oids ~transform =
           !changes)
       (group_by_page sorted)
 
-(* Desired hidden-field rewrite of one source record under an in-place or
-   collapsed terminal; [None] when the stored copies already match. *)
-let inplace_refresh_transform env (rep : Schema.replication) ~set ~nodes
-    ~final_ty ~fields source_rec =
-  let final = final_of env nodes source_rec in
+(* The in-place or collapsed hidden copies of [source_rec] set to [values]
+   (one per terminal field); [None] when the stored copies already match. *)
+let copies_transform env (rep : Schema.replication) ~fields values source_rec =
+  let set = rep.Schema.rpath.Path.source_set in
   let changed = ref false in
   let updated =
-    List.fold_left
-      (fun acc (fname, _) ->
+    List.fold_left2
+      (fun acc (fname, _) desired ->
         let idx =
           Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
             ~field:(Some fname)
-        in
-        let desired =
-          match final with
-          | Some (_, final_rec) ->
-              value_or_null final_rec (Ty.field_index final_ty fname)
-          | None -> Value.VNull
         in
         if Value.equal (value_or_null acc idx) desired then acc
         else begin
           changed := true;
           set_value_extending acc idx desired
         end)
-      source_rec fields
+      source_rec fields values
   in
   if !changed then Some updated else None
 
-(* Recompute the hidden fields of one source object from the current state
-   of the forward path (both strategies). *)
-let refresh_terminal env (rep : Schema.replication) source_oid =
+(* A source that is also a final of its declaration (a self-referential
+   path) has its link section rewritten by the S' bookkeeping: re-read it. *)
+let reread_owner env final sref_link source_oid source_rec =
+  if Option.equal Oid.equal final (Some source_oid)
+     || Record.find_link source_rec sref_link <> None
+  then read_record env source_oid
+  else source_rec
+
+(* Bring one source object's hidden fields in line with its walked path
+   (both strategies).  [source_rec] must be the stored record: it is the
+   base of the rewrite. *)
+let refresh_path env (p : path) source_oid source_rec =
+  let rep = p.rep in
   let set = rep.Schema.rpath.Path.source_set in
-  let nodes = Registry.chain env.registry rep in
   let _, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
-  let changed = ref false in
   let updated =
     match term.Registry.kind with
-    | Registry.K_inplace | Registry.K_collapsed _ -> (
-        let final_ty_name =
-          (Listx.last_exn ~what:"Engine.refresh_terminal: empty chain" nodes)
-            .Registry.to_type
-        in
-        let final_ty = Schema.find_type env.schema final_ty_name in
-        match
-          inplace_refresh_transform env rep ~set ~nodes ~final_ty
-            ~fields:term.Registry.fields source_rec
-        with
-        | Some updated ->
-            changed := true;
-            updated
-        | None -> source_rec)
+    | Registry.K_inplace | Registry.K_collapsed _ ->
+        copies_transform env rep ~fields:term.Registry.fields p.values source_rec
     | Registry.K_separate sref_link ->
         let idx =
           Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
             ~field:None
         in
         let desired =
-          match final_of env nodes source_rec with
-          | Some (final_oid, final_rec) ->
+          match p.final with
+          | Some final_oid ->
               Value.VRef
                 (sprime_for env rep ~sref_link ~fields:term.Registry.fields
-                   final_oid final_rec)
+                   final_oid)
           | None -> Value.VNull
         in
         let current = value_or_null source_rec idx in
-        if Value.equal current desired then source_rec
+        if Value.equal current desired then None
         else begin
-          (match current with
-          | Value.VRef old_sp -> sprime_refcount_add env ~sref_link old_sp (-1)
-          | Value.VNull | Value.VInt _ | Value.VString _ -> ());
-          (match desired with
-          | Value.VRef new_sp -> sprime_refcount_add env ~sref_link new_sp 1
-          | Value.VNull | Value.VInt _ | Value.VString _ -> ());
-          changed := true;
-          set_value_extending source_rec idx desired
+          Option.iter
+            (fun sp -> sprime_refcount_add env ~sref_link sp (-1))
+            (as_ref_opt current);
+          Option.iter
+            (fun sp -> sprime_refcount_add env ~sref_link sp 1)
+            (as_ref_opt desired);
+          let base = reread_owner env p.final sref_link source_oid source_rec in
+          Some (set_value_extending base idx desired)
         end
   in
-  if !changed then begin
-    write_record env source_oid updated;
-    env.on_hidden_update set source_oid ~before:source_rec ~after:updated
-  end;
+  Option.iter
+    (fun updated ->
+      write_record env source_oid updated;
+      env.on_hidden_update set source_oid ~before:source_rec ~after:updated)
+    updated;
   clear_pending env rep source_oid
+
+(* Recompute the hidden fields of one source object from the current state
+   of the forward path. *)
+let refresh_terminal env rep source_oid =
+  let source_rec = read_record env source_oid in
+  refresh_path env (walk_path env rep source_rec) source_oid source_rec
 
 (* Refresh many sources of one declaration, page-batched where the terminal
    allows it.  Separate terminals stay per-object — [sprime_for] /
@@ -534,17 +569,55 @@ let refresh_batch env (rep : Schema.replication) oids =
   | Registry.K_separate _ ->
       List.iter (refresh_terminal env rep) (List.sort_uniq Oid.compare oids)
   | Registry.K_inplace | Registry.K_collapsed _ ->
-      let set = rep.Schema.rpath.Path.source_set in
-      let nodes = Registry.chain env.registry rep in
-      let final_ty =
-        Schema.find_type env.schema
-          (Listx.last_exn ~what:"Engine.refresh_batch: empty chain" nodes)
-            .Registry.to_type
-      in
-      batched_rewrite env ~set oids ~transform:(fun oid source_rec ->
+      batched_rewrite env ~set:rep.Schema.rpath.Path.source_set oids
+        ~transform:(fun oid source_rec ->
           clear_pending env rep oid;
-          inplace_refresh_transform env rep ~set ~nodes ~final_ty
-            ~fields:term.Registry.fields source_rec)
+          copies_transform env rep ~fields:term.Registry.fields
+            (walk_path env rep source_rec).values source_rec)
+
+(* ------------------------------------------------------------------ *)
+(* Prepared mutations: one walk for the lock set and the apply        *)
+
+(* A source object's paths under every declaration rooted at its set.
+   [touches] is every data object the apply below may write besides the
+   source itself — the objects on the paths, plus (for a detach) the
+   owners of the S' objects it releases, which the walk may no longer
+   reach.  Link and S' objects are not data objects: the lock on the data
+   object that owns them guards them. *)
+type walk = { paths : path list; touches : Oid.t list }
+
+let touches w = w.touches
+
+let alive env oid = Heap_file.exists (data_file env oid) oid
+
+let prepare env ~set record ~owners =
+  let paths =
+    List.map (fun rep -> walk_path env rep record)
+      (Schema.replications_from env.schema set)
+  in
+  let sprime_owner (p : path) =
+    match p.sprime with
+    | Some sp when owners && alive env sp ->
+        as_ref_opt (Record.field (read_record env sp) 1)
+    | Some _ | None -> None
+  in
+  let on_paths = List.concat_map (fun p -> List.map snd p.chain) paths in
+  {
+    paths;
+    touches =
+      List.sort_uniq Oid.compare
+        (on_paths @ List.filter_map sprime_owner paths);
+  }
+
+let prepare_attach env ~set record = prepare env ~set record ~owners:false
+let prepare_detach env ~set record = prepare env ~set record ~owners:true
+
+let path_of w (rep : Schema.replication) =
+  match
+    List.find_opt (fun p -> p.rep.Schema.rep_id = rep.Schema.rep_id) w.paths
+  with
+  | Some p -> p
+  | None -> invalid_arg "Engine: declaration is not rooted at the walked set"
 
 (* ------------------------------------------------------------------ *)
 (* Source attach / detach                                              *)
@@ -554,110 +627,76 @@ let collapsed_link_id (term : Registry.terminal) =
   | Registry.K_collapsed id -> Some id
   | Registry.K_inplace | Registry.K_separate _ -> None
 
-(* Membership bookkeeping for one source object joining a path. *)
-let attach_source env (rep : Schema.replication) source_oid =
-  let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
-  (match collapsed_link_id term with
-  | Some link_id -> (
+(* Membership bookkeeping for one source object joining its walked path. *)
+let attach_source env (p : path) source_oid =
+  let final_node, term = Registry.terminal_of env.registry p.rep in
+  (match (collapsed_link_id term, p.chain) with
+  | Some link_id, [ (_, x1); (_, x2) ] ->
       (* Collapsed 2-level path: a single tagged link at the final node. *)
-      match forward_targets env nodes source_rec with
-      | [ (_, x1, _); (_, x2, _) ] ->
-          ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
-               (fun lo ->
-                 Link_object.add lo { Link_object.member = source_oid; tag = x1 }))
-      | _ -> () (* path broken by a null reference: nothing to register *))
-  | None -> (
-      match forward_targets env nodes source_rec with
-      | [] -> ()
-      | (node1, x1, _) :: _ ->
-          let was_empty, now_empty = add_member env node1 x1 (plain_entry source_oid) in
-          if was_empty && not now_empty then ensure_deeper env node1 x1));
-  refresh_terminal env rep source_oid
+      ignore
+        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
+             Link_object.add lo { Link_object.member = source_oid; tag = x1 }))
+  | None, (node1, x1) :: _ ->
+      let was_empty, now_empty = add_member env node1 x1 (plain_entry source_oid) in
+      if was_empty && not now_empty then ensure_deeper env node1 x1
+  | Some _, _ | None, [] ->
+      () (* path broken by a null reference: nothing to register *));
+  refresh_path env p source_oid (read_record env source_oid)
 
-let detach_source env (rep : Schema.replication) source_oid =
-  clear_pending env rep source_oid;
-  let nodes = Registry.chain env.registry rep in
-  let final_node, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
-  (match collapsed_link_id term with
-  | Some link_id -> (
-      match forward_targets env nodes source_rec with
-      | [ _; (_, x2, _) ] ->
-          ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
-               (fun lo -> Link_object.remove lo source_oid))
-      | _ -> ())
-  | None -> (
-      match forward_targets env nodes source_rec with
-      | [] -> ()
-      | (node1, x1, _) :: _ ->
-          let _, now_empty = remove_member env node1 x1 source_oid in
-          if now_empty then cascade_off env node1 x1));
+let detach_source env (p : path) source_oid =
+  clear_pending env p.rep source_oid;
+  let final_node, term = Registry.terminal_of env.registry p.rep in
+  (match (collapsed_link_id term, p.chain) with
+  | Some link_id, [ _; (_, x2) ] ->
+      ignore
+        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
+             Link_object.remove lo source_oid))
+  | None, (node1, x1) :: _ ->
+      let _, now_empty = remove_member env node1 x1 source_oid in
+      if now_empty then cascade_off env node1 x1
+  | Some _, _ | None, [] -> ());
   (* Separate paths: drop this source's claim on its S' object. *)
-  match term.Registry.kind with
-  | Registry.K_separate sref_link -> (
-      let idx =
-        Schema.hidden_index env.schema rep.Schema.rpath.Path.source_set
-          ~rep_id:rep.Schema.rep_id ~field:None
-      in
-      match value_or_null source_rec idx with
-      | Value.VRef sp -> sprime_refcount_add env ~sref_link sp (-1)
-      | Value.VNull | Value.VInt _ | Value.VString _ -> ())
-  | Registry.K_inplace | Registry.K_collapsed _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Online reconfiguration primitives (driven by lib/maint)             *)
-
-(* Backfill one source object of a [Building] declaration.  Exactly
-   [attach_source], which is idempotent — link membership adds dedupe by
-   member, [refresh_terminal] compares before writing and balances S'
-   refcounts — so a source already attached by the catch-up trigger (an
-   insert or reference update that ran while the backfill cursor was
-   behind it) converges instead of double-registering. *)
-let backfill_source = attach_source
+  match (term.Registry.kind, p.sprime) with
+  | Registry.K_separate sref_link, Some sp ->
+      sprime_refcount_add env ~sref_link sp (-1)
+  | (Registry.K_separate _ | Registry.K_inplace | Registry.K_collapsed _), _ ->
+      ()
 
 (* Tear down one source object's contribution to a [Dropping] declaration.
    Unlike [detach_source] (object deletion), the source object stays: only
    memberships no *live* path shares are removed, the S' claim is released,
    and the declaration's hidden slots are nulled.  Idempotent — a second
    visit finds no memberships, a null slot, and no S' reference. *)
-let teardown_source env (rep : Schema.replication) source_oid =
+let teardown_source env rep w source_oid =
+  let p = path_of w rep in
   clear_pending env rep source_oid;
   let set = rep.Schema.rpath.Path.source_set in
-  let nodes = Registry.chain env.registry rep in
   let final_node, term = Registry.terminal_of env.registry rep in
-  let source_rec = read_record env source_oid in
-  (match collapsed_link_id term with
-  | Some link_id -> (
+  (match (collapsed_link_id term, p.chain) with
+  | Some link_id, [ _; (_, x2) ] ->
       (* The tagged link is exclusively this declaration's: always remove. *)
-      match forward_targets env nodes source_rec with
-      | [ _; (_, x2, _) ] ->
-          ignore
-            (modify_membership env final_node ~link_id ~threshold:0 x2
-               (fun lo -> Link_object.remove lo source_oid))
-      | _ -> ())
-  | None ->
-      (* Walk the forward chain; at each level whose node no live path
-         shares, retract the previous object's membership.  Removals at
-         deeper levels are shared across the sources reaching through one
-         intermediate — [Link_object.remove] of an absent member no-ops, so
-         whichever source's teardown quantum gets there first wins. *)
+      ignore
+        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
+             Link_object.remove lo source_oid))
+  | Some _, _ -> ()
+  | None, chain ->
+      (* At each level whose node no live path shares, retract the previous
+         object's membership.  Removals at deeper levels are shared across
+         the sources reaching through one intermediate —
+         [Link_object.remove] of an absent member no-ops, so whichever
+         source's teardown quantum gets there first wins. *)
       ignore
         (List.fold_left
-           (fun member ((node : Registry.node), x_oid, _) ->
+           (fun member ((node : Registry.node), x_oid) ->
              if
                node.Registry.link_id <> None
                && not (List.exists (rep_live env) node.Registry.passing)
              then ignore (remove_member env node x_oid member);
              x_oid)
-           source_oid
-           (forward_targets env nodes source_rec)));
-  (* Null the declaration's hidden slots (releasing the S' claim first);
-     re-read the record, the membership pass may have rewritten link
-     sections along a self-referential chain. *)
+           source_oid chain));
+  (* Null the declaration's hidden slots, releasing the S' claim first.
+     The source is read only now: the membership pass may have rewritten
+     its link section along a self-referential chain. *)
   let source_rec = read_record env source_oid in
   let changed = ref false in
   let updated =
@@ -671,7 +710,8 @@ let teardown_source env (rep : Schema.replication) source_oid =
         | Value.VRef sp ->
             sprime_refcount_add env ~sref_link sp (-1);
             changed := true;
-            set_value_extending source_rec idx Value.VNull
+            let base = reread_owner env None sref_link source_oid source_rec in
+            set_value_extending base idx Value.VNull
         | Value.VNull | Value.VInt _ | Value.VString _ -> source_rec)
     | Registry.K_inplace | Registry.K_collapsed _ ->
         List.fold_left
@@ -692,128 +732,131 @@ let teardown_source env (rep : Schema.replication) source_oid =
     env.on_hidden_update set source_oid ~before:source_rec ~after:updated
   end
 
-(* ------------------------------------------------------------------ *)
-(* Public maintenance entry points                                     *)
+let on_insert env w oid =
+  List.iter (fun p -> if rep_live env p.rep then attach_source env p oid) w.paths
 
-let on_insert env ~set oid =
-  List.iter
-    (fun rep -> if rep_live env rep then attach_source env rep oid)
-    (Schema.replications_from env.schema set)
-
-let on_delete env ~set oid =
-  List.iter
-    (fun rep -> detach_source env rep oid)
-    (Schema.replications_from env.schema set);
-  let record = read_record env oid in
-  if record.Record.links <> [] then
+let on_delete env w oid =
+  List.iter (fun p -> detach_source env p oid) w.paths;
+  (* Detaching may clear the object's own memberships (a self-referential
+     path); any left make it an intermediate or final object. *)
+  if (read_record env oid).Record.links <> [] then
     invalid_arg
       (Printf.sprintf
          "Engine: object %s is still referenced along a replication path"
          (Oid.to_string oid))
 
-let on_scalar_update env ~set oid ~field value =
-  ignore set;
-  let record = read_record env oid in
-  List.iter
+(* Backfill one source object of a [Building] declaration.  Exactly
+   [attach_source], which is idempotent — link membership adds dedupe by
+   member, [refresh_path] compares before writing and balances S'
+   refcounts — so a source already attached by the catch-up trigger (an
+   insert or reference update that ran while the backfill cursor was
+   behind it) converges instead of double-registering. *)
+let backfill_source env rep w oid = attach_source env (path_of w rep) oid
+
+(* What a scalar update of one object rewrites, one entry per interested
+   terminal, in link-section order: a shared S' slot, or the hidden copies
+   of the sources an inverted path or collapsed link names (the terminals
+   are filtered for liveness at apply, so the lock set covers them all). *)
+type fanout_entry =
+  | Sprime of Schema.replication * Oid.t * int
+  | Copies of string * Registry.terminal list * Oid.t list
+
+type fanout = fanout_entry list
+
+let prepare_scalar env (record : Record.t) ~field =
+  List.concat_map
     (fun (pair : Record.link) ->
-      match Registry.link_kind env.registry pair.Record.link_id with
-      | None -> ()
+      let link_id = pair.Record.link_id in
+      let terminals node_id =
+        (Registry.node env.registry node_id).Registry.terminals
+      in
+      match Registry.link_kind env.registry link_id with
+      | None -> []
       | Some (Registry.L_sref node_id) ->
-          let node = Registry.node env.registry node_id in
-          List.iter
+          List.filter_map
             (fun (term : Registry.terminal) ->
-              match term.Registry.kind with
-              | Registry.K_separate sid
-                when sid = pair.Record.link_id && rep_live env term.Registry.rep
-                -> (
-                  match
-                    List.find_index (fun (f, _) -> f = field) term.Registry.fields
-                  with
-                  | Some i ->
-                      let sp = pair.Record.link_oid in
-                      let hf = data_file env sp in
-                      let r = Record.decode (Heap_file.read hf sp) in
-                      Heap_file.update hf sp
-                        (Record.encode
-                           (Record.set_field r (sprime_field_offset + i) value))
-                  | None -> ())
-              | Registry.K_separate _ | Registry.K_inplace | Registry.K_collapsed _
-                -> ())
-            node.Registry.terminals
+              match
+                ( term.Registry.kind,
+                  List.find_index (fun (f, _) -> f = field) term.Registry.fields )
+              with
+              | Registry.K_separate sid, Some i when sid = link_id ->
+                  let slot = sprime_field_offset + i in
+                  Some (Sprime (term.Registry.rep, pair.Record.link_oid, slot))
+              | (Registry.K_separate _ | Registry.K_inplace | Registry.K_collapsed _), _
+                -> None)
+            (terminals node_id)
       | Some (Registry.L_collapsed node_id) ->
-          let node = Registry.node env.registry node_id in
-          List.iter
+          List.filter_map
             (fun (term : Registry.terminal) ->
               match term.Registry.kind with
               | Registry.K_collapsed cid
-                when cid = pair.Record.link_id && rep_live env term.Registry.rep
-                ->
-                  if List.mem_assoc field term.Registry.fields then begin
-                    let rep = term.Registry.rep in
-                    let set = rep.Schema.rpath.Path.source_set in
-                    let lo, _ = read_membership env ~link_id:cid record in
-                    if rep.Schema.options.Schema.lazy_propagation then
-                      List.iter (mark_pending env rep) (Link_object.members lo)
-                    else begin
-                      let idx =
-                        Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-                          ~field:(Some field)
-                      in
-                      batched_rewrite env ~set (Link_object.members lo)
-                        ~transform:(fun _ r ->
-                          Some (set_value_extending r idx value))
-                    end
-                  end
-              | Registry.K_collapsed _ | Registry.K_inplace | Registry.K_separate _
-                -> ())
-            node.Registry.terminals
-      | Some (Registry.L_path node_id) ->
+                when cid = link_id && List.mem_assoc field term.Registry.fields ->
+                  let lo, _ = read_membership env ~link_id record in
+                  Some
+                    (Copies
+                       ( term.Registry.rep.Schema.rpath.Path.source_set,
+                         [ term ],
+                         Link_object.members lo ))
+              | Registry.K_collapsed _ | Registry.K_inplace | Registry.K_separate _ ->
+                  None)
+            (terminals node_id)
+      | Some (Registry.L_path node_id) -> (
           let node = Registry.node env.registry node_id in
-          let interested =
+          match
             List.filter
               (fun (term : Registry.terminal) ->
                 term.Registry.kind = Registry.K_inplace
-                && List.mem_assoc field term.Registry.fields
-                && rep_live env term.Registry.rep)
+                && List.mem_assoc field term.Registry.fields)
               node.Registry.terminals
-          in
+          with
+          | [] -> []
+          | terms ->
+              [ Copies (node.Registry.source_set, terms, sources_under env node record) ]))
+    record.Record.links
+
+let fanout_touches fanout =
+  List.concat_map
+    (function Sprime _ -> [] | Copies (_, _, sources) -> sources)
+    fanout
+  |> List.sort_uniq Oid.compare
+
+(* Lazy terminals only invalidate: the write to each source is deferred
+   until its hidden copy is next read. *)
+let on_scalar_update env fanout ~field value =
+  List.iter
+    (function
+      | Sprime (rep, sp, slot) ->
+          if rep_live env rep then
+            write_record env sp (Record.set_field (read_record env sp) slot value)
+      | Copies (set, terms, sources) ->
           let eager, lazy_ =
             List.partition
               (fun (term : Registry.terminal) ->
                 not term.Registry.rep.Schema.options.Schema.lazy_propagation)
-              interested
+              (List.filter
+                 (fun (term : Registry.terminal) -> rep_live env term.Registry.rep)
+                 terms)
           in
-          if interested <> [] then begin
-            let sources = sources_of env node oid in
-            (* Lazy paths: invalidate only — the write to each source is
-               deferred until its hidden copy is next read. *)
-            List.iter
-              (fun (term : Registry.terminal) ->
-                List.iter (mark_pending env term.Registry.rep) sources)
-              lazy_;
-            if eager <> [] then begin
-              let set = node.Registry.source_set in
-              batched_rewrite env ~set sources ~transform:(fun _ r0 ->
-                  Some
-                    (List.fold_left
-                       (fun r (term : Registry.terminal) ->
-                         let rep = term.Registry.rep in
-                         let idx =
-                           Schema.hidden_index env.schema set
-                             ~rep_id:rep.Schema.rep_id ~field:(Some field)
-                         in
-                         set_value_extending r idx value)
-                       r0 eager))
-            end
-          end)
-    record.Record.links
+          List.iter
+            (fun (term : Registry.terminal) ->
+              List.iter (mark_pending env term.Registry.rep) sources)
+            lazy_;
+          if eager <> [] then
+            batched_rewrite env ~set sources ~transform:(fun _ r0 ->
+                Some
+                  (List.fold_left
+                     (fun r (term : Registry.terminal) ->
+                       let rep = term.Registry.rep in
+                       let idx =
+                         Schema.hidden_index env.schema set
+                           ~rep_id:rep.Schema.rep_id ~field:(Some field)
+                       in
+                       set_value_extending r idx value)
+                     r0 eager)))
+    fanout
 
 (* ------------------------------------------------------------------ *)
 (* Reference updates                                                   *)
-
-let as_ref_opt = function
-  | Value.VRef oid -> Some oid
-  | Value.VNull | Value.VInt _ | Value.VString _ -> None
 
 (* The changed object is a source-set member: move its level-1 membership
    and refresh every terminal rooted under the changed step. *)
@@ -921,7 +964,9 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
               | None -> ()
               | Some _ ->
                   let on_path =
-                    not (Link_object.is_empty (membership_of env node x_oid))
+                    not
+                      (Link_object.is_empty
+                         (membership_of env node (read_record env x_oid)))
                   in
                   if on_path then begin
                     let sources = sources_of env node x_oid in
@@ -980,9 +1025,8 @@ let build env (rep : Schema.replication) =
          objects down in final-set physical order. *)
       let per_final = Oid.Table.create 64 in
       Heap_file.iter src_file (fun source_oid bytes ->
-          let source_rec = Record.decode bytes in
-          match forward_targets env nodes source_rec with
-          | [ (_, x1, _); (_, x2, _) ] ->
+          match (walk_path env rep (Record.decode bytes)).chain with
+          | [ (_, x1); (_, x2) ] ->
               let prev = Option.value ~default:[] (Oid.Table.find_opt per_final x2) in
               Oid.Table.replace per_final x2
                 ({ Link_object.member = source_oid; tag = x1 } :: prev)
@@ -1021,11 +1065,10 @@ let build env (rep : Schema.replication) =
       in
       let table_for (n : Registry.node) = List.assoc n.Registry.node_id tables in
       Heap_file.iter src_file (fun source_oid bytes ->
-          let source_rec = Record.decode bytes in
-          let targets = forward_targets env nodes source_rec in
+          let targets = (walk_path env rep (Record.decode bytes)).chain in
           ignore
             (List.fold_left
-               (fun member (node, x_oid, _) ->
+               (fun member ((node : Registry.node), x_oid) ->
                  (match node.Registry.link_id with
                  | Some _ ->
                      let tbl = table_for node in
@@ -1111,9 +1154,8 @@ let build env (rep : Schema.replication) =
           let counts = Oid.Table.create 256 in
           let final_for = Oid.Table.create 256 in
           Heap_file.iter src_file (fun source_oid bytes ->
-              let source_rec = Record.decode bytes in
-              match final_of env nodes source_rec with
-              | Some (final_oid, _) ->
+              match (walk_path env rep (Record.decode bytes)).final with
+              | Some final_oid ->
                   Oid.Table.replace final_for source_oid final_oid;
                   Oid.Table.replace counts final_oid
                     (1 + Option.value ~default:0 (Oid.Table.find_opt counts final_oid))
@@ -1125,10 +1167,8 @@ let build env (rep : Schema.replication) =
           let sp_of = Oid.Table.create 256 in
           List.iter
             (fun final_oid ->
-              let final_rec = read_record env final_oid in
               let sp =
                 sprime_for env rep ~sref_link ~fields:term.Registry.fields final_oid
-                  final_rec
               in
               sprime_refcount_add env ~sref_link sp (Oid.Table.find counts final_oid);
               Oid.Table.replace sp_of final_oid sp)
@@ -1164,7 +1204,8 @@ let referencers_via_links env ~source_set ~attr target_oid =
       (Registry.roots env.registry source_set)
   in
   Option.map
-    (fun node -> Link_object.members (membership_of env node target_oid))
+    (fun node ->
+      Link_object.members (membership_of env node (read_record env target_oid)))
     node
 
 let repair env (rep : Schema.replication) source_oid =
@@ -1204,94 +1245,7 @@ let flush_keys env keys =
 let space_pages env = Store.total_pages env.store
 
 (* ------------------------------------------------------------------ *)
-(* Write-set estimation for transactional locking                      *)
-
-(* The transaction manager must X-lock, up front, every data object a
-   mutation will write — including objects reached only through
-   propagation.  These helpers compute that footprint read-only, by
-   walking the same structures the mutating entry points walk.  They are
-   conservative supersets; link and S' objects are never returned because
-   they are owned by (and guarded by the lock on) a data object. *)
-
-let alive env oid =
-  let hf = data_file env oid in
-  Heap_file.exists hf oid
-
-let chain_objects env (rep : Schema.replication) source_rec =
-  List.map
-    (fun (_, oid, _) -> oid)
-    (forward_targets env (Registry.chain env.registry rep) source_rec)
-
-(* Objects [attach_source]/[detach_source] will touch for a record of
-   [set]: the forward-path chain of every declaration rooted there. *)
-let write_set_attach env ~set record =
-  List.concat_map
-    (fun rep -> chain_objects env rep record)
-    (Schema.replications_from env.schema set)
-  |> List.sort_uniq Oid.compare
-
-let write_set_delete env ~set oid =
-  let record = read_record env oid in
-  let chain = write_set_attach env ~set record in
-  (* A separate path's S' object names its owning final object; dropping
-     the last refcount rewrites the owner, which the forward walk may no
-     longer reach. *)
-  let owners =
-    List.filter_map
-      (fun (rep : Schema.replication) ->
-        match rep.Schema.strategy with
-        | Schema.Separate when not rep.Schema.options.Schema.collapse -> (
-            let idx =
-              Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-                ~field:None
-            in
-            match value_or_null record idx with
-            | Value.VRef sp when alive env sp -> (
-                match Record.field (read_record env sp) 1 with
-                | Value.VRef owner -> Some owner
-                | _ -> None)
-            | _ -> None)
-        | _ -> None)
-      (Schema.replications_from env.schema set)
-  in
-  List.sort_uniq Oid.compare (chain @ owners)
-
-(* Source objects whose hidden copies (or invalidation entries) a scalar
-   update of [field] on this object will write. *)
-let write_set_scalar env oid ~field =
-  let record = read_record env oid in
-  List.concat_map
-    (fun (pair : Record.link) ->
-      match Registry.link_kind env.registry pair.Record.link_id with
-      | None | Some (Registry.L_sref _) -> []
-      | Some (Registry.L_collapsed node_id) ->
-          let node = Registry.node env.registry node_id in
-          let interested =
-            List.exists
-              (fun (term : Registry.terminal) ->
-                match term.Registry.kind with
-                | Registry.K_collapsed cid ->
-                    cid = pair.Record.link_id
-                    && List.mem_assoc field term.Registry.fields
-                | Registry.K_inplace | Registry.K_separate _ -> false)
-              node.Registry.terminals
-          in
-          if interested then
-            Link_object.members
-              (fst (read_membership env ~link_id:pair.Record.link_id record))
-          else []
-      | Some (Registry.L_path node_id) ->
-          let node = Registry.node env.registry node_id in
-          let interested =
-            List.exists
-              (fun (term : Registry.terminal) ->
-                term.Registry.kind = Registry.K_inplace
-                && List.mem_assoc field term.Registry.fields)
-              node.Registry.terminals
-          in
-          if interested then sources_of env node oid else [])
-    record.Record.links
-  |> List.sort_uniq Oid.compare
+(* Reference-update lock scope                                         *)
 
 (* Source sets of every declaration whose path uses [set].[field] as a
    step.  A reference update restructures inverted paths, touching an

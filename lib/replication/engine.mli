@@ -3,18 +3,24 @@
     Owns every replication-specific structure — link objects / inverted
     paths, hidden fields, S' files, reference counts — and keeps them
     consistent as the database mutates.  The object engine (lib/core) calls
-    in after each data mutation:
+    in around each data mutation:
 
     - {!build} when a [replicate] declaration is added (bulk construction,
       link and S' files laid out in the same physical order as the sets they
       invert — paper §4.1, §5);
-    - {!on_insert} / {!on_delete} for source-set membership maintenance
-      (paper §4.1.1);
-    - {!on_scalar_update} to propagate a changed data field to every
-      replicated copy (paper §4.1.3, §5.2);
+    - {!prepare_attach} / {!prepare_detach}, then {!on_insert} /
+      {!on_delete}, for source-set membership maintenance (paper §4.1.1);
+    - {!prepare_scalar}, then {!on_scalar_update}, to propagate a changed
+      data field to every replicated copy (paper §4.1.3, §5.2);
     - {!on_ref_update} when a reference attribute changes anywhere on a
       path, restructuring the inverted path and refreshing affected sources
       (paper §4.1.2).
+
+    Insert, delete and scalar update are {e prepared}: one read-only walk
+    names the data objects the apply will write (a transaction X-locks
+    them) and carries OIDs and user-field values for the apply, which
+    re-reads every object it rewrites: an earlier write of the operation
+    may have changed its link section or hidden slots.
 
     The engine is strategy-complete: in-place, separate, collapsed inverted
     paths (§4.3.3) and small-link elimination (§4.3.1) all live behind the
@@ -69,25 +75,53 @@ val build : env -> Schema.replication -> unit
     levels and S' files are created in target-set physical order, hidden
     fields are (re)computed for every source object. *)
 
-val on_insert : env -> set:string -> Oid.t -> unit
-(** The object was just inserted (its references already stored).  Attaches
-    it to every replication path rooted at [set] and fills its hidden
-    fields. *)
+type walk
+(** A source object's forward paths under every declaration rooted at its
+    set, walked once. *)
 
-val on_delete : env -> set:string -> Oid.t -> unit
-(** Must be called *before* the heap delete.  Detaches the object from
-    paths rooted at [set].  Raises [Invalid_argument] if the object is still
-    referenced along some replication path (it is an intermediate or final
-    object with live link memberships), mirroring the paper's assumption
-    that such objects are deleted only when unreferenced. *)
+val prepare_attach : env -> set:string -> Record.t -> walk
+(** Walk a record of [set] about to be inserted (or backfilled). *)
+
+val prepare_detach : env -> set:string -> Record.t -> walk
+(** Walk the stored record of an object of [set] about to be deleted (or
+    torn down); also names the owners of the S' objects it will release. *)
+
+val touches : walk -> Oid.t list
+(** The data objects, sorted and deduplicated, that applying the walk may
+    write besides the source itself: the objects on its paths, plus the
+    S' owners of a detach.  Link and S' objects are guarded by their
+    owner's lock. *)
+
+val on_insert : env -> walk -> Oid.t -> unit
+(** The walked record was just inserted as this object.  Attaches it to
+    every live path rooted at its set and fills its hidden fields. *)
+
+val on_delete : env -> walk -> Oid.t -> unit
+(** Must be called {e before} the heap delete, with the walk of the
+    object's stored record.  Detaches the object from paths rooted at its
+    set.  Raises [Invalid_argument] if the object is still referenced along
+    some replication path (an intermediate or final object with live link
+    memberships): the paper deletes such objects only when unreferenced. *)
+
+type fanout
+(** What a scalar update of one object must rewrite: shared S' slots, and
+    the sources whose hidden copies an inverted path or collapsed link
+    carries. *)
+
+val prepare_scalar : env -> Record.t -> field:string -> fanout
+(** One dispatch over the link section of the object's stored record. *)
+
+val fanout_touches : fanout -> Oid.t list
+(** Source objects whose hidden copies (or lazy-invalidation entries) the
+    update will write, sorted and deduplicated; includes sources of
+    terminals that are not live. *)
 
 val on_scalar_update :
-  env -> set:string -> Oid.t -> field:string -> Fieldrep_model.Value.t -> unit
-(** Called *after* the object's own record was rewritten with the new value.
-    Uses the object's (link-OID, link-ID) pairs to decide whether the update
-    must be propagated, and propagates it: through the inverted path to
-    hidden copies for in-place paths, to the shared S' object for separate
-    paths. *)
+  env -> fanout -> field:string -> Fieldrep_model.Value.t -> unit
+(** Called {e after} the object's own record was rewritten with the new
+    value: propagates it to every live terminal of the fan-out — hidden
+    copies for in-place and collapsed paths (lazy ones are only marked
+    stale), the shared S' object for separate paths. *)
 
 val on_ref_update :
   env ->
@@ -122,17 +156,20 @@ val refresh : env -> Schema.replication -> Oid.t -> unit
 (** {1 Online reconfiguration}
 
     Per-source primitives driven by the background-maintenance jobs
-    (lib/maint).  Both are idempotent, so a crash-recovered job can replay
-    a quantum it had already applied.  The engine's mutation hooks consult
-    {!Schema.rep_state}: [Building] declarations receive the full catch-up
-    stream (adds, removes, refreshes), [Dropping] ones only removals. *)
+    (lib/maint), applied to a walk of the source's stored record
+    ({!prepare_attach} for a backfill, {!prepare_detach} for a teardown)
+    whose {!touches} the job locked.  Both are idempotent, so a
+    crash-recovered job can replay a quantum it had already applied.  The
+    engine's mutation hooks consult {!Schema.rep_state}: [Building]
+    declarations receive the full catch-up stream (adds, removes,
+    refreshes), [Dropping] ones only removals. *)
 
-val backfill_source : env -> Schema.replication -> Oid.t -> unit
+val backfill_source : env -> Schema.replication -> walk -> Oid.t -> unit
 (** Attach one source object of a [Building] declaration and fill its
     hidden state — the backfill half of online [replicate].  Converges when
     the catch-up trigger already attached the object. *)
 
-val teardown_source : env -> Schema.replication -> Oid.t -> unit
+val teardown_source : env -> Schema.replication -> walk -> Oid.t -> unit
 (** Remove one source object's contribution to a [Dropping] declaration:
     memberships on link levels no live path shares, the S' reference count,
     the hidden slots (nulled).  The object itself stays. *)
@@ -181,25 +218,10 @@ val sources_of : env -> Registry.node -> Oid.t -> Oid.t list
 val space_pages : env -> int
 (** Pages consumed by link and S' files. *)
 
-(** {1 Write-set estimation}
+(** {1 Reference-update lock scope}
 
-    Read-only estimates of the data objects a mutation's propagation will
-    write, used by the transaction manager to acquire exclusive locks {e
-    before} executing anything.  Conservative supersets; link and S'
-    objects are excluded because they are guarded by the data object that
-    owns them. *)
-
-val write_set_attach : env -> set:string -> Fieldrep_model.Record.t -> Oid.t list
-(** Forward-path objects that attaching (inserting) a record of [set]
-    will touch. *)
-
-val write_set_delete : env -> set:string -> Oid.t -> Oid.t list
-(** Forward-path objects plus any S' owner that detaching (deleting) the
-    object will touch. *)
-
-val write_set_scalar : env -> Oid.t -> field:string -> Oid.t list
-(** Source objects whose hidden copies (or lazy-invalidation entries) a
-    scalar update of [field] will write — the inverted-path fan-out. *)
+    Reference updates restructure inverted paths, so they are not prepared
+    but escalated. *)
 
 val ref_update_scope : env -> set:string -> field:string -> string list
 (** Source sets of declarations whose path steps through [set].[field]; a

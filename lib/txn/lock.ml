@@ -106,12 +106,13 @@ let find_cycle t start =
 
 (* Lockdep pairing: one [Txn_lock] push per transaction (its first grant),
    popped by [release_all]; later grants only record edges, since they get
-   no release of their own. *)
-let note_held t txn resource =
+   no release of their own.  [fresh]: [txn] did not hold [resource] before
+   this grant, so it joins the held list (an upgrade is already there). *)
+let note_held t txn resource ~fresh =
   match Hashtbl.find_opt t.held txn with
   | Some l ->
       Lockdep.note Lockdep.Txn_lock;
-      if not (List.mem resource !l) then l := resource :: !l
+      if fresh then l := resource :: !l
   | None ->
       Lockdep.acquire Lockdep.Txn_lock;
       Hashtbl.replace t.held txn (ref [ resource ])
@@ -126,7 +127,7 @@ let acquire t ~txn resource mode =
       match conflicts holders txn want with
       | [] ->
           Hashtbl.replace holders txn want;
-          note_held t txn resource;
+          note_held t txn resource ~fresh:(cur = None);
           Hashtbl.remove t.waiting txn
       | blocking ->
           (* Count a wait only when the request transitions into blocking on
@@ -151,11 +152,10 @@ let acquire t ~txn resource mode =
    no other transaction can possibly have seen. *)
 let grant t ~txn resource mode =
   let holders = holders_of t resource in
-  let want =
-    match Hashtbl.find_opt holders txn with Some m -> lub m mode | None -> mode
-  in
+  let cur = Hashtbl.find_opt holders txn in
+  let want = match cur with Some m -> lub m mode | None -> mode in
   Hashtbl.replace holders txn want;
-  note_held t txn resource
+  note_held t txn resource ~fresh:(cur = None)
 
 let holds t ~txn resource mode =
   match Hashtbl.find_opt t.table resource with

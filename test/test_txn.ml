@@ -14,12 +14,24 @@ module Disk = Fieldrep_storage.Disk
 module Pager = Fieldrep_storage.Pager
 module Wal = Fieldrep_wal.Wal
 module Value = Fieldrep_model.Value
+module Record = Fieldrep_model.Record
+module Ty = Fieldrep_model.Ty
+module Path = Fieldrep_model.Path
+module Schema = Fieldrep_model.Schema
 module Key = Fieldrep_btree.Key
 module Params = Fieldrep_costmodel.Params
 module Lock = Fieldrep_txn.Lock
 module Txn = Fieldrep_txn.Txn
 module Gen = Fieldrep_workload.Gen
 module Multi = Fieldrep_workload.Multi
+module Splitmix = Fieldrep_util.Splitmix
+
+(* CI runs the suite under several seeds; the lock-coverage property's
+   database and operation stream shift with it. *)
+let seed_base =
+  match Sys.getenv_opt "FIELDREP_TEST_SEED" with
+  | Some s -> ( try int_of_string s with _ -> 0)
+  | None -> 0
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -126,6 +138,23 @@ let test_lock_deadlock () =
   Lock.acquire l ~txn:1 b Lock.X;
   checkb "survivor proceeds" true (Lock.holds l ~txn:1 b Lock.X)
 
+(* The held list gains a resource on its first grant only: an upgrade or
+   a repeated grant must neither duplicate it nor leak it at release. *)
+let test_lock_held_once () =
+  let l = Lock.create () in
+  let o1 = Lock.Obj { Oid.file = 1; page = 0; slot = 0 } in
+  let o2 = Lock.Obj { Oid.file = 1; page = 0; slot = 1 } in
+  Lock.acquire l ~txn:1 o1 Lock.S;
+  Lock.acquire l ~txn:1 o1 Lock.X;
+  Lock.grant l ~txn:1 o2 Lock.S;
+  Lock.grant l ~txn:1 o2 Lock.X;
+  checki "two resources held" 2 (Lock.held_count l ~txn:1);
+  checkb "upgrade kept" true (Lock.holds l ~txn:1 o1 Lock.X);
+  checkb "re-grant upgraded" true (Lock.holds l ~txn:1 o2 Lock.X);
+  Lock.release_all l ~txn:1;
+  checki "nothing left locked" 0 (Lock.active_locks l);
+  checki "nothing left held" 0 (Lock.held_count l ~txn:1)
+
 (* ------------------------------------------------------------------ *)
 (* Commit / abort semantics through Db                                 *)
 
@@ -195,6 +224,38 @@ let abort_restores strategy () =
     (List.length (Db.index_lookup db ~index:Gen.r_index (Key.Int 0)));
   checki "index entry for the aborted update gone" 0
     (List.length (Db.index_lookup db ~index:Gen.r_index (Key.Int 999_999)));
+  Db.check_integrity db
+
+(* EMP.manager may name the object itself.  Deleting such an object in a
+   transaction succeeds (detaching empties its own membership); undoing
+   the delete must re-create it before walking its path, which reaches
+   the object itself. *)
+let test_abort_self_loop strategy () =
+  let db = Db.create ~page_size:1024 ~frames:128 () in
+  Db.define_type db
+    (Ty.make ~name:"EMP"
+       [
+         { Ty.fname = "name"; ftype = Ty.Scalar Ty.SString };
+         { Ty.fname = "manager"; ftype = Ty.Ref "EMP" };
+       ]);
+  Db.create_set db ~name:"Emp1" ~elem_type:"EMP" ();
+  Db.replicate db ~strategy (Path.parse "Emp1.manager.name");
+  let x = Db.insert db ~set:"Emp1" [ Value.VString "x"; Value.VNull ] in
+  Db.update_field db ~set:"Emp1" x ~field:"manager" (Value.VRef x);
+  checkv "self copy" (Value.VString "x") (Db.deref db ~set:"Emp1" x "manager.name");
+  let tx = Db.begin_txn db in
+  Db.delete ~txn:tx db ~set:"Emp1" x;
+  Db.abort db tx;
+  Db.check_integrity db;
+  checkv "revived self copy" (Value.VString "x")
+    (Db.deref db ~set:"Emp1" x "manager.name");
+  (* leaving the loop releases the S' object x owns; dropping the path
+     releases the one it owns again *)
+  let y = Db.insert db ~set:"Emp1" [ Value.VString "y"; Value.VNull ] in
+  Db.update_field db ~set:"Emp1" x ~field:"manager" (Value.VRef y);
+  Db.check_integrity db;
+  Db.update_field db ~set:"Emp1" x ~field:"manager" (Value.VRef x);
+  Db.unreplicate db (Path.parse "Emp1.manager.name");
   Db.check_integrity db
 
 let test_isolation_blocks () =
@@ -371,6 +432,196 @@ let test_crash_during_run () =
   Wal.close (Option.get (Db.wal db2));
   Sys.remove img
 
+(* ------------------------------------------------------------------ *)
+(* Lock footprint = write footprint                                    *)
+
+(* Src -> Mid -> Leaf, so one database can carry 1- and 2-level paths of
+   every strategy. *)
+let path_db decls seed =
+  let db = Db.create ~page_size:1024 ~frames:64 () in
+  let field fname ftype = { Ty.fname; ftype } in
+  Db.define_type db
+    (Ty.make ~name:"LEAF"
+       [ field "name" (Ty.Scalar Ty.SString); field "val" (Ty.Scalar Ty.SInt) ]);
+  Db.define_type db
+    (Ty.make ~name:"MID"
+       [ field "label" (Ty.Scalar Ty.SString); field "leaf" (Ty.Ref "LEAF") ]);
+  Db.define_type db
+    (Ty.make ~name:"SRC"
+       [
+         field "key" (Ty.Scalar Ty.SInt);
+         field "mid" (Ty.Ref "MID");
+         field "leaf" (Ty.Ref "LEAF");
+       ]);
+  List.iter
+    (fun (name, elem_type) -> Db.create_set db ~name ~elem_type ())
+    [ ("Leaf", "LEAF"); ("Mid", "MID"); ("Src", "SRC") ];
+  let rng = Splitmix.create seed in
+  let pick a = a.(Splitmix.int rng (Array.length a)) in
+  let leaves =
+    Array.init 12 (fun i ->
+        Db.insert db ~set:"Leaf"
+          [ Value.VString (Printf.sprintf "leaf-%d" i); Value.VInt i ])
+  in
+  let mids =
+    Array.init 8 (fun i ->
+        Db.insert db ~set:"Mid"
+          [ Value.VString (Printf.sprintf "mid-%d" i); Value.VRef (pick leaves) ])
+  in
+  let srcs =
+    List.init 40 (fun i ->
+        Db.insert db ~set:"Src"
+          [ Value.VInt i; Value.VRef (pick mids); Value.VRef (pick leaves) ])
+  in
+  List.iter
+    (fun (path, strategy, collapse) ->
+      Db.replicate db
+        ~options:{ Schema.default_options with Schema.collapse }
+        ~strategy (Path.parse path))
+    decls;
+  (db, leaves, mids, srcs)
+
+let inplace_decl = ("Src.leaf.name", Schema.Inplace, false)
+let separate_decl = ("Src.leaf.val", Schema.Separate, false)
+let collapsed_decl = ("Src.mid.leaf.name", Schema.Inplace, true)
+let two_level_decl = ("Src.mid.leaf.val", Schema.Inplace, false)
+
+let snapshot db =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun set ->
+      Db.scan db ~set (fun oid record ->
+          Hashtbl.replace tbl (set, oid) (Record.encode record)))
+    [ "Leaf"; "Mid"; "Src" ];
+  tbl
+
+(* Random inserts, deletes, scalar and reference updates inside
+   transactions: after every operation, each data object it changed or
+   removed must be X-locked by the transaction, or sit in a set the
+   transaction X-locked (the reference-update escalation). *)
+let test_lock_coverage () =
+  let db, leaves, mids, srcs =
+    path_db [ inplace_decl; separate_decl; collapsed_decl; two_level_decl ]
+      (seed_base + 31)
+  in
+  let locks = Db.lock_manager db in
+  let rng = Splitmix.create (seed_base + 37) in
+  let pick a = a.(Splitmix.int rng (Array.length a)) in
+  let ref_or_null a =
+    if Splitmix.int rng 6 = 0 then Value.VNull else Value.VRef (pick a)
+  in
+  let live = ref srcs in
+  let next_key = ref 1000 in
+  for round = 1 to 4 do
+    let tx = Db.begin_txn db in
+    let txn = Txn.id tx in
+    for step = 1 to 40 do
+      let src () = List.nth !live (Splitmix.int rng (List.length !live)) in
+      let before = snapshot db in
+      (match Splitmix.int rng 8 with
+      | 0 ->
+          incr next_key;
+          live :=
+            Db.insert ~txn:tx db ~set:"Src"
+              [ Value.VInt !next_key; ref_or_null mids; ref_or_null leaves ]
+            :: !live
+      | 1 when List.length !live > 4 ->
+          let victim = src () in
+          Db.delete ~txn:tx db ~set:"Src" victim;
+          live := List.filter (fun o -> not (Oid.equal o victim)) !live
+      | 2 ->
+          Db.update_field ~txn:tx db ~set:"Leaf" (pick leaves) ~field:"name"
+            (Value.VString (Printf.sprintf "n-%d-%d" round step))
+      | 3 ->
+          Db.update_field ~txn:tx db ~set:"Leaf" (pick leaves) ~field:"val"
+            (Value.VInt ((100 * round) + step))
+      | 4 ->
+          Db.update_field ~txn:tx db ~set:"Mid" (pick mids) ~field:"label"
+            (Value.VString (Printf.sprintf "m-%d-%d" round step))
+      | 5 ->
+          Db.update_field ~txn:tx db ~set:"Src" (src ()) ~field:"leaf"
+            (ref_or_null leaves)
+      | 6 ->
+          Db.update_field ~txn:tx db ~set:"Src" (src ()) ~field:"mid"
+            (ref_or_null mids)
+      | _ ->
+          (* never null: a collapsed path cannot yet find the sources
+             behind an intermediate whose null reference is set *)
+          Db.update_field ~txn:tx db ~set:"Mid" (pick mids) ~field:"leaf"
+            (Value.VRef (pick leaves)));
+      let after = snapshot db in
+      Hashtbl.iter
+        (fun (set, oid) bytes ->
+          let changed =
+            match Hashtbl.find_opt after (set, oid) with
+            | Some bytes' -> not (Bytes.equal bytes bytes')
+            | None -> true
+          in
+          if
+            changed
+            && not
+                 (Lock.holds locks ~txn (Lock.Obj oid) Lock.X
+                 || Lock.holds locks ~txn (Lock.Set set) Lock.X)
+          then
+            Alcotest.failf "round %d step %d wrote %s %s without an X lock"
+              round step set (Oid.to_string oid))
+        before
+    done;
+    Db.commit db tx
+  done;
+  Db.check_integrity db
+
+(* The lock set is a by-product of the walk that applies the operation,
+   so a transactional insert, delete or scalar update reads exactly the
+   objects its autocommit twin reads. *)
+let test_one_walk decl () =
+  let ops =
+    [
+      ( "insert",
+        fun ?txn db (leaves, mids, _) ->
+          ignore
+            (Db.insert ?txn db ~set:"Src"
+               [ Value.VInt 999; Value.VRef mids.(1); Value.VRef leaves.(2) ]) );
+      ( "delete",
+        fun ?txn db (_, _, srcs) ->
+          Db.delete ?txn db ~set:"Src" (List.nth srcs 3) );
+      ( "scalar update",
+        fun ?txn db (leaves, _, _) ->
+          Db.update_field ?txn db ~set:"Leaf" leaves.(2) ~field:"name"
+            (Value.VString "renamed") );
+    ]
+  in
+  let reads ~in_txn (op : ?txn:Db.txn -> Db.t -> _ -> unit) =
+    let db, leaves, mids, srcs = path_db [ decl ] 5 in
+    let txn = if in_txn then Some (Db.begin_txn db) else None in
+    let stats = Db.stats db in
+    let r0 = stats.Stats.objects_read in
+    op ?txn db (leaves, mids, srcs);
+    let n = stats.Stats.objects_read - r0 in
+    Option.iter (Db.commit db) txn;
+    Db.check_integrity db;
+    n
+  in
+  List.iter
+    (fun (what, op) ->
+      checki what (reads ~in_txn:false op) (reads ~in_txn:true op))
+    ops
+
+(* An autocommit update that changes nothing reads the object and walks
+   no fan-out (here, the Mid objects of a 2-level inverted path). *)
+let test_unchanged_update () =
+  let db, _, mids, _ = path_db [ two_level_decl ] 5 in
+  let get set oid field = Db.field_value db ~set (Db.get db ~set oid) field in
+  let leaf = Value.as_ref (get "Mid" mids.(0) "leaf") in
+  let v = get "Leaf" leaf "val" in
+  let r0 = (Db.stats db).Stats.objects_read in
+  Db.update_field db ~set:"Leaf" leaf ~field:"val" v;
+  checki "objects read" 1 ((Db.stats db).Stats.objects_read - r0);
+  let tx = Db.begin_txn db in
+  Db.update_field ~txn:tx db ~set:"Leaf" leaf ~field:"val" v;
+  Db.commit db tx;
+  Db.check_integrity db
+
 let () =
   Alcotest.run "fieldrep_txn"
     [
@@ -379,6 +630,19 @@ let () =
           Alcotest.test_case "granularity compatibility" `Quick test_lock_compat;
           Alcotest.test_case "upgrade" `Quick test_lock_upgrade;
           Alcotest.test_case "deadlock detection" `Quick test_lock_deadlock;
+          Alcotest.test_case "held once per resource" `Quick test_lock_held_once;
+        ] );
+      ( "lock footprint",
+        [
+          Alcotest.test_case "writes are X-locked" `Quick test_lock_coverage;
+          Alcotest.test_case "one walk, in-place" `Quick
+            (test_one_walk inplace_decl);
+          Alcotest.test_case "one walk, separate" `Quick
+            (test_one_walk ("Src.leaf.name", Schema.Separate, false));
+          Alcotest.test_case "one walk, collapsed" `Quick
+            (test_one_walk collapsed_decl);
+          Alcotest.test_case "unchanged update walks nothing" `Quick
+            test_unchanged_update;
         ] );
       ( "commit/abort",
         [
@@ -389,6 +653,10 @@ let () =
             (abort_restores Params.Inplace);
           Alcotest.test_case "abort restores (separate)" `Quick
             (abort_restores Params.Separate);
+          Alcotest.test_case "abort revives self-managed (in-place)" `Quick
+            (test_abort_self_loop Schema.Inplace);
+          Alcotest.test_case "abort revives self-managed (separate)" `Quick
+            (test_abort_self_loop Schema.Separate);
           Alcotest.test_case "isolation blocks readers" `Quick
             test_isolation_blocks;
           Alcotest.test_case "deadlock through the engine" `Quick
