@@ -19,6 +19,7 @@ module Maint = Fieldrep_maint.Maint
 module Wal = Fieldrep_wal.Wal
 module Recovery = Fieldrep_wal.Recovery
 module Lockdep = Fieldrep_util.Lockdep
+module Wire = Fieldrep_util.Wire
 module Lock = Fieldrep_txn.Lock
 module Txn = Fieldrep_txn.Txn
 
@@ -881,59 +882,62 @@ let set_size t set = Heap_file.object_count (set_file t set)
 let set_pages t set = Heap_file.page_count (set_file t set)
 
 (* ------------------------------------------------------------------ *)
-(* Path dereferencing with replication-aware planning                  *)
+(* Compiled field and path expressions                                 *)
 
-type deref_plan =
-  | P_hidden of int * Schema.replication
+(* An expression as written, split once: the reference attributes
+   followed from [set]'s element type, then the field read at the end. *)
+type path = { set : string; steps : string list; terminal : string }
+
+type expr =
+  | Hidden of int * Schema.replication * path
       (* in-place / collapsed: hidden copy at value index *)
-  | P_sprime of int * int  (* separate: hidden sref at index, field offset in S' *)
-  | P_walk of (string * int) list * int
-      (* functional joins: (type, step value index) list, then terminal index *)
-
-(* [expr]'s dot-separated parts, last first: the terminal field, then the
-   reference steps in reverse. *)
-let rev_parts expr =
-  let parts = String.split_on_char '.' (String.trim expr) in
-  List.rev (List.filter (fun s -> s <> "") parts)
+  | Sprime of int * int * path
+      (* separate: hidden sref at index, field offset in S' *)
+  | Walk of int list * int
+      (* functional joins: step value indices, then terminal index; a plain
+         field is a walk of no steps *)
 
 (* Validate and compile the plain walk: the functional joins that follow
    the references themselves, ignoring any replicated data. *)
-let plan_walk t ~set ~steps ~terminal =
+let compile_walk t { set; steps; terminal } =
   let rec compile ty_name acc = function
     | [] -> (
         let ty = Schema.find_type t.schema ty_name in
         match Ty.field_opt ty terminal with
         | Some { Ty.ftype = Ty.Scalar _ | Ty.Ref _; _ } ->
-            (List.rev acc, Ty.field_index ty terminal)
+            Walk (List.rev acc, Ty.field_index ty terminal)
         | None ->
             invalid_arg
-              (Printf.sprintf "Db.deref: type %s has no field %s" ty_name
-                 terminal))
+              (Printf.sprintf "Db.expr: type %s has no field %s" ty_name terminal))
     | step :: rest -> (
         let ty = Schema.find_type t.schema ty_name in
         match Ty.field_opt ty step with
         | Some { Ty.ftype = Ty.Ref target; _ } ->
-            compile target ((ty_name, Ty.field_index ty step) :: acc) rest
+            compile target (Ty.field_index ty step :: acc) rest
         | Some _ | None ->
             invalid_arg
-              (Printf.sprintf "Db.deref: %s.%s is not a reference attribute"
-                 ty_name step))
+              (Printf.sprintf "Db.expr: %s.%s is not a reference attribute" ty_name
+                 step))
   in
   compile (Schema.set_type t.schema set).Ty.tname [] steps
 
-let plan_deref t ~set expr =
-  match rev_parts expr with
-  | [] | [ _ ] ->
-      invalid_arg (Printf.sprintf "Db.deref: %S is not a path expression" expr)
+let expr t ~set source =
+  let rev_parts =
+    List.fold_left
+      (fun acc part -> if part = "" then acc else part :: acc)
+      [] (String.split_on_char '.' (String.trim source))
+  in
+  match rev_parts with
+  | [] -> invalid_arg (Printf.sprintf "Db.expr: %S names no field" source)
   | terminal :: rev_steps -> (
-      let steps = List.rev rev_steps in
+      let path = { set; steps = List.rev rev_steps; terminal } in
       let covering =
         List.filter
           (fun (r : Schema.replication) ->
             (* Only [Active] declarations serve reads: a [Building] copy is
                not complete yet, a [Dropping] one is being torn down. *)
             Schema.rep_state t.schema r.Schema.rep_id = Schema.Active
-            && r.Schema.rpath.Path.steps = steps
+            && r.Schema.rpath.Path.steps = path.steps
             &&
             match r.Schema.rpath.Path.terminal with
             | Path.Field f -> f = terminal
@@ -951,10 +955,11 @@ let plan_deref t ~set expr =
       in
       match (inplace, separate) with
       | Some r, _ ->
-          P_hidden
+          Hidden
             ( Schema.hidden_index t.schema set ~rep_id:r.Schema.rep_id
                 ~field:(Some terminal),
-              r )
+              r,
+              path )
       | None, Some r ->
           let idx = Schema.hidden_index t.schema set ~rep_id:r.Schema.rep_id ~field:None in
           let resolved = Schema.resolve_path t.schema r.Schema.rpath in
@@ -965,42 +970,36 @@ let plan_deref t ~set expr =
             | Some i -> Engine.sprime_field_offset + i
             | None -> assert false
           in
-          P_sprime (idx, offset)
-      | None, None ->
-          let hops, terminal_idx = plan_walk t ~set ~steps ~terminal in
-          P_walk (hops, terminal_idx))
+          Sprime (idx, offset, path)
+      | None, None -> compile_walk t path)
 
-(* Follow a [P_walk]'s references from [record], read-locking each hop
-   under [txn]. *)
-let eval_walk ?txn t record hops terminal_idx =
-  let rec walk record = function
-    | [] -> value_at record terminal_idx
-    | (_, step_idx) :: rest -> (
-        match value_at record step_idx with
-        | Value.VRef oid ->
-            locking t txn (fun tx ->
-                lock_read t tx ~set:(set_of_oid t oid) oid);
-            let hf = file_of_oid t oid in
-            walk (Record.decode (Heap_file.read hf oid)) rest
-        | Value.VNull -> Value.VNull
-        | Value.VInt _ | Value.VString _ ->
-            invalid_arg "Db.deref: non-reference on path")
-  in
-  walk record hops
+let joins = function
+  | Hidden _ -> 0
+  | Sprime _ -> 1
+  | Walk (hops, _) -> List.length hops
 
-(* The fallback when a replicated copy cannot be trusted: the functional
-   join, without locks, as a read of the authoritative source objects. *)
-let deref_by_join t ~set record expr =
-  match rev_parts expr with
-  | terminal :: rev_steps ->
-      let steps = List.rev rev_steps in
-      let hops, terminal_idx = plan_walk t ~set ~steps ~terminal in
-      eval_walk t record hops terminal_idx
-  | [] -> invalid_arg "Db.deref: empty path"
-
-let deref_record ?txn ?oid t ~set record expr =
-  match plan_deref t ~set expr with
-  | P_hidden (idx, rep) -> (
+(* The fallbacks when a replicated copy cannot be trusted evaluate the
+   functional join over the already-split [path], without locks, as a read
+   of the authoritative source objects. *)
+let rec eval ?txn ?oid t e record =
+  match e with
+  | Walk (hops, terminal_idx) ->
+      (* Follow the references from [record], read-locking each hop under
+         [txn]. *)
+      let rec walk record = function
+        | [] -> value_at record terminal_idx
+        | step_idx :: rest -> (
+            match value_at record step_idx with
+            | Value.VRef oid ->
+                locking t txn (fun tx -> lock_read t tx ~set:(set_of_oid t oid) oid);
+                let hf = file_of_oid t oid in
+                walk (Record.decode (Heap_file.read hf oid)) rest
+            | Value.VNull -> Value.VNull
+            | Value.VInt _ | Value.VString _ ->
+                invalid_arg "Db.eval: non-reference on path")
+      in
+      walk record hops
+  | Hidden (idx, rep, path) -> (
       if not rep.Schema.options.Schema.lazy_propagation then value_at record idx
       else
         (* Lazy propagation: repair the hidden copy on first read.  Without
@@ -1010,22 +1009,23 @@ let deref_record ?txn ?oid t ~set record expr =
         | Some oid ->
             (* the repair rewrites the source object itself *)
             locking t txn (fun tx ->
-                if Engine.is_pending t.engine rep oid then lock_write t tx ~set oid);
+                if Engine.is_pending t.engine rep oid then
+                  lock_write t tx ~set:path.set oid);
             Engine.repair t.engine rep oid;
-            let record = Record.decode (Heap_file.read (set_file t set) oid) in
+            let record = Record.decode (Heap_file.read (set_file t path.set) oid) in
             value_at record idx
         | None ->
             if Engine.pending_count t.engine = 0 then value_at record idx
             else (* correctness first: evaluate through the references *)
-              deref_by_join t ~set record expr)
-  | P_sprime (idx, offset) -> (
+              eval t (compile_walk t path) record)
+  | Sprime (idx, offset, path) -> (
       match value_at record idx with
       | Value.VRef sp -> (
           try
             let file =
               match Store.file_of_oid t.store sp with
               | Some f -> f
-              | None -> invalid_arg "Db.deref: dangling S' reference"
+              | None -> invalid_arg "Db.eval: dangling S' reference"
             in
             let sp_rec = Record.decode (Heap_file.read file sp) in
             (* The S' object is guarded by the final object that owns it
@@ -1041,20 +1041,15 @@ let deref_record ?txn ?oid t ~set record expr =
                copy: degrade gracefully to the functional join over the
                source objects, which remain authoritative. *)
             Stats.bump (stats t) Stats.Degraded_reads;
-            deref_by_join t ~set record expr)
+            eval t (compile_walk t path) record)
       | Value.VNull -> Value.VNull
-      | Value.VInt _ | Value.VString _ -> invalid_arg "Db.deref: corrupt sref slot")
-  | P_walk (hops, terminal_idx) -> eval_walk ?txn t record hops terminal_idx
+      | Value.VInt _ | Value.VString _ -> invalid_arg "Db.eval: corrupt sref slot")
 
-let deref ?txn t ~set oid expr =
+let deref ?txn t ~set oid source =
   with_charge t txn (fun () ->
-      deref_record ?txn ~oid t ~set (get ?txn t ~set oid) expr)
+      eval ?txn ~oid t (expr t ~set source) (get ?txn t ~set oid))
 
-let deref_would_join t ~set expr =
-  match plan_deref t ~set expr with
-  | P_hidden _ -> 0
-  | P_sprime _ -> 1
-  | P_walk (hops, _) -> List.length hops
+let deref_would_join t ~set source = joins (expr t ~set source)
 
 (* ------------------------------------------------------------------ *)
 (* Index access                                                        *)
@@ -1421,35 +1416,29 @@ let load_image ?(frames = 256) ?backend path =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () ->
+        let data = Bytes.create (in_channel_length ic) in
+        really_input ic data 0 (Bytes.length data);
+        data)
   in
-  let pos = ref 0 in
-  let get_u8 () =
-    let v = Char.code data.[!pos] in
-    incr pos;
-    v
+  let truncated () = invalid_arg "Db.load: truncated or corrupt image" in
+  let n_magic = String.length image_magic in
+  if Bytes.length data < n_magic then truncated ();
+  if Bytes.sub_string data 0 n_magic <> image_magic then
+    invalid_arg "Db.load: not a fieldrep database image";
+  let pos = ref n_magic in
+  let next get =
+    match get data !pos with
+    | v, off ->
+        pos := off;
+        v
+    | exception Wire.Corrupt _ -> truncated ()
   in
-  let get_u16 () =
-    let v = get_u8 () in
-    v lor (get_u8 () lsl 8)
-  in
-  let get_u32 () =
-    let v = get_u16 () in
-    v lor (get_u16 () lsl 16)
-  in
-  let get_u64 () =
-    let lo = get_u32 () in
-    lo lor (get_u32 () lsl 32)
-  in
-  let get_str () =
-    let n = get_u16 () in
-    let s = String.sub data !pos n in
-    pos := !pos + n;
-    s
-  in
-  let magic = String.sub data 0 (String.length image_magic) in
-  pos := String.length image_magic;
-  if magic <> image_magic then invalid_arg "Db.load: not a fieldrep database image";
+  let get_u8 () = next Wire.get_u8 in
+  let get_u16 () = next Wire.get_u16 in
+  let get_u32 () = next Wire.get_u32 in
+  let get_u64 () = next Wire.get_int in
+  let get_str () = next Wire.get_string in
   let page_size = get_u32 () in
   let checkpoint_lsn = Int64.of_int (get_u64 ()) in
   let saved_wal_path = get_str () in
@@ -1540,9 +1529,9 @@ let load_image ?(frames = 256) ?backend path =
     let npages = get_u32 () in
     let pages =
       Array.init npages (fun _ ->
-          let b = Bytes.of_string (String.sub data !pos page_size) in
-          pos := !pos + page_size;
-          b)
+          next (fun data off ->
+              Wire.check_bounds data off page_size;
+              (Bytes.sub data off page_size, off + page_size)))
     in
     Disk.restore_file disk ~id pages
   done;

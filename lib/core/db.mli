@@ -228,26 +228,41 @@ val user_values : t -> set:string -> Record.t -> Value.t list
 val field_value : t -> set:string -> Record.t -> string -> Value.t
 (** A user field by name. *)
 
-val deref : ?txn:txn -> t -> set:string -> Oid.t -> string -> Value.t
-(** [deref db ~set oid "dept.org.name"] evaluates a dotted path expression
-    rooted at the object.  Uses a replicated hidden field when one covers
-    the whole path — eliminating the functional joins — and falls back to
-    actual dereferencing otherwise.  Returns [VNull] if a reference on the
-    way is null. *)
+type expr
+(** A field or path expression compiled against the schema: the planner's
+    choice between an in-place copy (no join), the S' object (one hop) and
+    the functional joins, made once.  A plan is only valid while the schema
+    and the replication declarations it was compiled against stand; compile
+    it per query, not per database. *)
 
-val deref_record :
-  ?txn:txn -> ?oid:Oid.t -> t -> set:string -> Record.t -> string -> Value.t
-(** Like {!deref} but starting from an already-fetched record (saves the
-    repeated object read when several paths are projected).  Pass [oid]
-    when known: lazily-propagated paths use it to consult the invalidation
-    table and repair stale hidden copies on read; without it they fall back
-    to evaluating the references whenever anything is pending. *)
+val expr : t -> set:string -> string -> expr
+(** [expr db ~set "dept.org.name"] validates and compiles a dotted path
+    rooted at [set]'s objects.  A plain field (["salary"]) is a walk of
+    zero hops.  Raises [Invalid_argument] if a step is not a reference
+    attribute or the last part is not a field. *)
+
+val eval : ?txn:txn -> ?oid:Oid.t -> t -> expr -> Record.t -> Value.t
+(** Evaluate a compiled expression on an already-fetched record of its set.
+    Uses a replicated copy when the plan has one and falls back to actual
+    dereferencing otherwise; [VNull] if a reference on the way is null.
+    Pass [oid] when known: lazily-propagated paths use it to consult the
+    invalidation table and repair stale hidden copies on read; without it
+    they fall back to evaluating the references whenever anything is
+    pending. *)
+
+val joins : expr -> int
+(** Number of functional joins {!eval} performs per record: 0 for a plain
+    field or a path covered in place, 1 for a path covered by separate
+    replication, else one per reference step. *)
+
+val deref : ?txn:txn -> t -> set:string -> Oid.t -> string -> Value.t
+(** [deref db ~set oid "dept.org.name"] reads the object and evaluates the
+    expression on it: [eval ~oid db (expr db ~set s) (get db ~set oid)],
+    one plan per call. *)
 
 val deref_would_join : t -> set:string -> string -> int
-(** Number of functional joins [deref] will actually perform for this path
-    expression (0 when fully covered by in-place replication; 1 when covered
-    by separate replication or for a plain 1-level path; etc.).  Exposes the
-    planner's choice for tests and benchmarks. *)
+(** [joins (expr db ~set s)]: the planner's choice, for tests and
+    benchmarks. *)
 
 val scan : ?txn:txn -> t -> set:string -> (Oid.t -> Record.t -> unit) -> unit
 (** Physical-order scan. *)
@@ -262,6 +277,9 @@ val index_lookup : ?txn:txn -> t -> index:string -> Key.t -> Oid.t list
 val index_range :
   ?txn:txn ->
   t -> index:string -> lo:Key.t -> hi:Key.t -> init:'a -> f:('a -> Key.t -> Oid.t -> 'a) -> 'a
+
+val key_of_value : Value.t -> Key.t option
+(** The B+-tree key of a scalar value; [None] for references and nulls. *)
 
 val find_index : t -> set:string -> field:string -> Schema.index_def option
 (** An index usable for a predicate on [set.field], if any. *)

@@ -14,22 +14,23 @@ type retrieve_plan = {
   join_counts : (string * int) list;
 }
 
-let key_of_value = function
-  | Value.VInt v -> Some (Key.Int v)
-  | Value.VString s -> Some (Key.String s)
-  | Value.VRef _ | Value.VNull -> None
+(* Every field or path a query reads is compiled once, before its scan,
+   and evaluated per row.  No maintenance step or reconfiguration runs
+   inside one call, so the plans cannot go stale while it runs. *)
+let compile db ~set exprs = List.map (Db.expr db ~set) exprs
+let eval_all db ~oid record exprs = List.map (fun e -> Db.eval ~oid db e record) exprs
 
 (* An index is usable when the predicate's bounds translate to keys; an
    open bound needs a key-space extreme, which only integers have. *)
 let key_bounds (p : Ast.predicate) =
   let lo =
     match p.Ast.lo with
-    | Some v -> key_of_value v
+    | Some v -> Db.key_of_value v
     | None -> Some (Key.Int min_int)
   in
   let hi =
     match p.Ast.hi with
-    | Some v -> key_of_value v
+    | Some v -> Db.key_of_value v
     | None -> Some (Key.Int max_int)
   in
   match (lo, hi) with
@@ -38,16 +39,19 @@ let key_bounds (p : Ast.predicate) =
   | Some _, Some _ | None, _ | _, None -> None
 
 (* Predicates may target a plain field or a dotted path expression; a path
-   predicate can use an index built on the replicated path (paper §3.3.4:
-   "queries that require an associative lookup on the path"). *)
-let index_field_of ~set (p : Ast.predicate) =
-  if String.contains p.Ast.pfield '.' then set ^ "." ^ p.Ast.pfield else p.Ast.pfield
-
+   predicate can use an index built on the replicated path, which is named
+   from the set (paper §3.3.4: "queries that require an associative lookup
+   on the path"). *)
 let choose_access db ~set (where : Ast.predicate option) =
   match where with
   | None -> File_scan
   | Some p -> (
-      match (Db.find_index db ~set ~field:(index_field_of ~set p), key_bounds p) with
+      let index =
+        match Db.find_index db ~set ~field:p.Ast.pfield with
+        | Some def -> Some def
+        | None -> Db.find_index db ~set ~field:(set ^ "." ^ p.Ast.pfield)
+      in
+      match (index, key_bounds p) with
       | Some def, Some _ -> Index_scan def.Schema.iname
       | Some _, None | None, _ -> File_scan)
 
@@ -58,18 +62,11 @@ let value_in_range (p : Ast.predicate) v =
   && ge && le
 
 let explain_retrieve db (q : Ast.retrieve) =
+  let set = q.Ast.from_set in
   {
-    access = choose_access db ~set:q.Ast.from_set q.Ast.where;
+    access = choose_access db ~set q.Ast.where;
     join_counts =
-      List.map
-        (fun expr ->
-          let joins =
-            if String.contains expr '.' then
-              Db.deref_would_join db ~set:q.Ast.from_set expr
-            else 0
-          in
-          (expr, joins))
-        q.Ast.projections;
+      List.map (fun s -> (s, Db.joins (Db.expr db ~set s))) q.Ast.projections;
   }
 
 (* Feed every selected (oid, record) to [f].  Index scans visit in key
@@ -86,20 +83,13 @@ let iter_selected db ~set (where : Ast.predicate option) f =
       (* Collect first: callbacks may mutate the tree's pages' residency. *)
       let oids = Db.index_range db ~index ~lo ~hi ~init:[] ~f:(fun acc _ oid -> oid :: acc) in
       List.iter (fun oid -> f oid (Db.get db ~set oid)) (List.rev oids)
-  | File_scan ->
-      Db.scan db ~set (fun oid record ->
-          let keep =
-            match where with
-            | None -> true
-            | Some p ->
-                let v =
-                  if String.contains p.Ast.pfield '.' then
-                    Db.deref_record ~oid db ~set record p.Ast.pfield
-                  else Db.field_value db ~set record p.Ast.pfield
-                in
-                value_in_range p v
-          in
-          if keep then f oid record)
+  | File_scan -> (
+      match where with
+      | None -> Db.scan db ~set f
+      | Some p ->
+          let e = Db.expr db ~set p.Ast.pfield in
+          Db.scan db ~set (fun oid record ->
+              if value_in_range p (Db.eval ~oid db e record) then f oid record))
 
 let matching_oids db ~set where =
   let acc = ref [] in
@@ -108,19 +98,13 @@ let matching_oids db ~set where =
 
 type retrieve_result = { rows : int; output_file : int; output_pages : int }
 
-let project db ~set ~oid record projections =
-  List.map
-    (fun expr ->
-      if String.contains expr '.' then Db.deref_record ~oid db ~set record expr
-      else Db.field_value db ~set record expr)
-    projections
-
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
+  let projections = compile db ~set q.Ast.projections in
   let out = Heap_file.create (Db.pager db) in
   let rows = ref 0 in
   iter_selected db ~set q.Ast.where (fun oid record ->
-      let values = project db ~set ~oid record q.Ast.projections in
+      let values = eval_all db ~oid record projections in
       let tuple = Record.make ~type_tag:0 (Array.of_list values) in
       ignore (Heap_file.insert out (Record.encode tuple));
       incr rows);
@@ -142,6 +126,9 @@ let retrieve_values db q =
 
 type aggregate = Count | Sum | Avg | Min | Max
 
+(* The one accumulator behind [aggregate] and every [group_by] group: a
+   compiled spec per aggregate, a state per spec, one fold step per row and
+   one finaliser. *)
 type agg_state = {
   mutable count : int;
   mutable sum : int;
@@ -149,30 +136,31 @@ type agg_state = {
   mutable vmax : Value.t;
 }
 
-let eval_expr db ~set ~oid record expr =
-  if String.contains expr '.' then Db.deref_record ~oid db ~set record expr
-  else Db.field_value db ~set record expr
+let compile_specs db ~set specs =
+  List.map (fun (agg, source) -> (agg, source, Db.expr db ~set source)) specs
 
-let aggregate db ~set ~where specs =
-  let states = List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs in
-  iter_selected db ~set where (fun oid record ->
-      List.iter2
-        (fun (agg, expr) st ->
-          match eval_expr db ~set ~oid record expr with
-          | Value.VNull -> ()
-          | v ->
-              st.count <- st.count + 1;
-              (match (agg, v) with
-              | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
-              | (Sum | Avg), _ ->
-                  invalid_arg
-                    (Printf.sprintf "Exec.aggregate: sum/avg over non-integer %s" expr)
-              | (Count | Min | Max), _ -> ());
-              if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
-              if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
-        specs states);
+let new_states specs =
+  List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs
+
+let fold_row db ~oid record specs states =
+  List.iter2
+    (fun (agg, source, e) st ->
+      match Db.eval ~oid db e record with
+      | Value.VNull -> ()
+      | v ->
+          st.count <- st.count + 1;
+          (match (agg, v) with
+          | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
+          | (Sum | Avg), _ ->
+              invalid_arg (Printf.sprintf "Exec: sum/avg over non-integer %s" source)
+          | (Count | Min | Max), _ -> ());
+          if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
+          if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
+    specs states
+
+let finish specs states =
   List.map2
-    (fun (agg, _) st ->
+    (fun (agg, _, _) st ->
       match agg with
       | Count -> Value.VInt st.count
       | Sum -> if st.count = 0 then Value.VNull else Value.VInt st.sum
@@ -181,52 +169,33 @@ let aggregate db ~set ~where specs =
       | Max -> st.vmax)
     specs states
 
+let aggregate db ~set ~where specs =
+  let specs = compile_specs db ~set specs in
+  let states = new_states specs in
+  iter_selected db ~set where (fun oid record -> fold_row db ~oid record specs states);
+  finish specs states
+
 let group_by db ~set ~where ~key specs =
   let module VM = Map.Make (struct
     type t = Value.t
 
     let compare = Value.compare
   end) in
+  let key = Db.expr db ~set key in
+  let specs = compile_specs db ~set specs in
   let groups = ref VM.empty in
   iter_selected db ~set where (fun oid record ->
-      let k = eval_expr db ~set ~oid record key in
+      let k = Db.eval ~oid db key record in
       let states =
         match VM.find_opt k !groups with
         | Some states -> states
         | None ->
-            let states =
-              List.map (fun _ -> { count = 0; sum = 0; vmin = Value.VNull; vmax = Value.VNull }) specs
-            in
+            let states = new_states specs in
             groups := VM.add k states !groups;
             states
       in
-      List.iter2
-        (fun (agg, expr) st ->
-          match eval_expr db ~set ~oid record expr with
-          | Value.VNull -> ()
-          | v ->
-              st.count <- st.count + 1;
-              (match (agg, v) with
-              | (Sum | Avg), Value.VInt i -> st.sum <- st.sum + i
-              | (Sum | Avg), _ ->
-                  invalid_arg
-                    (Printf.sprintf "Exec.group_by: sum/avg over non-integer %s" expr)
-              | (Count | Min | Max), _ -> ());
-              if st.vmin = Value.VNull || Value.compare v st.vmin < 0 then st.vmin <- v;
-              if st.vmax = Value.VNull || Value.compare v st.vmax > 0 then st.vmax <- v)
-        specs states);
-  VM.bindings !groups
-  |> List.map (fun (k, states) ->
-         ( k,
-           List.map2
-             (fun (agg, _) st ->
-               match agg with
-               | Count -> Value.VInt st.count
-               | Sum -> if st.count = 0 then Value.VNull else Value.VInt st.sum
-               | Avg -> if st.count = 0 then Value.VNull else Value.VInt (st.sum / st.count)
-               | Min -> st.vmin
-               | Max -> st.vmax)
-             specs states ))
+      fold_row db ~oid record specs states);
+  List.map (fun (k, states) -> (k, finish specs states)) (VM.bindings !groups)
 
 let delete_where db ~set where =
   let targets = matching_oids db ~set where in
@@ -235,11 +204,12 @@ let delete_where db ~set where =
 
 let retrieve_sorted db (q : Ast.retrieve) ~order_by ?(descending = false) ?limit () =
   let set = q.Ast.from_set in
+  let order_by = Db.expr db ~set order_by in
+  let projections = compile db ~set q.Ast.projections in
   let rows = ref [] in
   iter_selected db ~set q.Ast.where (fun oid record ->
-      let key = eval_expr db ~set ~oid record order_by in
-      let values = project db ~set ~oid record q.Ast.projections in
-      rows := (key, values) :: !rows);
+      let key = Db.eval ~oid db order_by record in
+      rows := (key, eval_all db ~oid record projections) :: !rows);
   let compare_rows (a, _) (b, _) =
     let c = Value.compare a b in
     if descending then -c else c

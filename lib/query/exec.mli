@@ -2,10 +2,16 @@
 
     The planner is deliberately simple — pick an index for the predicate if
     one exists, then evaluate projections — but it is *replication-aware*
-    through {!Fieldrep.Db.deref_record}: a projection covered by an in-place
-    path reads no other object, one covered by a separate path reads only
-    the S' object, and anything else performs the functional joins.  This is
-    exactly the query-processing behaviour the paper's cost model prices. *)
+    through {!Fieldrep.Db.expr}: a projection covered by an in-place path
+    reads no other object, one covered by a separate path reads only the S'
+    object, and anything else performs the functional joins.  This is
+    exactly the query-processing behaviour the paper's cost model prices.
+
+    Every call compiles each expression it reads (projections, the
+    file-scan predicate, the order-by and group keys, aggregate arguments)
+    once, before its scan, and evaluates it per row with
+    {!Fieldrep.Db.eval}.  An unknown field or a non-reference step raises
+    [Invalid_argument] before any row is read. *)
 
 module Db = Fieldrep.Db
 module Value = Fieldrep_model.Value

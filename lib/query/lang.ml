@@ -345,7 +345,7 @@ let exec_retrieve db c =
       let specs = List.map (fun (a, q) -> (a, snd (split_qualified q))) aggs in
       Rows
         (List.map
-           (fun (k, vs) -> if cols <> [] then k :: vs else k :: vs)
+           (fun (k, vs) -> k :: vs)
            (Exec.group_by db ~set:from_set ~where ~key specs))
   | None ->
   if aggs <> [] && cols <> [] then

@@ -221,6 +221,31 @@ let test_load_rejects_garbage () =
    with Invalid_argument _ -> ());
   Sys.remove path
 
+(* A cut image fails with one message wherever the cut falls: inside the
+   magic, the header, the schema, or the pages. *)
+let test_load_rejects_truncated () =
+  let db = rich_db () in
+  let path = tmp "whole" in
+  Db.save db path;
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (* magic (8), page size (4), checkpoint LSN (8), WAL path (2 + 0 bytes:
+     no WAL), file-id watermark (4); the types follow *)
+  let header_end = 8 + 4 + 8 + 2 + 4 in
+  List.iter
+    (fun cut ->
+      let short = tmp "truncated" in
+      Out_channel.with_open_bin short (fun oc ->
+          output_string oc (String.sub image 0 cut));
+      (match Db.load short with
+      | _ -> Alcotest.failf "image cut at byte %d loaded" cut
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "cut at byte %d" cut)
+            "Db.load: truncated or corrupt image" msg);
+      Sys.remove short)
+    [ 3; 14; header_end + 20; String.length image - 100 ]
+
 let test_rs_database_roundtrip () =
   (* The full workload database with clustered indexes. *)
   let built =
@@ -336,6 +361,7 @@ let () =
           Alcotest.test_case "pending lazy + mixed indexes" `Quick
             test_pending_lazy_with_mixed_indexes;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage;
+          Alcotest.test_case "truncated image rejected" `Quick test_load_rejects_truncated;
           Alcotest.test_case "R/S database roundtrip" `Quick test_rs_database_roundtrip;
           Alcotest.test_case "index free pages survive load" `Quick
             test_free_pages_survive_load;

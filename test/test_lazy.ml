@@ -237,7 +237,7 @@ let test_lang_lazy_modifier () =
   in
   checkb "lazy flag set" true rep.Schema.options.Schema.lazy_propagation
 
-let test_deref_record_without_oid_still_correct () =
+let test_eval_without_oid_still_correct () =
   let fx = employee_db () in
   Db.replicate fx.db ~options:lazy_options ~strategy:Schema.Inplace
     (Path.parse "Emp1.dept.name");
@@ -246,7 +246,7 @@ let test_deref_record_without_oid_still_correct () =
      stale copy: it falls back to the actual walk. *)
   let record = Db.get fx.db ~set:"Emp1" fx.emps.(0) in
   checkv "no-oid read still fresh" (vstr "careful")
-    (Db.deref_record fx.db ~set:"Emp1" record "dept.name")
+    (Db.eval fx.db (Db.expr fx.db ~set:"Emp1" "dept.name") record)
 
 let test_eager_and_lazy_coexist () =
   let fx = employee_db () in
@@ -280,7 +280,7 @@ let () =
           Alcotest.test_case "cannot be indexed" `Quick test_lazy_path_cannot_be_indexed;
           Alcotest.test_case "language modifier" `Quick test_lang_lazy_modifier;
           Alcotest.test_case "no-oid reads stay correct" `Quick
-            test_deref_record_without_oid_still_correct;
+            test_eval_without_oid_still_correct;
           Alcotest.test_case "eager and lazy coexist" `Quick test_eager_and_lazy_coexist;
         ] );
     ]

@@ -353,6 +353,43 @@ let test_aggregate_empty_selection () =
   Alcotest.(check (list string)) "empty aggregates" [ "0"; "null"; "null" ]
     (List.map Value.to_string vals)
 
+(* Every expression a query reads is compiled before its scan, so a bad one
+   is rejected even when the predicate selects no rows. *)
+let test_bad_expression_fails_before_scan () =
+  let db, _, _, _ = paper_db () in
+  let nothing = Some (Ast.eq "salary" (Value.VInt 1)) in
+  let q projections = { Ast.from_set = "Emp1"; projections; where = nothing } in
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ( "unknown projection",
+        fun () -> ignore (Exec.retrieve_values db (q [ "name"; "nosuch" ])) );
+      ( "non-reference step",
+        fun () -> ignore (Exec.retrieve_values db (q [ "salary.x" ])) );
+      ( "unknown order-by key",
+        fun () ->
+          ignore (Exec.retrieve_sorted db (q [ "name" ]) ~order_by:"nosuch" ())
+      );
+      ( "unknown aggregate argument",
+        fun () ->
+          ignore
+            (Exec.aggregate db ~set:"Emp1" ~where:nothing
+               [ (Exec.Count, "nosuch") ]) );
+      ( "unknown group key",
+        fun () ->
+          ignore
+            (Exec.group_by db ~set:"Emp1" ~where:nothing ~key:"nosuch"
+               [ (Exec.Count, "name") ]) );
+      ( "explain of an unknown plain field",
+        fun () ->
+          ignore
+            (Exec.explain_retrieve db { (q [ "nosuch" ]) with Ast.where = None })
+      );
+    ]
+
 let test_retrieve_sorted_and_limit () =
   let db, _, _, _ = paper_db () in
   let rows =
@@ -547,6 +584,8 @@ let () =
           Alcotest.test_case "basic aggregates" `Quick test_aggregates;
           Alcotest.test_case "predicate + path" `Quick test_aggregate_with_predicate_and_path;
           Alcotest.test_case "empty selection" `Quick test_aggregate_empty_selection;
+          Alcotest.test_case "bad expression fails before the scan" `Quick
+            test_bad_expression_fails_before_scan;
           Alcotest.test_case "sorted + limit" `Quick test_retrieve_sorted_and_limit;
           Alcotest.test_case "language aggregates" `Quick test_lang_aggregates;
           Alcotest.test_case "mixed projections rejected" `Quick

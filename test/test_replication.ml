@@ -432,6 +432,39 @@ let test_collapsed_path () =
   checkv "source move" (vstr "org-1") (Db.deref fx.db ~set:"Emp1" fx.emps.(0) "dept.org.name");
   check_all fx
 
+(* One compiled expression, evaluated over every source, answers exactly
+   what [Db.deref] plans per call, under each strategy and with none. *)
+let test_compiled_expr_matches_deref () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  Db.replicate fx.db ~strategy:Schema.Separate (Path.parse "Emp1.dept.budget");
+  let options = { Schema.default_options with Schema.collapse = true } in
+  Db.replicate fx.db ~options ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
+  Db.update_field fx.db ~set:"Emp1" fx.emps.(1) ~field:"dept" Value.VNull;
+  let sources = ref [] in
+  Db.scan fx.db ~set:"Emp1" (fun oid record -> sources := (oid, record) :: !sources);
+  List.iter
+    (fun (source, joins) ->
+      let e = Db.expr fx.db ~set:"Emp1" source in
+      checki (source ^ " joins") joins (Db.joins e);
+      checki (source ^ " joins as planned per call")
+        (Db.deref_would_join fx.db ~set:"Emp1" source)
+        (Db.joins e);
+      List.iter
+        (fun (oid, record) ->
+          checkv source
+            (Db.deref fx.db ~set:"Emp1" oid source)
+            (Db.eval ~oid fx.db e record))
+        !sources)
+    [
+      ("dept.name", 0);
+      ("dept.budget", 1);
+      ("dept.org.name", 0);
+      ("dept.org.budget", 2);
+      ("salary", 0);
+    ];
+  check_all fx
+
 (* ------------------------------------------------------------------ *)
 (* Deletion protection                                                 *)
 
@@ -686,6 +719,8 @@ let () =
           Alcotest.test_case "small-link elimination" `Quick test_small_link_elimination;
           Alcotest.test_case "elimination disabled" `Quick test_elimination_disabled;
           Alcotest.test_case "collapsed path" `Quick test_collapsed_path;
+          Alcotest.test_case "compiled expr matches deref" `Quick
+            test_compiled_expr_matches_deref;
         ] );
       ( "deletion",
         [

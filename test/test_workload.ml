@@ -89,10 +89,11 @@ let test_gen_replication_consistent () =
       Db.check_integrity b.Gen.db;
       (* Spot-check a few replicated values against the actual join. *)
       let n = ref 0 in
+      let repfield = Db.expr b.Gen.db ~set:"R" "sref.repfield" in
       Db.scan b.Gen.db ~set:"R" (fun _ record ->
           incr n;
           if !n <= 25 then begin
-            let replicated = Db.deref_record b.Gen.db ~set:"R" record "sref.repfield" in
+            let replicated = Db.eval b.Gen.db repfield record in
             let manual =
               match Db.field_value b.Gen.db ~set:"R" record "sref" with
               | Value.VRef s ->
