@@ -54,8 +54,7 @@ let write_entry buf off (k, o) =
 
 let read_entry buf off =
   let k, off = Key.decode buf off in
-  let o, off = Oid.decode buf off in
-  ((k, o), off)
+  ((k, Oid.decode buf off), off + Oid.encoded_size)
 
 let serialize node buf =
   match node with

@@ -31,6 +31,19 @@ type index_rt = {
   value_index : int;  (* absolute index into the record's value array *)
 }
 
+(* An expression as written, split once: the reference attributes
+   followed from [set]'s element type, then the field read at the end. *)
+type path = { set : string; steps : string list; terminal : string }
+
+type expr =
+  | Hidden of int * Schema.replication * path
+      (* in-place / collapsed: hidden copy at value index *)
+  | Sprime of int * int * path
+      (* separate: hidden sref at index, field offset in S' *)
+  | Walk of int list * int
+      (* functional joins: step value indices, then terminal index; a plain
+         field is a walk of no steps *)
+
 type t = {
   pager : Pager.t;
   schema : Schema.t;
@@ -60,6 +73,9 @@ type t = {
   maint : Maint.t;
       (* background-maintenance queue: online backfills, teardowns and
          scrub sweeps, pumped in quanta between foreground operations *)
+  plans : (string * string, int * expr) Hashtbl.t;
+      (* [deref]'s compiled expressions by (set, source), each tagged with
+         the schema generation it was compiled at *)
 }
 
 let schema t = t.schema
@@ -220,6 +236,7 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
          repl_stream = None;
          epoch = 0;
          maint = Maint.create ~locks ~stats:(Pager.stats pager);
+         plans = Hashtbl.create 8;
        })
   in
   let t = Lazy.force t in
@@ -884,19 +901,6 @@ let set_pages t set = Heap_file.page_count (set_file t set)
 (* ------------------------------------------------------------------ *)
 (* Compiled field and path expressions                                 *)
 
-(* An expression as written, split once: the reference attributes
-   followed from [set]'s element type, then the field read at the end. *)
-type path = { set : string; steps : string list; terminal : string }
-
-type expr =
-  | Hidden of int * Schema.replication * path
-      (* in-place / collapsed: hidden copy at value index *)
-  | Sprime of int * int * path
-      (* separate: hidden sref at index, field offset in S' *)
-  | Walk of int list * int
-      (* functional joins: step value indices, then terminal index; a plain
-         field is a walk of no steps *)
-
 (* Validate and compile the plain walk: the functional joins that follow
    the references themselves, ignoring any replicated data. *)
 let compile_walk t { set; steps; terminal } =
@@ -1045,11 +1049,28 @@ let rec eval ?txn ?oid t e record =
       | Value.VNull -> Value.VNull
       | Value.VInt _ | Value.VString _ -> invalid_arg "Db.eval: corrupt sref slot")
 
-let deref ?txn t ~set oid source =
-  with_charge t txn (fun () ->
-      eval ?txn ~oid t (expr t ~set source) (get ?txn t ~set oid))
+(* [deref] plans a (set, source) pair once per schema generation: a new
+   declaration or a Building, Active or Dropping transition bumps the
+   generation, so the next call recompiles.  Only successful compiles are
+   kept, so a bad path raises on every call. *)
+let plan t ~set source =
+  let generation = Schema.generation t.schema in
+  match Hashtbl.find_opt t.plans (set, source) with
+  | Some (g, e) when g = generation -> e
+  | Some _ | None ->
+      let e = expr t ~set source in
+      Hashtbl.replace t.plans (set, source) (generation, e);
+      e
 
-let deref_would_join t ~set source = joins (expr t ~set source)
+(* Outside a transaction there is no I/O to charge, so the common read
+   builds no [with_charge] closure. *)
+let deref ?txn t ~set oid source =
+  let e = plan t ~set source in
+  match txn with
+  | None -> eval ~oid t e (get t ~set oid)
+  | Some _ -> with_charge t txn (fun () -> eval ?txn ~oid t e (get ?txn t ~set oid))
+
+let deref_would_join t ~set source = joins (plan t ~set source)
 
 (* ------------------------------------------------------------------ *)
 (* Index access                                                        *)

@@ -257,12 +257,14 @@ val joins : expr -> int
 
 val deref : ?txn:txn -> t -> set:string -> Oid.t -> string -> Value.t
 (** [deref db ~set oid "dept.org.name"] reads the object and evaluates the
-    expression on it: [eval ~oid db (expr db ~set s) (get db ~set oid)],
-    one plan per call. *)
+    expression on it: [eval ~oid db (expr db ~set s) (get db ~set oid)].
+    The compiled expression is kept per [(set, s)] until the schema's
+    {!Schema.generation} moves, so a declaration or a reconfiguration
+    step replans; a path that fails to compile raises on every call. *)
 
 val deref_would_join : t -> set:string -> string -> int
-(** [joins (expr db ~set s)]: the planner's choice, for tests and
-    benchmarks. *)
+(** [joins (expr db ~set s)], through {!deref}'s plan cache: the
+    planner's choice, for tests and benchmarks. *)
 
 val scan : ?txn:txn -> t -> set:string -> (Oid.t -> Record.t -> unit) -> unit
 (** Physical-order scan. *)

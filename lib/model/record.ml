@@ -7,6 +7,8 @@ type t = { type_tag : int; links : link list; values : Value.t array }
 let sort_links links =
   List.sort_uniq (fun a b -> Int.compare a.link_id b.link_id) links
 
+let link_size = Oid.encoded_size + 1
+
 let make ~type_tag values = { type_tag; links = []; values }
 
 let field t i =
@@ -33,7 +35,7 @@ let remove_link t id =
 
 let encoded_size t =
   2 + 1
-  + (List.length t.links * (Oid.encoded_size + 1))
+  + (List.length t.links * link_size)
   + 2
   + Array.fold_left (fun acc v -> acc + Value.encoded_size v) 0 t.values
 
@@ -53,28 +55,30 @@ let encode t =
   assert (off = Bytes.length buf);
   buf
 
+let rec decode_links buf off n =
+  if n = 0 then []
+  else
+    let link_oid = Oid.decode buf off in
+    let link_id = Wire.u8_at buf (off + Oid.encoded_size) in
+    { link_oid; link_id } :: decode_links buf (off + link_size) (n - 1)
+
+(* Reads at a running offset: no pair per field, no closure per record. *)
 let decode buf =
-  let type_tag, off = Wire.get_u16 buf 0 in
-  let nlinks, off = Wire.get_u8 buf off in
-  let cursor = ref off in
-  let links =
-    List.init nlinks (fun _ ->
-        let link_oid, off = Oid.decode buf !cursor in
-        let link_id, off = Wire.get_u8 buf off in
-        cursor := off;
-        { link_oid; link_id })
-  in
-  let nvalues, off = Wire.get_u16 buf !cursor in
-  cursor := off;
-  let values =
-    Array.init nvalues (fun _ ->
-        let v, off = Value.decode buf !cursor in
-        cursor := off;
-        v)
-  in
+  let type_tag = Wire.u16_at buf 0 in
+  let nlinks = Wire.u8_at buf 2 in
+  let links = decode_links buf 3 nlinks in
+  let off = 3 + (nlinks * link_size) in
+  let nvalues = Wire.u16_at buf off in
+  let values = Array.make nvalues Value.VNull in
+  let off = ref (off + 2) in
+  for i = 0 to nvalues - 1 do
+    let v = Value.decode buf !off in
+    values.(i) <- v;
+    off := !off + Value.encoded_size v
+  done;
   { type_tag; links; values }
 
-let type_tag_of_bytes buf = fst (Wire.get_u16 buf 0)
+let type_tag_of_bytes buf = Wire.u16_at buf 0
 
 let pp fmt t =
   Format.fprintf fmt "@[<hov 2>{tag=%d;@ links=[%a];@ values=[%a]}@]" t.type_tag

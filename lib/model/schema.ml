@@ -42,6 +42,7 @@ type t = {
   rep_states : (int, rep_state) Hashtbl.t;  (* rep_id -> life-cycle state *)
   mutable next_tag : int;
   mutable next_rep : int;
+  mutable generation : int;  (* bumped by every catalog change *)
 }
 
 let create () =
@@ -56,7 +57,11 @@ let create () =
     rep_states = Hashtbl.create 8;
     next_tag = 1;
     next_rep = 1;
+    generation = 0;
   }
+
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -67,7 +72,8 @@ let define_type t (ty : Ty.t) =
   Hashtbl.replace t.type_table ty.Ty.tname ty;
   Hashtbl.replace t.tag_of_type ty.Ty.tname t.next_tag;
   Hashtbl.replace t.type_of_tag t.next_tag ty.Ty.tname;
-  t.next_tag <- t.next_tag + 1
+  t.next_tag <- t.next_tag + 1;
+  bump t
 
 let find_type t name =
   match Hashtbl.find_opt t.type_table name with
@@ -103,7 +109,8 @@ let create_set t ~name ~elem_type =
              elem_type fname target))
     (Ty.ref_fields ty);
   Hashtbl.replace t.set_table name elem_type;
-  t.set_order <- name :: t.set_order
+  t.set_order <- name :: t.set_order;
+  bump t
 
 let set_exists t name = Hashtbl.mem t.set_table name
 
@@ -177,7 +184,9 @@ let resolve_path t (path : Path.t) =
 let rep_state t rep_id =
   Option.value ~default:Active (Hashtbl.find_opt t.rep_states rep_id)
 
-let set_rep_state t rep_id state = Hashtbl.replace t.rep_states rep_id state
+let set_rep_state t rep_id state =
+  Hashtbl.replace t.rep_states rep_id state;
+  bump t
 
 (* Dropped declarations are invisible to every logical consumer (planning,
    propagation, recomputation, duplicate checks) but stay in [t.reps]:
@@ -217,6 +226,7 @@ let add_replication t ?(options = default_options) ?(state = Active) ~strategy
   t.next_rep <- t.next_rep + 1;
   t.reps <- rep :: t.reps;
   Hashtbl.replace t.rep_states rep.rep_id state;
+  bump t;
   rep
 
 let replications_from t set_name =
@@ -315,4 +325,5 @@ let add_index t def =
          def.iset def.ifield);
   if def.clustered && List.exists (fun d -> d.iset = def.iset && d.clustered) t.index_defs
   then invalid_arg (Printf.sprintf "Schema: set %s already has a clustered index" def.iset);
-  t.index_defs <- def :: t.index_defs
+  t.index_defs <- def :: t.index_defs;
+  bump t

@@ -80,6 +80,12 @@ type t
 
 val create : unit -> t
 
+val generation : t -> int
+(** A counter that every successful {!define_type}, {!create_set},
+    {!add_index}, {!add_replication} and {!set_rep_state} advances, so a
+    plan compiled against the catalog can tell whether it is still
+    current. *)
+
 (** {1 Types} *)
 
 val define_type : t -> Ty.t -> unit

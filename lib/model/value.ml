@@ -60,17 +60,11 @@ let encode buf off = function
       Oid.encode buf off oid
 
 let decode buf off =
-  let tag, off = Wire.get_u8 buf off in
-  if tag = tag_null then (VNull, off)
-  else if tag = tag_int then
-    let v, off = Wire.get_int buf off in
-    (VInt v, off)
-  else if tag = tag_string then
-    let s, off = Wire.get_string buf off in
-    (VString s, off)
-  else if tag = tag_ref then
-    let oid, off = Oid.decode buf off in
-    (VRef oid, off)
+  let tag = Wire.u8_at buf off in
+  if tag = tag_null then VNull
+  else if tag = tag_int then VInt (Wire.int_at buf (off + 1))
+  else if tag = tag_string then VString (Wire.string_at buf (off + 1))
+  else if tag = tag_ref then VRef (Oid.decode buf (off + 1))
   else raise (Wire.Corrupt (Printf.sprintf "Value: bad tag %d" tag))
 
 let as_int = function

@@ -17,7 +17,10 @@ val matches : Ty.ftype -> t -> bool
 
 val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
-val decode : Bytes.t -> int -> t * int
+val decode : Bytes.t -> int -> t
+(** [decode buf off] reads the value at [off]; the next one starts
+    [encoded_size v] bytes on.  Raises [Wire.Corrupt] on a bad tag or past
+    the end of [buf]. *)
 
 val as_int : t -> int
 (** Raises [Invalid_argument] on other variants; same for the others. *)

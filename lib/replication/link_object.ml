@@ -95,15 +95,13 @@ let encode t =
   buf
 
 let decode buf =
-  let n, off = Wire.get_u16 buf 0 in
-  let tagged, off = Wire.get_u8 buf off in
-  let cursor = ref off in
-  Array.init n (fun _ ->
-      let member, off = Oid.decode buf !cursor in
-      let tag, off =
-        if tagged = 1 then Oid.decode buf off else (Oid.nil, off)
-      in
-      cursor := off;
+  let n = Wire.u16_at buf 0 in
+  let tagged = Wire.u8_at buf 2 = 1 in
+  let width = if tagged then 2 * Oid.encoded_size else Oid.encoded_size in
+  Array.init n (fun i ->
+      let off = 3 + (i * width) in
+      let member = Oid.decode buf off in
+      let tag = if tagged then Oid.decode buf (off + Oid.encoded_size) else Oid.nil in
       { member; tag })
 
 let pp fmt t =

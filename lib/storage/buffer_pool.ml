@@ -13,10 +13,17 @@ type frame = {
   data : Bytes.t;
 }
 
+(* The frame table is keyed by one int, [(file lsl 32) lor page]: exact,
+   because an OID packs the file into 16 bits and the page into 32, and a
+   lookup then hashes and compares an immediate instead of a tuple. *)
+module Table = Hashtbl.Make (Int)
+
+let key ~file ~page = (file lsl 32) lor page
+
 type t = {
   disk : Disk.t;
   frames : frame array;
-  table : (int * int, int) Hashtbl.t;  (* (file, page) -> frame index *)
+  table : int Table.t;  (* key ~file ~page -> frame index *)
   mutable hand : int;
   scratch : Bytes.t;
       (* staging buffer for installs: the physical read lands here before
@@ -45,7 +52,7 @@ let create ?(prefetch = 0) disk ~frames =
   {
     disk;
     frames = Array.init frames make_frame;
-    table = Hashtbl.create (2 * frames);
+    table = Table.create (2 * frames);
     hand = 0;
     scratch = Bytes.make (Disk.page_size disk) '\000';
     prefetch_depth = max 0 prefetch;
@@ -54,7 +61,7 @@ let create ?(prefetch = 0) disk ~frames =
   }
 
 let capacity t = Array.length t.frames
-let resident t = Hashtbl.length t.table
+let resident t = Table.length t.table
 let set_prefetch t depth = t.prefetch_depth <- max 0 depth
 let prefetch_depth t = t.prefetch_depth
 
@@ -68,7 +75,7 @@ let evict_frame t idx =
   let f = t.frames.(idx) in
   assert (f.occupied && f.pins = 0);
   write_back t f;
-  Hashtbl.remove t.table (f.file, f.page);
+  Table.remove t.table (key ~file:f.file ~page:f.page);
   f.occupied <- false;
   f.referenced <- false;
   f.prefetched <- false
@@ -128,7 +135,7 @@ let install_at t idx ~file ~page src =
   (match src with
   | Some bytes -> Bytes.blit bytes 0 f.data 0 (Bytes.length f.data)
   | None -> Bytes.fill f.data 0 (Bytes.length f.data) '\000');
-  Hashtbl.replace t.table (file, page) idx;
+  Table.replace t.table (key ~file ~page) idx;
   idx
 
 (* The physical read goes through [t.scratch] *before* the victim is
@@ -157,7 +164,7 @@ let prefetch_run t ~file ~page =
   let last = min (page + t.prefetch_depth) (Disk.page_count t.disk file - 1) in
   (try
      for p = page + 1 to last do
-       if not (Hashtbl.mem t.table (file, p)) then begin
+       if not (Table.mem t.table (key ~file ~page:p)) then begin
          let idx = install t ~file ~page:p ~read:true in
          t.frames.(idx).prefetched <- true;
          Stats.bump stats Stats.Prefetch_issued
@@ -170,7 +177,7 @@ let prefetch_run t ~file ~page =
   end
 
 let lookup t ~file ~page ~for_new =
-  match Hashtbl.find_opt t.table (file, page) with
+  match Table.find_opt t.table (key ~file ~page) with
   | Some idx ->
       let stats = Disk.stats t.disk in
       Stats.bump stats Stats.Buffer_hits;
@@ -199,26 +206,37 @@ let lookup t ~file ~page ~for_new =
       end;
       idx
 
-let pin t ~file ~page ~dirty =
-  let idx = lookup t ~file ~page ~for_new:false in
-  let f = t.frames.(idx) in
+let pin_frame t ~file ~page ~dirty =
+  let f = t.frames.(lookup t ~file ~page ~for_new:false) in
   Lockdep.acquire Lockdep.Pool_pin;
   f.pins <- f.pins + 1;
   if dirty then f.dirty <- true;
-  f.data
+  f
+
+let unpin_frame f =
+  if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: frame is not pinned";
+  Lockdep.release Lockdep.Pool_pin;
+  f.pins <- f.pins - 1
+
+let pin t ~file ~page ~dirty = (pin_frame t ~file ~page ~dirty).data
 
 let unpin t ~file ~page =
-  match Hashtbl.find_opt t.table (file, page) with
+  match Table.find_opt t.table (key ~file ~page) with
   | None -> invalid_arg "Buffer_pool.unpin: page not resident"
-  | Some idx ->
-      let f = t.frames.(idx) in
-      if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: frame is not pinned";
-      Lockdep.release Lockdep.Pool_pin;
-      f.pins <- f.pins - 1
+  | Some idx -> unpin_frame t.frames.(idx)
 
+(* A pinned frame is never evicted, invalidated or dropped, so the frame
+   [pin_frame] returned is still the page's when the callback ends: no
+   second lookup, and no closure for a [~finally]. *)
 let with_pin t ~file ~page ~dirty fn =
-  let buf = pin t ~file ~page ~dirty in
-  Fun.protect ~finally:(fun () -> unpin t ~file ~page) (fun () -> fn buf)
+  let f = pin_frame t ~file ~page ~dirty in
+  match fn f.data with
+  | r ->
+      unpin_frame f;
+      r
+  | exception e ->
+      unpin_frame f;
+      raise e
 
 let with_page_read t ~file ~page fn = with_pin t ~file ~page ~dirty:false fn
 let with_page_write t ~file ~page fn = with_pin t ~file ~page ~dirty:true fn
@@ -236,12 +254,12 @@ let new_page t ~file =
 let flush t = Array.iter (fun f -> if f.occupied then write_back t f) t.frames
 
 let invalidate t ~file ~page =
-  match Hashtbl.find_opt t.table (file, page) with
+  match Table.find_opt t.table (key ~file ~page) with
   | None -> ()
   | Some idx ->
       let f = t.frames.(idx) in
       if f.pins > 0 then invalid_arg "Buffer_pool.invalidate: pinned frame";
-      Hashtbl.remove t.table (file, page);
+      Table.remove t.table (key ~file ~page);
       f.occupied <- false;
       f.referenced <- false;
       f.prefetched <- false;
@@ -261,7 +279,7 @@ let drop_file t ~file =
   Array.iter
     (fun f ->
       if f.occupied && f.file = file then begin
-        Hashtbl.remove t.table (f.file, f.page);
+        Table.remove t.table (key ~file:f.file ~page:f.page);
         f.occupied <- false;
         f.referenced <- false;
         f.prefetched <- false;
@@ -280,6 +298,6 @@ let clear t =
         f.prefetched <- false
       end)
     t.frames;
-  Hashtbl.reset t.table;
+  Table.reset t.table;
   t.seq_file <- -1;
   t.seq_next <- -1

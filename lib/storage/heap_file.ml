@@ -26,10 +26,7 @@ let encode_segment ~kind ~next payload_sub =
   Bytes.blit src src_off buf off len;
   buf
 
-let decode_header record =
-  let kind, off = Wire.get_u8 record 0 in
-  let next, off = Oid.decode record off in
-  (kind, next, off)
+let decode_header record = (Wire.u8_at record 0, Oid.decode record 1)
 
 let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
@@ -113,30 +110,56 @@ let read_segment t (oid : Oid.t) =
         invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
       Page.read buf oid.Oid.slot)
 
-let read_chain t oid expected_kind =
-  let head = read_segment t oid in
-  let kind, next, off = decode_header head in
-  if kind <> expected_kind then
-    invalid_arg
-      (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid));
-  let first = Bytes.sub head off (Bytes.length head - off) in
-  if Oid.is_nil next then first
-  else begin
-    let parts = ref [ first ] in
-    let cursor = ref next in
-    while not (Oid.is_nil !cursor) do
-      let seg = read_segment t !cursor in
-      let kind, next, off = decode_header seg in
-      if kind <> kind_segment then
-        raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
-      parts := Bytes.sub seg off (Bytes.length seg - off) :: !parts;
-      cursor := next
-    done;
-    Bytes.concat Bytes.empty (List.rev !parts)
-  end
+(* The payload of one segment, and the segment after it if any. *)
+type piece = Last of Bytes.t | Chained of Bytes.t * Oid.t
+
+(* Read one segment on its pinned page: the header is checked in place in
+   the frame and the payload copied out once. *)
+let piece ~kind (oid : Oid.t) buf =
+  let slot = oid.Oid.slot in
+  if not (Page.is_live buf slot) then
+    invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
+  let off = Page.offset buf slot in
+  if Wire.u8_at buf off <> kind then
+    if kind = kind_head then
+      invalid_arg
+        (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid))
+    else raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
+  let payload =
+    Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size)
+  in
+  if Oid.is_nil_at buf (off + 1) then Last payload
+  else Chained (payload, Oid.decode buf (off + 1))
+
+(* Each segment is pinned exactly once; the callbacks capture only the OID
+   ([kind] is a constant at each site). *)
+let read_piece t (oid : Oid.t) ~head =
+  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  if head then
+    Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
+        piece ~kind:kind_head oid buf)
+  else
+    Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
+        piece ~kind:kind_segment oid buf)
 
 let read t oid =
-  let payload = read_chain t oid kind_head in
+  let payload =
+    match read_piece t oid ~head:true with
+    | Last payload -> payload
+    | Chained (first, next) ->
+        let parts = ref [ first ] in
+        let cursor = ref next in
+        while not (Oid.is_nil !cursor) do
+          match read_piece t !cursor ~head:false with
+          | Last part ->
+              parts := part :: !parts;
+              cursor := Oid.nil
+          | Chained (part, next) ->
+              parts := part :: !parts;
+              cursor := next
+        done;
+        Bytes.concat Bytes.empty (List.rev !parts)
+  in
   Stats.bump (Pager.stats t.pager) Stats.Objects_read;
   payload
 
@@ -146,14 +169,14 @@ let exists t (oid : Oid.t) =
   && oid.Oid.page < page_count t
   && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
          Page.is_live buf oid.Oid.slot
-         && fst (Wire.get_u8 (Page.read buf oid.Oid.slot) 0) = kind_head)
+         && Wire.u8_at buf (Page.offset buf oid.Oid.slot) = kind_head)
 
 let free_chain t first =
   let cursor = ref first in
   while not (Oid.is_nil !cursor) do
     let oid = !cursor in
     let seg = read_segment t oid in
-    let kind, next, _ = decode_header seg in
+    let kind, next = decode_header seg in
     if kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
     Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
         Page.delete buf oid.Oid.slot);
@@ -162,7 +185,7 @@ let free_chain t first =
 
 let update t (oid : Oid.t) payload =
   let head = read_segment t oid in
-  let kind, old_next, _ = decode_header head in
+  let kind, old_next = decode_header head in
   if kind <> kind_head then
     invalid_arg "Heap_file.update: OID is not an object head";
   let write_head record =
@@ -187,7 +210,7 @@ let update t (oid : Oid.t) payload =
 
 let delete t (oid : Oid.t) =
   let head = read_segment t oid in
-  let kind, next, _ = decode_header head in
+  let kind, next = decode_header head in
   if kind <> kind_head then
     invalid_arg "Heap_file.delete: OID is not an object head";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
@@ -217,7 +240,7 @@ let purge t (oid : Oid.t) =
   match segment_of oid with
   | None -> ()
   | Some head ->
-      let kind, next, _ = decode_header head in
+      let kind, next = decode_header head in
       drop_slot oid;
       if kind = kind_head then t.count <- t.count - 1;
       let cursor = ref next in
@@ -226,7 +249,7 @@ let purge t (oid : Oid.t) =
         match segment_of !cursor with
         | None -> continue := false
         | Some seg ->
-            let kind, next, _ = decode_header seg in
+            let kind, next = decode_header seg in
             if kind <> kind_segment then continue := false
             else begin
               drop_slot !cursor;
@@ -239,7 +262,7 @@ let tombstone_record () =
 
 let delete_pinned t (oid : Oid.t) =
   let head = read_segment t oid in
-  let kind, next, _ = decode_header head in
+  let kind, next = decode_header head in
   if kind <> kind_head then
     invalid_arg "Heap_file.delete_pinned: OID is not an object head";
   (* A head record is at least [header_size] bytes, so an equal-or-smaller
@@ -256,11 +279,11 @@ let is_tombstone t (oid : Oid.t) =
   && oid.Oid.page < page_count t
   && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
          Page.is_live buf oid.Oid.slot
-         && fst (Wire.get_u8 (Page.read buf oid.Oid.slot) 0) = kind_tombstone)
+         && Wire.u8_at buf (Page.offset buf oid.Oid.slot) = kind_tombstone)
 
 let free_tombstone t (oid : Oid.t) =
   let head = read_segment t oid in
-  let kind, _, _ = decode_header head in
+  let kind, _ = decode_header head in
   if kind <> kind_tombstone then
     invalid_arg "Heap_file.free_tombstone: OID is not a tombstone";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
@@ -268,7 +291,7 @@ let free_tombstone t (oid : Oid.t) =
 
 let insert_at t (oid : Oid.t) payload =
   let head = read_segment t oid in
-  let kind, _, _ = decode_header head in
+  let kind, _ = decode_header head in
   if kind <> kind_tombstone then
     invalid_arg "Heap_file.insert_at: slot is not a tombstone";
   let write_head record =
@@ -299,22 +322,22 @@ let insert_at t (oid : Oid.t) payload =
 (* Shared per-slot plumbing for the batch entry points: the page buffer is
    already pinned by the caller. *)
 
+(* Where a live head sits on the pinned page. *)
 let batch_head t ~op buf ~page slot =
   if not (Page.is_live buf slot) then
     invalid_arg
       (Printf.sprintf "Heap_file: dead OID %s"
          (Oid.to_string { Oid.file = t.file; page; slot }));
-  let head = Page.read buf slot in
-  let kind, next, off = decode_header head in
-  if kind <> kind_head then
+  let off = Page.offset buf slot in
+  if Wire.u8_at buf off <> kind_head then
     invalid_arg (Printf.sprintf "Heap_file.%s: OID is not an object head" op);
-  (head, next, off)
+  off
 
 let batch_payload t ~op buf ~page slot =
-  let head, next, off = batch_head t ~op buf ~page slot in
-  if Oid.is_nil next then begin
+  let off = batch_head t ~op buf ~page slot in
+  if Oid.is_nil_at buf (off + 1) then begin
     Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-    Some (Bytes.sub head off (Bytes.length head - off))
+    Some (Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size))
   end
   else None
 
@@ -322,8 +345,8 @@ let batch_payload t ~op buf ~page slot =
    [true] means the caller must fall back to the general [update] (which may
    spill) after the pin is released. *)
 let batch_write_deferred t ~op buf ~page (slot, payload) =
-  let _, old_next, _ = batch_head t ~op buf ~page slot in
-  if not (Oid.is_nil old_next) then true
+  let off = batch_head t ~op buf ~page slot in
+  if not (Oid.is_nil_at buf (off + 1)) then true
   else begin
     let record =
       encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload)
@@ -405,7 +428,7 @@ let chained_count t =
   let count = ref 0 in
   iter_heads t (fun oid ->
       let head = read_segment t oid in
-      let _, next, _ = decode_header head in
+      let _, next = decode_header head in
       if not (Oid.is_nil next) then incr count);
   !count
 let iter_oids t f = iter_heads t f

@@ -49,9 +49,17 @@ let to_string t = Format.asprintf "%a" pp t
 let encoded_size = 8
 let encode buf off t = Wire.put_i64 buf off (to_int64 t)
 
+(* [encode]'s little-endian int64, read field by field: slot in bytes 0-1,
+   page in 2-5, file in 6-7. *)
 let decode buf off =
-  let v, off = Wire.get_i64 buf off in
-  (of_int64 v, off)
+  let slot = Wire.u16_at buf off in
+  let page = Wire.u32_at buf (off + 2) in
+  { file = Wire.u16_at buf (off + 6); page; slot }
+
+let is_nil_at buf off =
+  Wire.u16_at buf off = max_slot
+  && Wire.u32_at buf (off + 2) = max_page
+  && Wire.u16_at buf (off + 6) = max_file
 
 module Ord = struct
   type nonrec t = t

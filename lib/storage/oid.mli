@@ -27,7 +27,14 @@ val encoded_size : int
 (** 8 bytes. *)
 
 val encode : Bytes.t -> int -> t -> int
-val decode : Bytes.t -> int -> t * int
+val decode : Bytes.t -> int -> t
+(** [decode buf off] reads the OID at [off]; the next field starts
+    {!encoded_size} bytes on.  Raises [Wire.Corrupt] past the end of
+    [buf]. *)
+
+val is_nil_at : Bytes.t -> int -> bool
+(** [is_nil_at buf off] is [is_nil (decode buf off)], without building the
+    OID. *)
 
 val to_int64 : t -> int64
 val of_int64 : int64 -> t

@@ -119,6 +119,10 @@ let read_length page s =
   check_live page s;
   get_len page s
 
+let offset page s =
+  check_live page s;
+  get_off page s
+
 let delete page s =
   check_live page s;
   set_entry page s ~off:free_mark ~len:0

@@ -46,6 +46,10 @@ val read : Bytes.t -> slot -> Bytes.t
 
 val read_length : Bytes.t -> slot -> int
 
+val offset : Bytes.t -> slot -> int
+(** Where the record in a live slot starts in the page, for reading it in
+    place.  Raises [Invalid_argument] on a dead slot. *)
+
 val write : Bytes.t -> slot -> Bytes.t -> bool
 (** [write page s data] replaces the record in [s].  Returns [false] when the
     new record cannot fit even after compaction (the old record is then left

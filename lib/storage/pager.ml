@@ -30,9 +30,9 @@ let delete_file t id =
   Disk.delete_file t.disk id
 
 let page_count t id = Disk.page_count t.disk id
-let with_page_read t = Buffer_pool.with_page_read t.pool
-let with_page_write t = Buffer_pool.with_page_write t.pool
-let with_pin t = Buffer_pool.with_pin t.pool
+let with_page_read t ~file ~page fn = Buffer_pool.with_page_read t.pool ~file ~page fn
+let with_page_write t ~file ~page fn = Buffer_pool.with_page_write t.pool ~file ~page fn
+let with_pin t ~file ~page ~dirty fn = Buffer_pool.with_pin t.pool ~file ~page ~dirty fn
 let new_page t ~file = Buffer_pool.new_page t.pool ~file
 let flush t = Buffer_pool.flush t.pool
 let invalidate t ~file ~page = Buffer_pool.invalidate t.pool ~file ~page

@@ -10,18 +10,22 @@ let put_u8 buf off v =
   Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xff));
   off + 1
 
-let get_u8 buf off =
+let u8_at buf off =
   check_bounds buf off 1;
-  (Char.code (Bytes.unsafe_get buf off), off + 1)
+  Char.code (Bytes.unsafe_get buf off)
+
+let get_u8 buf off = (u8_at buf off, off + 1)
 
 let put_u16 buf off v =
   check_bounds buf off 2;
   Bytes.set_uint16_le buf off (v land 0xffff);
   off + 2
 
-let get_u16 buf off =
+let u16_at buf off =
   check_bounds buf off 2;
-  (Bytes.get_uint16_le buf off, off + 2)
+  Bytes.get_uint16_le buf off
+
+let get_u16 buf off = (u16_at buf off, off + 2)
 
 let put_u32 buf off v =
   check_bounds buf off 4;
@@ -29,9 +33,11 @@ let put_u32 buf off v =
   Bytes.set_int32_le buf off (Int32.of_int v);
   off + 4
 
-let get_u32 buf off =
+let u32_at buf off =
   check_bounds buf off 4;
-  (Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff, off + 4)
+  Int32.to_int (Bytes.get_int32_le buf off) land 0xffff_ffff
+
+let get_u32 buf off = (u32_at buf off, off + 4)
 
 let put_i64 buf off v =
   check_bounds buf off 8;
@@ -44,9 +50,11 @@ let get_i64 buf off =
 
 let put_int buf off v = put_i64 buf off (Int64.of_int v)
 
-let get_int buf off =
-  let v, off = get_i64 buf off in
-  (Int64.to_int v, off)
+let int_at buf off =
+  check_bounds buf off 8;
+  Int64.to_int (Bytes.get_int64_le buf off)
+
+let get_int buf off = (int_at buf off, off + 8)
 
 let put_string buf off s =
   let n = String.length s in
@@ -56,10 +64,14 @@ let put_string buf off s =
   Bytes.blit_string s 0 buf off n;
   off + n
 
+let string_at buf off =
+  let n = u16_at buf off in
+  check_bounds buf (off + 2) n;
+  Bytes.sub_string buf (off + 2) n
+
 let get_string buf off =
-  let n, off = get_u16 buf off in
-  check_bounds buf off n;
-  (Bytes.sub_string buf off n, off + n)
+  let s = string_at buf off in
+  (s, off + 2 + String.length s)
 
 let string_size s = 2 + String.length s
 

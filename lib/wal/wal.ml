@@ -203,6 +203,17 @@ let rec put_body buf off = function
   | Maint_done { job } -> Wire.put_u32 buf off job
   | Epoch_change { epoch } -> Wire.put_u32 buf off epoch
 
+(* [n] values from [off], and the offset just past the last. *)
+let get_values buf off n =
+  let off = ref off in
+  let values =
+    List.init n (fun _ ->
+        let v = Value.decode buf !off in
+        off := !off + Value.encoded_size v;
+        v)
+  in
+  (values, !off)
+
 let rec get_body kind buf off =
   match kind with
   | 0 ->
@@ -225,23 +236,19 @@ let rec get_body kind buf off =
   | 2 ->
       let set, off = Wire.get_string buf off in
       let n, off = Wire.get_u16 buf off in
-      let off = ref off in
-      let values =
-        List.init n (fun _ ->
-            let v, o = Value.decode buf !off in
-            off := o;
-            v)
-      in
-      (Insert { set; values }, !off)
+      let values, off = get_values buf off n in
+      (Insert { set; values }, off)
   | 3 ->
       let set, off = Wire.get_string buf off in
-      let oid, off = Oid.decode buf off in
+      let oid = Oid.decode buf off in
+      let off = off + Oid.encoded_size in
       let field, off = Wire.get_string buf off in
-      let value, off = Value.decode buf off in
-      (Update { set; oid; field; value }, off)
+      let value = Value.decode buf off in
+      (Update { set; oid; field; value }, off + Value.encoded_size value)
   | 4 ->
       let set, off = Wire.get_string buf off in
-      let oid, off = Oid.decode buf off in
+      let oid = Oid.decode buf off in
+      let off = off + Oid.encoded_size in
       (Delete { set; oid }, off)
   | 5 ->
       let path, off = Wire.get_string buf off in
@@ -290,29 +297,19 @@ let rec get_body kind buf off =
   | 11 ->
       let txn, off = Wire.get_u32 buf off in
       let set, off = Wire.get_string buf off in
-      let oid, off = Oid.decode buf off in
+      let oid = Oid.decode buf off in
+      let off = off + Oid.encoded_size in
       let present, off = Wire.get_u8 buf off in
       let n, off = Wire.get_u16 buf off in
-      let off = ref off in
-      let values =
-        List.init n (fun _ ->
-            let v, o = Value.decode buf !off in
-            off := o;
-            v)
-      in
-      (Undo_image { txn; set; oid; present = present = 1; values }, !off)
+      let values, off = get_values buf off n in
+      (Undo_image { txn; set; oid; present = present = 1; values }, off)
   | 12 ->
       let set, off = Wire.get_string buf off in
-      let oid, off = Oid.decode buf off in
+      let oid = Oid.decode buf off in
+      let off = off + Oid.encoded_size in
       let n, off = Wire.get_u16 buf off in
-      let off = ref off in
-      let values =
-        List.init n (fun _ ->
-            let v, o = Value.decode buf !off in
-            off := o;
-            v)
-      in
-      (Insert_at { set; oid; values }, !off)
+      let values, off = get_values buf off n in
+      (Insert_at { set; oid; values }, off)
   | 13 ->
       let txn, off = Wire.get_u32 buf off in
       let ikind, off = Wire.get_u8 buf off in
@@ -321,8 +318,7 @@ let rec get_body kind buf off =
       (Txn_op { txn; op }, off)
   | 14 ->
       let rep_id, off = Wire.get_u32 buf off in
-      let source, off = Oid.decode buf off in
-      (Scrub_repair { rep_id; source }, off)
+      (Scrub_repair { rep_id; source = Oid.decode buf off }, off + Oid.encoded_size)
   | 15 -> (
       match get_body 5 buf off with
       | Replicate { path; strategy; options }, off ->

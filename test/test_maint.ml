@@ -105,6 +105,57 @@ let disk_digest db =
          (id, n, Digest.to_hex (Digest.string (Buffer.contents b))))
 
 (* ------------------------------------------------------------------ *)
+(* Deref's plan cache                                                  *)
+
+(* [Db.deref] keeps its compiled plan until the catalog moves.  Every
+   life-cycle step of a declaration must replan: a Building or Dropping
+   copy must not be read, an Active one must. *)
+let test_plan_follows_reconfiguration () =
+  let built = Gen.build (spec (seed_base + 11)) in
+  let db = built.Gen.db in
+  let expect ~joins state =
+    checkb "declaration state" true (Db.replication_state db rep_path = state);
+    check_reads_match_join db;
+    checki "plan the state implies" joins
+      (Db.deref_would_join db ~set:"R" "sref.repfield")
+  in
+  expect ~joins:1 None;
+  let tx = Db.begin_txn db in
+  Db.replicate db ~strategy:Schema.Inplace rep_path;
+  expect ~joins:1 (Some Schema.Building);
+  Db.commit db tx;
+  Db.maint_drain db;
+  expect ~joins:0 (Some Schema.Active);
+  let tx = Db.begin_txn db in
+  Db.unreplicate db rep_path;
+  expect ~joins:1 (Some Schema.Dropping);
+  Db.commit db tx;
+  Db.maint_drain db;
+  expect ~joins:1 None;
+  Db.replicate db ~strategy:Schema.Inplace rep_path;
+  expect ~joins:0 (Some Schema.Active);
+  (* A lazy declaration replaces it: the cached plan must carry the new
+     declaration, which repairs a stale copy on read. *)
+  Db.unreplicate db rep_path;
+  let options = { Schema.default_options with Schema.lazy_propagation = true } in
+  Db.replicate db ~options ~strategy:Schema.Inplace rep_path;
+  expect ~joins:0 (Some Schema.Active);
+  let s = List.hd (s_oids db) in
+  Db.update_field db ~set:"S" s ~field:"repfield" (Value.VString "renamed");
+  check_reads_match_join db;
+  checkb "some reader saw the rename" true
+    (List.exists
+       (fun r -> Value.equal (join_read db r) (Value.VString "renamed"))
+       (r_oids db));
+  (* Failed compiles are not cached. *)
+  let r = List.hd (r_oids db) in
+  for _ = 1 to 2 do
+    match Db.deref db ~set:"R" r "sref.nope" with
+    | v -> Alcotest.failf "unknown field read %s" (Value.to_string v)
+    | exception Invalid_argument _ -> ()
+  done
+
+(* ------------------------------------------------------------------ *)
 (* API validation                                                      *)
 
 let test_double_replicate_rejected () =
@@ -634,6 +685,11 @@ let () =
             test_double_replicate_rejected;
           Alcotest.test_case "unreplicate validation" `Quick
             test_unreplicate_validation;
+        ] );
+      ( "plan cache",
+        [
+          Alcotest.test_case "deref replans on every reconfiguration" `Quick
+            test_plan_follows_reconfiguration;
         ] );
       ( "online build",
         [

@@ -8,6 +8,7 @@ module Value = Fieldrep_model.Value
 module Record = Fieldrep_model.Record
 module Schema = Fieldrep_model.Schema
 module Path = Fieldrep_model.Path
+module Wire = Fieldrep_util.Wire
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -68,9 +69,9 @@ let test_value_roundtrip () =
     (fun v ->
       let off = Value.encode buf 0 v in
       checki "size matches" (Value.encoded_size v) off;
-      let v', off' = Value.decode buf 0 in
+      let v' = Value.decode buf 0 in
       checkv "roundtrip" v v';
-      checki "read size" off off')
+      checki "read size" off (Value.encoded_size v'))
     [
       Value.VNull;
       Value.VInt 0;
@@ -367,11 +368,50 @@ let qcheck_tests =
             (pair nat nat);
         ])
   in
+  let oid_gen =
+    Gen.map
+      (fun (a, b) -> { Oid.file = a mod 100; page = b mod 1000; slot = (a + b) mod 50 })
+      Gen.(pair nat nat)
+  in
+  (* Records with a link section and values of all four kinds. *)
+  let record_gen =
+    Gen.(
+      let* tag = int_bound 1000 in
+      let* values = list_size (0 -- 12) value_gen in
+      let* links =
+        list_size (0 -- 6)
+          (map (fun (link_oid, link_id) -> { Record.link_oid; link_id })
+             (pair oid_gen (int_bound 255)))
+      in
+      return (Record.with_links (Record.make ~type_tag:tag (Array.of_list values)) links))
+  in
+  let record_equal (a : Record.t) (b : Record.t) =
+    a.Record.type_tag = b.Record.type_tag
+    && List.equal
+         (fun (x : Record.link) (y : Record.link) ->
+           x.Record.link_id = y.Record.link_id && Oid.equal x.Record.link_oid y.Record.link_oid)
+         a.Record.links b.Record.links
+    && Array.length a.Record.values = Array.length b.Record.values
+    && Array.for_all2 Value.equal a.Record.values b.Record.values
+  in
+  let record_arb = make ~print:(Format.asprintf "%a" Record.pp) record_gen in
   [
+    Test.make ~name:"record with links roundtrip" ~count:300 record_arb (fun r ->
+        record_equal r (Record.decode (Record.encode r)));
+    (* A truncated record is a corrupt record: never an index error. *)
+    Test.make ~name:"every proper prefix raises Corrupt" ~count:100 record_arb
+      (fun r ->
+        let enc = Record.encode r in
+        List.for_all
+          (fun len ->
+            match Record.decode (Bytes.sub enc 0 len) with
+            | _ -> false
+            | exception Wire.Corrupt _ -> true)
+          (List.init (Bytes.length enc) Fun.id));
     Test.make ~name:"value roundtrip" ~count:300 (make value_gen) (fun v ->
         let buf = Bytes.create (Value.encoded_size v) in
         ignore (Value.encode buf 0 v);
-        Value.equal v (fst (Value.decode buf 0)));
+        Value.equal v (Value.decode buf 0));
     Test.make ~name:"record roundtrip" ~count:200
       (make Gen.(pair (int_bound 1000) (list_size (0 -- 12) value_gen)))
       (fun (tag, values) ->

@@ -11,6 +11,7 @@
 module Db = Fieldrep.Db
 module Oid = Fieldrep_storage.Oid
 module Heap_file = Fieldrep_storage.Heap_file
+module Pager = Fieldrep_storage.Pager
 module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Record = Fieldrep_model.Record
@@ -165,6 +166,49 @@ let test_inplace_deref_no_join () =
   (* An uncovered path still walks. *)
   checki "uncovered path joins" 1 (Db.deref_would_join fx.db ~set:"Emp1" "dept.budget");
   check_all fx
+
+(* Minor-heap words per call of [f], over enough calls that the boxed float
+   [Gc.minor_words] returns is noise. *)
+let words_per_call f =
+  let n = 2000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* In-place replication makes [deref] one object read, so it should cost
+   what a [get] costs, and a [get] what its layers cost: a resident pool
+   hit allocates (almost) nothing, and a heap read copies the payload out
+   once. *)
+let test_inplace_read_allocation () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  let oid = fx.emps.(5) in
+  let pager = Db.pager fx.db in
+  let hit =
+    words_per_call (fun () ->
+        Pager.with_page_read pager ~file:oid.Oid.file ~page:oid.Oid.page (fun b ->
+            ignore (Bytes.length b)))
+  in
+  checkb (Printf.sprintf "pool hit %.1f words <= 4" hit) true (hit <= 4.);
+  let hf = (Db.engine fx.db).Engine.file_of_set "Emp1" in
+  let payload = Heap_file.read hf oid in
+  let copy = float_of_int (Obj.reachable_words (Obj.repr payload)) in
+  let read = words_per_call (fun () -> ignore (Heap_file.read hf oid)) in
+  checkb
+    (Printf.sprintf "heap read %.1f words <= payload %.0f + 8" read copy)
+    true
+    (read <= copy +. 8.);
+  let get = words_per_call (fun () -> ignore (Db.get fx.db ~set:"Emp1" oid)) in
+  let deref =
+    words_per_call (fun () -> ignore (Db.deref fx.db ~set:"Emp1" oid "dept.name"))
+  in
+  checkb
+    (Printf.sprintf "deref %.1f words <= 1.25 x get %.1f" deref get)
+    true
+    (deref <= 1.25 *. get)
 
 let test_inplace_scalar_propagation () =
   let fx = employee_db () in
@@ -689,6 +733,8 @@ let () =
         [
           Alcotest.test_case "deref without join" `Quick test_inplace_deref_no_join;
           Alcotest.test_case "scalar propagation" `Quick test_inplace_scalar_propagation;
+          Alcotest.test_case "read allocates like a page lookup" `Quick
+            test_inplace_read_allocation;
           Alcotest.test_case "unreferenced dept update free" `Quick
             test_inplace_update_to_unreferenced_dept_is_free;
           Alcotest.test_case "insert maintenance" `Quick test_inplace_insert_maintenance;

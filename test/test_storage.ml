@@ -21,9 +21,9 @@ let test_oid_roundtrip () =
     (fun oid ->
       let buf = Bytes.create Oid.encoded_size in
       ignore (Oid.encode buf 0 oid);
-      let decoded, off = Oid.decode buf 0 in
+      let decoded = Oid.decode buf 0 in
       checkb "equal" true (Oid.equal oid decoded);
-      checki "advance" Oid.encoded_size off;
+      checkb "nil in place" (Oid.is_nil oid) (Oid.is_nil_at buf 0);
       checkb "int64 roundtrip" true (Oid.equal oid (Oid.of_int64 (Oid.to_int64 oid))))
     [
       { Oid.file = 0; page = 0; slot = 0 };
@@ -512,6 +512,23 @@ let test_heap_object_larger_than_page () =
   checkb "gone" false (Heap_file.exists hf oid);
   checki "count" 0 (Heap_file.object_count hf)
 
+(* A record of four segments, alone in its file: every segment but the last
+   fills its own page, so the file's page count is the segment count.  The
+   read pins each segment's page once, and every page is resident. *)
+let test_heap_chain_one_pin_per_segment () =
+  let pager = mk_pager ~page_size:256 () in
+  let hf = Heap_file.create pager in
+  let big = Bytes.init 800 (fun i -> Char.chr (i * 7 mod 256)) in
+  let oid = Heap_file.insert hf big in
+  let segments = Heap_file.page_count hf in
+  checkb "at least three segments" true (segments >= 3);
+  let stats = Pager.stats pager in
+  let hits0 = Stats.get stats Stats.Buffer_hits in
+  let reads0 = Stats.get stats Stats.Page_reads in
+  Alcotest.(check bytes) "byte-identical" big (Heap_file.read hf oid);
+  checki "one hit per segment" segments (Stats.get stats Stats.Buffer_hits - hits0);
+  checki "no physical reads" 0 (Stats.get stats Stats.Page_reads - reads0)
+
 let test_heap_shrink_frees_chain () =
   let pager = mk_pager () in
   let hf = Heap_file.create pager in
@@ -976,6 +993,8 @@ let () =
           Alcotest.test_case "update grows in page" `Quick test_heap_update_grow_within_page;
           Alcotest.test_case "update spills to chain" `Quick test_heap_update_grow_spills;
           Alcotest.test_case "object larger than page" `Quick test_heap_object_larger_than_page;
+          Alcotest.test_case "chain read pins each segment once" `Quick
+            test_heap_chain_one_pin_per_segment;
           Alcotest.test_case "shrink frees chain" `Quick test_heap_shrink_frees_chain;
           Alcotest.test_case "delete then scan" `Quick test_heap_delete_then_scan;
           Alcotest.test_case "attach recovers" `Quick test_heap_attach_recovers;
