@@ -1149,6 +1149,12 @@ let referencers t ~source_set ~attr target_oid =
 
 let check_integrity t =
   Invariants.check t.engine;
+  Hashtbl.iter (fun _ hf -> Heap_file.check hf) t.sets;
+  let links, sprimes = Store.bindings t.store in
+  List.iter (fun (id, _) -> Option.iter Heap_file.check (Store.link_file_opt t.store id)) links;
+  List.iter
+    (fun (id, _) -> Option.iter Heap_file.check (Store.sprime_file_opt t.store id))
+    sprimes;
   Hashtbl.iter
     (fun name rt ->
       Btree.check_invariants rt.tree;

@@ -303,7 +303,9 @@ val referencers :
     no scan), by a set scan otherwise. *)
 
 val check_integrity : t -> unit
-(** Replication invariants plus index invariants; raises [Failure]. *)
+(** Replication invariants, index invariants and every set, link and S'
+    file's free-space map ({!Fieldrep_storage.Heap_file.check}); raises
+    [Failure]. *)
 
 val scrub : t -> Fieldrep_scrub.Scrub.report
 (** Online scrub and self-repair.  Verifies the checksum of every data,

@@ -6,6 +6,9 @@ type t = {
   reserve : int;  (* bytes kept free per page during inserts (PCTFREE) *)
   mutable count : int;
   mutable tail_page : int;  (* page that receives the next append, -1 if none *)
+  mutable space : int array;
+      (* free-space map: per page, what [usable] says of it; -1 past the end *)
+  mutable candidates : int;  (* pages whose [space] entry is not -1 *)
 }
 
 let kind_head = 0
@@ -28,9 +31,14 @@ let encode_segment ~kind ~next payload_sub =
 
 let decode_header record = (Wire.u8_at record 0, Oid.decode record 1)
 
+(* A handle on [file]; [recount] fills in the count and the map. *)
+let handle ~reserve pager file =
+  let tail_page = Pager.page_count pager file - 1 in
+  { pager; file; reserve; count = 0; tail_page; space = [||]; candidates = 0 }
+
 let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
-  { pager; file = Pager.create_file pager; reserve; count = 0; tail_page = -1 }
+  handle ~reserve pager (Pager.create_file pager)
 
 let file_id t = t.file
 let pager t = t.pager
@@ -42,34 +50,77 @@ let page_count t = Pager.page_count t.pager t.file
 let max_record t =
   Pager.page_size t.pager - Page.header_size - Page.dir_entry_size
 
+(* Space reuse.  A page becomes a reuse candidate once a delete has freed
+   one of its directory entries and at least 1/[reuse_divisor] of it is
+   free; an insert goes to the lowest candidate it fits, else to the tail
+   page, else to a new page.  The rule reads only the page's bytes (and the
+   handle's reserve), so the live master, a log replay from a checkpoint
+   image and a replica bootstrapped from a snapshot all hold the same map
+   and give every insert the same OID.  A history without deletes never
+   frees a directory entry, so bulk builds keep plain append order.  The
+   half-page guard keeps a page that just refilled from taking small
+   records it would soon need as room for its objects to grow. *)
+let reuse_divisor = 2
+
+(* The bytes an insert may use on a page with [live] records and [free]
+   bytes free.  Inserts honour the per-page reserve so objects have in-page
+   room to grow (hidden replicated fields, link pairs); a record that could
+   never fit alongside the reserve still goes into an empty page alone. *)
+let room t ~live ~free = if live = 0 then free else free - t.reserve
+
+(* A page's free-space map entry: its [room], or -1 when the page is not a
+   reuse candidate. *)
+let usable t buf =
+  let live = Page.live_count buf in
+  if live = Page.slot_count buf then -1
+  else
+    let free = Page.free_space buf in
+    if free * reuse_divisor < Bytes.length buf then -1 else max 0 (room t ~live ~free)
+
+(* Bring the map up to date with a page just changed: called at the end of
+   every closure that writes a page of this file. *)
+let note t page buf =
+  let entry = usable t buf in
+  if t.space.(page) >= 0 then t.candidates <- t.candidates - 1;
+  if entry >= 0 then t.candidates <- t.candidates + 1;
+  t.space.(page) <- entry
+
+let rec lowest_fit t len page =
+  if page >= Array.length t.space then -1
+  else if t.space.(page) >= len then page
+  else lowest_fit t len (page + 1)
+
 let insert_record t record =
-  (* Inserts honour the per-page reserve so objects have in-page room to
-     grow (hidden replicated fields, link pairs); a record that could never
-     fit alongside the reserve still goes into a fresh page alone. *)
+  let len = Bytes.length record in
   let try_page page =
     Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-        let fits_with_reserve =
-          Page.free_space buf >= Bytes.length record + t.reserve
-          || (Page.live_count buf = 0 && Page.fits buf (Bytes.length record))
+        let fits =
+          room t ~live:(Page.live_count buf) ~free:(Page.free_space buf) >= len
         in
-        if fits_with_reserve then Page.insert buf record else None)
+        let slot = if fits then Page.insert buf record else -1 in
+        if slot >= 0 then note t page buf;
+        slot)
   in
-  let slot, page =
-    match if t.tail_page >= 0 then try_page t.tail_page else None with
-    | Some slot -> (slot, t.tail_page)
-    | None ->
-        let page = Pager.new_page t.pager ~file:t.file in
-        Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-            Page.init buf);
-        t.tail_page <- page;
-        let slot =
-          match try_page page with
-          | Some slot -> slot
-          | None -> invalid_arg "Heap_file: record larger than a page"
-        in
-        (slot, page)
-  in
-  { Oid.file = t.file; page; slot }
+  let reuse = if t.candidates > 0 then lowest_fit t len 0 else -1 in
+  let slot = if reuse >= 0 then try_page reuse else -1 in
+  if slot >= 0 then { Oid.file = t.file; page = reuse; slot }
+  else
+    let slot = if t.tail_page >= 0 then try_page t.tail_page else -1 in
+    if slot >= 0 then { Oid.file = t.file; page = t.tail_page; slot }
+    else begin
+      let page = Pager.new_page t.pager ~file:t.file in
+      Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
+          Page.init buf);
+      if page >= Array.length t.space then begin
+        let space = Array.make (max 8 (2 * page)) (-1) in
+        Array.blit t.space 0 space 0 (Array.length t.space);
+        t.space <- space
+      end;
+      t.tail_page <- page;
+      let slot = try_page page in
+      if slot < 0 then invalid_arg "Heap_file: record larger than a page";
+      { Oid.file = t.file; page; slot }
+    end
 
 (* Append the payload from [pos] onwards as a chain of continuation
    segments, returning the OID of the first one (or nil when done). *)
@@ -85,8 +136,9 @@ let rec spill t payload pos =
   end
 
 let insert t payload =
-  (* Head goes first so home slots appear in insertion order; oversize
-     payloads spill their tail into segments allocated just after. *)
+  (* Head goes first, so while no page qualifies for reuse home slots
+     appear in insertion order; oversize payloads spill their tail into
+     segments allocated just after. *)
   let head_room = max_record t - header_size in
   let head_chunk = min (Bytes.length payload) head_room in
   let head_oid =
@@ -97,7 +149,8 @@ let insert t payload =
     let record = encode_segment ~kind:kind_head ~next (payload, 0, head_chunk) in
     Pager.with_page_write t.pager ~file:t.file ~page:head_oid.Oid.page (fun buf ->
         let ok = Page.write buf head_oid.Oid.slot record in
-        assert ok)
+        assert ok;
+        note t head_oid.Oid.page buf)
   end;
   t.count <- t.count + 1;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written;
@@ -179,7 +232,8 @@ let free_chain t first =
     let kind, next = decode_header seg in
     if kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
     Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        Page.delete buf oid.Oid.slot);
+        Page.delete buf oid.Oid.slot;
+        note t oid.Oid.page buf);
     cursor := next
   done
 
@@ -190,7 +244,9 @@ let update t (oid : Oid.t) payload =
     invalid_arg "Heap_file.update: OID is not an object head";
   let write_head record =
     Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        Page.write buf oid.Oid.slot record)
+        let ok = Page.write buf oid.Oid.slot record in
+        note t oid.Oid.page buf;
+        ok)
   in
   let full = encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload) in
   let placed =
@@ -214,7 +270,8 @@ let delete t (oid : Oid.t) =
   if kind <> kind_head then
     invalid_arg "Heap_file.delete: OID is not an object head";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      Page.delete buf oid.Oid.slot);
+      Page.delete buf oid.Oid.slot;
+      note t oid.Oid.page buf);
   if not (Oid.is_nil next) then free_chain t next;
   t.count <- t.count - 1
 
@@ -228,7 +285,8 @@ let purge t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file.purge: OID from another file";
   let drop_slot (o : Oid.t) =
     Pager.with_page_write t.pager ~file:t.file ~page:o.Oid.page (fun buf ->
-        Page.delete buf o.Oid.slot)
+        Page.delete buf o.Oid.slot;
+        note t o.Oid.page buf)
   in
   let segment_of (o : Oid.t) =
     if o.Oid.page < 0 || o.Oid.page >= page_count t then None
@@ -269,7 +327,8 @@ let delete_pinned t (oid : Oid.t) =
      in-place write always succeeds. *)
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
       let ok = Page.write buf oid.Oid.slot (tombstone_record ()) in
-      assert ok);
+      assert ok;
+      note t oid.Oid.page buf);
   if not (Oid.is_nil next) then free_chain t next;
   t.count <- t.count - 1
 
@@ -287,7 +346,8 @@ let free_tombstone t (oid : Oid.t) =
   if kind <> kind_tombstone then
     invalid_arg "Heap_file.free_tombstone: OID is not a tombstone";
   Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      Page.delete buf oid.Oid.slot)
+      Page.delete buf oid.Oid.slot;
+      note t oid.Oid.page buf)
 
 let insert_at t (oid : Oid.t) payload =
   let head = read_segment t oid in
@@ -296,7 +356,9 @@ let insert_at t (oid : Oid.t) payload =
     invalid_arg "Heap_file.insert_at: slot is not a tombstone";
   let write_head record =
     Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        Page.write buf oid.Oid.slot record)
+        let ok = Page.write buf oid.Oid.slot record in
+        note t oid.Oid.page buf;
+        ok)
   in
   let full =
     encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload)
@@ -368,7 +430,11 @@ let update_batch t ~page entries =
      longer fit fall through to the general [update] (which may spill). *)
   let deferred =
     Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-        List.filter (batch_write_deferred t ~op:"update_batch" buf ~page) entries)
+        let deferred =
+          List.filter (batch_write_deferred t ~op:"update_batch" buf ~page) entries
+        in
+        note t page buf;
+        deferred)
   in
   List.iter
     (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
@@ -385,7 +451,11 @@ let modify_batch t ~page slots ~f =
         let payloads =
           List.map (batch_payload t ~op:"modify_batch" buf ~page) slots
         in
-        List.filter (batch_write_deferred t ~op:"modify_batch" buf ~page) (f payloads))
+        let deferred =
+          List.filter (batch_write_deferred t ~op:"modify_batch" buf ~page) (f payloads)
+        in
+        note t page buf;
+        deferred)
   in
   List.iter
     (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
@@ -438,13 +508,43 @@ let fold t ~init ~f =
   iter t (fun oid payload -> acc := f !acc oid payload);
   !acc
 
+(* Heads on a pinned page. *)
+let heads_on buf =
+  let heads = ref 0 in
+  for slot = 0 to Page.slot_count buf - 1 do
+    if Page.is_live buf slot && Wire.u8_at buf (Page.offset buf slot) = kind_head then
+      incr heads
+  done;
+  !heads
+
+(* One pin per page rebuilds both the object count and the free-space map. *)
 let recount t =
+  let pages = page_count t in
   t.count <- 0;
-  iter_oids t (fun _ -> t.count <- t.count + 1)
+  t.space <- Array.make pages (-1);
+  t.candidates <- 0;
+  for page = 0 to pages - 1 do
+    Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
+        t.count <- t.count + heads_on buf;
+        note t page buf)
+  done
 
 let attach ?(reserve = 0) pager ~file =
-  let t =
-    { pager; file; reserve; count = 0; tail_page = Pager.page_count pager file - 1 }
-  in
-  iter_oids t (fun _ -> t.count <- t.count + 1);
+  let t = handle ~reserve pager file in
+  recount t;
   t
+
+let check t =
+  let fail fmt = Printf.ksprintf failwith ("heap file %d: " ^^ fmt) t.file in
+  let candidates = ref 0 in
+  for page = 0 to page_count t - 1 do
+    let entry = Pager.with_page_read t.pager ~file:t.file ~page (usable t) in
+    if page >= Array.length t.space then fail "free-space map ends before page %d" page;
+    if t.space.(page) <> entry then
+      fail "free-space map has %d for page %d, whose bytes give %d" t.space.(page) page
+        entry;
+    if entry >= 0 then incr candidates
+  done;
+  if !candidates <> t.candidates then
+    fail "free-space map counts %d candidate pages, the pages give %d" t.candidates
+      !candidates

@@ -12,9 +12,18 @@
     in-place growth (e.g. adding hidden replicated fields) both work without
     forwarding.
 
-    Objects are laid down in strictly increasing physical order by
-    [insert], which is how the replication engine builds link files and
-    separate-replication files "in the same order as S" (paper §4.1, §5). *)
+    Space freed by deletes is reused.  A page qualifies for reuse once a
+    delete has freed one of its directory entries and at least half of it
+    is free; an insert takes the lowest qualifying page it fits, else the
+    tail page, else a new one.  The rule reads only page bytes, so log
+    replay and replicas allocate the same OIDs as the original run.
+
+    While no page qualifies — in every history without deletes, which
+    covers every bulk build — [insert] lays objects down in strictly
+    increasing physical order.  That is how the replication engine builds
+    link files and separate-replication files "in the same order as S"
+    (paper §4.1, §5).  After deletes, an insert may land on an earlier
+    page. *)
 
 type t
 
@@ -39,8 +48,9 @@ val object_count : t -> int
 val page_count : t -> int
 
 val insert : t -> Bytes.t -> Oid.t
-(** Append an object; its home slot lands at or after every previously
-    inserted object's home slot. *)
+(** Store an object.  While no page qualifies for reuse, its home slot
+    lands after every previously inserted object's home slot; otherwise it
+    may land on the lowest qualifying page. *)
 
 val read : t -> Oid.t -> Bytes.t
 (** Raises [Invalid_argument] if the OID does not name a live object head. *)
@@ -117,9 +127,14 @@ val oids_on_page : t -> page:int -> Oid.t list
     is out of range. *)
 
 val recount : t -> unit
-(** Rescan the file and reset {!object_count}.  Needed after scrub blanks a
-    corrupt page: the heads it held vanish without going through
-    {!delete}. *)
+(** Rescan the file and reset {!object_count} and the free-space map.
+    Needed after scrub blanks a corrupt page: the heads it held vanish
+    without going through {!delete}. *)
+
+val check : t -> unit
+(** Fails unless the free-space map and its count of reuse candidates
+    equal the ones rebuilt from the pages' bytes — the condition under
+    which replay and replicas pick the same pages as the original run. *)
 
 val chained_count : t -> int
 (** Objects whose payload spans more than one segment — fragmentation

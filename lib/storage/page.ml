@@ -49,39 +49,41 @@ let used_bytes page =
   done;
   !acc
 
-let free_slot_available page =
+(* The lowest free directory entry, or -1 when every entry is live. *)
+let free_slot page =
   let n = get_n_slots page in
-  let rec find s = if s >= n then None else if get_off page s = free_mark then Some s else find (s + 1) in
-  find 0
+  let s = ref 0 in
+  while !s < n && get_off page !s <> free_mark do
+    incr s
+  done;
+  if !s < n then !s else -1
 
 let free_space page =
-  let dir_room =
-    match free_slot_available page with
-    | Some _ -> 0
-    | None -> dir_entry_size
-  in
+  let dir_room = if free_slot page >= 0 then 0 else dir_entry_size in
   let capacity = size page - header_size - (dir_entry_size * get_n_slots page) - dir_room in
   capacity - used_bytes page
 
 let fits page len = len <= free_space page
 
+(* Per-domain copy of the page being compacted, grown to the largest page
+   seen, so compaction allocates nothing once warm. *)
+let scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
+
 let compact page =
-  let n = get_n_slots page in
-  let live = ref [] in
-  for s = n - 1 downto 0 do
-    let off = get_off page s in
-    if off <> free_mark then live := (s, off, get_len page s) :: !live
-  done;
-  let live = List.sort (fun (_, a, _) (_, b, _) -> Int.compare a b) !live in
+  let copy = Domain.DLS.get scratch in
+  let data_end = get_free_off page in
+  if Bytes.length !copy < data_end then copy := Bytes.create (size page);
+  Bytes.blit page 0 !copy 0 data_end;
   let cursor = ref header_size in
-  List.iter
-    (fun (s, off, len) ->
-      if off <> !cursor then begin
-        Bytes.blit page off page !cursor len;
-        set_entry page s ~off:!cursor ~len
-      end;
-      cursor := !cursor + len)
-    live;
+  for s = 0 to get_n_slots page - 1 do
+    let off = get_off page s in
+    if off <> free_mark then begin
+      let len = get_len page s in
+      Bytes.blit !copy off page !cursor len;
+      set_entry page s ~off:!cursor ~len;
+      cursor := !cursor + len
+    end
+  done;
   set_free_off page !cursor
 
 let ensure_gap page ~extra_slots need =
@@ -90,21 +92,18 @@ let ensure_gap page ~extra_slots need =
 
 let insert page data =
   let len = Bytes.length data in
-  if not (fits page len) then None
+  if not (fits page len) then -1
   else begin
-    let slot, extra_slots =
-      match free_slot_available page with
-      | Some s -> (s, 0)
-      | None -> (get_n_slots page, 1)
-    in
-    let ok = ensure_gap page ~extra_slots len in
+    let free = free_slot page in
+    let slot = if free >= 0 then free else get_n_slots page in
+    let ok = ensure_gap page ~extra_slots:(if free >= 0 then 0 else 1) len in
     assert ok;
     let off = get_free_off page in
     Bytes.blit data 0 page off len;
-    if extra_slots > 0 then set_n_slots page (slot + 1);
+    if free < 0 then set_n_slots page (slot + 1);
     set_entry page slot ~off ~len;
     set_free_off page (off + len);
-    Some slot
+    slot
   end
 
 let check_live page s =

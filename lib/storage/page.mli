@@ -37,9 +37,10 @@ val fits : Bytes.t -> int -> bool
 (** [fits page len] — would a record of [len] bytes fit (possibly after
     compaction)? *)
 
-val insert : Bytes.t -> Bytes.t -> slot option
-(** [insert page data] places a record, compacting if needed.  [None] when it
-    cannot fit. *)
+val insert : Bytes.t -> Bytes.t -> slot
+(** [insert page data] places a record in the lowest free directory entry
+    (or a new one), compacting if needed, and returns its slot; [-1] when it
+    cannot fit.  Allocates nothing. *)
 
 val read : Bytes.t -> slot -> Bytes.t
 (** Copy of the record bytes.  Raises [Invalid_argument] on a dead slot. *)
@@ -64,5 +65,8 @@ val iter : (slot -> Bytes.t -> unit) -> Bytes.t -> unit
 val fold : ('a -> slot -> Bytes.t -> 'a) -> 'a -> Bytes.t -> 'a
 
 val compact : Bytes.t -> unit
-(** Squeeze out holes left by deletes and in-place shrinks.  Slot numbers are
-    preserved.  Called automatically by [insert]/[write] when needed. *)
+(** Squeeze out holes left by deletes and in-place shrinks, laying the live
+    records back down in slot order.  Every slot keeps its number and its
+    bytes, and {!free_space} is unchanged.  Called automatically by
+    [insert]/[write] when needed; allocates nothing once the calling
+    domain's scratch copy has grown to the page size. *)

@@ -419,6 +419,65 @@ let test_ack_mode_blocks () =
   check_converged ~what:"ack replica" mdb (Replica.db r);
   ignore m
 
+(* Space reuse on a replica.  The master runs a rolling window over R —
+   delete the oldest object, insert a new one — for a turnover and then
+   deletes half the window, so the snapshot that bootstraps an ack-mode
+   replica holds pages that qualify for reuse.  The window then refills
+   and turns over three more times, half the time inside transactions
+   (tombstones, freed at commit).  The replica rebuilds its free-space map
+   from the snapshot and replays every insert onto the master's page and
+   slot: every page stays byte-identical, and R stops growing. *)
+let test_ack_replica_space_reuse () =
+  let mdb = build_master () in
+  let ss = s_oids mdb in
+  let window = Queue.of_seq (Array.to_seq (r_oids mdb)) in
+  let live = Queue.length window in
+  let rng = Splitmix.create (41 + seed_base) in
+  let next = ref 0 in
+  let insert ?txn () =
+    incr next;
+    Queue.push
+      (Db.insert ?txn mdb ~set:"R"
+         [
+           Value.VInt (400_000 + !next);
+           Value.VString (String.make 65 'r');
+           Value.VRef ss.(Splitmix.int rng (Array.length ss));
+         ])
+      window
+  in
+  let turnover ~txns =
+    let tx = ref None in
+    for j = 0 to live - 1 do
+      if txns && j mod 10 = 0 then tx := Some (Db.begin_txn mdb);
+      let txn = !tx in
+      Db.delete ?txn mdb ~set:"R" (Queue.pop window);
+      insert ?txn ();
+      match txn with
+      | Some t when j mod 10 = 9 || j = live - 1 ->
+          Db.commit mdb t;
+          tx := None
+      | Some _ | None -> ()
+    done
+  in
+  turnover ~txns:false;
+  for _ = 1 to live / 2 do
+    Db.delete mdb ~set:"R" (Queue.pop window)
+  done;
+  let m, r, _, _ = connect_pair ~mode:Master.Ack mdb in
+  while Queue.length window < live do
+    insert ()
+  done;
+  let plateau = ref 0 in
+  for k = 1 to 3 do
+    turnover ~txns:(k mod 2 = 1);
+    if k = 1 then plateau := Db.set_pages mdb "R"
+  done;
+  checki "R pages after the last turnover = after the first" !plateau
+    (Db.set_pages mdb "R");
+  converge m r;
+  check_converged ~what:"ack replica" mdb (Replica.db r);
+  Db.check_integrity (Replica.db r)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -858,6 +917,8 @@ let () =
           Alcotest.test_case "abort marker in stream" `Quick
             test_abort_marker_stream;
           Alcotest.test_case "ack mode blocks" `Quick test_ack_mode_blocks;
+          Alcotest.test_case "ack replica reuses space" `Quick
+            test_ack_replica_space_reuse;
           Alcotest.test_case "replica is read-only" `Quick test_replica_read_only;
           Alcotest.test_case "two replicas" `Quick test_two_replicas;
         ] );

@@ -720,6 +720,54 @@ let qcheck_tests =
           fx.emps);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Space reuse                                                         *)
+
+(* A rolling window over Emp1 with Emp1.dept.name replicated in place:
+   each turnover deletes every employee, oldest first, inserting a new one
+   after each delete.  Two employees per department, so link objects keep
+   being dropped (small-link elimination) and recreated.  Freed space is
+   reused, so neither the data file nor the link file grows past the
+   second turnover. *)
+let test_churn_plateau () =
+  let fx = employee_db ~ndepts:60 ~nemps:120 () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  let store = (Db.engine fx.db).Engine.store in
+  let link_pages () =
+    let links, _ = Store.bindings store in
+    List.sort_uniq compare (List.map snd links)
+    |> List.map (fun file ->
+           let id = fst (List.find (fun (_, f) -> f = file) links) in
+           Heap_file.page_count (Store.link_file store id))
+  in
+  let rng = Splitmix.create 3 in
+  let window = Queue.of_seq (Array.to_seq fx.emps) in
+  let next = ref (Array.length fx.emps) in
+  let pages () = (Db.set_pages fx.db "Emp1", link_pages ()) in
+  let plateau = ref (0, []) in
+  for turnover = 1 to 10 do
+    for _ = 1 to Array.length fx.emps do
+      Db.delete fx.db ~set:"Emp1" (Queue.pop window);
+      incr next;
+      Queue.push
+        (Db.insert fx.db ~set:"Emp1"
+           [
+             vstr (Printf.sprintf "emp-%d" !next);
+             vint (20 + (!next mod 40));
+             vint (30_000 + !next);
+             Value.VRef fx.depts.(Splitmix.int rng (Array.length fx.depts));
+           ])
+        window
+    done;
+    if turnover = 2 then plateau := pages ()
+  done;
+  checkb "link files exist" true (snd !plateau <> []);
+  checki "Emp1 pages after turnover 10 = after turnover 2" (fst !plateau)
+    (Db.set_pages fx.db "Emp1");
+  Alcotest.(check (list int))
+    "link pages after turnover 10 = after turnover 2" (snd !plateau) (link_pages ());
+  check_all fx
+
 let () =
   Alcotest.run "fieldrep_replication"
     [
@@ -787,5 +835,6 @@ let () =
         ] );
       ( "invariants",
         [ Alcotest.test_case "detects corruption" `Quick test_invariants_detect_corruption ] );
+      ("space reuse", [ Alcotest.test_case "churn plateaus" `Quick test_churn_plateau ]);
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

@@ -265,6 +265,57 @@ let test_matrix_link_page strat () =
   corrupt_first_page db files;
   scrub_and_verify db expected
 
+(* Scrub blanks corrupt link pages behind the heap file's back; the
+   recount that follows rebuilds the file's free-space map with its object
+   count.  Deletes and inserts, which drop and recreate link objects and
+   reuse the space they free, run before the corruption (so a blanked page
+   was a reuse candidate) and after the repair. *)
+let test_blanked_link_page_then_churn () =
+  let db = build_employee S_inplace in
+  let store = (Db.engine db).Engine.store in
+  let link_bindings, _ = Store.bindings store in
+  let check_link_files () =
+    List.iter (fun (id, _) -> Heap_file.check (Store.link_file store id)) link_bindings
+  in
+  let oids set =
+    let acc = ref [] in
+    Db.scan db ~set (fun oid _ -> acc := oid :: !acc);
+    Array.of_list (List.rev !acc)
+  in
+  let depts = oids "Dept" in
+  let churn round =
+    let emps = oids "Emp1" in
+    Array.iteri
+      (fun i emp ->
+        if i mod 2 = round then begin
+          Db.delete db ~set:"Emp1" emp;
+          ignore
+            (Db.insert db ~set:"Emp1"
+               [
+                 Value.VString (Printf.sprintf "new-%d-%d" round i);
+                 Value.VInt 30;
+                 Value.VInt 50_000;
+                 Value.VRef depts.(((i * 7) + round) mod Array.length depts);
+               ])
+        end)
+      emps;
+    check_link_files ();
+    Db.check_integrity db;
+    checki "Emp1 size" (Array.length emps) (Db.set_size db "Emp1")
+  in
+  churn 0;
+  Pager.run_cold (Db.pager db) (fun () -> ());
+  let disk = Pager.disk (Db.pager db) in
+  List.iter
+    (fun fid ->
+      for page = 0 to Disk.page_count disk fid - 1 do
+        Disk.corrupt_page disk ~file:fid ~page [ 17 ]
+      done)
+    (List.sort_uniq compare (List.map snd link_bindings));
+  scrub_and_verify db (snapshot db);
+  check_link_files ();
+  churn 1
+
 let test_matrix_sprime_page () =
   let db = build_employee S_separate in
   let expected = snapshot db in
@@ -633,7 +684,11 @@ let () =
                     `Quick (test_divergence corrupt strat))
                 strats)
             divergences
-        @ [ Alcotest.test_case "separate: S' page rot" `Quick test_matrix_sprime_page ]
+        @ [
+            Alcotest.test_case "separate: S' page rot" `Quick test_matrix_sprime_page;
+            Alcotest.test_case "in-place: blanked link page, then churn" `Quick
+              test_blanked_link_page_then_churn;
+          ]
       );
       ( "unrepairable",
         [

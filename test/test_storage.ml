@@ -62,10 +62,16 @@ let fresh_page ?(size = 512) () =
 
 let payload n c = Bytes.make n c
 
+(* [Page.insert] that must find room. *)
+let insert page data =
+  let slot = Page.insert page data in
+  if slot < 0 then Alcotest.fail "no room on the page";
+  slot
+
 let test_page_insert_read () =
   let page = fresh_page () in
-  let s1 = Option.get (Page.insert page (payload 10 'a')) in
-  let s2 = Option.get (Page.insert page (payload 20 'b')) in
+  let s1 = insert page (payload 10 'a') in
+  let s2 = insert page (payload 20 'b') in
   checki "distinct slots" 1 (s2 - s1);
   Alcotest.(check bytes) "read back a" (payload 10 'a') (Page.read page s1);
   Alcotest.(check bytes) "read back b" (payload 20 'b') (Page.read page s2);
@@ -73,13 +79,13 @@ let test_page_insert_read () =
 
 let test_page_delete_and_reuse () =
   let page = fresh_page () in
-  let s1 = Option.get (Page.insert page (payload 10 'a')) in
-  let _s2 = Option.get (Page.insert page (payload 10 'b')) in
+  let s1 = insert page (payload 10 'a') in
+  let _s2 = insert page (payload 10 'b') in
   Page.delete page s1;
   checkb "dead" false (Page.is_live page s1);
   checki "live" 1 (Page.live_count page);
   (* The freed directory entry is reused. *)
-  let s3 = Option.get (Page.insert page (payload 5 'c')) in
+  let s3 = insert page (payload 5 'c') in
   checki "slot reused" s1 s3
 
 let test_page_fill_to_capacity () =
@@ -88,8 +94,8 @@ let test_page_fill_to_capacity () =
   (try
      while true do
        match Page.insert page (payload 16 'x') with
-       | Some _ -> incr inserted
-       | None -> raise Exit
+       | -1 -> raise Exit
+       | _ -> incr inserted
      done
    with Exit -> ());
   (* 256 - 4 header; each record costs 16 + 4 directory = 20. *)
@@ -98,16 +104,16 @@ let test_page_fill_to_capacity () =
 
 let test_page_compaction_recovers_space () =
   let page = fresh_page ~size:256 () in
-  let slots = List.init 12 (fun _ -> Option.get (Page.insert page (payload 16 'x'))) in
+  let slots = List.init 12 (fun _ -> insert page (payload 16 'x')) in
   (* Free alternating slots, then a 32-byte record must fit via compaction. *)
   List.iteri (fun i s -> if i mod 2 = 0 then Page.delete page s) slots;
   (match Page.insert page (payload 32 'y') with
-  | Some s -> Alcotest.(check bytes) "read" (payload 32 'y') (Page.read page s)
-  | None -> Alcotest.fail "compaction failed to recover space")
+  | -1 -> Alcotest.fail "compaction failed to recover space"
+  | s -> Alcotest.(check bytes) "read" (payload 32 'y') (Page.read page s))
 
 let test_page_write_in_place_and_grow () =
   let page = fresh_page () in
-  let s = Option.get (Page.insert page (payload 50 'a')) in
+  let s = insert page (payload 50 'a') in
   checkb "shrink" true (Page.write page s (payload 10 'b'));
   Alcotest.(check bytes) "shrunk" (payload 10 'b') (Page.read page s);
   checkb "grow" true (Page.write page s (payload 100 'c'));
@@ -115,22 +121,48 @@ let test_page_write_in_place_and_grow () =
 
 let test_page_write_too_big_fails_cleanly () =
   let page = fresh_page ~size:128 () in
-  let s = Option.get (Page.insert page (payload 40 'a')) in
+  let s = insert page (payload 40 'a') in
   checkb "rejected" false (Page.write page s (payload 1000 'b'));
   Alcotest.(check bytes) "old intact" (payload 40 'a') (Page.read page s)
 
 let test_page_iter_order () =
   let page = fresh_page () in
-  let s0 = Option.get (Page.insert page (payload 4 '0')) in
-  let s1 = Option.get (Page.insert page (payload 4 '1')) in
-  let s2 = Option.get (Page.insert page (payload 4 '2')) in
+  let s0 = insert page (payload 4 '0') in
+  let s1 = insert page (payload 4 '1') in
+  let s2 = insert page (payload 4 '2') in
   Page.delete page s1;
   let visited = Page.fold (fun acc s _ -> s :: acc) [] page in
   Alcotest.(check (list int)) "slot order" [ s0; s2 ] (List.rev visited)
 
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+let test_page_compact_allocation_free () =
+  let page = fresh_page ~size:4096 () in
+  (* Fill the page, then free every other record just placed. *)
+  let holes () =
+    let slots = ref [] in
+    while Page.fits page 60 do
+      slots := insert page (payload 60 'x') :: !slots
+    done;
+    List.iteri (fun i s -> if i mod 2 = 0 then Page.delete page s) !slots
+  in
+  holes ();
+  (* Warm-up: the domain's scratch copy grows to the page size. *)
+  Page.compact page;
+  checki "compact allocates nothing" 0 (minor_words (fun () -> Page.compact page));
+  holes ();
+  let big = payload 100 'y' in
+  let slot = ref (-1) in
+  checki "insert that compacts allocates nothing" 0
+    (minor_words (fun () -> slot := Page.insert page big));
+  Alcotest.(check bytes) "inserted" big (Page.read page !slot)
+
 let test_page_dead_slot_raises () =
   let page = fresh_page () in
-  let s = Option.get (Page.insert page (payload 4 'a')) in
+  let s = insert page (payload 4 'a') in
   Page.delete page s;
   (try
      ignore (Page.read page s);
@@ -569,6 +601,65 @@ let test_heap_dead_oid_raises () =
    with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* Space reuse                                                         *)
+
+(* A rolling window over [live] objects: each turnover deletes the oldest
+   object and inserts a new one, [live] times; [after k] runs after
+   turnover [k]. *)
+let rolling_window hf ~live ~turnovers after =
+  let payload i = Bytes.make (20 + (i * 37 mod 41)) (Char.chr (65 + (i mod 26))) in
+  let window = Queue.create () in
+  for i = 0 to live - 1 do
+    Queue.push (Heap_file.insert hf (payload i)) window
+  done;
+  for k = 1 to turnovers do
+    for j = 0 to live - 1 do
+      Heap_file.delete hf (Queue.pop window);
+      Queue.push (Heap_file.insert hf (payload ((k * live) + j))) window
+    done;
+    after k
+  done
+
+let test_heap_churn_plateau () =
+  let pager = mk_pager ~page_size:512 ~frames:64 () in
+  let hf = Heap_file.create ~reserve:48 pager in
+  let plateau = ref 0 in
+  rolling_window hf ~live:80 ~turnovers:10 (fun k ->
+      Heap_file.check hf;
+      if k = 2 then plateau := Heap_file.page_count hf);
+  checki "pages after turnover 10 = after turnover 2" !plateau (Heap_file.page_count hf);
+  checki "live objects" 80 (Heap_file.object_count hf);
+  (* A reopened handle rebuilds the same map from the pages. *)
+  Heap_file.check (Heap_file.attach ~reserve:48 pager ~file:(Heap_file.file_id hf))
+
+(* A delete-free load reuses nothing: OIDs ascend and the pages are the
+   ones plain appending lays down, pinned by digest. *)
+let test_heap_bulk_layout_pinned () =
+  let pager = mk_pager ~page_size:512 ~frames:8 () in
+  let hf = Heap_file.create ~reserve:32 pager in
+  let rng = Splitmix.create 42 in
+  let oids =
+    List.init 300 (fun i ->
+        let len = 1 + Splitmix.int rng (if i mod 50 = 7 then 1500 else 120) in
+        Heap_file.insert hf (Bytes.make len (Char.chr (i mod 256))))
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> Oid.compare a b < 0 && ascending rest
+    | [ _ ] | [] -> true
+  in
+  checkb "OIDs ascend" true (ascending oids);
+  Pager.flush pager;
+  let disk = Pager.disk pager in
+  let pages = Buffer.create 65536 in
+  for page = 0 to Heap_file.page_count hf - 1 do
+    Buffer.add_bytes pages (Disk.dump_page disk ~file:(Heap_file.file_id hf) ~page)
+  done;
+  checki "pages" 61 (Heap_file.page_count hf);
+  Alcotest.(check string)
+    "page digest" "f7967697e98d35c3e2f8bf72f488b187"
+    (Digest.to_hex (Digest.string (Buffer.contents pages)))
+
+(* ------------------------------------------------------------------ *)
 (* run_cold                                                            *)
 
 let test_run_cold_measures_distinct_pages () =
@@ -915,7 +1006,59 @@ let qcheck_tests =
           (fun (oid, payload) ->
             if not (Bytes.equal (Heap_file.read hf oid) payload) then ok := false)
           !live;
+        Heap_file.check hf;
         !ok && Heap_file.object_count hf = List.length !live);
+    Test.make ~name:"page compact keeps slots, bytes and free space" ~count:200
+      (list_of_size Gen.(1 -- 80) (triple (int_range 0 3) (int_range 1 90) small_nat))
+      (fun ops ->
+        (* Model: slot -> bytes of every live record. *)
+        let page = Bytes.create 512 in
+        Page.init page;
+        let model = Hashtbl.create 16 in
+        let stamp = ref 0 in
+        let data size =
+          incr stamp;
+          Bytes.make size (Char.chr (!stamp mod 256))
+        in
+        let pick n =
+          match List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) model []) with
+          | [] -> None
+          | live -> Some (List.nth live (n mod List.length live))
+        in
+        let agrees () =
+          Page.live_count page = Hashtbl.length model
+          && Hashtbl.fold
+               (fun s d acc -> acc && Page.is_live page s && Bytes.equal (Page.read page s) d)
+               model true
+        in
+        List.for_all
+          (fun (op, size, n) ->
+            match op with
+            | 0 ->
+                let d = data size in
+                (match Page.insert page d with
+                | -1 -> ()
+                | s -> Hashtbl.replace model s d);
+                agrees ()
+            | 1 ->
+                Option.iter
+                  (fun s ->
+                    Page.delete page s;
+                    Hashtbl.remove model s)
+                  (pick n);
+                agrees ()
+            | 2 ->
+                Option.iter
+                  (fun s ->
+                    let d = data size in
+                    if Page.write page s d then Hashtbl.replace model s d)
+                  (pick n);
+                agrees ()
+            | _ ->
+                let free = Page.free_space page in
+                Page.compact page;
+                agrees () && Page.free_space page = free)
+          ops);
     Test.make ~name:"page never corrupts neighbours" ~count:100
       (list_of_size Gen.(1 -- 40) (int_range 1 60))
       (fun sizes ->
@@ -926,8 +1069,8 @@ let qcheck_tests =
           (fun i size ->
             let data = Bytes.make size (Char.chr (i mod 256)) in
             match Page.insert page data with
-            | Some slot -> Hashtbl.replace stored slot data
-            | None -> ())
+            | -1 -> ()
+            | slot -> Hashtbl.replace stored slot data)
           sizes;
         Hashtbl.fold
           (fun slot data acc -> acc && Bytes.equal (Page.read page slot) data)
@@ -954,6 +1097,8 @@ let () =
           Alcotest.test_case "oversized write rejected" `Quick test_page_write_too_big_fails_cleanly;
           Alcotest.test_case "iter order" `Quick test_page_iter_order;
           Alcotest.test_case "dead slot raises" `Quick test_page_dead_slot_raises;
+          Alcotest.test_case "compact allocates nothing" `Quick
+            test_page_compact_allocation_free;
         ] );
       ( "disk",
         [
@@ -999,6 +1144,8 @@ let () =
           Alcotest.test_case "delete then scan" `Quick test_heap_delete_then_scan;
           Alcotest.test_case "attach recovers" `Quick test_heap_attach_recovers;
           Alcotest.test_case "dead oid raises" `Quick test_heap_dead_oid_raises;
+          Alcotest.test_case "churn plateaus" `Quick test_heap_churn_plateau;
+          Alcotest.test_case "bulk layout pinned" `Quick test_heap_bulk_layout_pinned;
         ] );
       ( "cold runs",
         [ Alcotest.test_case "distinct pages counted once" `Quick test_run_cold_measures_distinct_pages ] );

@@ -582,6 +582,135 @@ let crash_matrix strategy () =
   Sys.remove img;
   if Sys.file_exists wal_k then Sys.remove wal_k
 
+(* Space reuse under crashes.  A rolling window over R deletes the oldest
+   object and inserts a new one.  One turnover runs before the checkpoint,
+   then the oldest half of the window is deleted, so the image holds pages
+   that qualify for reuse; after it, inserts refill the window and two
+   more turnovers run.  Inserts log no OID, so a recovery — which rebuilds
+   the free-space map from the image's pages and replays the log tail —
+   must pick the same pages and slots as the live database that kept its
+   map current write by write. *)
+let test_crash_space_reuse () =
+  let spec =
+    {
+      Gen.default_spec with
+      Gen.s_count = 30;
+      sharing = 2;
+      strategy = Params.Inplace;
+      page_size = 1024;
+      frames = 12;
+      seed = 31 + seed_base;
+      durable = true;
+    }
+  in
+  let db0 = (Gen.build spec).Gen.db in
+  let s_oids = oids_of db0 "S" in
+  let live = Db.set_size db0 "R" in
+  let rng = Splitmix.create (37 + seed_base) in
+  let target () = s_oids.(Splitmix.int rng (Array.length s_oids)) in
+  (* Each op deletes the oldest R object or inserts a new one, in one
+     autocommit log record. *)
+  let step db window ~insert i ~target =
+    if not insert then begin
+      Db.delete db ~set:"R" (Queue.pop window);
+      Oid.nil
+    end
+    else begin
+      let oid =
+        Db.insert db ~set:"R"
+          [ Value.VInt (300_000 + i); Value.VString (String.make 65 'w'); Value.VRef target ]
+      in
+      Queue.push oid window;
+      oid
+    end
+  in
+  let window0 = Queue.of_seq (Array.to_seq (oids_of db0 "R")) in
+  let half = live / 2 in
+  for i = 0 to (2 * live) + half - 1 do
+    let insert = i < 2 * live && i mod 2 = 1 in
+    ignore (step db0 window0 ~insert (i - (3 * live)) ~target:(target ()))
+  done;
+  let img = tmp "reuse" ".img" in
+  Db.checkpoint db0 img;
+  let base_lsn = Wal.last_lsn (Option.get (Db.wal db0)) in
+  let start = Array.of_seq (Queue.to_seq window0) in
+  let n_ops = half + (4 * live) in
+  let is_insert i = i < half || (i - half) mod 2 = 1 in
+  let targets = Array.init n_ops (fun _ -> target ()) in
+  let ref_oids = Array.make n_ops Oid.nil in
+  (* The window after the first [n] ops past the checkpoint. *)
+  let window_after n =
+    let w = Queue.of_seq (Array.to_seq start) in
+    for i = 0 to n - 1 do
+      if is_insert i then Queue.push ref_oids.(i) w else ignore (Queue.pop w)
+    done;
+    w
+  in
+  let run db ~from =
+    let window = window_after from in
+    for i = from to n_ops - 1 do
+      let insert = is_insert i in
+      let oid = step db window ~insert i ~target:targets.(i) in
+      if insert && not (Oid.equal oid ref_oids.(i)) then
+        Alcotest.failf "op %d inserted %s, the live database %s" i (Oid.to_string oid)
+          (Oid.to_string ref_oids.(i))
+    done
+  in
+  (* Reference: the live database carries on. *)
+  let window = window_after 0 in
+  for i = 0 to n_ops - 1 do
+    ref_oids.(i) <- step db0 window ~insert:(is_insert i) i ~target:targets.(i)
+  done;
+  let reference = observe db0 in
+  Db.check_integrity db0;
+  Wal.close (Option.get (Db.wal db0));
+  let reused = ref false and highest = ref (-1) in
+  Array.iteri
+    (fun i (oid : Oid.t) ->
+      if is_insert i then
+        if oid.Oid.page < !highest then reused := true else highest := oid.Oid.page)
+    ref_oids;
+  checkb "inserts land on freed pages" true !reused;
+  let wal_k = tmp "reuse" ".wal" in
+  let fresh_recover () =
+    if Sys.file_exists wal_k then Sys.remove wal_k;
+    Db.recover ~frames:spec.Gen.frames ~wal_path:wal_k img
+  in
+  (* An uncrashed recovery from the image allocates as the live run did. *)
+  let db = fresh_recover () in
+  let writes0 = (Db.stats db).Stats.page_writes in
+  run db ~from:0;
+  let total_writes = (Db.stats db).Stats.page_writes - writes0 in
+  checks "recovered run = live run" reference (observe db);
+  Wal.close (Option.get (Db.wal db));
+  let sorted oids = List.sort Oid.compare (List.of_seq oids) |> List.map Oid.to_string in
+  List.iter
+    (fun k ->
+      let db = fresh_recover () in
+      Disk.set_failpoint ~torn:(k mod 2 = 1) (Pager.disk (Db.pager db)) ~after_writes:(k - 1);
+      let crashed =
+        try
+          run db ~from:0;
+          false
+        with Disk.Crash _ -> true
+      in
+      checkb (Printf.sprintf "write %d/%d crashes" k total_writes) true crashed;
+      let w = Option.get (Db.wal db) in
+      let done_ops = Int64.to_int (Int64.sub (Wal.last_lsn w) base_lsn) in
+      Wal.close w;
+      let db2 = Db.recover ~frames:spec.Gen.frames ~wal_path:wal_k img in
+      Alcotest.(check (list string))
+        (Printf.sprintf "crash at write %d: replayed inserts have the live OIDs" k)
+        (sorted (Queue.to_seq (window_after done_ops)))
+        (sorted (Array.to_seq (oids_of db2 "R")));
+      run db2 ~from:done_ops;
+      checks (Printf.sprintf "crash at write %d: final state" k) reference (observe db2);
+      Db.check_integrity db2;
+      Wal.close (Option.get (Db.wal db2)))
+    (List.sort_uniq compare (List.init 8 (fun j -> 1 + ((j + 1) * (total_writes - 1) / 9))));
+  Sys.remove img;
+  if Sys.file_exists wal_k then Sys.remove wal_k
+
 let () =
   Alcotest.run "fieldrep_wal"
     [
@@ -624,5 +753,6 @@ let () =
             (crash_matrix Params.No_replication);
           Alcotest.test_case "in-place" `Slow (crash_matrix Params.Inplace);
           Alcotest.test_case "separate" `Slow (crash_matrix Params.Separate);
+          Alcotest.test_case "space reuse" `Slow test_crash_space_reuse;
         ] );
     ]

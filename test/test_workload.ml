@@ -7,6 +7,8 @@
 module Db = Fieldrep.Db
 module Oid = Fieldrep_storage.Oid
 module Heap_file = Fieldrep_storage.Heap_file
+module Pager = Fieldrep_storage.Pager
+module Disk = Fieldrep_storage.Disk
 module Value = Fieldrep_model.Value
 module Schema = Fieldrep_model.Schema
 module Params = Fieldrep_costmodel.Params
@@ -188,6 +190,44 @@ let test_measured_strategy_ordering () =
     (none.Mix.avg_update_io < separate.Mix.avg_update_io
     && separate.Mix.avg_update_io < inplace.Mix.avg_update_io)
 
+(* A build has no deletes, so no page qualifies for reuse and every file —
+   data sets, indexes, link and S' files — is laid down exactly as plain
+   appending lays it (the layouts the cost-model validation measures).
+   Pinned by a digest of every page. *)
+let test_gen_layout_pinned () =
+  List.iter
+    (fun (strategy, pages, digest) ->
+      let db =
+        (Gen.build
+           {
+             Gen.default_spec with
+             Gen.s_count = 200;
+             sharing = 3;
+             strategy;
+             page_size = 1024;
+             frames = 64;
+             seed = 3;
+           })
+          .Gen.db
+      in
+      let pager = Db.pager db in
+      Pager.flush pager;
+      let disk = Pager.disk pager in
+      let b = Buffer.create 65536 in
+      List.iter
+        (fun id ->
+          for page = 0 to Disk.page_count disk id - 1 do
+            Buffer.add_bytes b (Disk.dump_page disk ~file:id ~page)
+          done)
+        (List.sort compare (Disk.file_ids disk));
+      checki "pages" pages (Disk.total_pages disk);
+      Alcotest.(check string) "page digest" digest (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (Params.No_replication, 126, "3acbf471f1fcabe1027a75310f9184c0");
+      (Params.Inplace, 163, "15f7fa153f84ffe04b9f37e30c241389");
+      (Params.Separate, 156, "b5741a7101ab67e09f1eeba6afdc222e");
+    ]
+
 let () =
   Alcotest.run "fieldrep_workload"
     [
@@ -199,6 +239,7 @@ let () =
           Alcotest.test_case "clustered physical order" `Quick test_gen_clustered_physical_order;
           Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "no fragmentation" `Quick test_gen_no_fragmentation_after_replication;
+          Alcotest.test_case "layout pinned" `Quick test_gen_layout_pinned;
           Alcotest.test_case "replication consistent" `Quick test_gen_replication_consistent;
           Alcotest.test_case "employee db" `Quick test_employee_db;
         ] );

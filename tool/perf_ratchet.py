@@ -11,10 +11,11 @@ workload, as CI's benchmark smoke step does:
         > perfbench-W.out
 
 The last line of each perfbench-W.out is the result object.  The check
-fails if a workload's pages_per_op moved by more than 0.5% either way, or
-its words_per_op rose by more than 5%.  Both are counts, not timings: at a
-fixed seed and length they repeat exactly on one machine.  A change that
-improves a number rewrites the baseline with --update in the same commit.
+fails if a workload's pages_per_op, attempts_per_commit or space_amp moved
+by more than 0.5% either way, or its words_per_op rose by more than 5%.
+All four are counts, not timings: at a fixed seed and length they repeat
+exactly on one machine.  A change that improves a number rewrites the
+baseline with --update in the same commit.
 """
 
 import argparse
@@ -24,7 +25,12 @@ import sys
 
 SETTINGS = {"seed": 1, "seconds": 3, "trace": 0}
 # metric -> (largest allowed relative change, whether a fall also fails)
-BOUNDS = {"pages_per_op": (0.005, True), "words_per_op": (0.05, False)}
+BOUNDS = {
+    "pages_per_op": (0.005, True),
+    "attempts_per_commit": (0.005, True),
+    "space_amp": (0.005, True),
+    "words_per_op": (0.05, False),
+}
 
 
 def result(directory, workload):
@@ -68,7 +74,7 @@ def main():
             old, new = base[metric], fresh[workload][metric]
             change = (new - old) / old if old else 0.0
             bad = abs(change) > bound if two_sided else change > bound
-            print("%-10s %-13s %14.4f -> %14.4f  %+7.2f%%%s"
+            print("%-10s %-19s %14.4f -> %14.4f  %+7.2f%%%s"
                   % (workload, metric, old, new, 100 * change,
                      "  FAIL" if bad else ""))
             if bad:
