@@ -92,18 +92,11 @@ let active_txn_count t = Hashtbl.length t.active
    page.  If the operation then fails validation (no crash, an ordinary
    exception), the record is rescinded with an abort marker so recovery
    will not redo it.  A [Disk.Crash] rescinds nothing: the record survives
-   and replay *completes* the half-applied operation. *)
-(* Begin records are logged lazily, just before the transaction's first
-   logged record, so read-only transactions leave no trace in the log. *)
-let ensure_begin t tx =
-  if not (Txn.begun tx) then begin
-    Txn.mark_begun tx;
-    match t.wal with
-    | Some w when not t.replaying -> ignore (Wal.append w (Wal.Txn_begin (Txn.id tx)))
-    | _ -> ()
-  end
-
-let log_mutation ?txn t record f =
+   and replay *completes* the half-applied operation.  A transactional
+   record carries the object's first-touch image [before] (see
+   [first_touch]); the first one marks the transaction begun, so read-only
+   transactions leave no trace in the log. *)
+let log_mutation ?txn ?before t record f =
   match t.wal with
   | None -> f ()
   | Some _ when t.replaying -> f ()
@@ -111,8 +104,8 @@ let log_mutation ?txn t record f =
       let record, buffered =
         match txn with
         | Some tx when not t.compensating ->
-            ensure_begin t tx;
-            (Wal.Txn_op { txn = Txn.id tx; op = record }, true)
+            Txn.mark_begun tx;
+            (Wal.Txn_op { txn = Txn.id tx; op = record; before }, true)
         | _ -> (record, t.compensating)
       in
       let lsn = Wal.append w record in
@@ -596,33 +589,24 @@ let with_charge t txn f =
           r)
   | _ -> f ()
 
-(* Capture the object's before-image ([None]: the object is being
-   created) the first time this transaction touches it, and log it ahead
-   of the operation's redo record so crash recovery can roll the
-   transaction back from the log alone. *)
-let capture_undo t txn ~set oid before =
+(* The object's user values if this is the transaction's first touch of
+   it: the before-image its redo record carries, so crash recovery can roll
+   the transaction back from the log alone. *)
+let first_touch t txn ~set oid record =
   match txn with
-  | None -> ()
+  | Some tx when not (t.compensating || t.replaying || Txn.touched tx ~set oid) ->
+      Some (List.init (Ty.arity (Schema.set_type t.schema set)) (value_at record))
+  | Some _ | None -> None
+
+(* Record the touch in memory once the operation has succeeded.  Not
+   before: a failed operation's record is rescinded together with the image
+   it carried, so the object's next touch must log the image again. *)
+let note_touch txn ~set oid ~present values =
+  match txn with
   | Some tx ->
-      if (not (t.compensating || t.replaying)) && not (Txn.touched tx ~set oid)
-      then begin
-        let present = Option.is_some before in
-        let values =
-          match before with
-          | None -> []
-          | Some record ->
-              List.init (Ty.arity (Schema.set_type t.schema set)) (value_at record)
-        in
-        ensure_begin t tx;
-        (match t.wal with
-        | Some w ->
-            ignore
-              (Wal.append w
-                 (Wal.Undo_image { txn = Txn.id tx; set; oid; present; values }))
-        | None -> ());
-        Txn.record_touch tx ~set oid
-          { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values }
-      end
+      Txn.record_touch tx ~set oid
+        { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values }
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
@@ -661,7 +645,7 @@ let insert ?txn t ~set values =
       in
       locking t txn (fun tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X);
       (* first touch is the creation itself: undo deletes the object *)
-      capture_undo t txn ~set oid None;
+      note_touch txn ~set oid ~present:false [];
       oid)
 
 (* Re-create an object in its original slot: the second half of undoing a
@@ -696,11 +680,14 @@ let delete_impl ?txn ~pin t ~set oid =
       let record = Record.decode (Heap_file.read hf oid) in
       let walk = Engine.prepare_detach t.engine ~set record in
       locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
-      capture_undo t txn ~set oid (Some record);
-      log_mutation ?txn t (Wal.Delete { set; oid }) (fun () ->
+      let before = first_touch t txn ~set oid record in
+      log_mutation ?txn ?before t (Wal.Delete { set; oid }) (fun () ->
           Engine.on_delete t.engine walk oid;
           List.iter (fun rt -> index_remove rt oid record) (indexes_of_set t set);
           if pin then Heap_file.delete_pinned hf oid else Heap_file.delete hf oid);
+      (match before with
+      | Some values -> note_touch txn ~set oid ~present:true values
+      | None -> ());
       match txn with
       | Some tx when pin -> Txn.add_tombstone tx ~set oid
       | Some _ | None -> ())
@@ -765,8 +752,8 @@ let update_field ?txn t ~set oid ~field value =
   in
   let old_value = value_at before idx in
   if not (Value.equal old_value value) then begin
-    capture_undo t txn ~set oid (Some before);
-    log_mutation ?txn t (Wal.Update { set; oid; field; value }) (fun () ->
+    let image = first_touch t txn ~set oid before in
+    log_mutation ?txn ?before:image t (Wal.Update { set; oid; field; value }) (fun () ->
         let after = Record.set_field before idx value in
         Heap_file.update hf oid (Record.encode after);
         (* User-field indexes first, then replication propagation (which may
@@ -778,7 +765,10 @@ let update_field ?txn t ~set oid ~field value =
         | `Scalar fanout ->
             Option.iter (fun f -> Engine.on_scalar_update t.engine f ~field value) fanout
         | `Ref ->
-            Engine.on_ref_update t.engine ~set oid ~field ~old_value ~new_value:value)
+            Engine.on_ref_update t.engine ~set oid ~field ~old_value ~new_value:value);
+    match image with
+    | Some values -> note_touch txn ~set oid ~present:true values
+    | None -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1618,56 +1608,79 @@ let checkpoint t path =
   no_active_txns t "Db.checkpoint";
   save t path
 
+(* Redo one logged record through the normal entry points; an insert
+   returns the OID it produced.  A transactional delete leaves its slot
+   pinned until the transaction's marker, as the original run did. *)
+let rec redo t record =
+  match record with
+  | Wal.Define_type ty ->
+      define_type t ty;
+      None
+  | Wal.Create_set { name; elem_type; reserve } ->
+      create_set t ~reserve ~name ~elem_type ();
+      None
+  | Wal.Insert { set; values } -> Some (insert t ~set values)
+  | Wal.Update { set; oid; field; value } ->
+      update_field t ~set oid ~field value;
+      None
+  | Wal.Delete { set; oid } ->
+      delete_impl ~pin:false t ~set oid;
+      None
+  | Wal.Txn_op { op = Wal.Delete { set; oid }; _ } ->
+      delete_impl ~pin:true t ~set oid;
+      None
+  | Wal.Txn_op { op; _ } -> redo t op
+  | Wal.Insert_at { set; oid; values } ->
+      insert_at_impl t ~set oid values;
+      None
+  | Wal.Replicate { path; strategy; options } ->
+      replicate t ~options ~strategy (Path.parse path);
+      None
+  | Wal.Build_index { name; set; field; clustered } ->
+      build_index t ~name ~set ~field ~clustered;
+      None
+  | Wal.Scrub_repair { rep_id; source } ->
+      (* Re-run the logged repair.  The record carries the replication and
+         the source (or membership-target) object; if the object no longer
+         exists at this point in the log, or the repair was a membership
+         rebuild whose "source" lives in another set, refreshing is either
+         impossible or a no-op — skip silently, replay continues to a
+         consistent state either way. *)
+      (match
+         List.find_opt
+           (fun (r : Schema.replication) -> r.Schema.rep_id = rep_id)
+           (Schema.replications t.schema)
+       with
+      | None -> ()
+      | Some rep ->
+          let set = rep.Schema.rpath.Path.source_set in
+          if Hashtbl.mem t.sets set && Heap_file.exists (set_file t set) source
+          then Engine.refresh t.engine rep source);
+      None
+  | Wal.Replicate_online { path; strategy; options } ->
+      start_backfill t ~options ~strategy (Path.parse path);
+      None
+  | Wal.Unreplicate { path } ->
+      (match Schema.find_replication t.schema (Path.parse path) with
+      | None -> ()
+      | Some rep -> start_teardown t rep);
+      None
+  | Wal.Maint_step { job; upto } ->
+      Maint.advance_to t.maint ~job ~upto;
+      None
+  | Wal.Maint_done { job } ->
+      Maint.finish t.maint ~job;
+      None
+  | Wal.Epoch_change { epoch } ->
+      if epoch > t.epoch then t.epoch <- epoch;
+      None
+  | Wal.Abort _ | Wal.Txn_commit _ | Wal.Txn_abort _ ->
+      invalid_arg "Db.redo: a marker record has no operation to redo"
+
 let recovery_applier t =
   {
-    Recovery.define_type = (fun ty -> define_type t ty);
-    create_set =
-      (fun ~name ~elem_type ~reserve -> create_set t ~reserve ~name ~elem_type ());
-    insert = (fun ~set values -> insert t ~set values);
-    update = (fun ~set ~oid ~field value -> update_field t ~set oid ~field value);
-    delete = (fun ~set ~oid -> delete_impl ~pin:false t ~set oid);
-    delete_pinned = (fun ~set ~oid -> delete_impl ~pin:true t ~set oid);
-    insert_at = (fun ~set ~oid values -> insert_at_impl t ~set oid values);
-    free_tombstone =
-      (fun ~set ~oid ->
-        let hf = set_file t set in
-        if Heap_file.is_tombstone hf oid then Heap_file.free_tombstone hf oid);
-    replicate =
-      (fun ~strategy ~options ~path ->
-        replicate t ~options ~strategy (Path.parse path));
-    build_index =
-      (fun ~name ~set ~field ~clustered -> build_index t ~name ~set ~field ~clustered);
-    scrub_repair =
-      (fun ~rep_id ~source ->
-        (* Re-run the logged repair.  The record carries the replication and
-           the source (or membership-target) object; if the object no longer
-           exists at this point in the log, or the repair was a membership
-           rebuild whose "source" lives in another set, refreshing is either
-           impossible or a no-op — skip silently, replay continues to a
-           consistent state either way. *)
-        match
-          List.find_opt
-            (fun (r : Schema.replication) -> r.Schema.rep_id = rep_id)
-            (Schema.replications t.schema)
-        with
-        | None -> ()
-        | Some rep ->
-            let set = rep.Schema.rpath.Path.source_set in
-            if
-              Hashtbl.mem t.sets set
-              && Heap_file.exists (set_file t set) source
-            then Engine.refresh t.engine rep source);
-    replicate_online =
-      (fun ~strategy ~options ~path ->
-        start_backfill t ~options ~strategy (Path.parse path));
-    unreplicate =
-      (fun ~path ->
-        match Schema.find_replication t.schema (Path.parse path) with
-        | None -> ()
-        | Some rep -> start_teardown t rep);
-    maint_step = (fun ~job ~upto -> Maint.advance_to t.maint ~job ~upto);
-    maint_done = (fun ~job -> Maint.finish t.maint ~job);
-    epoch_change = (fun ~epoch -> if epoch > t.epoch then t.epoch <- epoch);
+    Recovery.redo = redo t;
+    free_tombstone = (fun ~set ~oid -> free_txn_tombstones t [ (set, oid) ]);
   }
 
 let recover ?frames ?wal_path ?backend path =
@@ -1693,7 +1706,8 @@ let recover ?frames ?wal_path ?backend path =
   in
   (* Roll back the losers: transactions live at the crash.  Replay left
      their operations applied and their delete slots tombstoned; undo them
-     from the logged before-images, newest first.  The compensations are
+     newest first from the images their records carried (an insert's entry
+     deletes the OID its redo produced).  The compensations are
      logged as plain records plus a final [Txn_abort] marker, so a second
      crash during (or after) rollback recovers to the same state. *)
   List.iter
@@ -1702,19 +1716,6 @@ let recover ?frames ?wal_path ?backend path =
       Fun.protect
         ~finally:(fun () -> t.compensating <- false)
         (fun () ->
-          (* An insert whose before-image never made the log (the crash cut
-             between the two records) is necessarily the newest operation:
-             undo it first. *)
-          List.iter
-            (fun (set, oid) ->
-              if
-                (not
-                   (List.exists
-                      (fun (s, o, _, _) -> s = set && Oid.equal o oid)
-                      l.Recovery.l_images))
-                && Heap_file.exists (set_file t set) oid
-              then delete t ~set oid)
-            l.Recovery.l_inserts;
           List.iter
             (fun (set, oid, present, values) ->
               restore_image t

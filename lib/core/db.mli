@@ -112,9 +112,11 @@ val wal : t -> Fieldrep_wal.Wal.t option
     concurrent transactions is unprotected by locks. *)
 
 val begin_txn : t -> txn
-(** Start a transaction.  Its [Txn_begin] log record is written lazily,
-    before the transaction's first logged operation, so read-only
-    transactions leave no trace in the log. *)
+(** Start a transaction.  Nothing is logged until its first mutation: each
+    operation appends one [Txn_op] record that carries the object's
+    before-image at first touch, and only a transaction that logged one
+    gets a commit/abort marker, so read-only transactions leave no trace
+    in the log. *)
 
 val commit : t -> txn -> unit
 (** Release the transaction's delete slots for reuse, append the

@@ -112,8 +112,6 @@ let create_set t ~name ~elem_type =
   t.set_order <- name :: t.set_order;
   bump t
 
-let set_exists t name = Hashtbl.mem t.set_table name
-
 let set_type t name =
   match Hashtbl.find_opt t.set_table name with
   | Some elem -> find_type t elem

@@ -104,8 +104,6 @@ val create_set : t -> name:string -> elem_type:string -> unit
 (** Validates that the element type and the targets of all its reference
     attributes are defined.  Raises [Invalid_argument] / [Not_found]. *)
 
-val set_exists : t -> string -> bool
-
 val set_type : t -> string -> Ty.t
 (** Element type of a set.  Raises [Not_found]. *)
 

@@ -19,20 +19,3 @@ type replace = {
 
 let eq field v = { pfield = field; lo = Some v; hi = Some v }
 let between field lo hi = { pfield = field; lo = Some lo; hi = Some hi }
-
-let pp_predicate fmt p =
-  match (p.lo, p.hi) with
-  | Some a, Some b when Value.equal a b ->
-      Format.fprintf fmt "%s = %a" p.pfield Value.pp a
-  | Some a, Some b ->
-      Format.fprintf fmt "%s between %a and %a" p.pfield Value.pp a Value.pp b
-  | Some a, None -> Format.fprintf fmt "%s >= %a" p.pfield Value.pp a
-  | None, Some b -> Format.fprintf fmt "%s <= %a" p.pfield Value.pp b
-  | None, None -> Format.fprintf fmt "true"
-
-let pp_retrieve fmt q =
-  Format.fprintf fmt "retrieve (%s)"
-    (String.concat ", " (List.map (fun p -> q.from_set ^ "." ^ p) q.projections));
-  match q.where with
-  | Some p -> Format.fprintf fmt " where %a" pp_predicate p
-  | None -> ()

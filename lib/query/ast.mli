@@ -38,5 +38,3 @@ type replace = {
 
 val eq : string -> Value.t -> predicate
 val between : string -> Value.t -> Value.t -> predicate
-val pp_predicate : Format.formatter -> predicate -> unit
-val pp_retrieve : Format.formatter -> retrieve -> unit

@@ -1242,8 +1242,6 @@ let flush_pending env =
 let flush_keys env keys =
   drain_keys env (List.filter (fun key -> Hashtbl.mem env.pending key) keys)
 
-let space_pages env = Store.total_pages env.store
-
 (* ------------------------------------------------------------------ *)
 (* Reference-update lock scope                                         *)
 

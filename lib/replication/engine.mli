@@ -215,9 +215,6 @@ val sources_of : env -> Registry.node -> Oid.t -> Oid.t list
     through the node's inverted sub-path, in physical order.  Exposed for
     tests and the invariant checker. *)
 
-val space_pages : env -> int
-(** Pages consumed by link and S' files. *)
-
 (** {1 Reference-update lock scope}
 
     Reference updates restructure inverted paths, so they are not prepared

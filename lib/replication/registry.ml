@@ -33,7 +33,6 @@ type t = {
   root_tbl : (string, int list) Hashtbl.t;
   by_link : (int, link_kind) Hashtbl.t;
   by_rep : (int, int list) Hashtbl.t;  (* rep_id -> node chain *)
-  max_link : int;
 }
 
 (* Mutable builder mirror of [node]. *)
@@ -205,7 +204,7 @@ let compile schema =
         })
       !bnodes
   in
-  { node_arr; root_tbl = roots; by_link; by_rep; max_link = !next_link - 1 }
+  { node_arr; root_tbl = roots; by_link; by_rep }
 
 let node t id = t.node_arr.(id)
 let nodes t = Array.to_list t.node_arr
@@ -217,7 +216,6 @@ let roots t set =
 let children t n = List.map (fun id -> t.node_arr.(id)) n.children
 let parent t n = Option.map (fun id -> t.node_arr.(id)) n.parent
 let link_kind t id = Hashtbl.find_opt t.by_link id
-let max_link_id t = t.max_link
 
 let chain t (rep : Schema.replication) =
   match Hashtbl.find_opt t.by_rep rep.Schema.rep_id with

@@ -67,7 +67,6 @@ val roots : t -> string -> node list
 val children : t -> node -> node list
 val parent : t -> node -> node option
 val link_kind : t -> int -> link_kind option
-val max_link_id : t -> int
 
 val chain : t -> Fieldrep_model.Schema.replication -> node list
 (** The nodes of a path, level 1 first.  Raises [Not_found] for an unknown

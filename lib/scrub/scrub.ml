@@ -22,15 +22,6 @@ type report = {
   unrepairable : string list;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>scanned %d pages, %d checksum failure(s), %d repair(s), %d page(s) \
-     quarantined@,"
-    r.pages_scanned r.checksum_failures r.repairs
-    (List.length r.quarantined);
-  List.iter (fun s -> Format.fprintf ppf "unrepairable: %s@," s) r.unrepairable;
-  Format.fprintf ppf "@]"
-
 let max_read_attempts = 3
 
 type file_kind = Fdata of string | Flink of int list | Fsprime of int

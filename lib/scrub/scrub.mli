@@ -42,8 +42,6 @@ type report = {
           repair, e.g. corrupt source fields *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 (** {1 Incremental driving}
 
     The physical sweep is resumable so a background-maintenance job can

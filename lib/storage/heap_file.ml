@@ -381,22 +381,22 @@ let insert_at t (oid : Oid.t) payload =
    payload spills into continuation segments needs other pages anyway, so
    the caller falls back to {!read} / {!update} for it. *)
 
-(* Shared per-slot plumbing for the batch entry points: the page buffer is
-   already pinned by the caller. *)
+(* Per-slot plumbing for [modify_batch]: the page buffer is already
+   pinned. *)
 
 (* Where a live head sits on the pinned page. *)
-let batch_head t ~op buf ~page slot =
+let batch_head t buf ~page slot =
   if not (Page.is_live buf slot) then
     invalid_arg
       (Printf.sprintf "Heap_file: dead OID %s"
          (Oid.to_string { Oid.file = t.file; page; slot }));
   let off = Page.offset buf slot in
   if Wire.u8_at buf off <> kind_head then
-    invalid_arg (Printf.sprintf "Heap_file.%s: OID is not an object head" op);
+    invalid_arg "Heap_file.modify_batch: OID is not an object head";
   off
 
-let batch_payload t ~op buf ~page slot =
-  let off = batch_head t ~op buf ~page slot in
+let batch_payload t buf ~page slot =
+  let off = batch_head t buf ~page slot in
   if Oid.is_nil_at buf (off + 1) then begin
     Stats.bump (Pager.stats t.pager) Stats.Objects_read;
     Some (Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size))
@@ -406,8 +406,8 @@ let batch_payload t ~op buf ~page slot =
 (* Rewrite one slot in place if the payload still fits an unchained head;
    [true] means the caller must fall back to the general [update] (which may
    spill) after the pin is released. *)
-let batch_write_deferred t ~op buf ~page (slot, payload) =
-  let off = batch_head t ~op buf ~page slot in
+let batch_write_deferred t buf ~page (slot, payload) =
+  let off = batch_head t buf ~page slot in
   if not (Oid.is_nil_at buf (off + 1)) then true
   else begin
     let record =
@@ -421,25 +421,6 @@ let batch_write_deferred t ~op buf ~page (slot, payload) =
     else true
   end
 
-let read_batch t ~page slots =
-  Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-      List.map (batch_payload t ~op:"read_batch" buf ~page) slots)
-
-let update_batch t ~page entries =
-  (* In-place rewrites happen under one pin; entries that are chained or no
-     longer fit fall through to the general [update] (which may spill). *)
-  let deferred =
-    Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-        let deferred =
-          List.filter (batch_write_deferred t ~op:"update_batch" buf ~page) entries
-        in
-        note t page buf;
-        deferred)
-  in
-  List.iter
-    (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
-    deferred
-
 let modify_batch t ~page slots ~f =
   (* Read-modify-write under a single pin: the page is pinned once for both
      the head reads and the in-place rewrites, instead of once per phase.
@@ -448,11 +429,9 @@ let modify_batch t ~page slots ~f =
      write through this heap file. *)
   let deferred =
     Pager.with_pin t.pager ~file:t.file ~page ~dirty:true (fun buf ->
-        let payloads =
-          List.map (batch_payload t ~op:"modify_batch" buf ~page) slots
-        in
+        let payloads = List.map (batch_payload t buf ~page) slots in
         let deferred =
-          List.filter (batch_write_deferred t ~op:"modify_batch" buf ~page) (f payloads)
+          List.filter (batch_write_deferred t buf ~page) (f payloads)
         in
         note t page buf;
         deferred)

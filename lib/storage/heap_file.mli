@@ -88,29 +88,18 @@ val insert_at : t -> Oid.t -> Bytes.t -> unit
 
 val is_tombstone : t -> Oid.t -> bool
 
-val read_batch : t -> page:int -> int list -> Bytes.t option list
-(** [read_batch t ~page slots] reads the head record of every slot under a
-    {e single} page pin, in the given order.  An object whose payload spills
-    into continuation segments yields [None] — fetch it with {!read} — so a
-    [Some] payload cost exactly this one page access.  Raises
-    [Invalid_argument] on a dead slot or a non-head record. *)
-
-val update_batch : t -> page:int -> (int * Bytes.t) list -> unit
-(** [update_batch t ~page entries] rewrites [(slot, payload)] pairs under a
-    {e single} page pin.  Entries that are chained, or that no longer fit in
-    place, fall back to {!update} (which may spill) after the pin is
-    released.  Raises like {!read_batch}. *)
-
 val modify_batch :
   t -> page:int -> int list -> f:(Bytes.t option list -> (int * Bytes.t) list) -> unit
-(** [modify_batch t ~page slots ~f] is a {!read_batch} and an
-    {!update_batch} fused under a {e single} page pin: [f] receives the head
-    payloads of [slots] ([None] for chained objects, as in {!read_batch})
-    and returns the [(slot, payload)] rewrites to apply, which land in place
-    where they still fit and fall back to {!update} after the pin is
+(** [modify_batch t ~page slots ~f] reads the head record of every slot and
+    rewrites some of them under a {e single} page pin.  [f] receives the
+    head payloads of [slots], in the given order — [None] for an object
+    whose payload spills into continuation segments (fetch it with {!read}),
+    so a [Some] payload cost exactly this one page access — and returns the
+    [(slot, payload)] rewrites to apply, which land in place where they
+    still fit and fall back to {!update} (which may spill) after the pin is
     released otherwise.  [f] runs with the page pinned — it may read other
-    objects but must not write through this file.  Raises like
-    {!read_batch}. *)
+    objects but must not write through this file.  Raises
+    [Invalid_argument] on a dead slot or a non-head record. *)
 
 val iter : t -> (Oid.t -> Bytes.t -> unit) -> unit
 (** Physical order (page then slot), heads only.  The callback receives the

@@ -22,7 +22,7 @@ type t = {
       (* slots pinned by this txn's deletes, resolved at commit/abort *)
   mutable ops : int;
   mutable io : int;  (* physical page I/O charged to this txn *)
-  mutable begun : bool;  (* has a Txn_begin record been logged? *)
+  mutable begun : bool;  (* has a Txn_op record been logged? *)
   mutable snapshot : (int * int64) list;
       (* lazy-invalidation keys pending at begin: entries beyond this set
          are repair debt this transaction created *)

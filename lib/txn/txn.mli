@@ -41,9 +41,9 @@ val bump_ops : t -> unit
 val ops : t -> int
 
 val begun : t -> bool
-(** Has this transaction logged its [Txn_begin] record yet?  Begin records
-    are written lazily, on the first logged operation, so read-only
-    transactions leave no trace in the log. *)
+(** Has this transaction logged a [Txn_op] record yet?  Only then does it
+    need a commit/abort marker, so read-only transactions leave no trace
+    in the log. *)
 
 val mark_begun : t -> unit
 

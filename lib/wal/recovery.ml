@@ -2,44 +2,19 @@ module Oid = Fieldrep_storage.Oid
 module Value = Fieldrep_model.Value
 
 type applier = {
-  define_type : Fieldrep_model.Ty.t -> unit;
-  create_set : name:string -> elem_type:string -> reserve:int -> unit;
-  insert : set:string -> Value.t list -> Oid.t;
-  update : set:string -> oid:Oid.t -> field:string -> Value.t -> unit;
-  delete : set:string -> oid:Oid.t -> unit;
-  delete_pinned : set:string -> oid:Oid.t -> unit;
-  insert_at : set:string -> oid:Oid.t -> Value.t list -> unit;
+  redo : Wal.record -> Oid.t option;
   free_tombstone : set:string -> oid:Oid.t -> unit;
-  replicate :
-    strategy:Fieldrep_model.Schema.strategy ->
-    options:Fieldrep_model.Schema.rep_options ->
-    path:string ->
-    unit;
-  build_index :
-    name:string -> set:string -> field:string -> clustered:bool -> unit;
-  scrub_repair : rep_id:int -> source:Oid.t -> unit;
-  replicate_online :
-    strategy:Fieldrep_model.Schema.strategy ->
-    options:Fieldrep_model.Schema.rep_options ->
-    path:string ->
-    unit;
-  unreplicate : path:string -> unit;
-  maint_step : job:int -> upto:int -> unit;
-  maint_done : job:int -> unit;
-  epoch_change : epoch:int -> unit;
 }
 
 type loser = {
   l_txn : int;
   l_images : (string * Oid.t * bool * Value.t list) list;  (* newest first *)
-  l_inserts : (string * Oid.t) list;  (* newest first *)
   l_tombstones : (string * Oid.t) list;
 }
 
 (* Replay-time trace of one logged transaction. *)
 type trace = {
   mutable t_images : (string * Oid.t * bool * Value.t list) list;
-  mutable t_inserts : (string * Oid.t) list;
   mutable t_tombs : (string * Oid.t) list;
 }
 
@@ -61,34 +36,11 @@ let stream applier =
 let applied s = s.s_applied
 let pending_failure s = s.s_failed
 
-let apply_plain a = function
-  | Wal.Define_type ty -> a.define_type ty
-  | Wal.Create_set { name; elem_type; reserve } ->
-      a.create_set ~name ~elem_type ~reserve
-  | Wal.Insert { set; values } -> ignore (a.insert ~set values)
-  | Wal.Update { set; oid; field; value } -> a.update ~set ~oid ~field value
-  | Wal.Delete { set; oid } -> a.delete ~set ~oid
-  | Wal.Replicate { path; strategy; options } ->
-      a.replicate ~strategy ~options ~path
-  | Wal.Build_index { name; set; field; clustered } ->
-      a.build_index ~name ~set ~field ~clustered
-  | Wal.Scrub_repair { rep_id; source } -> a.scrub_repair ~rep_id ~source
-  | Wal.Replicate_online { path; strategy; options } ->
-      a.replicate_online ~strategy ~options ~path
-  | Wal.Unreplicate { path } -> a.unreplicate ~path
-  | Wal.Maint_step { job; upto } -> a.maint_step ~job ~upto
-  | Wal.Maint_done { job } -> a.maint_done ~job
-  | Wal.Epoch_change { epoch } -> a.epoch_change ~epoch
-  | Wal.Abort _ -> ()  (* handled in [feed]; belt and braces *)
-  | Wal.Txn_begin _ | Wal.Txn_commit _ | Wal.Txn_abort _ | Wal.Undo_image _
-  | Wal.Insert_at _ | Wal.Txn_op _ ->
-      invalid_arg "Recovery: transaction record outside replay"
-
 let trace s txn =
   match Hashtbl.find_opt s.s_txns txn with
   | Some t -> t
   | None ->
-      let t = { t_images = []; t_inserts = []; t_tombs = [] } in
+      let t = { t_images = []; t_tombs = [] } in
       Hashtbl.replace s.s_txns txn t;
       t
 
@@ -108,31 +60,28 @@ let resolve s txn =
       Hashtbl.remove s.s_txns txn
 
 let apply s record =
-  let a = s.s_applier in
   match record with
-  | Wal.Txn_begin txn -> ignore (trace s txn)
   | Wal.Txn_commit txn | Wal.Txn_abort txn -> resolve s txn
-  | Wal.Undo_image { txn; set; oid; present; values } ->
-      let t = trace s txn in
-      t.t_images <- (set, oid, present, values) :: t.t_images
-  | Wal.Insert_at { set; oid; values } ->
-      a.insert_at ~set ~oid values;
-      unpin s set oid;
-      s.s_applied <- s.s_applied + 1
-  | Wal.Txn_op { txn; op } -> (
-      let t = trace s txn in
+  | record -> (
+      let produced = s.s_applier.redo record in
       s.s_applied <- s.s_applied + 1;
-      match op with
-      | Wal.Insert { set; values } ->
-          let oid = a.insert ~set values in
-          t.t_inserts <- (set, oid) :: t.t_inserts
-      | Wal.Delete { set; oid } ->
-          a.delete_pinned ~set ~oid;
-          t.t_tombs <- (set, oid) :: t.t_tombs
-      | op -> apply_plain a op)
-  | record ->
-      apply_plain a record;
-      s.s_applied <- s.s_applied + 1
+      (* The undo half is recorded only once the redo succeeded: a failed
+         operation's record, image included, is rescinded by its [Abort]
+         marker. *)
+      match record with
+      | Wal.Insert_at { set; oid; values = _ } -> unpin s set oid
+      | Wal.Txn_op { txn; op; before } -> (
+          let t = trace s txn in
+          (match (op, before, produced) with
+          | Wal.Insert { set; values = _ }, _, Some oid ->
+              t.t_images <- (set, oid, false, []) :: t.t_images
+          | (Wal.Update { set; oid; _ } | Wal.Delete { set; oid }), Some values, _ ->
+              t.t_images <- (set, oid, true, values) :: t.t_images
+          | _ -> ());
+          match op with
+          | Wal.Delete { set; oid } -> t.t_tombs <- (set, oid) :: t.t_tombs
+          | _ -> ())
+      | _ -> ())
 
 let feed s lsn record =
   match (s.s_failed, record) with
@@ -169,7 +118,6 @@ let losers s =
       {
         l_txn = txn;
         l_images = t.t_images;
-        l_inserts = t.t_inserts;
         l_tombstones = t.t_tombs;
       }
       :: acc)

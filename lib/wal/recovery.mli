@@ -9,69 +9,34 @@
     Determinism of the storage layer (physical OIDs, file ids, page
     layout) makes the redo converge on the uncrashed state.
 
-    Transactions extend the picture in three ways:
+    Transactions extend the picture in two ways:
 
-    - [Txn_op]-tagged records redo like plain ones, but the tag lets the
-      replay reconstruct each transaction's footprint.  A tagged delete
-      redoes as [delete_pinned] (the slot stays tombstoned, exactly as it
-      was in the original run), and a [Txn_commit]/[Txn_abort] marker frees
-      the transaction's still-pinned tombstones — reproducing the original
-      timing of slot reuse, which OID determinism depends on.
-    - [Undo_image] records are redo no-ops; they are collected per
-      transaction.
-    - Transactions with a logged footprint but no commit/abort marker are
-      {e losers} — they were live at the crash.  Their images, replayed
-      insert OIDs and pending tombstones are returned so the caller can
-      roll them back (and append the compensations plus a [Txn_abort]
+    - A [Txn_op] record redoes its [op] like a plain record, but the tag
+      lets the replay reconstruct each transaction's footprint.  A tagged
+      delete redoes as a pinned delete (the slot stays tombstoned, exactly
+      as it was in the original run), and a [Txn_commit]/[Txn_abort]
+      marker frees the transaction's still-pinned tombstones — reproducing
+      the original timing of slot reuse, which OID determinism depends on.
+    - The record also carries the undo half: once its redo succeeds, a
+      [Txn_op] adds to its transaction's undo list the before-image it
+      carries (updates and deletes at first touch) or, for an insert, the
+      OID the redo produced.  Transactions with a logged footprint but no
+      commit/abort marker are {e losers} — they were live at the crash.
+      Their undo lists and pending tombstones are returned so the caller
+      can roll them back (and append the compensations plus a [Txn_abort]
       marker, making the rollback itself replayable).
 
-    This module is engine-agnostic: the caller (lib/core's [Db.recover])
-    provides an {!applier} of closures over its own DML entry points, which
-    keeps the dependency arrow pointing from core to wal. *)
+    This module is engine-agnostic: the caller (lib/core's [Db]) redoes
+    each record through its own DML entry points, which keeps the
+    dependency arrow pointing from core to wal. *)
 
 type applier = {
-  define_type : Fieldrep_model.Ty.t -> unit;
-  create_set : name:string -> elem_type:string -> reserve:int -> unit;
-  insert : set:string -> Fieldrep_model.Value.t list -> Fieldrep_storage.Oid.t;
-  update :
-    set:string ->
-    oid:Fieldrep_storage.Oid.t ->
-    field:string ->
-    Fieldrep_model.Value.t ->
-    unit;
-  delete : set:string -> oid:Fieldrep_storage.Oid.t -> unit;
-  delete_pinned : set:string -> oid:Fieldrep_storage.Oid.t -> unit;
-  insert_at :
-    set:string ->
-    oid:Fieldrep_storage.Oid.t ->
-    Fieldrep_model.Value.t list ->
-    unit;
+  redo : Wal.record -> Fieldrep_storage.Oid.t option;
+      (** run one record's operation through the engine (a [Txn_op]
+          delete as a pinned delete); an insert returns the OID it
+          produced.  Never called with a marker record. *)
   free_tombstone : set:string -> oid:Fieldrep_storage.Oid.t -> unit;
-  replicate :
-    strategy:Fieldrep_model.Schema.strategy ->
-    options:Fieldrep_model.Schema.rep_options ->
-    path:string ->
-    unit;
-  build_index :
-    name:string -> set:string -> field:string -> clustered:bool -> unit;
-  scrub_repair : rep_id:int -> source:Fieldrep_storage.Oid.t -> unit;
-  replicate_online :
-    strategy:Fieldrep_model.Schema.strategy ->
-    options:Fieldrep_model.Schema.rep_options ->
-    path:string ->
-    unit;
-      (** install the declaration in the [Building] state (no bulk build)
-          and enqueue its backfill job at cursor 0 *)
-  unreplicate : path:string -> unit;
-      (** flip the declaration to [Dropping] and enqueue its teardown job *)
-  maint_step : job:int -> upto:int -> unit;
-      (** re-run the logged quantum of the job's (idempotent) walk *)
-  maint_done : job:int -> unit;
-      (** complete the job: [Building] -> [Active] / [Dropping] ->
-          [Dropped] *)
-  epoch_change : epoch:int -> unit;
-      (** adopt the replication epoch a promotion stamped into the log
-          (raise-only; state is otherwise untouched) *)
+      (** release a slot pinned by a resolved transaction's delete *)
 }
 
 (** A transaction that was live at the crash: everything the caller needs
@@ -81,11 +46,8 @@ type loser = {
   l_images :
     (string * Fieldrep_storage.Oid.t * bool * Fieldrep_model.Value.t list)
     list;
-      (** logged before-images: (set, oid, existed-before, user values) *)
-  l_inserts : (string * Fieldrep_storage.Oid.t) list;
-      (** OIDs the transaction's replayed inserts produced — covers the
-          crash window where an insert ran but its image was not yet
-          logged *)
+      (** the undo list: (set, oid, existed-before, user values); an
+          insert's entry is (set, oid, [false], [[]]) *)
   l_tombstones : (string * Fieldrep_storage.Oid.t) list;
       (** slots still pinned by the transaction's deletes *)
 }
@@ -127,7 +89,7 @@ val feed : stream -> int64 -> Wal.record -> unit
     {!Diverged} on an irreconcilable stream (see above). *)
 
 val applied : stream -> int
-(** Operations applied so far (markers and undo images not counted). *)
+(** Operations applied so far (markers not counted). *)
 
 val pending_failure : stream -> (int64 * string) option
 (** The parked failed record, if the last fed record failed validation and

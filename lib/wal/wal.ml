@@ -24,18 +24,10 @@ type record =
       clustered : bool;
     }
   | Abort of int64
-  | Txn_begin of int
   | Txn_commit of int
   | Txn_abort of int
-  | Undo_image of {
-      txn : int;
-      set : string;
-      oid : Oid.t;
-      present : bool;
-      values : Value.t list;
-    }
   | Insert_at of { set : string; oid : Oid.t; values : Value.t list }
-  | Txn_op of { txn : int; op : record }
+  | Txn_op of { txn : int; op : record; before : Value.t list option }
   | Scrub_repair of { rep_id : int; source : Oid.t }
   | Replicate_online of {
       path : string;
@@ -47,7 +39,7 @@ type record =
   | Maint_done of { job : int }
   | Epoch_change of { epoch : int }
 
-let magic = "FREPWAL1"
+let magic = "FREPWAL2"
 
 (* ------------------------------------------------------------------ *)
 (* Record codec (body only; lsn and kind are framed by the caller)     *)
@@ -82,10 +74,8 @@ let kind_of = function
   | Replicate _ -> 5
   | Build_index _ -> 6
   | Abort _ -> 7
-  | Txn_begin _ -> 8
   | Txn_commit _ -> 9
   | Txn_abort _ -> 10
-  | Undo_image _ -> 11
   | Insert_at _ -> 12
   | Txn_op _ -> 13
   | Scrub_repair _ -> 14
@@ -94,6 +84,14 @@ let kind_of = function
   | Maint_step _ -> 17
   | Maint_done _ -> 18
   | Epoch_change _ -> 19
+
+(* A value list: [count:u16] then the values. *)
+let values_size values =
+  List.fold_left (fun acc v -> acc + Value.encoded_size v) 2 values
+
+let put_values buf off values =
+  let off = Wire.put_u16 buf off (List.length values) in
+  List.fold_left (fun off v -> Value.encode buf off v) off values
 
 let rec body_size = function
   | Define_type ty ->
@@ -104,9 +102,7 @@ let rec body_size = function
           0 ty.Ty.fields
   | Create_set { name; elem_type; reserve = _ } ->
       Wire.string_size name + Wire.string_size elem_type + 4
-  | Insert { set; values } ->
-      Wire.string_size set + 2
-      + List.fold_left (fun acc v -> acc + Value.encoded_size v) 0 values
+  | Insert { set; values } -> Wire.string_size set + values_size values
   | Update { set; oid = _; field; value } ->
       Wire.string_size set + Oid.encoded_size + Wire.string_size field
       + Value.encoded_size value
@@ -115,14 +111,12 @@ let rec body_size = function
   | Build_index { name; set; field; clustered = _ } ->
       Wire.string_size name + Wire.string_size set + Wire.string_size field + 1
   | Abort _ -> 8
-  | Txn_begin _ | Txn_commit _ | Txn_abort _ -> 4
-  | Undo_image { txn = _; set; oid = _; present = _; values } ->
-      4 + Wire.string_size set + Oid.encoded_size + 1 + 2
-      + List.fold_left (fun acc v -> acc + Value.encoded_size v) 0 values
+  | Txn_commit _ | Txn_abort _ -> 4
   | Insert_at { set; oid = _; values } ->
-      Wire.string_size set + Oid.encoded_size + 2
-      + List.fold_left (fun acc v -> acc + Value.encoded_size v) 0 values
-  | Txn_op { txn = _; op } -> 4 + 1 + body_size op
+      Wire.string_size set + Oid.encoded_size + values_size values
+  | Txn_op { txn = _; op; before } ->
+      4 + 1 + body_size op + 1
+      + (match before with Some values -> values_size values | None -> 0)
   | Scrub_repair { rep_id = _; source = _ } -> 4 + Oid.encoded_size
   | Replicate_online { path; strategy; options } ->
       body_size (Replicate { path; strategy; options })
@@ -146,8 +140,7 @@ let rec put_body buf off = function
       Wire.put_u32 buf off reserve
   | Insert { set; values } ->
       let off = Wire.put_string buf off set in
-      let off = Wire.put_u16 buf off (List.length values) in
-      List.fold_left (fun off v -> Value.encode buf off v) off values
+      put_values buf off values
   | Update { set; oid; field; value } ->
       let off = Wire.put_string buf off set in
       let off = Oid.encode buf off oid in
@@ -174,23 +167,18 @@ let rec put_body buf off = function
       let off = Wire.put_string buf off field in
       Wire.put_u8 buf off (if clustered then 1 else 0)
   | Abort lsn -> Wire.put_i64 buf off lsn
-  | Txn_begin txn | Txn_commit txn | Txn_abort txn -> Wire.put_u32 buf off txn
-  | Undo_image { txn; set; oid; present; values } ->
-      let off = Wire.put_u32 buf off txn in
-      let off = Wire.put_string buf off set in
-      let off = Oid.encode buf off oid in
-      let off = Wire.put_u8 buf off (if present then 1 else 0) in
-      let off = Wire.put_u16 buf off (List.length values) in
-      List.fold_left (fun off v -> Value.encode buf off v) off values
+  | Txn_commit txn | Txn_abort txn -> Wire.put_u32 buf off txn
   | Insert_at { set; oid; values } ->
       let off = Wire.put_string buf off set in
       let off = Oid.encode buf off oid in
-      let off = Wire.put_u16 buf off (List.length values) in
-      List.fold_left (fun off v -> Value.encode buf off v) off values
-  | Txn_op { txn; op } ->
+      put_values buf off values
+  | Txn_op { txn; op; before } -> (
       let off = Wire.put_u32 buf off txn in
       let off = Wire.put_u8 buf off (kind_of op) in
-      put_body buf off op
+      let off = put_body buf off op in
+      match before with
+      | None -> Wire.put_u8 buf off 0
+      | Some values -> put_values buf (Wire.put_u8 buf off 1) values)
   | Scrub_repair { rep_id; source } ->
       let off = Wire.put_u32 buf off rep_id in
       Oid.encode buf off source
@@ -203,8 +191,9 @@ let rec put_body buf off = function
   | Maint_done { job } -> Wire.put_u32 buf off job
   | Epoch_change { epoch } -> Wire.put_u32 buf off epoch
 
-(* [n] values from [off], and the offset just past the last. *)
-let get_values buf off n =
+(* A value list from [off], and the offset just past its last value. *)
+let get_values buf off =
+  let n, off = Wire.get_u16 buf off in
   let off = ref off in
   let values =
     List.init n (fun _ ->
@@ -235,8 +224,7 @@ let rec get_body kind buf off =
       (Create_set { name; elem_type; reserve }, off)
   | 2 ->
       let set, off = Wire.get_string buf off in
-      let n, off = Wire.get_u16 buf off in
-      let values, off = get_values buf off n in
+      let values, off = get_values buf off in
       (Insert { set; values }, off)
   | 3 ->
       let set, off = Wire.get_string buf off in
@@ -285,37 +273,32 @@ let rec get_body kind buf off =
   | 7 ->
       let lsn, off = Wire.get_i64 buf off in
       (Abort lsn, off)
-  | 8 ->
-      let txn, off = Wire.get_u32 buf off in
-      (Txn_begin txn, off)
   | 9 ->
       let txn, off = Wire.get_u32 buf off in
       (Txn_commit txn, off)
   | 10 ->
       let txn, off = Wire.get_u32 buf off in
       (Txn_abort txn, off)
-  | 11 ->
-      let txn, off = Wire.get_u32 buf off in
-      let set, off = Wire.get_string buf off in
-      let oid = Oid.decode buf off in
-      let off = off + Oid.encoded_size in
-      let present, off = Wire.get_u8 buf off in
-      let n, off = Wire.get_u16 buf off in
-      let values, off = get_values buf off n in
-      (Undo_image { txn; set; oid; present = present = 1; values }, off)
   | 12 ->
       let set, off = Wire.get_string buf off in
       let oid = Oid.decode buf off in
-      let off = off + Oid.encoded_size in
-      let n, off = Wire.get_u16 buf off in
-      let values, off = get_values buf off n in
+      let values, off = get_values buf (off + Oid.encoded_size) in
       (Insert_at { set; oid; values }, off)
   | 13 ->
       let txn, off = Wire.get_u32 buf off in
       let ikind, off = Wire.get_u8 buf off in
       if ikind = 13 then raise (Wire.Corrupt "Wal: nested Txn_op");
       let op, off = get_body ikind buf off in
-      (Txn_op { txn; op }, off)
+      let has_before, off = Wire.get_u8 buf off in
+      let before, off =
+        match has_before with
+        | 0 -> (None, off)
+        | 1 ->
+            let values, off = get_values buf off in
+            (Some values, off)
+        | b -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad before-image flag %d" b))
+      in
+      (Txn_op { txn; op; before }, off)
   | 14 ->
       let rep_id, off = Wire.get_u32 buf off in
       (Scrub_repair { rep_id; source = Oid.decode buf off }, off + Oid.encoded_size)
@@ -419,38 +402,64 @@ let set_tap t tap =
   t.tap <- tap;
   t.tap_pending <- []
 
-(* Scan the frames of an existing log file.  Returns the raw (lsn, record)
-   list and the offset just past the last well-formed frame. *)
-let scan data =
+(* The whole file at [path], or [None] when there is none. *)
+let read_file path =
+  if not (Sys.file_exists path) then None
+  else
+    let ic = open_in_bin path in
+    Some
+      (Fun.protect
+         ~finally:(fun () -> close_in ic)
+         (fun () -> really_input_string ic (in_channel_length ic)))
+
+let has_magic data =
+  String.length data >= String.length magic
+  && String.sub data 0 (String.length magic) = magic
+
+(* Walk the frames of a log file's contents, from just past the header.
+   Each well-formed frame (length in bounds, checksum good) is offered to
+   [f] with its offset and payload length; the walk stops at the first
+   short or corrupt frame, or when [f] returns [false].  Returns the offset
+   just past the last accepted frame. *)
+let walk_frames data f =
   let len = String.length data in
   let buf = Bytes.unsafe_of_string data in
-  let acc = ref [] in
-  let pos = ref (String.length magic) in
-  let stop = ref false in
-  while not !stop do
-    if !pos + 8 > len then stop := true
-    else begin
-      let flen, p = Wire.get_u32 buf !pos in
+  let rec go pos =
+    if pos + 8 > len then pos
+    else
+      let flen, p = Wire.get_u32 buf pos in
       let fcrc, p = Wire.get_u32 buf p in
-      if flen < 9 || p + flen > len then stop := true
-      else if crc buf p flen <> fcrc then stop := true
-      else begin
-        match
-          let lsn, o = Wire.get_i64 buf p in
-          let kind, o = Wire.get_u8 buf o in
-          let r, o = get_body kind buf o in
-          if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
-          (lsn, r)
-        with
+      if flen < 9 || p + flen > len || crc buf p flen <> fcrc then pos
+      else if f buf pos flen then go (p + flen)
+      else pos
+  in
+  go (String.length magic)
+
+(* The LSN of the frame at [pos]. *)
+let frame_lsn buf pos = fst (Wire.get_i64 buf (pos + 8))
+
+(* Decode a checksummed payload of [flen] bytes at [p]. *)
+let decode_payload buf p flen =
+  let lsn, o = Wire.get_i64 buf p in
+  let kind, o = Wire.get_u8 buf o in
+  let r, o = get_body kind buf o in
+  if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
+  (lsn, r)
+
+(* The (lsn, record) list of an existing log file's contents and the offset
+   just past the last well-formed frame; a body that does not decode also
+   ends the scan. *)
+let scan data =
+  let acc = ref [] in
+  let good_end =
+    walk_frames data (fun buf pos flen ->
+        match decode_payload buf (pos + 8) flen with
         | entry ->
             acc := entry :: !acc;
-            pos := p + flen
-        | exception Wire.Corrupt _ -> stop := true
-        | exception Invalid_argument _ -> stop := true
-      end
-    end
-  done;
-  (List.rev !acc, !pos)
+            true
+        | exception (Wire.Corrupt _ | Invalid_argument _) -> false)
+  in
+  (List.rev !acc, good_end)
 
 let fsync_of_env () =
   match Sys.getenv_opt "FIELDREP_WAL_FSYNC" with
@@ -460,23 +469,12 @@ let fsync_of_env () =
 let open_ ?stats ?(flush_limit = default_flush_limit) ?fsync path =
   let fsync = match fsync with Some b -> b | None -> fsync_of_env () in
   let raw, good_end, data =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let data =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      if String.length data < String.length magic then
-        if String.length data = 0 then ([], 0, data)
-        else invalid_arg "Wal.open_: not a fieldrep log"
-      else if String.sub data 0 (String.length magic) <> magic then
-        invalid_arg "Wal.open_: not a fieldrep log"
-      else
+    match read_file path with
+    | None | Some "" -> ([], 0, "")
+    | Some data ->
+        if not (has_magic data) then invalid_arg "Wal.open_: not a fieldrep log";
         let raw, good_end = scan data in
         (raw, good_end, data)
-    end
-    else ([], 0, "")
   in
   let oc =
     if good_end > 0 && good_end < String.length data then begin
@@ -553,54 +551,25 @@ let decode_frame frame =
     raise (Wire.Corrupt "Wal: bad frame length");
   if crc frame p flen <> fcrc then
     raise (Wire.Corrupt "Wal: frame checksum mismatch");
-  let lsn, o = Wire.get_i64 frame p in
-  let kind, o = Wire.get_u8 frame o in
-  let r, o = get_body kind frame o in
-  if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
-  (lsn, r)
+  decode_payload frame p flen
 
 (* Re-read raw frames from a log file, for serving replica re-send
    requests.  The shipping tap only ever sees frames that have already
    been flushed (see [sync]), so any frame a replica can legitimately ask
    for again is present in the file. *)
 let read_frames path ~after =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let len = String.length data in
-    if len = 0 then []
-    else if
-      len < String.length magic
-      || String.sub data 0 (String.length magic) <> magic
-    then invalid_arg "Wal.read_frames: not a fieldrep log"
-    else begin
-      let buf = Bytes.unsafe_of_string data in
+  match read_file path with
+  | None | Some "" -> []
+  | Some data ->
+      if not (has_magic data) then invalid_arg "Wal.read_frames: not a fieldrep log";
       let acc = ref [] in
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while not !stop do
-        if !pos + 8 > len then stop := true
-        else begin
-          let flen, p = Wire.get_u32 buf !pos in
-          let fcrc, p = Wire.get_u32 buf p in
-          if flen < 9 || p + flen > len then stop := true
-          else if crc buf p flen <> fcrc then stop := true
-          else begin
-            let lsn, _ = Wire.get_i64 buf p in
-            if Int64.compare lsn after > 0 then
-              acc := (lsn, Bytes.sub buf !pos (8 + flen)) :: !acc;
-            pos := p + flen
-          end
-        end
-      done;
+      ignore
+        (walk_frames data (fun buf pos flen ->
+             let lsn = frame_lsn buf pos in
+             if Int64.compare lsn after > 0 then
+               acc := (lsn, Bytes.sub buf pos (8 + flen)) :: !acc;
+             true));
       List.rev !acc
-    end
-  end
 
 (* Physically discard every frame above [after] — the rejoin path for a
    deposed master whose unshipped tail diverged from the new epoch's
@@ -610,48 +579,20 @@ let read_frames path ~after =
    ill-formed frame exactly as [open_] would, so nothing past a torn
    frame survives either. *)
 let truncate_file path ~after =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let len = String.length data in
-    if len < String.length magic
-       || String.sub data 0 (String.length magic) <> magic
-    then invalid_arg "Wal.truncate_file: not a fieldrep log"
-    else begin
-      let buf = Bytes.unsafe_of_string data in
-      let keep = Buffer.create len in
-      Buffer.add_string keep magic;
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while not !stop do
-        if !pos + 8 > len then stop := true
-        else begin
-          let flen, p = Wire.get_u32 buf !pos in
-          let fcrc, p = Wire.get_u32 buf p in
-          if flen < 9 || p + flen > len then stop := true
-          else if crc buf p flen <> fcrc then stop := true
-          else begin
-            let lsn, _ = Wire.get_i64 buf p in
-            if Int64.compare lsn after > 0 then stop := true
-            else begin
-              Buffer.add_subbytes keep buf !pos (8 + flen);
-              pos := p + flen
-            end
-          end
-        end
-      done;
+  match read_file path with
+  | None -> ()
+  | Some data ->
+      if not (has_magic data) then
+        invalid_arg "Wal.truncate_file: not a fieldrep log";
+      let keep =
+        walk_frames data (fun buf pos _ -> Int64.compare (frame_lsn buf pos) after <= 0)
+      in
       let oc =
         open_out_gen [ Open_wronly; Open_trunc; Open_binary ] 0o644 path
       in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> Buffer.output_buffer oc keep)
-    end
-  end
+        (fun () -> output_substring oc data 0 keep)
 
 let write_record t lsn record =
   let frame = encode_frame lsn record in

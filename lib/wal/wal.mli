@@ -14,7 +14,7 @@
 
     The log is an append-only file:
 
-    {v "FREPWAL1"                                    file header
+    {v "FREPWAL2"                                    file header
        frame*                                        one frame per record
        frame = [ len:u32 | crc:u32 | payload ]
        payload = [ lsn:i64 | kind:u8 | body ]        via Fieldrep_util.Wire v}
@@ -29,8 +29,9 @@
     through to the OS in one physical flush.  The database layer syncs at
     every durability point — an autocommit mutation before it touches
     pages, [Txn_commit] / [Txn_abort], a checkpoint — so N interleaved
-    clients amortise one flush over all the [Txn_op] and [Undo_image]
-    records appended since the last commit.  A byte threshold
+    clients amortise one flush over all the [Txn_op] records appended
+    since the last commit (one per transactional operation: its
+    before-image rides inside it).  A byte threshold
     ([?flush_limit], default 64 KiB) bounds the unflushed window, and
     {!close} syncs.  Buffering preserves append order, so the on-disk log
     is always a {e prefix} of the appended sequence: after a crash,
@@ -45,7 +46,9 @@
     then fails validation (e.g. deleting a still-referenced object) leaves
     a record that must not be redone.  Rather than truncating — the log is
     append-only — the engine appends an {!record.Abort} marker naming the
-    failed record's LSN; {!records} filters both out. *)
+    failed record's LSN; {!records} filters both out.  A rescinded
+    [Txn_op] takes the before-image it carried with it, so the engine logs
+    the object's image again at its next touch. *)
 
 module Oid = Fieldrep_storage.Oid
 module Stats = Fieldrep_storage.Stats
@@ -75,27 +78,20 @@ type record =
       clustered : bool;
     }
   | Abort of int64  (** rescind the record with this LSN *)
-  | Txn_begin of int  (** transaction boundary: txn id *)
-  | Txn_commit of int
+  | Txn_commit of int  (** transaction boundary: txn id *)
   | Txn_abort of int
       (** the txn was rolled back — compensation records for it appear
           between its last [Txn_op] and this marker *)
-  | Undo_image of {
-      txn : int;
-      set : string;
-      oid : Oid.t;
-      present : bool;
-      values : Value.t list;
-    }
-      (** before-image of an object, logged at the transaction's first
-          write touch; [present = false] records that the object was
-          created by the transaction.  Undo-only: skipped during redo. *)
   | Insert_at of { set : string; oid : Oid.t; values : Value.t list }
       (** revive a tombstoned OID with these values — the compensation
           record for an aborted delete *)
-  | Txn_op of { txn : int; op : record }
+  | Txn_op of { txn : int; op : record; before : Value.t list option }
       (** a DML record executed inside transaction [txn]; redo applies
-          [op], recovery uses the tag to resolve winners and losers *)
+          [op], recovery uses the tag to resolve winners and losers.
+          [before] is the undo half: the user values of an updated or
+          deleted object at the transaction's first touch of it, [None]
+          on later touches and on inserts (whose undo deletes the OID the
+          redo produced). *)
   | Scrub_repair of { rep_id : int; source : Oid.t }
       (** scrub rebuilt the replicated state derived from [source] under
           replication [rep_id].  Replay re-runs the (idempotent) refresh:

@@ -116,6 +116,27 @@ let sample_records =
           };
       };
     Wal.Build_index { name = "i"; set = "Ts"; field = "a"; clustered = true };
+    Wal.Txn_op
+      {
+        txn = 4;
+        op =
+          Wal.Update
+            {
+              set = "Ts";
+              oid = { Oid.file = 1; page = 0; slot = 1 };
+              field = "a";
+              value = Value.VInt 8;
+            };
+        before = Some [ Value.VInt 7; Value.VString "hello"; Value.VNull ];
+      };
+    Wal.Txn_op
+      {
+        txn = 4;
+        op =
+          Wal.Insert
+            { set = "Ts"; values = [ Value.VInt 9; Value.VString ""; Value.VNull ] };
+        before = None;
+      };
   ]
 
 let test_wal_roundtrip () =
@@ -317,9 +338,9 @@ let test_txn_commit_is_one_flush () =
     (fun i oid -> Db.update_field ~txn:tx db ~set:"G" oid ~field:"a" (Value.VInt (100 + i)))
     oids;
   Db.commit db tx;
-  (* Begin + 8 ops + 8 undo images + commit appended; one flush covers
-     them all. *)
-  checkb "many records appended" true (Wal.appended w - appends0 >= 10);
+  (* 8 ops (each carrying its before-image) + commit appended; one flush
+     covers them all. *)
+  checki "one record per op plus the commit" 9 (Wal.appended w - appends0);
   checki "single group-commit flush" 1 (Wal.flushes w - flushes0);
   (* Autocommit stays synchronous: each mutation is its own commit point. *)
   let a1 = Wal.appended w and f1 = Wal.flushes w in
@@ -711,6 +732,105 @@ let test_crash_space_reuse () =
   Sys.remove img;
   if Sys.file_exists wal_k then Sys.remove wal_k
 
+(* ------------------------------------------------------------------ *)
+(* Rolling back a transaction from the log alone                        *)
+
+let copy_file src dst =
+  let ic = open_in_bin src in
+  let data =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let oc = open_out_bin dst in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
+
+let built_inplace ~seed =
+  (Gen.build
+     {
+       Gen.default_spec with
+       Gen.s_count = 30;
+       sharing = 2;
+       strategy = Params.Inplace;
+       page_size = 1024;
+       frames = 32;
+       seed = seed + seed_base;
+       durable = true;
+     })
+    .Gen.db
+
+(* One transaction's log, cut at every frame boundary: every cut without
+   the commit frame must recover to the checkpoint's state (the
+   transaction is a loser, rolled back from the images its records carry),
+   and the full log to the live run's. *)
+let test_loser_prefix_matrix () =
+  let db = built_inplace ~seed:7 in
+  let img = tmp "prefix" ".img" in
+  Db.checkpoint db img;
+  let checkpointed = observe db in
+  let w = Option.get (Db.wal db) in
+  let base = Wal.last_lsn w in
+  let s_oids = oids_of db "S" and r_oids = oids_of db "R" in
+  let tx = Db.begin_txn db in
+  ignore
+    (Db.insert ~txn:tx db ~set:"R"
+       [ Value.VInt 777_777; Value.VString (String.make 65 'n'); Value.VRef s_oids.(1) ]);
+  Db.update_field ~txn:tx db ~set:"R" r_oids.(0) ~field:"field_r" (Value.VInt 888_001);
+  Db.update_field ~txn:tx db ~set:"R" r_oids.(0) ~field:"field_r" (Value.VInt 888_002);
+  Db.delete ~txn:tx db ~set:"R" r_oids.(1);
+  Db.update_field ~txn:tx db ~set:"S" s_oids.(2) ~field:"repfield"
+    (Value.VString (String.make 20 'p'));
+  Db.commit db tx;
+  let committed = observe db in
+  let frames = Int64.to_int (Int64.sub (Wal.last_lsn w) base) in
+  Wal.close w;
+  checki "one frame per operation plus the commit" 6 frames;
+  let wal_k = tmp "prefix" ".wal" in
+  for k = 0 to frames do
+    copy_file (Wal.path w) wal_k;
+    Wal.truncate_file wal_k ~after:(Int64.add base (Int64.of_int k));
+    let db2 = Db.recover ~wal_path:wal_k img in
+    let what = Printf.sprintf "log cut after frame %d of %d" k frames in
+    checks what (if k = frames then committed else checkpointed) (observe db2);
+    Db.check_integrity db2;
+    checki (what ^ ": no transaction active") 0 (Db.active_txn_count db2);
+    Wal.close (Option.get (Db.wal db2))
+  done;
+  Sys.remove img;
+  Sys.remove wal_k
+
+(* An operation that fails after its record reached the log is rescinded
+   by an abort marker, and the before-image it carried with it: the
+   object's next touch must log the image again, or a crash before commit
+   could not roll that touch back. *)
+let test_rescinded_op_keeps_image () =
+  let db = built_inplace ~seed:9 in
+  let img = tmp "rescind" ".img" in
+  Db.checkpoint db img;
+  let checkpointed = observe db in
+  let s = (oids_of db "S").(0) in
+  let before = Db.get db ~set:"S" s in
+  let tx = Db.begin_txn db in
+  (* still referenced along the replicated path: fails validation after
+     its record was appended *)
+  (try
+     Db.delete ~txn:tx db ~set:"S" s;
+     Alcotest.fail "expected a validation failure"
+   with Invalid_argument _ -> ());
+  Db.update_field ~txn:tx db ~set:"S" s ~field:"repfield"
+    (Value.VString (String.make 20 'k'));
+  (* The machine dies with the transaction undecided. *)
+  Wal.close (Option.get (Db.wal db));
+  let db2 = Db.recover img in
+  checks "object and replicated copies back to the checkpoint" checkpointed
+    (observe db2);
+  checkv "repfield restored"
+    (Db.field_value db ~set:"S" before "repfield")
+    (Db.field_value db2 ~set:"S" (Db.get db2 ~set:"S" s) "repfield");
+  Db.check_integrity db2;
+  Wal.close (Option.get (Db.wal db2));
+  Sys.remove img
+
 let () =
   Alcotest.run "fieldrep_wal"
     [
@@ -746,6 +866,9 @@ let () =
           Alcotest.test_case "checkpoint + log tail" `Quick test_recover_basic;
           Alcotest.test_case "lazy invalidations re-queued" `Quick
             test_recover_requeues_lazy;
+          Alcotest.test_case "loser prefix matrix" `Quick test_loser_prefix_matrix;
+          Alcotest.test_case "rescinded op keeps the image" `Quick
+            test_rescinded_op_keeps_image;
         ] );
       ( "crash matrix",
         [
