@@ -577,16 +577,19 @@ let lock_targets t tx oids =
    pages must not be counted twice. *)
 let with_charge t txn f =
   match txn with
-  | Some tx when not (t.compensating || t.replaying || t.charging) ->
+  | Some tx when not (t.compensating || t.replaying || t.charging) -> (
       t.charging <- true;
-      Fun.protect
-        ~finally:(fun () -> t.charging <- false)
-        (fun () ->
-          let io0 = Stats.total_io Stats.grand in
-          let r = f () in
+      let io0 = Stats.total_io Stats.grand in
+      match f () with
+      | r ->
+          t.charging <- false;
           Txn.charge_io tx (Stats.total_io Stats.grand - io0);
           Txn.bump_ops tx;
-          r)
+          r
+      | exception e ->
+          (* re-raising the caught exception keeps its backtrace *)
+          t.charging <- false;
+          raise e)
   | _ -> f ()
 
 (* The object's user values if this is the transaction's first touch of
@@ -594,7 +597,7 @@ let with_charge t txn f =
    the transaction back from the log alone. *)
 let first_touch t txn ~set oid record =
   match txn with
-  | Some tx when not (t.compensating || t.replaying || Txn.touched tx ~set oid) ->
+  | Some tx when not (t.compensating || t.replaying || Txn.touched tx oid) ->
       Some (List.init (Ty.arity (Schema.set_type t.schema set)) (value_at record))
   | Some _ | None -> None
 
@@ -604,7 +607,7 @@ let first_touch t txn ~set oid record =
 let note_touch txn ~set oid ~present values =
   match txn with
   | Some tx ->
-      Txn.record_touch tx ~set oid
+      Txn.record_touch tx oid
         { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values }
   | None -> ()
 

@@ -41,6 +41,11 @@ let of_int64 v =
 
 let hash t = Hashtbl.hash (to_int64 t)
 
+(* The fields mixed as one int, so nothing is boxed; [hash] stays as it is
+   because [Table]'s iteration orders follow it. *)
+let hash_fields t =
+  Hashtbl.hash ((t.file lsl 48) lxor (t.page lsl 16) lxor t.slot)
+
 let pp fmt t =
   if is_nil t then Format.fprintf fmt "<nil>"
   else Format.fprintf fmt "%d.%d.%d" t.file t.page t.slot

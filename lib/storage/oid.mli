@@ -20,6 +20,11 @@ val compare : t -> t -> int
     propagating updates. *)
 
 val hash : t -> int
+
+val hash_fields : t -> int
+(** A hash of the three fields that allocates nothing (unlike {!hash},
+    which boxes an int64).  The two differ: key a table by one of them. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -35,6 +35,7 @@ type t = {
   mutable heartbeats_missed : int;
   mutable failovers : int;
   mutable reconnects : int;
+  mutable deadlock_upgrades : int;
   by_file : (int, int * int) Hashtbl.t;
 }
 
@@ -75,6 +76,7 @@ type counter =
   | Heartbeats_missed
   | Failovers
   | Reconnects
+  | Deadlock_upgrades
 
 type kind = Counter | Gauge
 
@@ -120,6 +122,7 @@ let all =
     (Heartbeats_missed, "heartbeats_missed", Counter);
     (Failovers, "failovers", Counter);
     (Reconnects, "reconnects", Counter);
+    (Deadlock_upgrades, "deadlock_upgrades", Counter);
   ]
 
 let[@inline] get t = function
@@ -159,6 +162,7 @@ let[@inline] get t = function
   | Heartbeats_missed -> t.heartbeats_missed
   | Failovers -> t.failovers
   | Reconnects -> t.reconnects
+  | Deadlock_upgrades -> t.deadlock_upgrades
 
 (* The one mutation point for the counter fields (rule C1 bans bare
    [s.f <- ...] outside this module), so moving the counters to [Atomic]
@@ -203,6 +207,7 @@ let[@inline] shift t c n =
   | Heartbeats_missed -> t.heartbeats_missed <- t.heartbeats_missed + n
   | Failovers -> t.failovers <- t.failovers + n
   | Reconnects -> t.reconnects <- t.reconnects + n
+  | Deadlock_upgrades -> t.deadlock_upgrades <- t.deadlock_upgrades + n
 
 let reset t =
   List.iter (fun (c, _, _) -> shift t c (-get t c)) all;
@@ -246,6 +251,7 @@ let create () =
     heartbeats_missed = 0;
     failovers = 0;
     reconnects = 0;
+    deadlock_upgrades = 0;
     by_file = Hashtbl.create 16;
   }
 

@@ -46,6 +46,7 @@ type t = {
   mutable heartbeats_missed : int;
   mutable failovers : int;
   mutable reconnects : int;
+  mutable deadlock_upgrades : int;
   by_file : (int, int * int) Hashtbl.t;
       (** per-file (reads, writes) attribution, keyed by disk file id *)
 }
@@ -94,6 +95,9 @@ type counter =
   | Heartbeats_missed  (** heartbeat deadlines missed by a peer *)
   | Failovers  (** replica promotions to master (epoch bumps) *)
   | Reconnects  (** transport reconnect attempts by the backoff dialer *)
+  | Deadlock_upgrades
+      (** deadlocks whose victim's blocked request upgrades a lock it
+          already holds *)
 
 (** A [Counter] only grows; a [Gauge] is overwritten with {!set}, and
     {!diff} reports its current value rather than a delta. *)

@@ -40,52 +40,89 @@ let lub a b =
   else if covers b a then b
   else match (a, b) with IS, IX | IX, IS -> IX | _ -> X
 
+(* Hashing and comparing a resource allocates nothing: a set by its
+   name's string hash, an object by its OID's three ints. *)
+let same a b =
+  match (a, b) with
+  | Set x, Set y -> String.equal x y
+  | Obj x, Obj y -> Oid.equal x y
+  | _ -> false
+
+module Tbl = Hashtbl.Make (struct
+  type t = resource
+
+  let equal = same
+
+  let hash = function Set s -> Hashtbl.hash s | Obj o -> Oid.hash_fields o
+end)
+
+module Txns = Hashtbl.Make (Int)
+
+(* One locked resource.  Nearly every resource has a single holder, so
+   the first is stored inline; [others] holds the rest when it is shared.
+   An entry is in the table only while it has a holder. *)
+type entry = {
+  mutable txn : int;
+  mutable mode : mode;
+  mutable others : (int * mode) list;
+}
+
 type t = {
-  table : (resource, (int, mode) Hashtbl.t) Hashtbl.t;
-  held : (int, resource list ref) Hashtbl.t;
-  waiting : (int, resource * mode) Hashtbl.t;
+  table : entry Tbl.t;
+  held : resource list Txns.t;  (* txn -> the resources it holds *)
+  waiting : (resource * mode) Txns.t;  (* txn -> its blocked request *)
   stats : Stats.t option;
 }
 
 let create ?stats () =
   {
-    table = Hashtbl.create 256;
-    held = Hashtbl.create 16;
-    waiting = Hashtbl.create 16;
+    table = Tbl.create 256;
+    held = Txns.create 16;
+    waiting = Txns.create 16;
     stats;
   }
 
-let holders_of t resource =
-  match Hashtbl.find_opt t.table resource with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 4 in
-      Hashtbl.replace t.table resource h;
-      h
+(* [txn]'s mode on [e], if it holds one. *)
+let mode_of e txn =
+  if e.txn = txn then Some e.mode else List.assoc_opt txn e.others
 
-(* Transactions other than [txn] holding a mode incompatible with [want]. *)
-let conflicts holders txn want =
-  Hashtbl.fold
-    (fun other m acc ->
-      if other <> txn && not (compatible m want) then other :: acc else acc)
-    holders []
+(* The mode a request for [mode] asks for, given the mode [cur] held. *)
+let target cur mode = match cur with Some m -> lub m mode | None -> mode
+
+(* Holders other than [txn] whose modes are incompatible with [want]. *)
+let rec blocking_others txn want acc = function
+  | [] -> acc
+  | (other, m) :: rest ->
+      let acc =
+        if other <> txn && not (compatible m want) then other :: acc else acc
+      in
+      blocking_others txn want acc rest
+
+let conflicts e txn want =
+  let first =
+    if e.txn <> txn && not (compatible e.mode want) then [ e.txn ] else []
+  in
+  blocking_others txn want first e.others
+
+(* Record [txn] as holding [e] in [want]: an upgrade in place, or a new
+   holder joining a shared resource. *)
+let set_mode e txn want =
+  if e.txn = txn then e.mode <- want
+  else if List.mem_assoc txn e.others then
+    e.others <-
+      List.map (fun (o, m) -> if o = txn then (o, want) else (o, m)) e.others
+  else e.others <- (txn, want) :: e.others
 
 (* Wait-for edges of a waiting transaction: the current holders blocking
    its pending request.  Recomputed from live state on every check so
    released locks never leave stale edges. *)
 let blockers_of t w =
-  match Hashtbl.find_opt t.waiting w with
-  | None -> []
-  | Some (resource, mode) -> (
-      match Hashtbl.find_opt t.table resource with
-      | None -> []
-      | Some holders ->
-          let want =
-            match Hashtbl.find_opt holders w with
-            | Some cur -> lub cur mode
-            | None -> mode
-          in
-          conflicts holders w want)
+  match Txns.find t.waiting w with
+  | exception Not_found -> []
+  | k, mode -> (
+      match Tbl.find t.table k with
+      | exception Not_found -> []
+      | e -> conflicts e w (target (mode_of e w) mode))
 
 (* Is [start] reachable from itself through wait-for edges?  Returns the
    cycle (as a txn list) when it is. *)
@@ -106,92 +143,109 @@ let find_cycle t start =
 
 (* Lockdep pairing: one [Txn_lock] push per transaction (its first grant),
    popped by [release_all]; later grants only record edges, since they get
-   no release of their own.  [fresh]: [txn] did not hold [resource] before
-   this grant, so it joins the held list (an upgrade is already there). *)
-let note_held t txn resource ~fresh =
-  match Hashtbl.find_opt t.held txn with
-  | Some l ->
+   no release of their own.  [k] is a resource [txn] did not hold before:
+   an upgrade is already on the held list. *)
+let note_fresh t txn k =
+  match Txns.find t.held txn with
+  | held ->
       Lockdep.note Lockdep.Txn_lock;
-      if fresh then l := resource :: !l
-  | None ->
+      Txns.replace t.held txn (k :: held)
+  | exception Not_found ->
       Lockdep.acquire Lockdep.Txn_lock;
-      Hashtbl.replace t.held txn (ref [ resource ])
+      Txns.add t.held txn [ k ]
 
-let acquire t ~txn resource mode =
-  let holders = holders_of t resource in
-  let cur = Hashtbl.find_opt holders txn in
-  match cur with
-  | Some m when covers m mode -> ()
-  | _ -> (
-      let want = match cur with Some m -> lub m mode | None -> mode in
-      match conflicts holders txn want with
-      | [] ->
-          Hashtbl.replace holders txn want;
-          note_held t txn resource ~fresh:(cur = None);
-          Hashtbl.remove t.waiting txn
-      | blocking ->
-          (* Count a wait only when the request transitions into blocking on
-             this resource, not on every retry of the same request. *)
-          let already =
-            match Hashtbl.find_opt t.waiting txn with
-            | Some (r, m) -> r = resource && m = mode
-            | None -> false
-          in
-          Hashtbl.replace t.waiting txn (resource, mode);
-          if not already then
-            Option.iter (fun s -> Stats.bump s Stats.Lock_waits) t.stats;
-          (match find_cycle t txn with
-          | Some cycle ->
-              Hashtbl.remove t.waiting txn;
-              Option.iter (fun s -> Stats.bump s Stats.Deadlocks) t.stats;
-              raise (Deadlock { victim = txn; cycle })
-          | None -> ());
-          raise (Would_block { txn; holders = blocking }))
+(* [txn] becomes the only holder of the unheld resource [k]. *)
+let add t ~txn k mode =
+  Tbl.add t.table k { txn; mode; others = [] };
+  note_fresh t txn k
+
+(* [txn], which holds [cur] on [e] (or nothing), takes it in [want]. *)
+let take t e ~txn k cur want =
+  set_mode e txn want;
+  if cur = None then note_fresh t txn k else Lockdep.note Lockdep.Txn_lock
+
+let bump t c = Option.iter (fun s -> Stats.bump s c) t.stats
+
+let acquire t ~txn k mode =
+  match Tbl.find t.table k with
+  | exception Not_found ->
+      add t ~txn k mode;
+      Txns.remove t.waiting txn
+  | e when e.txn = txn && covers e.mode mode -> ()
+  | e -> (
+      let cur = mode_of e txn in
+      match cur with
+      | Some m when covers m mode -> ()
+      | _ -> (
+          let want = target cur mode in
+          match conflicts e txn want with
+          | [] ->
+              take t e ~txn k cur want;
+              Txns.remove t.waiting txn
+          | blocking ->
+              (* Count a wait only when the request transitions into
+                 blocking on this resource, not on every retry of it. *)
+              let already =
+                match Txns.find t.waiting txn with
+                | r, m -> same r k && m = mode
+                | exception Not_found -> false
+              in
+              Txns.replace t.waiting txn (k, mode);
+              if not already then bump t Stats.Lock_waits;
+              (match find_cycle t txn with
+              | Some cycle ->
+                  Txns.remove t.waiting txn;
+                  bump t Stats.Deadlocks;
+                  if cur <> None then bump t Stats.Deadlock_upgrades;
+                  raise (Deadlock { victim = txn; cycle })
+              | None -> ());
+              raise (Would_block { txn; holders = blocking })))
 
 (* Grant without checking conflicts: used for freshly allocated OIDs, which
    no other transaction can possibly have seen. *)
-let grant t ~txn resource mode =
-  let holders = holders_of t resource in
-  let cur = Hashtbl.find_opt holders txn in
-  let want = match cur with Some m -> lub m mode | None -> mode in
-  Hashtbl.replace holders txn want;
-  note_held t txn resource ~fresh:(cur = None)
+let grant t ~txn k mode =
+  match Tbl.find t.table k with
+  | exception Not_found -> add t ~txn k mode
+  | e ->
+      let cur = mode_of e txn in
+      take t e ~txn k cur (target cur mode)
 
 let holds t ~txn resource mode =
-  match Hashtbl.find_opt t.table resource with
-  | None -> false
-  | Some holders -> (
-      match Hashtbl.find_opt holders txn with
-      | Some m -> covers m mode
-      | None -> false)
+  match Tbl.find t.table resource with
+  | exception Not_found -> false
+  | e -> ( match mode_of e txn with Some m -> covers m mode | None -> false)
+
+(* Drop [txn]'s hold on the resource [k]; the next holder moves inline. *)
+let drop t txn k =
+  match Tbl.find t.table k with
+  | exception Not_found -> ()
+  | e when e.txn = txn -> (
+      match e.others with
+      | [] -> Tbl.remove t.table k
+      | (o, m) :: rest ->
+          e.txn <- o;
+          e.mode <- m;
+          e.others <- rest)
+  | e -> e.others <- List.filter (fun (o, _) -> o <> txn) e.others
+
+let rec drop_all t txn = function
+  | [] -> ()
+  | k :: rest ->
+      drop t txn k;
+      drop_all t txn rest
 
 let release_all t ~txn =
-  (match Hashtbl.find_opt t.held txn with
-  | Some l ->
+  (match Txns.find t.held txn with
+  | held ->
       Lockdep.release Lockdep.Txn_lock;
-      List.iter
-        (fun resource ->
-          match Hashtbl.find_opt t.table resource with
-          | Some holders ->
-              Hashtbl.remove holders txn;
-              if Hashtbl.length holders = 0 then Hashtbl.remove t.table resource
-          | None -> ())
-        !l
-  | None -> ());
-  Hashtbl.remove t.held txn;
-  Hashtbl.remove t.waiting txn
+      drop_all t txn held;
+      Txns.remove t.held txn
+  | exception Not_found -> ());
+  Txns.remove t.waiting txn
 
 let held_count t ~txn =
-  match Hashtbl.find_opt t.held txn with Some l -> List.length !l | None -> 0
+  match Txns.find t.held txn with
+  | held -> List.length held
+  | exception Not_found -> 0
 
-let active_locks t = Hashtbl.length t.table
-
-let pp fmt t =
-  Hashtbl.iter
-    (fun resource holders ->
-      Format.fprintf fmt "%s:" (resource_name resource);
-      Hashtbl.iter
-        (fun txn m -> Format.fprintf fmt " %d=%s" txn (mode_name m))
-        holders;
-      Format.fprintf fmt "@.")
-    t.table
+let active_locks t = Tbl.length t.table

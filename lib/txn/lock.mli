@@ -16,7 +16,15 @@
     victim, which is deterministic under a deterministic scheduler.
 
     Strict 2PL: locks are only ever released by {!release_all} at commit or
-    abort, which is what makes the commit order a valid serial order. *)
+    abort, which is what makes the commit order a valid serial order.
+
+    The table is keyed by the resource itself, hashed and compared
+    without allocating (a set by its name, an object by its OID's three
+    ints).  Each entry stores its first holder and mode inline and spills
+    further holders of a shared resource to a list; when the inline holder
+    releases, the next one moves inline.  A transaction's held list names
+    its resources.  Granting a lock on a fresh resource and releasing it
+    allocates only the table entries, and re-acquiring a covered lock allocates nothing. *)
 
 type mode = IS | IX | S | X
 
@@ -28,7 +36,8 @@ exception Deadlock of { victim : int; cycle : int list }
 type t
 
 val create : ?stats:Fieldrep_storage.Stats.t -> unit -> t
-(** [stats], when given, receives [lock_waits] and [deadlocks] counts. *)
+(** [stats], when given, receives [lock_waits], [deadlocks] and
+    [deadlock_upgrades] counts. *)
 
 val acquire : t -> txn:int -> resource -> mode -> unit
 (** Grant or upgrade, or raise {!Would_block} / {!Deadlock}.  Granted locks
@@ -50,4 +59,3 @@ val covers : mode -> mode -> bool
 val lub : mode -> mode -> mode
 val mode_name : mode -> string
 val resource_name : resource -> string
-val pp : Format.formatter -> t -> unit

@@ -13,11 +13,19 @@ type undo_image = {
   u_values : Value.t list;
 }
 
+(* First touches keyed by the OID alone (its file names the set), hashed
+   from its three ints so that a lookup allocates nothing. *)
+module Touched = Hashtbl.Make (struct
+  type t = Oid.t
+
+  let equal = Oid.equal
+  let hash = Oid.hash_fields
+end)
 type t = {
   id : int;
   mutable state : state;
   mutable undo : undo_image list;  (* newest first *)
-  touched : (string * string, unit) Hashtbl.t;  (* (set, oid) first-touch *)
+  touched : unit Touched.t;
   mutable tombstones : (string * Oid.t) list;
       (* slots pinned by this txn's deletes, resolved at commit/abort *)
   mutable ops : int;
@@ -33,7 +41,7 @@ let make id =
     id;
     state = Active;
     undo = [];
-    touched = Hashtbl.create 8;
+    touched = Touched.create 8;
     tombstones = [];
     ops = 0;
     io = 0;
@@ -45,13 +53,11 @@ let id t = t.id
 let state t = t.state
 let is_active t = t.state = Active
 
-let key set oid = (set, Oid.to_string oid)
+let touched t oid = Touched.mem t.touched oid
 
-let touched t ~set oid = Hashtbl.mem t.touched (key set oid)
-
-let record_touch t ~set oid image =
-  if not (touched t ~set oid) then begin
-    Hashtbl.replace t.touched (key set oid) ();
+let record_touch t oid image =
+  if not (touched t oid) then begin
+    Touched.replace t.touched oid ();
     t.undo <- image :: t.undo
   end
 

@@ -24,10 +24,11 @@ val id : t -> int
 val state : t -> state
 val is_active : t -> bool
 
-val touched : t -> set:string -> Fieldrep_storage.Oid.t -> bool
-(** Has a before-image already been captured for this object? *)
+val touched : t -> Fieldrep_storage.Oid.t -> bool
+(** Has a before-image already been captured for this object?  Allocates
+    nothing. *)
 
-val record_touch : t -> set:string -> Fieldrep_storage.Oid.t -> undo_image -> unit
+val record_touch : t -> Fieldrep_storage.Oid.t -> undo_image -> unit
 (** First touch wins; later touches of the same object are ignored. *)
 
 val undo_images : t -> undo_image list

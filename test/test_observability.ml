@@ -71,6 +71,7 @@ let distinct_block () =
     heartbeats_missed = 34;
     failovers = 35;
     reconnects = 36;
+    deadlock_upgrades = 37;
     by_file = Hashtbl.create 1;
   }
 
@@ -85,16 +86,17 @@ let test_pp_pinned () =
      prefetch_issued=21 prefetch_hits=22 frames_shipped=24 frames_applied=25 \
      acks_waited=26 replica_lag_bytes=27 maint_steps=28 maint_pages_walked=29 \
      maint_lock_yields=30 maint_backfill_pending=31 peer_deaths=32 \
-     ack_demotions=33 heartbeats_missed=34 failovers=35 reconnects=36"
+     ack_demotions=33 heartbeats_missed=34 failovers=35 reconnects=36 \
+     deadlock_upgrades=37"
     (Format.asprintf "%a" Stats.pp (distinct_block ()))
 
 let test_table_covers_every_counter () =
   let s = distinct_block () in
   Alcotest.(check (list int))
-    "each field read exactly once" (List.init 36 succ)
+    "each field read exactly once" (List.init 37 succ)
     (List.sort compare (List.map (fun (c, _, _) -> Stats.get s c) Stats.all));
   let names = List.map (fun (_, name, _) -> name) Stats.all in
-  checki "names distinct" 36 (List.length (List.sort_uniq compare names));
+  checki "names distinct" 37 (List.length (List.sort_uniq compare names));
   Alcotest.(check (list string))
     "gauges"
     [ "replica_lag_bytes"; "maint_backfill_pending" ]

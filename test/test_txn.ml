@@ -25,6 +25,7 @@ module Txn = Fieldrep_txn.Txn
 module Gen = Fieldrep_workload.Gen
 module Multi = Fieldrep_workload.Multi
 module Splitmix = Fieldrep_util.Splitmix
+module Lockdep = Fieldrep_util.Lockdep
 
 (* CI runs the suite under several seeds; the lock-coverage property's
    database and operation stream shift with it. *)
@@ -132,6 +133,7 @@ let test_lock_deadlock () =
       checki "the requester is the victim" 2 victim;
       checkb "cycle names both parties" true (List.mem 1 cycle && List.mem 2 cycle));
   checki "deadlock counted" 1 stats.Stats.deadlocks;
+  checki "not an upgrade" 0 stats.Stats.deadlock_upgrades;
   checki "both waits counted" 2 stats.Stats.lock_waits;
   (* the victim aborts; the survivor's blocked request now succeeds *)
   Lock.release_all l ~txn:2;
@@ -154,6 +156,440 @@ let test_lock_held_once () =
   Lock.release_all l ~txn:1;
   checki "nothing left locked" 0 (Lock.active_locks l);
   checki "nothing left held" 0 (Lock.held_count l ~txn:1)
+
+(* Two-txn S -> X upgrade deadlock: both readers ask for X, and the second
+   request closes the cycle while upgrading a lock its victim holds. *)
+let test_lock_deadlock_upgrade () =
+  let stats = Stats.create () in
+  let l = Lock.create ~stats () in
+  let a = Lock.Set "A" in
+  Lock.acquire l ~txn:1 a Lock.S;
+  Lock.acquire l ~txn:2 a Lock.S;
+  (try
+     Lock.acquire l ~txn:1 a Lock.X;
+     Alcotest.fail "t1's upgrade should block on t2"
+   with Lock.Would_block _ -> ());
+  (match Lock.acquire l ~txn:2 a Lock.X with
+  | () -> Alcotest.fail "t2's upgrade should deadlock"
+  | exception Lock.Deadlock { victim; _ } -> checki "victim" 2 victim);
+  checki "deadlock counted" 1 stats.Stats.deadlocks;
+  checki "counted as an upgrade" 1 stats.Stats.deadlock_upgrades
+
+(* ------------------------------------------------------------------ *)
+(* Model-based check of the lock table                                 *)
+
+(* The lock manager as it was before its table was keyed by int: one
+   holders table per resource, keyed by the resource itself.  It decides
+   every request, so the real manager must match it step by step. *)
+module Model = struct
+  type t = {
+    table : (Lock.resource, (int, Lock.mode) Hashtbl.t) Hashtbl.t;
+    held : (int, Lock.resource list ref) Hashtbl.t;
+    waiting : (int, Lock.resource * Lock.mode) Hashtbl.t;
+    stats : Stats.t;
+  }
+
+  let create stats =
+    {
+      table = Hashtbl.create 16;
+      held = Hashtbl.create 16;
+      waiting = Hashtbl.create 16;
+      stats;
+    }
+
+  let holders_of t resource =
+    match Hashtbl.find_opt t.table resource with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.create 4 in
+        Hashtbl.replace t.table resource h;
+        h
+
+  let conflicts holders txn want =
+    Hashtbl.fold
+      (fun other m acc ->
+        if other <> txn && not (Lock.compatible m want) then other :: acc
+        else acc)
+      holders []
+
+  let blockers_of t w =
+    match Hashtbl.find_opt t.waiting w with
+    | None -> []
+    | Some (resource, mode) -> (
+        match Hashtbl.find_opt t.table resource with
+        | None -> []
+        | Some holders ->
+            let want =
+              match Hashtbl.find_opt holders w with
+              | Some cur -> Lock.lub cur mode
+              | None -> mode
+            in
+            conflicts holders w want)
+
+  let find_cycle t start =
+    let visited = Hashtbl.create 8 in
+    let rec dfs path txn =
+      if txn = start && path <> [] then Some (List.rev path)
+      else if Hashtbl.mem visited txn then None
+      else begin
+        Hashtbl.replace visited txn ();
+        List.fold_left
+          (fun acc n ->
+            match acc with Some _ -> acc | None -> dfs (n :: path) n)
+          None (blockers_of t txn)
+      end
+    in
+    dfs [] start
+
+  let note_held t txn resource ~fresh =
+    match Hashtbl.find_opt t.held txn with
+    | Some l -> if fresh then l := resource :: !l
+    | None -> Hashtbl.replace t.held txn (ref [ resource ])
+
+  let acquire t ~txn resource mode =
+    let holders = holders_of t resource in
+    let cur = Hashtbl.find_opt holders txn in
+    match cur with
+    | Some m when Lock.covers m mode -> ()
+    | _ -> (
+        let want = match cur with Some m -> Lock.lub m mode | None -> mode in
+        match conflicts holders txn want with
+        | [] ->
+            Hashtbl.replace holders txn want;
+            note_held t txn resource ~fresh:(cur = None);
+            Hashtbl.remove t.waiting txn
+        | blocking ->
+            let already =
+              match Hashtbl.find_opt t.waiting txn with
+              | Some (r, m) -> r = resource && m = mode
+              | None -> false
+            in
+            Hashtbl.replace t.waiting txn (resource, mode);
+            if not already then Stats.bump t.stats Stats.Lock_waits;
+            (match find_cycle t txn with
+            | Some cycle ->
+                Hashtbl.remove t.waiting txn;
+                Stats.bump t.stats Stats.Deadlocks;
+                raise (Lock.Deadlock { victim = txn; cycle })
+            | None -> ());
+            raise (Lock.Would_block { txn; holders = blocking }))
+
+  let grant t ~txn resource mode =
+    let holders = holders_of t resource in
+    let cur = Hashtbl.find_opt holders txn in
+    let want = match cur with Some m -> Lock.lub m mode | None -> mode in
+    Hashtbl.replace holders txn want;
+    note_held t txn resource ~fresh:(cur = None)
+
+  let holds t ~txn resource mode =
+    match Hashtbl.find_opt t.table resource with
+    | None -> false
+    | Some holders -> (
+        match Hashtbl.find_opt holders txn with
+        | Some m -> Lock.covers m mode
+        | None -> false)
+
+  let release_all t ~txn =
+    (match Hashtbl.find_opt t.held txn with
+    | Some l ->
+        List.iter
+          (fun resource ->
+            match Hashtbl.find_opt t.table resource with
+            | Some holders ->
+                Hashtbl.remove holders txn;
+                if Hashtbl.length holders = 0 then
+                  Hashtbl.remove t.table resource
+            | None -> ())
+          !l
+    | None -> ());
+    Hashtbl.remove t.held txn;
+    Hashtbl.remove t.waiting txn
+
+  let held_count t ~txn =
+    match Hashtbl.find_opt t.held txn with
+    | Some l -> List.length !l
+    | None -> 0
+
+  let active_locks t = Hashtbl.length t.table
+end
+
+type lock_op =
+  | Acquire of int * int * Lock.mode  (* txn, resource, mode *)
+  | Grant of int * int * Lock.mode
+  | Release of int
+
+type lock_outcome = Granted | Blocked of int list | Victim of int
+
+let model_txns = 4
+let model_modes = [ Lock.IS; Lock.IX; Lock.S; Lock.X ]
+
+let model_resources =
+  [|
+    Lock.Set "A";
+    Lock.Set "B";
+    Lock.Obj { Oid.file = 1; page = 0; slot = 0 };
+    Lock.Obj { Oid.file = 1; page = 0; slot = 1 };
+    Lock.Obj { Oid.file = 2; page = 7; slot = 0 };
+    Lock.Obj { Oid.file = 2; page = 70_000; slot = 3 };
+  |]
+
+let outcome f =
+  match f () with
+  | () -> Granted
+  | exception Lock.Would_block { holders; _ } ->
+      Blocked (List.sort compare holders)
+  | exception Lock.Deadlock { victim; _ } -> Victim victim
+
+let pp_outcome = function
+  | Granted -> "granted"
+  | Blocked h -> "blocked by " ^ String.concat "," (List.map string_of_int h)
+  | Victim v -> Printf.sprintf "deadlock, victim %d" v
+
+let pp_lock_op = function
+  | Acquire (txn, r, m) ->
+      Printf.sprintf "acquire %d %s %s" txn
+        (Lock.resource_name model_resources.(r))
+        (Lock.mode_name m)
+  | Grant (txn, r, m) ->
+      Printf.sprintf "grant %d %s %s" txn
+        (Lock.resource_name model_resources.(r))
+        (Lock.mode_name m)
+  | Release txn -> Printf.sprintf "release_all %d" txn
+
+(* Run [ops] against both managers; after every step the outcomes, every
+   [holds] answer, the held counts, the table sizes and the wait and
+   deadlock counts must agree.  A deadlock victim aborts, as [Db] makes
+   it. *)
+let run_against_model ops =
+  let real_stats = Stats.create () and model_stats = Stats.create () in
+  let real = Lock.create ~stats:real_stats () in
+  let model = Model.create model_stats in
+  List.iteri
+    (fun step op ->
+      let fail fmt =
+        Alcotest.failf ("step %d (%s): " ^^ fmt) step (pp_lock_op op)
+      in
+      let got, want =
+        match op with
+        | Acquire (txn, r, m) ->
+            let res = model_resources.(r) in
+            ( outcome (fun () -> Lock.acquire real ~txn res m),
+              outcome (fun () -> Model.acquire model ~txn res m) )
+        | Grant (txn, r, m) ->
+            let res = model_resources.(r) in
+            ( outcome (fun () -> Lock.grant real ~txn res m),
+              outcome (fun () -> Model.grant model ~txn res m) )
+        | Release txn ->
+            Lock.release_all real ~txn;
+            Model.release_all model ~txn;
+            (Granted, Granted)
+      in
+      if got <> want then
+        fail "%s, the model says %s" (pp_outcome got) (pp_outcome want);
+      (match got with
+      | Victim txn ->
+          Lock.release_all real ~txn;
+          Model.release_all model ~txn
+      | Granted | Blocked _ -> ());
+      for txn = 1 to model_txns do
+        Array.iter
+          (fun res ->
+            List.iter
+              (fun m ->
+                let a = Lock.holds real ~txn res m
+                and b = Model.holds model ~txn res m in
+                if a <> b then
+                  fail "holds %d %s %s: %b, the model says %b" txn
+                    (Lock.resource_name res) (Lock.mode_name m) a b)
+              model_modes)
+          model_resources;
+        let a = Lock.held_count real ~txn and b = Model.held_count model ~txn in
+        if a <> b then fail "held_count %d: %d, the model says %d" txn a b
+      done;
+      let a = Lock.active_locks real and b = Model.active_locks model in
+      if a <> b then fail "active_locks %d, the model says %d" a b;
+      List.iter
+        (fun c ->
+          let a = Stats.get real_stats c and b = Stats.get model_stats c in
+          if a <> b then fail "counter %d, the model says %d" a b)
+        [ Stats.Lock_waits; Stats.Deadlocks ])
+    ops
+
+(* Shared S holders where the first granted, the one held inline, leaves
+   first: the next holder must take its place without losing anyone. *)
+let first_holder_leaves =
+  [
+    Acquire (1, 2, Lock.S);
+    Acquire (2, 2, Lock.S);
+    Acquire (3, 2, Lock.IS);
+    Acquire (4, 2, Lock.X);
+    Release 1;
+    Acquire (4, 2, Lock.X);
+    Acquire (2, 2, Lock.X);
+    Release 2;
+    Acquire (4, 2, Lock.IX);
+    Release 3;
+    Acquire (4, 2, Lock.X);
+    Acquire (1, 0, Lock.IS);
+    Acquire (2, 0, Lock.IX);
+    Acquire (3, 0, Lock.IS);
+    Release 1;
+    Acquire (2, 0, Lock.X);
+    Release 3;
+    Acquire (2, 0, Lock.X);
+  ]
+
+let test_lock_model () =
+  run_against_model first_holder_leaves;
+  let rng = Splitmix.create (seed_base + 41) in
+  (* S and IS twice as likely, so shared holders are common *)
+  let modes = [| Lock.IS; Lock.IS; Lock.IX; Lock.S; Lock.S; Lock.X |] in
+  for _ = 1 to 400 do
+    let op _ =
+      let txn = 1 + Splitmix.int rng model_txns in
+      let r = Splitmix.int rng (Array.length model_resources) in
+      let m = modes.(Splitmix.int rng (Array.length modes)) in
+      match Splitmix.int rng 10 with
+      | 0 -> Grant (txn, r, m)
+      | 1 | 2 -> Release txn
+      | _ -> Acquire (txn, r, m)
+    in
+    run_against_model (List.init 40 op)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* Minor words allocated by [f ()], less the cost of measuring. *)
+let minor_words f =
+  let span g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  span f -. span ignore
+
+let test_touched_words () =
+  let tx = Txn.make 1 in
+  let oids =
+    Array.init 200 (fun i -> { Oid.file = 3; page = i / 7; slot = i mod 7 })
+  in
+  Array.iteri
+    (fun i oid ->
+      if i mod 2 = 0 then
+        Txn.record_touch tx oid
+          { Txn.u_set = "R"; u_oid = oid; u_present = true; u_values = [] })
+    oids;
+  let hits = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 9_999 do
+          if Txn.touched tx oids.(i mod 200) then incr hits
+        done)
+  in
+  checki "half the OIDs touched" 5_000 !hits;
+  Alcotest.(check (float 0.)) "words per 10 000 calls" 0. words
+
+(* The layer probe's lock step: IX on a set, X on an object the
+   transaction has not locked before, and the release.  The resources are
+   built beforehand, so only the lock table's own words count; the runtime
+   lock-order recorder, which CI arms for this suite, is off meanwhile. *)
+let test_lock_words () =
+  let recording = Lockdep.enabled () in
+  Lockdep.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lockdep.set_enabled recording) @@ fun () ->
+  let l = Lock.create () in
+  let set = Lock.Set "R" in
+  let objs =
+    Array.init 1024 (fun i ->
+        Lock.Obj { Oid.file = 3; page = i / 16; slot = i mod 16 })
+  in
+  let step i =
+    Lock.acquire l ~txn:i set Lock.IX;
+    Lock.acquire l ~txn:i objs.(i land 1023) Lock.X;
+    Lock.release_all l ~txn:i
+  in
+  for i = 0 to 999 do
+    step i
+  done;
+  let n = 10_000 in
+  let words =
+    minor_words (fun () ->
+        for i = 1000 to 1000 + n - 1 do
+          step i
+        done)
+  in
+  let per_step = words /. float_of_int n in
+  if per_step > 32. then
+    Alcotest.failf "%.1f words per IX + X + release_all (at most 32)" per_step;
+  checki "table drained" 0 (Lock.active_locks l)
+
+(* A churn-shaped op, delete the oldest R object and insert a new one,
+   costs a transaction of 50 at most 1.25x the words of its autocommit
+   twin, and reads exactly the same objects. *)
+let test_txn_words strategy () =
+  let run ~txn_ops =
+    let built =
+      Gen.build
+        {
+          Gen.default_spec with
+          Gen.s_count = 100;
+          sharing = 2;
+          strategy;
+          frames = 1024;
+          backend = Some Db.Mem;
+          durable = true;
+          wal_fsync = Some false;
+          seed = seed_base + 43;
+        }
+    in
+    let db = built.Gen.db in
+    let window = Queue.create () in
+    Db.scan db ~set:"R" (fun oid _ -> Queue.push oid window);
+    let s = ref [] in
+    Db.scan db ~set:"S" (fun oid _ -> s := oid :: !s);
+    let s = Array.of_list (List.rev !s) in
+    let rng = Splitmix.create (seed_base + 47) in
+    let next_key = ref 1_000_000 in
+    let pad = String.make Gen.default_spec.Gen.r_pad_bytes 'p' in
+    let txn = ref None in
+    let op g =
+      if txn_ops > 1 && g mod txn_ops = 0 then txn := Some (Db.begin_txn db);
+      let txn = !txn in
+      Db.delete ?txn db ~set:"R" (Queue.pop window);
+      incr next_key;
+      let target = s.(Splitmix.int rng (Array.length s)) in
+      Queue.push
+        (Db.insert ?txn db ~set:"R"
+           [ Value.VInt !next_key; Value.VString pad; Value.VRef target ])
+        window;
+      match txn with
+      | Some tx when g mod txn_ops = txn_ops - 1 -> Db.commit db tx
+      | Some _ | None -> ()
+    in
+    let warmup = 300 and ops = 500 in
+    for g = 0 to warmup - 1 do
+      op g
+    done;
+    let read0 = (Db.stats db).Stats.objects_read in
+    let words =
+      minor_words (fun () ->
+          for g = warmup to warmup + ops - 1 do
+            op g
+          done)
+    in
+    let read = (Db.stats db).Stats.objects_read - read0 in
+    Db.check_integrity db;
+    Db.close db;
+    (words /. float_of_int ops, read)
+  in
+  let auto_words, auto_read = run ~txn_ops:1 in
+  let txn_words, txn_read = run ~txn_ops:50 in
+  checki "objects read" auto_read txn_read;
+  let ratio = txn_words /. auto_words in
+  if ratio > 1.25 then
+    Alcotest.failf "txn %.0f words/op, autocommit %.0f: %.2fx (at most 1.25x)"
+      txn_words auto_words ratio
 
 (* ------------------------------------------------------------------ *)
 (* Commit / abort semantics through Db                                 *)
@@ -256,6 +692,38 @@ let test_abort_self_loop strategy () =
   Db.check_integrity db;
   Db.update_field db ~set:"Emp1" x ~field:"manager" (Value.VRef x);
   Db.unreplicate db (Path.parse "Emp1.manager.name");
+  Db.check_integrity db
+
+(* File ids only grow (each retrieve's output file takes one), so a set
+   created late has a large one.  Its objects lock, and a transaction's
+   insert and update on them roll back, like any other. *)
+let test_high_file_id () =
+  let db = Db.create ~page_size:1024 ~frames:64 () in
+  Db.define_type db
+    (Ty.make ~name:"EMP"
+       [
+         { Ty.fname = "name"; ftype = Ty.Scalar Ty.SString };
+         { Ty.fname = "manager"; ftype = Ty.Ref "EMP" };
+       ]);
+  Disk.reserve_file_ids (Pager.disk (Db.pager db)) 40_000;
+  Db.create_set db ~name:"Emp1" ~elem_type:"EMP" ();
+  let a = Db.insert db ~set:"Emp1" [ Value.VString "a"; Value.VNull ] in
+  checkb "file id past 2^14" true (a.Oid.file >= 1 lsl 14);
+  let tx = Db.begin_txn db in
+  let b = Db.insert ~txn:tx db ~set:"Emp1" [ Value.VString "b"; Value.VNull ] in
+  Db.update_field ~txn:tx db ~set:"Emp1" a ~field:"name" (Value.VString "a2");
+  let locks = Db.lock_manager db in
+  checkb "insert X-locked" true
+    (Lock.holds locks ~txn:(Txn.id tx) (Lock.Obj b) Lock.X);
+  checkb "update X-locked" true
+    (Lock.holds locks ~txn:(Txn.id tx) (Lock.Obj a) Lock.X);
+  Db.abort db tx;
+  checki "all locks released" 0 (Lock.active_locks locks);
+  let names = ref [] in
+  Db.scan db ~set:"Emp1" (fun _ r ->
+      names := Db.field_value db ~set:"Emp1" r "name" :: !names);
+  Alcotest.(check (list value_testable))
+    "only the committed object, unchanged" [ Value.VString "a" ] !names;
   Db.check_integrity db
 
 let test_isolation_blocks () =
@@ -631,6 +1099,20 @@ let () =
           Alcotest.test_case "upgrade" `Quick test_lock_upgrade;
           Alcotest.test_case "deadlock detection" `Quick test_lock_deadlock;
           Alcotest.test_case "held once per resource" `Quick test_lock_held_once;
+          Alcotest.test_case "upgrade deadlock counted" `Quick
+            test_lock_deadlock_upgrade;
+          Alcotest.test_case "matches the two-table model" `Quick
+            test_lock_model;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "touched allocates nothing" `Quick
+            test_touched_words;
+          Alcotest.test_case "lock words per object" `Quick test_lock_words;
+          Alcotest.test_case "txn words vs autocommit, in-place" `Quick
+            (test_txn_words Params.Inplace);
+          Alcotest.test_case "txn words vs autocommit, separate" `Quick
+            (test_txn_words Params.Separate);
         ] );
       ( "lock footprint",
         [
@@ -657,6 +1139,7 @@ let () =
             (test_abort_self_loop Schema.Inplace);
           Alcotest.test_case "abort revives self-managed (separate)" `Quick
             (test_abort_self_loop Schema.Separate);
+          Alcotest.test_case "file ids past 2^14" `Quick test_high_file_id;
           Alcotest.test_case "isolation blocks readers" `Quick
             test_isolation_blocks;
           Alcotest.test_case "deadlock through the engine" `Quick

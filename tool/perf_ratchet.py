@@ -5,17 +5,22 @@
     python3 tool/perf_ratchet.py --update
 
 Run it from the root of a source tree after writing one result file per
-workload, as CI's benchmark smoke step does:
+workload, and one traced run's result for the layer probe, as CI's
+benchmark smoke step does:
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 3 --trace 0 \\
         > perfbench-W.out
+    python3 perfbench/run.py --workload deref_hot --seed 1 --seconds 1 \\
+        --trace 1 > perfbench-layers.out
 
-The last line of each perfbench-W.out is the result object.  The check
-fails if a workload's pages_per_op, attempts_per_commit or space_amp moved
-by more than 0.5% either way, or its words_per_op rose by more than 5%.
-All four are counts, not timings: at a fixed seed and length they repeat
-exactly on one machine.  A change that improves a number rewrites the
-baseline with --update in the same commit.
+The last line of each file is the result object.  The check fails if a
+workload's pages_per_op, attempts_per_commit or space_amp moved by more
+than 0.5% either way, or its words_per_op rose by more than 5%, or if one
+of the layer probe's *_words (allocated words per call of a layer's entry
+point) rose by more than 5%.  All of these are counts, not timings: at a
+fixed seed and length they repeat exactly on one machine, and the probe's
+words do not depend on the run's length.  A change that improves a number
+rewrites the baseline with --update in the same commit.
 """
 
 import argparse
@@ -24,6 +29,8 @@ import os
 import sys
 
 SETTINGS = {"seed": 1, "seconds": 3, "trace": 0}
+LAYER_SETTINGS = {"workload": "deref_hot", "seed": 1, "seconds": 1, "trace": 1}
+LAYER_FILE = "perfbench-layers.out"
 # metric -> (largest allowed relative change, whether a fall also fails)
 BOUNDS = {
     "pages_per_op": (0.005, True),
@@ -31,10 +38,10 @@ BOUNDS = {
     "space_amp": (0.005, True),
     "words_per_op": (0.05, False),
 }
+LAYER_BOUND = 0.05  # largest allowed rise of a layer's words per call
 
 
-def result(directory, workload):
-    path = os.path.join(directory, "perfbench-%s.out" % workload)
+def metrics(path):
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -42,7 +49,30 @@ def result(directory, workload):
     res = json.loads(lines[-1])
     if res.get("correct") is not True:
         sys.exit("perf_ratchet: %s is not a correct run" % path)
-    return {m: res["metrics"][m]["value"] for m in BOUNDS}
+    return {m: v["value"] for m, v in res["metrics"].items()}
+
+
+def result(directory, workload):
+    found = metrics(os.path.join(directory, "perfbench-%s.out" % workload))
+    return {m: found[m] for m in BOUNDS}
+
+
+def layer_words(directory):
+    found = metrics(os.path.join(directory, LAYER_FILE))
+    return {m: v for m, v in found.items() if m.endswith("_words")}
+
+
+def compare(label, metric, old, new, bound, two_sided):
+    """Print one row; return whether it is outside its bound."""
+    if old:
+        change = (new - old) / old
+        bad = abs(change) > bound if two_sided else change > bound
+    else:
+        change = 0.0
+        bad = new != old if two_sided else new > old
+    print("%-10s %-33s %14.4f -> %14.4f  %+7.2f%%%s"
+          % (label, metric, old, new, 100 * change, "  FAIL" if bad else ""))
+    return bad
 
 
 def main():
@@ -58,10 +88,16 @@ def main():
     if baseline["settings"] != SETTINGS:
         sys.exit("perf_ratchet: baseline settings %s, expected %s"
                  % (baseline["settings"], SETTINGS))
+    if baseline.get("layer_settings", LAYER_SETTINGS) != LAYER_SETTINGS:
+        sys.exit("perf_ratchet: baseline layer settings %s, expected %s"
+                 % (baseline["layer_settings"], LAYER_SETTINGS))
     fresh = {w: result(args.dir, w) for w in baseline["workloads"]}
+    fresh_layers = layer_words(args.dir)
 
     if args.update:
         baseline["workloads"] = fresh
+        baseline["layer_settings"] = LAYER_SETTINGS
+        baseline["layers"] = fresh_layers
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -71,14 +107,18 @@ def main():
     failures = []
     for workload, base in sorted(baseline["workloads"].items()):
         for metric, (bound, two_sided) in sorted(BOUNDS.items()):
-            old, new = base[metric], fresh[workload][metric]
-            change = (new - old) / old if old else 0.0
-            bad = abs(change) > bound if two_sided else change > bound
-            print("%-10s %-19s %14.4f -> %14.4f  %+7.2f%%%s"
-                  % (workload, metric, old, new, 100 * change,
-                     "  FAIL" if bad else ""))
-            if bad:
+            if compare(workload, metric, base[metric], fresh[workload][metric],
+                       bound, two_sided):
                 failures.append((workload, metric))
+    if "layers" not in baseline:
+        sys.exit("perf_ratchet: the baseline has no layer words; "
+                 "write them with --update")
+    for metric, old in sorted(baseline["layers"].items()):
+        if metric not in fresh_layers:
+            sys.exit("perf_ratchet: %s has no %s" % (LAYER_FILE, metric))
+        if compare("layers", metric, old, fresh_layers[metric],
+                   LAYER_BOUND, False):
+            failures.append(("layers", metric))
     if failures:
         sys.exit("perf_ratchet: %d number(s) outside their bound: %s"
                  % (len(failures), failures))
