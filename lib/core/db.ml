@@ -1241,11 +1241,12 @@ let io_breakdown t =
       Option.value ~default:"output/other" (Hashtbl.find_opt tbl file)
   in
   let acc = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun file (r, w) ->
+  Stats.File_table.iter
+    (fun file io ->
       let label = label_of_file file in
       let r0, w0 = Option.value ~default:(0, 0) (Hashtbl.find_opt acc label) in
-      Hashtbl.replace acc label (r0 + r, w0 + w))
+      Hashtbl.replace acc label
+        (r0 + io.Stats.file_reads, w0 + io.Stats.file_writes))
     stats.Stats.by_file;
   Hashtbl.fold (fun label (r, w) rows -> (label, r, w) :: rows) acc []
   |> List.sort compare
@@ -1411,9 +1412,12 @@ let save t path =
       put_u16 rep_id;
       put_u32 file_id)
     sprimes;
-  (* Raw disk contents. *)
+  (* Raw disk contents.  A query's output file is a transient result that
+     no log record makes, so the image leaves it out, as recovery would. *)
   let disk = Pager.disk t.pager in
-  let file_ids = Disk.file_ids disk in
+  let file_ids =
+    List.filter (fun id -> not (Disk.is_output_file disk id)) (Disk.file_ids disk)
+  in
   put_u32 (List.length file_ids);
   List.iter
     (fun id ->

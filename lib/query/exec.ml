@@ -101,7 +101,7 @@ type retrieve_result = { rows : int; output_file : int; output_pages : int }
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
   let projections = compile db ~set q.Ast.projections in
-  let out = Heap_file.create (Db.pager db) in
+  let out = Heap_file.create_output (Db.pager db) in
   let rows = ref 0 in
   iter_selected db ~set q.Ast.where (fun oid record ->
       let values = eval_all db ~oid record projections in

@@ -35,7 +35,10 @@ type retrieve_result = {
 
 val retrieve : Db.t -> Ast.retrieve -> retrieve_result
 (** Executes the query, materialising the result into a fresh output file
-    (so its generation I/O is counted, as in the model). *)
+    (so its generation I/O is counted, as in the model).  Nothing logs
+    the output file, so its id comes from the query output range
+    ({!Fieldrep_storage.Disk.create_output_file}), and the ids that sets,
+    indexes and replicas get stay the same with or without queries. *)
 
 val retrieve_values : Db.t -> Ast.retrieve -> Value.t list list
 (** Convenience for tests and examples: run the query and load the result

@@ -66,14 +66,14 @@ let encode ~epoch msg =
   let off = Wire.put_u8 buf off (tag_of msg) in
   let off = put_body buf off msg in
   assert (off = 4 + 4 + 1 + blen);
-  ignore (Wire.put_u32 buf 0 (Checksum.fnv1a32 buf 4 (4 + 1 + blen)));
+  ignore (Wire.put_u32 buf 0 (Checksum.sum32 buf 4 (4 + 1 + blen)));
   Bytes.unsafe_to_string buf
 
 let decode s =
   let buf = Bytes.of_string s in
   if Bytes.length buf < 9 then raise (Wire.Corrupt "Proto: short message");
   let want_crc, off = Wire.get_u32 buf 0 in
-  if Checksum.fnv1a32 buf 4 (Bytes.length buf - 4) <> want_crc then
+  if Checksum.sum32 buf 4 (Bytes.length buf - 4) <> want_crc then
     raise (Wire.Corrupt "Proto: message checksum mismatch");
   let epoch, off = Wire.get_u32 buf off in
   let tag, off = Wire.get_u8 buf off in

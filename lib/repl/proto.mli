@@ -16,7 +16,7 @@
 
     Each message travels as one transport payload:
     [crc:u32 | epoch:u32 | tag:u8 | body], where [crc] is the same
-    FNV-1a-32 the WAL and the disk use, over epoch+tag+body.  The
+    [Checksum.sum32] the WAL and the disk use, over epoch+tag+body.  The
     transport frames lengths; the checksum catches corruption and
     truncation inside a delivered payload.
 

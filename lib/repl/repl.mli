@@ -20,8 +20,8 @@
 
     {1 Failure handling}
 
-    Every message carries an FNV-1a checksum, and each WAL frame carries
-    its own.  A replica that sees a corrupt or missing frame answers with
+    Every message carries a [Checksum.sum32] checksum, and each WAL frame
+    carries its own.  A replica that sees a corrupt or missing frame answers with
     [Resend]; the master re-reads the tail from the log file — the tap
     only ships flushed frames, so the file always has them.  A replica
     that disconnects rejoins with [Hello] carrying its last applied LSN

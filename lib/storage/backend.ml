@@ -50,6 +50,14 @@ end
 
 (* ------------------------------------------------------------------ *)
 
+(* Both backends key their per-file tables by the file id itself, and
+   look a file up with [find] and a [Not_found] handler rather than
+   [find_opt], whose [Some] would cost a page I/O an allocation. *)
+module Table = Hashtbl.Make (Int)
+
+let unknown id = invalid_arg (Printf.sprintf "Disk: unknown file %d" id)
+let sorted_ids files = Table.fold (fun id _ acc -> id :: acc) files [] |> List.sort Int.compare
+
 module Mem = struct
   type file = {
     mutable pages : Bytes.t array;
@@ -57,24 +65,18 @@ module Mem = struct
     mutable sums : int array;
   }
 
-  type t = { page_size : int; files : (int, file) Hashtbl.t }
+  type t = { page_size : int; files : file Table.t }
 
   let label = "mem"
-  let create ~page_size = { page_size; files = Hashtbl.create 16 }
-
-  let find t id =
-    match Hashtbl.find_opt t.files id with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "Disk: unknown file %d" id)
+  let create ~page_size = { page_size; files = Table.create 16 }
+  let find t id = try Table.find t.files id with Not_found -> unknown id
 
   let create_file t ~id =
-    Hashtbl.replace t.files id { pages = [||]; count = 0; sums = [||] }
+    Table.replace t.files id { pages = [||]; count = 0; sums = [||] }
 
-  let delete_file t ~id = Hashtbl.remove t.files id
-  let file_exists t ~id = Hashtbl.mem t.files id
-
-  let file_ids t =
-    Hashtbl.fold (fun id _ acc -> id :: acc) t.files [] |> List.sort Int.compare
+  let delete_file t ~id = Table.remove t.files id
+  let file_exists t ~id = Table.mem t.files id
+  let file_ids t = sorted_ids t.files
 
   let page_count t ~id = (find t id).count
 
@@ -108,45 +110,51 @@ module File = struct
      before the GC reclaims the corresponding backends.  Eviction just
      closes the descriptor — the path is re-opened on the next access. *)
   module Fd_cache = struct
+    (* One int per (backend, file): a file id is below [Oid.max_file]. *)
+    let key ~bid ~file = (bid * (Oid.max_file + 1)) + file
+
+    type entry = { fd : Unix.file_descr; mutable last : int }
+
     let cap = 64
-    let tbl : (int * int, Unix.file_descr * int ref) Hashtbl.t = Hashtbl.create 97
+    let tbl : entry Table.t = Table.create 97
     let clock = ref 0
 
     let evict_oldest () =
       let oldest =
-        Hashtbl.fold
-          (fun k (_, last) acc ->
+        Table.fold
+          (fun k e acc ->
             match acc with
-            | Some (_, best) when best <= !last -> acc
-            | Some _ | None -> Some (k, !last))
+            | Some (_, best) when best <= e.last -> acc
+            | Some _ | None -> Some (k, e.last))
           tbl None
       in
       match oldest with
       | Some (k, _) ->
-          (match Hashtbl.find_opt tbl k with
-          | Some (fd, _) -> Unix.close fd
-          | None -> ());
-          Hashtbl.remove tbl k
+          Unix.close (Table.find tbl k).fd;
+          Table.remove tbl k
       | None -> ()
 
-    let get ~bid ~file path =
+    (* The cached descriptor for [key], or [Not_found]. *)
+    let find key =
+      let e = Table.find tbl key in
       incr clock;
-      match Hashtbl.find_opt tbl (bid, file) with
-      | Some (fd, last) ->
-          last := !clock;
-          fd
-      | None ->
-          if Hashtbl.length tbl >= cap then evict_oldest ();
-          let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-          Hashtbl.replace tbl (bid, file) (fd, ref !clock);
-          fd
+      e.last <- !clock;
+      e.fd
+
+    let open_ key path =
+      if Table.length tbl >= cap then evict_oldest ();
+      let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+      incr clock;
+      Table.replace tbl key { fd; last = !clock };
+      fd
 
     let drop ~bid ~file =
-      match Hashtbl.find_opt tbl (bid, file) with
-      | Some (fd, _) ->
-          Unix.close fd;
-          Hashtbl.remove tbl (bid, file)
-      | None -> ()
+      let key = key ~bid ~file in
+      match Table.find tbl key with
+      | e ->
+          Unix.close e.fd;
+          Table.remove tbl key
+      | exception Not_found -> ()
   end
 
   (* Auto-created backing directories, removed at process exit so a test
@@ -199,8 +207,9 @@ module File = struct
     bid : int;  (* key into the process-wide fd cache *)
     page_size : int;
     slot : int;  (* page_size + 8-byte checksum trailer *)
-    files : (int, meta) Hashtbl.t;
+    files : meta Table.t;
     trailer : Bytes.t;  (* 8-byte staging buffer for trailer writes *)
+    paths : string Table.t;  (* file id -> path, built once per id *)
     mutable closed : bool;
   }
 
@@ -228,18 +237,28 @@ module File = struct
       bid;
       page_size;
       slot = page_size + 8;
-      files = Hashtbl.create 16;
+      files = Table.create 16;
       trailer = Bytes.create 8;
+      paths = Table.create 16;
       closed = false;
     }
 
-  let path t id = Filename.concat t.dir (Printf.sprintf "%06d.fdb" id)
-  let fd t id = Fd_cache.get ~bid:t.bid ~file:id (path t id)
+  (* A query's output file is created, opened and removed under the same
+     id again and again; its path is built once. *)
+  let path t id =
+    match Table.find t.paths id with
+    | p -> p
+    | exception Not_found ->
+        let p = Filename.concat t.dir (Printf.sprintf "%06d.fdb" id) in
+        Table.replace t.paths id p;
+        p
 
-  let find t id =
-    match Hashtbl.find_opt t.files id with
-    | Some m -> m
-    | None -> invalid_arg (Printf.sprintf "Disk: unknown file %d" id)
+  (* The path is looked up only when the descriptor is not cached. *)
+  let fd t id =
+    let key = Fd_cache.key ~bid:t.bid ~file:id in
+    try Fd_cache.find key with Not_found -> Fd_cache.open_ key (path t id)
+
+  let find t id = try Table.find t.files id with Not_found -> unknown id
 
   let rec really_write fd buf off len =
     if len > 0 then begin
@@ -262,17 +281,15 @@ module File = struct
     Fd_cache.drop ~bid:t.bid ~file:id;
     let fd = Unix.openfile (path t id) [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Unix.close fd;
-    Hashtbl.replace t.files id { count = 0; sums = [||] }
+    Table.replace t.files id { count = 0; sums = [||] }
 
   let delete_file t ~id =
     Fd_cache.drop ~bid:t.bid ~file:id;
     (try Sys.remove (path t id) with Sys_error _ -> ());
-    Hashtbl.remove t.files id
+    Table.remove t.files id
 
-  let file_exists t ~id = Hashtbl.mem t.files id
-
-  let file_ids t =
-    Hashtbl.fold (fun id _ acc -> id :: acc) t.files [] |> List.sort Int.compare
+  let file_exists t ~id = Table.mem t.files id
+  let file_ids t = sorted_ids t.files
 
   let page_count t ~id = (find t id).count
 
@@ -287,14 +304,13 @@ module File = struct
     (* No syscall: the new slot is a sparse hole that reads as zeros. *)
     m.count <- m.count + 1
 
+  (* [Disk] has checked that the file exists before it reads or writes. *)
   let read t ~file ~page buf =
-    ignore (find t file);
     let fd = fd t file in
     seek fd (page * t.slot);
     really_read fd buf 0 t.page_size
 
   let write t ~file ~page ~len buf =
-    ignore (find t file);
     let fd = fd t file in
     seek fd (page * t.slot);
     really_write fd buf 0 len
@@ -312,7 +328,7 @@ module File = struct
   let close t =
     if not t.closed then begin
       t.closed <- true;
-      Hashtbl.iter (fun id _ -> Fd_cache.drop ~bid:t.bid ~file:id) t.files;
+      Table.iter (fun id _ -> Fd_cache.drop ~bid:t.bid ~file:id) t.files;
       if t.owns_dir then begin
         remove_dir t.dir;
         Hashtbl.remove auto_dirs t.dir

@@ -81,25 +81,26 @@ let evict_frame t idx =
   f.prefetched <- false
 
 (* Clock sweep: skip pinned frames, give referenced frames a second chance.
-   Two full sweeps with no victim means everything is pinned. *)
-let find_victim t =
+   Two full sweeps with no victim means everything is pinned.  The miss
+   path's loops are top-level functions, not local closures, so a miss
+   allocates no closure. *)
+let rec sweep t steps =
   let n = Array.length t.frames in
-  let rec loop steps =
-    if steps > 2 * n then raise Exhausted
-    else begin
-      let idx = t.hand in
-      t.hand <- (t.hand + 1) mod n;
-      let f = t.frames.(idx) in
-      if not f.occupied then idx
-      else if f.pins > 0 then loop (steps + 1)
-      else if f.referenced then begin
-        f.referenced <- false;
-        loop (steps + 1)
-      end
-      else idx
+  if steps > 2 * n then raise Exhausted
+  else begin
+    let idx = t.hand in
+    t.hand <- (t.hand + 1) mod n;
+    let f = t.frames.(idx) in
+    if not f.occupied then idx
+    else if f.pins > 0 then sweep t (steps + 1)
+    else if f.referenced then begin
+      f.referenced <- false;
+      sweep t (steps + 1)
     end
-  in
-  loop 0
+    else idx
+  end
+
+let find_victim t = sweep t 0
 
 (* Transient faults ({!Disk.Read_error}) are retried a bounded number of
    times; the disk is simulated, so the backoff between attempts is a
@@ -108,21 +109,17 @@ let find_victim t =
    checksum. *)
 let max_read_attempts = 3
 
-let read_with_retry t ~file ~page buf =
-  let stats = Disk.stats t.disk in
-  let rec attempt n =
-    try Disk.read_page t.disk ~file ~page buf
-    with Disk.Read_error _ when n < max_read_attempts ->
-      Stats.bump stats Stats.Read_retries;
-      attempt (n + 1)
-  in
-  attempt 1
+let rec read_with_retry t ~file ~page buf attempt =
+  try Disk.read_page t.disk ~file ~page buf
+  with Disk.Read_error _ when attempt < max_read_attempts ->
+    Stats.bump (Disk.stats t.disk) Stats.Read_retries;
+    read_with_retry t ~file ~page buf (attempt + 1)
 
 (* Retarget an unpinned (or just-vacated) frame at (file, page).  The page
-   image is already in hand — [src] — or the frame is zeroed for a fresh
-   page, so nothing here can fail between evicting the old resident and
-   mapping the new one. *)
-let install_at t idx ~file ~page src =
+   image is already in hand — in [t.scratch] when [read] — or the frame is
+   zeroed for a fresh page, so nothing here can fail between evicting the
+   old resident and mapping the new one. *)
+let install_at t idx ~file ~page ~read =
   let f = t.frames.(idx) in
   if f.occupied then evict_frame t idx;
   f.file <- file;
@@ -132,9 +129,8 @@ let install_at t idx ~file ~page src =
   f.referenced <- true;
   f.occupied <- true;
   f.prefetched <- false;
-  (match src with
-  | Some bytes -> Bytes.blit bytes 0 f.data 0 (Bytes.length f.data)
-  | None -> Bytes.fill f.data 0 (Bytes.length f.data) '\000');
+  if read then Bytes.blit t.scratch 0 f.data 0 (Bytes.length f.data)
+  else Bytes.fill f.data 0 (Bytes.length f.data) '\000';
   Table.replace t.table (key ~file ~page) idx;
   idx
 
@@ -146,13 +142,12 @@ let install_at t idx ~file ~page src =
 let install t ~file ~page ~read =
   let idx = find_victim t in
   if read then begin
-    (try read_with_retry t ~file ~page t.scratch
+    (try read_with_retry t ~file ~page t.scratch 1
      with e ->
        Stats.bump (Disk.stats t.disk) Stats.Failed_reads;
-       raise e);
-    install_at t idx ~file ~page (Some t.scratch)
-  end
-  else install_at t idx ~file ~page None
+       raise e)
+  end;
+  install_at t idx ~file ~page ~read
 
 (* Read pages (page+1 .. page+depth) of [file] into the pool ahead of
    demand.  Called with the frame for [page] pinned, so the demand page
@@ -176,9 +171,11 @@ let prefetch_run t ~file ~page =
     t.seq_next <- last + 1
   end
 
+(* [find] with a [Not_found] handler, not [find_opt]: a hit allocates no
+   [Some]. *)
 let lookup t ~file ~page ~for_new =
-  match Table.find_opt t.table (key ~file ~page) with
-  | Some idx ->
+  match Table.find t.table (key ~file ~page) with
+  | idx ->
       let stats = Disk.stats t.disk in
       Stats.bump stats Stats.Buffer_hits;
       let f = t.frames.(idx) in
@@ -188,7 +185,7 @@ let lookup t ~file ~page ~for_new =
       end;
       f.referenced <- true;
       idx
-  | None ->
+  | exception Not_found ->
       let idx = install t ~file ~page ~read:(not for_new) in
       if t.prefetch_depth > 0 && not for_new then begin
         let sequential = file = t.seq_file && page = t.seq_next in
@@ -247,7 +244,7 @@ let new_page t ~file =
      all-pinned pool raises [Exhausted]. *)
   let idx = find_victim t in
   let page = Disk.allocate_page t.disk file in
-  let idx = install_at t idx ~file ~page None in
+  let idx = install_at t idx ~file ~page ~read:false in
   t.frames.(idx).dirty <- true;
   page
 

@@ -23,6 +23,15 @@ type read_failpoint = {
   mutable tick : int;
 }
 
+(* Pages are keyed by one int, [(file lsl 32) lor page], as in the buffer
+   pool, so a quarantine probe hashes an immediate instead of a tuple. *)
+module Table = Hashtbl.Make (Int)
+
+let page_key ~file ~page = (file lsl 32) lor page
+
+(* The highest file id handed out: [Oid.max_file] is the nil OID's file. *)
+let max_file_id = Oid.max_file - 1
+
 type t = {
   page_size : int;
   zero_sum : int;
@@ -31,9 +40,10 @@ type t = {
   backend_name : string;
   scratch : Bytes.t;  (* verification / read-modify-write staging *)
   mutable next_file : int;
+  outputs : unit Table.t;  (* live query output file ids *)
   mutable failpoint : failpoint option;
   mutable read_failpoint : read_failpoint option;
-  quarantine_tbl : (int * int, unit) Hashtbl.t;
+  quarantine_tbl : unit Table.t;
 }
 
 let backend_of_env () =
@@ -54,39 +64,67 @@ let create ?(page_size = 4096) ?backend stats =
   in
   {
     page_size;
-    zero_sum = Checksum.fnv1a32 (Bytes.make page_size '\000') 0 page_size;
+    zero_sum = Checksum.sum32 (Bytes.make page_size '\000') 0 page_size;
     stats;
     backend;
     backend_name;
     scratch = Bytes.create page_size;
     next_file = 0;
+    outputs = Table.create 8;
     failpoint = None;
     read_failpoint = None;
-    quarantine_tbl = Hashtbl.create 8;
+    quarantine_tbl = Table.create 8;
   }
 
 let page_size t = t.page_size
 let stats t = t.stats
 let backend_name t = t.backend_name
-let sum_of t bytes = Checksum.fnv1a32 bytes 0 t.page_size
+let sum_of t bytes = Checksum.sum32 bytes 0 t.page_size
 
 let close t =
   let (P ((module B), b)) = t.backend in
   B.close b
 
+(* File ids come from two ranges of one space.  Persistent files — sets,
+   indexes, link and S' files, everything DDL makes and the log replays —
+   count up from 0 through [next_file].  Query output files, which nothing
+   logs, take the highest id no live output holds, counting down from
+   [max_file_id], so a query never moves the id the next DDL gets, and a
+   dropped output's id is reused.  Either allocation raises once the two
+   ranges meet. *)
 let create_file t =
   let id = t.next_file in
+  if id > max_file_id || Table.mem t.outputs id then
+    invalid_arg
+      (Printf.sprintf "Disk.create_file: file ids exhausted (next id %d)" id);
   t.next_file <- id + 1;
   let (P ((module B), b)) = t.backend in
   B.create_file b ~id;
   id
 
+let create_output_file t =
+  let rec free id = if Table.mem t.outputs id then free (id - 1) else id in
+  let id = free max_file_id in
+  if id < t.next_file then
+    invalid_arg
+      (Printf.sprintf
+         "Disk.create_output_file: file ids exhausted (%d persistent, %d output)"
+         t.next_file (Table.length t.outputs));
+  Table.replace t.outputs id ();
+  let (P ((module B), b)) = t.backend in
+  B.create_file b ~id;
+  id
+
+let is_output_file t id = Table.mem t.outputs id
+
 let delete_file t id =
   let (P ((module B), b)) = t.backend in
   if B.file_exists b ~id then B.delete_file b ~id;
-  Hashtbl.iter
-    (fun (f, p) () -> if f = id then Hashtbl.remove t.quarantine_tbl (f, p))
-    (Hashtbl.copy t.quarantine_tbl)
+  Table.remove t.outputs id;
+  if Table.length t.quarantine_tbl > 0 then
+    Table.filter_map_inplace
+      (fun k () -> if k lsr 32 = id then None else Some ())
+      t.quarantine_tbl
 
 let file_exists t id =
   let (P ((module B), b)) = t.backend in
@@ -122,12 +160,22 @@ let check t ~op ~file page =
 
 (* {2 Quarantine} *)
 
-let quarantine t ~file ~page = Hashtbl.replace t.quarantine_tbl (file, page) ()
-let quarantined t ~file ~page = Hashtbl.mem t.quarantine_tbl (file, page)
-let clear_quarantine t ~file ~page = Hashtbl.remove t.quarantine_tbl (file, page)
+(* The table is almost always empty, and every read and write asks it. *)
+let quarantine t ~file ~page = Table.replace t.quarantine_tbl (page_key ~file ~page) ()
+
+let quarantined t ~file ~page =
+  Table.length t.quarantine_tbl > 0
+  && Table.mem t.quarantine_tbl (page_key ~file ~page)
+
+let clear_quarantine t ~file ~page =
+  if Table.length t.quarantine_tbl > 0 then
+    Table.remove t.quarantine_tbl (page_key ~file ~page)
 
 let quarantined_pages t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.quarantine_tbl [] |> List.sort compare
+  Table.fold
+    (fun k () acc -> (k lsr 32, k land 0xffff_ffff) :: acc)
+    t.quarantine_tbl []
+  |> List.sort compare
 
 (* {2 Fault injection} *)
 
@@ -238,6 +286,8 @@ let dump_page t ~file ~page =
   out
 
 let restore_file t ~id pages =
+  if id < 0 || id > max_file_id then
+    invalid_arg (Printf.sprintf "Disk.restore_file: file id %d out of range" id);
   Array.iter (fun p -> assert (Bytes.length p = t.page_size)) pages;
   let (P ((module B), b)) = t.backend in
   if B.file_exists b ~id then B.delete_file b ~id;
@@ -251,7 +301,10 @@ let restore_file t ~id pages =
   if id >= t.next_file then t.next_file <- id + 1
 
 let next_file_id t = t.next_file
-let reserve_file_ids t n = if n > t.next_file then t.next_file <- n
+let reserve_file_ids t n =
+  if n > Oid.max_file then
+    invalid_arg (Printf.sprintf "Disk.reserve_file_ids: %d is past the id space" n);
+  if n > t.next_file then t.next_file <- n
 
 let total_pages t =
   let (P ((module B), b)) = t.backend in

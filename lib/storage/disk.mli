@@ -10,7 +10,7 @@
     experiments measure.  All access goes through the buffer pool in
     normal operation.
 
-    Each page carries an FNV-1a checksum trailer (stored out of band, like
+    Each page carries a {!Checksum.sum32} trailer (stored out of band, like
     the spare bytes of a 520-byte sector, so the slotted-page layout and the
     cost model's page capacity are untouched; the file backend stores the
     trailer as 8 real bytes after each page slot).  [write_page] seals the
@@ -66,7 +66,21 @@ val close : t -> unit
     at process exit regardless. *)
 
 val create_file : t -> int
-(** Returns a fresh file id. *)
+(** Returns a fresh persistent file id: ids count up from 0.  Raises
+    [Invalid_argument "Disk.create_file: file ids exhausted ..."] when the
+    next id would reach [Oid.max_file] (the nil OID's file, past which an
+    OID cannot encode the id) or an id a live query output holds. *)
+
+val create_output_file : t -> int
+(** Returns a file id for a query's output file: the highest id below
+    [Oid.max_file] that no live output holds.  Outputs are not logged, so
+    they take ids from the top of the space and {!create_file}'s count —
+    which log replay repeats — never sees them; the id of a deleted
+    output is reused.  Raises [Invalid_argument] when the two ranges
+    meet. *)
+
+val is_output_file : t -> int -> bool
+(** Was the file made by {!create_output_file} (and not yet deleted)? *)
 
 val delete_file : t -> int -> unit
 val file_exists : t -> int -> bool
@@ -103,7 +117,8 @@ val next_file_id : t -> int
     even when deleted files left holes in the id space. *)
 
 val reserve_file_ids : t -> int -> unit
-(** [reserve_file_ids t n] bumps the file-id allocator to at least [n]. *)
+(** [reserve_file_ids t n] bumps the file-id allocator to at least [n].
+    Raises [Invalid_argument] if [n] is past [Oid.max_file]. *)
 
 (** {1 Quarantine}
 
@@ -172,4 +187,5 @@ val dump_page : t -> file:int -> page:int -> Bytes.t
 val restore_file : t -> id:int -> Bytes.t array -> unit
 (** (Re)create a file with exactly these pages, not counted as writes.
     Page checksums are recomputed from the restored bytes.  Also bumps the
-    internal file-id allocator past [id]. *)
+    internal file-id allocator past [id]; raises [Invalid_argument] if
+    [id] is not below [Oid.max_file]. *)

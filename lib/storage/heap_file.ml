@@ -40,6 +40,8 @@ let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
   handle ~reserve pager (Pager.create_file pager)
 
+let create_output pager = handle ~reserve:0 pager (Pager.create_output_file pager)
+
 let file_id t = t.file
 let pager t = t.pager
 let reserve t = t.reserve

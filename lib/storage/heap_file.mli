@@ -33,6 +33,11 @@ val create : ?reserve:int -> Pager.t -> t
     can later grow in place — e.g. when a [replicate] declaration adds
     hidden fields — without spilling into continuation segments. *)
 
+val create_output : Pager.t -> t
+(** Create a query output file: like {!create}, but its id comes from
+    {!Disk.create_output_file}, so making one never moves the id of the
+    next persistent file. *)
+
 val attach : ?reserve:int -> Pager.t -> file:int -> t
 (** Open an existing heap file (scans once to recover the object count). *)
 

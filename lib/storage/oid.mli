@@ -11,6 +11,10 @@ type t = { file : int; page : int; slot : int }
 val nil : t
 (** A reserved invalid OID (all components [0xffff...]); never allocated. *)
 
+val max_file : int
+(** The largest value a file id can encode in an OID (16 bits), and the
+    nil OID's file: {!Disk} hands out file ids below it. *)
+
 val is_nil : t -> bool
 val equal : t -> t -> bool
 

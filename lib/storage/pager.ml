@@ -21,6 +21,7 @@ let prefetch_depth t = Buffer_pool.prefetch_depth t.pool
 let stats t = t.stats
 let disk t = t.disk
 let create_file t = Disk.create_file t.disk
+let create_output_file t = Disk.create_output_file t.disk
 
 let delete_file t id =
   (* Frames of the deleted file must not be written back later; frames of

@@ -35,6 +35,7 @@ val prefetch_depth : t -> int
 val stats : t -> Stats.t
 val disk : t -> Disk.t
 val create_file : t -> int
+val create_output_file : t -> int
 val delete_file : t -> int -> unit
 val page_count : t -> int -> int
 val with_page_read : t -> file:int -> page:int -> (Bytes.t -> 'a) -> 'a

@@ -1,3 +1,7 @@
+type file_io = { mutable file_reads : int; mutable file_writes : int }
+
+module File_table = Hashtbl.Make (Int)
+
 type t = {
   mutable page_reads : int;
   mutable page_writes : int;
@@ -36,7 +40,7 @@ type t = {
   mutable failovers : int;
   mutable reconnects : int;
   mutable deadlock_upgrades : int;
-  by_file : (int, int * int) Hashtbl.t;
+  by_file : file_io File_table.t;
 }
 
 type counter =
@@ -211,7 +215,7 @@ let[@inline] shift t c n =
 
 let reset t =
   List.iter (fun (c, _, _) -> shift t c (-get t c)) all;
-  Hashtbl.reset t.by_file
+  File_table.reset t.by_file
 
 let create () =
   {
@@ -252,7 +256,7 @@ let create () =
     failovers = 0;
     reconnects = 0;
     deadlock_upgrades = 0;
-    by_file = Hashtbl.create 16;
+    by_file = File_table.create 16;
   }
 
 (* The process-wide block: every [add] and [set] lands here too, and nothing
@@ -260,7 +264,12 @@ let create () =
    it builds — as the [diff] of two [copy]s. *)
 let grand = create ()
 
-let copy t = { t with by_file = Hashtbl.copy t.by_file }
+let copy_io io = { file_reads = io.file_reads; file_writes = io.file_writes }
+
+let copy t =
+  let by_file = File_table.create 16 in
+  File_table.iter (fun file io -> File_table.replace by_file file (copy_io io)) t.by_file;
+  { t with by_file }
 
 let add t c n =
   shift t c n;
@@ -272,25 +281,38 @@ let set t c v =
   shift t c (v - get t c);
   shift grand c (v - get grand c)
 
+(* A file's counters are one mutable record, made at its first I/O, so
+   counting a read or a write after that allocates nothing. *)
+let io_of t file =
+  match File_table.find t.by_file file with
+  | io -> io
+  | exception Not_found ->
+      let io = { file_reads = 0; file_writes = 0 } in
+      File_table.replace t.by_file file io;
+      io
+
 let record_read t ~file =
   bump t Page_reads;
-  let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
-  Hashtbl.replace t.by_file file (r + 1, w)
+  let io = io_of t file in
+  io.file_reads <- io.file_reads + 1
 
 let record_write t ~file =
   bump t Page_writes;
-  let r, w = Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file) in
-  Hashtbl.replace t.by_file file (r, w + 1)
+  let io = io_of t file in
+  io.file_writes <- io.file_writes + 1
 
 let file_io t ~file =
-  Option.value ~default:(0, 0) (Hashtbl.find_opt t.by_file file)
+  match File_table.find t.by_file file with
+  | io -> (io.file_reads, io.file_writes)
+  | exception Not_found -> (0, 0)
 
 let diff now before =
   let d = copy now in
-  Hashtbl.iter
-    (fun file (r0, w0) ->
-      let r1, w1 = file_io d ~file in
-      Hashtbl.replace d.by_file file (r1 - r0, w1 - w0))
+  File_table.iter
+    (fun file io0 ->
+      let io = io_of d file in
+      io.file_reads <- io.file_reads - io0.file_reads;
+      io.file_writes <- io.file_writes - io0.file_writes)
     before.by_file;
   List.iter
     (fun (c, _, kind) -> if kind = Counter then shift d c (-get before c))

@@ -9,6 +9,11 @@
     only through {!add}/{!bump} (counters) and {!set} (the two gauges), the
     single mutation point that lint rule C1 enforces. *)
 
+type file_io = { mutable file_reads : int; mutable file_writes : int }
+(** One file's physical reads and writes (see {!file_io}). *)
+
+module File_table : Hashtbl.S with type key = int
+
 type t = {
   mutable page_reads : int;
   mutable page_writes : int;
@@ -47,8 +52,8 @@ type t = {
   mutable failovers : int;
   mutable reconnects : int;
   mutable deadlock_upgrades : int;
-  by_file : (int, int * int) Hashtbl.t;
-      (** per-file (reads, writes) attribution, keyed by disk file id *)
+  by_file : file_io File_table.t;
+      (** per-file reads and writes, keyed by disk file id *)
 }
 
 type counter =

@@ -39,7 +39,11 @@ type record =
   | Maint_done of { job : int }
   | Epoch_change of { epoch : int }
 
-let magic = "FREPWAL2"
+(* The version digit moves whenever a frame's bytes or checksum change
+   meaning: version 3 seals frames with [Checksum.sum32], version 2 used
+   FNV-1a. *)
+let magic = "FREPWAL3"
+let magic_family = "FREPWAL"
 
 (* ------------------------------------------------------------------ *)
 (* Record codec (body only; lsn and kind are framed by the caller)     *)
@@ -322,9 +326,8 @@ let rec get_body kind buf off =
       (Epoch_change { epoch }, off)
   | k -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad record kind %d" k))
 
-(* FNV-1a, 32-bit: cheap, dependency-free, catches torn frames.  The same
-   function seals disk pages (see [Fieldrep_storage.Disk]). *)
-let crc = Fieldrep_storage.Checksum.fnv1a32
+(* The same function seals disk pages (see [Fieldrep_storage.Disk]). *)
+let crc = Fieldrep_storage.Checksum.sum32
 
 (* ------------------------------------------------------------------ *)
 (* The log handle                                                      *)
@@ -412,9 +415,18 @@ let read_file path =
          ~finally:(fun () -> close_in ic)
          (fun () -> really_input_string ic (in_channel_length ic)))
 
-let has_magic data =
-  String.length data >= String.length magic
-  && String.sub data 0 (String.length magic) = magic
+(* Refuse anything but a current log before reading a frame of it. *)
+let check_magic ~op data =
+  if not (String.starts_with ~prefix:magic data) then
+    if String.starts_with ~prefix:magic_family data then
+      invalid_arg
+        (Printf.sprintf
+           "Wal.%s: %s log is an older format (%s expected); recover it with \
+            the release that wrote it"
+           op
+           (String.sub data 0 (String.length magic))
+           magic)
+    else invalid_arg (Printf.sprintf "Wal.%s: not a fieldrep log" op)
 
 (* Walk the frames of a log file's contents, from just past the header.
    Each well-formed frame (length in bounds, checksum good) is offered to
@@ -472,7 +484,7 @@ let open_ ?stats ?(flush_limit = default_flush_limit) ?fsync path =
     match read_file path with
     | None | Some "" -> ([], 0, "")
     | Some data ->
-        if not (has_magic data) then invalid_arg "Wal.open_: not a fieldrep log";
+        check_magic ~op:"open_" data;
         let raw, good_end = scan data in
         (raw, good_end, data)
   in
@@ -561,7 +573,7 @@ let read_frames path ~after =
   match read_file path with
   | None | Some "" -> []
   | Some data ->
-      if not (has_magic data) then invalid_arg "Wal.read_frames: not a fieldrep log";
+      check_magic ~op:"read_frames" data;
       let acc = ref [] in
       ignore
         (walk_frames data (fun buf pos flen ->
@@ -582,8 +594,7 @@ let truncate_file path ~after =
   match read_file path with
   | None -> ()
   | Some data ->
-      if not (has_magic data) then
-        invalid_arg "Wal.truncate_file: not a fieldrep log";
+      check_magic ~op:"truncate_file" data;
       let keep =
         walk_frames data (fun buf pos _ -> Int64.compare (frame_lsn buf pos) after <= 0)
       in

@@ -14,14 +14,17 @@
 
     The log is an append-only file:
 
-    {v "FREPWAL2"                                    file header
+    {v "FREPWAL3"                                    file header
        frame*                                        one frame per record
        frame = [ len:u32 | crc:u32 | payload ]
        payload = [ lsn:i64 | kind:u8 | body ]        via Fieldrep_util.Wire v}
 
-    [crc] is an FNV-1a checksum of the payload.  {!open_} scans existing
-    frames and stops at the first short or corrupt frame — a torn tail
-    written during a crash is ignored, and subsequent appends overwrite it.
+    [crc] is {!Fieldrep_storage.Checksum.sum32} of the payload.  {!open_}
+    scans existing frames and stops at the first short or corrupt frame — a
+    torn tail written during a crash is ignored, and subsequent appends
+    overwrite it.  A log of an older format (["FREPWAL2"], whose frames
+    carry FNV-1a sums) is refused by name, never scanned: every one of its
+    frames would fail the current checksum and be cut as a torn tail.
 
     {1 Group commit}
 
@@ -132,7 +135,9 @@ val open_ : ?stats:Stats.t -> ?flush_limit:int -> ?fsync:bool -> string -> t
 (** Open (creating if absent) the log at a path.  Existing frames are
     scanned and validated; the scan stops at the first torn or corrupt
     frame, and the write position is placed just after the last good one.
-    Raises [Invalid_argument] on a file that is not a fieldrep log.
+    Raises [Invalid_argument] on a file that is not a fieldrep log, and
+    [Invalid_argument "Wal.open_: FREPWAL2 log is an older format ..."] on
+    a log of an older format, leaving the file as it was.
     [stats], when given, accrues [wal_appends] / [wal_bytes] /
     [wal_flushes].  [flush_limit] caps the bytes buffered between
     {!sync}s (default 64 KiB).  With [fsync:true] every {!sync} issues a

@@ -72,7 +72,7 @@ let distinct_block () =
     failovers = 35;
     reconnects = 36;
     deadlock_upgrades = 37;
-    by_file = Hashtbl.create 1;
+    by_file = Stats.File_table.create 1;
   }
 
 (* The printed form is pinned: tools and logs parse it. *)

@@ -29,6 +29,8 @@ module Repl = Fieldrep_repl.Repl
 module Master = Fieldrep_repl.Repl.Master
 module Replica = Fieldrep_repl.Repl.Replica
 module Path = Fieldrep_model.Path
+module Ast = Fieldrep_query.Ast
+module Exec = Fieldrep_query.Exec
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -378,6 +380,34 @@ let test_async_streaming () =
   checkb "replica applied frames" true
     ((Db.stats (Replica.db r)).Stats.frames_applied > 0);
   checkb "master shipped frames" true ((Db.stats mdb).Stats.frames_shipped > 0)
+
+(* A query on the master between two DDLs: its output file is not logged
+   and so must not shift the file ids the replica's replay hands the later
+   sets out. *)
+let test_retrieve_between_ddls () =
+  let mdb = build_master () in
+  let m, r, _, _ = connect_pair mdb in
+  Db.define_type mdb
+    (Ty.make ~name:"XT" [ { Ty.fname = "v"; ftype = Ty.Scalar Ty.SInt } ]);
+  Db.create_set mdb ~name:"X" ~elem_type:"XT" ();
+  let x = Db.insert mdb ~set:"X" [ Value.VInt 1 ] in
+  let result =
+    Exec.retrieve mdb { Ast.from_set = "S"; projections = [ "repfield" ]; where = None }
+  in
+  checkb "query read rows" true (result.Exec.rows > 0);
+  Exec.drop_output mdb result.Exec.output_file;
+  Db.create_set mdb ~name:"Y" ~elem_type:"XT" ();
+  let y = Db.insert mdb ~set:"Y" [ Value.VInt 2 ] in
+  Db.update_field mdb ~set:"Y" y ~field:"v" (Value.VInt 3);
+  Db.update_field mdb ~set:"X" x ~field:"v" (Value.VInt 4);
+  converge m r;
+  let rdb = Replica.db r in
+  List.iter
+    (fun (set, oid, v) ->
+      checks (set ^ " on the replica") (Value.to_string (Value.VInt v))
+        (Value.to_string (List.hd (Db.user_values rdb ~set (Db.get rdb ~set oid)))))
+    [ ("X", x, 4); ("Y", y, 3) ];
+  check_converged mdb rdb
 
 let test_abort_marker_stream () =
   let mdb = build_master () in
@@ -916,6 +946,8 @@ let () =
           Alcotest.test_case "async streaming" `Quick test_async_streaming;
           Alcotest.test_case "abort marker in stream" `Quick
             test_abort_marker_stream;
+          Alcotest.test_case "retrieve between DDLs" `Quick
+            test_retrieve_between_ddls;
           Alcotest.test_case "ack mode blocks" `Quick test_ack_mode_blocks;
           Alcotest.test_case "ack replica reuses space" `Quick
             test_ack_replica_space_reuse;

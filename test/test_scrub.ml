@@ -97,10 +97,72 @@ let test_checksum_detects_torn_page () =
    with Disk.Corrupt_page _ -> ());
   checki "failure counted" 1 stats.Stats.checksum_failures
 
-let test_fnv1a_known_values () =
-  (* Cross-checked reference values for the 32-bit FNV-1a of "" and "a". *)
-  checki "offset basis" 0x811c9dc5 (Checksum.fnv1a32 Bytes.empty 0 0);
-  checki "fnv1a of 'a'" 0xe40c292c (Checksum.fnv1a32 (Bytes.of_string "a") 0 1)
+(* Reference values, cross-checked against an independent implementation
+   of the same four-lane hash: short inputs exercise the tail word, 43
+   bytes one full 32-byte round plus one word and a tail, and the pages
+   the whole-round loop. *)
+let test_sum32_known_values () =
+  let sum s = Checksum.sum32 (Bytes.of_string s) 0 (String.length s) in
+  checki "empty" 0x1d40a304 (sum "");
+  checki "a" 0xe6e96ef8 (sum "a");
+  checki "abc" 0xb9d5bf0e (sum "abc");
+  checki "one word" 0xd3909bf4 (sum "abcdefgh");
+  checki "fox" 0x6d2c8028 (sum "The quick brown fox jumps over the lazy dog");
+  checki "zero page" 0x611dc8b1 (Checksum.sum32 (Bytes.make 4096 '\000') 0 4096);
+  checki "ramp page" 0x2dfb0371
+    (Checksum.sum32 (Bytes.init 4096 (fun i -> Char.chr (i land 0xff))) 0 4096)
+
+let random_page seed =
+  let rng = Random.State.make [| seed |] in
+  Bytes.init 4096 (fun _ -> Char.chr (Random.State.int rng 256))
+
+(* Every one of a 4 KB page's 32 768 single-bit flips changes its sum. *)
+let test_sum32_bit_flips () =
+  List.iter
+    (fun (name, page) ->
+      let sum0 = Checksum.sum32 page 0 4096 in
+      let missed = ref 0 in
+      for bit = 0 to (4096 * 8) - 1 do
+        let i = bit / 8 and m = 1 lsl (bit land 7) in
+        let flip () = Bytes.set page i (Char.chr (Char.code (Bytes.get page i) lxor m)) in
+        flip ();
+        if Checksum.sum32 page 0 4096 = sum0 then incr missed;
+        flip ()
+      done;
+      checki (name ^ ": undetected flips") 0 !missed)
+    [ ("zero page", Bytes.make 4096 '\000'); ("random page", random_page 7) ]
+
+(* A torn write lands one half of the new image over the old page. *)
+let test_sum32_torn_half () =
+  let old_page = random_page 11 and new_page = random_page 12 in
+  let sum = Checksum.sum32 new_page 0 4096 in
+  let zeroed = Bytes.copy new_page in
+  Bytes.fill zeroed 2048 2048 '\000';
+  checkb "second half zeroed" true (Checksum.sum32 zeroed 0 4096 <> sum);
+  let torn = Bytes.copy old_page in
+  Bytes.blit new_page 0 torn 0 2048;
+  checkb "first half new, second half old" true (Checksum.sum32 torn 0 4096 <> sum);
+  checkb "... nor the old page's sum" true
+    (Checksum.sum32 torn 0 4096 <> Checksum.sum32 old_page 0 4096)
+
+(* A slice hashes as its own copy would, at every alignment; a slice that
+   leaves the buffer is refused. *)
+let test_sum32_slices () =
+  let buf = random_page 13 in
+  List.iter
+    (fun (off, len) ->
+      checki
+        (Printf.sprintf "slice %d+%d" off len)
+        (Checksum.sum32 (Bytes.sub buf off len) 0 len)
+        (Checksum.sum32 buf off len))
+    [ (0, 0); (5, 0); (1, 1); (3, 7); (7, 8); (1, 31); (9, 33); (17, 100); (4095, 1); (1, 4095) ];
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice %d+%d" off len)
+        (Invalid_argument "Checksum.sum32: slice out of bounds")
+        (fun () -> ignore (Checksum.sum32 buf off len)))
+    [ (-1, 4); (0, 4097); (4096, 1); (10, -1); (max_int, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: armed failpoints                                   *)
@@ -656,7 +718,10 @@ let () =
         [
           Alcotest.test_case "bit rot" `Quick test_checksum_detects_bit_rot;
           Alcotest.test_case "torn page" `Quick test_checksum_detects_torn_page;
-          Alcotest.test_case "fnv1a vectors" `Quick test_fnv1a_known_values;
+          Alcotest.test_case "sum32 vectors" `Quick test_sum32_known_values;
+          Alcotest.test_case "sum32 single-bit flips" `Quick test_sum32_bit_flips;
+          Alcotest.test_case "sum32 torn half page" `Quick test_sum32_torn_half;
+          Alcotest.test_case "sum32 slices" `Quick test_sum32_slices;
         ] );
       ( "fault injection",
         [

@@ -12,6 +12,7 @@ module Splitmix = Fieldrep_util.Splitmix
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
+let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Oid                                                                 *)
@@ -878,6 +879,56 @@ let conf_unknown_file kind () =
         (Invalid_argument "Disk.allocate_page: unknown file 42")
         (fun () -> ignore (Disk.allocate_page disk 42)))
 
+(* Persistent ids count up, query output ids count down from the top, and
+   neither range may pass the other or the 16 bits an OID holds. *)
+let conf_file_id_ranges kind () =
+  with_disk kind (fun disk ->
+      let top = Oid.max_file - 1 in
+      let o1 = Disk.create_output_file disk in
+      let o2 = Disk.create_output_file disk in
+      checki "first output at the top" top o1;
+      checki "next output below it" (top - 1) o2;
+      checkb "marked as output" true (Disk.is_output_file disk o1);
+      checki "persistent ids unmoved" 0 (Disk.create_file disk);
+      checkb "persistent is not output" false (Disk.is_output_file disk 0);
+      Disk.delete_file disk o1;
+      checkb "dropped output unmarked" false (Disk.is_output_file disk o1);
+      checki "dropped output id reused" top (Disk.create_output_file disk);
+      (* The ranges meet: the next persistent id is an output's. *)
+      Disk.reserve_file_ids disk (top - 1);
+      let exhausted what f =
+        match f () with
+        | (_ : int) -> Alcotest.failf "%s: expected Invalid_argument" what
+        | exception Invalid_argument msg ->
+            let prefix = "Disk." ^ what ^ ": file ids exhausted" in
+            checks (what ^ " named error") prefix
+              (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+      in
+      exhausted "create_file" (fun () -> Disk.create_file disk);
+      exhausted "create_output_file" (fun () -> Disk.create_output_file disk);
+      Disk.delete_file disk o2;
+      checki "freed id goes to the persistent range" (top - 1) (Disk.create_file disk);
+      exhausted "create_file" (fun () -> Disk.create_file disk));
+  with_disk kind (fun disk ->
+      (* Without outputs the last persistent id is [Oid.max_file - 1]: the
+         nil OID's file is never handed out. *)
+      Disk.reserve_file_ids disk (Oid.max_file - 1);
+      let id = Disk.create_file disk in
+      checki "last id" (Oid.max_file - 1) id;
+      let oid = { Oid.file = id; page = 3; slot = 4 } in
+      checkb "its OIDs encode" true (Oid.equal oid (Oid.of_int64 (Oid.to_int64 oid)));
+      (match Disk.create_file disk with
+      | id -> Alcotest.failf "create_file handed out %d" id
+      | exception Invalid_argument msg ->
+          checks "named error"
+            (Printf.sprintf "Disk.create_file: file ids exhausted (next id %d)" Oid.max_file)
+            msg);
+      Alcotest.check_raises "reserve past the id space"
+        (Invalid_argument
+           (Printf.sprintf "Disk.reserve_file_ids: %d is past the id space"
+              (Oid.max_file + 1)))
+        (fun () -> Disk.reserve_file_ids disk (Oid.max_file + 1)))
+
 let conformance kind =
   [
     Alcotest.test_case "roundtrip" `Quick (conf_roundtrip kind);
@@ -888,7 +939,96 @@ let conformance kind =
     Alcotest.test_case "transient read faults" `Quick (conf_read_failpoint kind);
     Alcotest.test_case "restore_file" `Quick (conf_restore_file kind);
     Alcotest.test_case "unknown file named errors" `Quick (conf_unknown_file kind);
+    Alcotest.test_case "file id ranges" `Quick (conf_file_id_ranges kind);
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation on the miss path                                         *)
+
+module Checksum = Fieldrep_storage.Checksum
+module Lockdep = Fieldrep_util.Lockdep
+
+(* Run [f] with the runtime lock-order recorder off: CI arms it for this
+   suite, and it allocates on every pin. *)
+let without_lockdep f =
+  let recording = Lockdep.enabled () in
+  Lockdep.set_enabled false;
+  Fun.protect ~finally:(fun () -> Lockdep.set_enabled recording) f
+
+let test_checksum_words () =
+  let page = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let acc = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for i = 0 to 999 do
+          acc := !acc lxor Checksum.sum32 page (i land 7) (4096 - 8)
+        done)
+  in
+  checki "words per 1000 sums" 0 words
+
+(* Once a file's descriptor is cached, a verified read and a sealed write
+   allocate nothing: no path string, no tuple key, no [Some], no per-file
+   pair in the stats. *)
+let test_disk_io_words kind () =
+  let stats = Stats.create () in
+  let disk = Disk.create ~page_size:4096 ~backend:kind stats in
+  Fun.protect ~finally:(fun () -> Disk.close disk) @@ fun () ->
+  let f = Disk.create_file disk in
+  for _ = 1 to 8 do
+    ignore (Disk.allocate_page disk f)
+  done;
+  let buf = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  for p = 0 to 7 do
+    Disk.write_page disk ~file:f ~page:p buf;
+    Disk.read_page disk ~file:f ~page:p buf
+  done;
+  checki "reads" 0
+    (minor_words (fun () ->
+         for i = 0 to 999 do
+           Disk.read_page disk ~file:f ~page:(i land 7) buf
+         done));
+  checki "writes" 0
+    (minor_words (fun () ->
+         for i = 0 to 999 do
+           Disk.write_page disk ~file:f ~page:(i land 7) buf
+         done));
+  checki "all counted" 1008 stats.Stats.page_reads;
+  checki "all verified" 0 stats.Stats.checksum_failures
+
+(* A pool of 4 frames over a 64-page file: every access misses.  A clean
+   miss reads a page; a dirty one writes its victim back first.  Each may
+   allocate the frame table's bucket for the new key, and nothing else. *)
+let test_pool_miss_words kind () =
+  without_lockdep @@ fun () ->
+  let pager = Pager.create ~page_size:4096 ~frames:4 ~backend:kind () in
+  Fun.protect ~finally:(fun () -> Pager.close pager) @@ fun () ->
+  let f = Pager.create_file pager in
+  for _ = 1 to 64 do
+    ignore (Pager.new_page pager ~file:f)
+  done;
+  Pager.flush pager;
+  let read i = Pager.with_page_read pager ~file:f ~page:(i land 63) Bytes.length in
+  let write i =
+    Pager.with_page_write pager ~file:f ~page:(i land 63) (fun b ->
+        Bytes.set b 0 'w')
+  in
+  let per_miss name step =
+    for i = 0 to 127 do
+      step i
+    done;
+    let n = 2048 in
+    let reads0 = (Pager.stats pager).Stats.page_reads in
+    let words = minor_words (fun () -> for i = 0 to n - 1 do step i done) in
+    checki (name ^ ": every access misses") n
+      ((Pager.stats pager).Stats.page_reads - reads0);
+    let per = float_of_int words /. float_of_int n in
+    if per > 8. then Alcotest.failf "%s: %.1f words per miss (at most 8)" name per
+  in
+  per_miss "clean miss" (fun i -> ignore (read i));
+  let writes0 = (Pager.stats pager).Stats.page_writes in
+  per_miss "dirty eviction" write;
+  checkb "victims written back" true
+    ((Pager.stats pager).Stats.page_writes - writes0 >= 2048)
 
 (* File-backend specifics: descriptor caching and directory handling. *)
 
@@ -1156,6 +1296,18 @@ let () =
           Alcotest.test_case "fd cache eviction" `Quick test_file_fd_cache_eviction;
           Alcotest.test_case "explicit directory" `Quick test_file_explicit_dir;
           Alcotest.test_case "FIELDREP_BACKEND selection" `Quick test_backend_of_env;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "checksum allocates nothing" `Quick test_checksum_words;
+          Alcotest.test_case "mem: disk read/write allocate nothing" `Quick
+            (test_disk_io_words Disk.Mem);
+          Alcotest.test_case "file: disk read/write allocate nothing" `Quick
+            (test_disk_io_words (Disk.File None));
+          Alcotest.test_case "mem: pool miss at most 8 words" `Quick
+            (test_pool_miss_words Disk.Mem);
+          Alcotest.test_case "file: pool miss at most 8 words" `Quick
+            (test_pool_miss_words (Disk.File None));
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

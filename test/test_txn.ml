@@ -694,7 +694,7 @@ let test_abort_self_loop strategy () =
   Db.unreplicate db (Path.parse "Emp1.manager.name");
   Db.check_integrity db
 
-(* File ids only grow (each retrieve's output file takes one), so a set
+(* Persistent file ids only grow (a deleted file leaves a hole), so a set
    created late has a large one.  Its objects lock, and a transaction's
    insert and update on them roll back, like any other. *)
 let test_high_file_id () =

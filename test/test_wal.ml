@@ -21,6 +21,8 @@ module Engine = Fieldrep_replication.Engine
 module Params = Fieldrep_costmodel.Params
 module Gen = Fieldrep_workload.Gen
 module Splitmix = Fieldrep_util.Splitmix
+module Ast = Fieldrep_query.Ast
+module Exec = Fieldrep_query.Exec
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -188,6 +190,63 @@ let test_wal_torn_tail () =
   let w3 = Wal.open_ path in
   checki "new append overwrote the garbage" 3 (List.length (Wal.records w3));
   Wal.close w3;
+  Sys.remove path
+
+let read_all path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+(* The frame checksum of the previous log format, kept here only to write
+   a genuine old log. *)
+let fnv1a32 s off len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code s.[i]) * 0x01000193 land 0xffffffff
+  done;
+  !h
+
+(* A FREPWAL2 log (FNV-1a frame sums) is refused by name by every entry
+   point, and left as it was: scanned under the current checksum, each of
+   its frames would fail and the whole log would be cut as a torn tail. *)
+let test_wal_refuses_old_format () =
+  let path = tmp "old_format" ".wal" in
+  let w = Wal.open_ path in
+  ignore (Wal.append w (Wal.Insert { set = "T"; values = [ Value.VInt 1 ] }));
+  ignore (Wal.append w (Wal.Insert { set = "T"; values = [ Value.VInt 2 ] }));
+  Wal.close w;
+  let cur = Bytes.of_string (read_all path) in
+  checks "current magic" "FREPWAL3" (Bytes.sub_string cur 0 8);
+  (* Rewrite it as the old format wrote it: old magic, FNV-1a frame sums. *)
+  Bytes.blit_string "FREPWAL2" 0 cur 0 8;
+  let rec reseal pos =
+    if pos < Bytes.length cur then begin
+      let flen = Int32.to_int (Bytes.get_int32_le cur pos) in
+      let sum = fnv1a32 (Bytes.unsafe_to_string cur) (pos + 8) flen in
+      Bytes.set_int32_le cur (pos + 4) (Int32.of_int sum);
+      reseal (pos + 8 + flen)
+    end
+  in
+  reseal 8;
+  let old = Bytes.to_string cur in
+  let oc = open_out_bin path in
+  output_string oc old;
+  close_out oc;
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a FREPWAL2 log" what
+    | exception Invalid_argument msg ->
+        checks (what ^ " names itself and the format")
+          (Printf.sprintf
+             "Wal.%s: FREPWAL2 log is an older format (FREPWAL3 expected); \
+              recover it with the release that wrote it"
+             what)
+          msg
+  in
+  refused "open_" (fun () -> ignore (Wal.open_ path));
+  refused "read_frames" (fun () -> ignore (Wal.read_frames path ~after:0L));
+  refused "truncate_file" (fun () -> Wal.truncate_file path ~after:0L);
+  checks "log untouched" old (read_all path);
   Sys.remove path
 
 let test_wal_corrupt_frame_mid_log () =
@@ -424,6 +483,63 @@ let test_recover_basic () =
     (Value.VString (String.make 20 'y'));
   checkb "still logging" true (Wal.appended (Option.get (Db.wal db2)) > appends);
   Sys.remove img
+
+(* A query's output file is not logged, so it must not take an id from the
+   count that log replay repeats: a retrieve between a checkpoint and a
+   later [create_set] used to give the new set a different file id in the
+   original run than in replay, and the replayed update of its object then
+   failed ("OID from another file"). *)
+let test_retrieve_keeps_ddl_file_ids () =
+  let img = tmp "retrieve_ids" ".img" in
+  let db = Db.create ~durable:true () in
+  Db.define_type db
+    (Ty.make ~name:"AT"
+       [
+         { Ty.fname = "k"; ftype = Ty.Scalar Ty.SInt };
+         { Ty.fname = "s"; ftype = Ty.Scalar Ty.SString };
+       ]);
+  Db.create_set db ~name:"A" ~elem_type:"AT" ();
+  for i = 1 to 20 do
+    ignore (Db.insert db ~set:"A" [ Value.VInt i; Value.VString "a" ])
+  done;
+  Db.checkpoint db img;
+  let q = { Ast.from_set = "A"; projections = [ "k" ]; where = None } in
+  let result = Exec.retrieve db q in
+  checki "rows" 20 result.Exec.rows;
+  Exec.drop_output db result.Exec.output_file;
+  Db.create_set db ~name:"B" ~elem_type:"AT" ();
+  let b = Db.insert db ~set:"B" [ Value.VInt 1; Value.VString "b" ] in
+  Db.update_field db ~set:"B" b ~field:"s" (Value.VString "b2");
+  (* A second retrieve whose output is still live at the next checkpoint:
+     the image leaves the output file out. *)
+  let live = Exec.retrieve db q in
+  let observe db =
+    String.concat ";"
+      (List.concat_map
+         (fun set ->
+           let rows = ref [] in
+           Db.scan db ~set (fun oid record ->
+               rows :=
+                 (Oid.to_string oid ^ "="
+                 ^ String.concat "," (List.map Value.to_string (Db.user_values db ~set record)))
+                 :: !rows);
+           List.rev !rows)
+         [ "A"; "B" ])
+  in
+  let expected = observe db in
+  Wal.close (Option.get (Db.wal db));
+  let db2 = Db.recover img in
+  checks "recovered state identical" expected (observe db2);
+  Db.check_integrity db2;
+  let img2 = tmp "retrieve_ids2" ".img" in
+  Db.checkpoint db img2;
+  Exec.drop_output db live.Exec.output_file;
+  let db3 = Db.recover img2 in
+  checks "image without the live output" expected (observe db3);
+  checkb "output not restored" false
+    (Disk.file_exists (Pager.disk (Db.pager db3)) live.Exec.output_file);
+  Sys.remove img;
+  Sys.remove img2
 
 let test_recover_requeues_lazy () =
   let img = tmp "lazy" ".img" in
@@ -844,6 +960,7 @@ let () =
           Alcotest.test_case "codec roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "abort rescinds" `Quick test_wal_abort_rescinds;
           Alcotest.test_case "torn tail ignored" `Quick test_wal_torn_tail;
+          Alcotest.test_case "FREPWAL2 log refused" `Quick test_wal_refuses_old_format;
           Alcotest.test_case "corrupt frame mid-log" `Quick
             test_wal_corrupt_frame_mid_log;
           Alcotest.test_case "duplicate abort markers" `Quick
@@ -864,6 +981,8 @@ let () =
       ( "recovery",
         [
           Alcotest.test_case "checkpoint + log tail" `Quick test_recover_basic;
+          Alcotest.test_case "retrieve keeps DDL file ids" `Quick
+            test_retrieve_keeps_ddl_file_ids;
           Alcotest.test_case "lazy invalidations re-queued" `Quick
             test_recover_requeues_lazy;
           Alcotest.test_case "loser prefix matrix" `Quick test_loser_prefix_matrix;

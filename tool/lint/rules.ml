@@ -551,7 +551,7 @@ let c1_stats_fields =
     "frames_applied"; "acks_waited"; "replica_lag_bytes"; "maint_steps";
     "maint_pages_walked"; "maint_lock_yields"; "maint_backfill_pending";
     "peer_deaths"; "ack_demotions"; "heartbeats_missed"; "failovers";
-    "reconnects";
+    "reconnects"; "file_reads"; "file_writes";
   ]
 
 let c1 i =
