@@ -22,6 +22,24 @@ type t = {
   mutable count : int;
   mutable free_pages : int list;
   mutable key_witness : Key.t option;
+  (* Scratch of the in-page steps, which run under a pin as top-level
+     functions of the tree ([Pager.with_pin_arg]) so that searches and
+     single-entry edits allocate nothing.  Each is set and read within one
+     operation, and no step runs user code in between. *)
+  mutable probe_key : Key.t;  (* the (key, oid) a step seeks *)
+  mutable probe_oid : Oid.t;
+  mutable hi : Key.t;  (* a scan's upper bound *)
+  mutable seek_idx : int;  (* internal: separators <= probe; leaf: entries < probe *)
+  mutable seek_off : int;  (* the offset of entry [seek_idx] *)
+  mutable used : int;  (* an internal node's bytes, for the underfull test *)
+  mutable bounded : bool;  (* the scan ends within the leaf the descent reaches *)
+  mutable next : int;  (* the leaf a scan continues at, -1 when it ends *)
+  mutable hits : Oid.t list;  (* a lookup's OIDs, newest first *)
+  mutable first_only : bool;  (* a lookup stops at its first hit *)
+  mutable scan_keys : Key.t array;  (* one leaf's scan hits *)
+  mutable scan_oids : Oid.t array;
+  mutable underfull : bool;  (* the node a delete step just left *)
+  mutable min_buf : Bytes.t;  (* a leaf's new first entry, as encoded *)
 }
 
 let min_oid = { Oid.file = 0; page = 0; slot = 0 }
@@ -167,36 +185,48 @@ let entry_at buf off =
   let e, _ = read_entry buf off in
   e
 
+let oid_after_key buf off = Oid.decode buf (off + Key.encoded_size_at buf off)
+
 (* Offset just past [n] entries starting at [off]; [extra] is 4 for the
    child pointer after each internal entry. *)
 let rec skip_entries buf off n ~extra =
   if n = 0 then off
   else skip_entries buf (off + entry_size_at buf off + extra) (n - 1) ~extra
 
-(* [k off i] at the first leaf entry >= (key, oid): its offset and index
-   (i = count when there is none). *)
-let seek_leaf buf key oid k =
-  let n = count_at buf in
-  let rec go off i =
-    if i < n && compare_entry_at key oid buf off > 0 then
-      go (off + entry_size_at buf off) (i + 1)
-    else k off i
-  in
-  go header 0
+(* The first leaf entry >= the probe, from entry [i] at [off] on: its
+   offset, with its index (n when there is none) in [seek_idx]. *)
+let rec seek_leaf_from t buf n off i =
+  if i < n && compare_entry_at t.probe_key t.probe_oid buf off > 0 then
+    seek_leaf_from t buf n (off + entry_size_at buf off) (i + 1)
+  else begin
+    t.seek_idx <- i;
+    off
+  end
 
-(* [k idx child off] for the child that can hold (key, oid): [idx] is the
-   number of separators <= (key, oid), [child] = children.(idx), and [off]
-   is the offset of separator [idx] (the end of the entries when idx =
-   count). *)
-let seek_child buf key oid k =
-  let n = count_at buf in
-  let rec go off i child =
-    if i < n && compare_entry_at key oid buf off >= 0 then
-      let ptr = off + entry_size_at buf off in
-      go (ptr + 4) (i + 1) (u32_at buf ptr)
-    else k i child off
-  in
-  go header 0 (u32_at buf 3)
+let seek_leaf t buf = seek_leaf_from t buf (count_at buf) header 0
+
+(* The child that can hold the probe, from separator [i] at [off] on:
+   children.(idx), where [seek_idx] = idx is the number of separators <=
+   the probe and [seek_off] the offset of separator idx (the end of the
+   entries when idx = count). *)
+let rec seek_child_from t buf n off i child =
+  if i < n && compare_entry_at t.probe_key t.probe_oid buf off >= 0 then
+    let ptr = off + entry_size_at buf off in
+    seek_child_from t buf n (ptr + 4) (i + 1) (u32_at buf ptr)
+  else begin
+    t.seek_idx <- i;
+    t.seek_off <- off;
+    child
+  end
+
+let seek_child t buf = seek_child_from t buf (count_at buf) header 0 (u32_at buf 3)
+
+(* The in-page descent step of an edit: the child for the probe. *)
+let child_step t buf =
+  expect_leaf buf false;
+  seek_child t buf
+
+let descend t page = Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:false child_step t
 
 (* ------------------------------------------------------------------ *)
 (* Capacity policy                                                     *)
@@ -207,11 +237,34 @@ let underfull t node = 4 * node_bytes node < Pager.page_size t.pager
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
+let make pager ~file ~root ~count ~free_pages =
+  {
+    pager;
+    file;
+    root;
+    height = 1;
+    count;
+    free_pages;
+    key_witness = None;
+    probe_key = Key.min_int_key;
+    probe_oid = min_oid;
+    hi = Key.min_int_key;
+    seek_idx = 0;
+    seek_off = 0;
+    used = 0;
+    bounded = false;
+    next = -1;
+    hits = [];
+    first_only = false;
+    scan_keys = [||];
+    scan_oids = [||];
+    underfull = false;
+    min_buf = Bytes.empty;
+  }
+
 let create pager =
   let file = Pager.create_file pager in
-  let t =
-    { pager; file; root = 0; height = 1; count = 0; free_pages = []; key_witness = None }
-  in
+  let t = make pager ~file ~root:0 ~count:0 ~free_pages:[] in
   t.root <- alloc_page t;
   write_node t t.root (Leaf { entries = [||]; next = -1 });
   t
@@ -222,7 +275,7 @@ let entry_count t = t.count
 let free_pages t = t.free_pages
 
 let attach pager ~file ~root ~count ~free_pages =
-  let t = { pager; file; root; height = 1; count; free_pages; key_witness = None } in
+  let t = make pager ~file ~root ~count ~free_pages in
   (* One walk down the left spine finds the height and recovers the key
      variant from any entry. *)
   let rec spine page depth =
@@ -266,67 +319,144 @@ let check_key t key =
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
-(* One page of a range scan: descend into a child (noting whether the
-   range ends within it), or the hits of one leaf, newest first, and the
-   leaf to continue at (-1 once the range has ended). *)
-type visit = Descend of int * bool | Hits of entry list * int
+(* The descent step of a scan for [lo] = the probe, up to [hi]: the child
+   to descend into, noting in [bounded] whether the separator just right
+   of the descent path already exceeds [hi], so the range ends within the
+   leaf the descent reaches. *)
+let scan_child t buf =
+  let child = seek_child t buf in
+  if t.seek_idx < count_at buf then
+    t.bounded <- Key.compare_encoded t.hi buf t.seek_off < 0;
+  child
+
+(* From a leaf at its first entry >= the probe when [seek] (the leaf the
+   descent reached), else from its first entry: the offset of the first
+   hit, with the hit count in [seek_idx] and the leaf to continue at in
+   [next]. *)
+let rec count_hits t buf n off i ~start =
+  if i >= n then begin
+    t.next <- (if t.bounded then -1 else next_leaf buf);
+    t.seek_idx <- i - start
+  end
+  else if Key.compare_encoded t.hi buf off < 0 then begin
+    t.next <- -1;
+    t.seek_idx <- i - start
+  end
+  else count_hits t buf n (off + entry_size_at buf off) (i + 1) ~start
+
+let scan_start t buf ~seek =
+  if not (is_leaf buf) then raise (Wire.Corrupt "Btree: leaf chain hits internal node");
+  let n = count_at buf in
+  let off = if seek then seek_leaf t buf else (t.seek_idx <- 0; header) in
+  count_hits t buf n off t.seek_idx ~start:t.seek_idx;
+  off
+
+(* A lookup's leaf step: the hits' OIDs onto [hits]. *)
+let rec push_oids t buf off k =
+  if k > 0 then begin
+    t.hits <- oid_after_key buf off :: t.hits;
+    push_oids t buf (off + entry_size_at buf off) (k - 1)
+  end
+
+let lookup_step seek t buf =
+  let off = scan_start t buf ~seek in
+  if t.first_only && t.seek_idx > 0 then begin
+    t.next <- -1;
+    push_oids t buf off 1
+  end
+  else push_oids t buf off t.seek_idx
+
+let lookup_chain t buf = lookup_step false t buf
+
+(* Descent steps: the child to descend into, or -1 once the leaf reached
+   has been scanned under the same pin. *)
+let lookup_descend t buf =
+  if is_leaf buf then begin
+    lookup_step true t buf;
+    -1
+  end
+  else scan_child t buf
+
+(* A range scan's leaf step: the hits decoded into [scan_keys] and
+   [scan_oids], to be handed out once the leaf is unpinned. *)
+let range_step seek t buf =
+  let off = scan_start t buf ~seek in
+  let k = t.seek_idx in
+  let keys = Array.make k Key.min_int_key in
+  let oids = Array.make k min_oid in
+  let off = ref off in
+  for i = 0 to k - 1 do
+    keys.(i) <- Key.decode_at buf !off;
+    oids.(i) <- oid_after_key buf !off;
+    off := !off + entry_size_at buf !off
+  done;
+  t.scan_keys <- keys;
+  t.scan_oids <- oids
+
+let range_chain t buf = range_step false t buf
+
+let range_descend t buf =
+  if is_leaf buf then begin
+    range_step true t buf;
+    -1
+  end
+  else scan_child t buf
+
+let rec descend_scan t page step =
+  let child = Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:false step t in
+  if child >= 0 then descend_scan t child step
+
+let start_scan t ~lo ~hi =
+  t.probe_key <- lo;
+  t.probe_oid <- min_oid;
+  t.hi <- hi;
+  t.bounded <- false
 
 (* Entries in [lo, hi], from the leaf holding the first entry >= lo along
    the chain.  Each page is searched and scanned under one pin, and only
-   the hits are decoded; [f] runs after the leaf is unpinned. *)
+   the hits are decoded; [f] runs after the leaf is unpinned, so it may
+   use the tree. *)
 let iter_range t ~lo ~hi f =
   if Key.compare lo hi <= 0 then begin
-    (* [bounded]: the separator just right of the descent path has a key
-       above [hi], so the range ends within the leaf the descent reaches. *)
-    let rec visit page ~descending ~bounded =
-      let step =
-        Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-            if not (is_leaf buf) then begin
-              if not descending then
-                raise (Wire.Corrupt "Btree: leaf chain hits internal node");
-              seek_child buf lo min_oid (fun idx child off ->
-                  let bounded =
-                    if idx < count_at buf then Key.compare_encoded hi buf off < 0
-                    else bounded
-                  in
-                  Descend (child, bounded))
-            end
-            else begin
-              let n = count_at buf in
-              let rec scan off i hits =
-                if i >= n then Hits (hits, if bounded then -1 else next_leaf buf)
-                else if Key.compare_encoded hi buf off < 0 then Hits (hits, -1)
-                else scan (off + entry_size_at buf off) (i + 1) (entry_at buf off :: hits)
-              in
-              if descending then seek_leaf buf lo min_oid (fun off i -> scan off i [])
-              else scan header 0 []
-            end)
-      in
-      match step with
-      | Descend (child, bounded) -> visit child ~descending:true ~bounded
-      | Hits (hits, next) ->
-          List.iter (fun (k, o) -> f k o) (List.rev hits);
-          if next >= 0 then visit next ~descending:false ~bounded:false
+    start_scan t ~lo ~hi;
+    descend_scan t t.root range_descend;
+    let rec hand_out () =
+      let keys = t.scan_keys and oids = t.scan_oids and next = t.next in
+      t.scan_keys <- [||];
+      t.scan_oids <- [||];
+      Array.iteri (fun i k -> f k oids.(i)) keys;
+      if next >= 0 then begin
+        t.hi <- hi;
+        t.bounded <- false;
+        Pager.with_pin_arg t.pager ~file:t.file ~page:next ~dirty:false range_chain t;
+        hand_out ()
+      end
     in
-    visit t.root ~descending:true ~bounded:false
+    hand_out ()
   end
+
+(* The OIDs under [key], newest first; all of them, or the first. *)
+let lookup t key ~first_only =
+  start_scan t ~lo:key ~hi:key;
+  t.first_only <- first_only;
+  t.hits <- [];
+  descend_scan t t.root lookup_descend;
+  while t.next >= 0 do
+    Pager.with_pin_arg t.pager ~file:t.file ~page:t.next ~dirty:false lookup_chain t
+  done;
+  let hits = t.hits in
+  t.hits <- [];
+  hits
 
 let fold_range t ~lo ~hi ~init ~f =
   let acc = ref init in
   iter_range t ~lo ~hi (fun k o -> acc := f !acc k o);
   !acc
 
-let find t key =
-  let acc = ref [] in
-  iter_range t ~lo:key ~hi:key (fun _ o -> acc := o :: !acc);
-  List.rev !acc
+let find t key = List.rev (lookup t key ~first_only:false)
 
 let find_first t key =
-  let exception Found of Oid.t in
-  try
-    iter_range t ~lo:key ~hi:key (fun _ o -> raise (Found o));
-    None
-  with Found o -> Some o
+  match lookup t key ~first_only:true with o :: _ -> Some o | [] -> None
 
 let mem t key = Option.is_some (find_first t key)
 
@@ -377,25 +507,24 @@ let split_point entries extra_per_entry =
    neither is left a lone child pointer when separators are large. *)
 let promote_point seps = max 1 (min (split_point seps 4) (Array.length seps - 2))
 
-(* Insert into the leaf in place when the entry fits: shift the tail
+(* Insert the probe into the leaf in place when it fits: shift the tail
    right and write the entry into the frame.  Otherwise returns the
    entry's index, for [split_leaf]. *)
-let insert_in_leaf t page key oid =
-  Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-      expect_leaf buf true;
-      seek_leaf buf key oid (fun off i ->
-          let n = count_at buf in
-          if i < n && compare_entry_at key oid buf off = 0 then
-            invalid_arg "Btree.insert: duplicate (key, oid) entry";
-          let stop = skip_entries buf off (n - i) ~extra:0 in
-          let size = Key.encoded_size key + Oid.encoded_size in
-          if stop + size > Bytes.length buf then i
-          else begin
-            Bytes.blit buf off buf (off + size) (stop - off);
-            ignore (Oid.encode buf (Key.encode buf off key) oid);
-            set_count buf (n + 1);
-            -1
-          end))
+let insert_step t buf =
+  expect_leaf buf true;
+  let off = seek_leaf t buf in
+  let i = t.seek_idx and n = count_at buf in
+  if i < n && compare_entry_at t.probe_key t.probe_oid buf off = 0 then
+    invalid_arg "Btree.insert: duplicate (key, oid) entry";
+  let stop = skip_entries buf off (n - i) ~extra:0 in
+  let size = Key.encoded_size t.probe_key + Oid.encoded_size in
+  if stop + size > Bytes.length buf then i
+  else begin
+    Bytes.blit buf off buf (off + size) (stop - off);
+    ignore (Oid.encode buf (Key.encode buf off t.probe_key) t.probe_oid);
+    set_count buf (n + 1);
+    -1
+  end
 
 (* Returns the separator and right page of the split. *)
 let split_leaf t page i entry =
@@ -415,15 +544,12 @@ let split_leaf t page i entry =
    right_page)] when the node split. *)
 let rec insert_rec t page level key oid =
   if level = 1 then
-    match insert_in_leaf t page key oid with
+    match Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:true insert_step t with
     | -1 -> None
     | i -> Some (split_leaf t page i (key, oid))
   else begin
-    let idx, child =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          expect_leaf buf false;
-          seek_child buf key oid (fun idx child _ -> (idx, child)))
-    in
+    let child = descend t page in
+    let idx = t.seek_idx in
     match insert_rec t child (level - 1) key oid with
     | None -> None
     | Some (sep, new_child) -> (
@@ -456,6 +582,8 @@ let rec insert_rec t page level key oid =
 
 let insert t key oid =
   check_key t key;
+  t.probe_key <- key;
+  t.probe_oid <- oid;
   (match insert_rec t t.root t.height key oid with
   | None -> ()
   | Some (sep, right_page) ->
@@ -471,31 +599,40 @@ let insert t key oid =
 (* ------------------------------------------------------------------ *)
 (* Delete                                                              *)
 
-(* How a delete changed a subtree's minimum: it did not, it is now [e],
-   or the subtree is empty. *)
-type min_change = Same | Now of entry | Emptied
+(* How a delete changed a subtree's minimum: it did not, it is the leaf's
+   new first entry (copied to [min_buf] as encoded, and decoded only when
+   a separator takes it), it is [e], or the subtree is empty. *)
+type min_change = Same | Leaf_min | Now of entry | Emptied
 
-(* What a delete tells the parent about the child it descended into. *)
-type removal = Absent | Removed of { min : min_change; underfull : bool }
+exception Absent
 
-(* Remove the entry from the leaf in place: one blit shifts the tail
-   left. *)
-let delete_in_leaf t page key oid =
-  Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-      expect_leaf buf true;
-      seek_leaf buf key oid (fun off i ->
-          let n = count_at buf in
-          if i >= n || compare_entry_at key oid buf off <> 0 then Absent
-          else begin
-            let size = entry_size_at buf off in
-            let stop = skip_entries buf (off + size) (n - i - 1) ~extra:0 in
-            Bytes.blit buf (off + size) buf off (stop - off - size);
-            set_count buf (n - 1);
-            let min =
-              if i > 0 then Same else if n = 1 then Emptied else Now (entry_at buf header)
-            in
-            Removed { min; underfull = 4 * (stop - size) < Bytes.length buf }
-          end))
+(* Remove the probe from the leaf in place: one blit shifts the tail
+   left.  Sets [underfull] for the leaf. *)
+let delete_step t buf =
+  expect_leaf buf true;
+  let off = seek_leaf t buf in
+  let i = t.seek_idx and n = count_at buf in
+  if i >= n || compare_entry_at t.probe_key t.probe_oid buf off <> 0 then
+    raise_notrace Absent;
+  let size = entry_size_at buf off in
+  let stop = skip_entries buf (off + size) (n - i - 1) ~extra:0 in
+  Bytes.blit buf (off + size) buf off (stop - off - size);
+  set_count buf (n - 1);
+  t.underfull <- 4 * (stop - size) < Bytes.length buf;
+  if i > 0 then Same
+  else if n = 1 then Emptied
+  else begin
+    let first = entry_size_at buf header in
+    if Bytes.length t.min_buf < first then t.min_buf <- Bytes.create (2 * first);
+    Bytes.blit buf header t.min_buf 0 first;
+    Leaf_min
+  end
+
+(* The descent step of a delete: also the node's bytes, in [used]. *)
+let delete_child_step t buf =
+  let child = child_step t buf in
+  t.used <- skip_entries buf t.seek_off (count_at buf - t.seek_idx) ~extra:4;
+  child
 
 (* Rebalance the underfull children.(idx) with a sibling: merge the two
    when the result fits, otherwise redistribute their content evenly by
@@ -581,65 +718,78 @@ let rebalance_child t children seps idx =
 (* A delete can stale only seps.(idx - 1), the separator into the child
    whose minimum it removed; that one is set before any rebalance pulls
    it down.  An internal node is decoded and rewritten only then or when
-   its child underflowed. *)
-let rec delete_rec t page level key oid =
-  if level = 1 then delete_in_leaf t page key oid
+   its child underflowed.  Sets [underfull] for the node at [page]. *)
+let rec delete_rec t page level =
+  if level = 1 then
+    Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:true delete_step t
   else begin
-    let idx, child, used =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          expect_leaf buf false;
-          seek_child buf key oid (fun idx child off ->
-              (idx, child, skip_entries buf off (count_at buf - idx) ~extra:4)))
+    let child =
+      Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:false delete_child_step t
     in
-    match delete_rec t child (level - 1) key oid with
-    | Absent -> Absent
-    | Removed { min = Same; underfull = false } ->
-        Removed { min = Same; underfull = 4 * used < Pager.page_size t.pager }
-    | Removed { min = Now _ as min; underfull = false } when idx = 0 ->
-        Removed { min; underfull = 4 * used < Pager.page_size t.pager }
-    | Removed { min; underfull = child_underfull } -> (
+    let idx = t.seek_idx and used = t.used in
+    let min = delete_rec t child (level - 1) in
+    let child_underfull = t.underfull in
+    let unchanged =
+      (not child_underfull)
+      && match min with Same -> true | Leaf_min | Now _ -> idx = 0 | Emptied -> false
+    in
+    if unchanged then begin
+      t.underfull <- 4 * used < Pager.page_size t.pager;
+      min
+    end
+    else
         match read_node t page with
         | Leaf _ -> raise (Wire.Corrupt "Btree: node at the wrong depth")
         | Internal { children; seps } ->
             let nseps = Array.length seps in
+            let min =
+              match min with Leaf_min -> Now (entry_at t.min_buf 0) | m -> m
+            in
             (if idx > 0 then
                match min with
                | Now e -> seps.(idx - 1) <- e
                (* An emptied child is merged with its right sibling,
                   whose minimum then heads the merged node. *)
                | Emptied -> if idx < nseps then seps.(idx - 1) <- seps.(idx)
-               | Same -> ());
+               | Same | Leaf_min -> ());
             let min =
               match min with
               | _ when idx > 0 -> Same
               | Emptied when nseps > 0 -> Now seps.(0)
-              | Same | Now _ | Emptied -> min
+              | Same | Leaf_min | Now _ | Emptied -> min
             in
             let node =
               if child_underfull then rebalance_child t children seps idx
               else Internal { children; seps }
             in
             write_node t page node;
-            Removed { min; underfull = underfull t node })
+            t.underfull <- underfull t node;
+            min
   end
 
+(* The only child of an internal root without separators, else -1. *)
+let lone_child buf =
+  if (not (is_leaf buf)) && count_at buf = 0 then u32_at buf 3 else -1
+
+(* Collapse a root with a single child (which is underfull): the test
+   reads the root's tag and count in place. *)
+let rec collapse t =
+  match Pager.with_page_read t.pager ~file:t.file ~page:t.root lone_child with
+  | -1 -> ()
+  | child ->
+      write_node t t.root (read_node t child);
+      free_page t child;
+      t.height <- t.height - 1;
+      collapse t
+
 let delete t key oid =
-  match delete_rec t t.root t.height key oid with
-  | Absent -> false
-  | Removed { underfull; _ } ->
+  t.probe_key <- key;
+  t.probe_oid <- oid;
+  match delete_rec t t.root t.height with
+  | exception Absent -> false
+  | (_ : min_change) ->
       t.count <- t.count - 1;
-      (* Collapse a root with a single child (which is underfull). *)
-      let rec collapse () =
-        match read_node t t.root with
-        | Internal { children; seps } when Array.length seps = 0 ->
-            let child = read_node t children.(0) in
-            write_node t t.root child;
-            free_page t children.(0);
-            t.height <- t.height - 1;
-            collapse ()
-        | Internal _ | Leaf _ -> ()
-      in
-      if underfull then collapse ();
+      if t.underfull then collapse t;
       true
 
 (* ------------------------------------------------------------------ *)

@@ -38,14 +38,10 @@ let encode buf off = function
 
 let bad_tag tag = raise (Wire.Corrupt (Printf.sprintf "Key: bad tag %d" tag))
 
-let decode buf off =
-  let tag, off = Wire.get_u8 buf off in
-  if tag = tag_int then
-    let v, off = Wire.get_int buf off in
-    (Int v, off)
-  else if tag = tag_string then
-    let s, off = Wire.get_string buf off in
-    (String s, off)
+let decode_at buf off =
+  let tag = Wire.u8_at buf off in
+  if tag = tag_int then Int (Wire.int_at buf (off + 1))
+  else if tag = tag_string then String (Wire.string_at buf (off + 1))
   else bad_tag tag
 
 let encoded_size_at buf off =
@@ -53,6 +49,10 @@ let encoded_size_at buf off =
   if tag = tag_int then 1 + 8
   else if tag = tag_string then 1 + 2 + Bytes.get_uint16_le buf (off + 1)
   else bad_tag tag
+
+let decode buf off =
+  let key = decode_at buf off in
+  (key, off + encoded_size_at buf off)
 
 (* [Stdlib.String.compare s b] for the [len] bytes b at [pos]. *)
 let compare_string_at s buf pos len =

@@ -18,6 +18,9 @@ val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
 val decode : Bytes.t -> int -> t * int
 
+val decode_at : Bytes.t -> int -> t
+(** [fst (decode buf off)], without the pair. *)
+
 val encoded_size_at : Bytes.t -> int -> int
 (** Size of the key encoded at the offset, read from its header alone. *)
 

@@ -44,12 +44,17 @@ type expr =
       (* functional joins: step value indices, then terminal index; a plain
          field is a walk of no steps *)
 
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   pager : Pager.t;
   schema : Schema.t;
   sets : (string, Heap_file.t) Hashtbl.t;
   data_files : (int, string * Heap_file.t) Hashtbl.t;  (* file id -> set, file *)
   indexes : (string, index_rt) Hashtbl.t;
+  set_indexes : index_rt list Stbl.t;
+      (* each set's indexes, in [indexes]' iteration order; kept by
+         [add_index_rt] *)
   store : Store.t;
   engine : Engine.env;
   mutable wal : Wal.t option;
@@ -150,9 +155,17 @@ let value_at (record : Record.t) idx =
   else Value.VNull
 
 let indexes_of_set t set =
-  Hashtbl.fold
-    (fun _ rt acc -> if rt.def.Schema.iset = set then rt :: acc else acc)
-    t.indexes []
+  match Stbl.find t.set_indexes set with
+  | rts -> rts
+  | exception Not_found -> []
+
+let add_index_rt t name rt =
+  Hashtbl.replace t.indexes name rt;
+  let set = rt.def.Schema.iset in
+  Stbl.replace t.set_indexes set
+    (Hashtbl.fold
+       (fun _ rt acc -> if rt.def.Schema.iset = set then rt :: acc else acc)
+       t.indexes [])
 
 let index_insert rt oid record =
   match key_of_value (value_at record rt.value_index) with
@@ -176,11 +189,13 @@ let index_update rt oid ~before ~after =
 (* Hidden fields changed under an index on replicated data (paper §3.3.4):
    keep those trees current. *)
 let on_hidden_update t set oid ~before ~after =
-  List.iter
-    (fun rt ->
-      if rt.value_index >= Ty.arity (Schema.set_type t.schema set) then
-        index_update rt oid ~before ~after)
-    (indexes_of_set t set)
+  match indexes_of_set t set with
+  | [] -> ()
+  | rts ->
+      let arity = Schema.user_arity t.schema set in
+      List.iter
+        (fun rt -> if rt.value_index >= arity then index_update rt oid ~before ~after)
+        rts
 
 type backend = Pager.backend = Mem | File of string option
 
@@ -216,6 +231,7 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
          sets;
          data_files;
          indexes = Hashtbl.create 8;
+         set_indexes = Stbl.create 8;
          store;
          engine;
          wal = None;
@@ -511,7 +527,7 @@ let build_index t ~name ~set ~field ~clustered =
           | Some key -> entries := (key, oid) :: !entries
           | None -> ());
       Btree.bulk_load tree (Array.of_list !entries);
-      Hashtbl.replace t.indexes name rt)
+      add_index_rt t name rt)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -1103,6 +1119,8 @@ let find_index t ~set ~field =
     (fun d -> d.Schema.iset = set && d.Schema.ifield = field)
     (Schema.indexes t.schema)
 
+let set_indexes t ~set = List.map (fun rt -> rt.def) (indexes_of_set t set)
+
 (* ------------------------------------------------------------------ *)
 (* Inverse references                                                  *)
 
@@ -1575,7 +1593,7 @@ let load_image ?(frames = 256) ?backend path =
       let tree = Btree.attach t.pager ~file:file_id ~root ~count ~free_pages in
       let value_index = resolve_index_field t ~set:iset ~field:ifield in
       let def = List.find (fun d -> d.Schema.iname = iname) (Schema.indexes t.schema) in
-      Hashtbl.replace t.indexes iname { def; tree; value_index })
+      add_index_rt t iname { def; tree; value_index })
     index_bindings;
   List.iter
     (fun (link_id, file_id) ->

@@ -288,6 +288,10 @@ val key_of_value : Value.t -> Key.t option
 val find_index : t -> set:string -> field:string -> Schema.index_def option
 (** An index usable for a predicate on [set.field], if any. *)
 
+val set_indexes : t -> set:string -> Schema.index_def list
+(** The indexes an insert, a delete or a hidden-copy update of [set]
+    maintains: the per-set list kept as indexes are built. *)
+
 type index_stats = { entries : int; height : int; leaves : int; pages : int }
 
 val index_stats : t -> index:string -> index_stats

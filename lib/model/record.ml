@@ -79,6 +79,7 @@ let decode buf =
   { type_tag; links; values }
 
 let type_tag_of_bytes buf = Wire.u16_at buf 0
+let link_count_of_bytes buf = Wire.u8_at buf 2
 
 let pp fmt t =
   Format.fprintf fmt "@[<hov 2>{tag=%d;@ links=[%a];@ values=[%a]}@]" t.type_tag

@@ -47,4 +47,7 @@ val decode : Bytes.t -> t
 val type_tag_of_bytes : Bytes.t -> int
 (** Peek at the tag without decoding the rest. *)
 
+val link_count_of_bytes : Bytes.t -> int
+(** Peek at the number of (link-OID, link-ID) pairs the same way. *)
+
 val pp : Format.formatter -> t -> unit

@@ -31,6 +31,18 @@ type hidden_slot =
   | Hidden_copy of { rep_id : int; source_field : string; scalar : Ty.scalar }
   | Hidden_sref of { rep_id : int }
 
+(* What a write asks the catalog about one set, compiled on its first use
+   at a generation: the set's live declarations and its record layout. *)
+type set_catalog = {
+  decls : replication list;  (* [replications_from], in [rep_id] order *)
+  base : int;  (* user arity, the value index of the first hidden slot;
+                  -1 for an unknown set *)
+  slots : hidden_slot array;  (* [hidden_slots] *)
+}
+
+module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   type_table : (string, Ty.t) Hashtbl.t;
   tag_of_type : (string, int) Hashtbl.t;
@@ -39,10 +51,11 @@ type t = {
   mutable set_order : string list;  (* reverse creation order *)
   mutable index_defs : index_def list;  (* reverse creation order *)
   mutable reps : replication list;  (* reverse creation order *)
-  rep_states : (int, rep_state) Hashtbl.t;  (* rep_id -> life-cycle state *)
+  rep_states : rep_state Itbl.t;  (* rep_id -> life-cycle state *)
   mutable next_tag : int;
   mutable next_rep : int;
   mutable generation : int;  (* bumped by every catalog change *)
+  catalogs : set_catalog Stbl.t;  (* compiled at [generation]; emptied by [bump] *)
 }
 
 let create () =
@@ -54,14 +67,18 @@ let create () =
     set_order = [];
     index_defs = [];
     reps = [];
-    rep_states = Hashtbl.create 8;
+    rep_states = Itbl.create 8;
     next_tag = 1;
     next_rep = 1;
     generation = 0;
+    catalogs = Stbl.create 8;
   }
 
 let generation t = t.generation
-let bump t = t.generation <- t.generation + 1
+
+let bump t =
+  t.generation <- t.generation + 1;
+  Stbl.clear t.catalogs
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -180,10 +197,12 @@ let resolve_path t (path : Path.t) =
 (* Replication                                                         *)
 
 let rep_state t rep_id =
-  Option.value ~default:Active (Hashtbl.find_opt t.rep_states rep_id)
+  match Itbl.find t.rep_states rep_id with
+  | state -> state
+  | exception Not_found -> Active
 
 let set_rep_state t rep_id state =
-  Hashtbl.replace t.rep_states rep_id state;
+  Itbl.replace t.rep_states rep_id state;
   bump t
 
 (* Dropped declarations are invisible to every logical consumer (planning,
@@ -223,12 +242,9 @@ let add_replication t ?(options = default_options) ?(state = Active) ~strategy
   let rep = { rep_id = t.next_rep; rpath = path; strategy; options } in
   t.next_rep <- t.next_rep + 1;
   t.reps <- rep :: t.reps;
-  Hashtbl.replace t.rep_states rep.rep_id state;
+  Itbl.replace t.rep_states rep.rep_id state;
   bump t;
   rep
-
-let replications_from t set_name =
-  List.filter (fun r -> r.rpath.Path.source_set = set_name) (replications t)
 
 (* ------------------------------------------------------------------ *)
 (* Hidden layout                                                       *)
@@ -236,7 +252,7 @@ let replications_from t set_name =
 (* Layout iterates {e all} declarations, Dropped included: a dropped path
    leaves a permanently dead (null) slot behind so the value-array indexes
    of every later declaration never move. *)
-let hidden_slots t set_name =
+let compile_slots t set_name =
   List.concat_map
     (fun r ->
       match r.strategy with
@@ -251,22 +267,47 @@ let hidden_slots t set_name =
        (fun r -> r.rpath.Path.source_set = set_name)
        (all_replications t))
 
-let user_arity t set_name = Ty.arity (set_type t set_name)
-let record_width t set_name = user_arity t set_name + List.length (hidden_slots t set_name)
+let compile_catalog t set_name =
+  {
+    decls =
+      List.filter (fun r -> r.rpath.Path.source_set = set_name) (replications t);
+    base =
+      (match Hashtbl.find_opt t.set_table set_name with
+      | Some elem -> Ty.arity (find_type t elem)
+      | None -> -1);
+    slots = Array.of_list (compile_slots t set_name);
+  }
+
+let catalog t set_name =
+  match Stbl.find t.catalogs set_name with
+  | c -> c
+  | exception Not_found ->
+      let c = compile_catalog t set_name in
+      Stbl.replace t.catalogs set_name c;
+      c
+
+let replications_from t set_name = (catalog t set_name).decls
+let hidden_slots t set_name = Array.to_list (catalog t set_name).slots
+
+let user_arity t set_name =
+  match (catalog t set_name).base with -1 -> raise Not_found | base -> base
+
+let record_width t set_name =
+  user_arity t set_name + Array.length (catalog t set_name).slots
+
+let rec slot_index slots rep_id field i =
+  if i >= Array.length slots then raise Not_found
+  else
+    match (slots.(i), field) with
+    | Hidden_copy { rep_id = id; source_field; _ }, Some f
+      when id = rep_id && String.equal f source_field ->
+        i
+    | Hidden_sref { rep_id = id }, None when id = rep_id -> i
+    | (Hidden_copy _ | Hidden_sref _), _ -> slot_index slots rep_id field (i + 1)
 
 let hidden_index t set_name ~rep_id ~field =
-  let base = user_arity t set_name in
-  let slots = hidden_slots t set_name in
-  let rec go i = function
-    | [] -> raise Not_found
-    | Hidden_copy { rep_id = id; source_field; _ } :: rest -> (
-        match field with
-        | Some f when id = rep_id && f = source_field -> base + i
-        | Some _ | None -> go (i + 1) rest)
-    | Hidden_sref { rep_id = id } :: rest ->
-        if id = rep_id && field = None then base + i else go (i + 1) rest
-  in
-  go 0 slots
+  let c = catalog t set_name in
+  c.base + slot_index c.slots rep_id field 0
 
 (* ------------------------------------------------------------------ *)
 (* Indexes                                                             *)

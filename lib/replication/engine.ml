@@ -1,6 +1,5 @@
 module Oid = Fieldrep_storage.Oid
 module Heap_file = Fieldrep_storage.Heap_file
-module Listx = Fieldrep_util.Listx
 module Schema = Fieldrep_model.Schema
 module Path = Fieldrep_model.Path
 module Ty = Fieldrep_model.Ty
@@ -96,7 +95,13 @@ let gc_dead_derived env =
 let pending_key (rep : Schema.replication) oid = (rep.Schema.rep_id, Oid.to_int64 oid)
 let is_pending env rep oid = Hashtbl.mem env.pending (pending_key rep oid)
 let mark_pending env rep oid = Hashtbl.replace env.pending (pending_key rep oid) ()
-let clear_pending env rep oid = Hashtbl.remove env.pending (pending_key rep oid)
+
+(* Every write clears its sources' entries; with no lazy declaration the
+   table is empty and no key is built. *)
+let clear_pending env rep oid =
+  if Hashtbl.length env.pending > 0 then
+    Hashtbl.remove env.pending (pending_key rep oid)
+
 let pending_count env = Hashtbl.length env.pending
 let pending_keys env = Hashtbl.fold (fun k () acc -> k :: acc) env.pending []
 
@@ -131,17 +136,15 @@ let set_value_extending (record : Record.t) idx v =
     { record with Record.values }
   end
 
-let step_index env ~type_name ~step =
-  Ty.field_index (Schema.find_type env.schema type_name) step
-
-(* The object a node-step points at, or None when the reference is null. *)
-let deref env ~from_type record step =
-  match value_or_null record (step_index env ~type_name:from_type ~step) with
+(* The object a node's step points at, or None when the reference is
+   null. *)
+let deref (node : Registry.node) record =
+  match value_or_null record node.Registry.step_index with
   | Value.VRef oid -> Some oid
   | Value.VNull -> None
   | (Value.VInt _ | Value.VString _) as v ->
       invalid_arg
-        (Printf.sprintf "Engine: step %s holds non-reference %s" step
+        (Printf.sprintf "Engine: step %s holds non-reference %s" node.Registry.step
            (Value.to_string v))
 
 let as_ref_opt = function
@@ -256,8 +259,7 @@ let rec ensure_deeper env (node : Registry.node) x_oid =
              would race the teardown cursor. *)
           ()
       | Some _ -> (
-          let x_rec = read_record env x_oid in
-          match deref env ~from_type:child.Registry.from_type x_rec child.Registry.step with
+          match deref child (read_record env x_oid) with
           | None -> ()
           | Some y ->
               let was_empty, now_empty = add_member env child y (plain_entry x_oid) in
@@ -272,8 +274,7 @@ let rec cascade_off env (node : Registry.node) x_oid =
       match child.Registry.link_id with
       | None -> ()
       | Some _ -> (
-          let x_rec = read_record env x_oid in
-          match deref env ~from_type:child.Registry.from_type x_rec child.Registry.step with
+          match deref child (read_record env x_oid) with
           | None -> ()
           | Some y ->
               let _, now_empty = remove_member env child y x_oid in
@@ -320,27 +321,26 @@ type path = {
   sprime : Oid.t option;
 }
 
+(* The final's replicated values, in [term.fields] order. *)
+let final_values (term : Registry.terminal) final_rec =
+  Array.fold_right
+    (fun idx acc -> value_or_null final_rec idx :: acc)
+    term.Registry.field_indexes []
+
 (* Read-only.  A separate terminal's final is named but not read. *)
 let walk_path env (rep : Schema.replication) source_rec =
   let _, term = Registry.terminal_of env.registry rep in
-  let fields = term.Registry.fields in
   let rec go chain record = function
     | [] -> invalid_arg "Engine.walk_path: empty chain"
     | (node : Registry.node) :: rest -> (
-        match
-          deref env ~from_type:node.Registry.from_type record node.Registry.step
-        with
-        | None -> (chain, None, List.map (fun _ -> Value.VNull) fields)
+        match deref node record with
+        | None -> (chain, None, List.map (fun _ -> Value.VNull) term.Registry.fields)
         | Some oid when rest = [] ->
             let values =
               match term.Registry.kind with
               | Registry.K_separate _ -> []
               | Registry.K_inplace | Registry.K_collapsed _ ->
-                  let final_rec = read_record env oid in
-                  let ty = Schema.find_type env.schema node.Registry.to_type in
-                  List.map
-                    (fun (f, _) -> value_or_null final_rec (Ty.field_index ty f))
-                    fields
+                  final_values term (read_record env oid)
             in
             ((node, oid) :: chain, Some oid, values)
         | Some oid -> go ((node, oid) :: chain) (read_record env oid) rest)
@@ -351,10 +351,7 @@ let walk_path env (rep : Schema.replication) source_rec =
   let sprime =
     match term.Registry.kind with
     | Registry.K_separate _ ->
-        as_ref_opt
-          (value_or_null source_rec
-             (Schema.hidden_index env.schema rep.Schema.rpath.Path.source_set
-                ~rep_id:rep.Schema.rep_id ~field:None))
+        as_ref_opt (value_or_null source_rec term.Registry.slots.(0))
     | Registry.K_inplace | Registry.K_collapsed _ -> None
   in
   { rep; chain = List.rev chain; final; values; sprime }
@@ -365,26 +362,18 @@ let sprime_field_offset = 2
    The final is read here, not taken from a walk: an earlier write of the
    same operation may have rewritten its link section.  Fresh S' objects
    start with refcount 0; callers bump it. *)
-let sprime_for env (rep : Schema.replication) ~sref_link ~fields final_oid =
+let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
+    ~sref_link final_oid =
   let final_rec = read_record env final_oid in
   match Record.find_link final_rec sref_link with
   | Some pair -> pair.Record.link_oid
   | None ->
-      let ty =
-        Schema.find_type env.schema
-          (Listx.nth_exn ~what:"Engine.sprime_for: path level out of type chain"
-             (Schema.resolve_path env.schema rep.Schema.rpath).Schema.type_chain
-             (Path.level rep.Schema.rpath))
-      in
       let values =
         Array.of_list
-          (Value.VInt 0 :: Value.VRef final_oid
-          :: List.map
-               (fun (f, _) -> value_or_null final_rec (Ty.field_index ty f))
-               fields)
+          (Value.VInt 0 :: Value.VRef final_oid :: final_values term final_rec)
       in
-      let tag = Schema.type_tag env.schema ty.Ty.tname in
-      let hf = Store.sprime_file env.store rep.Schema.rep_id in
+      let tag = Schema.type_tag env.schema final_node.Registry.to_type in
+      let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
       let sp_oid = Heap_file.insert hf (Record.encode (Record.make ~type_tag:tag values)) in
       write_record env final_oid
         (Record.add_link final_rec { Record.link_oid = sp_oid; link_id = sref_link });
@@ -479,26 +468,24 @@ let batched_rewrite env ~set oids ~transform =
           !changes)
       (group_by_page sorted)
 
+(* [record] with hidden slots [slots.(i)], [slots.(i + 1)], ... set to
+   [values]; [record] itself when they already hold them. *)
+let rec set_slots (slots : int array) i values record =
+  match values with
+  | [] -> record
+  | desired :: rest ->
+      let idx = slots.(i) in
+      let record =
+        if Value.equal (value_or_null record idx) desired then record
+        else set_value_extending record idx desired
+      in
+      set_slots slots (i + 1) rest record
+
 (* The in-place or collapsed hidden copies of [source_rec] set to [values]
    (one per terminal field); [None] when the stored copies already match. *)
-let copies_transform env (rep : Schema.replication) ~fields values source_rec =
-  let set = rep.Schema.rpath.Path.source_set in
-  let changed = ref false in
-  let updated =
-    List.fold_left2
-      (fun acc (fname, _) desired ->
-        let idx =
-          Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-            ~field:(Some fname)
-        in
-        if Value.equal (value_or_null acc idx) desired then acc
-        else begin
-          changed := true;
-          set_value_extending acc idx desired
-        end)
-      source_rec fields values
-  in
-  if !changed then Some updated else None
+let copies_transform (term : Registry.terminal) values source_rec =
+  let updated = set_slots term.Registry.slots 0 values source_rec in
+  if updated == source_rec then None else Some updated
 
 (* A source that is also a final of its declaration (a self-referential
    path) has its link section rewritten by the S' bookkeeping: re-read it. *)
@@ -514,22 +501,16 @@ let reread_owner env final sref_link source_oid source_rec =
 let refresh_path env (p : path) source_oid source_rec =
   let rep = p.rep in
   let set = rep.Schema.rpath.Path.source_set in
-  let _, term = Registry.terminal_of env.registry rep in
+  let ((_, term) as ends) = Registry.terminal_of env.registry rep in
   let updated =
     match term.Registry.kind with
     | Registry.K_inplace | Registry.K_collapsed _ ->
-        copies_transform env rep ~fields:term.Registry.fields p.values source_rec
+        copies_transform term p.values source_rec
     | Registry.K_separate sref_link ->
-        let idx =
-          Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-            ~field:None
-        in
+        let idx = term.Registry.slots.(0) in
         let desired =
           match p.final with
-          | Some final_oid ->
-              Value.VRef
-                (sprime_for env rep ~sref_link ~fields:term.Registry.fields
-                   final_oid)
+          | Some final_oid -> Value.VRef (sprime_for env ends ~sref_link final_oid)
           | None -> Value.VNull
         in
         let current = value_or_null source_rec idx in
@@ -572,8 +553,7 @@ let refresh_batch env (rep : Schema.replication) oids =
       batched_rewrite env ~set:rep.Schema.rpath.Path.source_set oids
         ~transform:(fun oid source_rec ->
           clear_pending env rep oid;
-          copies_transform env rep ~fields:term.Registry.fields
-            (walk_path env rep source_rec).values source_rec)
+          copies_transform term (walk_path env rep source_rec).values source_rec)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared mutations: one walk for the lock set and the apply        *)
@@ -702,10 +682,7 @@ let teardown_source env rep w source_oid =
   let updated =
     match term.Registry.kind with
     | Registry.K_separate sref_link -> (
-        let idx =
-          Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-            ~field:None
-        in
+        let idx = term.Registry.slots.(0) in
         match value_or_null source_rec idx with
         | Value.VRef sp ->
             sprime_refcount_add env ~sref_link sp (-1);
@@ -714,18 +691,13 @@ let teardown_source env rep w source_oid =
             set_value_extending base idx Value.VNull
         | Value.VNull | Value.VInt _ | Value.VString _ -> source_rec)
     | Registry.K_inplace | Registry.K_collapsed _ ->
-        List.fold_left
-          (fun acc (fname, _) ->
-            let idx =
-              Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id
-                ~field:(Some fname)
-            in
-            if Value.equal (value_or_null acc idx) Value.VNull then acc
-            else begin
-              changed := true;
-              set_value_extending acc idx Value.VNull
-            end)
-          source_rec term.Registry.fields
+        let updated =
+          set_slots term.Registry.slots 0
+            (List.map (fun _ -> Value.VNull) term.Registry.fields)
+            source_rec
+        in
+        if updated != source_rec then changed := true;
+        updated
   in
   if !changed then begin
     write_record env source_oid updated;
@@ -739,7 +711,7 @@ let on_delete env w oid =
   List.iter (fun p -> detach_source env p oid) w.paths;
   (* Detaching may clear the object's own memberships (a self-referential
      path); any left make it an intermediate or final object. *)
-  if (read_record env oid).Record.links <> [] then
+  if Record.link_count_of_bytes (Heap_file.read (data_file env oid) oid) > 0 then
     invalid_arg
       (Printf.sprintf
          "Engine: object %s is still referenced along a replication path"
@@ -751,7 +723,29 @@ let on_delete env w oid =
    refcounts — so a source already attached by the catch-up trigger (an
    insert or reference update that ran while the backfill cursor was
    behind it) converges instead of double-registering. *)
-let backfill_source env rep w oid = attach_source env (path_of w rep) oid
+let backfill_source env rep w oid =
+  let p = path_of w rep in
+  attach_source env p oid;
+  (* A prefix the declaration shares with a built one is on-path already,
+     so [attach_source]'s level-1 add never reaches the levels this
+     declaration adds: register the source's chain at the first of them,
+     whose deeper levels [ensure_deeper] then fills as usual. *)
+  let building (node : Registry.node) =
+    List.for_all
+      (fun (r : Schema.replication) ->
+        Schema.rep_state env.schema r.Schema.rep_id = Schema.Building)
+      node.Registry.passing
+  in
+  let rec first_new member = function
+    | [] -> ()
+    | ((node : Registry.node), x) :: rest ->
+        if not (building node) then first_new x rest
+        else if node.Registry.level > 1 then begin
+          let was_empty, now_empty = add_member env node x (plain_entry member) in
+          if was_empty && not now_empty then ensure_deeper env node x
+        end
+  in
+  first_new oid p.chain
 
 (* What a scalar update of one object rewrites, one entry per interested
    terminal, in link-section order: a shared S' slot, or the hidden copies
@@ -814,6 +808,13 @@ let prepare_scalar env (record : Record.t) ~field =
               [ Copies (node.Registry.source_set, terms, sources_under env node record) ]))
     record.Record.links
 
+(* The hidden slot of a copy of [field] under an in-place or collapsed
+   terminal. *)
+let field_slot (term : Registry.terminal) field =
+  match List.find_index (fun (f, _) -> f = field) term.Registry.fields with
+  | Some i -> term.Registry.slots.(i)
+  | None -> invalid_arg ("Engine: terminal does not replicate " ^ field)
+
 let fanout_touches fanout =
   List.concat_map
     (function Sprime _ -> [] | Copies (_, _, sources) -> sources)
@@ -842,17 +843,12 @@ let on_scalar_update env fanout ~field value =
               List.iter (mark_pending env term.Registry.rep) sources)
             lazy_;
           if eager <> [] then
+            let slots = List.map (fun term -> field_slot term field) eager in
             batched_rewrite env ~set sources ~transform:(fun _ r0 ->
                 Some
                   (List.fold_left
-                     (fun r (term : Registry.terminal) ->
-                       let rep = term.Registry.rep in
-                       let idx =
-                         Schema.hidden_index env.schema set
-                           ~rep_id:rep.Schema.rep_id ~field:(Some field)
-                       in
-                       set_value_extending r idx value)
-                     r0 eager)))
+                     (fun r idx -> set_value_extending r idx value)
+                     r0 slots)))
     fanout
 
 (* ------------------------------------------------------------------ *)
@@ -887,11 +883,7 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                 (* Move the collapsed entry between final link objects. *)
                 (match old_target with
                 | Some old_x1 -> (
-                    let x1_rec = read_record env old_x1 in
-                    match
-                      deref env ~from_type:final_node.Registry.from_type x1_rec
-                        final_node.Registry.step
-                    with
+                    match deref final_node (read_record env old_x1) with
                     | Some old_final ->
                         ignore
                           (modify_membership env final_node ~link_id ~threshold:0
@@ -900,11 +892,7 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                 | None -> ());
                 (match new_target with
                 | Some new_x1 when rep_live env rep -> (
-                    let x1_rec = read_record env new_x1 in
-                    match
-                      deref env ~from_type:final_node.Registry.from_type x1_rec
-                        final_node.Registry.step
-                    with
+                    match deref final_node (read_record env new_x1) with
                     | Some new_final ->
                         ignore
                           (modify_membership env final_node ~link_id ~threshold:0
@@ -1167,13 +1155,11 @@ let build env (rep : Schema.replication) =
           let sp_of = Oid.Table.create 256 in
           List.iter
             (fun final_oid ->
-              let sp =
-                sprime_for env rep ~sref_link ~fields:term.Registry.fields final_oid
-              in
+              let sp = sprime_for env (final_node, term) ~sref_link final_oid in
               sprime_refcount_add env ~sref_link sp (Oid.Table.find counts final_oid);
               Oid.Table.replace sp_of final_oid sp)
             finals;
-          let idx = Schema.hidden_index env.schema set ~rep_id:rep.Schema.rep_id ~field:None in
+          let idx = term.Registry.slots.(0) in
           let sources = ref [] in
           Heap_file.iter_oids src_file (fun o -> sources := o :: !sources);
           (* The S' objects and refcounts are already in place, so the final
@@ -1270,10 +1256,7 @@ let downstream env (node : Registry.node) target_oid =
       let r = read_record env oid in
       List.fold_left
         (fun acc (child : Registry.node) ->
-          match
-            deref env ~from_type:child.Registry.from_type r
-              child.Registry.step
-          with
+          match deref child r with
           | Some next -> walk child next acc
           | None -> acc)
         acc

@@ -8,6 +8,8 @@ type terminal_kind = K_inplace | K_separate of int | K_collapsed of int
 type terminal = {
   rep : Schema.replication;
   fields : (string * Ty.scalar) list;
+  field_indexes : int array;
+  slots : int array;
   kind : terminal_kind;
 }
 
@@ -16,6 +18,7 @@ type node = {
   parent : int option;
   source_set : string;
   step : string;
+  step_index : int;
   prefix : string list;
   level : int;
   from_type : string;
@@ -28,11 +31,15 @@ type node = {
 
 type link_kind = L_path of int | L_sref of int | L_collapsed of int
 
+(* A live declaration's chain and its final node and terminal, looked up
+   by every write that touches the declaration. *)
+type decl = { chain : node list; ends : node * terminal }
+
 type t = {
   node_arr : node array;
   root_tbl : (string, int list) Hashtbl.t;
   by_link : (int, link_kind) Hashtbl.t;
-  by_rep : (int, int list) Hashtbl.t;  (* rep_id -> node chain *)
+  by_rep : decl option array;  (* by rep_id; [None] for a dropped one *)
 }
 
 (* Mutable builder mirror of [node]. *)
@@ -41,6 +48,7 @@ type bnode = {
   b_parent : int option;
   b_set : string;
   b_step : string;
+  b_step_index : int;
   b_prefix : string list;
   b_level : int;
   b_from : string;
@@ -58,7 +66,7 @@ let compile schema =
   let push b = bnodes := Array.append !bnodes [| b |] in
   let roots : (string, int list) Hashtbl.t = Hashtbl.create 8 in
   let by_link = Hashtbl.create 16 in
-  let by_rep = Hashtbl.create 16 in
+  let by_rep = Hashtbl.create 16 in  (* rep_id -> node chain *)
   let next_link = ref 1 in
   let alloc_link kind =
     if !next_link > max_link_id_space then
@@ -111,6 +119,8 @@ let compile schema =
                     b_parent = !parent;
                     b_set = path.Path.source_set;
                     b_step = step;
+                    b_step_index =
+                      Ty.field_index (Schema.find_type schema types.(i)) step;
                     b_prefix = prefix;
                     b_level = level;
                     b_from = types.(i);
@@ -152,8 +162,27 @@ let compile schema =
           | Schema.Inplace -> K_inplace
           | Schema.Separate -> K_separate (alloc_link (L_sref final_id))
       in
-      final.b_terminals <-
-        final.b_terminals @ [ { rep; fields = resolved.Schema.terminal_fields; kind } ])
+      let fields = resolved.Schema.terminal_fields in
+      let final_ty = Schema.find_type schema types.(n) in
+      let slot field =
+        Schema.hidden_index schema path.Path.source_set ~rep_id:rep.Schema.rep_id
+          ~field
+      in
+      let term =
+        {
+          rep;
+          fields;
+          field_indexes =
+            Array.of_list (List.map (fun (f, _) -> Ty.field_index final_ty f) fields);
+          slots =
+            (match rep.Schema.strategy with
+            | Schema.Separate -> [| slot None |]
+            | Schema.Inplace ->
+                Array.of_list (List.map (fun (f, _) -> slot (Some f)) fields));
+          kind;
+        }
+      in
+      final.b_terminals <- final.b_terminals @ [ term ])
     (Schema.all_replications schema);
   (* Dropped declarations were replayed above purely for allocation
      stability (their successors must get the same node and link IDs on
@@ -181,10 +210,6 @@ let compile schema =
         b.b_link <- None
       end)
     !bnodes;
-  List.iter
-    (fun (rep : Schema.replication) ->
-      if dropped rep then Hashtbl.remove by_rep rep.Schema.rep_id)
-    (Schema.all_replications schema);
   let node_arr =
     Array.map
       (fun b ->
@@ -193,6 +218,7 @@ let compile schema =
           parent = b.b_parent;
           source_set = b.b_set;
           step = b.b_step;
+          step_index = b.b_step_index;
           prefix = b.b_prefix;
           level = b.b_level;
           from_type = b.b_from;
@@ -204,7 +230,25 @@ let compile schema =
         })
       !bnodes
   in
-  { node_arr; root_tbl = roots; by_link; by_rep }
+  let reps = Schema.all_replications schema in
+  let by_rep_arr =
+    Array.make (List.fold_left (fun m r -> max m (r.Schema.rep_id + 1)) 0 reps) None
+  in
+  List.iter
+    (fun (rep : Schema.replication) ->
+      if not (dropped rep) then begin
+        let ids = Hashtbl.find_opt by_rep rep.Schema.rep_id |> Option.value ~default:[] in
+        let chain = List.map (fun id -> node_arr.(id)) ids in
+        let final = Listx.last_exn ~what:"Registry.compile: empty chain" chain in
+        let term =
+          List.find
+            (fun term -> term.rep.Schema.rep_id = rep.Schema.rep_id)
+            final.terminals
+        in
+        by_rep_arr.(rep.Schema.rep_id) <- Some { chain; ends = (final, term) }
+      end)
+    reps;
+  { node_arr; root_tbl = roots; by_link; by_rep = by_rep_arr }
 
 let node t id = t.node_arr.(id)
 let nodes t = Array.to_list t.node_arr
@@ -217,17 +261,10 @@ let children t n = List.map (fun id -> t.node_arr.(id)) n.children
 let parent t n = Option.map (fun id -> t.node_arr.(id)) n.parent
 let link_kind t id = Hashtbl.find_opt t.by_link id
 
-let chain t (rep : Schema.replication) =
-  match Hashtbl.find_opt t.by_rep rep.Schema.rep_id with
-  | Some ids -> List.map (fun id -> t.node_arr.(id)) ids
-  | None -> raise Not_found
+let decl t (rep : Schema.replication) =
+  let id = rep.Schema.rep_id in
+  if id < 0 || id >= Array.length t.by_rep then raise Not_found
+  else match t.by_rep.(id) with Some d -> d | None -> raise Not_found
 
-let terminal_of t rep =
-  let nodes = chain t rep in
-  let final = Listx.last_exn ~what:"Registry.terminal_of: empty chain" nodes in
-  let term =
-    List.find
-      (fun term -> term.rep.Schema.rep_id = rep.Schema.rep_id)
-      final.terminals
-  in
-  (final, term)
+let chain t rep = (decl t rep).chain
+let terminal_of t rep = (decl t rep).ends

@@ -26,6 +26,11 @@ type terminal = {
   rep : Fieldrep_model.Schema.replication;
   fields : (string * Fieldrep_model.Ty.scalar) list;
       (** replicated terminal fields of the final type *)
+  field_indexes : int array;
+      (** the value index of each of [fields] in the final type *)
+  slots : int array;
+      (** the source's hidden slots: a copy of each of [fields] (in-place
+          and collapsed), or the one S' reference (separate) *)
   kind : terminal_kind;
 }
 
@@ -34,6 +39,7 @@ type node = {
   parent : int option;
   source_set : string;
   step : string;  (** reference attribute followed from the parent type *)
+  step_index : int;  (** value index of [step] in [from_type] *)
   prefix : string list;  (** steps from the source set up to here *)
   level : int;  (** 1-based *)
   from_type : string;
@@ -70,7 +76,8 @@ val link_kind : t -> int -> link_kind option
 
 val chain : t -> Fieldrep_model.Schema.replication -> node list
 (** The nodes of a path, level 1 first.  Raises [Not_found] for an unknown
-    declaration. *)
+    or dropped declaration.  Compiled once: a lookup, no allocation. *)
 
 val terminal_of : t -> Fieldrep_model.Schema.replication -> node * terminal
-(** Final node and terminal record of a declaration. *)
+(** Final node and terminal record of a declaration, compiled once like
+    {!chain}. *)

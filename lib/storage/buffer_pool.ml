@@ -225,15 +225,18 @@ let unpin t ~file ~page =
 (* A pinned frame is never evicted, invalidated or dropped, so the frame
    [pin_frame] returned is still the page's when the callback ends: no
    second lookup, and no closure for a [~finally]. *)
-let with_pin t ~file ~page ~dirty fn =
+let with_pin_arg t ~file ~page ~dirty fn arg =
   let f = pin_frame t ~file ~page ~dirty in
-  match fn f.data with
+  match fn arg f.data with
   | r ->
       unpin_frame f;
       r
   | exception e ->
       unpin_frame f;
       raise e
+
+let apply fn buf = fn buf
+let with_pin t ~file ~page ~dirty fn = with_pin_arg t ~file ~page ~dirty apply fn
 
 let with_page_read t ~file ~page fn = with_pin t ~file ~page ~dirty:false fn
 let with_page_write t ~file ~page fn = with_pin t ~file ~page ~dirty:true fn

@@ -46,6 +46,13 @@ val with_pin : t -> file:int -> page:int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
     combinator behind {!with_page_read} and {!with_page_write}; the callback
     must not retain the buffer past its return. *)
 
+val with_pin_arg :
+  t -> file:int -> page:int -> dirty:bool -> ('a -> Bytes.t -> 'b) -> 'a -> 'b
+(** [with_pin_arg t ~file ~page ~dirty fn arg] is
+    [with_pin t ~file ~page ~dirty (fn arg)] without building that closure:
+    a top-level [fn] whose state travels in [arg] pins a page allocating
+    nothing. *)
+
 val with_page_read : t -> file:int -> page:int -> (Bytes.t -> 'a) -> 'a
 (** The callback must not retain the buffer past its return. *)
 

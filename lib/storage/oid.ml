@@ -21,10 +21,13 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let to_int64 t =
+let check t =
   assert (t.file >= 0 && t.file <= max_file);
   assert (t.page >= 0 && t.page <= max_page);
-  assert (t.slot >= 0 && t.slot <= max_slot);
+  assert (t.slot >= 0 && t.slot <= max_slot)
+
+let to_int64 t =
+  check t;
   Int64.logor
     (Int64.shift_left (Int64.of_int t.file) (page_bits + slot_bits))
     (Int64.logor
@@ -52,10 +55,16 @@ let pp fmt t =
 
 let to_string t = Format.asprintf "%a" pp t
 let encoded_size = 8
-let encode buf off t = Wire.put_i64 buf off (to_int64 t)
+(* The little-endian int64 of [to_int64], written and read field by
+   field, so no int64 is boxed: slot in bytes 0-1, page in 2-5, file in
+   6-7. *)
+let encode buf off t =
+  check t;
+  Wire.check_bounds buf off encoded_size;
+  let off = Wire.put_u16 buf off t.slot in
+  let off = Wire.put_u32 buf off t.page in
+  Wire.put_u16 buf off t.file
 
-(* [encode]'s little-endian int64, read field by field: slot in bytes 0-1,
-   page in 2-5, file in 6-7. *)
 let decode buf off =
   let slot = Wire.u16_at buf off in
   let page = Wire.u32_at buf (off + 2) in

@@ -34,6 +34,9 @@ let page_count t id = Disk.page_count t.disk id
 let with_page_read t ~file ~page fn = Buffer_pool.with_page_read t.pool ~file ~page fn
 let with_page_write t ~file ~page fn = Buffer_pool.with_page_write t.pool ~file ~page fn
 let with_pin t ~file ~page ~dirty fn = Buffer_pool.with_pin t.pool ~file ~page ~dirty fn
+
+let with_pin_arg t ~file ~page ~dirty fn arg =
+  Buffer_pool.with_pin_arg t.pool ~file ~page ~dirty fn arg
 let new_page t ~file = Buffer_pool.new_page t.pool ~file
 let flush t = Buffer_pool.flush t.pool
 let invalidate t ~file ~page = Buffer_pool.invalidate t.pool ~file ~page

@@ -45,6 +45,11 @@ val with_pin : t -> file:int -> page:int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
 (** Generalised pinned access (see {!Buffer_pool.with_pin}); the pin is
     released even on exceptions. *)
 
+val with_pin_arg :
+  t -> file:int -> page:int -> dirty:bool -> ('a -> Bytes.t -> 'b) -> 'a -> 'b
+(** {!with_pin} for a callback that takes its state as an argument (see
+    {!Buffer_pool.with_pin_arg}): no closure is allocated. *)
+
 val new_page : t -> file:int -> int
 (** Fresh zeroed page, resident and dirty; no physical read. *)
 

@@ -461,11 +461,13 @@ let test_lookup_is_height_pool_lookups () =
   checkb "absent" true (Btree.find t (Key.Int 5_000) = []);
   checki "lookups for an absent key" (Btree.height t) (pool_lookups pager - before)
 
+(* A one-hit lookup allocates its result (the OID and one list cell) and
+   the list it reverses, nothing per level or per page. *)
 let test_find_allocation () =
   let _, t = big_tree () in
   ignore (Btree.find t (Key.Int 17_001));
   let words = minor_words (fun () -> ignore (Btree.find t (Key.Int 20_011))) in
-  checkb (Printf.sprintf "find allocates %d <= 500 words" words) true (words <= 500)
+  checkb (Printf.sprintf "find allocates %d <= 30 words" words) true (words <= 30)
 
 let test_delete_insert_allocation () =
   let _, t = big_tree () in
@@ -477,6 +479,59 @@ let test_delete_insert_allocation () =
   in
   checkb (Printf.sprintf "delete + insert allocate %d <= 2000 words" words) true (words <= 2000);
   Btree.check_invariants t
+
+(* The root's tag (0 leaf, 1 internal) and entry count, read from its
+   page. *)
+let root_header pager t =
+  Pager.with_page_read pager ~file:(Btree.file_id t) ~page:(Btree.root t) (fun b ->
+      (Bytes.get_uint8 b 0, Bytes.get_uint16_le b 1))
+
+(* big_tree's root is internal and small, so always underfull: a delete
+   that changes no node's shape must still decode none to see that the
+   root keeps its separators. *)
+let test_delete_decodes_nothing () =
+  let pager, t = big_tree () in
+  ignore (Btree.delete t (Key.Int 20_013) (oid 20_013));
+  let k = Key.Int 20_011 and o = oid 20_011 in
+  let words = minor_words (fun () -> ignore (Btree.delete t k o)) in
+  checki "a delete inside a leaf allocates nothing" 0 words;
+  let words = minor_words (fun () -> Btree.insert t k o) in
+  checki "an insert that fits allocates nothing" 0 words;
+  let tag, count = root_header pager t in
+  checkb "the root stays internal, with separators" true (tag = 1 && count > 1);
+  checki "height" 2 (Btree.height t);
+  Btree.check_invariants t
+
+(* The root collapses exactly when its last separator goes: at every
+   step an internal root has a separator, and the height drops by one at
+   the delete that took the root's last. *)
+let test_root_collapse () =
+  let pager = mk_pager ~page_size:256 () in
+  let t = Btree.create pager in
+  let n = 60 in
+  for i = 0 to n - 1 do
+    Btree.insert t (Key.Int i) (oid i)
+  done;
+  checkb "grown past one level" true (Btree.height t >= 2);
+  let collapses = ref 0 in
+  for i = 0 to n - 1 do
+    let before = Btree.height t in
+    let tag_before, count_before = root_header pager t in
+    checkb "deleted" true (Btree.delete t (Key.Int i) (oid i));
+    let tag, count = root_header pager t in
+    if tag = 1 then checkb "an internal root keeps a separator" true (count >= 1);
+    checki "a leaf root iff height 1" (if Btree.height t = 1 then 0 else 1) tag;
+    if Btree.height t < before then begin
+      incr collapses;
+      checki "collapsed by one level" (before - 1) (Btree.height t);
+      checkb "only when the root had one separator left" true
+        (tag_before = 1 && count_before = 1)
+    end;
+    Btree.check_invariants t
+  done;
+  checkb "the root collapsed" true (!collapses >= 1);
+  checki "empty" 0 (Btree.entry_count t);
+  checki "a lone leaf" 1 (Btree.height t)
 
 (* Pages written back by [f], with the pool flushed before and after. *)
 let pages_written pager f =
@@ -503,6 +558,44 @@ let test_delete_writes_only_what_changed () =
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"deleting a tall tree to empty keeps every invariant" ~count:10
+      (pair (int_range 1 1_000_000) (int_range 400 900))
+      (fun (seed, n) ->
+        let pager = mk_pager ~page_size:256 () in
+        let t = Btree.create pager in
+        let rng = Splitmix.create seed in
+        let keys = Array.init n (fun i -> i) in
+        for i = n - 1 downto 1 do
+          let j = Splitmix.int rng (i + 1) in
+          let x = keys.(i) in
+          keys.(i) <- keys.(j);
+          keys.(j) <- x
+        done;
+        Array.iter (fun k -> Btree.insert t (Key.Int k) (oid k)) keys;
+        if Btree.height t < 3 then Test.fail_reportf "height %d < 3" (Btree.height t);
+        for i = n - 1 downto 1 do
+          let j = Splitmix.int rng (i + 1) in
+          let x = keys.(i) in
+          keys.(i) <- keys.(j);
+          keys.(j) <- x
+        done;
+        Array.iteri
+          (fun i k ->
+            let before = Btree.height t in
+            if not (Btree.delete t (Key.Int k) (oid k)) then
+              Test.fail_reportf "key %d missing" k;
+            Btree.check_invariants t;
+            let h = Btree.height t in
+            if h > before || h < before - 1 then
+              Test.fail_reportf "height %d -> %d" before h;
+            let tag, count =
+              Pager.with_page_read pager ~file:(Btree.file_id t) ~page:(Btree.root t)
+                (fun b -> (Bytes.get_uint8 b 0, Bytes.get_uint16_le b 1))
+            in
+            if tag = 1 && count = 0 then Test.fail_report "internal root without separators";
+            if Btree.entry_count t <> n - i - 1 then Test.fail_report "count")
+          keys;
+        Btree.height t = 1 && Btree.entry_count t = 0);
     Test.make ~name:"btree matches sorted-assoc model" ~count:40
       (list_of_size Gen.(1 -- 300) (pair (int_range 0 100) bool))
       (fun ops ->
@@ -613,6 +706,9 @@ let () =
           Alcotest.test_case "delete + insert allocation" `Quick test_delete_insert_allocation;
           Alcotest.test_case "delete writes only what changed" `Quick
             test_delete_writes_only_what_changed;
+          Alcotest.test_case "delete decodes no node" `Quick test_delete_decodes_nothing;
+          Alcotest.test_case "root collapses with its last separator" `Quick
+            test_root_collapse;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

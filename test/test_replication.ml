@@ -625,6 +625,275 @@ let test_invariants_detect_corruption () =
   checkb "corruption detected" true (List.length (Invariants.errors eng) > 0)
 
 (* ------------------------------------------------------------------ *)
+(* The compiled catalog                                                *)
+
+(* Everything a write looks up in the catalog, recomputed here from
+   [all_replications], the states and the types alone, and compared with
+   the schema's per-set memo, the engine's registry and a fresh compile of
+   it, and Db's per-set index lists. *)
+let check_catalog db =
+  let s = Db.schema db in
+  let all = Schema.all_replications s in
+  let live (r : Schema.replication) =
+    Schema.rep_state s r.Schema.rep_id <> Schema.Dropped
+  in
+  let ids reps = List.map (fun (r : Schema.replication) -> r.Schema.rep_id) reps in
+  (* set -> (rep_id, field) per hidden slot, in layout order *)
+  let layout set =
+    List.concat_map
+      (fun (r : Schema.replication) ->
+        if r.Schema.rpath.Path.source_set <> set then []
+        else
+          match r.Schema.strategy with
+          | Schema.Separate -> [ (r.Schema.rep_id, None) ]
+          | Schema.Inplace ->
+              List.map
+                (fun (f, _) -> (r.Schema.rep_id, Some f))
+                (Schema.resolve_path s r.Schema.rpath).Schema.terminal_fields)
+      all
+  in
+  let slot set rep_id field =
+    let arity = Ty.arity (Schema.set_type s set) in
+    let rec go i = function
+      | [] -> Alcotest.failf "no slot for rep %d in %s" rep_id set
+      | (id, f) :: rest -> if id = rep_id && f = field then arity + i else go (i + 1) rest
+    in
+    go 0 (layout set)
+  in
+  List.iter
+    (fun (set, _) ->
+      Alcotest.(check (list int))
+        ("replications_from " ^ set)
+        (ids
+           (List.filter
+              (fun (r : Schema.replication) ->
+                live r && r.Schema.rpath.Path.source_set = set)
+              all))
+        (ids (Schema.replications_from s set));
+      List.iter
+        (fun (rep_id, field) ->
+          checki
+            (Printf.sprintf "hidden_index %s #%d" set rep_id)
+            (slot set rep_id field)
+            (Schema.hidden_index s set ~rep_id ~field))
+        (layout set);
+      checki ("record_width " ^ set)
+        (Ty.arity (Schema.set_type s set) + List.length (layout set))
+        (Schema.record_width s set);
+      let names defs =
+        List.sort compare (List.map (fun (d : Schema.index_def) -> d.Schema.iname) defs)
+      in
+      Alcotest.(check (list string))
+        ("indexes of " ^ set)
+        (names
+           (List.filter (fun (d : Schema.index_def) -> d.Schema.iset = set) (Schema.indexes s)))
+        (names (Db.set_indexes db ~set)))
+    (Schema.sets s);
+  let engine = (Db.engine db).Engine.registry in
+  let fresh = Registry.compile s in
+  List.iter
+    (fun (r : Schema.replication) ->
+      let set = r.Schema.rpath.Path.source_set in
+      if not (live r) then
+        List.iter
+          (fun reg ->
+            match Registry.chain reg r with
+            | _ -> Alcotest.failf "dropped rep %d still compiled" r.Schema.rep_id
+            | exception Not_found -> ())
+          [ engine; fresh ]
+      else begin
+        let resolved = Schema.resolve_path s r.Schema.rpath in
+        let types = Array.of_list resolved.Schema.type_chain in
+        let steps = Array.of_list r.Schema.rpath.Path.steps in
+        let check_reg label reg =
+          let chain = Registry.chain reg r in
+          checki (label ^ " chain length") (Array.length steps) (List.length chain);
+          List.iteri
+            (fun i (n : Registry.node) ->
+              Alcotest.(check string) (label ^ " step") steps.(i) n.Registry.step;
+              Alcotest.(check string) (label ^ " from") types.(i) n.Registry.from_type;
+              Alcotest.(check string) (label ^ " to") types.(i + 1) n.Registry.to_type;
+              checki (label ^ " step index")
+                (Ty.field_index (Schema.find_type s types.(i)) steps.(i))
+                n.Registry.step_index)
+            chain;
+          let final, term = Registry.terminal_of reg r in
+          checki (label ^ " final") (List.nth chain (List.length chain - 1)).Registry.node_id
+            final.Registry.node_id;
+          checki (label ^ " terminal rep") r.Schema.rep_id term.Registry.rep.Schema.rep_id;
+          checkb (label ^ " fields") true (term.Registry.fields = resolved.Schema.terminal_fields);
+          let final_ty = Schema.find_type s types.(Array.length steps) in
+          Alcotest.(check (array int))
+            (label ^ " field indexes")
+            (Array.of_list
+               (List.map (fun (f, _) -> Ty.field_index final_ty f) resolved.Schema.terminal_fields))
+            term.Registry.field_indexes;
+          Alcotest.(check (array int))
+            (label ^ " hidden slots")
+            (match r.Schema.strategy with
+            | Schema.Separate -> [| slot set r.Schema.rep_id None |]
+            | Schema.Inplace ->
+                Array.of_list
+                  (List.map
+                     (fun (f, _) -> slot set r.Schema.rep_id (Some f))
+                     resolved.Schema.terminal_fields))
+            term.Registry.slots;
+          List.map
+            (fun (n : Registry.node) -> (n.Registry.node_id, n.Registry.link_id))
+            chain
+        in
+        let a = check_reg "engine" engine and b = check_reg "fresh" fresh in
+        checkb "engine registry = fresh compile" true (a = b)
+      end)
+    all
+
+(* Random catalog histories: new types and sets, quiesced and online
+   replication (in-place, separate, collapsed, .all), the
+   Building -> Active and Dropping -> Dropped transitions, unreplicate and
+   indexes; the compiled catalog is checked after every step. *)
+let test_catalog_model =
+  let templates =
+    [|
+      ("dept.name", Schema.Inplace, false);
+      ("dept.budget", Schema.Separate, false);
+      ("dept.all", Schema.Inplace, false);
+      ("dept.all", Schema.Separate, false);
+      ("dept.org.name", Schema.Inplace, false);
+      ("dept.org.name", Schema.Inplace, true);
+      ("dept.org.budget", Schema.Separate, false);
+      ("dept.org.all", Schema.Inplace, false);
+    |]
+  in
+  QCheck.Test.make ~name:"compiled catalog matches recomputation" ~count:15
+    QCheck.(list_of_size Gen.(5 -- 25) (pair (int_range 0 5) (pair small_nat small_nat)))
+    (fun ops ->
+      let fx = employee_db ~norgs:2 ~ndepts:3 ~nemps:6 () in
+      let db = fx.db in
+      let sources = ref [ "Emp1" ] in
+      let next = ref 0 in
+      check_catalog db;
+      let live_reps () =
+        List.filter
+          (fun (r : Schema.replication) ->
+            Schema.rep_state (Db.schema db) r.Schema.rep_id = Schema.Active)
+          (Schema.replications (Db.schema db))
+      in
+      (* A refused declaration (an index reads the path) changes nothing. *)
+      let refusable f = match f () with () -> () | exception Invalid_argument _ -> () in
+      let online f =
+        let tx = Db.begin_txn db in
+        refusable f;
+        check_catalog db;
+        Db.maint_drain db;
+        Db.commit db tx
+      in
+      List.iter
+        (fun (op, (a, b)) ->
+          (match op with
+          | 0 ->
+              incr next;
+              let name = Printf.sprintf "X%d" !next in
+              Db.define_type db
+                (Ty.make ~name
+                   [
+                     { Ty.fname = "code"; ftype = Ty.Scalar Ty.SInt };
+                     { Ty.fname = "dept"; ftype = Ty.Ref "DEPT" };
+                   ]);
+              check_catalog db;
+              Db.create_set db ~name ~elem_type:name ();
+              ignore
+                (Db.insert db ~set:name
+                   [ vint a; Value.VRef fx.depts.(b mod Array.length fx.depts) ]);
+              sources := name :: !sources
+          | 1 | 2 -> (
+              let set = List.nth !sources (a mod List.length !sources) in
+              let tpl, strategy, collapse = templates.(b mod Array.length templates) in
+              let path = Path.parse (set ^ "." ^ tpl) in
+              let options = { Schema.default_options with Schema.collapse } in
+              match Schema.find_replication (Db.schema db) path with
+              | Some _ -> ()
+              | None ->
+                  if op = 1 then Db.replicate db ~options ~strategy path
+                  else online (fun () -> Db.replicate db ~options ~strategy path))
+          | 3 | 4 -> (
+              match live_reps () with
+              | [] -> ()
+              | reps ->
+                  let r = List.nth reps (a mod List.length reps) in
+                  let drop () = Db.unreplicate db r.Schema.rpath in
+                  if op = 3 then refusable drop else online drop)
+          | _ -> (
+              let set = List.nth !sources (a mod List.length !sources) in
+              let field =
+                match
+                  List.filter
+                    (fun (r : Schema.replication) ->
+                      r.Schema.strategy = Schema.Inplace
+                      && r.Schema.rpath.Path.source_set = set
+                      && (not r.Schema.options.Schema.lazy_propagation)
+                      && match r.Schema.rpath.Path.terminal with
+                         | Path.Field _ -> true
+                         | Path.All -> false)
+                    (live_reps ())
+                with
+                | r :: _ when b mod 2 = 0 -> Path.to_string r.Schema.rpath
+                | _ :: _ | [] -> if set = "Emp1" then "age" else "code"
+              in
+              incr next;
+              match
+                Db.build_index db ~name:(Printf.sprintf "i%d" !next) ~set ~field
+                  ~clustered:false
+              with
+              | () -> ()
+              | exception Invalid_argument _ -> ()));
+          check_catalog db)
+        ops;
+      true)
+
+(* Online replication of a path extending a prefix another declaration
+   already built: the backfill registers every level the new declaration
+   adds, not only the shared level 1. *)
+let test_online_extends_built_prefix () =
+  let fx = employee_db ~norgs:2 ~ndepts:3 ~nemps:6 () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.all");
+  let tx = Db.begin_txn fx.db in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
+  Db.maint_drain fx.db;
+  Db.commit fx.db tx;
+  check_all fx;
+  Db.update_field fx.db ~set:"Org" fx.orgs.(1) ~field:"name" (vstr "renamed");
+  checkv "propagated through the new level" (vstr "renamed")
+    (Db.deref fx.db ~set:"Emp1" fx.emps.(1) "dept.org.name");
+  check_all fx
+
+(* Once compiled at a generation, what a write asks the catalog costs a
+   lookup and allocates nothing. *)
+let test_catalog_lookup_words () =
+  let fx = employee_db () in
+  let db = fx.db in
+  Db.replicate db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  Db.replicate db ~strategy:Schema.Separate (Path.parse "Emp1.dept.budget");
+  Db.replicate db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.all");
+  let s = Db.schema db in
+  let reg = (Db.engine db).Engine.registry in
+  let rep =
+    match Schema.find_replication s (Path.parse "Emp1.dept.org.all") with
+    | Some r -> r
+    | None -> Alcotest.fail "declared path not found"
+  in
+  let rep_id = rep.Schema.rep_id and field = Some "budget" in
+  let words =
+    words_per_call (fun () ->
+        ignore (Schema.replications_from s "Emp1");
+        ignore (Schema.hidden_index s "Emp1" ~rep_id ~field);
+        ignore (Schema.rep_state s rep_id);
+        ignore (Schema.user_arity s "Emp1");
+        ignore (Registry.chain reg rep);
+        ignore (Registry.terminal_of reg rep))
+  in
+  checkb (Printf.sprintf "catalog lookups %.3f words <= 0.01" words) true (words <= 0.01)
+
+(* ------------------------------------------------------------------ *)
 (* Randomised soak: arbitrary mutation sequences keep every invariant  *)
 
 let qcheck_tests =
@@ -773,6 +1042,11 @@ let () =
     [
       ( "registry",
         [
+          QCheck_alcotest.to_alcotest ~long:false test_catalog_model;
+          Alcotest.test_case "catalog lookups allocate nothing" `Quick
+            test_catalog_lookup_words;
+          Alcotest.test_case "online build extends a built prefix" `Quick
+            test_online_extends_built_prefix;
           Alcotest.test_case "link sharing" `Quick test_registry_link_sharing;
           Alcotest.test_case "stable link ids" `Quick test_registry_stable_ids;
           Alcotest.test_case "collapse validation" `Quick test_registry_collapse_validation;
