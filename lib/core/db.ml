@@ -321,7 +321,7 @@ let log_maint t record =
 (* A walk job's per-source step: one walk of the stored record names the
    quantum's lock targets and feeds the operation applied under them. *)
 let maint_prepare t ~set hf prepare apply oid =
-  let walk = prepare t.engine ~set (Record.decode (Heap_file.read hf oid)) in
+  let walk = prepare t.engine ~set (Heap_file.read_with hf oid Record.decode_at) in
   ( List.map (fun o -> (set_of_oid t o, o)) (Engine.touches walk),
     fun () -> apply walk oid )
 
@@ -521,8 +521,7 @@ let build_index t ~name ~set ~field ~clustered =
       in
       (* Bulk-load from existing data. *)
       let entries = ref [] in
-      Heap_file.iter (set_file t set) (fun oid bytes ->
-          let record = Record.decode bytes in
+      Heap_file.iter (set_file t set) Record.decode_at (fun oid record ->
           match key_of_value (value_at record value_index) with
           | Some key -> entries := (key, oid) :: !entries
           | None -> ());
@@ -547,7 +546,7 @@ let check_value t ~context (field : Ty.field) v =
         invalid_arg
           (Printf.sprintf "%s: field %s references dead object %s" context
              field.Ty.fname (Oid.to_string oid));
-      let tag = Record.type_tag_of_bytes (Heap_file.read hf oid) in
+      let tag = Heap_file.read_with hf oid Record.type_tag_at in
       let expected = Schema.type_tag t.schema target in
       if tag <> expected then
         invalid_arg
@@ -682,11 +681,15 @@ let insert_at_impl t ~set oid values =
       (* walk once the slot is live: a self-referential path reaches it *)
       Engine.on_insert t.engine (Engine.prepare_attach t.engine ~set record) oid)
 
+(* Outside a transaction nothing is locked or charged, so the common read
+   builds no closure. *)
 let get ?txn t ~set oid =
-  locking t txn (fun tx -> lock_read t tx ~set oid);
-  with_charge t txn (fun () ->
-      let hf = set_file t set in
-      Record.decode (Heap_file.read hf oid))
+  match txn with
+  | None -> Heap_file.read_with (set_file t set) oid Record.decode_at
+  | Some _ ->
+      locking t txn (fun tx -> lock_read t tx ~set oid);
+      with_charge t txn (fun () ->
+          Heap_file.read_with (set_file t set) oid Record.decode_at)
 
 (* [pin]: leave a tombstone in the slot instead of freeing it, so the OID
    cannot be recycled while the deleting transaction is undecided. *)
@@ -696,7 +699,7 @@ let delete_impl ?txn ~pin t ~set oid =
       let hf = set_file t set in
       (* Detaching rewrites only link sections and S' objects, so this
          one decode serves the walk, the before-image and index removal. *)
-      let record = Record.decode (Heap_file.read hf oid) in
+      let record = Heap_file.read_with hf oid Record.decode_at in
       let walk = Engine.prepare_detach t.engine ~set record in
       locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
       let before = first_touch t txn ~set oid record in
@@ -733,7 +736,7 @@ let update_field ?txn t ~set oid ~field value =
   let hf = set_file t set in
   with_charge t txn @@ fun () ->
   locking t txn (fun tx -> lock_write t tx ~set oid);
-  let read_before () = Record.decode (Heap_file.read hf oid) in
+  let read_before () = Heap_file.read_with hf oid Record.decode_at in
   let before, propagate =
     match fdef.Ty.ftype with
     | Ty.Scalar _ ->
@@ -902,7 +905,7 @@ let field_value t ~set record field =
 let scan ?txn t ~set f =
   locking t txn (fun tx -> lock t tx (Lock.Set set) Lock.S);
   with_charge t txn (fun () ->
-      Heap_file.iter (set_file t set) (fun oid bytes -> f oid (Record.decode bytes)))
+      Heap_file.iter (set_file t set) Record.decode_at f)
 
 let set_size t set = Heap_file.object_count (set_file t set)
 let set_pages t set = Heap_file.page_count (set_file t set)
@@ -996,22 +999,20 @@ let joins = function
    of the authoritative source objects. *)
 let rec eval ?txn ?oid t e record =
   match e with
-  | Walk (hops, terminal_idx) ->
-      (* Follow the references from [record], read-locking each hop under
-         [txn]. *)
-      let rec walk record = function
-        | [] -> value_at record terminal_idx
-        | step_idx :: rest -> (
-            match value_at record step_idx with
-            | Value.VRef oid ->
-                locking t txn (fun tx -> lock_read t tx ~set:(set_of_oid t oid) oid);
-                let hf = file_of_oid t oid in
-                walk (Record.decode (Heap_file.read hf oid)) rest
-            | Value.VNull -> Value.VNull
-            | Value.VInt _ | Value.VString _ ->
-                invalid_arg "Db.eval: non-reference on path")
+  | Walk ([], idx) -> value_at record idx
+  | Walk (first :: rest, terminal_idx) ->
+      (* Follow the references from [record], reading only the field each
+         hop needs and read-locking each object reached under [txn]. *)
+      let hop v idx =
+        match v with
+        | Value.VRef oid ->
+            locking t txn (fun tx -> lock_read t tx ~set:(set_of_oid t oid) oid);
+            Heap_file.read_with (file_of_oid t oid) oid (fun buf off len ->
+                Record.field_at buf off len idx)
+        | Value.VNull -> Value.VNull
+        | Value.VInt _ | Value.VString _ -> invalid_arg "Db.eval: non-reference on path"
       in
-      walk record hops
+      hop (List.fold_left hop (value_at record first) rest) terminal_idx
   | Hidden (idx, rep, path) -> (
       if not rep.Schema.options.Schema.lazy_propagation then value_at record idx
       else
@@ -1025,7 +1026,7 @@ let rec eval ?txn ?oid t e record =
                 if Engine.is_pending t.engine rep oid then
                   lock_write t tx ~set:path.set oid);
             Engine.repair t.engine rep oid;
-            let record = Record.decode (Heap_file.read (set_file t path.set) oid) in
+            let record = Heap_file.read_with (set_file t path.set) oid Record.decode_at in
             value_at record idx
         | None ->
             if Engine.pending_count t.engine = 0 then value_at record idx
@@ -1040,15 +1041,23 @@ let rec eval ?txn ?oid t e record =
               | Some f -> f
               | None -> invalid_arg "Db.eval: dangling S' reference"
             in
-            let sp_rec = Record.decode (Heap_file.read file sp) in
-            (* The S' object is guarded by the final object that owns it
-               (named in slot 1): a shared lock there serialises this read
-               against writers of the replicated fields. *)
-            locking t txn (fun tx ->
-                match value_at sp_rec 1 with
-                | Value.VRef owner -> lock_read t tx ~set:(set_of_oid t owner) owner
-                | Value.VInt _ | Value.VString _ | Value.VNull -> ());
-            value_at sp_rec offset
+            match txn with
+            | None ->
+                Heap_file.read_with file sp (fun buf off len ->
+                    Record.field_at buf off len offset)
+            | Some _ ->
+                (* The S' object is guarded by the final object that owns
+                   it (named in slot 1): a shared lock there serialises
+                   this read against writers of the replicated fields. *)
+                let owner, v =
+                  Heap_file.read_with file sp (fun buf off len ->
+                      (Record.field_at buf off len 1, Record.field_at buf off len offset))
+                in
+                locking t txn (fun tx ->
+                    match owner with
+                    | Value.VRef owner -> lock_read t tx ~set:(set_of_oid t owner) owner
+                    | Value.VInt _ | Value.VString _ | Value.VNull -> ());
+                v
           with Disk.Corrupt_page _ ->
             (* The S' page is quarantined.  The replicated value is only a
                copy: degrade gracefully to the functional join over the
@@ -1138,8 +1147,7 @@ let referencers t ~source_set ~attr target_oid =
   let scan () =
     let idx = Ty.field_index ty attr in
     let acc = ref [] in
-    Heap_file.iter (set_file t source_set) (fun oid bytes ->
-        let record = Record.decode bytes in
+    Heap_file.iter (set_file t source_set) Record.decode_at (fun oid record ->
         match value_at record idx with
         | Value.VRef r when Oid.equal r target_oid -> acc := oid :: !acc
         | Value.VRef _ | Value.VNull | Value.VInt _ | Value.VString _ -> ());
@@ -1171,8 +1179,7 @@ let check_integrity t =
       Btree.check_invariants rt.tree;
       (* Every indexed object appears exactly once under its current key. *)
       let expected = ref 0 in
-      Heap_file.iter (set_file t rt.def.Schema.iset) (fun oid bytes ->
-          let record = Record.decode bytes in
+      Heap_file.iter (set_file t rt.def.Schema.iset) Record.decode_at (fun oid record ->
           match key_of_value (value_at record rt.value_index) with
           | Some key ->
               incr expected;
@@ -1276,8 +1283,7 @@ let dangling_references t =
       let ty = Schema.find_type t.schema elem in
       let ref_fields = Ty.ref_fields ty in
       if ref_fields <> [] then
-        Heap_file.iter (set_file t set_name) (fun oid bytes ->
-            let record = Record.decode bytes in
+        Heap_file.iter (set_file t set_name) Record.decode_at (fun oid record ->
             List.iter
               (fun (fname, target_type) ->
                 match value_at record (Ty.field_index ty fname) with
@@ -1286,7 +1292,7 @@ let dangling_references t =
                       match Hashtbl.find_opt t.data_files r.Oid.file with
                       | Some (_, hf) ->
                           Heap_file.exists hf r
-                          && Record.type_tag_of_bytes (Heap_file.read hf r)
+                          && Heap_file.read_with hf r Record.type_tag_at
                              = Schema.type_tag t.schema target_type
                       | None -> false
                     in

@@ -39,19 +39,25 @@ let encoded_size t =
   + 2
   + Array.fold_left (fun acc v -> acc + Value.encoded_size v) 0 t.values
 
-let encode t =
-  let buf = Bytes.create (encoded_size t) in
+let rec encode_links buf off = function
+  | [] -> off
+  | l :: rest ->
+      let off = Oid.encode buf off l.link_oid in
+      encode_links buf (Wire.put_u8 buf off l.link_id) rest
+
+let encode_to buf t =
   let off = Wire.put_u16 buf 0 t.type_tag in
   let off = Wire.put_u8 buf off (List.length t.links) in
-  let off =
-    List.fold_left
-      (fun off l ->
-        let off = Oid.encode buf off l.link_oid in
-        Wire.put_u8 buf off l.link_id)
-      off t.links
-  in
-  let off = Wire.put_u16 buf off (Array.length t.values) in
-  let off = Array.fold_left (fun off v -> Value.encode buf off v) off t.values in
+  let off = encode_links buf off t.links in
+  let off = ref (Wire.put_u16 buf off (Array.length t.values)) in
+  for i = 0 to Array.length t.values - 1 do
+    off := Value.encode buf !off t.values.(i)
+  done;
+  !off
+
+let encode t =
+  let buf = Bytes.create (encoded_size t) in
+  let off = encode_to buf t in
   assert (off = Bytes.length buf);
   buf
 
@@ -62,24 +68,53 @@ let rec decode_links buf off n =
     let link_id = Wire.u8_at buf (off + Oid.encoded_size) in
     { link_oid; link_id } :: decode_links buf (off + link_size) (n - 1)
 
-(* Reads at a running offset: no pair per field, no closure per record. *)
-let decode buf =
-  let type_tag = Wire.u16_at buf 0 in
-  let nlinks = Wire.u8_at buf 2 in
-  let links = decode_links buf 3 nlinks in
-  let off = 3 + (nlinks * link_size) in
-  let nvalues = Wire.u16_at buf off in
+(* Where the value count sits in the record at [off], whose header and
+   link section are checked to end by [limit]. *)
+let values_at buf off limit =
+  Wire.check_limit limit off 3;
+  let voff = off + 3 + (Wire.u8_at buf (off + 2) * link_size) in
+  Wire.check_limit limit voff 2;
+  voff
+
+(* Reads at a running offset: no pair per field, no closure per record.
+   Every read is checked against the record's own end, so a damaged length
+   raises [Wire.Corrupt] instead of reading the bytes that follow. *)
+let decode_at buf off len =
+  let limit = off + len in
+  let voff = values_at buf off limit in
+  let type_tag = Wire.u16_at buf off in
+  let links = decode_links buf (off + 3) (Wire.u8_at buf (off + 2)) in
+  let nvalues = Wire.u16_at buf voff in
   let values = Array.make nvalues Value.VNull in
-  let off = ref (off + 2) in
+  let pos = ref (voff + 2) in
   for i = 0 to nvalues - 1 do
-    let v = Value.decode buf !off in
+    let v = Value.decode_at buf !pos limit in
     values.(i) <- v;
-    off := !off + Value.encoded_size v
+    pos := !pos + Value.encoded_size v
   done;
   { type_tag; links; values }
 
-let type_tag_of_bytes buf = Wire.u16_at buf 0
-let link_count_of_bytes buf = Wire.u8_at buf 2
+let decode buf = decode_at buf 0 (Bytes.length buf)
+
+let field_at buf off len i =
+  let limit = off + len in
+  let voff = values_at buf off limit in
+  if i < 0 || i >= Wire.u16_at buf voff then Value.VNull
+  else begin
+    let pos = ref (voff + 2) in
+    for _ = 1 to i do
+      pos := !pos + Value.size_at buf !pos limit
+    done;
+    Value.decode_at buf !pos limit
+  end
+
+let type_tag_at buf off len =
+  Wire.check_limit (off + len) off 2;
+  Wire.u16_at buf off
+
+let link_count_at buf off len =
+  Wire.check_limit (off + len) off 3;
+  Wire.u8_at buf (off + 2)
 
 let pp fmt t =
   Format.fprintf fmt "@[<hov 2>{tag=%d;@ links=[%a];@ values=[%a]}@]" t.type_tag

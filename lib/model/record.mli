@@ -41,13 +41,30 @@ val add_link : t -> link -> t
 val remove_link : t -> int -> t
 
 val encoded_size : t -> int
+
+val encode_to : Bytes.t -> t -> int
+(** [encode_to buf t] writes [t] at the start of [buf], which must hold
+    [encoded_size t] bytes, and returns that size. *)
+
 val encode : t -> Bytes.t
+
+val decode_at : Bytes.t -> int -> int -> t
+(** [decode_at buf off len] decodes the record in [buf.[off .. off+len-1]]
+    (a frame, under {!Fieldrep_storage.Heap_file.read_with}).  Raises
+    [Wire.Corrupt] if the record does not fit [len] bytes: nothing past
+    them is read. *)
+
 val decode : Bytes.t -> t
+(** [decode_at buf 0 (Bytes.length buf)]. *)
 
-val type_tag_of_bytes : Bytes.t -> int
-(** Peek at the tag without decoding the rest. *)
+val field_at : Bytes.t -> int -> int -> int -> Value.t
+(** [field_at buf off len i] is [values.(i)] of the record {!decode_at}
+    would return, [VNull] past the end, decoding that value alone. *)
 
-val link_count_of_bytes : Bytes.t -> int
-(** Peek at the number of (link-OID, link-ID) pairs the same way. *)
+val type_tag_at : Bytes.t -> int -> int -> int
+(** Peek at the tag of the record at [off] without decoding the rest. *)
+
+val link_count_at : Bytes.t -> int -> int -> int
+(** Peek at its number of (link-OID, link-ID) pairs the same way. *)
 
 val pp : Format.formatter -> t -> unit

@@ -59,13 +59,32 @@ let encode buf off = function
       let off = Wire.put_u8 buf off tag_ref in
       Oid.encode buf off oid
 
-let decode buf off =
+(* The size of the encoded value at [off], which must end by [limit]. *)
+let size_at buf off limit =
+  Wire.check_limit limit off 1;
+  let tag = Wire.u8_at buf off in
+  let size =
+    if tag = tag_null then 1
+    else if tag = tag_int then 1 + 8
+    else if tag = tag_string then begin
+      Wire.check_limit limit off 3;
+      3 + Wire.u16_at buf (off + 1)
+    end
+    else if tag = tag_ref then 1 + Oid.encoded_size
+    else raise (Wire.Corrupt (Printf.sprintf "Value: bad tag %d" tag))
+  in
+  Wire.check_limit limit off size;
+  size
+
+let decode_at buf off limit =
+  let size = size_at buf off limit in
   let tag = Wire.u8_at buf off in
   if tag = tag_null then VNull
   else if tag = tag_int then VInt (Wire.int_at buf (off + 1))
-  else if tag = tag_string then VString (Wire.string_at buf (off + 1))
-  else if tag = tag_ref then VRef (Oid.decode buf (off + 1))
-  else raise (Wire.Corrupt (Printf.sprintf "Value: bad tag %d" tag))
+  else if tag = tag_string then VString (Bytes.sub_string buf (off + 3) (size - 3))
+  else VRef (Oid.decode buf (off + 1))
+
+let decode buf off = decode_at buf off (Bytes.length buf)
 
 let as_int = function
   | VInt v -> v

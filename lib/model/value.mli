@@ -17,10 +17,17 @@ val matches : Ty.ftype -> t -> bool
 
 val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int
+val decode_at : Bytes.t -> int -> int -> t
+(** [decode_at buf off limit] reads the value at [off]; the next one
+    starts [encoded_size v] bytes on.  Raises [Wire.Corrupt] on a bad tag
+    or if the value does not end by [limit]. *)
+
+val size_at : Bytes.t -> int -> int -> int
+(** The encoded size of the value at [off], checked as {!decode_at} checks
+    it, without building the value. *)
+
 val decode : Bytes.t -> int -> t
-(** [decode buf off] reads the value at [off]; the next one starts
-    [encoded_size v] bytes on.  Raises [Wire.Corrupt] on a bad tag or past
-    the end of [buf]. *)
+(** [decode_at buf off (Bytes.length buf)]. *)
 
 val as_int : t -> int
 (** Raises [Invalid_argument] on other variants; same for the others. *)

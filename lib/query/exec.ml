@@ -100,13 +100,22 @@ type retrieve_result = { rows : int; output_file : int; output_pages : int }
 
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
-  let projections = compile db ~set q.Ast.projections in
+  let projections = Array.of_list (compile db ~set q.Ast.projections) in
   let out = Heap_file.create_output (Db.pager db) in
   let rows = ref 0 in
+  (* One tuple and one encoding buffer serve every row: each row's values
+     are evaluated into the tuple and encoded once, straight into the
+     buffer the insert reads. *)
+  let tuple = Record.make ~type_tag:0 (Array.make (Array.length projections) Value.VNull) in
+  let buf = ref Bytes.empty in
   iter_selected db ~set q.Ast.where (fun oid record ->
-      let values = eval_all db ~oid record projections in
-      let tuple = Record.make ~type_tag:0 (Array.of_list values) in
-      ignore (Heap_file.insert out (Record.encode tuple));
+      for i = 0 to Array.length projections - 1 do
+        tuple.Record.values.(i) <- Db.eval ~oid db projections.(i) record
+      done;
+      let len = Record.encoded_size tuple in
+      if Bytes.length !buf < len then buf := Bytes.create (max len (2 * Bytes.length !buf));
+      ignore (Record.encode_to !buf tuple);
+      ignore (Heap_file.insert ~len out !buf);
       incr rows);
   { rows = !rows; output_file = Heap_file.file_id out; output_pages = Heap_file.page_count out }
 
@@ -116,8 +125,8 @@ let retrieve_values db q =
   let result = retrieve db q in
   let out = Heap_file.attach (Db.pager db) ~file:result.output_file in
   let rows = ref [] in
-  Heap_file.iter out (fun _ bytes ->
-      rows := Array.to_list (Record.decode bytes).Record.values :: !rows);
+  Heap_file.iter out Record.decode_at (fun _ record ->
+      rows := Array.to_list record.Record.values :: !rows);
   drop_output db result.output_file;
   List.rev !rows
 

@@ -64,7 +64,7 @@ let link_active env link_id =
   | None -> false
   | Some (Registry.L_path node_id) ->
       List.exists (rep_active env)
-        (Registry.node env.registry node_id).Registry.passing
+        (Registry.node env.registry node_id).Registry.linked
   | Some (Registry.L_sref node_id) | Some (Registry.L_collapsed node_id) ->
       List.exists
         (fun (term : Registry.terminal) ->
@@ -113,7 +113,7 @@ let data_file env (oid : Oid.t) =
   | Some hf -> hf
   | None -> env.file_of_oid oid
 
-let read_record env oid = Record.decode (Heap_file.read (data_file env oid) oid)
+let read_record env oid = Heap_file.read_with (data_file env oid) oid Record.decode_at
 
 let write_record env oid record =
   Heap_file.update (data_file env oid) oid (Record.encode record)
@@ -174,7 +174,7 @@ let read_membership env ~link_id (target_rec : Record.t) =
       let loid = pair.Record.link_oid in
       if Store.is_link_oid env.store loid then
         let hf = Store.link_file env.store link_id in
-        (Link_object.decode (Heap_file.read hf loid), `Object loid)
+        (Heap_file.read_with hf loid Link_object.decode_at, `Object loid)
       else
         ( Link_object.of_entries [ { Link_object.member = loid; tag = Oid.nil } ],
           `Direct )
@@ -254,7 +254,7 @@ let rec ensure_deeper env (node : Registry.node) x_oid =
     (fun (child : Registry.node) ->
       match child.Registry.link_id with
       | None -> ()
-      | Some _ when not (List.exists (rep_live env) child.Registry.passing) ->
+      | Some _ when not (List.exists (rep_live env) child.Registry.linked) ->
           (* Every path through this level is being torn down: adding here
              would race the teardown cursor. *)
           ()
@@ -381,7 +381,7 @@ let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
 
 let sprime_refcount_add env ~sref_link sp_oid delta =
   let hf = data_file env sp_oid in
-  let r = Record.decode (Heap_file.read hf sp_oid) in
+  let r = Heap_file.read_with hf sp_oid Record.decode_at in
   let count = Value.as_int (Record.field r 0) + delta in
   assert (count >= 0);
   if count = 0 then begin
@@ -443,15 +443,16 @@ let batched_rewrite env ~set oids ~transform =
             (* One pin covers the head reads and the in-place rewrites;
                [transform] runs under it but only reads (chained objects
                re-pin their own pages, including this one, re-entrantly). *)
-            Heap_file.modify_batch hf ~page slots ~f:(fun payloads ->
+            Heap_file.modify_batch hf ~page slots ~decode:Record.decode_at
+              ~f:(fun decoded ->
                 (* [None] marks a chained object: fetch it normally. *)
                 let records =
                   List.map2
-                    (fun oid payload ->
-                      match payload with
-                      | Some bytes -> (oid, Record.decode bytes)
+                    (fun oid record ->
+                      match record with
+                      | Some r -> (oid, r)
                       | None -> (oid, read_record env oid))
-                    oids payloads
+                    oids decoded
                 in
                 changes :=
                   List.filter_map
@@ -660,7 +661,7 @@ let teardown_source env rep w source_oid =
              Link_object.remove lo source_oid))
   | Some _, _ -> ()
   | None, chain ->
-      (* At each level whose node no live path shares, retract the previous
+      (* At each level whose link no live path needs, retract the previous
          object's membership.  Removals at deeper levels are shared across
          the sources reaching through one intermediate —
          [Link_object.remove] of an absent member no-ops, so whichever
@@ -670,7 +671,7 @@ let teardown_source env rep w source_oid =
            (fun member ((node : Registry.node), x_oid) ->
              if
                node.Registry.link_id <> None
-               && not (List.exists (rep_live env) node.Registry.passing)
+               && not (List.exists (rep_live env) node.Registry.linked)
              then ignore (remove_member env node x_oid member);
              x_oid)
            source_oid chain));
@@ -711,7 +712,7 @@ let on_delete env w oid =
   List.iter (fun p -> detach_source env p oid) w.paths;
   (* Detaching may clear the object's own memberships (a self-referential
      path); any left make it an intermediate or final object. *)
-  if Record.link_count_of_bytes (Heap_file.read (data_file env oid) oid) > 0 then
+  if Heap_file.read_with (data_file env oid) oid Record.link_count_at > 0 then
     invalid_arg
       (Printf.sprintf
          "Engine: object %s is still referenced along a replication path"
@@ -734,7 +735,7 @@ let backfill_source env rep w oid =
     List.for_all
       (fun (r : Schema.replication) ->
         Schema.rep_state env.schema r.Schema.rep_id = Schema.Building)
-      node.Registry.passing
+      node.Registry.linked
   in
   let rec first_new member = function
     | [] -> ()
@@ -868,7 +869,7 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                 if now_empty then cascade_off env node1 o
             | None -> ());
             (match new_target with
-            | Some nw when List.exists (rep_live env) node1.Registry.passing ->
+            | Some nw when List.exists (rep_live env) node1.Registry.linked ->
                 let was_empty, now_empty =
                   add_member env node1 nw (plain_entry source_oid)
                 in
@@ -967,7 +968,7 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
                         | None -> ());
                         (match new_target with
                         | Some nw
-                          when List.exists (rep_live env) child.Registry.passing
+                          when List.exists (rep_live env) child.Registry.linked
                           ->
                             let was_empty, now_empty =
                               add_member env child nw (plain_entry x_oid)
@@ -1012,8 +1013,8 @@ let build env (rep : Schema.replication) =
       (* Gather (source, x1, final) triples, then lay the tagged link
          objects down in final-set physical order. *)
       let per_final = Oid.Table.create 64 in
-      Heap_file.iter src_file (fun source_oid bytes ->
-          match (walk_path env rep (Record.decode bytes)).chain with
+      Heap_file.iter src_file Record.decode_at (fun source_oid record ->
+          match (walk_path env rep record).chain with
           | [ (_, x1); (_, x2) ] ->
               let prev = Option.value ~default:[] (Oid.Table.find_opt per_final x2) in
               Oid.Table.replace per_final x2
@@ -1052,8 +1053,8 @@ let build env (rep : Schema.replication) =
         List.map (fun (n : Registry.node) -> (n.Registry.node_id, Oid.Table.create 256)) with_links
       in
       let table_for (n : Registry.node) = List.assoc n.Registry.node_id tables in
-      Heap_file.iter src_file (fun source_oid bytes ->
-          let targets = (walk_path env rep (Record.decode bytes)).chain in
+      Heap_file.iter src_file Record.decode_at (fun source_oid record ->
+          let targets = (walk_path env rep record).chain in
           ignore
             (List.fold_left
                (fun member ((node : Registry.node), x_oid) ->
@@ -1141,8 +1142,8 @@ let build env (rep : Schema.replication) =
       | Registry.K_separate sref_link ->
           let counts = Oid.Table.create 256 in
           let final_for = Oid.Table.create 256 in
-          Heap_file.iter src_file (fun source_oid bytes ->
-              match (walk_path env rep (Record.decode bytes)).final with
+          Heap_file.iter src_file Record.decode_at (fun source_oid record ->
+              match (walk_path env rep record).final with
               | Some final_oid ->
                   Oid.Table.replace final_for source_oid final_oid;
                   Oid.Table.replace counts final_oid
@@ -1186,7 +1187,7 @@ let referencers_via_links env ~source_set ~attr target_oid =
         (* A link only answers inverse-reference queries when some Active
            path maintains it: a Building link is still partial, a Dropping
            one no longer maintained. *)
-        && List.exists (rep_active env) n.Registry.passing)
+        && List.exists (rep_active env) n.Registry.linked)
       (Registry.roots env.registry source_set)
   in
   Option.map

@@ -88,8 +88,8 @@ let rec increasing = function
       Oid.compare a.Link_object.member b.Link_object.member < 0 && increasing rest
   | [] | [ _ ] -> true
 
-let read_in hf oid =
-  if Heap_file.exists hf oid then Some (Heap_file.read hf oid) else None
+let read_in hf oid decode =
+  if Heap_file.exists hf oid then Some (Heap_file.read_with hf oid decode) else None
 
 (* An active separate declaration, with what both of its passes need. *)
 type separate = {
@@ -102,8 +102,7 @@ type separate = {
 
 (* The well-formed S' record at [sp]: refcount, owner, record. *)
 let sprime_at (env : Engine.env) s sp =
-  let decode bytes =
-    let r = Record.decode bytes in
+  let check (r : Record.t) =
     if Array.length r.Record.values <> Engine.sprime_field_offset + List.length s.fields
     then None
     else
@@ -113,7 +112,7 @@ let sprime_at (env : Engine.env) s sp =
   in
   match Store.sprime_file_opt env.Engine.store s.rep.Schema.rep_id with
   | None -> None
-  | Some hf -> tolerant (fun sp -> Option.bind (read_in hf sp) decode) sp
+  | Some hf -> tolerant (fun sp -> Option.bind (read_in hf sp Record.decode_at) check) sp
 
 let findings (env : Engine.env) =
   let schema = env.Engine.schema in
@@ -124,7 +123,7 @@ let findings (env : Engine.env) =
   let exp = Recompute.compute env in
   let read_data oid =
     tolerant
-      (fun oid -> Some (Record.decode (Heap_file.read (env.Engine.file_of_oid oid) oid)))
+      (fun oid -> Some (Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at))
       oid
   in
   let separates =
@@ -196,9 +195,8 @@ let findings (env : Engine.env) =
                       Option.value ~default:[]
                         (tolerant
                            (fun loid ->
-                             Option.map
-                               (fun b -> Link_object.entries (Link_object.decode b))
-                               (read_in lf loid))
+                             Option.map Link_object.entries
+                               (read_in lf loid Link_object.decode_at))
                            loid)
               in
               let agrees (e : Link_object.entry) =
@@ -217,8 +215,8 @@ let findings (env : Engine.env) =
   in
   List.iter
     (fun (set_name, _) ->
-      Heap_file.iter (env.Engine.file_of_set set_name) (fun oid bytes ->
-          let record = Record.decode bytes in
+      Heap_file.iter (env.Engine.file_of_set set_name) Record.decode_at
+        (fun oid record ->
           (match Hashtbl.find_opt exp.Recompute.hidden oid with
           | Some slots ->
               List.iter
@@ -295,8 +293,8 @@ let findings (env : Engine.env) =
       let claims = Oid.Table.create 32 in
       Heap_file.iter
         (env.Engine.file_of_set s.rep.Schema.rpath.Path.source_set)
-        (fun source bytes ->
-          let stored = value_or_null (Record.decode bytes) s.idx in
+        (fun buf off len -> Record.field_at buf off len s.idx)
+        (fun source stored ->
           let final = Option.join (Hashtbl.find_opt exp.Recompute.sep_final (rep_id, source)) in
           let problem =
             match (stored, final) with

@@ -94,15 +94,19 @@ let encode t =
   assert (off = size);
   buf
 
-let decode buf =
-  let n = Wire.u16_at buf 0 in
-  let tagged = Wire.u8_at buf 2 = 1 in
+let decode_at buf off len =
+  Wire.check_limit (off + len) off 3;
+  let n = Wire.u16_at buf off in
+  let tagged = Wire.u8_at buf (off + 2) = 1 in
   let width = if tagged then 2 * Oid.encoded_size else Oid.encoded_size in
+  Wire.check_limit (off + len) (off + 3) (n * width);
   Array.init n (fun i ->
-      let off = 3 + (i * width) in
+      let off = off + 3 + (i * width) in
       let member = Oid.decode buf off in
       let tag = if tagged then Oid.decode buf (off + Oid.encoded_size) else Oid.nil in
       { member; tag })
+
+let decode buf = decode_at buf 0 (Bytes.length buf)
 
 let pp fmt t =
   Format.fprintf fmt "{%a}"

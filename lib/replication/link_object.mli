@@ -40,5 +40,9 @@ val remove_tagged : t -> Fieldrep_storage.Oid.t -> t
 
 val iter : (entry -> unit) -> t -> unit
 val encode : t -> Bytes.t
+val decode_at : Bytes.t -> int -> int -> t
+(** [decode_at buf off len] decodes the link object in
+    [buf.[off .. off+len-1]]; raises [Wire.Corrupt] if it does not fit. *)
+
 val decode : Bytes.t -> t
 val pp : Format.formatter -> t -> unit

@@ -58,8 +58,7 @@ let compute (env : Engine.env) =
       let nodes = Registry.chain registry rep in
       let _, term = Registry.terminal_of registry rep in
       let src_file = env.Engine.file_of_set set in
-      Heap_file.iter src_file (fun source_oid bytes ->
-          let source_rec = Record.decode bytes in
+      Heap_file.iter src_file Record.decode_at (fun source_oid source_rec ->
           (* Forward walk. *)
           let rec walk current_rec acc = function
             | [] -> List.rev acc
@@ -72,7 +71,7 @@ let compute (env : Engine.env) =
                 match value_or_null current_rec idx with
                 | Value.VRef oid ->
                     let r =
-                      Record.decode (Heap_file.read (env.Engine.file_of_oid oid) oid)
+                      Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at
                     in
                     walk r ((node, oid, r) :: acc) rest
                 | Value.VNull | Value.VInt _ | Value.VString _ -> List.rev acc)

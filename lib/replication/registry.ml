@@ -27,6 +27,7 @@ type node = {
   terminals : terminal list;
   children : int list;
   passing : Schema.replication list;
+  linked : Schema.replication list;
 }
 
 type link_kind = L_path of int | L_sref of int | L_collapsed of int
@@ -57,6 +58,7 @@ type bnode = {
   mutable b_terminals : terminal list;
   mutable b_children : int list;
   mutable b_passing : Schema.replication list;
+  mutable b_linked : Schema.replication list;
 }
 
 let max_link_id_space = 255
@@ -129,6 +131,7 @@ let compile schema =
                     b_terminals = [];
                     b_children = [];
                     b_passing = [];
+                    b_linked = [];
                   };
                 (match !parent with
                 | None ->
@@ -146,8 +149,10 @@ let compile schema =
             | Schema.Inplace -> true
             | Schema.Separate -> level <= n - 1
           in
-          if needs_link && b.b_link = None then
-            b.b_link <- Some (alloc_link (L_path id));
+          if needs_link then begin
+            b.b_linked <- b.b_linked @ [ rep ];
+            if b.b_link = None then b.b_link <- Some (alloc_link (L_path id))
+          end;
           chain := id :: !chain;
           parent := Some id)
         path.Path.steps;
@@ -187,9 +192,10 @@ let compile schema =
   (* Dropped declarations were replayed above purely for allocation
      stability (their successors must get the same node and link IDs on
      every compile).  Now erase them from the logical view: strip them from
-     [passing] and [terminals], drop their terminal link IDs, and turn
-     nodes no live path uses into inert stubs ([link_id = None]), so the
-     engine's membership maintenance no-ops on them. *)
+     [passing], [linked] and [terminals], drop their terminal link IDs, and
+     turn nodes whose link no live path needs into inert stubs
+     ([link_id = None]), so the engine's membership maintenance no-ops on
+     them. *)
   let dropped rep =
     Schema.rep_state schema rep.Schema.rep_id = Schema.Dropped
   in
@@ -205,7 +211,8 @@ let compile schema =
       b.b_terminals <-
         List.filter (fun term -> not (dropped term.rep)) b.b_terminals;
       b.b_passing <- List.filter (fun rep -> not (dropped rep)) b.b_passing;
-      if b.b_passing = [] then begin
+      b.b_linked <- List.filter (fun rep -> not (dropped rep)) b.b_linked;
+      if b.b_linked = [] then begin
         (match b.b_link with Some id -> Hashtbl.remove by_link id | None -> ());
         b.b_link <- None
       end)
@@ -227,6 +234,7 @@ let compile schema =
           terminals = b.b_terminals;
           children = b.b_children;
           passing = b.b_passing;
+          linked = b.b_linked;
         })
       !bnodes
   in

@@ -11,9 +11,9 @@
 
     Link-ID assignment replays declarations in [rep_id] order — including
     [Dropped] ones, which are then erased from the logical view (stripped
-    from [passing]/[terminals]/[chain], their link IDs deallocated from
-    {!link_kind}, exclusively-owned nodes left as inert [link_id = None]
-    stubs) — so IDs are stable when declarations are appended {e or
+    from [passing]/[linked]/[terminals]/[chain], their link IDs
+    deallocated from {!link_kind}, nodes whose link no live path needs left
+    as inert [link_id = None] stubs) — so IDs are stable when declarations are appended {e or
     dropped}; required because the IDs are persisted inside stored
     objects. *)
 
@@ -51,6 +51,10 @@ type node = {
   children : int list;
   passing : Fieldrep_model.Schema.replication list;
       (** every path whose chain includes this node *)
+  linked : Fieldrep_model.Schema.replication list;
+      (** the paths in [passing] that need this level inverted: not a
+          collapsed path, nor a separate path's last level.  The link is
+          theirs to build, maintain and tear down. *)
 }
 
 (** What a link ID stored in an object's link section refers to. *)

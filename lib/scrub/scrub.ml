@@ -121,7 +121,7 @@ let rec sweep_step sw ~budget =
 let rep_of_link registry link_id =
   match Registry.link_kind registry link_id with
   | Some (Registry.L_path node_id) -> (
-      match (Registry.node registry node_id).Registry.passing with
+      match (Registry.node registry node_id).Registry.linked with
       | rep :: _ -> Some rep.Schema.rep_id
       | [] -> None)
   | Some (Registry.L_collapsed node_id) ->
@@ -237,7 +237,7 @@ let finish ~log_repair ~guard (sw : sweep) =
                      | false -> false
                      | true -> (
                          try
-                           ignore (Record.decode (Heap_file.read hf oid));
+                           ignore (Heap_file.read_with hf oid Record.decode_at);
                            false
                          with _ -> true)
                      | exception _ -> true)
@@ -281,7 +281,7 @@ let finish ~log_repair ~guard (sw : sweep) =
      tier per round, until a round repairs nothing.  Only derived state
      is written. *)
   let read_data oid =
-    Record.decode (Heap_file.read (env.Engine.file_of_oid oid) oid)
+    Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at
   in
   let write_data oid record =
     Heap_file.update (env.Engine.file_of_oid oid) oid (Record.encode record)
@@ -358,7 +358,7 @@ let finish ~log_repair ~guard (sw : sweep) =
   in
   (* The owner an S' record names, when it still decodes. *)
   let sprime_owner hf sp =
-    match Record.field (Record.decode (Heap_file.read hf sp)) 1 with
+    match Heap_file.read_with hf sp (fun buf off len -> Record.field_at buf off len 1) with
     | Value.VRef owner -> Some owner
     | _ -> None
     | exception _ -> None
@@ -395,7 +395,7 @@ let finish ~log_repair ~guard (sw : sweep) =
             (* The owner check guards against a slot recycled by a refresh
                earlier in the round. *)
             fix (Some rep_id) final (fun () ->
-                let r = Record.decode (Heap_file.read hf sprime) in
+                let r = Heap_file.read_with hf sprime Record.decode_at in
                 let r, _ =
                   List.fold_left
                     (fun (r, i) v -> (Record.set_field r i v, i + 1))
@@ -413,7 +413,7 @@ let finish ~log_repair ~guard (sw : sweep) =
             Heap_file.purge hf sprime;
             repaired ()
         | Some hf when stored <> None ->
-            let r = Record.decode (Heap_file.read hf sprime) in
+            let r = Heap_file.read_with hf sprime Record.decode_at in
             Heap_file.update hf sprime
               (Record.encode (Record.set_field r 0 (Value.VInt claimed)));
             repaired ()

@@ -9,6 +9,16 @@ type t = {
   mutable space : int array;
       (* free-space map: per page, what [usable] says of it; -1 past the end *)
   mutable candidates : int;  (* pages whose [space] entry is not -1 *)
+  (* The in-page steps below run under [Pager.with_pin_arg] with the file
+     as their argument, so a step builds no closure: [at_page]/[at_slot]
+     say where it works, [staged] how long the record staged in the
+     scratch is, and [load_header] leaves its findings in [head_*]. *)
+  mutable at_page : int;
+  mutable at_slot : int;
+  mutable staged : int;
+  mutable head_kind : int;  (* -1 when the slot is dead *)
+  mutable head_len : int;  (* the whole record, header included *)
+  mutable head_next : Oid.t;
 }
 
 let kind_head = 0
@@ -21,20 +31,43 @@ let kind_segment = 1
 let kind_tombstone = 2
 let header_size = 1 + Oid.encoded_size
 
-let encode_segment ~kind ~next payload_sub =
-  let src, src_off, len = payload_sub in
-  let buf = Bytes.create (header_size + len) in
-  let off = Wire.put_u8 buf 0 kind in
-  let off = Oid.encode buf off next in
-  Bytes.blit src src_off buf off len;
-  buf
+(* Per-domain staging buffer for the segment being written, grown to the
+   largest page seen, so a write allocates nothing once warm.  A segment
+   is staged just before the pin that copies it into the page; nothing
+   stages in between. *)
+let scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
-let decode_header record = (Wire.u8_at record 0, Oid.decode record 1)
+(* Stage [kind], [next] and [len] payload bytes from [pos] as one
+   segment of [staged] bytes. *)
+let stage t ~kind ~next payload pos len =
+  let buf = Domain.DLS.get scratch in
+  if Bytes.length !buf < header_size + len then
+    buf := Bytes.create (max (header_size + len) (Pager.page_size t.pager));
+  let off = Wire.put_u8 !buf 0 kind in
+  let off = Oid.encode !buf off next in
+  Bytes.blit payload pos !buf off len;
+  t.staged <- header_size + len
+
+let staged () = !(Domain.DLS.get scratch)
 
 (* A handle on [file]; [recount] fills in the count and the map. *)
 let handle ~reserve pager file =
   let tail_page = Pager.page_count pager file - 1 in
-  { pager; file; reserve; count = 0; tail_page; space = [||]; candidates = 0 }
+  {
+    pager;
+    file;
+    reserve;
+    count = 0;
+    tail_page;
+    space = [||];
+    candidates = 0;
+    at_page = 0;
+    at_slot = 0;
+    staged = 0;
+    head_kind = 0;
+    head_len = 0;
+    head_next = Oid.nil;
+  }
 
 let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
@@ -92,131 +125,179 @@ let rec lowest_fit t len page =
   else if t.space.(page) >= len then page
   else lowest_fit t len (page + 1)
 
-let insert_record t record =
-  let len = Bytes.length record in
-  let try_page page =
-    Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-        let fits =
-          room t ~live:(Page.live_count buf) ~free:(Page.free_space buf) >= len
-        in
-        let slot = if fits then Page.insert buf record else -1 in
-        if slot >= 0 then note t page buf;
-        slot)
-  in
+(* Put the staged record on [at_page] if it fits the page's room. *)
+let insert_step t buf =
+  if room t ~live:(Page.live_count buf) ~free:(Page.free_space buf) < t.staged then -1
+  else begin
+    let slot = Page.insert buf (staged ()) t.staged in
+    if slot >= 0 then note t t.at_page buf;
+    slot
+  end
+
+let try_page t page =
+  t.at_page <- page;
+  Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:true insert_step t
+
+(* Place the staged record. *)
+let insert_staged t =
+  let len = t.staged in
   let reuse = if t.candidates > 0 then lowest_fit t len 0 else -1 in
-  let slot = if reuse >= 0 then try_page reuse else -1 in
+  let slot = if reuse >= 0 then try_page t reuse else -1 in
   if slot >= 0 then { Oid.file = t.file; page = reuse; slot }
   else
-    let slot = if t.tail_page >= 0 then try_page t.tail_page else -1 in
+    let slot = if t.tail_page >= 0 then try_page t t.tail_page else -1 in
     if slot >= 0 then { Oid.file = t.file; page = t.tail_page; slot }
     else begin
       let page = Pager.new_page t.pager ~file:t.file in
-      Pager.with_page_write t.pager ~file:t.file ~page (fun buf ->
-          Page.init buf);
+      Pager.with_page_write t.pager ~file:t.file ~page Page.init;
       if page >= Array.length t.space then begin
         let space = Array.make (max 8 (2 * page)) (-1) in
         Array.blit t.space 0 space 0 (Array.length t.space);
         t.space <- space
       end;
       t.tail_page <- page;
-      let slot = try_page page in
+      let slot = try_page t page in
       if slot < 0 then invalid_arg "Heap_file: record larger than a page";
       { Oid.file = t.file; page; slot }
     end
 
-(* Append the payload from [pos] onwards as a chain of continuation
-   segments, returning the OID of the first one (or nil when done). *)
-let rec spill t payload pos =
-  let remaining = Bytes.length payload - pos in
+(* Replace the record in [at_slot] of [at_page] with the staged one. *)
+let write_step t buf =
+  let ok = Page.write buf t.at_slot (staged ()) t.staged in
+  note t t.at_page buf;
+  ok
+
+let write_staged t (oid : Oid.t) =
+  t.at_page <- oid.Oid.page;
+  t.at_slot <- oid.Oid.slot;
+  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:true write_step t
+
+let delete_step t buf =
+  Page.delete buf t.at_slot;
+  note t t.at_page buf
+
+let delete_slot t (oid : Oid.t) =
+  t.at_page <- oid.Oid.page;
+  t.at_slot <- oid.Oid.slot;
+  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:true delete_step t
+
+(* Read the kind, length and next pointer of the record in [at_slot] in
+   place; a dead slot reads as kind -1. *)
+let header_step t buf =
+  let slot = t.at_slot in
+  if not (Page.is_live buf slot) then t.head_kind <- -1
+  else begin
+    let off = Page.offset buf slot in
+    t.head_kind <- Wire.u8_at buf off;
+    t.head_len <- Page.read_length buf slot;
+    t.head_next <- (if Oid.is_nil_at buf (off + 1) then Oid.nil else Oid.decode buf (off + 1))
+  end
+
+let dead oid = invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid))
+
+(* Fill [head_*] from the record at [oid]; raises on a dead one. *)
+let load_header t (oid : Oid.t) =
+  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  t.at_page <- oid.Oid.page;
+  t.at_slot <- oid.Oid.slot;
+  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false header_step t;
+  if t.head_kind < 0 then dead oid
+
+(* Append the payload's bytes from [pos] up to [len] as a chain of
+   continuation segments, returning the OID of the first one (or nil when
+   done). *)
+let rec spill t payload pos len =
+  let remaining = len - pos in
   if remaining = 0 then Oid.nil
   else begin
     let room = max_record t - header_size in
     let chunk = min remaining room in
-    let next = spill t payload (pos + chunk) in
-    let record = encode_segment ~kind:kind_segment ~next (payload, pos, chunk) in
-    insert_record t record
+    let next = spill t payload (pos + chunk) len in
+    stage t ~kind:kind_segment ~next payload pos chunk;
+    insert_staged t
   end
 
-let insert t payload =
+let insert ?len t payload =
+  let len = match len with Some len -> len | None -> Bytes.length payload in
   (* Head goes first, so while no page qualifies for reuse home slots
      appear in insertion order; oversize payloads spill their tail into
      segments allocated just after. *)
-  let head_room = max_record t - header_size in
-  let head_chunk = min (Bytes.length payload) head_room in
-  let head_oid =
-    insert_record t (encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, head_chunk))
-  in
-  let next = spill t payload head_chunk in
+  let head_chunk = min len (max_record t - header_size) in
+  stage t ~kind:kind_head ~next:Oid.nil payload 0 head_chunk;
+  let head_oid = insert_staged t in
+  let next = spill t payload head_chunk len in
   if not (Oid.is_nil next) then begin
-    let record = encode_segment ~kind:kind_head ~next (payload, 0, head_chunk) in
-    Pager.with_page_write t.pager ~file:t.file ~page:head_oid.Oid.page (fun buf ->
-        let ok = Page.write buf head_oid.Oid.slot record in
-        assert ok;
-        note t head_oid.Oid.page buf)
+    stage t ~kind:kind_head ~next payload 0 head_chunk;
+    let ok = write_staged t head_oid in
+    assert ok
   end;
   t.count <- t.count + 1;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written;
   head_oid
 
-let read_segment t (oid : Oid.t) =
-  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
-  Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      if not (Page.is_live buf oid.Oid.slot) then
-        invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
-      Page.read buf oid.Oid.slot)
-
-(* The payload of one segment, and the segment after it if any. *)
-type piece = Last of Bytes.t | Chained of Bytes.t * Oid.t
-
-(* Read one segment on its pinned page: the header is checked in place in
-   the frame and the payload copied out once. *)
-let piece ~kind (oid : Oid.t) buf =
+(* Where the record of the segment [oid] of [kind] starts on its pinned
+   page. *)
+let segment_at buf (oid : Oid.t) ~kind =
   let slot = oid.Oid.slot in
-  if not (Page.is_live buf slot) then
-    invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid));
+  if not (Page.is_live buf slot) then dead oid;
   let off = Page.offset buf slot in
   if Wire.u8_at buf off <> kind then
     if kind = kind_head then
       invalid_arg
         (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid))
     else raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
-  let payload =
-    Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size)
+  off
+
+(* Raised out of a head's pin when the object goes on in other segments,
+   with the head's chunk and the next segment's OID. *)
+exception Continues of Bytes.t * Oid.t
+
+(* A continuation segment's chunk and the segment after it, nil at the
+   end. *)
+let continuation (oid : Oid.t) buf =
+  let off = segment_at buf oid ~kind:kind_segment in
+  let chunk =
+    Bytes.sub buf (off + header_size) (Page.read_length buf oid.Oid.slot - header_size)
   in
-  if Oid.is_nil_at buf (off + 1) then Last payload
-  else Chained (payload, Oid.decode buf (off + 1))
+  (chunk, if Oid.is_nil_at buf (off + 1) then Oid.nil else Oid.decode buf (off + 1))
 
-(* Each segment is pinned exactly once; the callbacks capture only the OID
-   ([kind] is a constant at each site). *)
-let read_piece t (oid : Oid.t) ~head =
+(* The whole payload of a chained object: the head's chunk, then each
+   continuation segment, each pinned once. *)
+let assemble t first next =
+  let parts = ref [ first ] in
+  let cursor = ref next in
+  while not (Oid.is_nil !cursor) do
+    let oid = !cursor in
+    if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+    let chunk, next =
+      Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (continuation oid)
+    in
+    parts := chunk :: !parts;
+    cursor := next
+  done;
+  Bytes.concat Bytes.empty (List.rev !parts)
+
+let read_with t (oid : Oid.t) decode =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
-  if head then
-    Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        piece ~kind:kind_head oid buf)
-  else
-    Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        piece ~kind:kind_segment oid buf)
-
-let read t oid =
-  let payload =
-    match read_piece t oid ~head:true with
-    | Last payload -> payload
-    | Chained (first, next) ->
-        let parts = ref [ first ] in
-        let cursor = ref next in
-        while not (Oid.is_nil !cursor) do
-          match read_piece t !cursor ~head:false with
-          | Last part ->
-              parts := part :: !parts;
-              cursor := Oid.nil
-          | Chained (part, next) ->
-              parts := part :: !parts;
-              cursor := next
-        done;
-        Bytes.concat Bytes.empty (List.rev !parts)
+  let v =
+    match
+      Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
+          let off = segment_at buf oid ~kind:kind_head in
+          let len = Page.read_length buf oid.Oid.slot - header_size in
+          if Oid.is_nil_at buf (off + 1) then decode buf (off + header_size) len
+          else
+            raise
+              (Continues (Bytes.sub buf (off + header_size) len, Oid.decode buf (off + 1))))
+    with
+    | v -> v
+    | exception Continues (first, next) ->
+        let payload = assemble t first next in
+        decode payload 0 (Bytes.length payload)
   in
   Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-  payload
+  v
+
+let read t oid = read_with t oid Bytes.sub
 
 let exists t (oid : Oid.t) =
   oid.Oid.file = t.file
@@ -230,50 +311,45 @@ let free_chain t first =
   let cursor = ref first in
   while not (Oid.is_nil !cursor) do
     let oid = !cursor in
-    let seg = read_segment t oid in
-    let kind, next = decode_header seg in
-    if kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
-    Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        Page.delete buf oid.Oid.slot;
-        note t oid.Oid.page buf);
+    load_header t oid;
+    if t.head_kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
+    let next = t.head_next in
+    delete_slot t oid;
     cursor := next
   done
 
-let update t (oid : Oid.t) payload =
-  let head = read_segment t oid in
-  let kind, old_next = decode_header head in
-  if kind <> kind_head then
-    invalid_arg "Heap_file.update: OID is not an object head";
-  let write_head record =
-    Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        let ok = Page.write buf oid.Oid.slot record in
-        note t oid.Oid.page buf;
-        ok)
-  in
-  let full = encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload) in
+(* Write [len] payload bytes as the head at [oid]: whole when they fit,
+   else keeping [keep] of them in the head (no more than it holds now, so
+   the in-place write always succeeds) and spilling the rest. *)
+let write_head t (oid : Oid.t) payload len ~keep =
   let placed =
-    Bytes.length full <= max_record t && write_head full
+    header_size + len <= max_record t
+    && (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
+        write_staged t oid)
   in
   if not placed then begin
-    (* Keep the head at its old size (an equal-size write always succeeds)
-       and spill the remainder. *)
-    let head_chunk = min (Bytes.length payload) (Bytes.length head - header_size) in
-    let next = spill t payload head_chunk in
-    let record = encode_segment ~kind:kind_head ~next (payload, 0, head_chunk) in
-    let ok = write_head record in
+    let head_chunk = min len keep in
+    let next = spill t payload head_chunk len in
+    stage t ~kind:kind_head ~next payload 0 head_chunk;
+    let ok = write_staged t oid in
     assert ok
-  end;
+  end
+
+let update t (oid : Oid.t) payload =
+  load_header t oid;
+  if t.head_kind <> kind_head then
+    invalid_arg "Heap_file.update: OID is not an object head";
+  let old_next = t.head_next in
+  write_head t oid payload (Bytes.length payload) ~keep:(t.head_len - header_size);
   if not (Oid.is_nil old_next) then free_chain t old_next;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
 let delete t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, next = decode_header head in
-  if kind <> kind_head then
+  load_header t oid;
+  if t.head_kind <> kind_head then
     invalid_arg "Heap_file.delete: OID is not an object head";
-  Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      Page.delete buf oid.Oid.slot;
-      note t oid.Oid.page buf);
+  let next = t.head_next in
+  delete_slot t oid;
   if not (Oid.is_nil next) then free_chain t next;
   t.count <- t.count - 1
 
@@ -285,52 +361,40 @@ let delete t (oid : Oid.t) =
    missing tail is exactly the damage being cleaned up. *)
 let purge t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file.purge: OID from another file";
-  let drop_slot (o : Oid.t) =
-    Pager.with_page_write t.pager ~file:t.file ~page:o.Oid.page (fun buf ->
-        Page.delete buf o.Oid.slot;
-        note t o.Oid.page buf)
+  (* The kind of the record at [o], -1 when it is gone; [head_next] then
+     holds its next pointer. *)
+  let kind_of (o : Oid.t) =
+    if o.Oid.page < 0 || o.Oid.page >= page_count t then -1
+    else begin
+      t.at_page <- o.Oid.page;
+      t.at_slot <- o.Oid.slot;
+      Pager.with_pin_arg t.pager ~file:t.file ~page:o.Oid.page ~dirty:false header_step t;
+      t.head_kind
+    end
   in
-  let segment_of (o : Oid.t) =
-    if o.Oid.page < 0 || o.Oid.page >= page_count t then None
-    else
-      Pager.with_page_read t.pager ~file:t.file ~page:o.Oid.page (fun buf ->
-          if Page.is_live buf o.Oid.slot then Some (Page.read buf o.Oid.slot)
-          else None)
-  in
-  match segment_of oid with
-  | None -> ()
-  | Some head ->
-      let kind, next = decode_header head in
-      drop_slot oid;
-      if kind = kind_head then t.count <- t.count - 1;
-      let cursor = ref next in
-      let continue = ref true in
-      while !continue && not (Oid.is_nil !cursor) do
-        match segment_of !cursor with
-        | None -> continue := false
-        | Some seg ->
-            let kind, next = decode_header seg in
-            if kind <> kind_segment then continue := false
-            else begin
-              drop_slot !cursor;
-              cursor := next
-            end
-      done
-
-let tombstone_record () =
-  encode_segment ~kind:kind_tombstone ~next:Oid.nil (Bytes.empty, 0, 0)
+  let kind = kind_of oid in
+  if kind >= 0 then begin
+    let next = t.head_next in
+    delete_slot t oid;
+    if kind = kind_head then t.count <- t.count - 1;
+    let cursor = ref next in
+    while (not (Oid.is_nil !cursor)) && kind_of !cursor = kind_segment do
+      let next = t.head_next in
+      delete_slot t !cursor;
+      cursor := next
+    done
+  end
 
 let delete_pinned t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, next = decode_header head in
-  if kind <> kind_head then
+  load_header t oid;
+  if t.head_kind <> kind_head then
     invalid_arg "Heap_file.delete_pinned: OID is not an object head";
+  let next = t.head_next in
   (* A head record is at least [header_size] bytes, so an equal-or-smaller
      in-place write always succeeds. *)
-  Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      let ok = Page.write buf oid.Oid.slot (tombstone_record ()) in
-      assert ok;
-      note t oid.Oid.page buf);
+  stage t ~kind:kind_tombstone ~next:Oid.nil Bytes.empty 0 0;
+  let ok = write_staged t oid in
+  assert ok;
   if not (Oid.is_nil next) then free_chain t next;
   t.count <- t.count - 1
 
@@ -343,37 +407,18 @@ let is_tombstone t (oid : Oid.t) =
          && Wire.u8_at buf (Page.offset buf oid.Oid.slot) = kind_tombstone)
 
 let free_tombstone t (oid : Oid.t) =
-  let head = read_segment t oid in
-  let kind, _ = decode_header head in
-  if kind <> kind_tombstone then
+  load_header t oid;
+  if t.head_kind <> kind_tombstone then
     invalid_arg "Heap_file.free_tombstone: OID is not a tombstone";
-  Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-      Page.delete buf oid.Oid.slot;
-      note t oid.Oid.page buf)
+  delete_slot t oid
 
 let insert_at t (oid : Oid.t) payload =
-  let head = read_segment t oid in
-  let kind, _ = decode_header head in
-  if kind <> kind_tombstone then
+  load_header t oid;
+  if t.head_kind <> kind_tombstone then
     invalid_arg "Heap_file.insert_at: slot is not a tombstone";
-  let write_head record =
-    Pager.with_page_write t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-        let ok = Page.write buf oid.Oid.slot record in
-        note t oid.Oid.page buf;
-        ok)
-  in
-  let full =
-    encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload)
-  in
-  let placed = Bytes.length full <= max_record t && write_head full in
-  if not placed then begin
-    (* Keep the head at the tombstone's size (an equal-size write always
-       succeeds) and spill the whole payload into segments. *)
-    let next = spill t payload 0 in
-    let record = encode_segment ~kind:kind_head ~next (payload, 0, 0) in
-    let ok = write_head record in
-    assert ok
-  end;
+  (* An oversize payload keeps the head at the tombstone's size and spills
+     whole into segments. *)
+  write_head t oid payload (Bytes.length payload) ~keep:0;
   t.count <- t.count + 1;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
@@ -397,11 +442,11 @@ let batch_head t buf ~page slot =
     invalid_arg "Heap_file.modify_batch: OID is not an object head";
   off
 
-let batch_payload t buf ~page slot =
+let batch_payload t buf ~page ~decode slot =
   let off = batch_head t buf ~page slot in
   if Oid.is_nil_at buf (off + 1) then begin
     Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-    Some (Bytes.sub buf (off + header_size) (Page.read_length buf slot - header_size))
+    Some (decode buf (off + header_size) (Page.read_length buf slot - header_size))
   end
   else None
 
@@ -412,10 +457,13 @@ let batch_write_deferred t buf ~page (slot, payload) =
   let off = batch_head t buf ~page slot in
   if not (Oid.is_nil_at buf (off + 1)) then true
   else begin
-    let record =
-      encode_segment ~kind:kind_head ~next:Oid.nil (payload, 0, Bytes.length payload)
-    in
-    if Bytes.length record <= max_record t && Page.write buf slot record then begin
+    let len = Bytes.length payload in
+    if
+      header_size + len <= max_record t
+      &&
+      (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
+       Page.write buf slot (staged ()) t.staged)
+    then begin
       let stats = Pager.stats t.pager in
       Stats.bump stats Stats.Objects_written;
       false
@@ -423,7 +471,7 @@ let batch_write_deferred t buf ~page (slot, payload) =
     else true
   end
 
-let modify_batch t ~page slots ~f =
+let modify_batch t ~page slots ~decode ~f =
   (* Read-modify-write under a single pin: the page is pinned once for both
      the head reads and the in-place rewrites, instead of once per phase.
      [f] runs with the page pinned, so it may read other objects (a
@@ -431,7 +479,7 @@ let modify_batch t ~page slots ~f =
      write through this heap file. *)
   let deferred =
     Pager.with_pin t.pager ~file:t.file ~page ~dirty:true (fun buf ->
-        let payloads = List.map (batch_payload t buf ~page) slots in
+        let payloads = List.map (batch_payload t buf ~page ~decode) slots in
         let deferred =
           List.filter (batch_write_deferred t buf ~page) (f payloads)
         in
@@ -442,59 +490,47 @@ let modify_batch t ~page slots ~f =
     (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
     deferred
 
-let iter_heads t f =
-  let pages = page_count t in
-  for page = 0 to pages - 1 do
-    (* Collect head slots while the page is pinned, then call back unpinned
-       so the callback may itself touch storage. *)
-    let heads =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          Page.fold
-            (fun acc slot record ->
-              if fst (Wire.get_u8 record 0) = kind_head then slot :: acc
-              else acc)
-            [] buf)
-    in
-    List.iter (fun slot -> f { Oid.file = t.file; page; slot }) (List.rev heads)
-  done
+let is_head buf slot =
+  Page.is_live buf slot && Wire.u8_at buf (Page.offset buf slot) = kind_head
 
-let iter t f = iter_heads t (fun oid -> f oid (read t oid))
+(* The head slots of a pinned page, in slot order, read in place. *)
+let head_slots buf =
+  let heads = ref [] in
+  for slot = Page.slot_count buf - 1 downto 0 do
+    if is_head buf slot then heads := slot :: !heads
+  done;
+  !heads
 
-(* One page's worth of [iter_heads] — the unit of work of an incremental
+(* One page's worth of [iter_oids] — the unit of work of an incremental
    (resumable-cursor) walk.  Out-of-range pages yield []. *)
 let oids_on_page t ~page =
   if page < 0 || page >= page_count t then []
   else
-    let heads =
-      Pager.with_page_read t.pager ~file:t.file ~page (fun buf ->
-          Page.fold
-            (fun acc slot record ->
-              if fst (Wire.get_u8 record 0) = kind_head then slot :: acc
-              else acc)
-            [] buf)
-    in
-    List.rev_map (fun slot -> { Oid.file = t.file; page; slot }) heads
+    List.map
+      (fun slot -> { Oid.file = t.file; page; slot })
+      (Pager.with_page_read t.pager ~file:t.file ~page head_slots)
+
+(* Head slots are collected while the page is pinned, and the callback runs
+   unpinned so it may itself touch storage. *)
+let iter_oids t f =
+  for page = 0 to page_count t - 1 do
+    List.iter f (oids_on_page t ~page)
+  done
+
+let iter t decode f = iter_oids t (fun oid -> f oid (read_with t oid decode))
 
 let chained_count t =
   let count = ref 0 in
-  iter_heads t (fun oid ->
-      let head = read_segment t oid in
-      let _, next = decode_header head in
-      if not (Oid.is_nil next) then incr count);
+  iter_oids t (fun oid ->
+      load_header t oid;
+      if not (Oid.is_nil t.head_next) then incr count);
   !count
-let iter_oids t f = iter_heads t f
-
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun oid payload -> acc := f !acc oid payload);
-  !acc
 
 (* Heads on a pinned page. *)
 let heads_on buf =
   let heads = ref 0 in
   for slot = 0 to Page.slot_count buf - 1 do
-    if Page.is_live buf slot && Wire.u8_at buf (Page.offset buf slot) = kind_head then
-      incr heads
+    if is_head buf slot then incr heads
   done;
   !heads
 

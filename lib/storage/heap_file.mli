@@ -52,13 +52,24 @@ val object_count : t -> int
 
 val page_count : t -> int
 
-val insert : t -> Bytes.t -> Oid.t
-(** Store an object.  While no page qualifies for reuse, its home slot
-    lands after every previously inserted object's home slot; otherwise it
-    may land on the lowest qualifying page. *)
+val insert : ?len:int -> t -> Bytes.t -> Oid.t
+(** Store an object: the payload's first [len] bytes (default: all of
+    them), so a caller may encode into a buffer it reuses.  While no page
+    qualifies for reuse, its home slot lands after every previously
+    inserted object's home slot; otherwise it may land on the lowest
+    qualifying page.  Each segment is staged in a per-domain scratch
+    buffer, so an insert that fits one page allocates only its OID. *)
+
+val read_with : t -> Oid.t -> (Bytes.t -> int -> int -> 'a) -> 'a
+(** [read_with t oid decode] is [decode buf off len] over the object's
+    payload, [buf.[off .. off+len-1]].  For an object of one segment [buf]
+    is the page's frame, still pinned: [decode] must touch no storage, keep
+    no reference to [buf] and read nothing outside its range.  A chained
+    object's payload is assembled first, pinning each segment once.  Raises
+    [Invalid_argument] if the OID does not name a live object head. *)
 
 val read : t -> Oid.t -> Bytes.t
-(** Raises [Invalid_argument] if the OID does not name a live object head. *)
+(** A copy of the payload: [read_with t oid Bytes.sub]. *)
 
 val exists : t -> Oid.t -> bool
 
@@ -94,10 +105,16 @@ val insert_at : t -> Oid.t -> Bytes.t -> unit
 val is_tombstone : t -> Oid.t -> bool
 
 val modify_batch :
-  t -> page:int -> int list -> f:(Bytes.t option list -> (int * Bytes.t) list) -> unit
-(** [modify_batch t ~page slots ~f] reads the head record of every slot and
-    rewrites some of them under a {e single} page pin.  [f] receives the
-    head payloads of [slots], in the given order — [None] for an object
+  t ->
+  page:int ->
+  int list ->
+  decode:(Bytes.t -> int -> int -> 'a) ->
+  f:('a option list -> (int * Bytes.t) list) ->
+  unit
+(** [modify_batch t ~page slots ~decode ~f] reads the head record of every
+    slot and rewrites some of them under a {e single} page pin.  [f]
+    receives the head payloads of [slots] as [decode] reads them in the
+    frame (see {!read_with}), in the given order — [None] for an object
     whose payload spills into continuation segments (fetch it with {!read}),
     so a [Some] payload cost exactly this one page access — and returns the
     [(slot, payload)] rewrites to apply, which land in place where they
@@ -106,11 +123,10 @@ val modify_batch :
     objects but must not write through this file.  Raises
     [Invalid_argument] on a dead slot or a non-head record. *)
 
-val iter : t -> (Oid.t -> Bytes.t -> unit) -> unit
-(** Physical order (page then slot), heads only.  The callback receives the
-    payload with chain plumbing stripped. *)
-
-val fold : t -> init:'a -> f:('a -> Oid.t -> Bytes.t -> 'a) -> 'a
+val iter : t -> (Bytes.t -> int -> int -> 'a) -> (Oid.t -> 'a -> unit) -> unit
+(** [iter t decode f] calls [f] on every object in physical order (page
+    then slot), heads only, with its payload read through {!read_with}
+    ([Bytes.sub] gives a copy). *)
 
 val iter_oids : t -> (Oid.t -> unit) -> unit
 (** Like {!iter} without materialising payloads (still reads each page). *)

@@ -90,8 +90,7 @@ let ensure_gap page ~extra_slots need =
   if raw_gap page ~extra_slots < need then compact page;
   raw_gap page ~extra_slots >= need
 
-let insert page data =
-  let len = Bytes.length data in
+let insert page data len =
   if not (fits page len) then -1
   else begin
     let free = free_slot page in
@@ -126,9 +125,8 @@ let delete page s =
   check_live page s;
   set_entry page s ~off:free_mark ~len:0
 
-let write page s data =
+let write page s data new_len =
   check_live page s;
-  let new_len = Bytes.length data in
   let old_off = get_off page s in
   let old_len = get_len page s in
   if new_len <= old_len then begin

@@ -37,10 +37,10 @@ val fits : Bytes.t -> int -> bool
 (** [fits page len] — would a record of [len] bytes fit (possibly after
     compaction)? *)
 
-val insert : Bytes.t -> Bytes.t -> slot
-(** [insert page data] places a record in the lowest free directory entry
-    (or a new one), compacting if needed, and returns its slot; [-1] when it
-    cannot fit.  Allocates nothing. *)
+val insert : Bytes.t -> Bytes.t -> int -> slot
+(** [insert page data len] places the record [data.[0 .. len-1]] in the
+    lowest free directory entry (or a new one), compacting if needed, and
+    returns its slot; [-1] when it cannot fit.  Allocates nothing. *)
 
 val read : Bytes.t -> slot -> Bytes.t
 (** Copy of the record bytes.  Raises [Invalid_argument] on a dead slot. *)
@@ -51,10 +51,10 @@ val offset : Bytes.t -> slot -> int
 (** Where the record in a live slot starts in the page, for reading it in
     place.  Raises [Invalid_argument] on a dead slot. *)
 
-val write : Bytes.t -> slot -> Bytes.t -> bool
-(** [write page s data] replaces the record in [s].  Returns [false] when the
-    new record cannot fit even after compaction (the old record is then left
-    intact). *)
+val write : Bytes.t -> slot -> Bytes.t -> int -> bool
+(** [write page s data len] replaces the record in [s] with
+    [data.[0 .. len-1]].  Returns [false] when the new record cannot fit
+    even after compaction (the old record is then left intact). *)
 
 val delete : Bytes.t -> slot -> unit
 (** Frees the slot.  Raises [Invalid_argument] on a dead slot. *)

@@ -5,6 +5,10 @@ let check_bounds buf off len =
     raise (Corrupt (Printf.sprintf "out of bounds: off=%d len=%d buflen=%d"
                       off len (Bytes.length buf)))
 
+let check_limit limit off len =
+  if off < 0 || len < 0 || off + len > limit then
+    raise (Corrupt (Printf.sprintf "out of bounds: off=%d len=%d limit=%d" off len limit))
+
 let put_u8 buf off v =
   check_bounds buf off 1;
   Bytes.unsafe_set buf off (Char.unsafe_chr (v land 0xff));

@@ -65,3 +65,8 @@ val blob_size : string -> int
 val check_bounds : Bytes.t -> int -> int -> unit
 (** [check_bounds buf off len] raises {!Corrupt} unless [off, off+len) lies
     inside [buf]. *)
+
+val check_limit : int -> int -> int -> unit
+(** [check_limit limit off len] raises {!Corrupt} unless [off, off+len)
+    ends by [limit]: the bound a decoder of one record within a larger
+    buffer (a page) checks, so it never reads past the record. *)

@@ -3,6 +3,9 @@
    layout and link-related validation). *)
 
 module Oid = Fieldrep_storage.Oid
+module Pager = Fieldrep_storage.Pager
+module Heap_file = Fieldrep_storage.Heap_file
+module Page = Fieldrep_storage.Page
 module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Record = Fieldrep_model.Record
@@ -129,7 +132,39 @@ let test_record_roundtrip () =
   checkv "field 0" (Value.VString "alice") (Record.field r' 0);
   checkv "field 2" (Value.VRef (oid 3)) (Record.field r' 2);
   checki "encoded size" (Record.encoded_size r) (Bytes.length bytes);
-  checki "peek tag" 7 (Record.type_tag_of_bytes bytes)
+  checki "peek tag" 7 (Record.type_tag_at bytes 0 (Bytes.length bytes))
+
+(* A record whose length is cut short, with a live neighbour right after
+   it on the page, is corrupt: decoding it in the frame stops at its own
+   end instead of reading the neighbour's bytes. *)
+let test_record_truncated_in_frame () =
+  let pager = Pager.create ~page_size:512 ~frames:4 () in
+  let hf = Heap_file.create pager in
+  let r =
+    Record.add_link
+      (Record.make ~type_tag:3
+         [| Value.VInt 5; Value.VRef (oid 2); Value.VString "a string that ends it" |])
+      { Record.link_oid = oid 9; link_id = 4 }
+  in
+  let enc = Record.encode r in
+  let target = Heap_file.insert hf enc in
+  let neighbour =
+    Heap_file.insert hf (Record.encode (Record.make ~type_tag:3 [| Value.VString "next" |]))
+  in
+  checki "same page" target.Oid.page neighbour.Oid.page;
+  for cut = 1 to Bytes.length enc do
+    Heap_file.update hf target (Bytes.sub enc 0 (Bytes.length enc - cut));
+    (* close the hole the shrink left, so the neighbour follows at once *)
+    Pager.with_page_write pager ~file:target.Oid.file ~page:target.Oid.page Page.compact;
+    (match Heap_file.read_with hf target Record.decode_at with
+    | _ -> Alcotest.failf "cut by %d: decoded" cut
+    | exception Wire.Corrupt _ -> ());
+    match Heap_file.read_with hf target (fun b o l -> Record.field_at b o l 2) with
+    | _ -> Alcotest.failf "cut by %d: field 2 decoded" cut
+    | exception Wire.Corrupt _ -> ()
+  done;
+  checkv "neighbour intact" (Value.VString "next")
+    (Heap_file.read_with hf neighbour (fun b o l -> Record.field_at b o l 0))
 
 let test_record_links_sorted_and_unique () =
   let r = sample_record () in
@@ -395,6 +430,26 @@ let qcheck_tests =
     && Array.for_all2 Value.equal a.Record.values b.Record.values
   in
   let record_arb = make ~print:(Format.asprintf "%a" Record.pp) record_gen in
+  (* Stored records: 0-3 links, 0-8 values of every kind, and strings long
+     enough that some objects chain across 256-byte pages. *)
+  let stored_gen =
+    Gen.(
+      let* tag = int_bound 1000 in
+      let* values =
+        list_size (0 -- 8)
+          (oneof
+             [
+               value_gen;
+               map (fun s -> Value.VString s) (string_size (100 -- 400));
+             ])
+      in
+      let* links =
+        list_size (0 -- 3)
+          (map (fun (link_oid, link_id) -> { Record.link_oid; link_id })
+             (pair oid_gen (int_bound 255)))
+      in
+      return (Record.with_links (Record.make ~type_tag:tag (Array.of_list values)) links))
+  in
   [
     Test.make ~name:"record with links roundtrip" ~count:300 record_arb (fun r ->
         record_equal r (Record.decode (Record.encode r)));
@@ -408,6 +463,28 @@ let qcheck_tests =
             | _ -> false
             | exception Wire.Corrupt _ -> true)
           (List.init (Bytes.length enc) Fun.id));
+    (* Decoding in the pinned frame gives what decoding a copy gives, and
+       one field decoded alone is that field. *)
+    Test.make ~name:"in-frame decode equals decode of a copy" ~count:100
+      (make ~print:(fun rs -> String.concat "; " (List.map (Format.asprintf "%a" Record.pp) rs))
+         Gen.(list_size (1 -- 6) stored_gen))
+      (fun rs ->
+        let pager = Pager.create ~page_size:256 ~frames:8 () in
+        let hf = Heap_file.create pager in
+        let oids = List.map (fun r -> Heap_file.insert hf (Record.encode r)) rs in
+        List.for_all2
+          (fun r oid ->
+            let copy = Record.decode (Heap_file.read hf oid) in
+            let in_frame = Heap_file.read_with hf oid Record.decode_at in
+            let n = Array.length r.Record.values in
+            record_equal r copy && record_equal copy in_frame
+            && List.for_all
+                 (fun i ->
+                   Value.equal
+                     (if i < n then r.Record.values.(i) else Value.VNull)
+                     (Heap_file.read_with hf oid (fun b o l -> Record.field_at b o l i)))
+                 (List.init (n + 2) Fun.id))
+          rs oids);
     Test.make ~name:"value roundtrip" ~count:300 (make value_gen) (fun v ->
         let buf = Bytes.create (Value.encoded_size v) in
         ignore (Value.encode buf 0 v);
@@ -453,6 +530,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
           Alcotest.test_case "link section" `Quick test_record_links_sorted_and_unique;
           Alcotest.test_case "set_field" `Quick test_record_set_field;
+          Alcotest.test_case "truncated in the frame" `Quick test_record_truncated_in_frame;
         ] );
       ( "path",
         [

@@ -550,6 +550,49 @@ let qcheck_tests =
         with_index = filtered);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+
+(* A retrieve row in the shape of the paper's read query under separate
+   replication: an index hit on R, two plain projections and one S' hop,
+   with the tuple encoded once into a buffer reused across rows.  The pool
+   holds all the data, so only the row's own work is counted. *)
+let test_retrieve_row_words () =
+  let built =
+    Wgen.build
+      {
+        Wgen.default_spec with
+        Wgen.s_count = 300;
+        sharing = 2;
+        strategy = Fieldrep_costmodel.Params.Separate;
+        frames = 1024;
+        backend = Some Db.Mem;
+        seed = 11;
+      }
+  in
+  let db = built.Wgen.db in
+  let rows = 200 in
+  let q =
+    {
+      Ast.from_set = "R";
+      projections = [ "field_r"; "pad"; "sref.repfield" ];
+      where = Some (Ast.between "field_r" (Value.VInt 100) (Value.VInt (100 + rows - 1)));
+    }
+  in
+  let run () =
+    let res = Exec.retrieve db q in
+    Exec.drop_output db res.Exec.output_file;
+    res.Exec.rows
+  in
+  checki "rows" rows (run ());
+  let queries = 20 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to queries do
+    ignore (run ())
+  done;
+  let per_row = (Gc.minor_words () -. w0) /. float_of_int (queries * rows) in
+  if per_row > 140. then Alcotest.failf "%.1f words per retrieve row (at most 140)" per_row
+
 let () =
   Alcotest.run "fieldrep_query"
     [
@@ -568,6 +611,8 @@ let () =
           Alcotest.test_case "replication transparent" `Quick
             test_retrieve_same_result_with_and_without_replication;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "retrieve row words" `Quick test_retrieve_row_words ] );
       ( "replace",
         [
           Alcotest.test_case "updates and propagates" `Quick test_replace_updates_and_propagates;

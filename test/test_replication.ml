@@ -210,6 +210,35 @@ let test_inplace_read_allocation () =
     true
     (deref <= 1.25 *. get)
 
+(* A read decodes in the frame it pinned.  [get] allocates its record's
+   decode and at most 10 words more; an S' projection, one hop to a second
+   object, decodes only the replicated field, at most 24 words; a plain
+   field is read off the record. *)
+let test_in_frame_read_words () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Separate (Path.parse "Emp1.dept.name");
+  let oid = fx.emps.(5) in
+  let hf = (Db.engine fx.db).Engine.file_of_set "Emp1" in
+  let payload = Heap_file.read hf oid in
+  let decode =
+    words_per_call (fun () ->
+        ignore (Record.decode_at payload 0 (Bytes.length payload)))
+  in
+  let get = words_per_call (fun () -> ignore (Db.get fx.db ~set:"Emp1" oid)) in
+  checkb
+    (Printf.sprintf "get %.1f words <= decode %.1f + 10" get decode)
+    true
+    (get <= decode +. 10.);
+  let record = Db.get fx.db ~set:"Emp1" oid in
+  let sprime = Db.expr fx.db ~set:"Emp1" "dept.name" in
+  checki "one hop" 1 (Db.joins sprime);
+  checkv "S' value" (vstr "dept-1") (Db.eval ~oid fx.db sprime record);
+  let eval = words_per_call (fun () -> ignore (Db.eval ~oid fx.db sprime record)) in
+  checkb (Printf.sprintf "S' eval %.1f words <= 24" eval) true (eval <= 24.);
+  let plain = Db.expr fx.db ~set:"Emp1" "salary" in
+  let field = words_per_call (fun () -> ignore (Db.eval ~oid fx.db plain record)) in
+  checkb (Printf.sprintf "plain field %.1f words <= 2" field) true (field <= 2.)
+
 let test_inplace_scalar_propagation () =
   let fx = employee_db () in
   Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
@@ -821,7 +850,9 @@ let test_catalog_model =
               | reps ->
                   let r = List.nth reps (a mod List.length reps) in
                   let drop () = Db.unreplicate db r.Schema.rpath in
-                  if op = 3 then refusable drop else online drop)
+                  if op = 3 then refusable drop else online drop;
+                  (* drained: the teardown left no derived state behind *)
+                  Db.check_integrity db)
           | _ -> (
               let set = List.nth !sources (a mod List.length !sources) in
               let field =
@@ -863,6 +894,23 @@ let test_online_extends_built_prefix () =
   check_all fx;
   Db.update_field fx.db ~set:"Org" fx.orgs.(1) ~field:"name" (vstr "renamed");
   checkv "propagated through the new level" (vstr "renamed")
+    (Db.deref fx.db ~set:"Emp1" fx.emps.(1) "dept.org.name");
+  check_all fx
+
+(* A collapsed path shares its first step with an in-place one, but needs
+   no level-1 link; dropping the in-place path tears that link down even
+   though a live path still passes its node, so no object keeps a pair for
+   it. *)
+let test_unreplicate_beside_collapsed () =
+  let fx = employee_db ~norgs:2 ~ndepts:3 ~nemps:6 () in
+  let options = { Schema.default_options with Schema.collapse = true } in
+  Db.replicate fx.db ~options ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  Db.unreplicate fx.db (Path.parse "Emp1.dept.name");
+  Db.maint_drain fx.db;
+  check_all fx;
+  Db.update_field fx.db ~set:"Org" fx.orgs.(1) ~field:"name" (vstr "renamed");
+  checkv "collapsed path still propagates" (vstr "renamed")
     (Db.deref fx.db ~set:"Emp1" fx.emps.(1) "dept.org.name");
   check_all fx
 
@@ -1045,6 +1093,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false test_catalog_model;
           Alcotest.test_case "catalog lookups allocate nothing" `Quick
             test_catalog_lookup_words;
+          Alcotest.test_case "unreplicate beside a collapsed path" `Quick
+            test_unreplicate_beside_collapsed;
           Alcotest.test_case "online build extends a built prefix" `Quick
             test_online_extends_built_prefix;
           Alcotest.test_case "link sharing" `Quick test_registry_link_sharing;
@@ -1057,6 +1107,8 @@ let () =
           Alcotest.test_case "scalar propagation" `Quick test_inplace_scalar_propagation;
           Alcotest.test_case "read allocates like a page lookup" `Quick
             test_inplace_read_allocation;
+          Alcotest.test_case "reads decode in the frame" `Quick
+            test_in_frame_read_words;
           Alcotest.test_case "unreferenced dept update free" `Quick
             test_inplace_update_to_unreferenced_dept_is_free;
           Alcotest.test_case "insert maintenance" `Quick test_inplace_insert_maintenance;

@@ -441,7 +441,7 @@ let linked_target db =
   let found = ref None in
   List.iter
     (fun set ->
-      Heap_file.iter (set_file db set) (fun oid bytes ->
+      Heap_file.iter (set_file db set) Bytes.sub (fun oid bytes ->
           List.iter
             (fun (pair : Record.link) ->
               if !found = None && Store.is_link_oid (store db) pair.Record.link_oid then

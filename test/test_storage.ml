@@ -65,7 +65,7 @@ let payload n c = Bytes.make n c
 
 (* [Page.insert] that must find room. *)
 let insert page data =
-  let slot = Page.insert page data in
+  let slot = Page.insert page data (Bytes.length data) in
   if slot < 0 then Alcotest.fail "no room on the page";
   slot
 
@@ -94,7 +94,7 @@ let test_page_fill_to_capacity () =
   let inserted = ref 0 in
   (try
      while true do
-       match Page.insert page (payload 16 'x') with
+       match Page.insert page (payload 16 'x') 16 with
        | -1 -> raise Exit
        | _ -> incr inserted
      done
@@ -108,22 +108,22 @@ let test_page_compaction_recovers_space () =
   let slots = List.init 12 (fun _ -> insert page (payload 16 'x')) in
   (* Free alternating slots, then a 32-byte record must fit via compaction. *)
   List.iteri (fun i s -> if i mod 2 = 0 then Page.delete page s) slots;
-  (match Page.insert page (payload 32 'y') with
+  (match Page.insert page (payload 32 'y') 32 with
   | -1 -> Alcotest.fail "compaction failed to recover space"
   | s -> Alcotest.(check bytes) "read" (payload 32 'y') (Page.read page s))
 
 let test_page_write_in_place_and_grow () =
   let page = fresh_page () in
   let s = insert page (payload 50 'a') in
-  checkb "shrink" true (Page.write page s (payload 10 'b'));
+  checkb "shrink" true (Page.write page s (payload 10 'b') 10);
   Alcotest.(check bytes) "shrunk" (payload 10 'b') (Page.read page s);
-  checkb "grow" true (Page.write page s (payload 100 'c'));
+  checkb "grow" true (Page.write page s (payload 100 'c') 100);
   Alcotest.(check bytes) "grown" (payload 100 'c') (Page.read page s)
 
 let test_page_write_too_big_fails_cleanly () =
   let page = fresh_page ~size:128 () in
   let s = insert page (payload 40 'a') in
-  checkb "rejected" false (Page.write page s (payload 1000 'b'));
+  checkb "rejected" false (Page.write page s (payload 1000 'b') 1000);
   Alcotest.(check bytes) "old intact" (payload 40 'a') (Page.read page s)
 
 let test_page_iter_order () =
@@ -158,8 +158,37 @@ let test_page_compact_allocation_free () =
   let big = payload 100 'y' in
   let slot = ref (-1) in
   checki "insert that compacts allocates nothing" 0
-    (minor_words (fun () -> slot := Page.insert page big));
+    (minor_words (fun () -> slot := Page.insert page big (Bytes.length big)));
   Alcotest.(check bytes) "inserted" big (Page.read page !slot)
+
+(* A write stages its segment in the domain's scratch buffer: updating an
+   object in place, or inserting one that fits the tail page, allocates
+   no more than the OID an insert returns. *)
+let test_heap_write_words () =
+  let pager = Pager.create ~page_size:4096 ~frames:16 () in
+  let hf = Heap_file.create pager in
+  let payload = Bytes.make 40 'p' in
+  let oid = Heap_file.insert hf payload in
+  Heap_file.update hf oid payload;
+  let n = 50 in
+  let update =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          Heap_file.update hf oid payload
+        done)
+  in
+  if update > 6 * n then Alcotest.failf "update: %d words for %d calls (at most 6 each)" update n;
+  let oid_words = Obj.reachable_words (Obj.repr oid) in
+  let insert =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          ignore (Heap_file.insert hf payload)
+        done)
+  in
+  checki "all on the first page" 1 (Heap_file.page_count hf);
+  if insert > (6 + oid_words) * n then
+    Alcotest.failf "insert: %d words for %d calls (at most 6 + the %d-word OID each)" insert
+      n oid_words
 
 let test_page_dead_slot_raises () =
   let page = fresh_page () in
@@ -505,7 +534,7 @@ let test_heap_physical_order () =
     oids;
   (* iter yields the same order. *)
   let visited = ref [] in
-  Heap_file.iter hf (fun oid _ -> visited := oid :: !visited);
+  Heap_file.iter hf Bytes.sub (fun oid _ -> visited := oid :: !visited);
   Alcotest.(check (list string))
     "iter order" (List.map Oid.to_string oids)
     (List.rev_map Oid.to_string !visited |> List.rev |> List.rev)
@@ -562,6 +591,30 @@ let test_heap_chain_one_pin_per_segment () =
   checki "one hit per segment" segments (Stats.get stats Stats.Buffer_hits - hits0);
   checki "no physical reads" 0 (Stats.get stats Stats.Page_reads - reads0)
 
+(* [read_with] on a record of three segments touches the pool three
+   times, cold (three reads) or warm (three hits): the head's pin hands its
+   chunk over instead of being taken again. *)
+let test_heap_read_with_three_touches () =
+  let pager = mk_pager ~page_size:256 () in
+  let hf = Heap_file.create pager in
+  let big = Bytes.init 600 (fun i -> Char.chr (i * 13 mod 256)) in
+  let oid = Heap_file.insert hf big in
+  checki "three segments" 3 (Heap_file.page_count hf);
+  let stats = Pager.stats pager in
+  let touches () = Stats.get stats Stats.Buffer_hits + Stats.get stats Stats.Page_reads in
+  let read () = Heap_file.read_with hf oid Bytes.sub in
+  let cold =
+    Pager.run_cold pager (fun () ->
+        let payload = read () in
+        (payload, touches ()))
+  in
+  Alcotest.(check bytes) "cold payload" big (fst cold);
+  checki "cold: three touches" 3 (snd cold);
+  checki "cold: all reads" 3 (Stats.get stats Stats.Page_reads);
+  let t0 = touches () in
+  Alcotest.(check bytes) "warm payload" big (read ());
+  checki "warm: three touches" 3 (touches () - t0)
+
 let test_heap_shrink_frees_chain () =
   let pager = mk_pager () in
   let hf = Heap_file.create pager in
@@ -581,7 +634,7 @@ let test_heap_delete_then_scan () =
   Array.iteri (fun i oid -> if i mod 3 = 0 then Heap_file.delete hf oid) oids;
   checki "count after deletes" 20 (Heap_file.object_count hf);
   let seen = ref 0 in
-  Heap_file.iter hf (fun _ _ -> incr seen);
+  Heap_file.iter hf Bytes.sub (fun _ _ -> incr seen);
   checki "scan count" 20 !seen
 
 let test_heap_attach_recovers () =
@@ -1176,7 +1229,7 @@ let qcheck_tests =
             match op with
             | 0 ->
                 let d = data size in
-                (match Page.insert page d with
+                (match Page.insert page d (Bytes.length d) with
                 | -1 -> ()
                 | s -> Hashtbl.replace model s d);
                 agrees ()
@@ -1191,7 +1244,7 @@ let qcheck_tests =
                 Option.iter
                   (fun s ->
                     let d = data size in
-                    if Page.write page s d then Hashtbl.replace model s d)
+                    if Page.write page s d (Bytes.length d) then Hashtbl.replace model s d)
                   (pick n);
                 agrees ()
             | _ ->
@@ -1208,7 +1261,7 @@ let qcheck_tests =
         List.iteri
           (fun i size ->
             let data = Bytes.make size (Char.chr (i mod 256)) in
-            match Page.insert page data with
+            match Page.insert page data (Bytes.length data) with
             | -1 -> ()
             | slot -> Hashtbl.replace stored slot data)
           sizes;
@@ -1280,6 +1333,8 @@ let () =
           Alcotest.test_case "object larger than page" `Quick test_heap_object_larger_than_page;
           Alcotest.test_case "chain read pins each segment once" `Quick
             test_heap_chain_one_pin_per_segment;
+          Alcotest.test_case "three-segment read_with: three touches" `Quick
+            test_heap_read_with_three_touches;
           Alcotest.test_case "shrink frees chain" `Quick test_heap_shrink_frees_chain;
           Alcotest.test_case "delete then scan" `Quick test_heap_delete_then_scan;
           Alcotest.test_case "attach recovers" `Quick test_heap_attach_recovers;
@@ -1300,6 +1355,8 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "checksum allocates nothing" `Quick test_checksum_words;
+          Alcotest.test_case "heap update and insert stage in scratch" `Quick
+            test_heap_write_words;
           Alcotest.test_case "mem: disk read/write allocate nothing" `Quick
             (test_disk_io_words Disk.Mem);
           Alcotest.test_case "file: disk read/write allocate nothing" `Quick

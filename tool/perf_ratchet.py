@@ -14,6 +14,8 @@ benchmark smoke step does:
         --trace 1 > perfbench-layers.out
     python3 perfbench/run.py --workload churn --seed 1 --seconds 1 \\
         --trace 1 > perfbench-layers-churn.out
+    python3 perfbench/run.py --workload contended --seed 1 --seconds 1 \\
+        --trace 1 > perfbench-layers-contended.out
     python3 perfbench/run.py --workload query_mix --seed 1 --seconds 6 \\
         --trace 1 > perfbench-layers-query_mix.out
 
@@ -24,8 +26,10 @@ of the layer probe's *_words (allocated words per call of a layer's entry
 point) rose by more than 5% in any probe run.  The probe draws its inputs
 from the workload's own database, so the runs price the same layers
 differently: deref_hot's pool holds all its data, query_mix's a tenth of
-it on the file backend, so its reads miss, and churn's is durable with an
-ack-mode replica, so its writes log and ship.  All of these are
+it on the file backend, so its reads miss, churn's is durable with an
+ack-mode replica, so its writes log and ship, and contended's is shared by
+eight interleaved transactional clients, so its writes lock and its
+replicated updates fan out to four objects each.  All of these are
 counts, not timings: at a fixed seed and length they repeat exactly on one
 machine, and the probe's words do not depend on the run's length.  The
 query_mix probe run is 6 s long only because a shorter traced query_mix
@@ -45,11 +49,13 @@ LAYER_FILES = {
     "deref_hot": "perfbench-layers.out",
     "query_mix": "perfbench-layers-query_mix.out",
     "churn": "perfbench-layers-churn.out",
+    "contended": "perfbench-layers-contended.out",
 }
 LAYER_SETTINGS = {
     "deref_hot": {"seed": 1, "seconds": 1, "trace": 1},
     "query_mix": {"seed": 1, "seconds": 6, "trace": 1},
     "churn": {"seed": 1, "seconds": 1, "trace": 1},
+    "contended": {"seed": 1, "seconds": 1, "trace": 1},
 }
 # metric -> (largest allowed relative change, whether a fall also fails)
 BOUNDS = {
