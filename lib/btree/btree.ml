@@ -163,22 +163,10 @@ let next_leaf buf =
 
 let entry_size_at buf off = Key.encoded_size_at buf off + Oid.encoded_size
 
-(* [Oid.compare oid o] for the oid o encoded at [off].  The packed LE i64
-   holds slot (bits 0-15), page (16-47) and file (48-63); comparing the
-   three fields keeps [Oid.compare]'s order, which a signed compare of the
-   i64 would not ([Oid.nil]'s file sets the sign bit). *)
-let compare_oid_at (oid : Oid.t) buf off =
-  match Int.compare oid.file (Bytes.get_uint16_le buf (off + 6)) with
-  | 0 -> (
-      match Int.compare oid.page (u32_at buf (off + 2)) with
-      | 0 -> Int.compare oid.slot (Bytes.get_uint16_le buf off)
-      | c -> c)
-  | c -> c
-
 (* [compare_entry (key, oid) e] for the entry e encoded at [off]. *)
 let compare_entry_at key oid buf off =
   match Key.compare_encoded key buf off with
-  | 0 -> compare_oid_at oid buf (off + Key.encoded_size_at buf off)
+  | 0 -> Oid.compare_at oid buf (off + Key.encoded_size_at buf off)
   | c -> c
 
 let entry_at buf off =

@@ -45,12 +45,13 @@ type expr =
          field is a walk of no steps *)
 
 module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   pager : Pager.t;
   schema : Schema.t;
   sets : (string, Heap_file.t) Hashtbl.t;
-  data_files : (int, string * Heap_file.t) Hashtbl.t;  (* file id -> set, file *)
+  data_files : (string * Heap_file.t) Itbl.t;  (* file id -> set, file *)
   indexes : (string, index_rt) Hashtbl.t;
   set_indexes : index_rt list Stbl.t;
       (* each set's indexes, in [indexes]' iteration order; kept by
@@ -133,14 +134,16 @@ let set_file t name =
   | None -> invalid_arg (Printf.sprintf "Db: unknown set %s" name)
 
 let file_of_oid t (oid : Oid.t) =
-  match Hashtbl.find_opt t.data_files oid.Oid.file with
-  | Some (_, hf) -> hf
-  | None -> invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
+  match Itbl.find t.data_files oid.Oid.file with
+  | _, hf -> hf
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
 
 let set_of_oid t (oid : Oid.t) =
-  match Hashtbl.find_opt t.data_files oid.Oid.file with
-  | Some (set, _) -> set
-  | None -> invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
+  match Itbl.find t.data_files oid.Oid.file with
+  | set, _ -> set
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
 
 (* ------------------------------------------------------------------ *)
 (* Index plumbing                                                      *)
@@ -186,16 +189,26 @@ let index_update rt oid ~before ~after =
       (match kb with Some k -> ignore (Btree.delete rt.tree k oid) | None -> ());
       (match ka with Some k -> Btree.insert rt.tree k oid | None -> ())
 
-(* Hidden fields changed under an index on replicated data (paper §3.3.4):
-   keep those trees current. *)
-let on_hidden_update t set oid ~before ~after =
+(* Indexes on replicated data (paper §3.3.4): the engine hands over the
+   records of a hidden-field rewrite only for a set that has one. *)
+let rec any_hidden arity = function
+  | [] -> false
+  | rt :: rts -> rt.value_index >= arity || any_hidden arity rts
+
+let hidden_indexed t set =
   match indexes_of_set t set with
-  | [] -> ()
-  | rts ->
+  | [] -> false
+  | rts -> any_hidden (Schema.user_arity t.schema set) rts
+
+(* Hidden fields changed under an index on replicated data: keep those
+   trees current. *)
+let on_hidden_update t set oid = function
+  | None -> ()
+  | Some (before, after) ->
       let arity = Schema.user_arity t.schema set in
       List.iter
         (fun rt -> if rt.value_index >= arity then index_update rt oid ~before ~after)
-        rts
+        (indexes_of_set t set)
 
 type backend = Pager.backend = Mem | File of string option
 
@@ -207,7 +220,7 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
   let rec t =
     lazy
       (let sets = Hashtbl.create 8 in
-       let data_files = Hashtbl.create 8 in
+       let data_files = Itbl.create 8 in
        let engine =
          Engine.make_env ~schema ~store
            ~file_of_set:(fun name ->
@@ -215,13 +228,14 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
              | Some hf -> hf
              | None -> invalid_arg (Printf.sprintf "Db: unknown set %s" name))
            ~file_of_oid:(fun oid ->
-             match Hashtbl.find_opt data_files oid.Oid.file with
-             | Some (_, hf) -> hf
-             | None ->
+             match Itbl.find data_files oid.Oid.file with
+             | _, hf -> hf
+             | exception Not_found ->
                  invalid_arg
                    (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid)))
-           ~on_hidden_update:(fun set oid ~before ~after ->
-             on_hidden_update (Lazy.force t) set oid ~before ~after)
+           ~on_hidden_update:(fun set oid change ->
+             on_hidden_update (Lazy.force t) set oid change)
+           ~hidden_indexed:(fun set -> hidden_indexed (Lazy.force t) set)
            ()
        in
        let locks = Lock.create ~stats:(Pager.stats pager) () in
@@ -297,7 +311,7 @@ let create_set t ?(reserve = 0) ~name ~elem_type () =
       Schema.create_set t.schema ~name ~elem_type;
       let hf = Heap_file.create ~reserve t.pager in
       Hashtbl.replace t.sets name hf;
-      Hashtbl.replace t.data_files (Heap_file.file_id hf) (name, hf))
+      Itbl.replace t.data_files (Heap_file.file_id hf) (name, hf))
 
 (* ------------------------------------------------------------------ *)
 (* Background maintenance                                              *)
@@ -542,11 +556,19 @@ let check_value t ~context (field : Ty.field) v =
      legitimately hold references their restore order has not revived yet. *)
   | Ty.Ref target, Value.VRef oid when not t.compensating ->
       let hf = file_of_oid t oid in
-      if not (Heap_file.exists hf oid) then
+      (* One pin answers both questions: [read_with] refuses a dead slot or
+         a tombstone, and a dead object reads as tag -1. *)
+      let tag =
+        if oid.Oid.page < 0 || oid.Oid.page >= Heap_file.page_count hf then -1
+        else
+          match Heap_file.read_with hf oid Record.type_tag_at with
+          | tag -> tag
+          | exception Invalid_argument _ -> -1
+      in
+      if tag < 0 then
         invalid_arg
           (Printf.sprintf "%s: field %s references dead object %s" context
              field.Ty.fname (Oid.to_string oid));
-      let tag = Heap_file.read_with hf oid Record.type_tag_at in
       let expected = Schema.type_tag t.schema target in
       if tag <> expected then
         invalid_arg
@@ -584,8 +606,11 @@ let lock_write t tx ~set oid =
 
 (* Exclusive locks on the data objects a prepared operation will write,
    each with an intention lock on its owning set. *)
-let lock_targets t tx oids =
-  List.iter (fun oid -> lock_write t tx ~set:(set_of_oid t oid) oid) oids
+let rec lock_targets t tx = function
+  | [] -> ()
+  | oid :: oids ->
+      lock_write t tx ~set:(set_of_oid t oid) oid;
+      lock_targets t tx oids
 
 (* Attribute the physical I/O of one operation to the transaction that
    issued it.  Re-entrancy guard: [deref] calls [get] internally and the
@@ -1289,7 +1314,7 @@ let dangling_references t =
                 match value_at record (Ty.field_index ty fname) with
                 | Value.VRef r ->
                     let ok =
-                      match Hashtbl.find_opt t.data_files r.Oid.file with
+                      match Itbl.find_opt t.data_files r.Oid.file with
                       | Some (_, hf) ->
                           Heap_file.exists hf r
                           && Heap_file.read_with hf r Record.type_tag_at
@@ -1592,7 +1617,7 @@ let load_image ?(frames = 256) ?backend path =
     (fun (name, file_id, reserve) ->
       let hf = Heap_file.attach ~reserve t.pager ~file:file_id in
       Hashtbl.replace t.sets name hf;
-      Hashtbl.replace t.data_files file_id (name, hf))
+      Itbl.replace t.data_files file_id (name, hf))
     set_bindings;
   List.iter
     (fun (iname, iset, ifield, file_id, root, count, free_pages) ->
@@ -1714,33 +1739,15 @@ let recovery_applier t =
     free_tombstone = (fun ~set ~oid -> free_txn_tombstones t [ (set, oid) ]);
   }
 
-let recover ?frames ?wal_path ?backend path =
-  let t, checkpoint_lsn, saved_wal_path = load_image ?frames ?backend path in
-  let wal_file =
-    match wal_path with
-    | Some p -> p
-    | None ->
-        if saved_wal_path = "" then
-          invalid_arg
-            "Db.recover: image was not checkpointed from a durable database \
-             and no ~wal_path was given"
-        else saved_wal_path
-  in
-  let w = Wal.open_ ~stats:(Pager.stats t.pager) wal_file in
-  Wal.ensure_lsn w checkpoint_lsn;
-  t.wal <- Some w;
-  t.replaying <- true;
-  let _replayed, losers =
-    Fun.protect
-      ~finally:(fun () -> t.replaying <- false)
-      (fun () -> Recovery.replay w ~after:checkpoint_lsn (recovery_applier t))
-  in
-  (* Roll back the losers: transactions live at the crash.  Replay left
-     their operations applied and their delete slots tombstoned; undo them
-     newest first from the images their records carried (an insert's entry
-     deletes the OID its redo produced).  The compensations are
-     logged as plain records plus a final [Txn_abort] marker, so a second
-     crash during (or after) rollback recovers to the same state. *)
+(* Roll back the losers of a log stream: transactions with a logged
+   footprint and no outcome.  Their operations are applied and their
+   delete slots tombstoned; undo them newest first from the images their
+   records carried (an insert's entry deletes the OID its redo produced).
+   The compensations are logged as plain records plus a final [Txn_abort]
+   marker, so a crash during (or after) rollback recovers to the same
+   state, and a replica of this log resolves the transaction the same
+   way. *)
+let rollback_losers t w losers =
   List.iter
     (fun (l : Recovery.loser) ->
       t.compensating <- true;
@@ -1757,9 +1764,38 @@ let recover ?frames ?wal_path ?backend path =
       Wal.sync w;
       let s = Pager.stats t.pager in
       Stats.bump s Stats.Txn_aborts)
-    losers;
-  let stats = Pager.stats t.pager in
-  Stats.bump stats Stats.Recovery_replays;
+    losers
+
+(* Reopen a checkpoint image and redo its log tail; the returned stream
+   still holds the transactions the tail leaves open. *)
+let replay_log ?frames ?wal_path ?backend path =
+  let t, checkpoint_lsn, saved_wal_path = load_image ?frames ?backend path in
+  let wal_file =
+    match wal_path with
+    | Some p -> p
+    | None ->
+        if saved_wal_path = "" then
+          invalid_arg
+            "Db.recover: image was not checkpointed from a durable database \
+             and no ~wal_path was given"
+        else saved_wal_path
+  in
+  let w = Wal.open_ ~stats:(Pager.stats t.pager) wal_file in
+  Wal.ensure_lsn w checkpoint_lsn;
+  t.wal <- Some w;
+  t.replaying <- true;
+  let stream =
+    Fun.protect
+      ~finally:(fun () -> t.replaying <- false)
+      (fun () -> Recovery.replay w ~after:checkpoint_lsn (recovery_applier t))
+  in
+  Stats.bump (Pager.stats t.pager) Stats.Recovery_replays;
+  (t, w, stream)
+
+(* The losers are the transactions live at the crash. *)
+let recover ?frames ?wal_path ?backend path =
+  let t, w, stream = replay_log ?frames ?wal_path ?backend path in
+  rollback_losers t w (Recovery.losers stream);
   Invariants.check t.engine;
   t
 
@@ -1803,18 +1839,20 @@ let replica_apply t lsn record =
    adopts the epoch through the ordinary redo path. *)
 let promote_replica t ~wal_path ~last_lsn =
   if not t.replica_mode then invalid_arg "Db.promote_replica: not a replica";
-  (match t.repl_stream with
-  | Some s -> (
-      match Recovery.pending_failure s with
-      | Some (lsn, msg) ->
-          invalid_arg
-            (Printf.sprintf
-               "Db.promote_replica: record %Ld failed (%s) and its Abort \
-                marker never arrived — this replica's prefix is not \
-                promotable"
-               lsn msg)
-      | None -> ())
-  | None -> ());
+  let losers =
+    match t.repl_stream with
+    | Some s -> (
+        match Recovery.pending_failure s with
+        | Some (lsn, msg) ->
+            invalid_arg
+              (Printf.sprintf
+                 "Db.promote_replica: record %Ld failed (%s) and its Abort \
+                  marker never arrived — this replica's prefix is not \
+                  promotable"
+                 lsn msg)
+        | None -> Recovery.losers s)
+    | None -> []
+  in
   t.replica_mode <- false;
   t.repl_stream <- None;
   (match t.wal with Some w -> Wal.close w | None -> ());
@@ -1824,16 +1862,26 @@ let promote_replica t ~wal_path ~last_lsn =
   t.epoch <- t.epoch + 1;
   ignore (Wal.append w (Wal.Epoch_change { epoch = t.epoch }));
   Wal.sync w;
+  (* The transactions still open at the fork lost their master: roll them
+     back in the new epoch, where every replica of this log sees the
+     compensations and the [Txn_abort]. *)
+  rollback_losers t w losers;
   t.epoch
 
-(* Rejoin: recover a deposed master's (truncated) image + log, then demote
+(* Rejoin: redo a deposed master's (truncated) image + log, then demote
    the result to a replica — the log handle is dropped, because from here
-   on records arrive over the wire, not from local appends. *)
+   on records arrive over the wire, not from local appends.  Transactions
+   the log leaves open are not rolled back here: the master's stream
+   resolves them (a promoted master logs their compensations and
+   [Txn_abort] after its [Epoch_change]), so the replay's stream carries
+   on as the replica's apply stream. *)
 let recover_replica ?frames ?wal_path ?backend path =
-  let t = recover ?frames ?wal_path ?backend path in
-  (match t.wal with Some w -> Wal.close w | None -> ());
+  let t, w, stream = replay_log ?frames ?wal_path ?backend path in
+  Invariants.check t.engine;
+  Wal.close w;
   t.wal <- None;
   t.replica_mode <- true;
+  t.repl_stream <- Some stream;
   t
 
 let space_report t =

@@ -427,15 +427,23 @@ val promote_replica : t -> wal_path:string -> last_lsn:int64 -> int
     [wal_path] with the LSN counter raised to [last_lsn] (the fork point
     — the last record this replica applied), bumps the epoch, and appends
     + syncs the [Wal.Epoch_change] record that stamps the new epoch into
-    the log stream.  Returns the new epoch.  Raises [Invalid_argument] if
+    the log stream.  Transactions the applied prefix leaves open (their
+    outcome was never shipped) are then rolled back as {!recover} rolls
+    back its losers: compensations and a [Txn_abort] per transaction,
+    logged after the [Epoch_change], so every replica of the new epoch
+    drops them too.  Returns the new epoch.  Raises [Invalid_argument] if
     the database is not a replica, or if its apply stream is parked on a
     failed record whose Abort marker never arrived (such a prefix is not
     a consistent fork point). *)
 
 val recover_replica :
   ?frames:int -> ?wal_path:string -> ?backend:backend -> string -> t
-(** {!recover}, then demote the result to a read-only replica (the log
-    handle is dropped: records now arrive over the wire).  The rejoin
+(** {!recover}'s redo, then demote the result to a read-only replica (the
+    log handle is dropped: records now arrive over the wire).  The rejoin
     path for a deposed master after its unshipped log tail has been
     truncated to the new master's fork point
-    ({!Fieldrep_wal.Wal.truncate_file}). *)
+    ({!Fieldrep_wal.Wal.truncate_file}).  Transactions the log leaves
+    open are not rolled back: they stay open in the replica's apply
+    stream until the master's stream resolves them — a promoted master
+    logs their rollback after its [Epoch_change] — so no transaction is
+    undone twice. *)

@@ -96,17 +96,28 @@ let decode_at buf off len =
 
 let decode buf = decode_at buf 0 (Bytes.length buf)
 
-let field_at buf off len i =
+let value_offset buf off len i =
   let limit = off + len in
   let voff = values_at buf off limit in
-  if i < 0 || i >= Wire.u16_at buf voff then Value.VNull
+  if i < 0 || i >= Wire.u16_at buf voff then -1
   else begin
     let pos = ref (voff + 2) in
     for _ = 1 to i do
       pos := !pos + Value.size_at buf !pos limit
     done;
-    Value.decode_at buf !pos limit
+    !pos
   end
+
+let field_at buf off len i =
+  let pos = value_offset buf off len i in
+  if pos < 0 then Value.VNull else Value.decode_at buf pos (off + len)
+
+let patch_field buf off len i v =
+  let pos = value_offset buf off len i in
+  pos >= 0
+  && Value.size_at buf pos (off + len) = Value.encoded_size v
+  && (ignore (Value.encode buf pos v);
+      true)
 
 let type_tag_at buf off len =
   Wire.check_limit (off + len) off 2;
@@ -115,6 +126,47 @@ let type_tag_at buf off len =
 let link_count_at buf off len =
   Wire.check_limit (off + len) off 3;
   Wire.u8_at buf (off + 2)
+
+let rec find_pair buf link_id p last =
+  if p = last then -1
+  else if Wire.u8_at buf (p + Oid.encoded_size) = link_id then p
+  else find_pair buf link_id (p + link_size) last
+
+let link_at buf off len link_id =
+  let n = link_count_at buf off len in
+  Wire.check_limit (off + len) (off + 3) (n * link_size);
+  find_pair buf link_id (off + 3) (off + 3 + (n * link_size))
+
+(* The first pair in [p, last) with a larger link id, else [last]. *)
+let rec first_above buf link_id p last =
+  if p = last || Wire.u8_at buf (p + Oid.encoded_size) > link_id then p
+  else first_above buf link_id (p + link_size) last
+
+(* Pairs stay in link-id order, as [encode] lays them out, so these edits
+   leave the bytes [encode] gives for [add_link] and [remove_link]. *)
+let set_link_at buf len { link_oid; link_id } =
+  let p = link_at buf 0 len link_id in
+  if p >= 0 then begin
+    ignore (Oid.encode buf p link_oid);
+    len
+  end
+  else begin
+    let n = Wire.u8_at buf 2 in
+    let p = first_above buf link_id 3 (3 + (n * link_size)) in
+    Bytes.blit buf p buf (p + link_size) (len - p);
+    ignore (Wire.put_u8 buf (Oid.encode buf p link_oid) link_id);
+    ignore (Wire.put_u8 buf 2 (n + 1));
+    len + link_size
+  end
+
+let remove_link_at buf len link_id =
+  let p = link_at buf 0 len link_id in
+  if p < 0 then len
+  else begin
+    Bytes.blit buf (p + link_size) buf p (len - p - link_size);
+    ignore (Wire.put_u8 buf 2 (Wire.u8_at buf 2 - 1));
+    len - link_size
+  end
 
 let pp fmt t =
   Format.fprintf fmt "@[<hov 2>{tag=%d;@ links=[%a];@ values=[%a]}@]" t.type_tag

@@ -22,6 +22,9 @@ type t = {
   values : Value.t array;
 }
 
+val link_size : int
+(** The encoded size of one (link-OID, link-ID) pair: 9 bytes. *)
+
 val make : type_tag:int -> Value.t array -> t
 (** A record with no links. *)
 
@@ -61,10 +64,37 @@ val field_at : Bytes.t -> int -> int -> int -> Value.t
 (** [field_at buf off len i] is [values.(i)] of the record {!decode_at}
     would return, [VNull] past the end, decoding that value alone. *)
 
+val value_offset : Bytes.t -> int -> int -> int -> int
+(** [value_offset buf off len i] is where [values.(i)] of the record at
+    [off] starts, or -1 past its last value. *)
+
+val patch_field : Bytes.t -> int -> int -> int -> Value.t -> bool
+(** [patch_field buf off len i v] overwrites [values.(i)] with [v] in
+    place when the stored value is encoded in as many bytes as [v] and
+    answers whether it did; a [false] leaves the bytes untouched. *)
+
 val type_tag_at : Bytes.t -> int -> int -> int
 (** Peek at the tag of the record at [off] without decoding the rest. *)
 
 val link_count_at : Bytes.t -> int -> int -> int
 (** Peek at its number of (link-OID, link-ID) pairs the same way. *)
+
+val link_at : Bytes.t -> int -> int -> int -> int
+(** [link_at buf off len id] is the offset of the pair for link [id] in
+    the record at [off] (its link OID is {!Fieldrep_storage.Oid.decode}
+    there), or -1 when the record has none. *)
+
+(** {1 Link-section edits over bytes}
+
+    [buf.[0 .. len-1]] holds an encoded record; each edit changes it in
+    place to the encoding of the record {!add_link} or {!remove_link}
+    gives and returns the new length. *)
+
+val set_link_at : Bytes.t -> int -> link -> int
+(** Replaces the pair with the same link id, else inserts it in link-id
+    order; [buf] needs 9 bytes of room past [len]. *)
+
+val remove_link_at : Bytes.t -> int -> int -> int
+(** No-op when the record has no pair for the id. *)
 
 val pp : Format.formatter -> t -> unit

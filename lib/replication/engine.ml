@@ -12,8 +12,8 @@ type env = {
   store : Store.t;
   file_of_set : string -> Heap_file.t;
   file_of_oid : Oid.t -> Heap_file.t;
-  mutable on_hidden_update :
-    string -> Oid.t -> before:Record.t -> after:Record.t -> unit;
+  mutable on_hidden_update : string -> Oid.t -> (Record.t * Record.t) option -> unit;
+  hidden_indexed : string -> bool;
   mutable batching : bool;
       (* group propagation fan-outs by page and rewrite each page under one
          pin; off = the per-object reference path (kept for comparison) *)
@@ -23,7 +23,7 @@ type env = {
 }
 
 let make_env ~schema ~store ~file_of_set ~file_of_oid
-    ?(on_hidden_update = fun _ _ ~before:_ ~after:_ -> ()) () =
+    ?(on_hidden_update = fun _ _ _ -> ()) ?(hidden_indexed = fun _ -> false) () =
   {
     schema;
     registry = Registry.compile schema;
@@ -31,6 +31,7 @@ let make_env ~schema ~store ~file_of_set ~file_of_oid
     file_of_set;
     file_of_oid;
     on_hidden_update;
+    hidden_indexed;
     batching = true;
     pending = Hashtbl.create 64;
   }
@@ -115,8 +116,43 @@ let data_file env (oid : Oid.t) =
 
 let read_record env oid = Heap_file.read_with (data_file env oid) oid Record.decode_at
 
+let read_field env oid idx =
+  Heap_file.read_with (data_file env oid) oid (fun buf off len ->
+      Record.field_at buf off len idx)
+
+(* Per-domain buffers the write path reuses, so a rewrite allocates no
+   payload: [copy_buf] holds a stored record being edited (with room for
+   one more link pair), [link_buf] a link object, [encoding_buf] a record
+   encoded for a write.  Each is done with before the next use starts. *)
+let copy_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+let link_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+let encoding_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+
+let grow (buf : Bytes.t ref) size =
+  if Bytes.length !buf < size then buf := Bytes.create (max size (2 * Bytes.length !buf))
+
+(* [Heap_file.read_with] decoders that copy the payload into [key]'s
+   buffer, leaving [room] bytes past it, and return its length. *)
+let copy_into key ~room buf off len =
+  let copy = Domain.DLS.get key in
+  grow copy (len + room);
+  Bytes.blit buf off !copy 0 len;
+  len
+
+let copy_record = copy_into copy_buf ~room:Record.link_size
+let copy_link = copy_into link_buf ~room:0
+
+(* [record] encoded in [encoding_buf]; its length. *)
+let encode record =
+  let buf = Domain.DLS.get encoding_buf in
+  let len = Record.encoded_size record in
+  grow buf len;
+  ignore (Record.encode_to !buf record);
+  len
+
 let write_record env oid record =
-  Heap_file.update (data_file env oid) oid (Record.encode record)
+  let len = encode record in
+  Heap_file.update ~len (data_file env oid) oid !(Domain.DLS.get encoding_buf)
 
 (* Hidden slots may postdate an object: reads beyond the stored width are
    null, writes extend the array (the subtyping of paper §4 realised lazily). *)
@@ -136,16 +172,21 @@ let set_value_extending (record : Record.t) idx v =
     { record with Record.values }
   end
 
-(* The object a node's step points at, or None when the reference is
-   null. *)
-let deref (node : Registry.node) record =
-  match value_or_null record node.Registry.step_index with
+(* The object a node's step value points at, or None when the reference
+   is null. *)
+let step_target (node : Registry.node) = function
   | Value.VRef oid -> Some oid
   | Value.VNull -> None
   | (Value.VInt _ | Value.VString _) as v ->
       invalid_arg
         (Printf.sprintf "Engine: step %s holds non-reference %s" node.Registry.step
            (Value.to_string v))
+
+let deref node record = step_target node (value_or_null record node.Registry.step_index)
+
+(* [deref] of the stored object [oid], reading its step field alone. *)
+let deref_at env (node : Registry.node) oid =
+  step_target node (read_field env oid node.Registry.step_index)
 
 let as_ref_opt = function
   | Value.VRef oid -> Some oid
@@ -162,78 +203,93 @@ let node_threshold (node : Registry.node) =
       min acc rep.Schema.options.Schema.small_link_threshold)
     max_int node.Registry.passing
 
-let untagged lo =
-  List.for_all (fun (e : Link_object.entry) -> Oid.is_nil e.Link_object.tag)
-    (Link_object.entries lo)
-
 (* Current membership of [target] under link [link_id]. *)
 let read_membership env ~link_id (target_rec : Record.t) =
   match Record.find_link target_rec link_id with
-  | None -> (Link_object.empty, `None)
+  | None -> Link_object.empty
   | Some pair ->
       let loid = pair.Record.link_oid in
       if Store.is_link_oid env.store loid then
         let hf = Store.link_file env.store link_id in
-        (Heap_file.read_with hf loid Link_object.decode_at, `Object loid)
-      else
-        ( Link_object.of_entries [ { Link_object.member = loid; tag = Oid.nil } ],
-          `Direct )
+        Heap_file.read_with hf loid Link_object.decode_at
+      else Link_object.of_entries [ { Link_object.member = loid; tag = Oid.nil } ]
 
-(* Apply [f] to the membership of [target] under [node]'s link; persists the
-   result choosing between direct storage, a link object, or nothing.
-   Returns [(was_empty, now_empty)]. *)
-let modify_membership env (node : Registry.node) ~link_id ~threshold target_oid f =
-  let target_rec = read_record env target_oid in
-  ignore node;
-  let lo, state = read_membership env ~link_id target_rec in
-  let lo' = f lo in
-  let was_empty = Link_object.is_empty lo in
-  let now_empty = Link_object.is_empty lo' in
+(* One change to a membership, made on the link object's bytes. *)
+type member_edit =
+  | Add of Link_object.entry
+  | Add_all of Link_object.entry list
+  | Remove of Oid.t
+  | Take_tagged of Oid.t * Link_object.entry list ref
+      (* remove the entries with this tag, handing them over *)
+
+(* The membership in [buf] edited: its new length, or -1 when the edit
+   leaves it as it was (an absent member's removal; an add always counts
+   as a change). *)
+let apply_edit buf len = function
+  | Add e -> Link_object.add_at buf len e
+  | Add_all [] -> -1
+  | Add_all es -> List.fold_left (fun len e -> Link_object.add_at buf len e) len es
+  | Remove member -> Link_object.remove_at buf len member
+  | Take_tagged (tag, taken) ->
+      let len, es = Link_object.take_tagged_at buf tag in
+      taken := es;
+      len
+
+(* Apply [edit] to the membership of [target] under link [link_id] and
+   persist the result: nothing when empty, the member's OID in the
+   target's pair when a lone untagged member may be stored directly
+   (small-link elimination), else a link object.  The target is read once,
+   into [copy_buf], for its pair; its link section is spliced there when
+   the pair changes.  The link object is read once, into [link_buf], and
+   its entries are edited there.  Returns [(was_empty, now_empty)]. *)
+let modify_membership env ~link_id ~threshold target_oid edit =
+  let target_file = data_file env target_oid in
+  let tlen = Heap_file.read_with target_file target_oid copy_record in
+  let tbuf = !(Domain.DLS.get copy_buf) in
+  let at = Record.link_at tbuf 0 tlen link_id in
+  let pair = if at < 0 then Oid.nil else Oid.decode tbuf at in
+  let is_object = Store.is_link_oid env.store pair in
   let hf = Store.link_file env.store link_id in
-  let delete_old () =
-    match state with `Object loid -> Heap_file.delete hf loid | `Direct | `None -> ()
+  let lbuf = Domain.DLS.get link_buf in
+  let len =
+    if is_object then Heap_file.read_with hf pair copy_link
+    else Link_object.members_into lbuf (if at < 0 then [] else [ pair ])
   in
-  if now_empty then begin
-    delete_old ();
-    if state <> `None then write_record env target_oid (Record.remove_link target_rec link_id)
+  let was_empty = Link_object.count_at !lbuf = 0 in
+  let edited = apply_edit lbuf len edit in
+  let len = if edited < 0 then len else edited in
+  let count = Link_object.count_at !lbuf in
+  let set_pair link_oid =
+    Heap_file.update
+      ~len:(Record.set_link_at tbuf tlen { Record.link_oid; link_id })
+      target_file target_oid tbuf
+  in
+  if count = 0 then begin
+    if is_object then Heap_file.delete hf pair;
+    if at >= 0 then
+      Heap_file.update
+        ~len:(Record.remove_link_at tbuf tlen link_id)
+        target_file target_oid tbuf
   end
-  else begin
-    let as_direct =
-      threshold >= 1 && Link_object.cardinal lo' <= 1 && untagged lo'
-    in
-    if as_direct then begin
-      let member =
-        match Link_object.members lo' with [ m ] -> m | _ -> assert false
-      in
-      delete_old ();
-      write_record env target_oid
-        (Record.add_link target_rec { Record.link_oid = member; link_id })
-    end
-    else begin
-      match state with
-      | `Object loid ->
-          if lo' != lo then Heap_file.update hf loid (Link_object.encode lo')
-      | `Direct | `None ->
-          let loid = Heap_file.insert hf (Link_object.encode lo') in
-          write_record env target_oid
-            (Record.add_link target_rec { Record.link_oid = loid; link_id })
-    end
-  end;
-  (was_empty, now_empty)
+  else if threshold >= 1 && count = 1 && not (Link_object.tagged_at !lbuf) then begin
+    if is_object then Heap_file.delete hf pair;
+    set_pair (Link_object.member_at !lbuf 0)
+  end
+  else if is_object then begin
+    if edited >= 0 then Heap_file.update ~len hf pair !lbuf
+  end
+  else set_pair (Heap_file.insert ~len hf !lbuf);
+  (was_empty, count = 0)
 
-let add_member env node target_oid entry =
+let edit_member env node target_oid edit =
   match node.Registry.link_id with
   | None -> (false, false)
   | Some link_id ->
-      modify_membership env node ~link_id ~threshold:(node_threshold node)
-        target_oid (fun lo -> Link_object.add lo entry)
+      modify_membership env ~link_id ~threshold:(node_threshold node) target_oid edit
 
+let add_member env node target_oid entry = edit_member env node target_oid (Add entry)
 let remove_member env node target_oid member =
-  match node.Registry.link_id with
-  | None -> (false, false)
-  | Some link_id ->
-      modify_membership env node ~link_id ~threshold:(node_threshold node)
-        target_oid (fun lo -> Link_object.remove lo member)
+  edit_member env node target_oid (Remove member)
 
 let plain_entry member = { Link_object.member; tag = Oid.nil }
 
@@ -259,7 +315,7 @@ let rec ensure_deeper env (node : Registry.node) x_oid =
              would race the teardown cursor. *)
           ()
       | Some _ -> (
-          match deref child (read_record env x_oid) with
+          match deref_at env child x_oid with
           | None -> ()
           | Some y ->
               let was_empty, now_empty = add_member env child y (plain_entry x_oid) in
@@ -274,7 +330,7 @@ let rec cascade_off env (node : Registry.node) x_oid =
       match child.Registry.link_id with
       | None -> ()
       | Some _ -> (
-          match deref child (read_record env x_oid) with
+          match deref_at env child x_oid with
           | None -> ()
           | Some y ->
               let _, now_empty = remove_member env child y x_oid in
@@ -287,7 +343,7 @@ let rec cascade_off env (node : Registry.node) x_oid =
 let membership_of env (node : Registry.node) x_rec =
   match node.Registry.link_id with
   | None -> Link_object.empty
-  | Some link_id -> fst (read_membership env ~link_id x_rec)
+  | Some link_id -> read_membership env ~link_id x_rec
 
 (* Sources reaching the object [x_rec] through [node]'s inverted sub-path. *)
 let sources_under env node x_rec =
@@ -321,32 +377,51 @@ type path = {
   sprime : Oid.t option;
 }
 
-(* The final's replicated values, in [term.fields] order. *)
-let final_values (term : Registry.terminal) final_rec =
+(* The replicated values of the final encoded at [off], in [term.fields]
+   order. *)
+let terminal_values (term : Registry.terminal) buf off len =
   Array.fold_right
-    (fun idx acc -> value_or_null final_rec idx :: acc)
+    (fun idx acc -> Record.field_at buf off len idx :: acc)
     term.Registry.field_indexes []
+
+(* The path from a source whose first step holds [first]: each object on
+   it is read for its next step alone, and the final, for in-place and
+   collapsed terminals, for the replicated fields alone, under one pin.
+   Returns the chain (innermost first), the final and its values. *)
+let walk_from env (term : Registry.terminal) nodes first =
+  let rec go chain value = function
+    | [] -> invalid_arg "Engine.walk_path: empty chain"
+    | (node : Registry.node) :: rest -> (
+        match step_target node value with
+        | None -> (chain, None, List.map (fun _ -> Value.VNull) term.Registry.fields)
+        | Some oid -> (
+            let chain = (node, oid) :: chain in
+            match rest with
+            | [] ->
+                let values =
+                  match term.Registry.kind with
+                  | Registry.K_separate _ -> []
+                  | Registry.K_inplace | Registry.K_collapsed _ ->
+                      Heap_file.read_with (data_file env oid) oid
+                        (terminal_values term)
+                in
+                (chain, Some oid, values)
+            | (next : Registry.node) :: _ ->
+                go chain (read_field env oid next.Registry.step_index) rest))
+  in
+  go [] first nodes
+
+let first_step env rep =
+  match Registry.chain env.registry rep with
+  | (first : Registry.node) :: _ -> first.Registry.step_index
+  | [] -> invalid_arg "Engine.walk_path: empty chain"
 
 (* Read-only.  A separate terminal's final is named but not read. *)
 let walk_path env (rep : Schema.replication) source_rec =
   let _, term = Registry.terminal_of env.registry rep in
-  let rec go chain record = function
-    | [] -> invalid_arg "Engine.walk_path: empty chain"
-    | (node : Registry.node) :: rest -> (
-        match deref node record with
-        | None -> (chain, None, List.map (fun _ -> Value.VNull) term.Registry.fields)
-        | Some oid when rest = [] ->
-            let values =
-              match term.Registry.kind with
-              | Registry.K_separate _ -> []
-              | Registry.K_inplace | Registry.K_collapsed _ ->
-                  final_values term (read_record env oid)
-            in
-            ((node, oid) :: chain, Some oid, values)
-        | Some oid -> go ((node, oid) :: chain) (read_record env oid) rest)
-  in
   let chain, final, values =
-    go [] source_rec (Registry.chain env.registry rep)
+    walk_from env term (Registry.chain env.registry rep)
+      (value_or_null source_rec (first_step env rep))
   in
   let sprime =
     match term.Registry.kind with
@@ -364,129 +439,179 @@ let sprime_field_offset = 2
    start with refcount 0; callers bump it. *)
 let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
     ~sref_link final_oid =
-  let final_rec = read_record env final_oid in
-  match Record.find_link final_rec sref_link with
-  | Some pair -> pair.Record.link_oid
-  | None ->
-      let values =
-        Array.of_list
-          (Value.VInt 0 :: Value.VRef final_oid :: final_values term final_rec)
-      in
-      let tag = Schema.type_tag env.schema final_node.Registry.to_type in
-      let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
-      let sp_oid = Heap_file.insert hf (Record.encode (Record.make ~type_tag:tag values)) in
-      write_record env final_oid
-        (Record.add_link final_rec { Record.link_oid = sp_oid; link_id = sref_link });
-      sp_oid
+  let final_file = data_file env final_oid in
+  let len = Heap_file.read_with final_file final_oid copy_record in
+  let buf = !(Domain.DLS.get copy_buf) in
+  let at = Record.link_at buf 0 len sref_link in
+  if at >= 0 then Oid.decode buf at
+  else begin
+    let values =
+      Array.of_list
+        (Value.VInt 0 :: Value.VRef final_oid :: terminal_values term buf 0 len)
+    in
+    let tag = Schema.type_tag env.schema final_node.Registry.to_type in
+    let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
+    let sp_len = encode (Record.make ~type_tag:tag values) in
+    let sp_oid = Heap_file.insert ~len:sp_len hf !(Domain.DLS.get encoding_buf) in
+    Heap_file.update
+      ~len:(Record.set_link_at buf len { Record.link_oid = sp_oid; link_id = sref_link })
+      final_file final_oid buf;
+    sp_oid
+  end
+
+(* Copy [oid]'s record into [copy_buf], let [edit] change it there and
+   write the result back: one read pin, then the update's. *)
+let rewrite_copy env oid edit =
+  let hf = data_file env oid in
+  let len = Heap_file.read_with hf oid copy_record in
+  let buf = !(Domain.DLS.get copy_buf) in
+  match edit oid buf 0 len with
+  | Heap_file.Keep -> ()
+  | Heap_file.Patched -> Heap_file.update ~len hf oid buf
+  | Heap_file.Rewrite (payload, len) -> Heap_file.update ~len hf oid payload
 
 let sprime_refcount_add env ~sref_link sp_oid delta =
   let hf = data_file env sp_oid in
-  let r = Heap_file.read_with hf sp_oid Record.decode_at in
-  let count = Value.as_int (Record.field r 0) + delta in
+  let len = Heap_file.read_with hf sp_oid copy_record in
+  let buf = !(Domain.DLS.get copy_buf) in
+  let count = Value.as_int (Record.field_at buf 0 len 0) + delta in
   assert (count >= 0);
   if count = 0 then begin
-    let owner = Value.as_ref (Record.field r 1) in
+    let owner = Value.as_ref (Record.field_at buf 0 len 1) in
     Heap_file.delete hf sp_oid;
-    let owner_rec = read_record env owner in
-    write_record env owner (Record.remove_link owner_rec sref_link)
+    rewrite_copy env owner (fun _ buf _ len ->
+        Heap_file.Rewrite (buf, Record.remove_link_at buf len sref_link))
   end
-  else Heap_file.update hf sp_oid (Record.encode (Record.set_field r 0 (Value.VInt count)))
+  else begin
+    (* A count is an int: it keeps its size. *)
+    ignore (Record.patch_field buf 0 len 0 (Value.VInt count));
+    Heap_file.update ~len hf sp_oid buf
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Page-batched fan-out                                                 *)
+(* Hidden-slot writes                                                   *)
 
-(* Runs of OIDs sharing one (file, page), in ascending physical order. *)
-let group_by_page oids =
-  let close acc = function
-    | None -> acc
-    | Some (key, xs) -> (key, List.rev xs) :: acc
-  in
-  let rec go acc current = function
-    | [] -> List.rev (close acc current)
-    | (oid : Oid.t) :: rest -> (
-        let key = (oid.Oid.file, oid.Oid.page) in
-        match current with
-        | Some (key', xs) when key' = key -> go acc (Some (key, oid :: xs)) rest
-        | (Some _ | None) as prev -> go (close acc prev) (Some (key, [ oid ])) rest)
-  in
-  go [] None oids
+(* How hidden value [v] goes into slot [idx] of the record at [off]: 0
+   when it already holds it (asked only without [force]), 1 in place (the
+   slot exists and [v] is encoded in as many bytes), 2 only by
+   re-encoding the record. *)
+let slot_fit ~force buf off len (idx, v) =
+  let pos = Record.value_offset buf off len idx in
+  if
+    (not force)
+    && Value.equal
+         (if pos < 0 then Value.VNull else Value.decode_at buf pos (off + len))
+         v
+  then 0
+  else if pos >= 0 && Value.size_at buf pos (off + len) = Value.encoded_size v then 1
+  else 2
 
-(* Apply [transform] to every object in [oids] (all of [set]), visiting
-   pages in ascending (file, page) order.  With batching on, each page is
-   read under one pin and rewritten under one pin — the paper's reason for
-   keeping inverted structures in the referenced set's physical order —
-   instead of one pin pair per object.  [transform] must only *read* other
-   objects (it runs between the page's read and write pins, unpinned); it
-   returns [Some updated] to rewrite the object or [None] to leave it.
-   Change callbacks fire per object after the page's write completes. *)
-let batched_rewrite env ~set oids ~transform =
-  let sorted = List.sort_uniq Oid.compare oids in
-  if not env.batching then
-    List.iter
-      (fun oid ->
-        let r = read_record env oid in
-        match transform oid r with
-        | Some r' ->
-            write_record env oid r';
-            env.on_hidden_update set oid ~before:r ~after:r'
-        | None -> ())
-      sorted
-  else
-    List.iter
-      (fun ((_file, page), oids) ->
-        match oids with
-        | [] -> ()
-        | first :: _ ->
-            let hf = data_file env first in
-            let slots = List.map (fun (o : Oid.t) -> o.Oid.slot) oids in
-            let changes = ref [] in
-            (* One pin covers the head reads and the in-place rewrites;
-               [transform] runs under it but only reads (chained objects
-               re-pin their own pages, including this one, re-entrantly). *)
-            Heap_file.modify_batch hf ~page slots ~decode:Record.decode_at
-              ~f:(fun decoded ->
-                (* [None] marks a chained object: fetch it normally. *)
-                let records =
-                  List.map2
-                    (fun oid record ->
-                      match record with
-                      | Some r -> (oid, r)
-                      | None -> (oid, read_record env oid))
-                    oids decoded
-                in
-                changes :=
-                  List.filter_map
-                    (fun (oid, r) ->
-                      match transform oid r with
-                      | Some r' -> Some (oid, r, r')
-                      | None -> None)
-                    records;
-                List.map
-                  (fun ((oid : Oid.t), _, r') -> (oid.Oid.slot, Record.encode r'))
-                  !changes);
-        List.iter
-          (fun (oid, r, r') -> env.on_hidden_update set oid ~before:r ~after:r')
-          !changes)
-      (group_by_page sorted)
+let rec worst_fit ~force buf off len = function
+  | [] -> 0
+  | slot :: rest ->
+      max (slot_fit ~force buf off len slot) (worst_fit ~force buf off len rest)
 
-(* [record] with hidden slots [slots.(i)], [slots.(i + 1)], ... set to
-   [values]; [record] itself when they already hold them. *)
-let rec set_slots (slots : int array) i values record =
-  match values with
-  | [] -> record
-  | desired :: rest ->
-      let idx = slots.(i) in
-      let record =
-        if Value.equal (value_or_null record idx) desired then record
-        else set_value_extending record idx desired
+(* [record] with each (slot, value) of [slots] set, extended as needed;
+   without [force] a slot that already holds its value is left alone, so
+   a record that needs no change comes back as itself. *)
+let set_slots ~force slots record =
+  List.fold_left
+    (fun r (idx, v) ->
+      if (not force) && Value.equal (value_or_null r idx) v then r
+      else set_value_extending r idx v)
+    record slots
+
+let rec patch_all buf off len = function
+  | [] -> ()
+  | (idx, v) :: rest ->
+      ignore (Record.patch_field buf off len idx v);
+      patch_all buf off len rest
+
+(* Set the hidden [slots] (index, value) of the stored record at [off]: in
+   place when every value that changes keeps its encoded size, else by
+   decoding the record and encoding the result into [encoding_buf].
+   Without [force] a record that already holds every value is kept; with
+   it the record is written even then. *)
+let set_hidden ~force slots buf off len =
+  match worst_fit ~force buf off len slots with
+  | 0 -> if force then Heap_file.Patched else Heap_file.Keep
+  | 1 ->
+      patch_all buf off len slots;
+      Heap_file.Patched
+  | _ ->
+      let len = encode (set_slots ~force slots (Record.decode_at buf off len)) in
+      Heap_file.Rewrite (!(Domain.DLS.get encoding_buf), len)
+
+(* The change hook's argument for a rewrite of [set]: the decoded records
+   only when the set indexes a hidden field. *)
+let change env set before after =
+  if env.hidden_indexed set then Some (before, after) else None
+
+(* One page of [oids] at a time (one object without batching), firing the
+   hook for the indexed rewrites each page collected. *)
+let rec rewrite_pages env ~set edit changes = function
+  | [] -> ()
+  | (first : Oid.t) :: rest as oids ->
+      let rest =
+        if env.batching then Heap_file.modify_run (data_file env first) oids ~f:edit
+        else begin
+          rewrite_copy env first edit;
+          rest
+        end
       in
-      set_slots slots (i + 1) rest record
+      if !changes <> [] then begin
+        List.iter
+          (fun (oid, before, after) ->
+            env.on_hidden_update set oid (Some (before, after)))
+          (List.rev !changes);
+        changes := []
+      end;
+      rewrite_pages env ~set edit changes rest
 
-(* The in-place or collapsed hidden copies of [source_rec] set to [values]
-   (one per terminal field); [None] when the stored copies already match. *)
-let copies_transform (term : Registry.terminal) values source_rec =
-  let updated = set_slots term.Registry.slots 0 values source_rec in
-  if updated == source_rec then None else Some updated
+(* Apply [edit] to every object in [oids] (all of [set], sorted and
+   distinct), visiting pages in ascending (file, page) order.  [edit]
+   changes the stored record's bytes and says how (a {!Heap_file.edit});
+   it runs with the object's page pinned and may only read other objects.
+   With batching on, each page's objects are edited under one pin — the
+   paper's reason for keeping inverted structures in the referenced set's
+   physical order — instead of a read and an update per object.  The
+   change hook fires once per rewritten object; when the set indexes a
+   hidden field it gets the decoded records, after the page's write. *)
+let batched_rewrite env ~set oids ~edit =
+  let indexed = env.hidden_indexed set in
+  let changes = ref [] in
+  let edit oid buf off len =
+    if not indexed then begin
+      let e = edit oid buf off len in
+      (match e with
+      | Heap_file.Keep -> ()
+      | Heap_file.Patched | Heap_file.Rewrite _ -> env.on_hidden_update set oid None);
+      e
+    end
+    else begin
+      let before = Record.decode_at buf off len in
+      let e = edit oid buf off len in
+      (match e with
+      | Heap_file.Keep -> ()
+      | Heap_file.Patched ->
+          changes := (oid, before, Record.decode_at buf off len) :: !changes
+      | Heap_file.Rewrite (payload, n) ->
+          changes := (oid, before, Record.decode_at payload 0 n) :: !changes);
+      e
+    end
+  in
+  rewrite_pages env ~set edit changes oids
+
+(* The hidden copies of [term] set to [values] (one per terminal field),
+   as (slot, value) pairs. *)
+let copy_slots (term : Registry.terminal) values =
+  List.mapi (fun i v -> (term.Registry.slots.(i), v)) values
+
+(* [record] with the hidden copies set; [record] itself when they already
+   hold the values. *)
+let copies_transform (term : Registry.terminal) values record =
+  let updated = set_slots ~force:false (copy_slots term values) record in
+  if updated == record then None else Some updated
 
 (* A source that is also a final of its declaration (a self-referential
    path) has its link section rewritten by the S' bookkeeping: re-read it. *)
@@ -530,7 +655,7 @@ let refresh_path env (p : path) source_oid source_rec =
   Option.iter
     (fun updated ->
       write_record env source_oid updated;
-      env.on_hidden_update set source_oid ~before:source_rec ~after:updated)
+      env.on_hidden_update set source_oid (change env set source_rec updated))
     updated;
   clear_pending env rep source_oid
 
@@ -543,18 +668,23 @@ let refresh_terminal env rep source_oid =
 (* Refresh many sources of one declaration, page-batched where the terminal
    allows it.  Separate terminals stay per-object — [sprime_for] /
    [sprime_refcount_add] rewrite final and S' objects as they go, which the
-   read-then-write page batch must not interleave with — but still run in
-   ascending physical order. *)
+   page batch must not interleave with — but still run in ascending
+   physical order. *)
 let refresh_batch env (rep : Schema.replication) oids =
   let _, term = Registry.terminal_of env.registry rep in
+  let oids = List.sort_uniq Oid.compare oids in
   match term.Registry.kind with
-  | Registry.K_separate _ ->
-      List.iter (refresh_terminal env rep) (List.sort_uniq Oid.compare oids)
+  | Registry.K_separate _ -> List.iter (refresh_terminal env rep) oids
   | Registry.K_inplace | Registry.K_collapsed _ ->
+      let nodes = Registry.chain env.registry rep in
+      let first = first_step env rep in
       batched_rewrite env ~set:rep.Schema.rpath.Path.source_set oids
-        ~transform:(fun oid source_rec ->
+        ~edit:(fun oid buf off len ->
           clear_pending env rep oid;
-          copies_transform term (walk_path env rep source_rec).values source_rec)
+          let _, _, values =
+            walk_from env term nodes (Record.field_at buf off len first)
+          in
+          set_hidden ~force:false (copy_slots term values) buf off len)
 
 (* ------------------------------------------------------------------ *)
 (* Prepared mutations: one walk for the lock set and the apply        *)
@@ -610,13 +740,13 @@ let collapsed_link_id (term : Registry.terminal) =
 
 (* Membership bookkeeping for one source object joining its walked path. *)
 let attach_source env (p : path) source_oid =
-  let final_node, term = Registry.terminal_of env.registry p.rep in
+  let _, term = Registry.terminal_of env.registry p.rep in
   (match (collapsed_link_id term, p.chain) with
   | Some link_id, [ (_, x1); (_, x2) ] ->
       (* Collapsed 2-level path: a single tagged link at the final node. *)
       ignore
-        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
-             Link_object.add lo { Link_object.member = source_oid; tag = x1 }))
+        (modify_membership env ~link_id ~threshold:0 x2
+           (Add { Link_object.member = source_oid; tag = x1 }))
   | None, (node1, x1) :: _ ->
       let was_empty, now_empty = add_member env node1 x1 (plain_entry source_oid) in
       if was_empty && not now_empty then ensure_deeper env node1 x1
@@ -626,12 +756,11 @@ let attach_source env (p : path) source_oid =
 
 let detach_source env (p : path) source_oid =
   clear_pending env p.rep source_oid;
-  let final_node, term = Registry.terminal_of env.registry p.rep in
+  let _, term = Registry.terminal_of env.registry p.rep in
   (match (collapsed_link_id term, p.chain) with
   | Some link_id, [ _; (_, x2) ] ->
       ignore
-        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
-             Link_object.remove lo source_oid))
+        (modify_membership env ~link_id ~threshold:0 x2 (Remove source_oid))
   | None, (node1, x1) :: _ ->
       let _, now_empty = remove_member env node1 x1 source_oid in
       if now_empty then cascade_off env node1 x1
@@ -652,13 +781,12 @@ let teardown_source env rep w source_oid =
   let p = path_of w rep in
   clear_pending env rep source_oid;
   let set = rep.Schema.rpath.Path.source_set in
-  let final_node, term = Registry.terminal_of env.registry rep in
+  let _, term = Registry.terminal_of env.registry rep in
   (match (collapsed_link_id term, p.chain) with
   | Some link_id, [ _; (_, x2) ] ->
       (* The tagged link is exclusively this declaration's: always remove. *)
       ignore
-        (modify_membership env final_node ~link_id ~threshold:0 x2 (fun lo ->
-             Link_object.remove lo source_oid))
+        (modify_membership env ~link_id ~threshold:0 x2 (Remove source_oid))
   | Some _, _ -> ()
   | None, chain ->
       (* At each level whose link no live path needs, retract the previous
@@ -679,7 +807,6 @@ let teardown_source env rep w source_oid =
      The source is read only now: the membership pass may have rewritten
      its link section along a self-referential chain. *)
   let source_rec = read_record env source_oid in
-  let changed = ref false in
   let updated =
     match term.Registry.kind with
     | Registry.K_separate sref_link -> (
@@ -687,23 +814,19 @@ let teardown_source env rep w source_oid =
         match value_or_null source_rec idx with
         | Value.VRef sp ->
             sprime_refcount_add env ~sref_link sp (-1);
-            changed := true;
             let base = reread_owner env None sref_link source_oid source_rec in
-            set_value_extending base idx Value.VNull
-        | Value.VNull | Value.VInt _ | Value.VString _ -> source_rec)
+            Some (set_value_extending base idx Value.VNull)
+        | Value.VNull | Value.VInt _ | Value.VString _ -> None)
     | Registry.K_inplace | Registry.K_collapsed _ ->
-        let updated =
-          set_slots term.Registry.slots 0
-            (List.map (fun _ -> Value.VNull) term.Registry.fields)
-            source_rec
-        in
-        if updated != source_rec then changed := true;
-        updated
+        copies_transform term
+          (List.map (fun _ -> Value.VNull) term.Registry.fields)
+          source_rec
   in
-  if !changed then begin
-    write_record env source_oid updated;
-    env.on_hidden_update set source_oid ~before:source_rec ~after:updated
-  end
+  Option.iter
+    (fun updated ->
+      write_record env source_oid updated;
+      env.on_hidden_update set source_oid (change env set source_rec updated))
+    updated
 
 let on_insert env w oid =
   List.iter (fun p -> if rep_live env p.rep then attach_source env p oid) w.paths
@@ -786,7 +909,7 @@ let prepare_scalar env (record : Record.t) ~field =
               match term.Registry.kind with
               | Registry.K_collapsed cid
                 when cid = link_id && List.mem_assoc field term.Registry.fields ->
-                  let lo, _ = read_membership env ~link_id record in
+                  let lo = read_membership env ~link_id record in
                   Some
                     (Copies
                        ( term.Registry.rep.Schema.rpath.Path.source_set,
@@ -812,9 +935,11 @@ let prepare_scalar env (record : Record.t) ~field =
 (* The hidden slot of a copy of [field] under an in-place or collapsed
    terminal. *)
 let field_slot (term : Registry.terminal) field =
-  match List.find_index (fun (f, _) -> f = field) term.Registry.fields with
-  | Some i -> term.Registry.slots.(i)
-  | None -> invalid_arg ("Engine: terminal does not replicate " ^ field)
+  let rec index i = function
+    | [] -> invalid_arg ("Engine: terminal does not replicate " ^ field)
+    | (f, _) :: rest -> if String.equal f field then i else index (i + 1) rest
+  in
+  term.Registry.slots.(index 0 term.Registry.fields)
 
 let fanout_touches fanout =
   List.concat_map
@@ -824,33 +949,36 @@ let fanout_touches fanout =
 
 (* Lazy terminals only invalidate: the write to each source is deferred
    until its hidden copy is next read. *)
-let on_scalar_update env fanout ~field value =
-  List.iter
-    (function
+(* The hidden slots of the live eager terminals among [terms], each with
+   [value]; live lazy terminals mark [sources] stale instead. *)
+let rec eager_slots env ~field value sources = function
+  | [] -> []
+  | (term : Registry.terminal) :: rest ->
+      let slots = eager_slots env ~field value sources rest in
+      let rep = term.Registry.rep in
+      if not (rep_live env rep) then slots
+      else if rep.Schema.options.Schema.lazy_propagation then begin
+        List.iter (mark_pending env rep) sources;
+        slots
+      end
+      else (field_slot term field, value) :: slots
+
+let rec on_scalar_update env fanout ~field value =
+  match fanout with
+  | [] -> ()
+  | entry :: rest ->
+      (match entry with
       | Sprime (rep, sp, slot) ->
           if rep_live env rep then
-            write_record env sp (Record.set_field (read_record env sp) slot value)
-      | Copies (set, terms, sources) ->
-          let eager, lazy_ =
-            List.partition
-              (fun (term : Registry.terminal) ->
-                not term.Registry.rep.Schema.options.Schema.lazy_propagation)
-              (List.filter
-                 (fun (term : Registry.terminal) -> rep_live env term.Registry.rep)
-                 terms)
-          in
-          List.iter
-            (fun (term : Registry.terminal) ->
-              List.iter (mark_pending env term.Registry.rep) sources)
-            lazy_;
-          if eager <> [] then
-            let slots = List.map (fun term -> field_slot term field) eager in
-            batched_rewrite env ~set sources ~transform:(fun _ r0 ->
-                Some
-                  (List.fold_left
-                     (fun r idx -> set_value_extending r idx value)
-                     r0 slots)))
-    fanout
+            rewrite_copy env sp (fun _ buf off len ->
+                set_hidden ~force:true [ (slot, value) ] buf off len)
+      | Copies (set, terms, sources) -> (
+          match eager_slots env ~field value sources terms with
+          | [] -> ()
+          | slots ->
+              batched_rewrite env ~set sources ~edit:(fun _ buf off len ->
+                  set_hidden ~force:true slots buf off len)));
+      on_scalar_update env rest ~field value
 
 (* ------------------------------------------------------------------ *)
 (* Reference updates                                                   *)
@@ -884,22 +1012,20 @@ let ref_update_source env ~set source_oid ~field ~old_target ~new_target =
                 (* Move the collapsed entry between final link objects. *)
                 (match old_target with
                 | Some old_x1 -> (
-                    match deref final_node (read_record env old_x1) with
+                    match deref_at env final_node old_x1 with
                     | Some old_final ->
                         ignore
-                          (modify_membership env final_node ~link_id ~threshold:0
-                             old_final (fun lo -> Link_object.remove lo source_oid))
+                          (modify_membership env ~link_id ~threshold:0 old_final
+                             (Remove source_oid))
                     | None -> ())
                 | None -> ());
                 (match new_target with
                 | Some new_x1 when rep_live env rep -> (
-                    match deref final_node (read_record env new_x1) with
+                    match deref_at env final_node new_x1 with
                     | Some new_final ->
                         ignore
-                          (modify_membership env final_node ~link_id ~threshold:0
-                             new_final (fun lo ->
-                               Link_object.add lo
-                                 { Link_object.member = source_oid; tag = new_x1 }))
+                          (modify_membership env ~link_id ~threshold:0 new_final
+                             (Add { Link_object.member = source_oid; tag = new_x1 }))
                     | None -> ())
                 | Some _ | None -> ())
             | None -> ());
@@ -927,18 +1053,15 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
                       (match old_target with
                       | Some o ->
                           ignore
-                            (modify_membership env child ~link_id ~threshold:0 o
-                               (fun lo ->
-                                 moved := Link_object.entries_tagged lo x_oid;
-                                 Link_object.remove_tagged lo x_oid))
+                            (modify_membership env ~link_id ~threshold:0 o
+                               (Take_tagged (x_oid, moved)))
                       | None -> ());
                       (match new_target with
                       | Some nw
                         when !moved <> [] && rep_live env term.Registry.rep ->
                           ignore
-                            (modify_membership env child ~link_id ~threshold:0 nw
-                               (fun lo ->
-                                 List.fold_left Link_object.add lo !moved))
+                            (modify_membership env ~link_id ~threshold:0 nw
+                               (Add_all !moved))
                       | Some _ | None -> ());
                       if rep_live env term.Registry.rep then
                         List.iter
@@ -1028,8 +1151,7 @@ let build env (rep : Schema.replication) =
         (fun final_oid ->
           let entries = Oid.Table.find per_final final_oid in
           ignore
-            (modify_membership env final_node ~link_id ~threshold:0 final_oid
-               (fun lo -> List.fold_left Link_object.add lo entries)))
+            (modify_membership env ~link_id ~threshold:0 final_oid (Add_all entries)))
         finals;
       let sources = ref [] in
       Heap_file.iter_oids src_file (fun o -> sources := o :: !sources);
@@ -1071,8 +1193,8 @@ let build env (rep : Schema.replication) =
         let threshold = node_threshold node in
         let members = Oid.Table.find (table_for node) target in
         ignore
-          (modify_membership env node ~link_id ~threshold target (fun lo ->
-               Oid.Set.fold (fun m lo -> Link_object.add lo (plain_entry m)) members lo))
+          (modify_membership env ~link_id ~threshold target
+             (Add_all (List.map plain_entry (Oid.Set.elements members))))
       in
       if rep.Schema.options.Schema.cluster_links && fresh_links <> [] then begin
         (* §4.3.2: all fresh levels share one file, and a target's link
@@ -1166,15 +1288,13 @@ let build env (rep : Schema.replication) =
           (* The S' objects and refcounts are already in place, so the final
              hidden-reference writes are a pure per-source rewrite: batch
              them page by page. *)
-          batched_rewrite env ~set (List.rev !sources)
-            ~transform:(fun source_oid r ->
+          batched_rewrite env ~set (List.rev !sources) ~edit:(fun source_oid ->
               let desired =
                 match Oid.Table.find_opt final_for source_oid with
                 | Some final_oid -> Value.VRef (Oid.Table.find sp_of final_oid)
                 | None -> Value.VNull
               in
-              if Value.equal (value_or_null r idx) desired then None
-              else Some (set_value_extending r idx desired)))
+              set_hidden ~force:false [ (idx, desired) ]))
 
 (* Objects of [source_set] whose [attr] currently references [target],
    answered from a level-1 inverted link when one exists. *)

@@ -38,18 +38,23 @@ type env = {
   file_of_set : string -> Fieldrep_storage.Heap_file.t;
   file_of_oid : Oid.t -> Fieldrep_storage.Heap_file.t;
       (** resolve any *data* OID to its heap file *)
-  mutable on_hidden_update :
-    string -> Oid.t -> before:Record.t -> after:Record.t -> unit;
-      (** [on_hidden_update set oid]: a source object's hidden fields
-          changed (the caller maintains indexes built on replicated data).
-          Mutable so tests can observe propagation order. *)
+  mutable on_hidden_update : string -> Oid.t -> (Record.t * Record.t) option -> unit;
+      (** [on_hidden_update set oid change]: a source object's hidden
+          fields were rewritten.  [change] holds the decoded records before
+          and after when [hidden_indexed set] (the caller maintains indexes
+          built on replicated data), [None] otherwise: a fan-out rewritten
+          in place decodes nothing.  Fires once per rewritten object, in
+          ascending physical order within a fan-out.  Mutable so tests can
+          observe propagation order. *)
+  hidden_indexed : string -> bool;
+      (** Does the set have an index on a hidden field? *)
   mutable batching : bool;
-      (** When set (the default), propagation fan-outs are sorted by
-          physical OID, grouped by page, and each page's hidden-field
-          writes happen under one pin pair — the access-layer half of the
+      (** When set (the default), propagation fan-outs are visited in
+          physical OID order, grouped by page, and each page's hidden-field
+          edits happen under one pin — the access-layer half of the
           paper's keep-links-in-referenced-set-order argument.  Clearing it
-          restores the per-object reference path (one read pin + one write
-          pin per source), used as the comparison baseline. *)
+          restores the per-object reference path (a read pin and an update
+          per source), used as the comparison baseline. *)
   pending : (int * int64, unit) Hashtbl.t;
       (** the lazy-propagation invalidation table: (rep_id, packed source
           OID) pairs whose hidden copies are stale.  Kept in memory, like
@@ -61,7 +66,8 @@ val make_env :
   store:Store.t ->
   file_of_set:(string -> Fieldrep_storage.Heap_file.t) ->
   file_of_oid:(Oid.t -> Fieldrep_storage.Heap_file.t) ->
-  ?on_hidden_update:(string -> Oid.t -> before:Record.t -> after:Record.t -> unit) ->
+  ?on_hidden_update:(string -> Oid.t -> (Record.t * Record.t) option -> unit) ->
+  ?hidden_indexed:(string -> bool) ->
   unit ->
   env
 (** Compiles the registry from the schema's current declarations. *)
@@ -209,6 +215,31 @@ val referencers_via_links :
     replication declaration maintains one ([None] otherwise).  This is the
     paper's §8 observation that inverted paths double as inverse functions
     / bidirectional reference attributes. *)
+
+(** {1 Membership edits}
+
+    Every change to an inverted path's membership goes through one editor
+    over bytes: the target's pair is read in place, the link object is
+    edited in a reused buffer, and the target's link section is spliced
+    only when the pair itself changes.  Exposed for tests. *)
+
+type member_edit =
+  | Add of Link_object.entry  (** insert, or replace the member's tag *)
+  | Add_all of Link_object.entry list
+  | Remove of Oid.t  (** no-op when absent *)
+  | Take_tagged of Oid.t * Link_object.entry list ref
+      (** remove the entries with this tag, handing them over *)
+
+val modify_membership :
+  env -> link_id:int -> threshold:int -> Oid.t -> member_edit -> bool * bool
+(** [modify_membership env ~link_id ~threshold target edit] applies [edit]
+    to [target]'s membership under the link and stores the result: no pair
+    when empty; with [threshold >= 1], a lone untagged member's OID in the
+    pair itself (small-link elimination); else a link object in the
+    link's file.  Pins the target's page once to read it and the link
+    object's page once, as the decoded edit did, and leaves exactly the
+    bytes {!Link_object.encode} and {!Record.encode} give for the edited
+    membership.  Returns [(was_empty, now_empty)]. *)
 
 val sources_of : env -> Registry.node -> Oid.t -> Oid.t list
 (** All source-set objects currently reaching the given target object

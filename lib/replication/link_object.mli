@@ -38,11 +38,34 @@ val entries_tagged : t -> Fieldrep_storage.Oid.t -> entry list
 
 val remove_tagged : t -> Fieldrep_storage.Oid.t -> t
 
-val iter : (entry -> unit) -> t -> unit
 val encode : t -> Bytes.t
 val decode_at : Bytes.t -> int -> int -> t
 (** [decode_at buf off len] decodes the link object in
     [buf.[off .. off+len-1]]; raises [Wire.Corrupt] if it does not fit. *)
 
 val decode : Bytes.t -> t
-val pp : Format.formatter -> t -> unit
+
+(** {1 Entry edits over bytes}
+
+    A link object's encoding kept at the start of a buffer that the edits
+    grow as needed.  Each edit changes it in place to the encoding
+    {!encode} gives for the matching edit of the decoded object ({!add},
+    {!remove}, {!remove_tagged}), the tagged flag included, and returns
+    the new length. *)
+
+val count_at : Bytes.t -> int
+val tagged_at : Bytes.t -> bool
+
+val member_at : Bytes.t -> int -> Fieldrep_storage.Oid.t
+(** The member of the [i]th entry. *)
+
+val members_into : Bytes.t ref -> Fieldrep_storage.Oid.t list -> int
+(** Lay down the untagged object of these members, already sorted. *)
+
+val add_at : Bytes.t ref -> int -> entry -> int
+
+val remove_at : Bytes.t ref -> int -> Fieldrep_storage.Oid.t -> int
+(** -1, the bytes untouched, when the member is absent. *)
+
+val take_tagged_at : Bytes.t ref -> Fieldrep_storage.Oid.t -> int * entry list
+(** Removes the entries with this tag and returns them in member order. *)

@@ -38,7 +38,7 @@ type t = {
   stats : Stats.t;
   backend : packed;
   backend_name : string;
-  scratch : Bytes.t;  (* verification / read-modify-write staging *)
+  scratch : Bytes.t;  (* staging for [verify_page] and the fault injectors *)
   mutable next_file : int;
   outputs : unit Table.t;  (* live query output file ids *)
   mutable failpoint : failpoint option;
@@ -241,16 +241,16 @@ let read_page t ~file ~page buf =
                 file page))
       end
   | None -> ());
-  (* Stage the read so a verification failure leaves the caller's buffer
-     untouched. *)
+  (* Verified in the caller's buffer: a caller that must not see a failed
+     read's bytes (the buffer pool) reads into a staging buffer of its
+     own. *)
   let (P ((module B), b)) = t.backend in
-  B.read b ~file ~page t.scratch;
-  if B.read_sum b ~file ~page <> sum_of t t.scratch then begin
+  B.read b ~file ~page buf;
+  if B.read_sum b ~file ~page <> sum_of t buf then begin
     quarantine t ~file ~page;
     Stats.bump t.stats Stats.Checksum_failures;
     raise (Corrupt_page { file; page })
   end;
-  Bytes.blit t.scratch 0 buf 0 t.page_size;
   Stats.record_read t.stats ~file
 
 let write_page t ~file ~page buf =

@@ -98,8 +98,10 @@ val allocate_page : t -> int -> int
 val read_page : t -> file:int -> page:int -> Bytes.t -> unit
 (** Copy a page into the caller's buffer (one physical read).  Verifies the
     page checksum first: on mismatch the page is quarantined,
-    [checksum_failures] is bumped, and {!Corrupt_page} is raised — the
-    caller's buffer is left untouched. *)
+    [checksum_failures] is bumped, and {!Corrupt_page} is raised.  The
+    page is verified in the caller's buffer, so after a failed read the
+    buffer holds the bytes as stored (or, on an injected {!Read_error},
+    is untouched). *)
 
 val write_page : t -> file:int -> page:int -> Bytes.t -> unit
 (** Copy the caller's buffer onto the page (one physical write), recompute

@@ -19,7 +19,16 @@ type t = {
   mutable head_kind : int;  (* -1 when the slot is dead *)
   mutable head_len : int;  (* the whole record, header included *)
   mutable head_next : Oid.t;
+  reader : reader;  (* [read_with]'s in-frame step, bound to this handle *)
+  (* [modify_run]'s edit, the OIDs it has not reached and the rewrites
+     that wait for its pin to go *)
+  mutable run_edit : Oid.t -> Bytes.t -> int -> int -> edit;
+  mutable run_rest : Oid.t list;
+  mutable run_deferred : (Oid.t * Bytes.t) list;
 }
+
+and reader = { read : 'a. (Bytes.t -> int -> int -> 'a) -> Bytes.t -> 'a }
+and edit = Keep | Patched | Rewrite of Bytes.t * int
 
 let kind_head = 0
 let kind_segment = 1
@@ -50,24 +59,61 @@ let stage t ~kind ~next payload pos len =
 
 let staged () = !(Domain.DLS.get scratch)
 
+let dead oid = invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid))
+
+(* Where the record in [slot] of the pinned page [page] of [file], a
+   segment of [kind], starts. *)
+let segment_at buf ~file ~page slot ~kind =
+  if not (Page.is_live buf slot) then dead { Oid.file; page; slot };
+  let off = Page.offset buf slot in
+  if Wire.u8_at buf off <> kind then
+    if kind = kind_head then
+      invalid_arg
+        (Printf.sprintf "Heap_file: OID %s is not an object head"
+           (Oid.to_string { Oid.file; page; slot }))
+    else raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
+  off
+
+(* Raised out of a head's pin when the object goes on in other segments,
+   with the head's chunk and the next segment's OID. *)
+exception Continues of Bytes.t * Oid.t
+
+(* [read_with]'s step on the pinned page: decode the one-segment head at
+   [at_slot] in place, or hand a chained head's chunk over. *)
+let read_step t decode buf =
+  let slot = t.at_slot in
+  let off = segment_at buf ~file:t.file ~page:t.at_page slot ~kind:kind_head in
+  let len = Page.read_length buf slot - header_size in
+  if Oid.is_nil_at buf (off + 1) then decode buf (off + header_size) len
+  else raise (Continues (Bytes.sub buf (off + header_size) len, Oid.decode buf (off + 1)))
+
+let no_edit _ _ _ _ = Keep
+
 (* A handle on [file]; [recount] fills in the count and the map. *)
 let handle ~reserve pager file =
   let tail_page = Pager.page_count pager file - 1 in
-  {
-    pager;
-    file;
-    reserve;
-    count = 0;
-    tail_page;
-    space = [||];
-    candidates = 0;
-    at_page = 0;
-    at_slot = 0;
-    staged = 0;
-    head_kind = 0;
-    head_len = 0;
-    head_next = Oid.nil;
-  }
+  let rec t =
+    {
+      pager;
+      file;
+      reserve;
+      count = 0;
+      tail_page;
+      space = [||];
+      candidates = 0;
+      at_page = 0;
+      at_slot = 0;
+      staged = 0;
+      head_kind = 0;
+      head_len = 0;
+      head_next = Oid.nil;
+      reader = { read = (fun decode buf -> read_step t decode buf) };
+      run_edit = no_edit;
+      run_rest = [];
+      run_deferred = [];
+    }
+  in
+  t
 
 let create ?(reserve = 0) pager =
   if reserve < 0 then invalid_arg "Heap_file.create: negative reserve";
@@ -193,8 +239,6 @@ let header_step t buf =
     t.head_next <- (if Oid.is_nil_at buf (off + 1) then Oid.nil else Oid.decode buf (off + 1))
   end
 
-let dead oid = invalid_arg (Printf.sprintf "Heap_file: dead OID %s" (Oid.to_string oid))
-
 (* Fill [head_*] from the record at [oid]; raises on a dead one. *)
 let load_header t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
@@ -235,27 +279,12 @@ let insert ?len t payload =
   Stats.bump (Pager.stats t.pager) Stats.Objects_written;
   head_oid
 
-(* Where the record of the segment [oid] of [kind] starts on its pinned
-   page. *)
-let segment_at buf (oid : Oid.t) ~kind =
-  let slot = oid.Oid.slot in
-  if not (Page.is_live buf slot) then dead oid;
-  let off = Page.offset buf slot in
-  if Wire.u8_at buf off <> kind then
-    if kind = kind_head then
-      invalid_arg
-        (Printf.sprintf "Heap_file: OID %s is not an object head" (Oid.to_string oid))
-    else raise (Wire.Corrupt "Heap_file: bad segment kind in chain");
-  off
-
-(* Raised out of a head's pin when the object goes on in other segments,
-   with the head's chunk and the next segment's OID. *)
-exception Continues of Bytes.t * Oid.t
-
 (* A continuation segment's chunk and the segment after it, nil at the
    end. *)
 let continuation (oid : Oid.t) buf =
-  let off = segment_at buf oid ~kind:kind_segment in
+  let off =
+    segment_at buf ~file:oid.Oid.file ~page:oid.Oid.page oid.Oid.slot ~kind:kind_segment
+  in
   let chunk =
     Bytes.sub buf (off + header_size) (Page.read_length buf oid.Oid.slot - header_size)
   in
@@ -279,15 +308,12 @@ let assemble t first next =
 
 let read_with t (oid : Oid.t) decode =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  t.at_page <- oid.Oid.page;
+  t.at_slot <- oid.Oid.slot;
   let v =
     match
-      Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-          let off = segment_at buf oid ~kind:kind_head in
-          let len = Page.read_length buf oid.Oid.slot - header_size in
-          if Oid.is_nil_at buf (off + 1) then decode buf (off + header_size) len
-          else
-            raise
-              (Continues (Bytes.sub buf (off + header_size) len, Oid.decode buf (off + 1))))
+      Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false
+        t.reader.read decode
     with
     | v -> v
     | exception Continues (first, next) ->
@@ -335,12 +361,13 @@ let write_head t (oid : Oid.t) payload len ~keep =
     assert ok
   end
 
-let update t (oid : Oid.t) payload =
+let update ?len t (oid : Oid.t) payload =
+  let len = match len with Some len -> len | None -> Bytes.length payload in
   load_header t oid;
   if t.head_kind <> kind_head then
     invalid_arg "Heap_file.update: OID is not an object head";
   let old_next = t.head_next in
-  write_head t oid payload (Bytes.length payload) ~keep:(t.head_len - header_size);
+  write_head t oid payload len ~keep:(t.head_len - header_size);
   if not (Oid.is_nil old_next) then free_chain t old_next;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
@@ -423,72 +450,71 @@ let insert_at t (oid : Oid.t) payload =
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
 (* Batched page access: the replication engine groups a propagation fan-out
-   by page and touches every slot under a single pin, instead of one
-   pin/lookup per object.  Only unchained heads are served — an object whose
-   payload spills into continuation segments needs other pages anyway, so
-   the caller falls back to {!read} / {!update} for it. *)
+   by page and edits every object on it under a single pin, instead of one
+   pin pair per object. *)
 
-(* Per-slot plumbing for [modify_batch]: the page buffer is already
-   pinned. *)
+(* Put [len] bytes of [payload] in place of the unchained head in [slot]
+   if they still fit there. *)
+let write_in_place t buf slot payload len =
+  header_size + len <= max_record t
+  && (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
+      Page.write buf slot (staged ()) t.staged)
 
-(* Where a live head sits on the pinned page. *)
-let batch_head t buf ~page slot =
-  if not (Page.is_live buf slot) then
-    invalid_arg
-      (Printf.sprintf "Heap_file: dead OID %s"
-         (Oid.to_string { Oid.file = t.file; page; slot }));
-  let off = Page.offset buf slot in
-  if Wire.u8_at buf off <> kind_head then
-    invalid_arg "Heap_file.modify_batch: OID is not an object head";
-  off
+(* Edit the objects at the head of [oids] on the pinned [page], queueing
+   the rewrites that must wait for the pin to go — a chained object's,
+   and one that no longer fits its page — and leave the rest of the list
+   in [run_rest]. *)
+let rec edit_run t buf page oids =
+  match oids with
+  | (oid : Oid.t) :: rest when oid.Oid.file = t.file && oid.Oid.page = page ->
+      let slot = oid.Oid.slot in
+      let off = segment_at buf ~file:t.file ~page slot ~kind:kind_head in
+      if Oid.is_nil_at buf (off + 1) then begin
+        let stats = Pager.stats t.pager in
+        Stats.bump stats Stats.Objects_read;
+        match
+          t.run_edit oid buf (off + header_size) (Page.read_length buf slot - header_size)
+        with
+        | Keep -> ()
+        | Patched -> Stats.bump stats Stats.Objects_written
+        | Rewrite (payload, len) ->
+            if write_in_place t buf slot payload len then
+              Stats.bump stats Stats.Objects_written
+            else t.run_deferred <- (oid, Bytes.sub payload 0 len) :: t.run_deferred
+      end
+      else begin
+        let payload = read t oid in
+        match t.run_edit oid payload 0 (Bytes.length payload) with
+        | Keep -> ()
+        | Patched -> t.run_deferred <- (oid, payload) :: t.run_deferred
+        | Rewrite (p, len) -> t.run_deferred <- (oid, Bytes.sub p 0 len) :: t.run_deferred
+      end;
+      edit_run t buf page rest
+  | rest -> t.run_rest <- rest
 
-let batch_payload t buf ~page ~decode slot =
-  let off = batch_head t buf ~page slot in
-  if Oid.is_nil_at buf (off + 1) then begin
-    Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-    Some (decode buf (off + header_size) (Page.read_length buf slot - header_size))
-  end
-  else None
+(* [f] may read through this handle, which moves [at_page]: read it first. *)
+let run_step t buf =
+  let page = t.at_page in
+  edit_run t buf page t.run_rest;
+  note t page buf
 
-(* Rewrite one slot in place if the payload still fits an unchained head;
-   [true] means the caller must fall back to the general [update] (which may
-   spill) after the pin is released. *)
-let batch_write_deferred t buf ~page (slot, payload) =
-  let off = batch_head t buf ~page slot in
-  if not (Oid.is_nil_at buf (off + 1)) then true
-  else begin
-    let len = Bytes.length payload in
-    if
-      header_size + len <= max_record t
-      &&
-      (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
-       Page.write buf slot (staged ()) t.staged)
-    then begin
-      let stats = Pager.stats t.pager in
-      Stats.bump stats Stats.Objects_written;
-      false
-    end
-    else true
-  end
-
-let modify_batch t ~page slots ~decode ~f =
-  (* Read-modify-write under a single pin: the page is pinned once for both
-     the head reads and the in-place rewrites, instead of once per phase.
-     [f] runs with the page pinned, so it may read other objects (a
-     re-entrant pin on this page just increments the count) but must not
-     write through this heap file. *)
-  let deferred =
-    Pager.with_pin t.pager ~file:t.file ~page ~dirty:true (fun buf ->
-        let payloads = List.map (batch_payload t buf ~page ~decode) slots in
-        let deferred =
-          List.filter (batch_write_deferred t buf ~page) (f payloads)
-        in
-        note t page buf;
-        deferred)
-  in
-  List.iter
-    (fun (slot, payload) -> update t { Oid.file = t.file; page; slot } payload)
-    deferred
+let modify_run t oids ~f =
+  match oids with
+  | [] -> []
+  | (first : Oid.t) :: _ ->
+      if first.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+      t.at_page <- first.Oid.page;
+      t.run_edit <- f;
+      t.run_rest <- oids;
+      t.run_deferred <- [];
+      Pager.with_pin_arg t.pager ~file:t.file ~page:first.Oid.page ~dirty:true run_step t;
+      let rest = t.run_rest and deferred = t.run_deferred in
+      t.run_edit <- no_edit;
+      t.run_rest <- [];
+      t.run_deferred <- [];
+      if deferred <> [] then
+        List.iter (fun (oid, payload) -> update t oid payload) (List.rev deferred);
+      rest
 
 let is_head buf slot =
   Page.is_live buf slot && Wire.u8_at buf (Page.offset buf slot) = kind_head

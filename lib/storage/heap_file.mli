@@ -73,9 +73,10 @@ val read : t -> Oid.t -> Bytes.t
 
 val exists : t -> Oid.t -> bool
 
-val update : t -> Oid.t -> Bytes.t -> unit
-(** Replace the object's payload in place; the OID remains valid even when
-    the object grows or shrinks across the page boundary. *)
+val update : ?len:int -> t -> Oid.t -> Bytes.t -> unit
+(** Replace the object's payload with the first [len] bytes of the given
+    one (default: all of them); the OID remains valid even when the object
+    grows or shrinks across the page boundary. *)
 
 val delete : t -> Oid.t -> unit
 (** Frees the home slot and any continuation segments. *)
@@ -104,24 +105,25 @@ val insert_at : t -> Oid.t -> Bytes.t -> unit
 
 val is_tombstone : t -> Oid.t -> bool
 
-val modify_batch :
-  t ->
-  page:int ->
-  int list ->
-  decode:(Bytes.t -> int -> int -> 'a) ->
-  f:('a option list -> (int * Bytes.t) list) ->
-  unit
-(** [modify_batch t ~page slots ~decode ~f] reads the head record of every
-    slot and rewrites some of them under a {e single} page pin.  [f]
-    receives the head payloads of [slots] as [decode] reads them in the
-    frame (see {!read_with}), in the given order — [None] for an object
-    whose payload spills into continuation segments (fetch it with {!read}),
-    so a [Some] payload cost exactly this one page access — and returns the
-    [(slot, payload)] rewrites to apply, which land in place where they
-    still fit and fall back to {!update} (which may spill) after the pin is
-    released otherwise.  [f] runs with the page pinned — it may read other
-    objects but must not write through this file.  Raises
-    [Invalid_argument] on a dead slot or a non-head record. *)
+type edit =
+  | Keep  (** leave the object as it is *)
+  | Patched  (** the payload's bytes were changed in place, length kept *)
+  | Rewrite of Bytes.t * int  (** the new payload: the buffer's first [n] bytes *)
+
+val modify_run :
+  t -> Oid.t list -> f:(Oid.t -> Bytes.t -> int -> int -> edit) -> Oid.t list
+(** [modify_run t oids ~f] edits the objects at the head of [oids] that
+    share the first one's page, under a {e single} pin of that page, and
+    returns the rest of the list.  [f oid buf off len] sees the payload as
+    {!read_with} gives it and says how it changed.  For an object of one
+    segment [buf] is the pinned frame, so a [Patched] payload is already
+    written and a [Rewrite] lands in place when it still fits the page;
+    a chained object's payload is assembled first and its rewrite, like
+    one that outgrew its page, goes through {!update} after the pin is
+    released.  Every visited object counts one object read, every edited
+    one one object written.  [f] may read other objects but must not
+    write through this file.  Raises [Invalid_argument] on a dead slot or
+    a non-head record. *)
 
 val iter : t -> (Bytes.t -> int -> int -> 'a) -> (Oid.t -> 'a -> unit) -> unit
 (** [iter t decode f] calls [f] on every object in physical order (page

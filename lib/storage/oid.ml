@@ -75,6 +75,16 @@ let is_nil_at buf off =
   && Wire.u32_at buf (off + 2) = max_page
   && Wire.u16_at buf (off + 6) = max_file
 
+(* [compare oid (decode buf off)] without building the OID.  The three
+   fields are compared, not the i64: [nil]'s file sets its sign bit. *)
+let compare_at oid buf off =
+  match Int.compare oid.file (Wire.u16_at buf (off + 6)) with
+  | 0 -> (
+      match Int.compare oid.page (Wire.u32_at buf (off + 2)) with
+      | 0 -> Int.compare oid.slot (Wire.u16_at buf off)
+      | c -> c)
+  | c -> c
+
 module Ord = struct
   type nonrec t = t
 

@@ -45,6 +45,10 @@ val is_nil_at : Bytes.t -> int -> bool
 (** [is_nil_at buf off] is [is_nil (decode buf off)], without building the
     OID. *)
 
+val compare_at : t -> Bytes.t -> int -> int
+(** [compare_at oid buf off] is [compare oid (decode buf off)], without
+    building the OID. *)
+
 val to_int64 : t -> int64
 val of_int64 : int64 -> t
 

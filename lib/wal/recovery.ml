@@ -138,4 +138,4 @@ let replay wal ~after applier =
       raise
         (Diverged (Printf.sprintf "replay of record %Ld failed: %s" lsn msg))
   | None -> ());
-  (s.s_applied, losers s)
+  s

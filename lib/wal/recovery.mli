@@ -52,13 +52,6 @@ type loser = {
       (** slots still pinned by the transaction's deletes *)
 }
 
-val replay : Wal.t -> after:int64 -> applier -> int * loser list
-(** Redo, in LSN order, every record of the log (as found when it was
-    opened) whose LSN is strictly greater than [after] — the checkpoint's
-    LSN stamp.  Returns the number of records redone and the losers to
-    roll back.  Raises {!Diverged} if a replayed operation fails — the
-    log and the store disagree. *)
-
 (** {1 Streaming replay}
 
     A replication replica receives the {e unfiltered} record stream as the
@@ -97,5 +90,13 @@ val pending_failure : stream -> (int64 * string) option
 
 val losers : stream -> loser list
 (** Transactions with a logged footprint but no commit/abort marker yet —
-    at a clean shutdown boundary this is the set to roll back, exactly as
-    {!replay} returns. *)
+    at a clean shutdown boundary this is the set to roll back. *)
+
+val replay : Wal.t -> after:int64 -> applier -> stream
+(** Redo, in LSN order, every record of the log (as found when it was
+    opened) whose LSN is strictly greater than [after] — the checkpoint's
+    LSN stamp.  Returns the stream: {!applied} counts the records redone
+    and {!losers} names the transactions to roll back; a replica keeps
+    feeding it, so the master's stream resolves them instead.  Raises
+    {!Diverged} if a replayed operation fails — the log and the store
+    disagree. *)

@@ -100,9 +100,9 @@ let test_propagation_ascending_order () =
   let visited = ref [] in
   let orig = eng.Engine.on_hidden_update in
   eng.Engine.on_hidden_update <-
-    (fun set oid ~before ~after ->
+    (fun set oid change ->
       visited := oid :: !visited;
-      orig set oid ~before ~after);
+      orig set oid change);
   let target = ref None in
   Db.scan db ~set:"S" (fun oid _ -> if !target = None then target := Some oid);
   let target = Option.get !target in

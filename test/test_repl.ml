@@ -47,7 +47,7 @@ let seed_base =
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures                                                     *)
 
-let build_master ?(s_count = 30) ?(seed = 5) () =
+let build_master ?(s_count = 30) ?(seed = 5) ?wal_flush_limit () =
   let built =
     Gen.build
       {
@@ -59,6 +59,7 @@ let build_master ?(s_count = 30) ?(seed = 5) () =
         frames = 64;
         seed = seed + seed_base;
         durable = true;
+        wal_flush_limit;
       }
   in
   built.Gen.db
@@ -807,9 +808,12 @@ let test_staleness_gate () =
 (* The full failover story: master crashes, a replica promotes into the
    next epoch, the surviving replica re-wires, the zombie master is
    fenced, and the old master rejoins as a replica by truncating its
-   divergent tail. *)
+   divergent tail.  A transaction is in flight at the fork: its updates
+   were shipped (the small flush limit syncs the log mid-transaction) but
+   its outcome never was, so the new master rolls it back and every node
+   ends without it. *)
 let test_failover_fence_rejoin () =
-  let mdb = build_master () in
+  let mdb = build_master ~wal_flush_limit:512 () in
   let clk = Clock.manual () in
   let clock = Clock.of_manual clk in
   let m = Master.create ~clock ~liveness:tight_liveness mdb in
@@ -827,8 +831,18 @@ let test_failover_fence_rejoin () =
   let r1, _, r1b, _, _ = attach () in
   let r2, _, r2b, _, _ = attach () in
   mutate_some mdb ~seed:31 ~ops:6;
+  let victim = (s_oids mdb).(1) in
+  let repfield db = Db.field_value db ~set:"S" (Db.get db ~set:"S" victim) "repfield" in
+  let committed = repfield mdb in
+  let tx = Db.begin_txn mdb in
+  for i = 1 to 40 do
+    Db.update_field ~txn:tx mdb ~set:"S" victim ~field:"repfield"
+      (Value.VString (Printf.sprintf "%020d" i))
+  done;
   converge m r1;
   converge m r2;
+  checkb "in-flight updates shipped" true
+    (not (Value.equal (repfield (Replica.db r1)) committed));
   let fork = Replica.last_applied r1 in
   checkb "replicas in step before the crash" true
     (Int64.equal fork (Replica.last_applied r2));
@@ -892,6 +906,12 @@ let test_failover_fence_rejoin () =
     (Int64.compare (Replica.last_applied r3) fork > 0);
   check_converged ~what:"rejoined old master" m2db (Replica.db r3);
   check_converged ~what:"surviving replica" m2db (Replica.db r2);
+  List.iter
+    (fun (what, db) ->
+      checkb (what ^ ": in-flight transaction rolled back") true
+        (Value.equal (repfield db) committed))
+    [ ("new master", m2db); ("surviving replica", Replica.db r2);
+      ("rejoined old master", Replica.db r3) ];
   Sys.remove img
 
 (* ------------------------------------------------------------------ *)

@@ -1085,6 +1085,166 @@ let test_churn_plateau () =
     "link pages after turnover 10 = after turnover 2" (snd !plateau) (link_pages ());
   check_all fx
 
+(* ------------------------------------------------------------------ *)
+(* Write path over bytes                                               *)
+
+module Link_object = Fieldrep_replication.Link_object
+
+(* Pool lookups (hits + physical reads) of [f ()]. *)
+let lookups db f =
+  let count () =
+    let s = Db.stats db in
+    s.Fieldrep_storage.Stats.buffer_hits + s.Fieldrep_storage.Stats.page_reads
+  in
+  let n0 = count () in
+  f ();
+  count () - n0
+
+(* Emp1.dept.name in place: every department carries four employees, in a
+   link object of its own. *)
+let dept_fixture () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  let env = Db.engine fx.db in
+  let node = List.hd (Registry.roots env.Engine.registry "Emp1") in
+  (fx, env, Option.get node.Registry.link_id)
+
+(* A detach, an attach and a fan-out of four touch the pool as often as
+   the decoding implementation did: the byte edits change what happens
+   under each pin, not how many pins there are. *)
+let test_write_path_pins () =
+  let fx, env, _ = dept_fixture () in
+  let emp = fx.emps.(4) in
+  let record = Db.get fx.db ~set:"Emp1" emp in
+  let detach = Engine.prepare_detach env ~set:"Emp1" record in
+  checki "detach: target, link object, its update, the link count" 5
+    (lookups fx.db (fun () -> Engine.on_delete env detach emp));
+  let attach = Engine.prepare_attach env ~set:"Emp1" record in
+  checki "attach: target, link object, its update, the source" 5
+    (lookups fx.db (fun () -> Engine.on_insert env attach emp));
+  let dept = Db.get fx.db ~set:"Dept" fx.depts.(0) in
+  let fanout = Engine.prepare_scalar env dept ~field:"name" in
+  checki "fan-out of four" 4 (List.length (Engine.fanout_touches fanout));
+  checki "same-size fan-out: one pin per page" 1
+    (lookups fx.db (fun () ->
+         Engine.on_scalar_update env fanout ~field:"name" (vstr "dept-Z")));
+  List.iter
+    (fun e -> checkv "copy patched" (vstr "dept-Z") (Db.deref fx.db ~set:"Emp1" e "dept.name"))
+    (Engine.fanout_touches fanout)
+
+(* An entry edit inside an existing link object allocates the target's
+   pair OID, the update's length and the result pair. *)
+let test_membership_edit_words () =
+  let fx, env, link_id = dept_fixture () in
+  let member = { Oid.file = 0; page = 999; slot = 1 } in
+  let add = Engine.Add { Link_object.member; tag = Oid.nil } in
+  let remove = Engine.Remove member in
+  let target = fx.depts.(1) in
+  let add_words =
+    words_per_call (fun () ->
+        ignore (Engine.modify_membership env ~link_id ~threshold:1 target add);
+        ignore (Engine.modify_membership env ~link_id ~threshold:1 target remove))
+    /. 2.
+  in
+  if add_words > 16. then
+    Alcotest.failf "%.1f words per add or remove (at most 16)" add_words;
+  check_all fx
+
+(* A same-size fan-out of four patches the copies in their frames: what it
+   allocates is the walk's bookkeeping, not a record per source. *)
+let test_fanout_words () =
+  let fx, env, _ = dept_fixture () in
+  let dept = Db.get fx.db ~set:"Dept" fx.depts.(2) in
+  let fanout = Engine.prepare_scalar env dept ~field:"name" in
+  checki "fan-out of four" 4 (List.length (Engine.fanout_touches fanout));
+  let flip = ref false in
+  let words =
+    words_per_call (fun () ->
+        flip := not !flip;
+        Engine.on_scalar_update env fanout ~field:"name"
+          (vstr (if !flip then "dept-X" else "dept-Y")))
+  in
+  if words > 40. then Alcotest.failf "%.1f words per fan-out of four (at most 40)" words
+
+(* The byte editor against the decoded model: after every edit the target
+   holds exactly the pair [Record.add_link]/[remove_link] give and the link
+   object exactly the bytes [Link_object.encode] gives. *)
+let prop_membership_editor =
+  let member_pool = Array.init 9 (fun i -> { Oid.file = 0; page = 500 + (i mod 3); slot = i }) in
+  let tag_pool = Array.init 3 (fun i -> { Oid.file = 0; page = 700; slot = i }) in
+  QCheck.Test.make ~name:"membership byte editor matches the decoded edit" ~count:60
+    QCheck.(
+      triple (int_range 0 2) (int_range 0 1)
+        (list_of_size Gen.(1 -- 30) (triple (int_range 0 9) (int_range 0 8) (int_range 0 3))))
+    (fun (tagging, threshold, ops) ->
+      let fx = employee_db ~nemps:2 () in
+      let env = Db.engine fx.db in
+      let target = fx.depts.(3) in
+      let hf = Engine.(env.file_of_oid) target in
+      (* Pairs of other links on both sides of the edited one. *)
+      let seeded =
+        Record.with_links (Db.get fx.db ~set:"Dept" target)
+          [
+            { Record.link_oid = member_pool.(0); link_id = 3 };
+            { Record.link_oid = member_pool.(1); link_id = 9 };
+          ]
+      in
+      Heap_file.update hf target (Record.encode seeded);
+      let link_id = 5 in
+      let tag_of i =
+        match tagging with
+        | 0 -> Oid.nil
+        | 1 -> tag_pool.(i mod 3)
+        | _ -> if i = 3 then Oid.nil else tag_pool.(i)
+      in
+      let lo = ref Link_object.empty and record = ref seeded in
+      List.for_all
+        (fun (kind, m, t) ->
+          let member = member_pool.(m) in
+          let tag = tag_of t in
+          let taken = ref [] in
+          let edit, expect, moved =
+            if kind <= 4 then
+              (Engine.Add { Link_object.member; tag }, Link_object.add !lo { member; tag }, [])
+            else if kind <= 8 then (Engine.Remove member, Link_object.remove !lo member, [])
+            else
+              ( Engine.Take_tagged (tag, taken),
+                Link_object.remove_tagged !lo tag,
+                Link_object.entries_tagged !lo tag )
+          in
+          let was, now = Engine.modify_membership env ~link_id ~threshold fx.depts.(3) edit in
+          let ok_flags =
+            was = Link_object.is_empty !lo && now = Link_object.is_empty expect
+          in
+          let stored = Heap_file.read_with hf target Record.decode_at in
+          let pair = Record.find_link stored link_id in
+          let untagged =
+            List.for_all (fun (e : Link_object.entry) -> Oid.is_nil e.Link_object.tag)
+              (Link_object.entries expect)
+          in
+          let expected_record, ok_link =
+            if Link_object.is_empty expect then (Record.remove_link !record link_id, true)
+            else if threshold >= 1 && Link_object.cardinal expect = 1 && untagged then
+              ( Record.add_link !record
+                  { Record.link_oid = List.hd (Link_object.members expect); link_id },
+                true )
+            else
+              match pair with
+              | Some { Record.link_oid; _ } when Store.is_link_oid env.Engine.store link_oid ->
+                  ( Record.add_link !record { Record.link_oid; link_id },
+                    Bytes.equal
+                      (Heap_file.read (Store.link_file env.Engine.store link_id) link_oid)
+                      (Link_object.encode expect) )
+              | Some _ | None -> (!record, false)
+          in
+          lo := expect;
+          record := expected_record;
+          ok_flags && ok_link
+          && Bytes.equal (Record.encode stored) (Record.encode expected_record)
+          && Bytes.equal (Heap_file.read hf target) (Record.encode expected_record)
+          && !taken = moved)
+        ops)
+
 let () =
   Alcotest.run "fieldrep_replication"
     [
@@ -1162,5 +1322,12 @@ let () =
       ( "invariants",
         [ Alcotest.test_case "detects corruption" `Quick test_invariants_detect_corruption ] );
       ("space reuse", [ Alcotest.test_case "churn plateaus" `Quick test_churn_plateau ]);
+      ( "write path",
+        [
+          Alcotest.test_case "pins as the decoding edit" `Quick test_write_path_pins;
+          Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
+          Alcotest.test_case "same-size fan-out words" `Quick test_fanout_words;
+          QCheck_alcotest.to_alcotest ~long:false prop_membership_editor;
+        ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

@@ -793,7 +793,12 @@ let conf_quarantine_heal kind () =
        with Disk.Corrupt_page { file; page } ->
          checki "names the file" f file;
          checki "names the page" p page);
-      Alcotest.(check bytes) "caller buffer untouched" (Bytes.make psize 'Z') out;
+      let stored = Bytes.copy buf in
+      List.iter
+        (fun off ->
+          Bytes.set stored off (Char.chr (Char.code (Bytes.get stored off) lxor 0xff)))
+        [ 3; 17 ];
+      Alcotest.(check bytes) "caller buffer holds the stored bytes" stored out;
       checkb "quarantined" true (Disk.quarantined disk ~file:f ~page:p);
       checki "failure counted" 1 (Disk.stats disk).Stats.checksum_failures;
       (* Re-reads keep failing from the quarantine entry. *)
