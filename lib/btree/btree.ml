@@ -446,8 +446,6 @@ let find t key = List.rev (lookup t key ~first_only:false)
 let find_first t key =
   match lookup t key ~first_only:true with o :: _ -> Some o | [] -> None
 
-let mem t key = Option.is_some (find_first t key)
-
 let iter_all t f =
   (* Left-most leaf, then the chain. *)
   let rec leftmost page =

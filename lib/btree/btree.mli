@@ -61,7 +61,6 @@ val find : t -> Key.t -> Fieldrep_storage.Oid.t list
 
 val find_first : t -> Key.t -> Fieldrep_storage.Oid.t option
 
-val mem : t -> Key.t -> bool
 
 val iter_range : t -> lo:Key.t -> hi:Key.t -> (Key.t -> Fieldrep_storage.Oid.t -> unit) -> unit
 (** Entries with [lo <= key <= hi] in order. *)

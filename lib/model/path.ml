@@ -33,8 +33,6 @@ let to_string t =
   let last = match t.terminal with Field f -> f | All -> "all" in
   String.concat "." ((t.source_set :: t.steps) @ [ last ])
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let equal a b =
   a.source_set = b.source_set && a.steps = b.steps
   &&

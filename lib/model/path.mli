@@ -23,7 +23,6 @@ val parse : string -> t
     [Invalid_argument] on fewer than three components or empty parts. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val prefix_length : t -> t -> int

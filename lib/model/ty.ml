@@ -49,11 +49,3 @@ let pp_ftype fmt = function
   | Scalar s -> pp_scalar fmt s
   | Ref target -> Format.fprintf fmt "ref %s" target
 
-let pp fmt t =
-  Format.fprintf fmt "@[<v 2>define type %s (@," t.tname;
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf fmt ",@,";
-      Format.fprintf fmt "%s: %a" f.fname pp_ftype f.ftype)
-    t.fields;
-  Format.fprintf fmt "@]@,)"

@@ -34,4 +34,3 @@ val ref_fields : t -> (string * string) list
 val is_ref : field -> bool
 val pp_scalar : Format.formatter -> scalar -> unit
 val pp_ftype : Format.formatter -> ftype -> unit
-val pp : Format.formatter -> t -> unit

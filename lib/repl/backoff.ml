@@ -25,4 +25,3 @@ let next_delay t =
   Fieldrep_util.Splitmix.int t.rng (ceiling + 1)
 
 let reset t = t.attempt <- 0
-let attempts t = t.attempt

@@ -20,5 +20,3 @@ val reset : t -> unit
 (** Call after a successful connection: the next failure starts over at
     the [base] ceiling. *)
 
-val attempts : t -> int
-(** Attempts since the last {!reset}. *)

@@ -203,16 +203,25 @@ let node_threshold (node : Registry.node) =
       min acc rep.Schema.options.Schema.small_link_threshold)
     max_int node.Registry.passing
 
-(* Current membership of [target] under link [link_id]. *)
-let read_membership env ~link_id (target_rec : Record.t) =
-  match Record.find_link target_rec link_id with
-  | None -> Link_object.empty
-  | Some pair ->
-      let loid = pair.Record.link_oid in
-      if Store.is_link_oid env.store loid then
-        let hf = Store.link_file env.store link_id in
-        Heap_file.read_with hf loid Link_object.decode_at
-      else Link_object.of_entries [ { Link_object.member = loid; tag = Oid.nil } ]
+(* [oid]'s pair for link [link_id], read in place: the OID it stores, nil
+   when the object has none. *)
+let link_pair env ~link_id oid =
+  Heap_file.read_with (data_file env oid) oid (fun buf off len ->
+      let at = Record.link_at buf off len link_id in
+      if at < 0 then Oid.nil else Oid.decode buf at)
+
+(* The members that a pair for link [link_id] storing [loid] names, consed
+   onto [acc] in reverse physical order: its link object's, read in the
+   frame, or the lone member a small link keeps in the pair itself.  Nil
+   names none. *)
+let members_onto env ~link_id loid acc =
+  if Oid.is_nil loid then acc
+  else if Store.is_link_oid env.store loid then
+    Heap_file.read_with (Store.link_file env.store link_id) loid
+      (Link_object.fold_at (fun acc member _ -> member :: acc) acc)
+  else loid :: acc
+
+let members env ~link_id loid = List.rev (members_onto env ~link_id loid [])
 
 (* One change to a membership, made on the link object's bytes. *)
 type member_edit =
@@ -253,7 +262,9 @@ let modify_membership env ~link_id ~threshold target_oid edit =
   let lbuf = Domain.DLS.get link_buf in
   let len =
     if is_object then Heap_file.read_with hf pair copy_link
-    else Link_object.members_into lbuf (if at < 0 then [] else [ pair ])
+    else
+      Link_object.entries_into lbuf
+        (if at < 0 then [] else [ { Link_object.member = pair; tag = Oid.nil } ])
   in
   let was_empty = Link_object.count_at !lbuf = 0 in
   let edited = apply_edit lbuf len edit in
@@ -340,24 +351,26 @@ let rec cascade_off env (node : Registry.node) x_oid =
 (* ------------------------------------------------------------------ *)
 (* Inverted traversal                                                  *)
 
-let membership_of env (node : Registry.node) x_rec =
-  match node.Registry.link_id with
-  | None -> Link_object.empty
-  | Some link_id -> read_membership env ~link_id x_rec
-
-(* Sources reaching the object [x_rec] through [node]'s inverted sub-path. *)
-let sources_under env node x_rec =
-  let rec collect (node : Registry.node) x_rec =
-    let members = Link_object.members (membership_of env node x_rec) in
+(* Sources reaching an object through [node]'s inverted sub-path, given
+   the OID its pair for the node's link stores, in physical order: one
+   pair read per intermediate level, one link-object read per object
+   link. *)
+let sources_under env node loid =
+  let rec collect (node : Registry.node) acc loid =
+    let link_id = require_link node in
     match Registry.parent env.registry node with
-    | None -> members
+    | None -> members_onto env ~link_id loid acc
     | Some parent ->
-        List.concat_map (fun m -> collect parent (read_record env m)) members
+        let up = require_link parent in
+        List.fold_left
+          (fun acc m -> collect parent acc (link_pair env ~link_id:up m))
+          acc
+          (members_onto env ~link_id loid [])
   in
-  List.sort_uniq Oid.compare (collect node x_rec)
-
-let sources_of env node target_oid =
-  sources_under env node (read_record env target_oid)
+  let sources = collect node [] loid in
+  (* One link object's members are distinct already. *)
+  if Option.is_none (Registry.parent env.registry node) then List.rev sources
+  else List.sort_uniq Oid.compare sources
 
 (* ------------------------------------------------------------------ *)
 (* Forward walks and terminal maintenance                              *)
@@ -791,9 +804,9 @@ let teardown_source env rep w source_oid =
   | None, chain ->
       (* At each level whose link no live path needs, retract the previous
          object's membership.  Removals at deeper levels are shared across
-         the sources reaching through one intermediate —
-         [Link_object.remove] of an absent member no-ops, so whichever
-         source's teardown quantum gets there first wins. *)
+         the sources reaching through one intermediate — removing an
+         absent member is a no-op, so whichever source's teardown quantum
+         gets there first wins. *)
       ignore
         (List.fold_left
            (fun member ((node : Registry.node), x_oid) ->
@@ -909,12 +922,11 @@ let prepare_scalar env (record : Record.t) ~field =
               match term.Registry.kind with
               | Registry.K_collapsed cid
                 when cid = link_id && List.mem_assoc field term.Registry.fields ->
-                  let lo = read_membership env ~link_id record in
                   Some
                     (Copies
                        ( term.Registry.rep.Schema.rpath.Path.source_set,
                          [ term ],
-                         Link_object.members lo ))
+                         members env ~link_id pair.Record.link_oid ))
               | Registry.K_collapsed _ | Registry.K_inplace | Registry.K_separate _ ->
                   None)
             (terminals node_id)
@@ -929,7 +941,10 @@ let prepare_scalar env (record : Record.t) ~field =
           with
           | [] -> []
           | terms ->
-              [ Copies (node.Registry.source_set, terms, sources_under env node record) ]))
+              [
+                Copies
+                  (node.Registry.source_set, terms, sources_under env node pair.Record.link_oid);
+              ]))
     record.Record.links
 
 (* The hidden slot of a copy of [field] under an in-place or collapsed
@@ -1074,14 +1089,10 @@ let ref_update_intermediate env ~elem_type x_oid ~field ~old_target ~new_target 
               (* Ordinary inverted links at [child]. *)
               match node.Registry.link_id with
               | None -> ()
-              | Some _ ->
-                  let on_path =
-                    not
-                      (Link_object.is_empty
-                         (membership_of env node (read_record env x_oid)))
-                  in
-                  if on_path then begin
-                    let sources = sources_of env node x_oid in
+              | Some link_id ->
+                  let loid = link_pair env ~link_id x_oid in
+                  if not (Oid.is_nil loid) then begin
+                    let sources = sources_under env node loid in
                     (match child.Registry.link_id with
                     | Some _ ->
                         (match old_target with
@@ -1312,7 +1323,8 @@ let referencers_via_links env ~source_set ~attr target_oid =
   in
   Option.map
     (fun node ->
-      Link_object.members (membership_of env node (read_record env target_oid)))
+      let link_id = require_link node in
+      members env ~link_id (link_pair env ~link_id target_oid))
     node
 
 let repair env (rep : Schema.replication) source_oid =

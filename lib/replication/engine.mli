@@ -237,14 +237,9 @@ val modify_membership :
     when empty; with [threshold >= 1], a lone untagged member's OID in the
     pair itself (small-link elimination); else a link object in the
     link's file.  Pins the target's page once to read it and the link
-    object's page once, as the decoded edit did, and leaves exactly the
-    bytes {!Link_object.encode} and {!Record.encode} give for the edited
+    object's page once, and leaves exactly the bytes
+    {!Link_object.entries_into} and {!Record.encode} give for the edited
     membership.  Returns [(was_empty, now_empty)]. *)
-
-val sources_of : env -> Registry.node -> Oid.t -> Oid.t list
-(** All source-set objects currently reaching the given target object
-    through the node's inverted sub-path, in physical order.  Exposed for
-    tests and the invariant checker. *)
 
 (** {1 Reference-update lock scope}
 

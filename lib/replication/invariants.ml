@@ -88,6 +88,8 @@ let rec increasing = function
       Oid.compare a.Link_object.member b.Link_object.member < 0 && increasing rest
   | [] | [ _ ] -> true
 
+let entry acc member tag = { Link_object.member; tag } :: acc
+
 let read_in hf oid decode =
   if Heap_file.exists hf oid then Some (Heap_file.read_with hf oid decode) else None
 
@@ -195,8 +197,7 @@ let findings (env : Engine.env) =
                       Option.value ~default:[]
                         (tolerant
                            (fun loid ->
-                             Option.map Link_object.entries
-                               (read_in lf loid Link_object.decode_at))
+                             Option.map List.rev (read_in lf loid (Link_object.fold_at entry [])))
                            loid)
               in
               let agrees (e : Link_object.entry) =

@@ -331,10 +331,9 @@ let finish ~log_repair ~guard (sw : sweep) =
       | Some lf, _ ->
           Some
             (fun () ->
-              let loid =
-                Heap_file.insert lf
-                  (Link_object.encode (Link_object.of_entries expected))
-              in
+              let buf = ref Bytes.empty in
+              let len = Link_object.entries_into buf expected in
+              let loid = Heap_file.insert ~len lf !buf in
               Oid.Table.replace claimed loid ();
               loid)
       | None, [ e ] ->

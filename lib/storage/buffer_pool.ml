@@ -60,7 +60,6 @@ let create ?(prefetch = 0) disk ~frames =
     seq_next = -1;
   }
 
-let capacity t = Array.length t.frames
 let resident t = Table.length t.table
 let set_prefetch t depth = t.prefetch_depth <- max 0 depth
 let prefetch_depth t = t.prefetch_depth

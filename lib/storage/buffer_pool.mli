@@ -22,7 +22,6 @@ val create : ?prefetch:int -> Disk.t -> frames:int -> t
 (** [frames] must be positive.  [prefetch] is the read-ahead depth in pages
     (default 0 = off). *)
 
-val capacity : t -> int
 val resident : t -> int
 
 val set_prefetch : t -> int -> unit

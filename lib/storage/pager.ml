@@ -8,7 +8,6 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?backend () =
   { disk; pool = Buffer_pool.create ~prefetch disk ~frames; stats }
 
 let page_size t = Disk.page_size t.disk
-let backend_name t = Disk.backend_name t.disk
 
 let close t =
   Buffer_pool.flush t.pool;
@@ -33,7 +32,6 @@ let delete_file t id =
 let page_count t id = Disk.page_count t.disk id
 let with_page_read t ~file ~page fn = Buffer_pool.with_page_read t.pool ~file ~page fn
 let with_page_write t ~file ~page fn = Buffer_pool.with_page_write t.pool ~file ~page fn
-let with_pin t ~file ~page ~dirty fn = Buffer_pool.with_pin t.pool ~file ~page ~dirty fn
 
 let with_pin_arg t ~file ~page ~dirty fn arg =
   Buffer_pool.with_pin_arg t.pool ~file ~page ~dirty fn arg

@@ -20,9 +20,6 @@ val create :
 
 val page_size : t -> int
 
-val backend_name : t -> string
-(** ["mem"] or ["file"]. *)
-
 val close : t -> unit
 (** Flush the pool and release backend resources (descriptors, an
     auto-created backing directory).  Idempotent at the disk level. *)
@@ -41,14 +38,11 @@ val page_count : t -> int -> int
 val with_page_read : t -> file:int -> page:int -> (Bytes.t -> 'a) -> 'a
 val with_page_write : t -> file:int -> page:int -> (Bytes.t -> 'a) -> 'a
 
-val with_pin : t -> file:int -> page:int -> dirty:bool -> (Bytes.t -> 'a) -> 'a
-(** Generalised pinned access (see {!Buffer_pool.with_pin}); the pin is
-    released even on exceptions. *)
-
 val with_pin_arg :
   t -> file:int -> page:int -> dirty:bool -> ('a -> Bytes.t -> 'b) -> 'a -> 'b
-(** {!with_pin} for a callback that takes its state as an argument (see
-    {!Buffer_pool.with_pin_arg}): no closure is allocated. *)
+(** Generalised pinned access for a callback that takes its state as an
+    argument (see {!Buffer_pool.with_pin_arg}): the pin is released even on
+    exceptions, and no closure is allocated. *)
 
 val new_page : t -> file:int -> int
 (** Fresh zeroed page, resident and dirty; no physical read. *)

@@ -1166,13 +1166,43 @@ let test_fanout_words () =
   in
   if words > 40. then Alcotest.failf "%.1f words per fan-out of four (at most 40)" words
 
-(* The byte editor against the decoded model: after every edit the target
+(* A link object as the list of its entries, sorted by member: the model
+   the byte editor is held to. *)
+let rec model_add entries (e : Link_object.entry) =
+  match entries with
+  | [] -> [ e ]
+  | (x : Link_object.entry) :: rest ->
+      let c = Oid.compare e.member x.member in
+      if c < 0 then e :: entries else if c = 0 then e :: rest else x :: model_add rest e
+
+let model_remove entries member =
+  List.filter (fun (e : Link_object.entry) -> not (Oid.equal e.member member)) entries
+
+let untagged entries = List.for_all (fun (e : Link_object.entry) -> Oid.is_nil e.tag) entries
+
+(* The model's bytes, laid out here rather than by [Link_object]:
+   [count:u16][tagged:u8][member (+tag)...], tagged when any entry has a
+   tag. *)
+let model_encode entries =
+  let w = if untagged entries then 8 else 16 in
+  let buf = Bytes.create (3 + (List.length entries * w)) in
+  Bytes.set_uint16_le buf 0 (List.length entries);
+  Bytes.set_uint8 buf 2 (if w = 8 then 0 else 1);
+  List.iteri
+    (fun i (e : Link_object.entry) ->
+      let at = 3 + (i * w) in
+      ignore (Oid.encode buf at e.member);
+      if w = 16 then ignore (Oid.encode buf (at + 8) e.tag))
+    entries;
+  buf
+
+(* The byte editor against the list model: after every edit the target
    holds exactly the pair [Record.add_link]/[remove_link] give and the link
-   object exactly the bytes [Link_object.encode] gives. *)
+   object exactly the model's bytes. *)
 let prop_membership_editor =
   let member_pool = Array.init 9 (fun i -> { Oid.file = 0; page = 500 + (i mod 3); slot = i }) in
   let tag_pool = Array.init 3 (fun i -> { Oid.file = 0; page = 700; slot = i }) in
-  QCheck.Test.make ~name:"membership byte editor matches the decoded edit" ~count:60
+  QCheck.Test.make ~name:"membership byte editor matches the list model" ~count:60
     QCheck.(
       triple (int_range 0 2) (int_range 0 1)
         (list_of_size Gen.(1 -- 30) (triple (int_range 0 9) (int_range 0 8) (int_range 0 3))))
@@ -1197,7 +1227,7 @@ let prop_membership_editor =
         | 1 -> tag_pool.(i mod 3)
         | _ -> if i = 3 then Oid.nil else tag_pool.(i)
       in
-      let lo = ref Link_object.empty and record = ref seeded in
+      let lo = ref [] and record = ref seeded in
       List.for_all
         (fun (kind, m, t) ->
           let member = member_pool.(m) in
@@ -1205,37 +1235,31 @@ let prop_membership_editor =
           let taken = ref [] in
           let edit, expect, moved =
             if kind <= 4 then
-              (Engine.Add { Link_object.member; tag }, Link_object.add !lo { member; tag }, [])
-            else if kind <= 8 then (Engine.Remove member, Link_object.remove !lo member, [])
+              (Engine.Add { Link_object.member; tag }, model_add !lo { member; tag }, [])
+            else if kind <= 8 then (Engine.Remove member, model_remove !lo member, [])
             else
-              ( Engine.Take_tagged (tag, taken),
-                Link_object.remove_tagged !lo tag,
-                Link_object.entries_tagged !lo tag )
+              let moved, kept =
+                List.partition (fun (e : Link_object.entry) -> Oid.equal e.tag tag) !lo
+              in
+              (Engine.Take_tagged (tag, taken), kept, moved)
           in
           let was, now = Engine.modify_membership env ~link_id ~threshold fx.depts.(3) edit in
-          let ok_flags =
-            was = Link_object.is_empty !lo && now = Link_object.is_empty expect
-          in
+          let ok_flags = was = (!lo = []) && now = (expect = []) in
           let stored = Heap_file.read_with hf target Record.decode_at in
           let pair = Record.find_link stored link_id in
-          let untagged =
-            List.for_all (fun (e : Link_object.entry) -> Oid.is_nil e.Link_object.tag)
-              (Link_object.entries expect)
-          in
           let expected_record, ok_link =
-            if Link_object.is_empty expect then (Record.remove_link !record link_id, true)
-            else if threshold >= 1 && Link_object.cardinal expect = 1 && untagged then
-              ( Record.add_link !record
-                  { Record.link_oid = List.hd (Link_object.members expect); link_id },
-                true )
-            else
-              match pair with
-              | Some { Record.link_oid; _ } when Store.is_link_oid env.Engine.store link_oid ->
-                  ( Record.add_link !record { Record.link_oid; link_id },
-                    Bytes.equal
-                      (Heap_file.read (Store.link_file env.Engine.store link_id) link_oid)
-                      (Link_object.encode expect) )
-              | Some _ | None -> (!record, false)
+            match expect with
+            | [] -> (Record.remove_link !record link_id, true)
+            | [ e ] when threshold >= 1 && untagged expect ->
+                (Record.add_link !record { Record.link_oid = e.member; link_id }, true)
+            | _ -> (
+                match pair with
+                | Some { Record.link_oid; _ } when Store.is_link_oid env.Engine.store link_oid ->
+                    ( Record.add_link !record { Record.link_oid; link_id },
+                      Bytes.equal
+                        (Heap_file.read (Store.link_file env.Engine.store link_id) link_oid)
+                        (model_encode expect) )
+                | Some _ | None -> (!record, false))
           in
           lo := expect;
           record := expected_record;
@@ -1244,6 +1268,39 @@ let prop_membership_editor =
           && Bytes.equal (Heap_file.read hf target) (Record.encode expected_record)
           && !taken = moved)
         ops)
+
+(* A truncated link object is a corrupt one: [fold_at] raises for every
+   proper prefix of an encoding and folds the whole of it back to its
+   entries, tagged or not. *)
+let prop_link_object_prefix =
+  QCheck.Test.make ~name:"link object: every proper prefix raises Corrupt" ~count:100
+    QCheck.(pair bool (small_list (pair (int_range 0 40) (int_range 0 3))))
+    (fun (tagged, raw) ->
+      let entries =
+        List.sort_uniq
+          (fun (a : Link_object.entry) b -> Oid.compare a.member b.member)
+          (List.map
+             (fun (m, t) ->
+               {
+                 Link_object.member = { Oid.file = 0; page = 500 + (m / 8); slot = m };
+                 tag = (if tagged && t > 0 then { Oid.file = 0; page = 700; slot = t } else Oid.nil);
+               })
+             raw)
+      in
+      let buf = ref Bytes.empty in
+      let len = Link_object.entries_into buf entries in
+      let fold len =
+        List.rev
+          (Link_object.fold_at
+             (fun acc member tag -> { Link_object.member; tag } :: acc)
+             [] !buf 0 len)
+      in
+      Bytes.equal (Bytes.sub !buf 0 len) (model_encode entries)
+      && fold len = entries
+      && List.for_all
+           (fun len ->
+             match fold len with _ -> false | exception Fieldrep_util.Wire.Corrupt _ -> true)
+           (List.init len Fun.id))
 
 let () =
   Alcotest.run "fieldrep_replication"
@@ -1328,6 +1385,7 @@ let () =
           Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
           Alcotest.test_case "same-size fan-out words" `Quick test_fanout_words;
           QCheck_alcotest.to_alcotest ~long:false prop_membership_editor;
+          QCheck_alcotest.to_alcotest ~long:false prop_link_object_prefix;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

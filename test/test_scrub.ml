@@ -476,17 +476,24 @@ let stray_link_pair db =
 let wrong_link_member db =
   let _, _, pair = linked_target db in
   let lf = link_file_of db pair in
-  let lo = Link_object.decode (Heap_file.read lf pair.Record.link_oid) in
-  let victim = List.hd (Link_object.entries lo) in
+  let buf = ref (Heap_file.read lf pair.Record.link_oid) in
+  let len = Bytes.length !buf in
+  let entries =
+    List.rev
+      (Link_object.fold_at
+         (fun acc member tag -> { Link_object.member; tag } :: acc)
+         [] !buf 0 len)
+  in
+  let victim = List.hd entries in
   let outsider = ref Oid.nil in
   Heap_file.iter_oids (set_file db "Emp1") (fun o ->
-      if Oid.is_nil !outsider && not (Link_object.mem lo o) then outsider := o);
-  let lo =
-    Link_object.add
-      (Link_object.remove lo victim.Link_object.member)
-      { victim with Link_object.member = !outsider }
-  in
-  Heap_file.update lf pair.Record.link_oid (Link_object.encode lo)
+      if
+        Oid.is_nil !outsider
+        && not (List.exists (fun (e : Link_object.entry) -> Oid.equal e.member o) entries)
+      then outsider := o);
+  let len = Link_object.remove_at buf len victim.Link_object.member in
+  let len = Link_object.add_at buf len { victim with Link_object.member = !outsider } in
+  Heap_file.update ~len lf pair.Record.link_oid !buf
 
 let missing_membership db =
   let set, target, pair = linked_target db in
@@ -494,10 +501,11 @@ let missing_membership db =
 
 let orphan_link_object db =
   let _, _, pair = linked_target db in
-  ignore
-    (Heap_file.insert (link_file_of db pair)
-       (Link_object.encode
-          (Link_object.of_entries [ { Link_object.member = first_emp db; tag = Oid.nil } ])))
+  let buf = ref Bytes.empty in
+  let len =
+    Link_object.entries_into buf [ { Link_object.member = first_emp db; tag = Oid.nil } ]
+  in
+  ignore (Heap_file.insert ~len (link_file_of db pair) !buf)
 
 let sprime_wrong_owner db =
   match sprime_oids db with
