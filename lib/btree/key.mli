@@ -12,7 +12,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val same_variant : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val encoded_size : t -> int
 val encode : Bytes.t -> int -> t -> int

@@ -624,7 +624,6 @@ let with_charge t txn f =
       | r ->
           t.charging <- false;
           Txn.charge_io tx (Stats.total_io Stats.grand - io0);
-          Txn.bump_ops tx;
           r
       | exception e ->
           (* re-raising the caught exception keeps its backtrace *)

@@ -38,10 +38,6 @@ let walk_job ~label ~job_id ~owner ~set ~file ~prepare ~log_step ~complete =
 let custom_job ~label ~job_id ~step ~complete =
   { label; job_id; body = Custom { custom_step = step }; complete }
 
-let job_id j = j.job_id
-let label j = j.label
-let cursor j = match j.body with Walk w -> w.cursor | Custom _ -> 0
-
 type t = {
   locks : Lock.t;
   stats : Stats.t;

@@ -71,12 +71,6 @@ val custom_job :
     counts its steps and yields in [Stats] and rotates it like any other
     job. *)
 
-val job_id : job -> int
-val label : job -> string
-
-val cursor : job -> int
-(** Next unprocessed page of a walk job; 0 for a custom job. *)
-
 (** {1 The queue} *)
 
 type t

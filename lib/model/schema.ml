@@ -37,7 +37,7 @@ type set_catalog = {
   decls : replication list;  (* [replications_from], in [rep_id] order *)
   base : int;  (* user arity, the value index of the first hidden slot;
                   -1 for an unknown set *)
-  slots : hidden_slot array;  (* [hidden_slots] *)
+  slots : hidden_slot array;  (* in layout order, dead slots included *)
 }
 
 module Stbl = Hashtbl.Make (String)
@@ -287,7 +287,6 @@ let catalog t set_name =
       c
 
 let replications_from t set_name = (catalog t set_name).decls
-let hidden_slots t set_name = Array.to_list (catalog t set_name).slots
 
 let user_arity t set_name =
   match (catalog t set_name).base with -1 -> raise Not_found | base -> base

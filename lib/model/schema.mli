@@ -71,11 +71,6 @@ type resolved_path = {
           terminal is [all]) *)
 }
 
-(** Hidden slots appended to a set's records, in layout order. *)
-type hidden_slot =
-  | Hidden_copy of { rep_id : int; source_field : string; scalar : Ty.scalar }
-  | Hidden_sref of { rep_id : int }
-
 type t
 
 val create : unit -> t
@@ -155,10 +150,6 @@ val replications_from : t -> string -> replication list
 (** Non-[Dropped] declarations whose source set is the given set. *)
 
 (** {1 Hidden layout} *)
-
-val hidden_slots : t -> string -> hidden_slot list
-(** Hidden slots of a set, in layout order.  Includes the dead slots of
-    [Dropped] declarations, so layout never shifts under reconfiguration. *)
 
 val user_arity : t -> string -> int
 val record_width : t -> string -> int

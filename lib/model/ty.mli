@@ -32,5 +32,4 @@ val ref_fields : t -> (string * string) list
 (** [(field name, target type name)] pairs. *)
 
 val is_ref : field -> bool
-val pp_scalar : Format.formatter -> scalar -> unit
 val pp_ftype : Format.formatter -> ftype -> unit

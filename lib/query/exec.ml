@@ -1,4 +1,5 @@
 module Db = Fieldrep.Db
+module Wire = Fieldrep_util.Wire
 module Heap_file = Fieldrep_storage.Heap_file
 module Pager = Fieldrep_storage.Pager
 module Oid = Fieldrep_storage.Oid
@@ -113,7 +114,7 @@ let retrieve db (q : Ast.retrieve) =
         tuple.Record.values.(i) <- Db.eval ~oid db projections.(i) record
       done;
       let len = Record.encoded_size tuple in
-      if Bytes.length !buf < len then buf := Bytes.create (max len (2 * Bytes.length !buf));
+      Wire.grow buf len;
       ignore (Record.encode_to !buf tuple);
       ignore (Heap_file.insert ~len out !buf);
       incr rows);

@@ -58,9 +58,6 @@ type faults = {
       (** internal: held payloads and their remaining delay *)
 }
 
-val no_faults : unit -> faults
-(** All counters zero, no schedule: a clean link. *)
-
 val seed_schedule :
   ?p_drop:float ->
   ?p_duplicate:float ->

@@ -1,3 +1,4 @@
+module Wire = Fieldrep_util.Wire
 module Oid = Fieldrep_storage.Oid
 module Heap_file = Fieldrep_storage.Heap_file
 module Schema = Fieldrep_model.Schema
@@ -128,14 +129,11 @@ let copy_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 let link_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 let encoding_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 
-let grow (buf : Bytes.t ref) size =
-  if Bytes.length !buf < size then buf := Bytes.create (max size (2 * Bytes.length !buf))
-
 (* [Heap_file.read_with] decoders that copy the payload into [key]'s
    buffer, leaving [room] bytes past it, and return its length. *)
 let copy_into key ~room buf off len =
   let copy = Domain.DLS.get key in
-  grow copy (len + room);
+  Wire.grow copy (len + room);
   Bytes.blit buf off !copy 0 len;
   len
 
@@ -146,13 +144,9 @@ let copy_link = copy_into link_buf ~room:0
 let encode record =
   let buf = Domain.DLS.get encoding_buf in
   let len = Record.encoded_size record in
-  grow buf len;
+  Wire.grow buf len;
   ignore (Record.encode_to !buf record);
   len
-
-let write_record env oid record =
-  let len = encode record in
-  Heap_file.update ~len (data_file env oid) oid !(Domain.DLS.get encoding_buf)
 
 (* Hidden slots may postdate an object: reads beyond the stored width are
    null, writes extend the array (the subtyping of paper §4 realised lazily). *)
@@ -555,11 +549,6 @@ let set_hidden ~force slots buf off len =
       let len = encode (set_slots ~force slots (Record.decode_at buf off len)) in
       Heap_file.Rewrite (!(Domain.DLS.get encoding_buf), len)
 
-(* The change hook's argument for a rewrite of [set]: the decoded records
-   only when the set indexes a hidden field. *)
-let change env set before after =
-  if env.hidden_indexed set then Some (before, after) else None
-
 (* One page of [oids] at a time (one object without batching), firing the
    hook for the indexed rewrites each page collected. *)
 let rec rewrite_pages env ~set edit changes = function
@@ -620,31 +609,22 @@ let batched_rewrite env ~set oids ~edit =
 let copy_slots (term : Registry.terminal) values =
   List.mapi (fun i v -> (term.Registry.slots.(i), v)) values
 
-(* [record] with the hidden copies set; [record] itself when they already
-   hold the values. *)
-let copies_transform (term : Registry.terminal) values record =
-  let updated = set_slots ~force:false (copy_slots term values) record in
-  if updated == record then None else Some updated
-
-(* A source that is also a final of its declaration (a self-referential
-   path) has its link section rewritten by the S' bookkeeping: re-read it. *)
-let reread_owner env final sref_link source_oid source_rec =
-  if Option.equal Oid.equal final (Some source_oid)
-     || Record.find_link source_rec sref_link <> None
-  then read_record env source_oid
-  else source_rec
+(* Set one source object's hidden [slots] in the stored record, read at
+   the write: any S' bookkeeping before it may have rewritten the record's
+   link section (a self-referential path).  No slots, no write. *)
+let write_hidden env (rep : Schema.replication) source_oid = function
+  | [] -> ()
+  | slots ->
+      batched_rewrite env ~set:rep.Schema.rpath.Path.source_set [ source_oid ]
+        ~edit:(fun _ buf off len -> set_hidden ~force:false slots buf off len)
 
 (* Bring one source object's hidden fields in line with its walked path
-   (both strategies).  [source_rec] must be the stored record: it is the
-   base of the rewrite. *)
-let refresh_path env (p : path) source_oid source_rec =
-  let rep = p.rep in
-  let set = rep.Schema.rpath.Path.source_set in
-  let ((_, term) as ends) = Registry.terminal_of env.registry rep in
-  let updated =
-    match term.Registry.kind with
-    | Registry.K_inplace | Registry.K_collapsed _ ->
-        copies_transform term p.values source_rec
+   (both strategies). *)
+let refresh_path env (p : path) source_oid =
+  let ((_, term) as ends) = Registry.terminal_of env.registry p.rep in
+  write_hidden env p.rep source_oid
+    (match term.Registry.kind with
+    | Registry.K_inplace | Registry.K_collapsed _ -> copy_slots term p.values
     | Registry.K_separate sref_link ->
         let idx = term.Registry.slots.(0) in
         let desired =
@@ -652,8 +632,8 @@ let refresh_path env (p : path) source_oid source_rec =
           | Some final_oid -> Value.VRef (sprime_for env ends ~sref_link final_oid)
           | None -> Value.VNull
         in
-        let current = value_or_null source_rec idx in
-        if Value.equal current desired then None
+        let current = read_field env source_oid idx in
+        if Value.equal current desired then []
         else begin
           Option.iter
             (fun sp -> sprime_refcount_add env ~sref_link sp (-1))
@@ -661,22 +641,14 @@ let refresh_path env (p : path) source_oid source_rec =
           Option.iter
             (fun sp -> sprime_refcount_add env ~sref_link sp 1)
             (as_ref_opt desired);
-          let base = reread_owner env p.final sref_link source_oid source_rec in
-          Some (set_value_extending base idx desired)
-        end
-  in
-  Option.iter
-    (fun updated ->
-      write_record env source_oid updated;
-      env.on_hidden_update set source_oid (change env set source_rec updated))
-    updated;
-  clear_pending env rep source_oid
+          [ (idx, desired) ]
+        end);
+  clear_pending env p.rep source_oid
 
 (* Recompute the hidden fields of one source object from the current state
    of the forward path. *)
 let refresh_terminal env rep source_oid =
-  let source_rec = read_record env source_oid in
-  refresh_path env (walk_path env rep source_rec) source_oid source_rec
+  refresh_path env (walk_path env rep (read_record env source_oid)) source_oid
 
 (* Refresh many sources of one declaration, page-batched where the terminal
    allows it.  Separate terminals stay per-object — [sprime_for] /
@@ -722,7 +694,7 @@ let prepare env ~set record ~owners =
   let sprime_owner (p : path) =
     match p.sprime with
     | Some sp when owners && alive env sp ->
-        as_ref_opt (Record.field (read_record env sp) 1)
+        as_ref_opt (read_field env sp 1)
     | Some _ | None -> None
   in
   let on_paths = List.concat_map (fun p -> List.map snd p.chain) paths in
@@ -765,7 +737,7 @@ let attach_source env (p : path) source_oid =
       if was_empty && not now_empty then ensure_deeper env node1 x1
   | Some _, _ | None, [] ->
       () (* path broken by a null reference: nothing to register *));
-  refresh_path env p source_oid (read_record env source_oid)
+  refresh_path env p source_oid
 
 let detach_source env (p : path) source_oid =
   clear_pending env p.rep source_oid;
@@ -793,7 +765,6 @@ let detach_source env (p : path) source_oid =
 let teardown_source env rep w source_oid =
   let p = path_of w rep in
   clear_pending env rep source_oid;
-  let set = rep.Schema.rpath.Path.source_set in
   let _, term = Registry.terminal_of env.registry rep in
   (match (collapsed_link_id term, p.chain) with
   | Some link_id, [ _; (_, x2) ] ->
@@ -816,30 +787,18 @@ let teardown_source env rep w source_oid =
              then ignore (remove_member env node x_oid member);
              x_oid)
            source_oid chain));
-  (* Null the declaration's hidden slots, releasing the S' claim first.
-     The source is read only now: the membership pass may have rewritten
-     its link section along a self-referential chain. *)
-  let source_rec = read_record env source_oid in
-  let updated =
-    match term.Registry.kind with
+  (* Null the declaration's hidden slots, releasing the S' claim first. *)
+  write_hidden env rep source_oid
+    (match term.Registry.kind with
     | Registry.K_separate sref_link -> (
         let idx = term.Registry.slots.(0) in
-        match value_or_null source_rec idx with
+        match read_field env source_oid idx with
         | Value.VRef sp ->
             sprime_refcount_add env ~sref_link sp (-1);
-            let base = reread_owner env None sref_link source_oid source_rec in
-            Some (set_value_extending base idx Value.VNull)
-        | Value.VNull | Value.VInt _ | Value.VString _ -> None)
+            [ (idx, Value.VNull) ]
+        | Value.VNull | Value.VInt _ | Value.VString _ -> [])
     | Registry.K_inplace | Registry.K_collapsed _ ->
-        copies_transform term
-          (List.map (fun _ -> Value.VNull) term.Registry.fields)
-          source_rec
-  in
-  Option.iter
-    (fun updated ->
-      write_record env source_oid updated;
-      env.on_hidden_update set source_oid (change env set source_rec updated))
-    updated
+        copy_slots term (List.map (fun _ -> Value.VNull) term.Registry.fields))
 
 let on_insert env w oid =
   List.iter (fun p -> if rep_live env p.rep then attach_source env p oid) w.paths
@@ -1245,10 +1204,8 @@ let build env (rep : Schema.replication) =
                 let tbl = table_for node in
                 Oid.Table.iter
                   (fun target _ ->
-                    let target_rec = read_record env target in
-                    match Record.find_link target_rec (require_link node) with
-                    | Some _ -> ()
-                    | None -> build_node_target node target)
+                    if Oid.is_nil (link_pair env ~link_id:(require_link node) target)
+                    then build_node_target node target)
                   tbl)
               fresh_links)
       end

@@ -20,13 +20,6 @@ let tag_at buf i =
   if tagged_at buf then Oid.decode buf (entry_offset buf i + Oid.encoded_size)
   else Oid.nil
 
-let ensure (buf : Bytes.t ref) size =
-  if Bytes.length !buf < size then begin
-    let grown = Bytes.create (max size (2 * Bytes.length !buf)) in
-    Bytes.blit !buf 0 grown 0 (Bytes.length !buf);
-    buf := grown
-  end
-
 let fold_at f acc buf off len =
   Wire.check_limit (off + len) off header_size;
   let n = Wire.u16_at buf off in
@@ -51,7 +44,7 @@ let rec put_entries buf ~tagged off = function
 let entries_into buf entries =
   let tagged = List.exists (fun e -> not (Oid.is_nil e.tag)) entries in
   let n = List.length entries in
-  ensure buf (header_size + (n * Oid.encoded_size * if tagged then 2 else 1));
+  Wire.grow buf (header_size + (n * Oid.encoded_size * if tagged then 2 else 1));
   ignore (Wire.put_u16 !buf 0 n);
   ignore (Wire.put_u8 !buf 2 (if tagged then 1 else 0));
   put_entries !buf ~tagged header_size entries
@@ -77,7 +70,7 @@ let relayout (buf : Bytes.t ref) ~tagged =
   let n = count_at !buf in
   let o = Oid.encoded_size in
   if tagged then begin
-    ensure buf (header_size + (2 * n * o));
+    Wire.grow ~keep:true buf (header_size + (2 * n * o));
     for i = n - 1 downto 0 do
       let at = header_size + (2 * i * o) in
       Bytes.blit !buf (header_size + (i * o)) !buf at o;
@@ -110,7 +103,7 @@ let add_at buf len { member; tag } =
     if holds !buf i member then len
     else begin
       let w = width !buf in
-      ensure buf (len + w);
+      Wire.grow ~keep:true buf (len + w);
       Bytes.blit !buf at !buf (at + w) (len - at);
       ignore (Wire.put_u16 !buf 0 (count_at !buf + 1));
       ignore (Oid.encode !buf at member);

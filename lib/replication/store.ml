@@ -110,10 +110,3 @@ let gc t ~live_link ~live_sprime =
         Pager.delete_file t.pager file_id
       end)
     (List.sort_uniq compare dead_files)
-
-let reset t =
-  Hashtbl.iter (fun _ hf -> Pager.delete_file t.pager (Heap_file.file_id hf)) t.by_file_id;
-  Hashtbl.reset t.link_files;
-  Hashtbl.reset t.sprime_files;
-  Hashtbl.reset t.by_file_id;
-  Hashtbl.reset t.link_file_ids

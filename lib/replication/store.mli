@@ -38,9 +38,6 @@ val file_of_oid : t -> Fieldrep_storage.Oid.t -> Fieldrep_storage.Heap_file.t op
 val total_pages : t -> int
 (** Pages across all link and S' files: the space overhead of replication. *)
 
-val reset : t -> unit
-(** Drop every link and S' file (used when a replication is rebuilt). *)
-
 val gc : t -> live_link:(int -> bool) -> live_sprime:(int -> bool) -> unit
 (** Unbind every link/S' ID its predicate calls dead, deleting physical
     files once no surviving binding aliases them (clustered links share one

@@ -130,7 +130,6 @@ val reserve_file_ids : t -> int -> unit
 
 val quarantine : t -> file:int -> page:int -> unit
 val quarantined : t -> file:int -> page:int -> bool
-val clear_quarantine : t -> file:int -> page:int -> unit
 
 val quarantined_pages : t -> (int * int) list
 (** Sorted [(file, page)] list of currently quarantined pages. *)

@@ -40,18 +40,16 @@ let kind_segment = 1
 let kind_tombstone = 2
 let header_size = 1 + Oid.encoded_size
 
-(* Per-domain staging buffer for the segment being written, grown to the
-   largest page seen, so a write allocates nothing once warm.  A segment
-   is staged just before the pin that copies it into the page; nothing
-   stages in between. *)
+(* Per-domain staging buffer for the segment being written, so a write
+   allocates nothing once warm.  A segment is staged just before the pin
+   that copies it into the page; nothing stages in between. *)
 let scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
 (* Stage [kind], [next] and [len] payload bytes from [pos] as one
    segment of [staged] bytes. *)
 let stage t ~kind ~next payload pos len =
   let buf = Domain.DLS.get scratch in
-  if Bytes.length !buf < header_size + len then
-    buf := Bytes.create (max (header_size + len) (Pager.page_size t.pager));
+  Wire.grow buf (header_size + len);
   let off = Wire.put_u8 !buf 0 kind in
   let off = Oid.encode !buf off next in
   Bytes.blit payload pos !buf off len;
@@ -122,7 +120,6 @@ let create ?(reserve = 0) pager =
 let create_output pager = handle ~reserve:0 pager (Pager.create_output_file pager)
 
 let file_id t = t.file
-let pager t = t.pager
 let reserve t = t.reserve
 let object_count t = t.count
 let page_count t = Pager.page_count t.pager t.file
@@ -239,6 +236,18 @@ let header_step t buf =
     t.head_next <- (if Oid.is_nil_at buf (off + 1) then Oid.nil else Oid.decode buf (off + 1))
   end
 
+(* The kind of the record at [oid], -1 when its slot is dead or it names
+   another file or a page past the end; [head_*] then hold the rest of its
+   header. *)
+let kind_at t (oid : Oid.t) =
+  if oid.Oid.file <> t.file || oid.Oid.page < 0 || oid.Oid.page >= page_count t then -1
+  else begin
+    t.at_page <- oid.Oid.page;
+    t.at_slot <- oid.Oid.slot;
+    Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false header_step t;
+    t.head_kind
+  end
+
 (* Fill [head_*] from the record at [oid]; raises on a dead one. *)
 let load_header t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
@@ -325,13 +334,7 @@ let read_with t (oid : Oid.t) decode =
 
 let read t oid = read_with t oid Bytes.sub
 
-let exists t (oid : Oid.t) =
-  oid.Oid.file = t.file
-  && oid.Oid.page >= 0
-  && oid.Oid.page < page_count t
-  && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-         Page.is_live buf oid.Oid.slot
-         && Wire.u8_at buf (Page.offset buf oid.Oid.slot) = kind_head)
+let exists t oid = kind_at t oid = kind_head
 
 let free_chain t first =
   let cursor = ref first in
@@ -388,24 +391,13 @@ let delete t (oid : Oid.t) =
    missing tail is exactly the damage being cleaned up. *)
 let purge t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file.purge: OID from another file";
-  (* The kind of the record at [o], -1 when it is gone; [head_next] then
-     holds its next pointer. *)
-  let kind_of (o : Oid.t) =
-    if o.Oid.page < 0 || o.Oid.page >= page_count t then -1
-    else begin
-      t.at_page <- o.Oid.page;
-      t.at_slot <- o.Oid.slot;
-      Pager.with_pin_arg t.pager ~file:t.file ~page:o.Oid.page ~dirty:false header_step t;
-      t.head_kind
-    end
-  in
-  let kind = kind_of oid in
+  let kind = kind_at t oid in
   if kind >= 0 then begin
     let next = t.head_next in
     delete_slot t oid;
     if kind = kind_head then t.count <- t.count - 1;
     let cursor = ref next in
-    while (not (Oid.is_nil !cursor)) && kind_of !cursor = kind_segment do
+    while (not (Oid.is_nil !cursor)) && kind_at t !cursor = kind_segment do
       let next = t.head_next in
       delete_slot t !cursor;
       cursor := next
@@ -425,13 +417,7 @@ let delete_pinned t (oid : Oid.t) =
   if not (Oid.is_nil next) then free_chain t next;
   t.count <- t.count - 1
 
-let is_tombstone t (oid : Oid.t) =
-  oid.Oid.file = t.file
-  && oid.Oid.page >= 0
-  && oid.Oid.page < page_count t
-  && Pager.with_page_read t.pager ~file:t.file ~page:oid.Oid.page (fun buf ->
-         Page.is_live buf oid.Oid.slot
-         && Wire.u8_at buf (Page.offset buf oid.Oid.slot) = kind_tombstone)
+let is_tombstone t oid = kind_at t oid = kind_tombstone
 
 let free_tombstone t (oid : Oid.t) =
   load_header t oid;

@@ -42,7 +42,6 @@ val attach : ?reserve:int -> Pager.t -> file:int -> t
 (** Open an existing heap file (scans once to recover the object count). *)
 
 val file_id : t -> int
-val pager : t -> Pager.t
 
 val reserve : t -> int
 (** The per-page insert reserve this handle was opened with. *)

@@ -23,11 +23,10 @@ val compare : t -> t -> int
     yields clustered access, which the replication engine relies on when
     propagating updates. *)
 
-val hash : t -> int
-
 val hash_fields : t -> int
-(** A hash of the three fields that allocates nothing (unlike {!hash},
-    which boxes an int64).  The two differ: key a table by one of them. *)
+(** A hash of the three fields that allocates nothing (unlike the hash
+    {!Table} uses, which boxes an int64).  The two differ: key a table by
+    one of them. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,3 +1,5 @@
+module Wire = Fieldrep_util.Wire
+
 type slot = int
 
 let header_size = 4
@@ -65,14 +67,14 @@ let free_space page =
 
 let fits page len = len <= free_space page
 
-(* Per-domain copy of the page being compacted, grown to the largest page
-   seen, so compaction allocates nothing once warm. *)
+(* Per-domain copy of the page being compacted, so compaction allocates
+   nothing once warm. *)
 let scratch = Domain.DLS.new_key (fun () -> ref Bytes.empty)
 
 let compact page =
   let copy = Domain.DLS.get scratch in
   let data_end = get_free_off page in
-  if Bytes.length !copy < data_end then copy := Bytes.create (size page);
+  Wire.grow copy data_end;
   Bytes.blit page 0 !copy 0 data_end;
   let cursor = ref header_size in
   for s = 0 to get_n_slots page - 1 do

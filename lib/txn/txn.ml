@@ -28,7 +28,6 @@ type t = {
   touched : unit Touched.t;
   mutable tombstones : (string * Oid.t) list;
       (* slots pinned by this txn's deletes, resolved at commit/abort *)
-  mutable ops : int;
   mutable io : int;  (* physical page I/O charged to this txn *)
   mutable begun : bool;  (* has a Txn_op record been logged? *)
   mutable snapshot : (int * int64) list;
@@ -43,14 +42,12 @@ let make id =
     undo = [];
     touched = Touched.create 8;
     tombstones = [];
-    ops = 0;
     io = 0;
     begun = false;
     snapshot = [];
   }
 
 let id t = t.id
-let state t = t.state
 let is_active t = t.state = Active
 
 let touched t oid = Touched.mem t.touched oid
@@ -66,8 +63,6 @@ let add_tombstone t ~set oid = t.tombstones <- (set, oid) :: t.tombstones
 let tombstones t = t.tombstones
 let charge_io t n = t.io <- t.io + n
 let io t = t.io
-let bump_ops t = t.ops <- t.ops + 1
-let ops t = t.ops
 let set_state t s = t.state <- s
 let begun t = t.begun
 let mark_begun t = t.begun <- true

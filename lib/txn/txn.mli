@@ -21,7 +21,6 @@ type t
 
 val make : int -> t
 val id : t -> int
-val state : t -> state
 val is_active : t -> bool
 
 val touched : t -> Fieldrep_storage.Oid.t -> bool
@@ -38,8 +37,6 @@ val add_tombstone : t -> set:string -> Fieldrep_storage.Oid.t -> unit
 val tombstones : t -> (string * Fieldrep_storage.Oid.t) list
 val charge_io : t -> int -> unit
 val io : t -> int
-val bump_ops : t -> unit
-val ops : t -> int
 
 val begun : t -> bool
 (** Has this transaction logged a [Txn_op] record yet?  Only then does it

@@ -6,8 +6,6 @@
     option or raise [Invalid_argument] carrying the caller-supplied context
     string, so a broken invariant is diagnosable from the message alone. *)
 
-val last : 'a list -> 'a option
-
 val last_exn : what:string -> 'a list -> 'a
 (** Raises [Invalid_argument] naming [what] on the empty list.  For call
     sites whose non-emptiness is a structural invariant (e.g. a compiled

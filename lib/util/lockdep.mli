@@ -29,8 +29,6 @@ type cls =
   | Pool_pin  (** a buffer-pool frame pin (or page latch) *)
   | Wal_sync  (** the WAL flush barrier ([Wal.sync] is executing) *)
 
-val cls_name : cls -> string
-
 exception Cycle of string
 (** Raised by {!acquire}/{!note} when recording the new edge would close a
     cycle in the acquisition-order graph: a potential deadlock under real

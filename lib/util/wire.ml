@@ -92,3 +92,10 @@ let get_blob buf off =
   (Bytes.sub_string buf off n, off + n)
 
 let blob_size s = 4 + String.length s
+
+let grow ?(keep = false) buf size =
+  if Bytes.length !buf < size then begin
+    let grown = Bytes.create (max size (2 * Bytes.length !buf)) in
+    if keep then Bytes.blit !buf 0 grown 0 (Bytes.length !buf);
+    buf := grown
+  end

@@ -62,6 +62,12 @@ val get_blob : Bytes.t -> int -> string * int
 val blob_size : string -> int
 (** Encoded size of a blob (4 + length). *)
 
+val grow : ?keep:bool -> Bytes.t ref -> int -> unit
+(** [grow buf size] makes [!buf] at least [size] bytes long, at least
+    doubling it when it must grow, so a reused scratch buffer allocates
+    nothing once warm.  A grown buffer is fresh unless [keep] carries the
+    old contents over. *)
+
 val check_bounds : Bytes.t -> int -> int -> unit
 (** [check_bounds buf off len] raises {!Corrupt} unless [off, off+len) lies
     inside [buf]. *)

@@ -26,14 +26,10 @@ type stream = {
   mutable s_failed : (int64 * string) option;
       (* a record whose operation raised; the next record must be the
          master's [Abort] marker rescinding it *)
-  mutable s_applied : int;
 }
 
-let stream applier =
-  { s_applier = applier; s_txns = Hashtbl.create 8; s_failed = None;
-    s_applied = 0 }
+let stream applier = { s_applier = applier; s_txns = Hashtbl.create 8; s_failed = None }
 
-let applied s = s.s_applied
 let pending_failure s = s.s_failed
 
 let trace s txn =
@@ -64,7 +60,6 @@ let apply s record =
   | Wal.Txn_commit txn | Wal.Txn_abort txn -> resolve s txn
   | record -> (
       let produced = s.s_applier.redo record in
-      s.s_applied <- s.s_applied + 1;
       (* The undo half is recorded only once the redo succeeded: a failed
          operation's record, image included, is rescinded by its [Abort]
          marker. *)

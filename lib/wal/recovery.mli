@@ -81,9 +81,6 @@ val feed : stream -> int64 -> Wal.record -> unit
     gap detection and re-request is the transport layer's job.  Raises
     {!Diverged} on an irreconcilable stream (see above). *)
 
-val applied : stream -> int
-(** Operations applied so far (markers not counted). *)
-
 val pending_failure : stream -> (int64 * string) option
 (** The parked failed record, if the last fed record failed validation and
     its [Abort] marker has not arrived yet. *)
@@ -95,8 +92,7 @@ val losers : stream -> loser list
 val replay : Wal.t -> after:int64 -> applier -> stream
 (** Redo, in LSN order, every record of the log (as found when it was
     opened) whose LSN is strictly greater than [after] — the checkpoint's
-    LSN stamp.  Returns the stream: {!applied} counts the records redone
-    and {!losers} names the transactions to roll back; a replica keeps
-    feeding it, so the master's stream resolves them instead.  Raises
-    {!Diverged} if a replayed operation fails — the log and the store
-    disagree. *)
+    LSN stamp.  Returns the stream: {!losers} names the transactions to
+    roll back; a replica keeps feeding it, so the master's stream resolves
+    them instead.  Raises {!Diverged} if a replayed operation fails — the
+    log and the store disagree. *)

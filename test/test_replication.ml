@@ -1132,6 +1132,19 @@ let test_write_path_pins () =
     (fun e -> checkv "copy patched" (vstr "dept-Z") (Db.deref fx.db ~set:"Emp1" e "dept.name"))
     (Engine.fanout_touches fanout)
 
+(* An autocommit insert under an in-place path writes the new object's
+   hidden copy under one pin of its page.  Reading the record whole and
+   then updating it (a header read and a write) would cost two lookups
+   more. *)
+let test_insert_pins () =
+  let fx, _, _ = dept_fixture () in
+  checki "in-place insert: pool lookups" 10
+    (lookups fx.db (fun () ->
+         ignore
+           (Db.insert fx.db ~set:"Emp1"
+              [ vstr "emp-new"; vint 30; vint 50_000; Value.VRef fx.depts.(1) ])));
+  check_all fx
+
 (* An entry edit inside an existing link object allocates the target's
    pair OID, the update's length and the result pair. *)
 let test_membership_edit_words () =
@@ -1269,6 +1282,35 @@ let prop_membership_editor =
           && !taken = moved)
         ops)
 
+(* Removing the only tagged entry narrows a link object back to the
+   untagged encoding, whether the entry goes by member or by tag: the
+   stored bytes equal those of the untagged entries alone. *)
+let test_membership_narrowing () =
+  let fx = employee_db ~nemps:2 () in
+  let env = Db.engine fx.db in
+  let link_id = 5 and target = fx.depts.(3) in
+  let member i = { Oid.file = 0; page = 500; slot = i } in
+  let tag = { Oid.file = 0; page = 700; slot = 1 } in
+  let plain = List.map (fun i -> { Link_object.member = member i; tag = Oid.nil }) [ 1; 3; 5 ] in
+  let edit e = ignore (Engine.modify_membership env ~link_id ~threshold:0 target e) in
+  let stored () =
+    let hf = Engine.(env.file_of_oid) target in
+    match Record.find_link (Heap_file.read_with hf target Record.decode_at) link_id with
+    | Some { Record.link_oid; _ } ->
+        Heap_file.read (Store.link_file env.Engine.store link_id) link_oid
+    | None -> Alcotest.fail "the target has no pair for the link"
+  in
+  let check what = checkb what true (Bytes.equal (stored ()) (model_encode plain)) in
+  edit (Engine.Add_all plain);
+  check "untagged entries";
+  edit (Engine.Add { Link_object.member = member 4; tag });
+  checkb "a tagged entry widens" false (Bytes.equal (stored ()) (model_encode plain));
+  edit (Engine.Remove (member 4));
+  check "removed by member: narrowed";
+  edit (Engine.Add { Link_object.member = member 2; tag });
+  edit (Engine.Take_tagged (tag, ref []));
+  check "taken by tag: narrowed"
+
 (* A truncated link object is a corrupt one: [fold_at] raises for every
    proper prefix of an encoding and folds the whole of it back to its
    entries, tagged or not. *)
@@ -1382,8 +1424,10 @@ let () =
       ( "write path",
         [
           Alcotest.test_case "pins as the decoding edit" `Quick test_write_path_pins;
+          Alcotest.test_case "in-place insert pins" `Quick test_insert_pins;
           Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
           Alcotest.test_case "same-size fan-out words" `Quick test_fanout_words;
+          Alcotest.test_case "membership narrowing" `Quick test_membership_narrowing;
           QCheck_alcotest.to_alcotest ~long:false prop_membership_editor;
           QCheck_alcotest.to_alcotest ~long:false prop_link_object_prefix;
         ] );

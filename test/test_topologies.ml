@@ -73,6 +73,34 @@ let test_self_ref_two_levels () =
     (Db.deref db ~set:"Emp1" workers.(0) "manager.manager.name");
   Db.check_integrity db
 
+(* A separate path from an object that manages itself: it is the source
+   and the final of its own path, so the S' bookkeeping rewrites the link
+   section of the record whose hidden reference is being written. *)
+let test_self_ref_separate_own_manager () =
+  let db, _, _, _ = manager_db () in
+  let self = Db.insert db ~set:"Emp1" [ vstr "self"; vint 300; Value.VNull ] in
+  Db.update_field db ~set:"Emp1" self ~field:"manager" (Value.VRef self);
+  let path = Path.parse "Emp1.manager.name" in
+  Db.replicate db ~strategy:Schema.Separate path;
+  let step what expect =
+    checkv what expect (Db.deref db ~set:"Emp1" self "manager.name");
+    Db.check_integrity db
+  in
+  step "own manager" (vstr "self");
+  Db.update_field db ~set:"Emp1" self ~field:"name" (vstr "renamed");
+  step "renamed" (vstr "renamed");
+  let worker = Db.insert db ~set:"Emp1" [ vstr "w"; vint 100; Value.VRef self ] in
+  checkv "worker attached" (vstr "renamed") (Db.deref db ~set:"Emp1" worker "manager.name");
+  step "worker attached" (vstr "renamed");
+  Db.delete db ~set:"Emp1" worker;
+  step "worker detached" (vstr "renamed");
+  Db.update_field db ~set:"Emp1" self ~field:"manager" Value.VNull;
+  step "manager cleared" Value.VNull;
+  Db.update_field db ~set:"Emp1" self ~field:"manager" (Value.VRef self);
+  step "own manager again" (vstr "renamed");
+  Db.unreplicate db path;
+  step "unreplicated" (vstr "renamed")
+
 let test_self_ref_update_objects_own_field () =
   let db, _, _, workers = manager_db () in
   Db.replicate db ~strategy:Schema.Inplace (Path.parse "Emp1.manager.salary");
@@ -235,6 +263,7 @@ let () =
           Alcotest.test_case "one level" `Quick test_self_ref_one_level;
           Alcotest.test_case "two levels" `Quick test_self_ref_two_levels;
           Alcotest.test_case "own field vs copy" `Quick test_self_ref_update_objects_own_field;
+          Alcotest.test_case "separate, own manager" `Quick test_self_ref_separate_own_manager;
         ] );
       ( "parallel attributes",
         [
