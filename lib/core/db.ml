@@ -4,6 +4,7 @@ module Stats = Fieldrep_storage.Stats
 module Pager = Fieldrep_storage.Pager
 module Heap_file = Fieldrep_storage.Heap_file
 module Disk = Fieldrep_storage.Disk
+module Checksum = Fieldrep_storage.Checksum
 module Btree = Fieldrep_btree.Btree
 module Key = Fieldrep_btree.Key
 module Ty = Fieldrep_model.Ty
@@ -1327,142 +1328,46 @@ let dangling_references t =
   List.rev !dangling
 
 (* ------------------------------------------------------------------ *)
-(* Database images (save / load)                                       *)
+(* Database images                                                     *)
 
-let image_magic = "FREPIMG3"
+(* An image is
+     magic | page size | checkpoint LSN | log path | file-id watermark
+     | files | catalog | link bindings | S' bindings | seal
+   The catalog holds one entry per type (in tag order, so replay reassigns
+   identical tags), set, replication declaration (in rep-id order,
+   [Dropped] ones included: the full sequence fixes hidden-slot layout and
+   link-id allocation) and index: the [Wal.encode_frame] frame of the
+   record that would redo it, then the bindings that record does not
+   carry.  The seal is [Checksum.sum32] of every byte before it. *)
+let image_magic = "FREPIMG4"
 
-let u8_of_rep_state = function
-  | Schema.Building -> 0
-  | Schema.Active -> 1
-  | Schema.Dropping -> 2
-  | Schema.Dropped -> 3
+let rep_states = [| Schema.Building; Schema.Active; Schema.Dropping; Schema.Dropped |]
 
-let rep_state_of_u8 = function
-  | 0 -> Schema.Building
-  | 1 -> Schema.Active
-  | 2 -> Schema.Dropping
-  | 3 -> Schema.Dropped
-  | k -> invalid_arg (Printf.sprintf "Db.load: bad replication state %d" k)
-
-let save t path =
+let image t =
   (* Make the on-disk state complete and self-describing first.  The log
      must reach the OS before its LSN is stamped into the image: a
      checkpoint is a durability point. *)
   Engine.flush_pending t.engine;
   (match t.wal with Some w -> Wal.sync w | None -> ());
   Pager.flush t.pager;
-  let buf = Buffer.create (1 lsl 20) in
-  let put_u8 v = Buffer.add_uint8 buf (v land 0xff) in
-  let put_u16 v = Buffer.add_uint16_le buf (v land 0xffff) in
-  let put_u32 v =
-    assert (v >= 0 && v < 0x1_0000_0000);
-    Buffer.add_int32_le buf (Int32.of_int v)
-  in
-  let put_u64 v = Buffer.add_int64_le buf (Int64.of_int v) in
+  let disk = Pager.disk t.pager in
+  let page_size = Pager.page_size t.pager in
+  let buf = Buffer.create ((page_size * Disk.total_pages disk) + 4096) in
+  let put_u16 v = Buffer.add_uint16_le buf v in
+  let put_u32 v = Buffer.add_int32_le buf (Int32.of_int v) in
   let put_str s =
     put_u16 (String.length s);
     Buffer.add_string buf s
   in
+  let entry record = Buffer.add_bytes buf (Wal.encode_frame 0L record) in
   Buffer.add_string buf image_magic;
-  put_u32 (Pager.page_size t.pager);
-  (* Durability header: the checkpoint's LSN stamp (recovery redoes only
-     log records beyond it), the log this database was writing to, and the
-     disk's file-id watermark (deleted files leave holes that allocation
-     replay must not re-fill). *)
-  put_u64 (match t.wal with Some w -> Int64.to_int (Wal.last_lsn w) | None -> 0);
+  put_u32 page_size;
+  Buffer.add_int64_le buf (match t.wal with Some w -> Wal.last_lsn w | None -> 0L);
   put_str (match t.wal with Some w -> Wal.path w | None -> "");
-  put_u32 (Disk.next_file_id (Pager.disk t.pager));
-  (* Types, in tag order so replay reassigns identical tags. *)
-  let types =
-    List.map (fun ty -> (Schema.type_tag t.schema ty.Ty.tname, ty)) (Schema.types t.schema)
-    |> List.sort compare
-  in
-  put_u16 (List.length types);
-  List.iter
-    (fun (tag, (ty : Ty.t)) ->
-      put_u16 tag;
-      put_str ty.Ty.tname;
-      put_u16 (List.length ty.Ty.fields);
-      List.iter
-        (fun (f : Ty.field) ->
-          put_str f.Ty.fname;
-          match f.Ty.ftype with
-          | Ty.Scalar Ty.SInt -> put_u8 0
-          | Ty.Scalar Ty.SString -> put_u8 1
-          | Ty.Ref target ->
-              put_u8 2;
-              put_str target)
-        ty.Ty.fields)
-    types;
-  (* Sets, in creation order, with their heap-file bindings. *)
-  let sets = Schema.sets t.schema in
-  put_u16 (List.length sets);
-  List.iter
-    (fun (name, elem) ->
-      let hf =
-        match Hashtbl.find_opt t.sets name with
-        | Some hf -> hf
-        | None -> invalid_arg ("Db.checkpoint: set without heap file: " ^ name)
-      in
-      put_str name;
-      put_str elem;
-      put_u32 (Heap_file.file_id hf);
-      put_u32 (Heap_file.reserve hf))
-    sets;
-  (* Replication declarations, in rep-id order — [Dropped] ones included,
-     because the full sequence is what fixes hidden-slot layout and
-     link-id allocation. *)
-  let reps = Schema.all_replications t.schema in
-  put_u16 (List.length reps);
-  List.iter
-    (fun (r : Schema.replication) ->
-      put_u16 r.Schema.rep_id;
-      put_str (Path.to_string r.Schema.rpath);
-      put_u8 (match r.Schema.strategy with Schema.Inplace -> 0 | Schema.Separate -> 1);
-      put_u8 (if r.Schema.options.Schema.collapse then 1 else 0);
-      put_u16 r.Schema.options.Schema.small_link_threshold;
-      put_u8 (if r.Schema.options.Schema.lazy_propagation then 1 else 0);
-      put_u8 (if r.Schema.options.Schema.cluster_links then 1 else 0);
-      put_u8 (u8_of_rep_state (Schema.rep_state t.schema r.Schema.rep_id)))
-    reps;
-  (* Indexes, in creation order, with tree roots. *)
-  let index_defs = Schema.indexes t.schema in
-  put_u16 (List.length index_defs);
-  List.iter
-    (fun (d : Schema.index_def) ->
-      let rt =
-        match Hashtbl.find_opt t.indexes d.Schema.iname with
-        | Some rt -> rt
-        | None -> invalid_arg ("Db.checkpoint: unknown index: " ^ d.Schema.iname)
-      in
-      put_str d.Schema.iname;
-      put_str d.Schema.iset;
-      put_str d.Schema.ifield;
-      put_u8 (if d.Schema.clustered then 1 else 0);
-      put_u32 (Btree.file_id rt.tree);
-      put_u32 (Btree.root rt.tree);
-      put_u64 (Btree.entry_count rt.tree);
-      let free = Btree.free_pages rt.tree in
-      put_u32 (List.length free);
-      List.iter put_u32 free)
-    index_defs;
-  (* Replication storage bindings. *)
-  let links, sprimes = Store.bindings t.store in
-  put_u16 (List.length links);
-  List.iter
-    (fun (link_id, file_id) ->
-      put_u16 link_id;
-      put_u32 file_id)
-    links;
-  put_u16 (List.length sprimes);
-  List.iter
-    (fun (rep_id, file_id) ->
-      put_u16 rep_id;
-      put_u32 file_id)
-    sprimes;
-  (* Raw disk contents.  A query's output file is a transient result that
-     no log record makes, so the image leaves it out, as recovery would. *)
-  let disk = Pager.disk t.pager in
+  put_u32 (Disk.next_file_id disk);
+  (* Every page, verified: a rotten one raises here rather than be re-sealed
+     by the load.  A query's output file is a transient result that no log
+     record makes, so the image leaves it out, as recovery would. *)
   let file_ids =
     List.filter (fun id -> not (Disk.is_output_file disk id)) (Disk.file_ids disk)
   in
@@ -1476,131 +1381,102 @@ let save t path =
         Buffer.add_bytes buf (Disk.dump_page disk ~file:id ~page)
       done)
     file_ids;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
-
-(* Restore a database from an image, returning the checkpoint's durability
-   header alongside it: (db, checkpoint lsn, wal path recorded at save). *)
-let load_image ?(frames = 256) ?backend path =
-  let data =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let data = Bytes.create (in_channel_length ic) in
-        really_input ic data 0 (Bytes.length data);
-        data)
+  let types =
+    Schema.types t.schema
+    |> List.map (fun ty -> (Schema.type_tag t.schema ty.Ty.tname, ty))
+    |> List.sort compare
   in
-  let truncated () = invalid_arg "Db.load: truncated or corrupt image" in
+  let sets = Schema.sets t.schema in
+  let reps = Schema.all_replications t.schema in
+  let index_defs = Schema.indexes t.schema in
+  put_u16
+    (List.length types + List.length sets + List.length reps + List.length index_defs);
+  List.iter
+    (fun (tag, ty) ->
+      entry (Wal.Define_type ty);
+      put_u16 tag)
+    types;
+  List.iter
+    (fun (name, elem_type) ->
+      let hf = set_file t name in
+      entry (Wal.Create_set { name; elem_type; reserve = Heap_file.reserve hf });
+      put_u32 (Heap_file.file_id hf))
+    sets;
+  List.iter
+    (fun { Schema.rep_id; rpath; strategy; options } ->
+      entry (Wal.Replicate { path = Path.to_string rpath; strategy; options });
+      put_u16 rep_id;
+      let state = Schema.rep_state t.schema rep_id in
+      let rec index i = if rep_states.(i) = state then i else index (i + 1) in
+      Buffer.add_uint8 buf (index 0))
+    reps;
+  List.iter
+    (fun { Schema.iname; iset; ifield; clustered } ->
+      let tree = (index_rt t iname).tree in
+      entry (Wal.Build_index { name = iname; set = iset; field = ifield; clustered });
+      put_u32 (Btree.file_id tree);
+      put_u32 (Btree.root tree);
+      Buffer.add_int64_le buf (Int64.of_int (Btree.entry_count tree));
+      let free = Btree.free_pages tree in
+      put_u32 (List.length free);
+      List.iter put_u32 free)
+    index_defs;
+  let links, sprimes = Store.bindings t.store in
+  List.iter
+    (fun bindings ->
+      put_u16 (List.length bindings);
+      List.iter
+        (fun (id, file_id) ->
+          put_u16 id;
+          put_u32 file_id)
+        bindings)
+    [ links; sprimes ];
+  put_u32 0;
+  let data = Buffer.to_bytes buf in
+  let sealed = Bytes.length data - 4 in
+  ignore (Wire.put_u32 data sealed (Checksum.sum32 data 0 sealed));
+  Bytes.unsafe_to_string data
+
+(* The image is built before the file is opened: a save that fails leaves
+   an earlier image at [path] as it was. *)
+let save t path =
+  let image = image t in
+  Out_channel.with_open_bin path (fun oc -> output_string oc image)
+
+let read_image path = In_channel.with_open_bin path In_channel.input_all
+
+(* Restore a database from image bytes, returning the checkpoint's
+   durability header alongside it: (db, checkpoint lsn, wal path recorded
+   at save). *)
+let load_image ?(frames = 256) ?backend image =
+  let corrupt () = invalid_arg "Db.load: truncated or corrupt image" in
+  let data = Bytes.unsafe_of_string image in
   let n_magic = String.length image_magic in
-  if Bytes.length data < n_magic then truncated ();
-  if Bytes.sub_string data 0 n_magic <> image_magic then
-    invalid_arg "Db.load: not a fieldrep database image";
+  let sealed = Bytes.length data - 4 in
+  if sealed < n_magic then corrupt ();
+  if String.sub image 0 n_magic <> image_magic then
+    invalid_arg "Db.load: not a fieldrep FREPIMG4 database image";
+  if Checksum.sum32 data 0 sealed <> Wire.u32_at data sealed then corrupt ();
   let pos = ref n_magic in
   let next get =
     match get data !pos with
     | v, off ->
         pos := off;
         v
-    | exception Wire.Corrupt _ -> truncated ()
+    | exception Wire.Corrupt _ -> corrupt ()
   in
-  let get_u8 () = next Wire.get_u8 in
   let get_u16 () = next Wire.get_u16 in
   let get_u32 () = next Wire.get_u32 in
-  let get_u64 () = next Wire.get_int in
-  let get_str () = next Wire.get_string in
   let page_size = get_u32 () in
-  let checkpoint_lsn = Int64.of_int (get_u64 ()) in
-  let saved_wal_path = get_str () in
+  let checkpoint_lsn = next Wire.get_i64 in
+  let saved_wal_path = next Wire.get_string in
   let next_file_id = get_u32 () in
   let t = create ~page_size ~frames ?backend () in
-  (* Types. *)
-  let ntypes = get_u16 () in
-  for _ = 1 to ntypes do
-    let tag = get_u16 () in
-    let name = get_str () in
-    let nfields = get_u16 () in
-    let fields =
-      List.init nfields (fun _ ->
-          let fname = get_str () in
-          match get_u8 () with
-          | 0 -> { Ty.fname; ftype = Ty.Scalar Ty.SInt }
-          | 1 -> { Ty.fname; ftype = Ty.Scalar Ty.SString }
-          | 2 -> { Ty.fname; ftype = Ty.Ref (get_str ()) }
-          | k -> invalid_arg (Printf.sprintf "Db.load: bad field kind %d" k))
-    in
-    Schema.define_type t.schema (Ty.make ~name fields);
-    if Schema.type_tag t.schema name <> tag then
-      invalid_arg "Db.load: type tag replay mismatch"
-  done;
-  (* Sets (heap files attached after the disk is restored). *)
-  let nsets = get_u16 () in
-  let set_bindings =
-    List.init nsets (fun _ ->
-        let name = get_str () in
-        let elem = get_str () in
-        let file_id = get_u32 () in
-        let reserve = get_u32 () in
-        Schema.create_set t.schema ~name ~elem_type:elem;
-        (name, file_id, reserve))
-  in
-  (* Replications. *)
-  let nreps = get_u16 () in
-  for _ = 1 to nreps do
-    let rep_id = get_u16 () in
-    let path = Path.parse (get_str ()) in
-    let strategy = if get_u8 () = 0 then Schema.Inplace else Schema.Separate in
-    let collapse = get_u8 () = 1 in
-    let small_link_threshold = get_u16 () in
-    let lazy_propagation = get_u8 () = 1 in
-    let cluster_links = get_u8 () = 1 in
-    let state = rep_state_of_u8 (get_u8 ()) in
-    let rep =
-      Schema.add_replication t.schema
-        ~options:{ Schema.collapse; small_link_threshold; lazy_propagation; cluster_links }
-        ~state ~strategy path
-    in
-    if rep.Schema.rep_id <> rep_id then invalid_arg "Db.load: rep id replay mismatch"
-  done;
-  (* Indexes (trees attached after the disk is restored). *)
-  let nindexes = get_u16 () in
-  let index_bindings =
-    List.init nindexes (fun _ ->
-        let iname = get_str () in
-        let iset = get_str () in
-        let ifield = get_str () in
-        let clustered = get_u8 () = 1 in
-        let file_id = get_u32 () in
-        let root = get_u32 () in
-        let count = get_u64 () in
-        let free_pages = List.init (get_u32 ()) (fun _ -> get_u32 ()) in
-        Schema.add_index t.schema { Schema.iname; iset; ifield; clustered };
-        (iname, iset, ifield, file_id, root, count, free_pages))
-  in
-  let nlinks = get_u16 () in
-  let link_bindings =
-    List.init nlinks (fun _ ->
-        let link_id = get_u16 () in
-        let file_id = get_u32 () in
-        (link_id, file_id))
-  in
-  let nsprimes = get_u16 () in
-  let sprime_bindings =
-    List.init nsprimes (fun _ ->
-        let rep_id = get_u16 () in
-        let file_id = get_u32 () in
-        (rep_id, file_id))
-  in
-  (* Disk contents. *)
   let disk = Pager.disk t.pager in
-  let nfiles = get_u32 () in
-  for _ = 1 to nfiles do
+  for _ = 1 to get_u32 () do
     let id = get_u32 () in
-    let npages = get_u32 () in
     let pages =
-      Array.init npages (fun _ ->
+      Array.init (get_u32 ()) (fun _ ->
           next (fun data off ->
               Wire.check_bounds data off page_size;
               (Bytes.sub data off page_size, off + page_size)))
@@ -1611,28 +1487,52 @@ let load_image ?(frames = 256) ?backend path =
      before the checkpoint left holes, and replayed allocations must not
      re-fill them or every subsequent file id would diverge. *)
   Disk.reserve_file_ids disk next_file_id;
-  (* Attach heap files and trees to the restored pages. *)
-  List.iter
-    (fun (name, file_id, reserve) ->
-      let hf = Heap_file.attach ~reserve t.pager ~file:file_id in
-      Hashtbl.replace t.sets name hf;
-      Itbl.replace t.data_files file_id (name, hf))
-    set_bindings;
-  List.iter
-    (fun (iname, iset, ifield, file_id, root, count, free_pages) ->
-      let tree = Btree.attach t.pager ~file:file_id ~root ~count ~free_pages in
-      let value_index = resolve_index_field t ~set:iset ~field:ifield in
-      let def = List.find (fun d -> d.Schema.iname = iname) (Schema.indexes t.schema) in
-      add_index_rt t iname { def; tree; value_index })
-    index_bindings;
-  List.iter
-    (fun (link_id, file_id) ->
-      Store.bind_link t.store ~link_id (Heap_file.attach t.pager ~file:file_id))
-    link_bindings;
-  List.iter
-    (fun (rep_id, file_id) ->
-      Store.bind_sprime t.store ~rep_id (Heap_file.attach t.pager ~file:file_id))
-    sprime_bindings;
+  for _ = 1 to get_u16 () do
+    let record =
+      next (fun data off ->
+          let len = 8 + fst (Wire.get_u32 data off) in
+          Wire.check_bounds data off len;
+          (snd (Wal.decode_frame (Bytes.sub data off len)), off + len))
+    in
+    match record with
+    | Wal.Define_type ty ->
+        Schema.define_type t.schema ty;
+        if Schema.type_tag t.schema ty.Ty.tname <> get_u16 () then
+          invalid_arg "Db.load: type tag replay mismatch"
+    | Wal.Create_set { name; elem_type; reserve } ->
+        Schema.create_set t.schema ~name ~elem_type;
+        let file = get_u32 () in
+        let hf = Heap_file.attach ~reserve t.pager ~file in
+        Hashtbl.replace t.sets name hf;
+        Itbl.replace t.data_files file (name, hf)
+    | Wal.Replicate { path; strategy; options } ->
+        let rep_id = get_u16 () in
+        let state = rep_states.(next Wire.get_u8) in
+        let rep =
+          Schema.add_replication t.schema ~options ~state ~strategy (Path.parse path)
+        in
+        if rep.Schema.rep_id <> rep_id then invalid_arg "Db.load: rep id replay mismatch"
+    | Wal.Build_index { name = iname; set = iset; field = ifield; clustered } ->
+        let def = { Schema.iname; iset; ifield; clustered } in
+        Schema.add_index t.schema def;
+        let file = get_u32 () in
+        let root = get_u32 () in
+        let count = next Wire.get_int in
+        let free_pages = List.init (get_u32 ()) (fun _ -> get_u32 ()) in
+        let tree = Btree.attach t.pager ~file ~root ~count ~free_pages in
+        let value_index = resolve_index_field t ~set:iset ~field:ifield in
+        add_index_rt t iname { def; tree; value_index }
+    | _ -> corrupt ()
+  done;
+  for _ = 1 to get_u16 () do
+    let link_id = get_u16 () in
+    Store.bind_link t.store ~link_id (Heap_file.attach t.pager ~file:(get_u32 ()))
+  done;
+  for _ = 1 to get_u16 () do
+    let rep_id = get_u16 () in
+    Store.bind_sprime t.store ~rep_id (Heap_file.attach t.pager ~file:(get_u32 ()))
+  done;
+  if !pos <> sealed then corrupt ();
   Engine.recompile t.engine;
   (* Re-queue in-flight reconfigurations at cursor 0: the image may have
      been taken mid-job, and re-walking already-processed pages is safe
@@ -1649,7 +1549,7 @@ let load_image ?(frames = 256) ?backend path =
   (t, checkpoint_lsn, saved_wal_path)
 
 let load ?frames ?backend path =
-  let t, _, _ = load_image ?frames ?backend path in
+  let t, _, _ = load_image ?frames ?backend (read_image path) in
   t
 
 (* ------------------------------------------------------------------ *)
@@ -1768,7 +1668,7 @@ let rollback_losers t w losers =
 (* Reopen a checkpoint image and redo its log tail; the returned stream
    still holds the transactions the tail leaves open. *)
 let replay_log ?frames ?wal_path ?backend path =
-  let t, checkpoint_lsn, saved_wal_path = load_image ?frames ?backend path in
+  let t, checkpoint_lsn, saved_wal_path = load_image ?frames ?backend (read_image path) in
   let wal_file =
     match wal_path with
     | Some p -> p
@@ -1801,8 +1701,8 @@ let recover ?frames ?wal_path ?backend path =
 (* ------------------------------------------------------------------ *)
 (* Streaming replication (replica side)                                *)
 
-let open_replica ?frames ?backend path =
-  let t = load ?frames ?backend path in
+let open_replica ?frames ?backend image =
+  let t, _, _ = load_image ?frames ?backend image in
   t.replica_mode <- true;
   t
 

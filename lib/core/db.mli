@@ -348,14 +348,20 @@ val dangling_references : t -> (string * Oid.t * string) list
 
 (** {1 Database images} *)
 
+val image : t -> string
+(** The database as one sealed image: the catalog as the
+    {!Fieldrep_wal.Wal} frames that would redo it, and every data, index,
+    link and S' page, after lazy propagations, the log and the pool are
+    flushed.  Raises [Fieldrep_storage.Disk.Corrupt_page] on a page that
+    fails its checksum ({!scrub} first). *)
+
 val save : t -> string -> unit
-(** Write a self-contained image of the database — catalog, every data,
-    index, link and S' page — to a file.  Pending lazy propagations are
-    flushed first so the image is fully propagated. *)
+(** Write {!image} to a file. *)
 
 val load : ?frames:int -> ?backend:backend -> string -> t
 (** Reopen an image written by {!save}.  Raises [Invalid_argument] on a
-    malformed or foreign file.  The reopened database is not durable;
+    foreign, older-format, truncated or corrupt image.  The reopened
+    database is not durable;
     use {!recover} to reattach the log.  [backend] selects the page store
     the image is restored into (images are backend-agnostic: a database
     saved from a [Mem] store can be reopened on [File] and vice versa). *)
@@ -401,9 +407,10 @@ val recover : ?frames:int -> ?wal_path:string -> ?backend:backend -> string -> t
     entry point raises [Invalid_argument]. *)
 
 val open_replica : ?frames:int -> ?backend:backend -> string -> t
-(** Reopen a {!save}/{!checkpoint} image as a read-only replica.  Not
-    durable: the master's log is the log; the replica redoes shipped
-    records straight into its pages. *)
+(** [open_replica image] opens the {!image} bytes themselves as a
+    read-only replica, with the errors of {!load}.  Not durable: the
+    master's log is the log; the replica redoes shipped records straight
+    into its pages. *)
 
 val is_replica : t -> bool
 

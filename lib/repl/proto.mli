@@ -39,8 +39,8 @@ type msg =
       (** replica's first message: [0L] asks for a {!Snapshot} bootstrap,
           a later LSN asks for catch-up from there (rejoin) *)
   | Snapshot of { lsn : int64; bytes : int64; image : string }
-      (** a [Db.save] image stamped with the log position and cumulative
-          WAL bytes it reflects *)
+      (** [Db.image] bytes stamped with the log position and cumulative
+          WAL bytes they reflect *)
   | Frames of Bytes.t list  (** raw WAL frames, in LSN order *)
   | Commit of { lsn : int64; bytes : int64 }
       (** everything through [lsn] ([bytes] cumulative WAL bytes) is

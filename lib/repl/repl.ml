@@ -123,29 +123,19 @@ module Master = struct
              (Proto.Commit { lsn = Wal.last_lsn m.wal; bytes = wal_bytes m }))
       with Transport.Disconnected -> kill_peer m peer
 
-  (* Bootstrap (or re-bootstrap) a peer from a checkpoint image.  [Db.save]
+  (* Bootstrap (or re-bootstrap) a peer from a database image.  [Db.image]
      syncs the log first, so the image's state and the stamped LSN agree,
      and everything after the stamp will arrive as frames. *)
   let send_snapshot m peer =
-    let tmp = Filename.temp_file "fieldrep_repl" ".img" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-      (fun () ->
-        Db.save m.db tmp;
-        let ic = open_in_bin tmp in
-        let image =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        let lsn = Wal.last_lsn m.wal in
-        try
-          peer.tr.Transport.send
-            (Proto.encode ~epoch:m.epoch
-               (Proto.Snapshot { lsn; bytes = wal_bytes m; image }));
-          peer.shipped_lsn <- lsn;
-          peer.acked_lsn <- lsn
-        with Transport.Disconnected -> kill_peer m peer)
+    let image = Db.image m.db in
+    let lsn = Wal.last_lsn m.wal in
+    try
+      peer.tr.Transport.send
+        (Proto.encode ~epoch:m.epoch
+           (Proto.Snapshot { lsn; bytes = wal_bytes m; image }));
+      peer.shipped_lsn <- lsn;
+      peer.acked_lsn <- lsn
+    with Transport.Disconnected -> kill_peer m peer
 
   let handle_peer_msg m peer payload =
     match Proto.decode payload with
@@ -602,15 +592,7 @@ module Replica = struct
   let handle_msg r msg =
     match msg with
     | Proto.Snapshot { lsn; bytes; image } ->
-        let tmp = Filename.temp_file "fieldrep_repl" ".img" in
-        Fun.protect
-          ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-          (fun () ->
-            let oc = open_out_bin tmp in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc image);
-            r.db <- Some (Db.open_replica ?frames:r.frames tmp));
+        r.db <- Some (Db.open_replica ?frames:r.frames image);
         r.last_applied <- lsn;
         r.commit_lsn <- lsn;
         r.gap_pending <- false;

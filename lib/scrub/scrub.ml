@@ -206,7 +206,7 @@ let finish ~log_repair ~guard (sw : sweep) =
           blank_page fid page;
           Hashtbl.replace touched_files fid ()
       | Fdata set_name -> (
-          let dump = Disk.dump_page disk ~file:fid ~page in
+          let dump = Disk.raw_page disk ~file:fid ~page in
           let slots =
             (* Pure decoding of an already-corrupt image: only malformed-
                bytes exceptions can arise, no storage faults to swallow. *)

@@ -234,6 +234,12 @@ let with_pin_arg t ~file ~page ~dirty fn arg =
       unpin_frame f;
       raise e
 
+(* An uncounted lookup: the caller holds a pin, so the frame is resident. *)
+let mark_dirty t ~file ~page =
+  let f = t.frames.(Table.find t.table (key ~file ~page)) in
+  if f.pins <= 0 then invalid_arg "Buffer_pool.mark_dirty: frame is not pinned";
+  f.dirty <- true
+
 let apply fn buf = fn buf
 let with_pin t ~file ~page ~dirty fn = with_pin_arg t ~file ~page ~dirty apply fn
 

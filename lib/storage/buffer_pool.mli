@@ -52,6 +52,10 @@ val with_pin_arg :
     a top-level [fn] whose state travels in [arg] pins a page allocating
     nothing. *)
 
+val mark_dirty : t -> file:int -> page:int -> unit
+(** Mark a pinned page's frame dirty, for a caller that pinned it clean
+    and then changed it.  Not counted as a lookup. *)
+
 val with_page_read : t -> file:int -> page:int -> (Bytes.t -> 'a) -> 'a
 (** The callback must not retain the buffer past its return. *)
 

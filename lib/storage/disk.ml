@@ -224,6 +224,18 @@ let verify_page t ~file ~page =
 
 (* {2 Physical I/O} *)
 
+(* Verified in the caller's buffer: a caller that must not see a failed
+   read's bytes (the buffer pool) reads into a staging buffer of its
+   own. *)
+let read_verified t ~file ~page buf =
+  let (P ((module B), b)) = t.backend in
+  B.read b ~file ~page buf;
+  if B.read_sum b ~file ~page <> sum_of t buf then begin
+    quarantine t ~file ~page;
+    Stats.bump t.stats Stats.Checksum_failures;
+    raise (Corrupt_page { file; page })
+  end
+
 let read_page t ~file ~page buf =
   check t ~op:"read_page" ~file page;
   assert (Bytes.length buf = t.page_size);
@@ -241,16 +253,7 @@ let read_page t ~file ~page buf =
                 file page))
       end
   | None -> ());
-  (* Verified in the caller's buffer: a caller that must not see a failed
-     read's bytes (the buffer pool) reads into a staging buffer of its
-     own. *)
-  let (P ((module B), b)) = t.backend in
-  B.read b ~file ~page buf;
-  if B.read_sum b ~file ~page <> sum_of t buf then begin
-    quarantine t ~file ~page;
-    Stats.bump t.stats Stats.Checksum_failures;
-    raise (Corrupt_page { file; page })
-  end;
+  read_verified t ~file ~page buf;
   Stats.record_read t.stats ~file
 
 let write_page t ~file ~page buf =
@@ -278,11 +281,18 @@ let write_page t ~file ~page buf =
   clear_quarantine t ~file ~page;
   Stats.record_write t.stats ~file
 
-let dump_page t ~file ~page =
-  check t ~op:"dump_page" ~file page;
+let raw_page t ~file ~page =
+  check t ~op:"raw_page" ~file page;
   let (P ((module B), b)) = t.backend in
   let out = Bytes.create t.page_size in
   B.read b ~file ~page out;
+  out
+
+let dump_page t ~file ~page =
+  check t ~op:"dump_page" ~file page;
+  if quarantined t ~file ~page then raise (Corrupt_page { file; page });
+  let out = Bytes.create t.page_size in
+  read_verified t ~file ~page out;
   out
 
 let restore_file t ~id pages =

@@ -180,10 +180,17 @@ val verify_page : t -> file:int -> page:int -> bool
 
 (** {1 Image support}
 
-    Raw access used by database save/load; bypasses the I/O counters. *)
+    Page access for database images; bypasses the I/O counters. *)
 
 val dump_page : t -> file:int -> page:int -> Bytes.t
-(** Copy of the raw page, not counted as a read and not verified. *)
+(** Copy of the page, not counted as a read.  Verified as {!read_page}
+    verifies: a quarantined page, or one whose checksum fails (which is
+    then quarantined), raises {!Corrupt_page}, so an image never copies
+    rotten bytes for {!restore_file} to re-seal. *)
+
+val raw_page : t -> file:int -> page:int -> Bytes.t
+(** Copy of the stored page bytes, neither counted nor verified: what
+    scrub salvages from a quarantined page. *)
 
 val restore_file : t -> id:int -> Bytes.t array -> unit
 (** (Re)create a file with exactly these pages, not counted as writes.

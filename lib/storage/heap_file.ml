@@ -446,6 +446,11 @@ let write_in_place t buf slot payload len =
   && (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
       Page.write buf slot (staged ()) t.staged)
 
+(* The run pins its page clean; an edit that changed the frame dirties it. *)
+let written t page =
+  Pager.mark_dirty t.pager ~file:t.file ~page;
+  Stats.bump (Pager.stats t.pager) Stats.Objects_written
+
 (* Edit the objects at the head of [oids] on the pinned [page], queueing
    the rewrites that must wait for the pin to go — a chained object's,
    and one that no longer fits its page — and leave the rest of the list
@@ -456,16 +461,14 @@ let rec edit_run t buf page oids =
       let slot = oid.Oid.slot in
       let off = segment_at buf ~file:t.file ~page slot ~kind:kind_head in
       if Oid.is_nil_at buf (off + 1) then begin
-        let stats = Pager.stats t.pager in
-        Stats.bump stats Stats.Objects_read;
+        Stats.bump (Pager.stats t.pager) Stats.Objects_read;
         match
           t.run_edit oid buf (off + header_size) (Page.read_length buf slot - header_size)
         with
         | Keep -> ()
-        | Patched -> Stats.bump stats Stats.Objects_written
+        | Patched -> written t page
         | Rewrite (payload, len) ->
-            if write_in_place t buf slot payload len then
-              Stats.bump stats Stats.Objects_written
+            if write_in_place t buf slot payload len then written t page
             else t.run_deferred <- (oid, Bytes.sub payload 0 len) :: t.run_deferred
       end
       else begin
@@ -493,7 +496,7 @@ let modify_run t oids ~f =
       t.run_edit <- f;
       t.run_rest <- oids;
       t.run_deferred <- [];
-      Pager.with_pin_arg t.pager ~file:t.file ~page:first.Oid.page ~dirty:true run_step t;
+      Pager.with_pin_arg t.pager ~file:t.file ~page:first.Oid.page ~dirty:false run_step t;
       let rest = t.run_rest and deferred = t.run_deferred in
       t.run_edit <- no_edit;
       t.run_rest <- [];

@@ -113,7 +113,8 @@ val modify_run :
   t -> Oid.t list -> f:(Oid.t -> Bytes.t -> int -> int -> edit) -> Oid.t list
 (** [modify_run t oids ~f] edits the objects at the head of [oids] that
     share the first one's page, under a {e single} pin of that page, and
-    returns the rest of the list.  [f oid buf off len] sees the payload as
+    returns the rest of the list; the page is written back only if an edit
+    changed it.  [f oid buf off len] sees the payload as
     {!read_with} gives it and says how it changed.  For an object of one
     segment [buf] is the pinned frame, so a [Patched] payload is already
     written and a [Rewrite] lands in place when it still fits the page;

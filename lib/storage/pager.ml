@@ -35,6 +35,7 @@ let with_page_write t ~file ~page fn = Buffer_pool.with_page_write t.pool ~file 
 
 let with_pin_arg t ~file ~page ~dirty fn arg =
   Buffer_pool.with_pin_arg t.pool ~file ~page ~dirty fn arg
+let mark_dirty t ~file ~page = Buffer_pool.mark_dirty t.pool ~file ~page
 let new_page t ~file = Buffer_pool.new_page t.pool ~file
 let flush t = Buffer_pool.flush t.pool
 let invalidate t ~file ~page = Buffer_pool.invalidate t.pool ~file ~page

@@ -44,6 +44,9 @@ val with_pin_arg :
     argument (see {!Buffer_pool.with_pin_arg}): the pin is released even on
     exceptions, and no closure is allocated. *)
 
+val mark_dirty : t -> file:int -> page:int -> unit
+(** See {!Buffer_pool.mark_dirty}. *)
+
 val new_page : t -> file:int -> int
 (** Fresh zeroed page, resident and dirty; no physical read. *)
 

@@ -18,6 +18,7 @@ module Pager = Fieldrep_storage.Pager
 module Disk = Fieldrep_storage.Disk
 module Transport = Fieldrep_repl.Transport
 module Repl = Fieldrep_repl.Repl
+module Wal = Fieldrep_wal.Wal
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -230,7 +231,7 @@ let test_load_rejects_truncated () =
   let image = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
   (* magic (8), page size (4), checkpoint LSN (8), WAL path (2 + 0 bytes:
-     no WAL), file-id watermark (4); the types follow *)
+     no WAL), file-id watermark (4); the catalog follows *)
   let header_end = 8 + 4 + 8 + 2 + 4 in
   List.iter
     (fun cut ->
@@ -245,6 +246,87 @@ let test_load_rejects_truncated () =
             "Db.load: truncated or corrupt image" msg);
       Sys.remove short)
     [ 3; 14; header_end + 20; String.length image - 100 ]
+
+(* An image of [image] with the byte at [off] flipped, through a file. *)
+let load_flipped image off =
+  let path = tmp "flipped" in
+  let b = Bytes.of_string image in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x01));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Db.load path)
+
+(* The seal covers every byte: a flip anywhere is refused, whichever
+   region it lands in. *)
+let test_load_rejects_flipped_byte () =
+  let db = rich_db () in
+  let image = Db.image db in
+  let n = String.length image in
+  (* The 26-byte header (see the truncated test), the file count, each
+     file as [id | page count | pages], then the catalog's entry count; its
+     first frame is [len:u32 | crc:u32 | payload], and the type tag the
+     frame does not carry follows it.  The link and S' bindings end the
+     image, before the 4-byte seal. *)
+  let u32 off = Int32.to_int (String.get_int32_le image off) in
+  let page_size = u32 8 in
+  let rec skip off files =
+    if files = 0 then off else skip (off + 8 + (u32 (off + 4) * page_size)) (files - 1)
+  in
+  let catalog = skip 30 (u32 26) in
+  let frame = catalog + 2 in
+  let frame_end = frame + 8 + u32 frame in
+  (match Wal.decode_frame (Bytes.of_string (String.sub image frame (frame_end - frame))) with
+  | _, Wal.Define_type _ -> ()
+  | _ -> Alcotest.fail "the catalog does not open with a type");
+  let regions =
+    [
+      ("page size", 9);
+      ("watermark", 24);
+      ("file count", 26);
+      ("first page", 38 + 100);
+      ("last page", catalog - 1);
+      ("entry count", catalog);
+      ("frame length", frame);
+      ("frame payload", frame_end - 1);
+      ("type tag binding", frame_end);
+      ("S' bindings", n - 5);
+      ("seal", n - 1);
+    ]
+  in
+  let sweep = List.init ((n - 8) / 1009) (fun i -> ("sweep", 8 + (i * 1009))) in
+  List.iter
+    (fun (region, off) ->
+      match load_flipped image off with
+      | _ -> Alcotest.failf "%s: image with byte %d flipped loaded" region off
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s (byte %d)" region off)
+            "Db.load: truncated or corrupt image" msg)
+    (regions @ sweep);
+  (* An image of the previous format is refused by its magic. *)
+  let old = "FREPIMG3" ^ String.sub image 8 (n - 8) in
+  match Db.open_replica old with
+  | _ -> Alcotest.fail "an FREPIMG3 image loaded"
+  | exception Invalid_argument _ -> ()
+
+(* A page that fails its checksum is never copied into an image, where the
+   load would re-seal it: the save, and a snapshot, refuse it and
+   quarantine it, leaving the caller to scrub. *)
+let test_save_refuses_rotten_page () =
+  let db = rich_db () in
+  let pager = Db.pager db in
+  Pager.flush pager;
+  let disk = Pager.disk pager in
+  Disk.corrupt_page disk ~file:0 ~page:0 [ 100 ];
+  let path = tmp "rotten" in
+  if Sys.file_exists path then Sys.remove path;
+  (match Db.save db path with
+  | () -> Alcotest.fail "an image copied a rotten page"
+  | exception Disk.Corrupt_page { file = 0; page = 0 } -> ());
+  checkb "no image written" false (Sys.file_exists path);
+  checkb "page quarantined" true (Disk.quarantined_pages disk = [ (0, 0) ]);
+  match Db.image db with
+  | _ -> Alcotest.fail "a snapshot copied a rotten page"
+  | exception Disk.Corrupt_page _ -> ()
 
 let test_rs_database_roundtrip () =
   (* The full workload database with clustered indexes. *)
@@ -362,6 +444,8 @@ let () =
             test_pending_lazy_with_mixed_indexes;
           Alcotest.test_case "garbage rejected" `Quick test_load_rejects_garbage;
           Alcotest.test_case "truncated image rejected" `Quick test_load_rejects_truncated;
+          Alcotest.test_case "flipped byte rejected" `Quick test_load_rejects_flipped_byte;
+          Alcotest.test_case "rotten page refused" `Quick test_save_refuses_rotten_page;
           Alcotest.test_case "R/S database roundtrip" `Quick test_rs_database_roundtrip;
           Alcotest.test_case "index free pages survive load" `Quick
             test_free_pages_survive_load;

@@ -1145,6 +1145,22 @@ let test_insert_pins () =
               [ vstr "emp-new"; vint 30; vint 50_000; Value.VRef fx.depts.(1) ])));
   check_all fx
 
+(* Refreshing sources whose copies are current edits nothing, so the run
+   leaves its pages clean and the next flush writes none of them. *)
+let test_current_refresh_writes () =
+  let fx, env, _ = dept_fixture () in
+  let rep = List.hd (Schema.replications (Db.schema fx.db)) in
+  let pager = Db.pager fx.db in
+  Pager.flush pager;
+  let writes () = (Db.stats fx.db).Fieldrep_storage.Stats.page_writes in
+  let w0 = writes () in
+  for i = 0 to 7 do
+    Engine.refresh env rep fx.emps.(i)
+  done;
+  Pager.flush pager;
+  checki "page writes" 0 (writes () - w0);
+  check_all fx
+
 (* An entry edit inside an existing link object allocates the target's
    pair OID, the update's length and the result pair. *)
 let test_membership_edit_words () =
@@ -1425,6 +1441,8 @@ let () =
         [
           Alcotest.test_case "pins as the decoding edit" `Quick test_write_path_pins;
           Alcotest.test_case "in-place insert pins" `Quick test_insert_pins;
+          Alcotest.test_case "current refresh writes no page" `Quick
+            test_current_refresh_writes;
           Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
           Alcotest.test_case "same-size fan-out words" `Quick test_fanout_words;
           Alcotest.test_case "membership narrowing" `Quick test_membership_narrowing;

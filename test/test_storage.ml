@@ -827,7 +827,7 @@ let conf_torn_write kind () =
       Disk.clear_failpoint disk;
       (* Exactly the first half landed; the stored checksum is stale. *)
       let half = psize / 2 in
-      let raw = Disk.dump_page disk ~file:f ~page:p in
+      let raw = Disk.raw_page disk ~file:f ~page:p in
       Alcotest.(check bytes)
         "first half is the new write" (Bytes.sub torn 0 half) (Bytes.sub raw 0 half);
       Alcotest.(check bytes)
@@ -875,7 +875,7 @@ let conf_tear_page kind () =
       Disk.tear_page disk ~file:f ~page:p;
       checkb "verify fails" false (Disk.verify_page disk ~file:f ~page:p);
       let half = psize / 2 in
-      let raw = Disk.dump_page disk ~file:f ~page:p in
+      let raw = Disk.raw_page disk ~file:f ~page:p in
       Alcotest.(check bytes)
         "second half zeroed"
         (Bytes.make (psize - half) '\000')

@@ -525,7 +525,7 @@ let test_lock_words () =
   checki "table drained" 0 (Lock.active_locks l)
 
 (* A churn-shaped op, delete the oldest R object and insert a new one,
-   costs a transaction of 50 at most 1.25x the words of its autocommit
+   costs a transaction of 50 at most 140 words more than its autocommit
    twin, and reads exactly the same objects. *)
 let test_txn_words strategy () =
   let run ~txn_ops =
@@ -586,10 +586,12 @@ let test_txn_words strategy () =
   let auto_words, auto_read = run ~txn_ops:1 in
   let txn_words, txn_read = run ~txn_ops:50 in
   checki "objects read" auto_read txn_read;
-  let ratio = txn_words /. auto_words in
-  if ratio > 1.25 then
-    Alcotest.failf "txn %.0f words/op, autocommit %.0f: %.2fx (at most 1.25x)"
-      txn_words auto_words ratio
+  (* The gate bounds what a transaction adds per op, not the ratio: a cut
+     to the path both modes share would otherwise raise the ratio. *)
+  let extra = txn_words -. auto_words in
+  if extra > 140. then
+    Alcotest.failf "txn %.0f words/op, autocommit %.0f: %.0f extra (at most 140)"
+      txn_words auto_words extra
 
 (* ------------------------------------------------------------------ *)
 (* Commit / abort semantics through Db                                 *)

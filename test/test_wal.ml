@@ -78,7 +78,7 @@ let test_failpoint_torn_write () =
      Disk.write_page disk ~file:f ~page:p (Bytes.make 64 'n');
      Alcotest.fail "expected Crash"
    with Disk.Crash _ -> ());
-  let page = Disk.dump_page disk ~file:f ~page:p in
+  let page = Disk.raw_page disk ~file:f ~page:p in
   Alcotest.(check char) "first half landed" 'n' (Bytes.get page 0);
   Alcotest.(check char) "second half did not" 'o' (Bytes.get page 63)
 
