@@ -704,7 +704,8 @@ let rebalance_child t children seps idx =
 (* A delete can stale only seps.(idx - 1), the separator into the child
    whose minimum it removed; that one is set before any rebalance pulls
    it down.  An internal node is decoded and rewritten only then or when
-   its child underflowed.  Sets [underfull] for the node at [page]. *)
+   its child underflowed.  Sets [underfull] for the node at [page]; for an
+   internal root, whether it is left with a lone child to collapse into. *)
 let rec delete_rec t page level =
   if level = 1 then
     Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:true delete_step t
@@ -720,7 +721,8 @@ let rec delete_rec t page level =
       && match min with Same -> true | Leaf_min | Now _ -> idx = 0 | Emptied -> false
     in
     if unchanged then begin
-      t.underfull <- 4 * used < Pager.page_size t.pager;
+      t.underfull <-
+        (if level = t.height then used = header else 4 * used < Pager.page_size t.pager);
       min
     end
     else
@@ -749,7 +751,12 @@ let rec delete_rec t page level =
               else Internal { children; seps }
             in
             write_node t page node;
-            t.underfull <- underfull t node;
+            t.underfull <-
+              (if level < t.height then underfull t node
+               else
+                 match node with
+                 | Internal { seps = [||]; _ } -> true
+                 | Internal _ | Leaf _ -> false);
             min
   end
 
@@ -757,8 +764,8 @@ let rec delete_rec t page level =
 let lone_child buf =
   if (not (is_leaf buf)) && count_at buf = 0 then u32_at buf 3 else -1
 
-(* Collapse a root with a single child (which is underfull): the test
-   reads the root's tag and count in place. *)
+(* Collapse a root left with a lone child, and again while the new root
+   has one: the test reads the root's tag and count in place. *)
 let rec collapse t =
   match Pager.with_page_read t.pager ~file:t.file ~page:t.root lone_child with
   | -1 -> ()
@@ -775,7 +782,7 @@ let delete t key oid =
   | exception Absent -> false
   | (_ : min_change) ->
       t.count <- t.count - 1;
-      if t.underfull then collapse t;
+      if t.height > 1 && t.underfull then collapse t;
       true
 
 (* ------------------------------------------------------------------ *)

@@ -839,9 +839,8 @@ let txn_check t tx =
 let free_txn_tombstones t stones =
   List.iter
     (fun (set, oid) ->
-      let hf = set_file t set in
-      (* revived slots (abort path) are no longer tombstones *)
-      if Heap_file.is_tombstone hf oid then Heap_file.free_tombstone hf oid)
+      (* a revived slot (abort path) is no longer a tombstone: left alone *)
+      ignore (Heap_file.free_tombstone (set_file t set) oid))
     (List.rev stones)
 
 let finish t tx state =

@@ -373,9 +373,10 @@ let sources_under env node loid =
    lock set and the apply that follows: the objects on the path (stopping
    at the first null reference), the final object when the path is
    complete, the final's replicated values for in-place and collapsed
-   terminals (null when the path is broken), and the S' object a separate
-   terminal's hidden reference names.  OIDs and user-field values only:
-   apply re-reads any object before it rewrites it. *)
+   terminals (null when the path is broken; none when the walk is not
+   asked for them), and the S' object a separate terminal's hidden
+   reference names.  OIDs and user-field values only: apply re-reads any
+   object before it rewrites it. *)
 type path = {
   rep : Schema.replication;
   chain : (Registry.node * Oid.t) list;
@@ -393,9 +394,10 @@ let terminal_values (term : Registry.terminal) buf off len =
 
 (* The path from a source whose first step holds [first]: each object on
    it is read for its next step alone, and the final, for in-place and
-   collapsed terminals, for the replicated fields alone, under one pin.
-   Returns the chain (innermost first), the final and its values. *)
-let walk_from env (term : Registry.terminal) nodes first =
+   collapsed terminals and when [values] asks, for the replicated fields
+   alone, under one pin.  Returns the chain (innermost first), the final
+   and its values. *)
+let walk_from env ~values (term : Registry.terminal) nodes first =
   let rec go chain value = function
     | [] -> invalid_arg "Engine.walk_path: empty chain"
     | (node : Registry.node) :: rest -> (
@@ -407,10 +409,12 @@ let walk_from env (term : Registry.terminal) nodes first =
             | [] ->
                 let values =
                   match term.Registry.kind with
-                  | Registry.K_separate _ -> []
-                  | Registry.K_inplace | Registry.K_collapsed _ ->
+                  | (Registry.K_inplace | Registry.K_collapsed _) when values ->
                       Heap_file.read_with (data_file env oid) oid
                         (terminal_values term)
+                  | Registry.K_separate _ | Registry.K_inplace | Registry.K_collapsed _
+                    ->
+                      []
                 in
                 (chain, Some oid, values)
             | (next : Registry.node) :: _ ->
@@ -423,11 +427,12 @@ let first_step env rep =
   | (first : Registry.node) :: _ -> first.Registry.step_index
   | [] -> invalid_arg "Engine.walk_path: empty chain"
 
-(* Read-only.  A separate terminal's final is named but not read. *)
-let walk_path env (rep : Schema.replication) source_rec =
+(* Read-only.  A separate terminal's final is named but not read, nor any
+   final without [values]. *)
+let walk_path env ~values (rep : Schema.replication) source_rec =
   let _, term = Registry.terminal_of env.registry rep in
   let chain, final, values =
-    walk_from env term (Registry.chain env.registry rep)
+    walk_from env ~values term (Registry.chain env.registry rep)
       (value_or_null source_rec (first_step env rep))
   in
   let sprime =
@@ -648,7 +653,9 @@ let refresh_path env (p : path) source_oid =
 (* Recompute the hidden fields of one source object from the current state
    of the forward path. *)
 let refresh_terminal env rep source_oid =
-  refresh_path env (walk_path env rep (read_record env source_oid)) source_oid
+  refresh_path env
+    (walk_path env ~values:true rep (read_record env source_oid))
+    source_oid
 
 (* Refresh many sources of one declaration, page-batched where the terminal
    allows it.  Separate terminals stay per-object — [sprime_for] /
@@ -667,7 +674,7 @@ let refresh_batch env (rep : Schema.replication) oids =
         ~edit:(fun oid buf off len ->
           clear_pending env rep oid;
           let _, _, values =
-            walk_from env term nodes (Record.field_at buf off len first)
+            walk_from env ~values:true term nodes (Record.field_at buf off len first)
           in
           set_hidden ~force:false (copy_slots term values) buf off len)
 
@@ -679,16 +686,17 @@ let refresh_batch env (rep : Schema.replication) oids =
    source itself — the objects on the paths, plus (for a detach) the
    owners of the S' objects it releases, which the walk may no longer
    reach.  Link and S' objects are not data objects: the lock on the data
-   object that owns them guards them. *)
-type walk = { paths : path list; touches : Oid.t list }
+   object that owns them guards them.  [linked]: the source had links. *)
+type walk = { paths : path list; touches : Oid.t list; linked : bool }
 
 let touches w = w.touches
 
 let alive env oid = Heap_file.exists (data_file env oid) oid
 
+(* A detach ([owners]) neither refreshes nor reads the final's values. *)
 let prepare env ~set record ~owners =
   let paths =
-    List.map (fun rep -> walk_path env rep record)
+    List.map (fun rep -> walk_path env ~values:(not owners) rep record)
       (Schema.replications_from env.schema set)
   in
   let sprime_owner (p : path) =
@@ -703,6 +711,7 @@ let prepare env ~set record ~owners =
     touches =
       List.sort_uniq Oid.compare
         (on_paths @ List.filter_map sprime_owner paths);
+    linked = record.Record.links <> [];
   }
 
 let prepare_attach env ~set record = prepare env ~set record ~owners:false
@@ -806,8 +815,10 @@ let on_insert env w oid =
 let on_delete env w oid =
   List.iter (fun p -> detach_source env p oid) w.paths;
   (* Detaching may clear the object's own memberships (a self-referential
-     path); any left make it an intermediate or final object. *)
-  if Heap_file.read_with (data_file env oid) oid Record.link_count_at > 0 then
+     path) but adds none; any left make it an intermediate or final
+     object. *)
+  if w.linked && Heap_file.read_with (data_file env oid) oid Record.link_count_at > 0
+  then
     invalid_arg
       (Printf.sprintf
          "Engine: object %s is still referenced along a replication path"
@@ -1107,7 +1118,7 @@ let build env (rep : Schema.replication) =
          objects down in final-set physical order. *)
       let per_final = Oid.Table.create 64 in
       Heap_file.iter src_file Record.decode_at (fun source_oid record ->
-          match (walk_path env rep record).chain with
+          match (walk_path env ~values:false rep record).chain with
           | [ (_, x1); (_, x2) ] ->
               let prev = Option.value ~default:[] (Oid.Table.find_opt per_final x2) in
               Oid.Table.replace per_final x2
@@ -1146,7 +1157,7 @@ let build env (rep : Schema.replication) =
       in
       let table_for (n : Registry.node) = List.assoc n.Registry.node_id tables in
       Heap_file.iter src_file Record.decode_at (fun source_oid record ->
-          let targets = (walk_path env rep record).chain in
+          let targets = (walk_path env ~values:false rep record).chain in
           ignore
             (List.fold_left
                (fun member ((node : Registry.node), x_oid) ->
@@ -1233,7 +1244,7 @@ let build env (rep : Schema.replication) =
           let counts = Oid.Table.create 256 in
           let final_for = Oid.Table.create 256 in
           Heap_file.iter src_file Record.decode_at (fun source_oid record ->
-              match (walk_path env rep record).final with
+              match (walk_path env ~values:false rep record).final with
               | Some final_oid ->
                   Oid.Table.replace final_for source_oid final_oid;
                   Oid.Table.replace counts final_oid

@@ -12,7 +12,8 @@ type t = {
   (* The in-page steps below run under [Pager.with_pin_arg] with the file
      as their argument, so a step builds no closure: [at_page]/[at_slot]
      say where it works, [staged] how long the record staged in the
-     scratch is, and [load_header] leaves its findings in [head_*]. *)
+     scratch is, and [head_step] reads the kind it wants from [head_kind]
+     and leaves its findings in [head_*]. *)
   mutable at_page : int;
   mutable at_slot : int;
   mutable staged : int;
@@ -204,57 +205,79 @@ let insert_staged t =
       { Oid.file = t.file; page; slot }
     end
 
-(* Replace the record in [at_slot] of [at_page] with the staged one. *)
-let write_step t buf =
-  let ok = Page.write buf t.at_slot (staged ()) t.staged in
-  note t t.at_page buf;
-  ok
+(* What a head step asks for when it is not one kind: to look only (no
+   live record has kind -1), or to act on a live record of any kind. *)
+let look = -1
+let any_kind = -2
 
-let write_staged t (oid : Oid.t) =
-  t.at_page <- oid.Oid.page;
-  t.at_slot <- oid.Oid.slot;
-  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:true write_step t
-
-let delete_step t buf =
-  Page.delete buf t.at_slot;
-  note t t.at_page buf
-
-let delete_slot t (oid : Oid.t) =
-  t.at_page <- oid.Oid.page;
-  t.at_slot <- oid.Oid.slot;
-  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:true delete_step t
-
-(* Read the kind, length and next pointer of the record in [at_slot] in
-   place; a dead slot reads as kind -1. *)
-let header_step t buf =
-  let slot = t.at_slot in
+(* The head step, the one pin of every mutation: read the header of the
+   record in [at_slot] into [head_*] (kind -1 when the slot is dead), and
+   when its kind is the one [head_kind] asked for, free the slot ([staged]
+   = 0) or write the staged record over it.  The pin is clean: only an act
+   dirties the page.  True when it acted; false also when the staged
+   record does not fit the page. *)
+let head_step t buf =
+  let want = t.head_kind and slot = t.at_slot in
   if not (Page.is_live buf slot) then t.head_kind <- -1
   else begin
     let off = Page.offset buf slot in
     t.head_kind <- Wire.u8_at buf off;
     t.head_len <- Page.read_length buf slot;
     t.head_next <- (if Oid.is_nil_at buf (off + 1) then Oid.nil else Oid.decode buf (off + 1))
-  end
+  end;
+  let acted =
+    t.head_kind >= 0
+    && (want = t.head_kind || want = any_kind)
+    &&
+    if t.staged = 0 then begin
+      Page.delete buf slot;
+      true
+    end
+    else Page.write buf slot (staged ()) t.staged
+  in
+  if acted then begin
+    Pager.mark_dirty t.pager ~file:t.file ~page:t.at_page;
+    note t t.at_page buf
+  end;
+  acted
+
+let head_at t (oid : Oid.t) want =
+  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  t.at_page <- oid.Oid.page;
+  t.at_slot <- oid.Oid.slot;
+  t.head_kind <- want;
+  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false head_step t
+
+let free_slot t oid want =
+  t.staged <- 0;
+  head_at t oid want
+
+(* [oid] names a page of this file. *)
+let in_file t (oid : Oid.t) =
+  oid.Oid.file = t.file && oid.Oid.page >= 0 && oid.Oid.page < page_count t
 
 (* The kind of the record at [oid], -1 when its slot is dead or it names
    another file or a page past the end; [head_*] then hold the rest of its
    header. *)
-let kind_at t (oid : Oid.t) =
-  if oid.Oid.file <> t.file || oid.Oid.page < 0 || oid.Oid.page >= page_count t then -1
+let kind_at t oid =
+  if not (in_file t oid) then -1
   else begin
-    t.at_page <- oid.Oid.page;
-    t.at_slot <- oid.Oid.slot;
-    Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false header_step t;
+    ignore (head_at t oid look);
     t.head_kind
   end
 
-(* Fill [head_*] from the record at [oid]; raises on a dead one. *)
-let load_header t (oid : Oid.t) =
-  if oid.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
-  t.at_page <- oid.Oid.page;
-  t.at_slot <- oid.Oid.slot;
-  Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false header_step t;
-  if t.head_kind < 0 then dead oid
+(* Raise for a head step that found no record of the kind it wanted. *)
+let refuse t oid message =
+  if t.head_kind < 0 then dead oid;
+  invalid_arg message
+
+(* Write over the [kind] record at [oid] the head of a chain that goes on
+   at [next]: [chunk] payload bytes, no more than the record holds, so the
+   write succeeds in place. *)
+let write_chain_head t oid ~kind payload chunk next =
+  stage t ~kind:kind_head ~next payload 0 chunk;
+  let ok = head_at t oid kind in
+  assert ok
 
 (* Append the payload's bytes from [pos] up to [len] as a chain of
    continuation segments, returning the OID of the first one (or nil when
@@ -270,6 +293,26 @@ let rec spill t payload pos len =
     insert_staged t
   end
 
+(* Put [len] payload bytes over the [want] record at [oid] with one head
+   step: true when they fit its page.  A payload no page could hold is not
+   staged, and the step only looks. *)
+let place t oid want payload len =
+  if header_size + len <= max_record t then begin
+    stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
+    head_at t oid want
+  end
+  else begin
+    ignore (head_at t oid look);
+    false
+  end
+
+(* Keep [keep] of [len] payload bytes in the [kind] record at [oid], whose
+   page has no room for them all, and spill the rest. *)
+let spill_head t oid ~kind payload len ~keep =
+  let keep = min len keep in
+  let next = spill t payload keep len in
+  write_chain_head t oid ~kind payload keep next
+
 let insert ?len t payload =
   let len = match len with Some len -> len | None -> Bytes.length payload in
   (* Head goes first, so while no page qualifies for reuse home slots
@@ -279,11 +322,8 @@ let insert ?len t payload =
   stage t ~kind:kind_head ~next:Oid.nil payload 0 head_chunk;
   let head_oid = insert_staged t in
   let next = spill t payload head_chunk len in
-  if not (Oid.is_nil next) then begin
-    stage t ~kind:kind_head ~next payload 0 head_chunk;
-    let ok = write_staged t head_oid in
-    assert ok
-  end;
+  if not (Oid.is_nil next) then
+    write_chain_head t head_oid ~kind:kind_head payload head_chunk next;
   t.count <- t.count + 1;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written;
   head_oid
@@ -336,102 +376,71 @@ let read t oid = read_with t oid Bytes.sub
 
 let exists t oid = kind_at t oid = kind_head
 
-let free_chain t first =
-  let cursor = ref first in
-  while not (Oid.is_nil !cursor) do
-    let oid = !cursor in
-    load_header t oid;
-    if t.head_kind <> kind_segment then raise (Wire.Corrupt "Heap_file: bad chain");
-    let next = t.head_next in
-    delete_slot t oid;
-    cursor := next
-  done
-
-(* Write [len] payload bytes as the head at [oid]: whole when they fit,
-   else keeping [keep] of them in the head (no more than it holds now, so
-   the in-place write always succeeds) and spilling the rest. *)
-let write_head t (oid : Oid.t) payload len ~keep =
-  let placed =
-    header_size + len <= max_record t
-    && (stage t ~kind:kind_head ~next:Oid.nil payload 0 len;
-        write_staged t oid)
-  in
-  if not placed then begin
-    let head_chunk = min len keep in
-    let next = spill t payload head_chunk len in
-    stage t ~kind:kind_head ~next payload 0 head_chunk;
-    let ok = write_staged t oid in
-    assert ok
+let rec free_chain t oid =
+  if not (Oid.is_nil oid) then begin
+    if not (free_slot t oid kind_segment) then begin
+      if t.head_kind < 0 then dead oid;
+      raise (Wire.Corrupt "Heap_file: bad chain")
+    end;
+    free_chain t t.head_next
   end
 
+(* A payload that fits the head's page goes over it in place; one that
+   does not keeps the head's present size and spills the rest. *)
 let update ?len t (oid : Oid.t) payload =
   let len = match len with Some len -> len | None -> Bytes.length payload in
-  load_header t oid;
-  if t.head_kind <> kind_head then
-    invalid_arg "Heap_file.update: OID is not an object head";
+  let placed = place t oid kind_head payload len in
   let old_next = t.head_next in
-  write_head t oid payload len ~keep:(t.head_len - header_size);
-  if not (Oid.is_nil old_next) then free_chain t old_next;
+  if not placed then begin
+    if t.head_kind <> kind_head then
+      refuse t oid "Heap_file.update: OID is not an object head";
+    spill_head t oid ~kind:kind_head payload len ~keep:(t.head_len - header_size)
+  end;
+  free_chain t old_next;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
-let delete t (oid : Oid.t) =
-  load_header t oid;
-  if t.head_kind <> kind_head then
-    invalid_arg "Heap_file.delete: OID is not an object head";
-  let next = t.head_next in
-  delete_slot t oid;
-  if not (Oid.is_nil next) then free_chain t next;
+let delete t oid =
+  if not (free_slot t oid kind_head) then
+    refuse t oid "Heap_file.delete: OID is not an object head";
+  free_chain t t.head_next;
   t.count <- t.count - 1
 
 (* Best-effort removal for scrub: drop whatever survives of an object whose
-   chain may pass through a blanked (repaired-empty) page.  Deletes the
-   slot if it is still live and follows the continuation chain while the
+   chain may pass through a blanked (repaired-empty) page.  Frees the slot
+   if it is still live and follows the continuation chain while the
    segments remain readable, stopping silently at the first dead or
    malformed one — [delete] would raise there, but during repair the
    missing tail is exactly the damage being cleaned up. *)
 let purge t (oid : Oid.t) =
   if oid.Oid.file <> t.file then invalid_arg "Heap_file.purge: OID from another file";
-  let kind = kind_at t oid in
-  if kind >= 0 then begin
-    let next = t.head_next in
-    delete_slot t oid;
-    if kind = kind_head then t.count <- t.count - 1;
-    let cursor = ref next in
-    while (not (Oid.is_nil !cursor)) && kind_at t !cursor = kind_segment do
-      let next = t.head_next in
-      delete_slot t !cursor;
-      cursor := next
+  if in_file t oid && free_slot t oid any_kind then begin
+    if t.head_kind = kind_head then t.count <- t.count - 1;
+    let cursor = ref t.head_next in
+    while in_file t !cursor && free_slot t !cursor kind_segment do
+      cursor := t.head_next
     done
   end
 
-let delete_pinned t (oid : Oid.t) =
-  load_header t oid;
-  if t.head_kind <> kind_head then
-    invalid_arg "Heap_file.delete_pinned: OID is not an object head";
-  let next = t.head_next in
+let delete_pinned t oid =
   (* A head record is at least [header_size] bytes, so an equal-or-smaller
      in-place write always succeeds. *)
   stage t ~kind:kind_tombstone ~next:Oid.nil Bytes.empty 0 0;
-  let ok = write_staged t oid in
-  assert ok;
-  if not (Oid.is_nil next) then free_chain t next;
+  if not (head_at t oid kind_head) then
+    refuse t oid "Heap_file.delete_pinned: OID is not an object head";
+  free_chain t t.head_next;
   t.count <- t.count - 1
 
-let is_tombstone t oid = kind_at t oid = kind_tombstone
+let free_tombstone t oid = in_file t oid && free_slot t oid kind_tombstone
 
-let free_tombstone t (oid : Oid.t) =
-  load_header t oid;
-  if t.head_kind <> kind_tombstone then
-    invalid_arg "Heap_file.free_tombstone: OID is not a tombstone";
-  delete_slot t oid
-
-let insert_at t (oid : Oid.t) payload =
-  load_header t oid;
-  if t.head_kind <> kind_tombstone then
-    invalid_arg "Heap_file.insert_at: slot is not a tombstone";
-  (* An oversize payload keeps the head at the tombstone's size and spills
-     whole into segments. *)
-  write_head t oid payload (Bytes.length payload) ~keep:0;
+let insert_at t oid payload =
+  let len = Bytes.length payload in
+  if not (place t oid kind_tombstone payload len) then begin
+    if t.head_kind <> kind_tombstone then
+      refuse t oid "Heap_file.insert_at: slot is not a tombstone";
+    (* An oversize payload keeps the head at the tombstone's size and
+       spills whole into segments. *)
+    spill_head t oid ~kind:kind_tombstone payload len ~keep:0
+  end;
   t.count <- t.count + 1;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
@@ -537,8 +546,7 @@ let iter t decode f = iter_oids t (fun oid -> f oid (read_with t oid decode))
 let chained_count t =
   let count = ref 0 in
   iter_oids t (fun oid ->
-      load_header t oid;
-      if not (Oid.is_nil t.head_next) then incr count);
+      if kind_at t oid = kind_head && not (Oid.is_nil t.head_next) then incr count);
   !count
 
 (* Heads on a pinned page. *)

@@ -75,7 +75,11 @@ val exists : t -> Oid.t -> bool
 val update : ?len:int -> t -> Oid.t -> Bytes.t -> unit
 (** Replace the object's payload with the first [len] bytes of the given
     one (default: all of them); the OID remains valid even when the object
-    grows or shrinks across the page boundary. *)
+    grows or shrinks across the page boundary.  A payload that fits the
+    head's page is written under the one pin that checks the head; one
+    that does not, or a head that goes on in segments, pins again to spill
+    or free them.  Here and in the mutations below, a call refused for
+    the record's kind raises and leaves the page clean. *)
 
 val delete : t -> Oid.t -> unit
 (** Frees the home slot and any continuation segments. *)
@@ -94,15 +98,15 @@ val delete_pinned : t -> Oid.t -> unit
     immediately.  Resolve with {!free_tombstone} (commit) or {!insert_at}
     (abort). *)
 
-val free_tombstone : t -> Oid.t -> unit
-(** Release a tombstoned home slot for reuse. *)
+val free_tombstone : t -> Oid.t -> bool
+(** Release a tombstoned home slot for reuse, under one pin; false, and
+    nothing changed, when the slot holds no tombstone (it was revived by
+    {!insert_at}, or is dead). *)
 
 val insert_at : t -> Oid.t -> Bytes.t -> unit
 (** Revive a tombstoned home slot with the given payload — the rollback of
     {!delete_pinned}.  The OID is unchanged; an oversize payload spills into
     continuation segments as usual. *)
-
-val is_tombstone : t -> Oid.t -> bool
 
 type edit =
   | Keep  (** leave the object as it is *)

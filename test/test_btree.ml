@@ -533,6 +533,32 @@ let test_root_collapse () =
   checki "empty" 0 (Btree.entry_count t);
   checki "a lone leaf" 1 (Btree.height t)
 
+(* A delete that leaves an internal root with separators pins each level
+   once: the descent reads the root's count, so nothing pins the root
+   again to look for a lone child, not even when the root is underfull
+   (two and three levels, the roots' few separators well under a quarter
+   page). *)
+let test_delete_is_height_lookups () =
+  List.iter
+    (fun (page_size, n, height, keys) ->
+      let pager = Pager.create ~page_size ~frames:512 () in
+      let t = Btree.create pager in
+      Btree.bulk_load t (Array.init n (fun i -> (Key.Int i, oid i)));
+      checki "height" height (Btree.height t);
+      List.iter
+        (fun k ->
+          let before = pool_lookups pager in
+          checkb "deleted" true (Btree.delete t (Key.Int k) (oid k));
+          checki
+            (Printf.sprintf "lookups to delete %d" k)
+            height
+            (pool_lookups pager - before))
+        keys;
+      let tag, count = root_header pager t in
+      checkb "the root stays internal, with separators" true (tag = 1 && count >= 1);
+      Btree.check_invariants t)
+    [ (4096, 1_000, 2, [ 501; 503; 250; 5 ]); (256, 300, 3, [ 151; 153; 5 ]) ]
+
 (* Pages written back by [f], with the pool flushed before and after. *)
 let pages_written pager f =
   Pager.flush pager;
@@ -709,6 +735,7 @@ let () =
           Alcotest.test_case "delete decodes no node" `Quick test_delete_decodes_nothing;
           Alcotest.test_case "root collapses with its last separator" `Quick
             test_root_collapse;
+          Alcotest.test_case "delete is height lookups" `Quick test_delete_is_height_lookups;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

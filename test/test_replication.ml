@@ -1109,18 +1109,20 @@ let dept_fixture () =
   let node = List.hd (Registry.roots env.Engine.registry "Emp1") in
   (fx, env, Option.get node.Registry.link_id)
 
-(* A detach, an attach and a fan-out of four touch the pool as often as
-   the decoding implementation did: the byte edits change what happens
-   under each pin, not how many pins there are. *)
+(* A detach, an attach and a fan-out of four pin each page once per
+   step: the membership editor reads the target, reads the link object
+   and writes it back under the one pin that checks its header.  The
+   detach walk reads no final values, and an employee with no links of
+   its own is not re-read for them after the detach. *)
 let test_write_path_pins () =
   let fx, env, _ = dept_fixture () in
   let emp = fx.emps.(4) in
   let record = Db.get fx.db ~set:"Emp1" emp in
   let detach = Engine.prepare_detach env ~set:"Emp1" record in
-  checki "detach: target, link object, its update, the link count" 5
+  checki "detach: target, link object, its update" 3
     (lookups fx.db (fun () -> Engine.on_delete env detach emp));
   let attach = Engine.prepare_attach env ~set:"Emp1" record in
-  checki "attach: target, link object, its update, the source" 5
+  checki "attach: target, link object, its update, the source" 4
     (lookups fx.db (fun () -> Engine.on_insert env attach emp));
   let dept = Db.get fx.db ~set:"Dept" fx.depts.(0) in
   let fanout = Engine.prepare_scalar env dept ~field:"name" in
@@ -1133,12 +1135,13 @@ let test_write_path_pins () =
     (Engine.fanout_touches fanout)
 
 (* An autocommit insert under an in-place path writes the new object's
-   hidden copy under one pin of its page.  Reading the record whole and
+   hidden copy under one pin of its page, and the link object's update
+   checks and writes its head under one pin.  Reading the record whole and
    then updating it (a header read and a write) would cost two lookups
    more. *)
 let test_insert_pins () =
   let fx, _, _ = dept_fixture () in
-  checki "in-place insert: pool lookups" 10
+  checki "in-place insert: pool lookups" 9
     (lookups fx.db (fun () ->
          ignore
            (Db.insert fx.db ~set:"Emp1"

@@ -654,6 +654,66 @@ let test_heap_dead_oid_raises () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* Live records, heads and segments alike, on the file's pages. *)
+let live_records pager hf =
+  let n = ref 0 in
+  for page = 0 to Heap_file.page_count hf - 1 do
+    n := !n + Pager.with_page_read pager ~file:(Heap_file.file_id hf) ~page Page.live_count
+  done;
+  !n
+
+(* Every heap-file mutation of a record that stays on its page pins that
+   page once: the header check and the write share the pin.  A refused
+   call leaves the page clean, and a chained head still frees each of its
+   segments. *)
+let test_heap_one_pin_per_mutation () =
+  let pager = mk_pager () in
+  let hf = Heap_file.create pager in
+  let stats = Pager.stats pager in
+  let one_pin what f =
+    let touches () = Stats.get stats Stats.Buffer_hits + Stats.get stats Stats.Page_reads in
+    let t0 = touches () in
+    let r = f () in
+    checki (what ^ ": one pool lookup") 1 (touches () - t0);
+    r
+  in
+  let a = Heap_file.insert hf (Bytes.make 30 'a') in
+  let b = Heap_file.insert hf (Bytes.make 30 'b') in
+  let c = Heap_file.insert hf (Bytes.make 30 'c') in
+  one_pin "in-place update" (fun () -> Heap_file.update hf a (Bytes.make 30 'A'));
+  Alcotest.(check bytes) "updated" (Bytes.make 30 'A') (Heap_file.read hf a);
+  one_pin "delete" (fun () -> Heap_file.delete hf a);
+  one_pin "delete_pinned" (fun () -> Heap_file.delete_pinned hf b);
+  one_pin "delete_pinned" (fun () -> Heap_file.delete_pinned hf c);
+  checkb "freed" true (one_pin "free_tombstone" (fun () -> Heap_file.free_tombstone hf b));
+  one_pin "insert_at" (fun () -> Heap_file.insert_at hf c (Bytes.make 20 'C'));
+  Alcotest.(check bytes) "revived" (Bytes.make 20 'C') (Heap_file.read hf c);
+  checkb "a revived slot stays" false
+    (one_pin "free_tombstone" (fun () -> Heap_file.free_tombstone hf c));
+  checkb "a dead slot stays dead" false (Heap_file.free_tombstone hf a);
+  checki "count" 1 (Heap_file.object_count hf);
+  Heap_file.delete_pinned hf c;
+  Pager.flush pager;
+  let writes0 = Stats.get stats Stats.Page_writes in
+  (try
+     Heap_file.delete hf c;
+     Alcotest.fail "expected Invalid_argument"
+   with Invalid_argument _ -> ());
+  Pager.flush pager;
+  checki "a refused delete writes no page" 0 (Stats.get stats Stats.Page_writes - writes0);
+  checkb "still a tombstone" true (Heap_file.free_tombstone hf c);
+  (* Chained heads: an update that shrinks one and a delete. *)
+  let big = Bytes.make 1500 'x' in
+  let d = Heap_file.insert hf big in
+  let e = Heap_file.insert hf big in
+  checki "two chains" 2 (Heap_file.chained_count hf);
+  Heap_file.update hf d (Bytes.make 10 'd');
+  Heap_file.delete hf e;
+  checki "no chains" 0 (Heap_file.chained_count hf);
+  checki "every segment freed" 1 (live_records pager hf);
+  Alcotest.(check bytes) "shrunk" (Bytes.make 10 'd') (Heap_file.read hf d);
+  Heap_file.check hf
+
 (* ------------------------------------------------------------------ *)
 (* Space reuse                                                         *)
 
@@ -1344,6 +1404,7 @@ let () =
           Alcotest.test_case "delete then scan" `Quick test_heap_delete_then_scan;
           Alcotest.test_case "attach recovers" `Quick test_heap_attach_recovers;
           Alcotest.test_case "dead oid raises" `Quick test_heap_dead_oid_raises;
+          Alcotest.test_case "one pin per heap mutation" `Quick test_heap_one_pin_per_mutation;
           Alcotest.test_case "churn plateaus" `Quick test_heap_churn_plateau;
           Alcotest.test_case "bulk layout pinned" `Quick test_heap_bulk_layout_pinned;
         ] );
