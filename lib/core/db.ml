@@ -83,6 +83,10 @@ type t = {
   plans : (string * string, int * expr) Hashtbl.t;
       (* [deref]'s compiled expressions by (set, source), each tagged with
          the schema generation it was compiled at *)
+  update_buf : Bytes.t ref;
+      (* the object [update_field] rewrites, copied once and spliced in
+         place; per handle, since an ack-mode sync can run a replica's
+         redo before the write *)
 }
 
 let schema t = t.schema
@@ -154,10 +158,6 @@ let key_of_value = function
   | Value.VString s -> Some (Key.String s)
   | Value.VRef _ | Value.VNull -> None
 
-let value_at (record : Record.t) idx =
-  if idx < Array.length record.Record.values then record.Record.values.(idx)
-  else Value.VNull
-
 let indexes_of_set t set =
   match Stbl.find t.set_indexes set with
   | rts -> rts
@@ -172,18 +172,18 @@ let add_index_rt t name rt =
        t.indexes [])
 
 let index_insert rt oid record =
-  match key_of_value (value_at record rt.value_index) with
+  match key_of_value (Record.field record rt.value_index) with
   | Some key -> Btree.insert rt.tree key oid
   | None -> ()
 
 let index_remove rt oid record =
-  match key_of_value (value_at record rt.value_index) with
+  match key_of_value (Record.field record rt.value_index) with
   | Some key -> ignore (Btree.delete rt.tree key oid)
   | None -> ()
 
 let index_update rt oid ~before ~after =
-  let kb = key_of_value (value_at before rt.value_index) in
-  let ka = key_of_value (value_at after rt.value_index) in
+  let kb = key_of_value before in
+  let ka = key_of_value after in
   match (kb, ka) with
   | Some a, Some b when Key.equal a b -> ()
   | _ ->
@@ -208,7 +208,10 @@ let on_hidden_update t set oid = function
   | Some (before, after) ->
       let arity = Schema.user_arity t.schema set in
       List.iter
-        (fun rt -> if rt.value_index >= arity then index_update rt oid ~before ~after)
+        (fun rt ->
+          let i = rt.value_index in
+          if i >= arity then
+            index_update rt oid ~before:(Record.field before i) ~after:(Record.field after i))
         (indexes_of_set t set)
 
 type backend = Pager.backend = Mem | File of string option
@@ -261,6 +264,7 @@ let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false
          epoch = 0;
          maint = Maint.create ~locks ~stats:(Pager.stats pager);
          plans = Hashtbl.create 8;
+         update_buf = ref (Bytes.create 256);
        })
   in
   let t = Lazy.force t in
@@ -537,7 +541,7 @@ let build_index t ~name ~set ~field ~clustered =
       (* Bulk-load from existing data. *)
       let entries = ref [] in
       Heap_file.iter (set_file t set) Record.decode_at (fun oid record ->
-          match key_of_value (value_at record value_index) with
+          match key_of_value (Record.field record value_index) with
           | Some key -> entries := (key, oid) :: !entries
           | None -> ());
       Btree.bulk_load tree (Array.of_list !entries);
@@ -638,7 +642,7 @@ let with_charge t txn f =
 let first_touch t txn ~set oid record =
   match txn with
   | Some tx when not (t.compensating || t.replaying || Txn.touched tx oid) ->
-      Some (List.init (Ty.arity (Schema.set_type t.schema set)) (value_at record))
+      Some (List.init (Ty.arity (Schema.set_type t.schema set)) (Record.field record))
   | Some _ | None -> None
 
 (* Record the touch in memory once the operation has succeeded.  Not
@@ -761,14 +765,22 @@ let update_field ?txn t ~set oid ~field value =
   let hf = set_file t set in
   with_charge t txn @@ fun () ->
   locking t txn (fun tx -> lock_write t tx ~set oid);
-  let read_before () = Heap_file.read_with hf oid Record.decode_at in
+  let buf = t.update_buf and len = ref 0 in
+  let read_before () =
+    len :=
+      Heap_file.read_with hf oid (fun page off n ->
+          Wire.grow buf n;
+          Bytes.blit page off !buf 0 n;
+          n);
+    Record.decode_at !buf 0 !len
+  in
   let before, propagate =
     match fdef.Ty.ftype with
     | Ty.Scalar _ ->
         let before = read_before () in
         (* inverted-path fan-out, locked even if the value is unchanged *)
         let fanout =
-          if txn = None && Value.equal (value_at before idx) value then None
+          if txn = None && Value.equal (Record.field before idx) value then None
           else Some (Engine.prepare_scalar t.engine before ~field)
         in
         locking t txn (fun tx ->
@@ -791,22 +803,23 @@ let update_field ?txn t ~set oid ~field value =
             let targets =
               List.filter_map
                 (function Value.VRef o -> Some o | _ -> None)
-                [ value_at before idx; value ]
+                [ Record.field before idx; value ]
             in
             lock_targets t tx
               (Engine.write_set_ref_targets t.engine ~set ~field targets));
         (before, `Ref)
   in
-  let old_value = value_at before idx in
+  let old_value = Record.field before idx in
   if not (Value.equal old_value value) then begin
     let image = first_touch t txn ~set oid before in
     log_mutation ?txn ?before:image t (Wal.Update { set; oid; field; value }) (fun () ->
-        let after = Record.set_field before idx value in
-        Heap_file.update hf oid (Record.encode after);
+        Wire.grow ~keep:true buf (!len + idx + Value.encoded_size value);
+        Heap_file.update ~len:(Record.set_value_at !buf 0 !len idx value) hf oid !buf;
         (* User-field indexes first, then replication propagation (which may
            fire hidden-index maintenance via the engine callback). *)
         List.iter
-          (fun rt -> if rt.value_index = idx then index_update rt oid ~before ~after)
+          (fun rt ->
+            if rt.value_index = idx then index_update rt oid ~before:old_value ~after:value)
           (indexes_of_set t set);
         match propagate with
         | `Scalar fanout ->
@@ -920,11 +933,11 @@ let abort t tx =
 
 let user_values t ~set (record : Record.t) =
   let n = Ty.arity (Schema.set_type t.schema set) in
-  List.init n (fun i -> value_at record i)
+  List.init n (Record.field record)
 
 let field_value t ~set record field =
   let ty = Schema.set_type t.schema set in
-  value_at record (Ty.field_index ty field)
+  Record.field record (Ty.field_index ty field)
 
 let scan ?txn t ~set f =
   locking t txn (fun tx -> lock t tx (Lock.Set set) Lock.S);
@@ -1023,7 +1036,7 @@ let joins = function
    of the authoritative source objects. *)
 let rec eval ?txn ?oid t e record =
   match e with
-  | Walk ([], idx) -> value_at record idx
+  | Walk ([], idx) -> Record.field record idx
   | Walk (first :: rest, terminal_idx) ->
       (* Follow the references from [record], reading only the field each
          hop needs and read-locking each object reached under [txn]. *)
@@ -1036,9 +1049,9 @@ let rec eval ?txn ?oid t e record =
         | Value.VNull -> Value.VNull
         | Value.VInt _ | Value.VString _ -> invalid_arg "Db.eval: non-reference on path"
       in
-      hop (List.fold_left hop (value_at record first) rest) terminal_idx
+      hop (List.fold_left hop (Record.field record first) rest) terminal_idx
   | Hidden (idx, rep, path) -> (
-      if not rep.Schema.options.Schema.lazy_propagation then value_at record idx
+      if not rep.Schema.options.Schema.lazy_propagation then Record.field record idx
       else
         (* Lazy propagation: repair the hidden copy on first read.  Without
            the OID we cannot consult the invalidation table, so fall back to
@@ -1051,13 +1064,13 @@ let rec eval ?txn ?oid t e record =
                   lock_write t tx ~set:path.set oid);
             Engine.repair t.engine rep oid;
             let record = Heap_file.read_with (set_file t path.set) oid Record.decode_at in
-            value_at record idx
+            Record.field record idx
         | None ->
-            if Engine.pending_count t.engine = 0 then value_at record idx
+            if Engine.pending_count t.engine = 0 then Record.field record idx
             else (* correctness first: evaluate through the references *)
               eval t (compile_walk t path) record)
   | Sprime (idx, offset, path) -> (
-      match value_at record idx with
+      match Record.field record idx with
       | Value.VRef sp -> (
           try
             let file =
@@ -1172,7 +1185,7 @@ let referencers t ~source_set ~attr target_oid =
     let idx = Ty.field_index ty attr in
     let acc = ref [] in
     Heap_file.iter (set_file t source_set) Record.decode_at (fun oid record ->
-        match value_at record idx with
+        match Record.field record idx with
         | Value.VRef r when Oid.equal r target_oid -> acc := oid :: !acc
         | Value.VRef _ | Value.VNull | Value.VInt _ | Value.VString _ -> ());
     (List.rev !acc, Via_scan)
@@ -1204,7 +1217,7 @@ let check_integrity t =
       (* Every indexed object appears exactly once under its current key. *)
       let expected = ref 0 in
       Heap_file.iter (set_file t rt.def.Schema.iset) Record.decode_at (fun oid record ->
-          match key_of_value (value_at record rt.value_index) with
+          match key_of_value (Record.field record rt.value_index) with
           | Some key ->
               incr expected;
               let hits = Btree.find rt.tree key in
@@ -1310,7 +1323,7 @@ let dangling_references t =
         Heap_file.iter (set_file t set_name) Record.decode_at (fun oid record ->
             List.iter
               (fun (fname, target_type) ->
-                match value_at record (Ty.field_index ty fname) with
+                match Record.field record (Ty.field_index ty fname) with
                 | Value.VRef r ->
                     let ok =
                       match Itbl.find_opt t.data_files r.Oid.file with
@@ -1600,11 +1613,7 @@ let rec redo t record =
          rebuild whose "source" lives in another set, refreshing is either
          impossible or a no-op — skip silently, replay continues to a
          consistent state either way. *)
-      (match
-         List.find_opt
-           (fun (r : Schema.replication) -> r.Schema.rep_id = rep_id)
-           (Schema.replications t.schema)
-       with
+      (match Engine.rep_of_id t.engine rep_id with
       | None -> ()
       | Some rep ->
           let set = rep.Schema.rpath.Path.source_set in

@@ -4,34 +4,14 @@ module Oid = Fieldrep_storage.Oid
 type link = { link_oid : Oid.t; link_id : int }
 type t = { type_tag : int; links : link list; values : Value.t array }
 
-let sort_links links =
-  List.sort_uniq (fun a b -> Int.compare a.link_id b.link_id) links
-
 let link_size = Oid.encoded_size + 1
 
 let make ~type_tag values = { type_tag; links = []; values }
 
 let field t i =
-  if i < 0 || i >= Array.length t.values then
-    invalid_arg (Printf.sprintf "Record.field: index %d of %d" i (Array.length t.values));
-  t.values.(i)
-
-let set_field t i v =
-  if i < 0 || i >= Array.length t.values then
-    invalid_arg (Printf.sprintf "Record.set_field: index %d of %d" i (Array.length t.values));
-  let values = Array.copy t.values in
-  values.(i) <- v;
-  { t with values }
-
-let with_links t links = { t with links = sort_links links }
-let find_link t id = List.find_opt (fun l -> l.link_id = id) t.links
-
-let add_link t link =
-  let links = List.filter (fun l -> l.link_id <> link.link_id) t.links in
-  { t with links = sort_links (link :: links) }
-
-let remove_link t id =
-  { t with links = List.filter (fun l -> l.link_id <> id) t.links }
+  if i < 0 then invalid_arg (Printf.sprintf "Record.field: index %d" i)
+  else if i < Array.length t.values then t.values.(i)
+  else Value.VNull
 
 let encoded_size t =
   2 + 1
@@ -112,12 +92,32 @@ let field_at buf off len i =
   let pos = value_offset buf off len i in
   if pos < 0 then Value.VNull else Value.decode_at buf pos (off + len)
 
-let patch_field buf off len i v =
-  let pos = value_offset buf off len i in
-  pos >= 0
-  && Value.size_at buf pos (off + len) = Value.encoded_size v
-  && (ignore (Value.encode buf pos v);
-      true)
+(* The value section is walked to its end, so a record cut short raises
+   [Wire.Corrupt] before a byte moves. *)
+let set_value_at buf off len i v =
+  if i < 0 then invalid_arg (Printf.sprintf "Record.set_value_at: index %d" i);
+  let limit = off + len in
+  let voff = values_at buf off limit in
+  let n = Wire.u16_at buf voff in
+  let pos = ref (voff + 2) and at = ref (-1) in
+  for j = 0 to n - 1 do
+    if j = i then at := !pos;
+    pos := !pos + Value.size_at buf !pos limit
+  done;
+  if !at >= 0 then begin
+    let old = Value.size_at buf !at limit and size = Value.encoded_size v in
+    if size <> old then Bytes.blit buf (!at + old) buf (!at + size) (limit - !at - old);
+    ignore (Value.encode buf !at v);
+    len - old + size
+  end
+  else begin
+    (* Past the stored width: nulls up to [i], then [v]. *)
+    for _ = n to i - 1 do
+      pos := Value.encode buf !pos Value.VNull
+    done;
+    ignore (Wire.put_u16 buf voff (i + 1));
+    Value.encode buf !pos v - off
+  end
 
 let type_tag_at buf off len =
   Wire.check_limit (off + len) off 2;
@@ -142,8 +142,7 @@ let rec first_above buf link_id p last =
   if p = last || Wire.u8_at buf (p + Oid.encoded_size) > link_id then p
   else first_above buf link_id (p + link_size) last
 
-(* Pairs stay in link-id order, as [encode] lays them out, so these edits
-   leave the bytes [encode] gives for [add_link] and [remove_link]. *)
+(* Pairs stay in link-id order, as [encode] lays them out. *)
 let set_link_at buf len { link_oid; link_id } =
   let p = link_at buf 0 len link_id in
   if p >= 0 then begin

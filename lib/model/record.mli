@@ -9,7 +9,12 @@
       paths, an S'-reference for separate paths; paper §3.1, §4, §5).
 
     The record layer is schema-agnostic: it stores a flat value array; which
-    positions are user vs hidden fields is the catalog's business. *)
+    positions are user vs hidden fields is the catalog's business.
+
+    {!encode} lays down a fresh object.  A stored one is changed only as
+    bytes: {!set_value_at} replaces a value, {!set_link_at} and
+    {!remove_link_at} edit the link section, each leaving exactly the
+    bytes {!encode} gives for the changed record. *)
 
 type link = { link_oid : Fieldrep_storage.Oid.t; link_id : int }
 (** [link_oid] points at this object's link object for link [link_id].  A
@@ -29,19 +34,9 @@ val make : type_tag:int -> Value.t array -> t
 (** A record with no links. *)
 
 val field : t -> int -> Value.t
-(** Raises [Invalid_argument] on a bad index. *)
-
-val set_field : t -> int -> Value.t -> t
-(** Functional update. *)
-
-val with_links : t -> link list -> t
-(** Replaces the link section (re-sorts by link id). *)
-
-val find_link : t -> int -> link option
-val add_link : t -> link -> t
-(** Replaces any existing entry with the same link id. *)
-
-val remove_link : t -> int -> t
+(** [field t i] is [t.values.(i)], [VNull] past the end: hidden slots may
+    postdate an object (the subtyping of paper §4, realised lazily).
+    Raises [Invalid_argument] on a negative index. *)
 
 val encoded_size : t -> int
 
@@ -68,11 +63,6 @@ val value_offset : Bytes.t -> int -> int -> int -> int
 (** [value_offset buf off len i] is where [values.(i)] of the record at
     [off] starts, or -1 past its last value. *)
 
-val patch_field : Bytes.t -> int -> int -> int -> Value.t -> bool
-(** [patch_field buf off len i v] overwrites [values.(i)] with [v] in
-    place when the stored value is encoded in as many bytes as [v] and
-    answers whether it did; a [false] leaves the bytes untouched. *)
-
 val type_tag_at : Bytes.t -> int -> int -> int
 (** Peek at the tag of the record at [off] without decoding the rest. *)
 
@@ -84,15 +74,23 @@ val link_at : Bytes.t -> int -> int -> int -> int
     the record at [off] (its link OID is {!Fieldrep_storage.Oid.decode}
     there), or -1 when the record has none. *)
 
-(** {1 Link-section edits over bytes}
+(** {1 Edits over bytes}
 
-    [buf.[0 .. len-1]] holds an encoded record; each edit changes it in
-    place to the encoding of the record {!add_link} or {!remove_link}
-    gives and returns the new length. *)
+    [buf.[off .. off+len-1]] ([off] = 0 for the link-section edits) holds
+    an encoded record; each edit changes it in place to the encoding of the
+    edited record and returns the new length. *)
+
+val set_value_at : Bytes.t -> int -> int -> int -> Value.t -> int
+(** [set_value_at buf off len i v] sets [values.(i)] to [v], padding with
+    [VNull] past the stored width.  A value of the stored size is
+    overwritten in place, so a frame can be patched; otherwise [buf]
+    needs room past [off + len] ([Value.encoded_size v + i] bytes always
+    suffice).  A record cut short raises [Wire.Corrupt] before a byte
+    moves; a negative index raises [Invalid_argument]. *)
 
 val set_link_at : Bytes.t -> int -> link -> int
 (** Replaces the pair with the same link id, else inserts it in link-id
-    order; [buf] needs 9 bytes of room past [len]. *)
+    order; [buf] needs {!link_size} bytes of room past [len]. *)
 
 val remove_link_at : Bytes.t -> int -> int -> int
 (** No-op when the record has no pair for the id. *)

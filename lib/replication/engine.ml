@@ -140,32 +140,6 @@ let copy_into key ~room buf off len =
 let copy_record = copy_into copy_buf ~room:Record.link_size
 let copy_link = copy_into link_buf ~room:0
 
-(* [record] encoded in [encoding_buf]; its length. *)
-let encode record =
-  let buf = Domain.DLS.get encoding_buf in
-  let len = Record.encoded_size record in
-  Wire.grow buf len;
-  ignore (Record.encode_to !buf record);
-  len
-
-(* Hidden slots may postdate an object: reads beyond the stored width are
-   null, writes extend the array (the subtyping of paper §4 realised lazily). *)
-let value_or_null (record : Record.t) idx =
-  if idx < Array.length record.Record.values then record.Record.values.(idx)
-  else Value.VNull
-
-let set_value_extending (record : Record.t) idx v =
-  let n = Array.length record.Record.values in
-  if idx < n then Record.set_field record idx v
-  else begin
-    let values =
-      Array.init (idx + 1) (fun i ->
-          if i < n then record.Record.values.(i) else Value.VNull)
-    in
-    values.(idx) <- v;
-    { record with Record.values }
-  end
-
 (* The object a node's step value points at, or None when the reference
    is null. *)
 let step_target (node : Registry.node) = function
@@ -176,7 +150,7 @@ let step_target (node : Registry.node) = function
         (Printf.sprintf "Engine: step %s holds non-reference %s" node.Registry.step
            (Value.to_string v))
 
-let deref node record = step_target node (value_or_null record node.Registry.step_index)
+let deref node record = step_target node (Record.field record node.Registry.step_index)
 
 (* [deref] of the stored object [oid], reading its step field alone. *)
 let deref_at env (node : Registry.node) oid =
@@ -433,12 +407,12 @@ let walk_path env ~values (rep : Schema.replication) source_rec =
   let _, term = Registry.terminal_of env.registry rep in
   let chain, final, values =
     walk_from env ~values term (Registry.chain env.registry rep)
-      (value_or_null source_rec (first_step env rep))
+      (Record.field source_rec (first_step env rep))
   in
   let sprime =
     match term.Registry.kind with
     | Registry.K_separate _ ->
-        as_ref_opt (value_or_null source_rec term.Registry.slots.(0))
+        as_ref_opt (Record.field source_rec term.Registry.slots.(0))
     | Registry.K_inplace | Registry.K_collapsed _ -> None
   in
   { rep; chain = List.rev chain; final; values; sprime }
@@ -463,8 +437,10 @@ let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
     in
     let tag = Schema.type_tag env.schema final_node.Registry.to_type in
     let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
-    let sp_len = encode (Record.make ~type_tag:tag values) in
-    let sp_oid = Heap_file.insert ~len:sp_len hf !(Domain.DLS.get encoding_buf) in
+    let sp = Record.make ~type_tag:tag values in
+    let sp_buf = Domain.DLS.get encoding_buf in
+    Wire.grow sp_buf (Record.encoded_size sp);
+    let sp_oid = Heap_file.insert ~len:(Record.encode_to !sp_buf sp) hf !sp_buf in
     Heap_file.update
       ~len:(Record.set_link_at buf len { Record.link_oid = sp_oid; link_id = sref_link })
       final_file final_oid buf;
@@ -496,7 +472,7 @@ let sprime_refcount_add env ~sref_link sp_oid delta =
   end
   else begin
     (* A count is an int: it keeps its size. *)
-    ignore (Record.patch_field buf 0 len 0 (Value.VInt count));
+    ignore (Record.set_value_at buf 0 len 0 (Value.VInt count));
     Heap_file.update ~len hf sp_oid buf
   end
 
@@ -523,36 +499,39 @@ let rec worst_fit ~force buf off len = function
   | slot :: rest ->
       max (slot_fit ~force buf off len slot) (worst_fit ~force buf off len rest)
 
-(* [record] with each (slot, value) of [slots] set, extended as needed;
-   without [force] a slot that already holds its value is left alone, so
-   a record that needs no change comes back as itself. *)
-let set_slots ~force slots record =
-  List.fold_left
-    (fun r (idx, v) ->
-      if (not force) && Value.equal (value_or_null r idx) v then r
-      else set_value_extending r idx v)
-    record slots
-
-let rec patch_all buf off len = function
-  | [] -> ()
+(* [slots] spliced into the record at [off], which has room for them:
+   its new length.  Without [force] a null past the stored width stays
+   implicit. *)
+let rec splice_slots ~force buf off len = function
+  | [] -> len
   | (idx, v) :: rest ->
-      ignore (Record.patch_field buf off len idx v);
-      patch_all buf off len rest
+      let len =
+        if (not force) && Value.equal v Value.VNull && Record.value_offset buf off len idx < 0
+        then len
+        else Record.set_value_at buf off len idx v
+      in
+      splice_slots ~force buf off len rest
 
 (* Set the hidden [slots] (index, value) of the stored record at [off]: in
    place when every value that changes keeps its encoded size, else by
-   decoding the record and encoding the result into [encoding_buf].
-   Without [force] a record that already holds every value is kept; with
-   it the record is written even then. *)
+   splicing a copy in [encoding_buf].  Without [force] a record that
+   already holds every value is kept; with it the record is written even
+   then. *)
 let set_hidden ~force slots buf off len =
   match worst_fit ~force buf off len slots with
   | 0 -> if force then Heap_file.Patched else Heap_file.Keep
   | 1 ->
-      patch_all buf off len slots;
+      ignore (splice_slots ~force buf off len slots);
       Heap_file.Patched
   | _ ->
-      let len = encode (set_slots ~force slots (Record.decode_at buf off len)) in
-      Heap_file.Rewrite (!(Domain.DLS.get encoding_buf), len)
+      let copy = Domain.DLS.get encoding_buf in
+      Wire.grow copy
+        (List.fold_left (fun n (idx, v) -> n + idx + Value.encoded_size v) len slots);
+      Bytes.blit buf off !copy 0 len;
+      Heap_file.Rewrite (!copy, splice_slots ~force !copy 0 len slots)
+
+let set_values env oid slots =
+  rewrite_copy env oid (fun _ buf off len -> set_hidden ~force:true slots buf off len)
 
 (* One page of [oids] at a time (one object without batching), firing the
    hook for the indexed rewrites each page collected. *)
@@ -954,9 +933,7 @@ let rec on_scalar_update env fanout ~field value =
   | entry :: rest ->
       (match entry with
       | Sprime (rep, sp, slot) ->
-          if rep_live env rep then
-            rewrite_copy env sp (fun _ buf off len ->
-                set_hidden ~force:true [ (slot, value) ] buf off len)
+          if rep_live env rep then set_values env sp [ (slot, value) ]
       | Copies (set, terms, sources) -> (
           match eager_slots env ~field value sources terms with
           | [] -> ()
@@ -1112,6 +1089,9 @@ let build env (rep : Schema.replication) =
   let nodes = Registry.chain env.registry rep in
   let final_node, term = Registry.terminal_of env.registry rep in
   let src_file = env.file_of_set set in
+  let sorted_oids tbl =
+    Oid.Table.fold (fun oid _ acc -> oid :: acc) tbl [] |> List.sort Oid.compare
+  in
   match collapsed_link_id term with
   | Some link_id ->
       (* Gather (source, x1, final) triples, then lay the tagged link
@@ -1124,10 +1104,7 @@ let build env (rep : Schema.replication) =
               Oid.Table.replace per_final x2
                 ({ Link_object.member = source_oid; tag = x1 } :: prev)
           | _ -> ());
-      let finals =
-        Oid.Table.fold (fun oid _ acc -> oid :: acc) per_final []
-        |> List.sort Oid.compare
-      in
+      let finals = sorted_oids per_final in
       List.iter
         (fun final_oid ->
           let entries = Oid.Table.find per_final final_oid in
@@ -1203,11 +1180,7 @@ let build env (rep : Schema.replication) =
         (match List.rev with_links with
         | [] -> ()
         | deepest :: _ ->
-            let targets =
-              Oid.Table.fold (fun oid _ acc -> oid :: acc) (table_for deepest) []
-              |> List.sort Oid.compare
-            in
-            List.iter (fun target -> place deepest target) targets;
+            List.iter (place deepest) (sorted_oids (table_for deepest));
             (* Any fresh node not reachable from the deepest level (e.g. the
                deepest itself was not fresh) is built level by level. *)
             List.iter
@@ -1226,12 +1199,7 @@ let build env (rep : Schema.replication) =
             (* Force creation so a later build treats this link as existing
                even if it stays empty. *)
             ignore (Store.link_file env.store (require_link node));
-            let tbl = table_for node in
-            let targets =
-              Oid.Table.fold (fun oid _ acc -> oid :: acc) tbl []
-              |> List.sort Oid.compare
-            in
-            List.iter (fun target -> build_node_target node target) targets)
+            List.iter (build_node_target node) (sorted_oids (table_for node)))
           fresh_links;
       (* Terminals: hidden copies or S' objects (built in final physical
          order with refcounts set directly). *)
@@ -1250,10 +1218,7 @@ let build env (rep : Schema.replication) =
                   Oid.Table.replace counts final_oid
                     (1 + Option.value ~default:0 (Oid.Table.find_opt counts final_oid))
               | None -> ());
-          let finals =
-            Oid.Table.fold (fun oid _ acc -> oid :: acc) counts []
-            |> List.sort Oid.compare
-          in
+          let finals = sorted_oids counts in
           let sp_of = Oid.Table.create 256 in
           List.iter
             (fun final_oid ->

@@ -159,6 +159,16 @@ val refresh : env -> Schema.replication -> Oid.t -> unit
     drives, and the operation a replayed [Scrub_repair] WAL record
     re-runs. *)
 
+val rewrite_copy :
+  env -> Oid.t -> (Oid.t -> Bytes.t -> int -> int -> Fieldrep_storage.Heap_file.edit) -> unit
+(** [rewrite_copy env oid edit] lets [edit oid buf 0 len] change a copy
+    of the object's bytes, with {!Record.link_size} bytes of room, and
+    writes the result back: one read pin, then the update's. *)
+
+val set_values : env -> Oid.t -> (int * Fieldrep_model.Value.t) list -> unit
+(** [set_values env oid slots] sets each (index, value) of [slots] in the
+    stored object with {!Record.set_value_at}, through {!rewrite_copy}. *)
+
 (** {1 Online reconfiguration}
 
     Per-source primitives driven by the background-maintenance jobs

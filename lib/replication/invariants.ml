@@ -66,8 +66,6 @@ type finding =
     }
   | Unreadable of { oid : Oid.t; what : string }
 
-let value_or_null = Recompute.value_or_null
-
 (* Reads of objects named by a stored reference: a reference into a blanked
    page or a garbled record is a divergence to report, not a crash.
    Storage faults are not caught — they abort the audit. *)
@@ -123,11 +121,10 @@ let findings (env : Engine.env) =
   let out = ref [] in
   let add f = out := f :: !out in
   let exp = Recompute.compute env in
-  let read_data oid =
-    tolerant
-      (fun oid -> Some (Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at))
-      oid
+  let read_data_with oid decode =
+    tolerant (fun oid -> Some (Heap_file.read_with (env.Engine.file_of_oid oid) oid decode)) oid
   in
+  let read_data oid = read_data_with oid Record.decode_at in
   let separates =
     List.filter_map
       (fun (rep : Schema.replication) ->
@@ -222,7 +219,7 @@ let findings (env : Engine.env) =
           | Some slots ->
               List.iter
                 (fun (rep_id, slot, expected) ->
-                  let stored = value_or_null record slot in
+                  let stored = Record.field record slot in
                   if
                     not
                       (Hashtbl.mem env.Engine.pending (rep_id, Oid.to_int64 oid)
@@ -271,8 +268,8 @@ let findings (env : Engine.env) =
     | None -> add (Unreadable { oid = final; what = "final object" })
     | Some final_rec ->
         let field i (fname, _) =
-          ( value_or_null final_rec (Ty.field_index s.final_ty fname),
-            value_or_null sp_rec (Engine.sprime_field_offset + i) )
+          ( Record.field final_rec (Ty.field_index s.final_ty fname),
+            Record.field sp_rec (Engine.sprime_field_offset + i) )
         in
         let pairs = List.mapi field s.fields in
         if not (List.for_all (fun (want, have) -> Value.equal want have) pairs)
@@ -328,21 +325,18 @@ let findings (env : Engine.env) =
                 add (Sprime_refcount { rep_id; link_id = s.sref_link; sprime = sp; stored; claimed });
               match record with
               | Some (_, owner, _) when claimed > 0 -> (
-                  match read_data owner with
+                  (* the owner's pair, read in place: [Some None] when it has none *)
+                  match
+                    read_data_with owner (fun buf off len ->
+                        let at = Record.link_at buf off len s.sref_link in
+                        if at < 0 then None else Some (Oid.decode buf at))
+                  with
                   | None -> add (Unreadable { oid = owner; what = "owner of an S' record" })
-                  | Some owner_rec -> (
-                      match Record.find_link owner_rec s.sref_link with
-                      | Some pair when Oid.equal pair.Record.link_oid sp -> ()
-                      | pair ->
-                          add
-                            (Sref_pair
-                               {
-                                 rep_id;
-                                 link_id = s.sref_link;
-                                 owner;
-                                 stored = Option.map (fun (p : Record.link) -> p.Record.link_oid) pair;
-                                 wanted = Some sp;
-                               })))
+                  | Some (Some pair) when Oid.equal pair sp -> ()
+                  | Some stored ->
+                      add
+                        (Sref_pair
+                           { rep_id; link_id = s.sref_link; owner; stored; wanted = Some sp }))
               | Some _ | None -> ()))
     separates;
   List.rev !out

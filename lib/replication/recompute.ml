@@ -17,10 +17,6 @@ type expected = {
   sep_final : (int * Oid.t, Oid.t option) Hashtbl.t;
 }
 
-let value_or_null (record : Record.t) idx =
-  if idx < Array.length record.Record.values then record.Record.values.(idx)
-  else Value.VNull
-
 let membership_key tbl link_id target =
   match Hashtbl.find_opt tbl.memberships (link_id, target) with
   | Some t -> t
@@ -68,7 +64,7 @@ let compute (env : Engine.env) =
                     (Schema.find_type schema node.Registry.from_type)
                     node.Registry.step
                 in
-                match value_or_null current_rec idx with
+                match Record.field current_rec idx with
                 | Value.VRef oid ->
                     let r =
                       Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at
@@ -119,7 +115,7 @@ let compute (env : Engine.env) =
                   let v =
                     match final with
                     | Some (_, _, final_rec) ->
-                        value_or_null final_rec (Ty.field_index final_ty fname)
+                        Record.field final_rec (Ty.field_index final_ty fname)
                     | None -> Value.VNull
                   in
                   let slot = hidden_slot exp source_oid in

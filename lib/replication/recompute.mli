@@ -28,7 +28,3 @@ type expected = {
 
 val compute : Engine.env -> expected
 (** Scan every source set and recompute the expected derived state. *)
-
-val value_or_null : Record.t -> int -> Value.t
-(** The record's value at an index, [VNull] past the end — hidden slots of
-    objects inserted before a replication was declared read as null. *)

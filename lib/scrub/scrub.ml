@@ -279,14 +279,14 @@ let finish ~log_repair ~guard (sw : sweep) =
   (* Phase 3: logical repair.  {!Invariants} audits the derived state
      against the recomputed ground truth; scrub repairs its findings, a
      tier per round, until a round repairs nothing.  Only derived state
-     is written. *)
-  let read_data oid =
-    Heap_file.read_with (env.Engine.file_of_oid oid) oid Record.decode_at
+     is written, each repair as one stored object's bytes edited in a
+     copy ({!Engine.rewrite_copy}): no record is decoded or re-encoded. *)
+  let rewrite oid edit = Engine.rewrite_copy env oid (fun _ buf _ len -> edit buf len) in
+  (* The link OID of the pair for [link_id] in the copy [rewrite] edits. *)
+  let pair_in buf len link_id =
+    let at = Record.link_at buf 0 len link_id in
+    if at < 0 then None else Some (Oid.decode buf at)
   in
-  let write_data oid record =
-    Heap_file.update (env.Engine.file_of_oid oid) oid (Record.encode record)
-  in
-  let modify oid f = write_data oid (f (read_data oid)) in
   (* Per round: link objects rebuilt this round, and refreshes already
      run.  A purge never frees an OID a rebuild claimed — freed slots are
      recycled, so a stale pair may now name another target's fresh link
@@ -347,13 +347,12 @@ let finish ~log_repair ~guard (sw : sweep) =
     | None -> `Left
     | Some stored_as ->
         fix (rep_of_link registry link_id) target (fun () ->
-            let r = read_data target in
-            (match Record.find_link r link_id with
-            | Some pair when purge -> purge_link pair.Record.link_oid
-            | Some _ | None -> ());
-            write_data target
-              (Record.add_link (Record.remove_link r link_id)
-                 { Record.link_oid = stored_as (); link_id }))
+            rewrite target (fun buf len ->
+                (match pair_in buf len link_id with
+                | Some link_oid when purge -> purge_link link_oid
+                | Some _ | None -> ());
+                Heap_file.Rewrite
+                  (buf, Record.set_link_at buf len { Record.link_oid = stored_as (); link_id })))
   in
   (* The owner an S' record names, when it still decodes. *)
   let sprime_owner hf sp =
@@ -362,14 +361,18 @@ let finish ~log_repair ~guard (sw : sweep) =
     | _ -> None
     | exception _ -> None
   in
-  (* Drop [owner]'s sref pair if it still names [sp]. *)
+  (* Drop [owner]'s sref pair if it still names [sp]; an owner read from
+     a damaged S' record may be no data object at all. *)
   let drop_pair owner link_id sp =
-    match read_data owner with
-    | r -> (
-        match Record.find_link r link_id with
-        | Some pair when Oid.equal pair.Record.link_oid sp ->
-            write_data owner (Record.remove_link r link_id)
-        | Some _ | None -> ())
+    match
+      ignore (env.Engine.file_of_oid owner);
+      rewrite owner (fun buf len ->
+          match pair_in buf len link_id with
+          | Some pair when Oid.equal pair sp ->
+              Heap_file.Rewrite (buf, Record.remove_link_at buf len link_id)
+          | Some _ | None -> Heap_file.Keep)
+    with
+    | () -> ()
     | exception _ -> ()
   in
   let repair : Invariants.finding -> _ = function
@@ -379,14 +382,14 @@ let finish ~log_repair ~guard (sw : sweep) =
        later refresh puts in the freed slot, and the refresh that follows
        is logged. *)
     | Sref { source; slot; problem = Dead; _ } ->
-        modify source (fun r -> Record.set_field r slot Value.VNull);
+        Engine.set_values env source [ (slot, Value.VNull) ];
         repaired ()
     | Sref_pair { link_id; owner; stored = Some sp; wanted = None; _ } ->
         drop_pair owner link_id sp;
         repaired ()
     | Sref { rep_id; source; slot; problem = Not_a_ref; _ } ->
         refresh rep_id source (fun () ->
-            modify source (fun r -> Record.set_field r slot Value.VNull))
+            Engine.set_values env source [ (slot, Value.VNull) ])
     | Sref { rep_id; source; _ } -> refresh rep_id source ignore
     | Sprime_values { rep_id; sprime; final; expected } -> (
         match Store.sprime_file_opt store rep_id with
@@ -394,13 +397,8 @@ let finish ~log_repair ~guard (sw : sweep) =
             (* The owner check guards against a slot recycled by a refresh
                earlier in the round. *)
             fix (Some rep_id) final (fun () ->
-                let r = Heap_file.read_with hf sprime Record.decode_at in
-                let r, _ =
-                  List.fold_left
-                    (fun (r, i) v -> (Record.set_field r i v, i + 1))
-                    (r, Engine.sprime_field_offset) expected
-                in
-                Heap_file.update hf sprime (Record.encode r))
+                Engine.set_values env sprime
+                  (List.mapi (fun i v -> (Engine.sprime_field_offset + i, v)) expected))
         | Some _ | None -> `Skipped)
     | Sprime_refcount { rep_id; link_id; sprime; stored; claimed } -> (
         match Store.sprime_file_opt store rep_id with
@@ -411,23 +409,20 @@ let finish ~log_repair ~guard (sw : sweep) =
               (sprime_owner hf sprime);
             Heap_file.purge hf sprime;
             repaired ()
-        | Some hf when stored <> None ->
-            let r = Heap_file.read_with hf sprime Record.decode_at in
-            Heap_file.update hf sprime
-              (Record.encode (Record.set_field r 0 (Value.VInt claimed)));
+        | Some _ when stored <> None ->
+            Engine.set_values env sprime [ (0, Value.VInt claimed) ];
             repaired ()
         | Some _ | None -> `Left)
     | Sref_pair { rep_id; link_id; owner; stored = None; wanted = Some sp } ->
         fix (Some rep_id) owner (fun () ->
-            modify owner (fun r ->
-                Record.add_link r { Record.link_oid = sp; link_id }))
+            rewrite owner (fun buf len ->
+                Heap_file.Rewrite
+                  (buf, Record.set_link_at buf len { Record.link_oid = sp; link_id })))
     | Stray_link { link_id; target } ->
         fix (rep_of_link registry link_id) target (fun () ->
-            let r = read_data target in
-            Option.iter
-              (fun (pair : Record.link) -> purge_link pair.Record.link_oid)
-              (Record.find_link r link_id);
-            write_data target (Record.remove_link r link_id))
+            rewrite target (fun buf len ->
+                Option.iter purge_link (pair_in buf len link_id);
+                Heap_file.Rewrite (buf, Record.remove_link_at buf len link_id)))
     | Membership { link_id; target; expected; _ } ->
         rebuild ~purge:true link_id target expected
     | Shared_link { link_id; target; expected; _ } ->

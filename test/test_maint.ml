@@ -550,7 +550,7 @@ let reconfig_under_load ?(sharing = 2) strategy seed () =
     Db.check_integrity sdb;
     checksl "R records byte-identical to the quiesced rebuild"
       (record_bytes sdb "R") (record_bytes db "R");
-    let nolinks record = Fieldrep_model.Record.with_links record [] in
+    let nolinks record = { record with Fieldrep_model.Record.links = [] } in
     let s_bytes db_ =
       List.map
         (fun s ->

@@ -122,15 +122,23 @@ let sample_record () =
     [| Value.VString "alice"; Value.VInt 99; Value.VRef (oid 3) |]
 
 let test_record_roundtrip () =
-  let r = sample_record () in
-  let r = Record.add_link r { Record.link_oid = oid 11; link_id = 2 } in
-  let r = Record.add_link r { Record.link_oid = oid 12; link_id = 1 } in
+  let r =
+    {
+      (sample_record ()) with
+      Record.links =
+        [ { Record.link_oid = oid 12; link_id = 1 }; { Record.link_oid = oid 11; link_id = 2 } ];
+    }
+  in
   let bytes = Record.encode r in
   let r' = Record.decode bytes in
   checki "tag" 7 r'.Record.type_tag;
   checki "links" 2 (List.length r'.Record.links);
   checkv "field 0" (Value.VString "alice") (Record.field r' 0);
   checkv "field 2" (Value.VRef (oid 3)) (Record.field r' 2);
+  checkv "null past the width" Value.VNull (Record.field r' 3);
+  (match Record.field r' (-1) with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
   checki "encoded size" (Record.encoded_size r) (Bytes.length bytes);
   checki "peek tag" 7 (Record.type_tag_at bytes 0 (Bytes.length bytes))
 
@@ -141,10 +149,11 @@ let test_record_truncated_in_frame () =
   let pager = Pager.create ~page_size:512 ~frames:4 () in
   let hf = Heap_file.create pager in
   let r =
-    Record.add_link
-      (Record.make ~type_tag:3
-         [| Value.VInt 5; Value.VRef (oid 2); Value.VString "a string that ends it" |])
-      { Record.link_oid = oid 9; link_id = 4 }
+    {
+      Record.type_tag = 3;
+      links = [ { Record.link_oid = oid 9; link_id = 4 } ];
+      values = [| Value.VInt 5; Value.VRef (oid 2); Value.VString "a string that ends it" |];
+    }
   in
   let enc = Record.encode r in
   let target = Heap_file.insert hf enc in
@@ -165,33 +174,6 @@ let test_record_truncated_in_frame () =
   done;
   checkv "neighbour intact" (Value.VString "next")
     (Heap_file.read_with hf neighbour (fun b o l -> Record.field_at b o l 0))
-
-let test_record_links_sorted_and_unique () =
-  let r = sample_record () in
-  let r = Record.add_link r { Record.link_oid = oid 5; link_id = 9 } in
-  let r = Record.add_link r { Record.link_oid = oid 6; link_id = 3 } in
-  let r = Record.add_link r { Record.link_oid = oid 7; link_id = 9 } in
-  checki "replacing same id" 2 (List.length r.Record.links);
-  (match r.Record.links with
-  | [ a; b ] ->
-      checki "sorted" 3 a.Record.link_id;
-      checki "second" 9 b.Record.link_id;
-      checkb "id 9 replaced" true (Oid.equal b.Record.link_oid (oid 7))
-  | _ -> Alcotest.fail "wrong link count");
-  let r = Record.remove_link r 3 in
-  checki "removed" 1 (List.length r.Record.links);
-  checkb "find_link" true (Record.find_link r 9 <> None);
-  checkb "find_link absent" true (Record.find_link r 3 = None)
-
-let test_record_set_field () =
-  let r = sample_record () in
-  let r2 = Record.set_field r 1 (Value.VInt 100) in
-  checkv "updated" (Value.VInt 100) (Record.field r2 1);
-  checkv "original intact" (Value.VInt 99) (Record.field r 1);
-  try
-    ignore (Record.set_field r 5 Value.VNull);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Path                                                                *)
@@ -408,17 +390,24 @@ let qcheck_tests =
       (fun (a, b) -> { Oid.file = a mod 100; page = b mod 1000; slot = (a + b) mod 50 })
       Gen.(pair nat nat)
   in
+  (* A link section as a record holds it: sorted by id, one pair per id. *)
+  let sorted_pairs links =
+    List.sort_uniq (fun (a : Record.link) b -> Int.compare a.Record.link_id b.Record.link_id) links
+  in
+  let links_gen n =
+    Gen.(
+      list_size (0 -- n)
+        (map
+           (fun (link_oid, link_id) -> { Record.link_oid; link_id })
+           (pair oid_gen (int_bound 255))))
+  in
   (* Records with a link section and values of all four kinds. *)
   let record_gen =
     Gen.(
       let* tag = int_bound 1000 in
       let* values = list_size (0 -- 12) value_gen in
-      let* links =
-        list_size (0 -- 6)
-          (map (fun (link_oid, link_id) -> { Record.link_oid; link_id })
-             (pair oid_gen (int_bound 255)))
-      in
-      return (Record.with_links (Record.make ~type_tag:tag (Array.of_list values)) links))
+      let* links = links_gen 6 in
+      return { Record.type_tag = tag; links = sorted_pairs links; values = Array.of_list values })
   in
   let record_equal (a : Record.t) (b : Record.t) =
     a.Record.type_tag = b.Record.type_tag
@@ -443,14 +432,67 @@ let qcheck_tests =
                map (fun s -> Value.VString s) (string_size (100 -- 400));
              ])
       in
-      let* links =
-        list_size (0 -- 3)
-          (map (fun (link_oid, link_id) -> { Record.link_oid; link_id })
-             (pair oid_gen (int_bound 255)))
-      in
-      return (Record.with_links (Record.make ~type_tag:tag (Array.of_list values)) links))
+      let* links = links_gen 3 in
+      return { Record.type_tag = tag; links = sorted_pairs links; values = Array.of_list values })
+  in
+  (* A value of the kind and encoded size of [v]. *)
+  let same_size_gen = function
+    | Value.VNull -> Gen.return Value.VNull
+    | Value.VInt _ -> Gen.map (fun i -> Value.VInt i) Gen.int
+    | Value.VString s ->
+        Gen.map (fun s -> Value.VString s) (Gen.string_size (Gen.return (String.length s)))
+    | Value.VRef _ -> Gen.map (fun o -> Value.VRef o) oid_gen
+  in
+  (* A record of 0-8 values and 0-3 pairs, an index inside it, at its end
+     or 1-3 past it, a new value that grows, shrinks or keeps the stored
+     one's size, and the record's offset in its buffer. *)
+  let splice_gen =
+    Gen.(
+      let* tag = int_bound 1000 in
+      let* values = map Array.of_list (list_size (0 -- 8) value_gen) in
+      let* links = links_gen 3 in
+      let n = Array.length values in
+      let* i = int_range 0 (n + 3) in
+      let* v = oneof [ value_gen; same_size_gen (if i < n then values.(i) else Value.VNull) ] in
+      let* off = int_bound 8 in
+      return ({ Record.type_tag = tag; links = sorted_pairs links; values }, i, v, off))
+  in
+  let splice_print (r, i, v, off) =
+    Format.asprintf "%a; values.(%d) <- %a at offset %d" Record.pp r i Value.pp v off
   in
   [
+    (* The splice leaves the bytes [encode] gives for the record with the
+       value replaced (nulls padding it out), in place when the sizes
+       match, touches nothing before the record, and refuses a record cut
+       short before a byte moves. *)
+    Test.make ~name:"set_value_at equals encoding the edited record" ~count:500
+      (make ~print:splice_print splice_gen) (fun (r, i, v, off) ->
+        let enc = Record.encode r in
+        let len = Bytes.length enc in
+        let n = Array.length r.Record.values in
+        let values = Array.init (max n (i + 1)) (Record.field r) in
+        values.(i) <- v;
+        let expected = Record.encode { r with Record.values } in
+        let in_buffer p =
+          let buf = Bytes.make (off + len + Value.encoded_size v + i) '\xff' in
+          Bytes.blit enc 0 buf off p;
+          buf
+        in
+        let buf = in_buffer len in
+        let len' = Record.set_value_at buf off len i v in
+        let same_size =
+          i < n && Value.encoded_size v = Value.encoded_size r.Record.values.(i)
+        in
+        Bytes.equal (Bytes.sub buf off len') expected
+        && ((not same_size) || len' = len)
+        && Bytes.equal (Bytes.sub buf 0 off) (Bytes.make off '\xff')
+        && List.for_all
+             (fun p ->
+               let cut = in_buffer p in
+               match Record.set_value_at cut off p i v with
+               | _ -> false
+               | exception Wire.Corrupt _ -> Bytes.equal cut (in_buffer p))
+             (List.init len Fun.id));
     Test.make ~name:"record with links roundtrip" ~count:300 record_arb (fun r ->
         record_equal r (Record.decode (Record.encode r)));
     (* A truncated record is a corrupt record: never an index error. *)
@@ -528,8 +570,6 @@ let () =
       ( "record",
         [
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
-          Alcotest.test_case "link section" `Quick test_record_links_sorted_and_unique;
-          Alcotest.test_case "set_field" `Quick test_record_set_field;
           Alcotest.test_case "truncated in the frame" `Quick test_record_truncated_in_frame;
         ] );
       ( "path",

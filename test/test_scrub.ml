@@ -386,6 +386,10 @@ let test_matrix_sprime_page () =
   corrupt_first_page db (List.map snd sprime_bindings);
   scrub_and_verify db expected
 
+(* [r] with [values.(i)] replaced. *)
+let with_value (r : Record.t) i v =
+  { r with Record.values = Array.mapi (fun j x -> if j = i then v else x) r.Record.values }
+
 (* Logical corruption: the page checksums are fine, the derived values are
    wrong.  Scrub's recompute pass must still catch and repair it. *)
 let overwrite_derived db strat =
@@ -403,7 +407,7 @@ let overwrite_derived db strat =
       Heap_file.iter_oids hf (fun o -> if Oid.is_nil !victim then victim := o);
       let r = Record.decode (Heap_file.read hf !victim) in
       Heap_file.update hf !victim
-        (Record.encode (Record.set_field r idx (Value.VString "__rotten__")))
+        (Record.encode (with_value r idx (Value.VString "__rotten__")))
   | S_separate ->
       let sp_file =
         Option.get (Store.sprime_file_opt env.Engine.store rep.Schema.rep_id)
@@ -411,9 +415,9 @@ let overwrite_derived db strat =
       let victim = ref Oid.nil in
       Heap_file.iter_oids sp_file (fun o -> if Oid.is_nil !victim then victim := o);
       let r = Record.decode (Heap_file.read sp_file !victim) in
-      let r = Record.set_field r Engine.sprime_field_offset (Value.VString "__rotten__") in
+      let r = with_value r Engine.sprime_field_offset (Value.VString "__rotten__") in
       (* Also break the reference count, so the audit half is exercised. *)
-      let r = Record.set_field r 0 (Value.VInt 99) in
+      let r = with_value r 0 (Value.VInt 99) in
       Heap_file.update sp_file !victim (Record.encode r)
 
 (* The divergence matrix: one row per kind of divergence the audit finds,
@@ -425,6 +429,13 @@ let all_strats = [ S_inplace; S_separate; S_collapsed ]
 
 let rewrite hf oid f =
   Heap_file.update hf oid (Record.encode (f (Record.decode (Heap_file.read hf oid))))
+
+let without_pair (r : Record.t) link_id =
+  {
+    r with
+    Record.links =
+      List.filter (fun (l : Record.link) -> l.Record.link_id <> link_id) r.Record.links;
+  }
 
 let set_file db set = (Db.engine db).Engine.file_of_set set
 
@@ -471,7 +482,13 @@ let stray_link_pair db =
   let _, _, pair = linked_target db in
   let emp = first_emp db in
   rewrite (set_file db "Emp1") emp (fun r ->
-      Record.add_link r { Record.link_oid = emp; link_id = pair.Record.link_id })
+      {
+        r with
+        Record.links =
+          List.sort
+            (fun (a : Record.link) b -> Int.compare a.Record.link_id b.Record.link_id)
+            ({ Record.link_oid = emp; link_id = pair.Record.link_id } :: r.Record.links);
+      })
 
 let wrong_link_member db =
   let _, _, pair = linked_target db in
@@ -497,7 +514,7 @@ let wrong_link_member db =
 
 let missing_membership db =
   let set, target, pair = linked_target db in
-  rewrite (set_file db set) target (fun r -> Record.remove_link r pair.Record.link_id)
+  rewrite (set_file db set) target (fun r -> without_pair r pair.Record.link_id)
 
 let orphan_link_object db =
   let _, _, pair = linked_target db in
@@ -511,7 +528,7 @@ let sprime_wrong_owner db =
   match sprime_oids db with
   | sp1 :: sp2 :: _ ->
       let other = sprime_owner db sp2 in
-      rewrite (sprime_file db) sp1 (fun r -> Record.set_field r 1 (Value.VRef other))
+      rewrite (sprime_file db) sp1 (fun r -> with_value r 1 (Value.VRef other))
   | _ -> Alcotest.fail "need two S' records"
 
 let missing_sref_pair db =
@@ -524,7 +541,7 @@ let missing_sref_pair db =
           (fun (p : Record.link) -> Oid.equal p.Record.link_oid sp)
           r.Record.links
       with
-      | Some p -> Record.remove_link r p.Record.link_id
+      | Some p -> without_pair r p.Record.link_id
       | None -> Alcotest.fail "owner holds no sref pair")
 
 let divergences =

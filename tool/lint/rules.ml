@@ -585,8 +585,54 @@ let c1 i =
   end
 
 (* ------------------------------------------------------------------ *)
+(* R1: an existing object is rewritten as bytes.  The payload argument of *)
+(* [Heap_file.update] is never an application of [Record.encode]: a       *)
+(* stored record is edited with the [Record] byte editors and written     *)
+(* back with [~len]; only a fresh object (an insert) is encoded.  Scope:  *)
+(* lib/.                                                                  *)
 
-let all i = List.concat [ l1 i; p1 i; d1 i; e1 i; f1 i; s1 i; c1 i ]
+let r1 i =
+  if not (in_lib i) then []
+  else begin
+    let acc = ref [] in
+    let names suffix fn =
+      match fn.pexp_desc with
+      | Pexp_ident lid -> (
+          match List.rev (Lint_ast.resolve i.env lid.Location.txt) with
+          | name :: m :: _ -> [ m; name ] = suffix
+          | [ _ ] | [] -> false)
+      | _ -> false
+    in
+    let it =
+      {
+        Ast_iterator.default_iterator with
+        expr =
+          (fun it e ->
+            (match e.pexp_desc with
+            | Pexp_apply (fn, args) when names [ "Heap_file"; "update" ] fn ->
+                List.iter
+                  (fun (_, (a : expression)) ->
+                    match a.pexp_desc with
+                    | Pexp_apply (g, _) when names [ "Record"; "encode" ] g ->
+                        acc :=
+                          diag "R1" a.pexp_loc
+                            "Heap_file.update of a re-encoded record; edit the \
+                             stored bytes (Record.set_value_at / set_link_at / \
+                             remove_link_at) and write them with ~len"
+                          :: !acc
+                    | _ -> ())
+                  args
+            | _ -> ());
+            Ast_iterator.default_iterator.expr it e);
+      }
+    in
+    it.structure it i.str;
+    List.rev !acc
+  end
+
+(* ------------------------------------------------------------------ *)
+
+let all i = List.concat [ l1 i; p1 i; d1 i; e1 i; f1 i; s1 i; c1 i; r1 i ]
 
 (* O1 is interprocedural: it sees every parsed unit at once and returns
    diagnostics tagged with the file they belong to, so the driver can

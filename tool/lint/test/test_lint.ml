@@ -147,6 +147,21 @@ let test_c1_stats_exempt () =
   let ds = lint ~as_path:"lib/storage/stats.ml" "c1_bad.ml" in
   check_count "stats.ml is the blessed mutation point" 0 "C1" ds
 
+(* ---------------- R1 ---------------- *)
+
+let test_r1_bad () =
+  let ds = lint ~as_path:"lib/core/fixture.ml" "r1_bad.ml" in
+  check_count "re-encoded updates flagged" 2 "R1" ds
+
+let test_r1_good () =
+  check_clean "byte splices and fresh inserts accepted"
+    (lint ~as_path:"lib/core/fixture.ml" "r1_good.ml")
+
+let test_r1_out_of_scope () =
+  (* Tests corrupt stored records by re-encoding them on purpose. *)
+  let ds = lint ~as_path:"test/fixture.ml" "r1_bad.ml" in
+  check_count "test is out of R1 scope" 0 "R1" ds
+
 (* ---------------- A1: unused allowlist entries ---------------- *)
 
 let test_allowlist_unused () =
@@ -231,6 +246,9 @@ let () =
           tc "good" test_c1_good;
           tc "stats-exempt" test_c1_stats_exempt;
         ] );
+      ( "R1",
+        [ tc "bad" test_r1_bad; tc "good" test_r1_good; tc "out-of-scope" test_r1_out_of_scope ]
+      );
       ( "suppression",
         [
           tc "site-attribute" test_suppress_site;
