@@ -658,6 +658,23 @@ let note_touch txn ~set oid ~present values =
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
 
+(* Store a new object born complete from its walk, in the tombstoned
+   slot [at] or, when it is nil, a fresh one: one encoding, one write,
+   then its index entries and memberships. *)
+let store_new t ~set walk record ~at =
+  let record = Engine.complete t.engine walk record in
+  let hf = set_file t set in
+  let oid =
+    if Oid.is_nil at then Heap_file.insert hf (Record.encode record)
+    else begin
+      Heap_file.insert_at hf at (Record.encode record);
+      at
+    end
+  in
+  List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
+  Engine.on_insert t.engine walk oid;
+  oid
+
 let insert ?txn t ~set values =
   check_primary t "Db.insert";
   let ty = Schema.set_type t.schema set in
@@ -685,10 +702,7 @@ let insert ?txn t ~set values =
       locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
       let oid =
         log_mutation ?txn t (Wal.Insert { set; values }) (fun () ->
-            let oid = Heap_file.insert (set_file t set) (Record.encode record) in
-            List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-            Engine.on_insert t.engine walk oid;
-            oid)
+            store_new t ~set walk record ~at:Oid.nil)
       in
       locking t txn (fun tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X);
       (* first touch is the creation itself: undo deletes the object *)
@@ -705,10 +719,8 @@ let insert_at_impl t ~set oid values =
         Record.make ~type_tag:(Schema.type_tag t.schema ty.Ty.tname)
           (Array.of_list values)
       in
-      Heap_file.insert_at (set_file t set) oid (Record.encode record);
-      List.iter (fun rt -> index_insert rt oid record) (indexes_of_set t set);
-      (* walk once the slot is live: a self-referential path reaches it *)
-      Engine.on_insert t.engine (Engine.prepare_attach t.engine ~set record) oid)
+      let walk = Engine.prepare_revive t.engine ~set record in
+      ignore (store_new t ~set walk record ~at:oid))
 
 (* Outside a transaction nothing is locked or charged, so the common read
    builds no closure. *)

@@ -7,6 +7,29 @@ module Ty = Fieldrep_model.Ty
 module Value = Fieldrep_model.Value
 module Record = Fieldrep_model.Record
 
+(* One change to a membership, made on the link object's bytes. *)
+type member_edit =
+  | Add of Link_object.entry
+  | Add_all of Link_object.entry list
+  | Remove of Oid.t
+  | Take_tagged of Oid.t * Link_object.entry list ref
+      (* remove the entries with this tag, handing them over *)
+
+(* The membership editor's state: the edit, set before its run, and what
+   the run found, read after it.  Its two steps (under the target's pin
+   and under the link object's) are built once, with the state, so an
+   edit builds no closure. *)
+type editor = {
+  links : Store.t;
+  mutable link_id : int;
+  mutable threshold : int;
+  mutable edit : member_edit;
+  mutable was_empty : bool;
+  mutable now_empty : bool;
+  mutable target_step : Oid.t -> Bytes.t -> int -> int -> Heap_file.edit;
+  mutable link_step : Oid.t -> Bytes.t -> int -> int -> Heap_file.edit;
+}
+
 type env = {
   schema : Schema.t;
   mutable registry : Registry.t;
@@ -21,7 +44,143 @@ type env = {
   pending : (int * int64, unit) Hashtbl.t;
       (* (rep_id, source oid) pairs whose hidden copies are stale under
          lazy propagation; the in-memory invalidation table *)
+  editor : editor;
 }
+
+(* Per-domain buffers the write path reuses, so a rewrite allocates no
+   payload: [copy_buf] holds a stored record being edited (with room for
+   one more link pair), [link_buf] a link object, [encoding_buf] a record
+   encoded for a write.  Each is done with before the next use starts. *)
+let copy_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+let link_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+let encoding_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+
+(* [Heap_file.read_with] decoders that copy the payload into [key]'s
+   buffer, leaving [room] bytes past it, and return its length. *)
+let copy_into key ~room buf off len =
+  let copy = Domain.DLS.get key in
+  Wire.grow copy (len + room);
+  Bytes.blit buf off !copy 0 len;
+  len
+
+let copy_record = copy_into copy_buf ~room:Record.link_size
+let copy_link = copy_into link_buf ~room:0
+
+(* ------------------------------------------------------------------ *)
+(* Membership editor                                                   *)
+
+(* The membership in [buf] edited: its new length, or -1 when the edit
+   leaves it as it was (an absent member's removal; an add always counts
+   as a change). *)
+let apply_edit buf len = function
+  | Add e -> Link_object.add_at buf len e
+  | Add_all [] -> -1
+  | Add_all es -> List.fold_left (fun len e -> Link_object.add_at buf len e) len es
+  | Remove member -> Link_object.remove_at buf len member
+  | Take_tagged (tag, taken) ->
+      let len, es = Link_object.take_tagged_at buf tag in
+      taken := es;
+      len
+
+(* Does the membership of [count] entries in [link_buf] need a link
+   object?  Not when empty, nor, under small-link elimination, for a lone
+   untagged member, which the target's pair stores itself. *)
+let needs_object ed count =
+  count > 0
+  && not
+       (ed.threshold >= 1 && count = 1
+       && not (Link_object.tagged_at !(Domain.DLS.get link_buf)))
+
+(* The step under the link object's pin: its membership copied into
+   [link_buf] and edited there, and written back in the frame when it is
+   still to be a link object. *)
+let link_step ed _ buf off len =
+  let len = copy_link buf off len in
+  let lbuf = Domain.DLS.get link_buf in
+  ed.was_empty <- Link_object.count_at !lbuf = 0;
+  let edited = apply_edit lbuf len ed.edit in
+  if edited >= 0 && needs_object ed (Link_object.count_at !lbuf) then
+    Heap_file.Rewrite (!lbuf, edited)
+  else Heap_file.Keep
+
+(* The target's pair for the link set to [link_oid], in the frame when
+   the pair is there already ([at]), else in a copy in [copy_buf]. *)
+let set_pair ed buf off len at link_oid =
+  if at >= 0 then begin
+    if Oid.equal (Oid.decode buf at) link_oid then Heap_file.Keep
+    else begin
+      ignore (Oid.encode buf at link_oid);
+      Heap_file.Patched
+    end
+  end
+  else begin
+    let n = copy_record buf off len in
+    let copy = !(Domain.DLS.get copy_buf) in
+    Heap_file.Rewrite
+      (copy, Record.set_link_at copy n { Record.link_oid; link_id = ed.link_id })
+  end
+
+(* The step under the target's pin: read its pair for the link, edit the
+   membership it names (a link object under that object's one pin, or
+   the lone member the pair stores), and store the result: nothing when
+   empty, the member's OID in the pair for a lone untagged member under
+   small-link elimination, else a link object, created or freed here as
+   the membership needs.  A changed pair is spliced under this pin. *)
+let target_step ed _ buf off len =
+  let at = Record.link_at buf off len ed.link_id in
+  let pair = if at < 0 then Oid.nil else Oid.decode buf at in
+  let is_object = Store.is_link_oid ed.links pair in
+  let hf = Store.link_file ed.links ed.link_id in
+  let lbuf = Domain.DLS.get link_buf in
+  let link_len =
+    if is_object then begin
+      ignore (Heap_file.modify_run hf pair [] ~f:ed.link_step);
+      0
+    end
+    else begin
+      let n =
+        Link_object.entries_into lbuf
+          (if at < 0 then [] else [ { Link_object.member = pair; tag = Oid.nil } ])
+      in
+      ed.was_empty <- at < 0;
+      let edited = apply_edit lbuf n ed.edit in
+      if edited < 0 then n else edited
+    end
+  in
+  let count = Link_object.count_at !lbuf in
+  ed.now_empty <- count = 0;
+  if needs_object ed count then
+    if is_object then Heap_file.Keep
+    else
+      set_pair ed buf off len at (Heap_file.insert ~len:link_len hf !lbuf)
+  else begin
+    if is_object then Heap_file.delete hf pair;
+    if count > 0 then set_pair ed buf off len at (Link_object.member_at !lbuf 0)
+    else if at < 0 then Heap_file.Keep
+    else begin
+      let n = copy_record buf off len in
+      let copy = !(Domain.DLS.get copy_buf) in
+      Heap_file.Rewrite (copy, Record.remove_link_at copy n ed.link_id)
+    end
+  end
+
+let make_editor links =
+  let no_step _ _ _ _ = Heap_file.Keep in
+  let ed =
+    {
+      links;
+      link_id = 0;
+      threshold = 0;
+      edit = Add_all [];
+      was_empty = false;
+      now_empty = false;
+      target_step = no_step;
+      link_step = no_step;
+    }
+  in
+  ed.target_step <- target_step ed;
+  ed.link_step <- link_step ed;
+  ed
 
 let make_env ~schema ~store ~file_of_set ~file_of_oid
     ?(on_hidden_update = fun _ _ _ -> ()) ?(hidden_indexed = fun _ -> false) () =
@@ -35,6 +194,7 @@ let make_env ~schema ~store ~file_of_set ~file_of_oid
     hidden_indexed;
     batching = true;
     pending = Hashtbl.create 64;
+    editor = make_editor store;
   }
 
 let recompile env = env.registry <- Registry.compile env.schema
@@ -121,25 +281,6 @@ let read_field env oid idx =
   Heap_file.read_with (data_file env oid) oid (fun buf off len ->
       Record.field_at buf off len idx)
 
-(* Per-domain buffers the write path reuses, so a rewrite allocates no
-   payload: [copy_buf] holds a stored record being edited (with room for
-   one more link pair), [link_buf] a link object, [encoding_buf] a record
-   encoded for a write.  Each is done with before the next use starts. *)
-let copy_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
-let link_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
-let encoding_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
-
-(* [Heap_file.read_with] decoders that copy the payload into [key]'s
-   buffer, leaving [room] bytes past it, and return its length. *)
-let copy_into key ~room buf off len =
-  let copy = Domain.DLS.get key in
-  Wire.grow copy (len + room);
-  Bytes.blit buf off !copy 0 len;
-  len
-
-let copy_record = copy_into copy_buf ~room:Record.link_size
-let copy_link = copy_into link_buf ~room:0
-
 (* The object a node's step value points at, or None when the reference
    is null. *)
 let step_target (node : Registry.node) = function
@@ -191,74 +332,18 @@ let members_onto env ~link_id loid acc =
 
 let members env ~link_id loid = List.rev (members_onto env ~link_id loid [])
 
-(* One change to a membership, made on the link object's bytes. *)
-type member_edit =
-  | Add of Link_object.entry
-  | Add_all of Link_object.entry list
-  | Remove of Oid.t
-  | Take_tagged of Oid.t * Link_object.entry list ref
-      (* remove the entries with this tag, handing them over *)
-
-(* The membership in [buf] edited: its new length, or -1 when the edit
-   leaves it as it was (an absent member's removal; an add always counts
-   as a change). *)
-let apply_edit buf len = function
-  | Add e -> Link_object.add_at buf len e
-  | Add_all [] -> -1
-  | Add_all es -> List.fold_left (fun len e -> Link_object.add_at buf len e) len es
-  | Remove member -> Link_object.remove_at buf len member
-  | Take_tagged (tag, taken) ->
-      let len, es = Link_object.take_tagged_at buf tag in
-      taken := es;
-      len
-
 (* Apply [edit] to the membership of [target] under link [link_id] and
-   persist the result: nothing when empty, the member's OID in the
-   target's pair when a lone untagged member may be stored directly
-   (small-link elimination), else a link object.  The target is read once,
-   into [copy_buf], for its pair; its link section is spliced there when
-   the pair changes.  The link object is read once, into [link_buf], and
-   its entries are edited there.  Returns [(was_empty, now_empty)]. *)
+   store the result, all under one pin of the target's page: the link
+   object's edit pins its page once more, and creating or freeing one
+   costs that write.  Returns [(was_empty, now_empty)]. *)
 let modify_membership env ~link_id ~threshold target_oid edit =
-  let target_file = data_file env target_oid in
-  let tlen = Heap_file.read_with target_file target_oid copy_record in
-  let tbuf = !(Domain.DLS.get copy_buf) in
-  let at = Record.link_at tbuf 0 tlen link_id in
-  let pair = if at < 0 then Oid.nil else Oid.decode tbuf at in
-  let is_object = Store.is_link_oid env.store pair in
-  let hf = Store.link_file env.store link_id in
-  let lbuf = Domain.DLS.get link_buf in
-  let len =
-    if is_object then Heap_file.read_with hf pair copy_link
-    else
-      Link_object.entries_into lbuf
-        (if at < 0 then [] else [ { Link_object.member = pair; tag = Oid.nil } ])
-  in
-  let was_empty = Link_object.count_at !lbuf = 0 in
-  let edited = apply_edit lbuf len edit in
-  let len = if edited < 0 then len else edited in
-  let count = Link_object.count_at !lbuf in
-  let set_pair link_oid =
-    Heap_file.update
-      ~len:(Record.set_link_at tbuf tlen { Record.link_oid; link_id })
-      target_file target_oid tbuf
-  in
-  if count = 0 then begin
-    if is_object then Heap_file.delete hf pair;
-    if at >= 0 then
-      Heap_file.update
-        ~len:(Record.remove_link_at tbuf tlen link_id)
-        target_file target_oid tbuf
-  end
-  else if threshold >= 1 && count = 1 && not (Link_object.tagged_at !lbuf) then begin
-    if is_object then Heap_file.delete hf pair;
-    set_pair (Link_object.member_at !lbuf 0)
-  end
-  else if is_object then begin
-    if edited >= 0 then Heap_file.update ~len hf pair !lbuf
-  end
-  else set_pair (Heap_file.insert ~len hf !lbuf);
-  (was_empty, count = 0)
+  let ed = env.editor in
+  ed.link_id <- link_id;
+  ed.threshold <- threshold;
+  ed.edit <- edit;
+  ignore
+    (Heap_file.modify_run (data_file env target_oid) target_oid [] ~f:ed.target_step);
+  (ed.was_empty, ed.now_empty)
 
 let edit_member env node target_oid edit =
   match node.Registry.link_id with
@@ -537,9 +622,9 @@ let set_values env oid slots =
    hook for the indexed rewrites each page collected. *)
 let rec rewrite_pages env ~set edit changes = function
   | [] -> ()
-  | (first : Oid.t) :: rest as oids ->
+  | (first : Oid.t) :: rest ->
       let rest =
-        if env.batching then Heap_file.modify_run (data_file env first) oids ~f:edit
+        if env.batching then Heap_file.modify_run (data_file env first) first rest ~f:edit
         else begin
           rewrite_copy env first edit;
           rest
@@ -602,31 +687,41 @@ let write_hidden env (rep : Schema.replication) source_oid = function
       batched_rewrite env ~set:rep.Schema.rpath.Path.source_set [ source_oid ]
         ~edit:(fun _ buf off len -> set_hidden ~force:false slots buf off len)
 
+(* The hidden slots that bring a source in line with its walked path: the
+   copies (in-place, collapsed), or the S' reference (separate).  A
+   separate path's claim moves first, from the S' object the stored source
+   [source_oid] names (none when it is nil: an object not stored yet) to
+   the one the path needs, found or created; an unchanged reference gives
+   no slot. *)
+let path_slots env (p : path) source_oid =
+  let ((_, term) as ends) = Registry.terminal_of env.registry p.rep in
+  match term.Registry.kind with
+  | Registry.K_inplace | Registry.K_collapsed _ -> copy_slots term p.values
+  | Registry.K_separate sref_link ->
+      let idx = term.Registry.slots.(0) in
+      let desired =
+        match p.final with
+        | Some final_oid -> Value.VRef (sprime_for env ends ~sref_link final_oid)
+        | None -> Value.VNull
+      in
+      let current =
+        if Oid.is_nil source_oid then Value.VNull else read_field env source_oid idx
+      in
+      if Value.equal current desired then []
+      else begin
+        Option.iter
+          (fun sp -> sprime_refcount_add env ~sref_link sp (-1))
+          (as_ref_opt current);
+        Option.iter
+          (fun sp -> sprime_refcount_add env ~sref_link sp 1)
+          (as_ref_opt desired);
+        [ (idx, desired) ]
+      end
+
 (* Bring one source object's hidden fields in line with its walked path
    (both strategies). *)
 let refresh_path env (p : path) source_oid =
-  let ((_, term) as ends) = Registry.terminal_of env.registry p.rep in
-  write_hidden env p.rep source_oid
-    (match term.Registry.kind with
-    | Registry.K_inplace | Registry.K_collapsed _ -> copy_slots term p.values
-    | Registry.K_separate sref_link ->
-        let idx = term.Registry.slots.(0) in
-        let desired =
-          match p.final with
-          | Some final_oid -> Value.VRef (sprime_for env ends ~sref_link final_oid)
-          | None -> Value.VNull
-        in
-        let current = read_field env source_oid idx in
-        if Value.equal current desired then []
-        else begin
-          Option.iter
-            (fun sp -> sprime_refcount_add env ~sref_link sp (-1))
-            (as_ref_opt current);
-          Option.iter
-            (fun sp -> sprime_refcount_add env ~sref_link sp 1)
-            (as_ref_opt desired);
-          [ (idx, desired) ]
-        end);
+  write_hidden env p.rep source_oid (path_slots env p source_oid);
   clear_pending env p.rep source_oid
 
 (* Recompute the hidden fields of one source object from the current state
@@ -660,41 +755,63 @@ let refresh_batch env (rep : Schema.replication) oids =
 (* ------------------------------------------------------------------ *)
 (* Prepared mutations: one walk for the lock set and the apply        *)
 
-(* A source object's paths under every declaration rooted at its set.
-   [touches] is every data object the apply below may write besides the
-   source itself — the objects on the paths, plus (for a detach) the
-   owners of the S' objects it releases, which the walk may no longer
-   reach.  Link and S' objects are not data objects: the lock on the data
-   object that owns them guards them.  [linked]: the source had links. *)
-type walk = { paths : path list; touches : Oid.t list; linked : bool }
+(* A source object's paths under every declaration rooted at its set,
+   walked from [source].  [touches] is every data object the apply below
+   may write besides the source itself — the objects on the paths, plus
+   (for a detach) the owners of the S' objects it releases, which the
+   walk may no longer reach.  Link and S' objects are not data objects:
+   the lock on the data object that owns them guards them.  [later]:
+   declarations left unwalked until the source is stored
+   ({!prepare_revive}). *)
+type walk = {
+  paths : path list;
+  touches : Oid.t list;
+  later : Schema.replication list;
+  source : Record.t;
+}
 
 let touches w = w.touches
 
 let alive env oid = Heap_file.exists (data_file env oid) oid
 
+(* [List.sort_uniq] builds its merge closures on every call, before it
+   looks at the length: spare them for the zero or one objects most
+   walks name. *)
+let sorted_distinct = function
+  | ([] | [ _ ]) as oids -> oids
+  | oids -> List.sort_uniq Oid.compare oids
+
 (* A detach ([owners]) neither refreshes nor reads the final's values. *)
-let prepare env ~set record ~owners =
-  let paths =
-    List.map (fun rep -> walk_path env ~values:(not owners) rep record)
-      (Schema.replications_from env.schema set)
-  in
+let prepare env record ~owners reps ~later =
+  let paths = List.map (fun rep -> walk_path env ~values:(not owners) rep record) reps in
   let sprime_owner (p : path) =
     match p.sprime with
-    | Some sp when owners && alive env sp ->
-        as_ref_opt (read_field env sp 1)
+    | Some sp when owners && alive env sp -> as_ref_opt (read_field env sp 1)
     | Some _ | None -> None
   in
   let on_paths = List.concat_map (fun p -> List.map snd p.chain) paths in
   {
     paths;
-    touches =
-      List.sort_uniq Oid.compare
-        (on_paths @ List.filter_map sprime_owner paths);
-    linked = record.Record.links <> [];
+    touches = sorted_distinct (on_paths @ List.filter_map sprime_owner paths);
+    later;
+    source = record;
   }
 
-let prepare_attach env ~set record = prepare env ~set record ~owners:false
-let prepare_detach env ~set record = prepare env ~set record ~owners:true
+let prepare_attach env ~set record =
+  prepare env record ~owners:false (Schema.replications_from env.schema set) ~later:[]
+
+let prepare_detach env ~set record =
+  prepare env record ~owners:true (Schema.replications_from env.schema set) ~later:[]
+
+(* The record goes back into its own tombstoned slot, which a path that
+   can reach the source may name: such a path is walked once it is
+   stored. *)
+let prepare_revive env ~set record =
+  let later, now =
+    List.partition (Registry.reaches_source env.registry)
+      (Schema.replications_from env.schema set)
+  in
+  prepare env record ~owners:false now ~later
 
 let path_of w (rep : Schema.replication) =
   match
@@ -712,7 +829,7 @@ let collapsed_link_id (term : Registry.terminal) =
   | Registry.K_inplace | Registry.K_separate _ -> None
 
 (* Membership bookkeeping for one source object joining its walked path. *)
-let attach_source env (p : path) source_oid =
+let attach_members env (p : path) source_oid =
   let _, term = Registry.terminal_of env.registry p.rep in
   (match (collapsed_link_id term, p.chain) with
   | Some link_id, [ (_, x1); (_, x2) ] ->
@@ -724,7 +841,10 @@ let attach_source env (p : path) source_oid =
       let was_empty, now_empty = add_member env node1 x1 (plain_entry source_oid) in
       if was_empty && not now_empty then ensure_deeper env node1 x1
   | Some _, _ | None, [] ->
-      () (* path broken by a null reference: nothing to register *));
+      () (* path broken by a null reference: nothing to register *))
+
+let attach_source env p source_oid =
+  attach_members env p source_oid;
   refresh_path env p source_oid
 
 let detach_source env (p : path) source_oid =
@@ -788,15 +908,55 @@ let teardown_source env rep w source_oid =
     | Registry.K_inplace | Registry.K_collapsed _ ->
         copy_slots term (List.map (fun _ -> Value.VNull) term.Registry.fields))
 
+(* An insert writes its object once, born complete: the hidden slots of
+   every live path come from the walk, a separate path's S' object found
+   or created and claimed first.  Nulls past the record's width stay
+   implicit, as [set_hidden] leaves them. *)
+let complete env w (record : Record.t) =
+  let slots =
+    List.concat_map
+      (fun p -> if rep_live env p.rep then path_slots env p Oid.nil else [])
+      w.paths
+  in
+  let values = record.Record.values in
+  let width =
+    List.fold_left
+      (fun width (idx, v) -> if Value.equal v Value.VNull then width else max width (idx + 1))
+      (Array.length values) slots
+  in
+  if width = Array.length values then record
+  else begin
+    let full = Array.make width Value.VNull in
+    Array.blit values 0 full 0 (Array.length values);
+    List.iter (fun (idx, v) -> if idx < width then full.(idx) <- v) slots;
+    { record with Record.values = full }
+  end
+
+(* The walked paths' hidden slots are in the stored record already; a
+   declaration left for later ({!prepare_revive}) is walked and refreshed
+   now that the object is stored. *)
 let on_insert env w oid =
-  List.iter (fun p -> if rep_live env p.rep then attach_source env p oid) w.paths
+  List.iter
+    (fun p ->
+      if rep_live env p.rep then begin
+        attach_members env p oid;
+        clear_pending env p.rep oid
+      end)
+    w.paths;
+  List.iter
+    (fun rep ->
+      if rep_live env rep then
+        attach_source env (walk_path env ~values:true rep w.source) oid)
+    w.later
 
 let on_delete env w oid =
   List.iter (fun p -> detach_source env p oid) w.paths;
   (* Detaching may clear the object's own memberships (a self-referential
      path) but adds none; any left make it an intermediate or final
      object. *)
-  if w.linked && Heap_file.read_with (data_file env oid) oid Record.link_count_at > 0
+  if
+    w.source.Record.links <> []
+    && Heap_file.read_with (data_file env oid) oid Record.link_count_at > 0
   then
     invalid_arg
       (Printf.sprintf

@@ -30,6 +30,9 @@ module Oid = Fieldrep_storage.Oid
 module Schema = Fieldrep_model.Schema
 module Record = Fieldrep_model.Record
 
+type editor
+(** The membership editor's state and steps ({!modify_membership}). *)
+
 type env = {
   schema : Schema.t;
   mutable registry : Registry.t;
@@ -59,6 +62,7 @@ type env = {
       (** the lazy-propagation invalidation table: (rep_id, packed source
           OID) pairs whose hidden copies are stale.  Kept in memory, like
           the special invalidation locks of POSTGRES's caching schemes. *)
+  editor : editor;
 }
 
 val make_env :
@@ -92,15 +96,32 @@ val prepare_detach : env -> set:string -> Record.t -> walk
 (** Walk the stored record of an object of [set] about to be deleted (or
     torn down); also names the owners of the S' objects it will release. *)
 
+val prepare_revive : env -> set:string -> Record.t -> walk
+(** {!prepare_attach} for a record going back into its own tombstoned
+    slot (undoing a delete).  A declaration whose path can reach the
+    source itself ({!Registry.reaches_source}) may name that slot, so it
+    is not walked here but by {!on_insert}, once the object is stored; nor
+    does {!touches} name its objects.  Unlocked callers only. *)
+
 val touches : walk -> Oid.t list
 (** The data objects, sorted and deduplicated, that applying the walk may
     write besides the source itself: the objects on its paths, plus the
     S' owners of a detach.  Link and S' objects are guarded by their
     owner's lock. *)
 
+val complete : env -> walk -> Record.t -> Record.t
+(** The record an insert stores: the walked one with the hidden slots of
+    every live path filled from the walk — the copies of in-place and
+    collapsed paths, the S' reference of separate ones, whose S' object is
+    found or created and claimed here — so the object is written once,
+    born complete.  Call it inside the logged mutation, before the
+    write. *)
+
 val on_insert : env -> walk -> Oid.t -> unit
-(** The walked record was just inserted as this object.  Attaches it to
-    every live path rooted at its set and fills its hidden fields. *)
+(** The {!complete}d record was just stored as this object.  Attaches it
+    to every live path rooted at its set; only a declaration that
+    {!prepare_revive} left for later is walked and has its hidden fields
+    written here. *)
 
 val on_delete : env -> walk -> Oid.t -> unit
 (** Must be called {e before} the heap delete, with the walk of the
@@ -229,9 +250,10 @@ val referencers_via_links :
 (** {1 Membership edits}
 
     Every change to an inverted path's membership goes through one editor
-    over bytes: the target's pair is read in place, the link object is
-    edited in a reused buffer, and the target's link section is spliced
-    only when the pair itself changes.  Exposed for tests. *)
+    over bytes, run under the target's one pin: the target's pair is read
+    in its frame, a link object is edited under its own page's one pin
+    and written back in its frame, and the target's link section is
+    spliced only when the pair itself changes.  Exposed for tests. *)
 
 type member_edit =
   | Add of Link_object.entry  (** insert, or replace the member's tag *)
@@ -246,10 +268,13 @@ val modify_membership :
     to [target]'s membership under the link and stores the result: no pair
     when empty; with [threshold >= 1], a lone untagged member's OID in the
     pair itself (small-link elimination); else a link object in the
-    link's file.  Pins the target's page once to read it and the link
-    object's page once, and leaves exactly the bytes
-    {!Link_object.entries_into} and {!Record.encode} give for the edited
-    membership.  Returns [(was_empty, now_empty)]. *)
+    link's file.  Pins the target's page once and an existing link
+    object's page once, so an edit inside a link object that stays is two
+    pool lookups; creating or freeing a link object adds its insert's or
+    delete's pins, and only an object that outgrows its page pins again.
+    Leaves exactly the bytes {!Link_object.entries_into} and
+    {!Record.encode} give for the edited membership.  Returns
+    [(was_empty, now_empty)]. *)
 
 (** {1 Reference-update lock scope}
 

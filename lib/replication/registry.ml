@@ -33,8 +33,9 @@ type node = {
 type link_kind = L_path of int | L_sref of int | L_collapsed of int
 
 (* A live declaration's chain and its final node and terminal, looked up
-   by every write that touches the declaration. *)
-type decl = { chain : node list; ends : node * terminal }
+   by every write that touches the declaration, and whether some level
+   of the path leads back to the source's own type. *)
+type decl = { chain : node list; ends : node * terminal; reaches_source : bool }
 
 type t = {
   node_arr : node array;
@@ -253,7 +254,13 @@ let compile schema =
             (fun term -> term.rep.Schema.rep_id = rep.Schema.rep_id)
             final.terminals
         in
-        by_rep_arr.(rep.Schema.rep_id) <- Some { chain; ends = (final, term) }
+        let reaches_source =
+          match chain with
+          | first :: _ -> List.exists (fun n -> n.to_type = first.from_type) chain
+          | [] -> false
+        in
+        by_rep_arr.(rep.Schema.rep_id) <-
+          Some { chain; ends = (final, term); reaches_source }
       end)
     reps;
   { node_arr; root_tbl = roots; by_link; by_rep = by_rep_arr }
@@ -276,3 +283,4 @@ let decl t (rep : Schema.replication) =
 
 let chain t rep = (decl t rep).chain
 let terminal_of t rep = (decl t rep).ends
+let reaches_source t rep = (decl t rep).reaches_source

@@ -85,3 +85,8 @@ val chain : t -> Fieldrep_model.Schema.replication -> node list
 val terminal_of : t -> Fieldrep_model.Schema.replication -> node * terminal
 (** Final node and terminal record of a declaration, compiled once like
     {!chain}. *)
+
+val reaches_source : t -> Fieldrep_model.Schema.replication -> bool
+(** Can the path lead back to an object of its source's own type, so that
+    a walk from a source may reach the source itself?  Decided once per
+    declaration from the types along the chain. *)

@@ -20,15 +20,16 @@ type t = {
   mutable head_kind : int;  (* -1 when the slot is dead *)
   mutable head_len : int;  (* the whole record, header included *)
   mutable head_next : Oid.t;
-  reader : reader;  (* [read_with]'s in-frame step, bound to this handle *)
-  (* [modify_run]'s edit, the OIDs it has not reached and the rewrites
-     that wait for its pin to go *)
+  read : 'a. (Bytes.t -> int -> int -> 'a) -> Bytes.t -> 'a;
+      (* [read_with]'s in-frame step, bound to this handle *)
+  (* [modify_run]'s edit, its first OID, the OIDs it has not reached and
+     the rewrites that wait for its pin to go *)
   mutable run_edit : Oid.t -> Bytes.t -> int -> int -> edit;
+  mutable run_first : Oid.t;
   mutable run_rest : Oid.t list;
   mutable run_deferred : (Oid.t * Bytes.t) list;
 }
 
-and reader = { read : 'a. (Bytes.t -> int -> int -> 'a) -> Bytes.t -> 'a }
 and edit = Keep | Patched | Rewrite of Bytes.t * int
 
 let kind_head = 0
@@ -106,8 +107,9 @@ let handle ~reserve pager file =
       head_kind = 0;
       head_len = 0;
       head_next = Oid.nil;
-      reader = { read = (fun decode buf -> read_step t decode buf) };
+      read = (fun decode buf -> read_step t decode buf);
       run_edit = no_edit;
+      run_first = Oid.nil;
       run_rest = [];
       run_deferred = [];
     }
@@ -362,7 +364,7 @@ let read_with t (oid : Oid.t) decode =
   let v =
     match
       Pager.with_pin_arg t.pager ~file:t.file ~page:oid.Oid.page ~dirty:false
-        t.reader.read decode
+        t.read decode
     with
     | v -> v
     | exception Continues (first, next) ->
@@ -460,59 +462,63 @@ let written t page =
   Pager.mark_dirty t.pager ~file:t.file ~page;
   Stats.bump (Pager.stats t.pager) Stats.Objects_written
 
-(* Edit the objects at the head of [oids] on the pinned [page], queueing
-   the rewrites that must wait for the pin to go — a chained object's,
-   and one that no longer fits its page — and leave the rest of the list
-   in [run_rest]. *)
+(* Edit [oid] on the pinned [page], queueing the rewrite that must wait
+   for the pin to go — a chained object's, and one that no longer fits
+   its page. *)
+let edit_one t buf page (oid : Oid.t) =
+  let slot = oid.Oid.slot in
+  let off = segment_at buf ~file:t.file ~page slot ~kind:kind_head in
+  if Oid.is_nil_at buf (off + 1) then begin
+    Stats.bump (Pager.stats t.pager) Stats.Objects_read;
+    match
+      t.run_edit oid buf (off + header_size) (Page.read_length buf slot - header_size)
+    with
+    | Keep -> ()
+    | Patched -> written t page
+    | Rewrite (payload, len) ->
+        if write_in_place t buf slot payload len then written t page
+        else t.run_deferred <- (oid, Bytes.sub payload 0 len) :: t.run_deferred
+  end
+  else begin
+    let payload = read t oid in
+    match t.run_edit oid payload 0 (Bytes.length payload) with
+    | Keep -> ()
+    | Patched -> t.run_deferred <- (oid, payload) :: t.run_deferred
+    | Rewrite (p, len) -> t.run_deferred <- (oid, Bytes.sub p 0 len) :: t.run_deferred
+  end
+
+(* Edit the objects at the head of [oids] on the pinned [page] and leave
+   the rest of the list in [run_rest]. *)
 let rec edit_run t buf page oids =
   match oids with
   | (oid : Oid.t) :: rest when oid.Oid.file = t.file && oid.Oid.page = page ->
-      let slot = oid.Oid.slot in
-      let off = segment_at buf ~file:t.file ~page slot ~kind:kind_head in
-      if Oid.is_nil_at buf (off + 1) then begin
-        Stats.bump (Pager.stats t.pager) Stats.Objects_read;
-        match
-          t.run_edit oid buf (off + header_size) (Page.read_length buf slot - header_size)
-        with
-        | Keep -> ()
-        | Patched -> written t page
-        | Rewrite (payload, len) ->
-            if write_in_place t buf slot payload len then written t page
-            else t.run_deferred <- (oid, Bytes.sub payload 0 len) :: t.run_deferred
-      end
-      else begin
-        let payload = read t oid in
-        match t.run_edit oid payload 0 (Bytes.length payload) with
-        | Keep -> ()
-        | Patched -> t.run_deferred <- (oid, payload) :: t.run_deferred
-        | Rewrite (p, len) -> t.run_deferred <- (oid, Bytes.sub p 0 len) :: t.run_deferred
-      end;
+      edit_one t buf page oid;
       edit_run t buf page rest
   | rest -> t.run_rest <- rest
 
 (* [f] may read through this handle, which moves [at_page]: read it first. *)
 let run_step t buf =
   let page = t.at_page in
+  edit_one t buf page t.run_first;
   edit_run t buf page t.run_rest;
   note t page buf
 
-let modify_run t oids ~f =
-  match oids with
-  | [] -> []
-  | (first : Oid.t) :: _ ->
-      if first.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
-      t.at_page <- first.Oid.page;
-      t.run_edit <- f;
-      t.run_rest <- oids;
-      t.run_deferred <- [];
-      Pager.with_pin_arg t.pager ~file:t.file ~page:first.Oid.page ~dirty:false run_step t;
-      let rest = t.run_rest and deferred = t.run_deferred in
-      t.run_edit <- no_edit;
-      t.run_rest <- [];
-      t.run_deferred <- [];
-      if deferred <> [] then
-        List.iter (fun (oid, payload) -> update t oid payload) (List.rev deferred);
-      rest
+let modify_run t (first : Oid.t) rest ~f =
+  if first.Oid.file <> t.file then invalid_arg "Heap_file: OID from another file";
+  t.at_page <- first.Oid.page;
+  t.run_edit <- f;
+  t.run_first <- first;
+  t.run_rest <- rest;
+  t.run_deferred <- [];
+  Pager.with_pin_arg t.pager ~file:t.file ~page:first.Oid.page ~dirty:false run_step t;
+  let rest = t.run_rest and deferred = t.run_deferred in
+  t.run_edit <- no_edit;
+  t.run_first <- Oid.nil;
+  t.run_rest <- [];
+  t.run_deferred <- [];
+  if deferred <> [] then
+    List.iter (fun (oid, payload) -> update t oid payload) (List.rev deferred);
+  rest
 
 let is_head buf slot =
   Page.is_live buf slot && Wire.u8_at buf (Page.offset buf slot) = kind_head

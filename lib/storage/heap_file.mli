@@ -114,17 +114,21 @@ type edit =
   | Rewrite of Bytes.t * int  (** the new payload: the buffer's first [n] bytes *)
 
 val modify_run :
-  t -> Oid.t list -> f:(Oid.t -> Bytes.t -> int -> int -> edit) -> Oid.t list
-(** [modify_run t oids ~f] edits the objects at the head of [oids] that
-    share the first one's page, under a {e single} pin of that page, and
-    returns the rest of the list; the page is written back only if an edit
-    changed it.  [f oid buf off len] sees the payload as
-    {!read_with} gives it and says how it changed.  For an object of one
-    segment [buf] is the pinned frame, so a [Patched] payload is already
-    written and a [Rewrite] lands in place when it still fits the page;
-    a chained object's payload is assembled first and its rewrite, like
-    one that outgrew its page, goes through {!update} after the pin is
-    released.  Every visited object counts one object read, every edited
+  t ->
+  Oid.t ->
+  Oid.t list ->
+  f:(Oid.t -> Bytes.t -> int -> int -> edit) ->
+  Oid.t list
+(** [modify_run t oid rest ~f] edits [oid] and the objects at the head of
+    [rest] that share its page, under a {e single} pin of that page, and
+    returns the rest of [rest]; the page is written back only if an edit
+    changed it; with [rest = []] it edits one object and builds no list.
+    [f oid buf off len] sees the payload as {!read_with} gives it and says
+    how it changed.  For an object of one segment [buf] is the pinned
+    frame, so a [Patched] payload is already written and a [Rewrite]
+    lands in place when it still fits the page; a chained object's
+    payload is assembled first and its rewrite, like one that outgrew its
+    page, goes through {!update} after the pin is released.  Every visited object counts one object read, every edited
     one one object written.  [f] may read other objects but must not
     write through this file.  Raises [Invalid_argument] on a dead slot or
     a non-head record. *)

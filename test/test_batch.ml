@@ -59,8 +59,10 @@ let observe db =
   Buffer.contents b
 
 (* The same seeded 1-level update mix against a database, cold, returning
-   the page reads it cost.  Identical specs + identical [qseed] produce
-   identical query sequences, so two databases are directly comparable. *)
+   the page reads it cost and its pool lookups (hits + reads): one per
+   pin, whatever the clock keeps.  Identical specs + identical [qseed]
+   produce identical query sequences, so two databases are directly
+   comparable. *)
 let run_update_mix built ~qseed ~queries =
   let db = built.Gen.db in
   let rng = Splitmix.create qseed in
@@ -68,15 +70,16 @@ let run_update_mix built ~qseed ~queries =
       for _ = 1 to queries do
         ignore (Exec.replace db (Mix.update_query built rng ~update_sel:0.2))
       done);
-  (Db.stats db).Stats.page_reads
+  let s = Db.stats db in
+  (s.Stats.page_reads, s.Stats.page_reads + s.Stats.buffer_hits)
 
 let fewer_reads strategy () =
   let batched = Gen.build (spec strategy 21) in
   let reference = Gen.build (spec strategy 21) in
   Db.set_batching reference.Gen.db false;
   checkb "baseline build is batched" true (Db.batching batched.Gen.db);
-  let r_batched = run_update_mix batched ~qseed:5 ~queries:6 in
-  let r_reference = run_update_mix reference ~qseed:5 ~queries:6 in
+  let r_batched, _ = run_update_mix batched ~qseed:5 ~queries:6 in
+  let r_reference, _ = run_update_mix reference ~qseed:5 ~queries:6 in
   checkb
     (Printf.sprintf "strictly fewer reads (%d < %d)" r_batched r_reference)
     true
@@ -132,10 +135,12 @@ let test_propagation_ascending_order () =
 (* ------------------------------------------------------------------ *)
 (* Property: batching is invisible except in the I/O counters           *)
 
-(* Aggregated over every property case: physical order must win overall.
-   Per case the clock policy makes I/O order-sensitive in both directions
-   (a sorted visit can evict a page the random order happened to keep), so
-   individual cases only get a small slack. *)
+(* Aggregated over every property case: physical order must win overall
+   in page reads.  Per case the clock policy makes reads order-sensitive
+   in both directions (a sorted visit can evict a page the random order
+   happened to keep), so each case is held to its pool lookups instead:
+   one per pin, which no eviction order changes, and batching never adds
+   a pin. *)
 let total_batched = ref 0
 let total_reference = ref 0
 
@@ -150,16 +155,15 @@ let batching_invisible (seed, si) =
   let batched = Gen.build (small (spec strategy seed)) in
   let reference = Gen.build (small (spec strategy seed)) in
   Db.set_batching reference.Gen.db false;
-  let r_batched = run_update_mix batched ~qseed:(seed + 1) ~queries:3 in
-  let r_reference = run_update_mix reference ~qseed:(seed + 1) ~queries:3 in
+  let r_batched, l_batched = run_update_mix batched ~qseed:(seed + 1) ~queries:3 in
+  let r_reference, l_reference = run_update_mix reference ~qseed:(seed + 1) ~queries:3 in
   total_batched := !total_batched + r_batched;
   total_reference := !total_reference + r_reference;
   if observe batched.Gen.db <> observe reference.Gen.db then
     QCheck.Test.fail_report "batched and per-object states diverged";
-  let slack = max 3 (r_reference / 20) in
-  if r_batched > r_reference + slack then
-    QCheck.Test.fail_reportf "batching cost extra reads: %d > %d + %d" r_batched
-      r_reference slack;
+  if l_batched > l_reference then
+    QCheck.Test.fail_reportf "batching cost extra pool lookups: %d > %d" l_batched
+      l_reference;
   Db.check_integrity batched.Gen.db;
   true
 

@@ -1111,19 +1111,21 @@ let dept_fixture () =
   (fx, env, Option.get node.Registry.link_id)
 
 (* A detach, an attach and a fan-out of four pin each page once per
-   step: the membership editor reads the target, reads the link object
-   and writes it back under the one pin that checks its header.  The
-   detach walk reads no final values, and an employee with no links of
-   its own is not re-read for them after the detach. *)
+   step: the membership editor reads the target's pair under the
+   target's one pin and edits the link object in its frame under that
+   object's one pin.  The detach walk reads no final values, an employee
+   with no links of its own is not re-read for them after the detach,
+   and the attach writes no hidden copy: an insert stores its record
+   complete. *)
 let test_write_path_pins () =
   let fx, env, _ = dept_fixture () in
   let emp = fx.emps.(4) in
   let record = Db.get fx.db ~set:"Emp1" emp in
   let detach = Engine.prepare_detach env ~set:"Emp1" record in
-  checki "detach: target, link object, its update" 3
+  checki "detach: target, link object" 2
     (lookups fx.db (fun () -> Engine.on_delete env detach emp));
   let attach = Engine.prepare_attach env ~set:"Emp1" record in
-  checki "attach: target, link object, its update, the source" 4
+  checki "attach: target, link object" 2
     (lookups fx.db (fun () -> Engine.on_insert env attach emp));
   let dept = Db.get fx.db ~set:"Dept" fx.depts.(0) in
   let fanout = Engine.prepare_scalar env dept ~field:"name" in
@@ -1135,19 +1137,99 @@ let test_write_path_pins () =
     (fun e -> checkv "copy patched" (vstr "dept-Z") (Db.deref fx.db ~set:"Emp1" e "dept.name"))
     (Engine.fanout_touches fanout)
 
-(* An autocommit insert under an in-place path writes the new object's
-   hidden copy under one pin of its page, and the link object's update
-   checks and writes its head under one pin.  Reading the record whole and
-   then updating it (a header read and a write) would cost two lookups
+(* An autocommit insert under an in-place path writes the new object
+   once, born complete with its hidden copy, and adds it to its
+   department's link object under one pin of the department and one of
+   the link object.  Writing the user record and then its copy, and
+   reading the link object before updating it, would cost two lookups
    more. *)
 let test_insert_pins () =
   let fx, _, _ = dept_fixture () in
-  checki "in-place insert: pool lookups" 9
+  checki "in-place insert: pool lookups" 7
     (lookups fx.db (fun () ->
          ignore
            (Db.insert fx.db ~set:"Emp1"
               [ vstr "emp-new"; vint 30; vint 50_000; Value.VRef fx.depts.(1) ])));
   check_all fx
+
+(* An edit inside an existing link object pins the target's page once,
+   for its pair, and the link object's page once, to edit it in its
+   frame: two lookups each way.  Reading the link object and then
+   updating it would take one more. *)
+let test_membership_edit_pins () =
+  let fx, env, link_id = dept_fixture () in
+  let member = { Oid.file = 0; page = 999; slot = 1 } in
+  let target = fx.depts.(1) in
+  checki "add: target, link object" 2
+    (lookups fx.db (fun () ->
+         ignore
+           (Engine.modify_membership env ~link_id ~threshold:1 target
+              (Engine.Add { Link_object.member; tag = Oid.nil }))));
+  checki "remove: target, link object" 2
+    (lookups fx.db (fun () ->
+         ignore
+           (Engine.modify_membership env ~link_id ~threshold:1 target
+              (Engine.Remove member))));
+  check_all fx
+
+(* An insert whose set roots an in-place, a collapsed and a separate path
+   stores its record once, complete, and no hidden copy of it is
+   rewritten after the insert.  The objects written are the source once,
+   the department's link object (once for each of the in-place and
+   separate paths that share its level), the organisation's tagged link
+   object and the shared S' object's reference count; writing the copies
+   after the insert, as a refresh, would write the source three times
+   more. *)
+let test_insert_born_complete () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
+  Db.replicate fx.db
+    ~options:{ Schema.default_options with Schema.collapse = true }
+    ~strategy:Schema.Inplace (Path.parse "Emp1.dept.org.name");
+  Db.replicate fx.db ~strategy:Schema.Separate (Path.parse "Emp1.dept.budget");
+  let written () = (Db.stats fx.db).Fieldrep_storage.Stats.objects_written in
+  let w0 = written () in
+  let emp =
+    Db.insert fx.db ~set:"Emp1" [ vstr "emp-new"; vint 30; vint 50_000; Value.VRef fx.depts.(1) ]
+  in
+  checki "objects written: the source once, four memberships and claims" 5 (written () - w0);
+  checkv "in-place copy" (vstr "dept-1") (Db.deref fx.db ~set:"Emp1" emp "dept.name");
+  checkv "collapsed copy" (vstr "org-1") (Db.deref fx.db ~set:"Emp1" emp "dept.org.name");
+  checkv "separate copy" (vint 200) (Db.deref fx.db ~set:"Emp1" emp "dept.budget");
+  check_all fx
+
+(* EMP.manager names an EMP: the path can reach its own source.  A fresh
+   insert through it is still born complete, since nothing names its new
+   OID; a revived object whose manager is itself is walked once it is
+   stored. *)
+let test_self_referential_insert strategy () =
+  let db = Db.create ~page_size:1024 ~frames:64 () in
+  Db.define_type db
+    (Ty.make ~name:"EMP"
+       [
+         { Ty.fname = "name"; ftype = Ty.Scalar Ty.SString };
+         { Ty.fname = "manager"; ftype = Ty.Ref "EMP" };
+       ]);
+  Db.create_set db ~name:"Emp1" ~elem_type:"EMP" ();
+  Db.replicate db ~strategy (Path.parse "Emp1.manager.name");
+  let env = Db.engine db in
+  let rep = List.hd (Schema.replications (Db.schema db)) in
+  checkb "reaches its source" true (Registry.reaches_source env.Engine.registry rep);
+  let x = Db.insert db ~set:"Emp1" [ vstr "x"; Value.VNull ] in
+  Db.update_field db ~set:"Emp1" x ~field:"manager" (Value.VRef x);
+  let y = Db.insert db ~set:"Emp1" [ vstr "y"; Value.VRef x ] in
+  let z = Db.insert db ~set:"Emp1" [ vstr "z"; Value.VRef y ] in
+  checkv "y's copy" (vstr "x") (Db.deref db ~set:"Emp1" y "manager.name");
+  checkv "z's copy" (vstr "y") (Db.deref db ~set:"Emp1" z "manager.name");
+  Db.update_field db ~set:"Emp1" x ~field:"name" (vstr "x2");
+  checkv "x's own copy follows" (vstr "x2") (Db.deref db ~set:"Emp1" x "manager.name");
+  checkv "y's copy follows" (vstr "x2") (Db.deref db ~set:"Emp1" y "manager.name");
+  Db.update_field db ~set:"Emp1" z ~field:"manager" (Value.VRef z);
+  let tx = Db.begin_txn db in
+  Db.delete ~txn:tx db ~set:"Emp1" z;
+  Db.abort db tx;
+  checkv "revived self copy" (vstr "z") (Db.deref db ~set:"Emp1" z "manager.name");
+  Db.check_integrity db
 
 (* Refreshing sources whose copies are current edits nothing, so the run
    leaves its pages clean and the next flush writes none of them. *)
@@ -1479,6 +1561,12 @@ let () =
         [
           Alcotest.test_case "pins as the decoding edit" `Quick test_write_path_pins;
           Alcotest.test_case "in-place insert pins" `Quick test_insert_pins;
+          Alcotest.test_case "membership edit pins" `Quick test_membership_edit_pins;
+          Alcotest.test_case "insert born complete" `Quick test_insert_born_complete;
+          Alcotest.test_case "self-referential insert, in place" `Quick
+            (test_self_referential_insert Schema.Inplace);
+          Alcotest.test_case "self-referential insert, separate" `Quick
+            (test_self_referential_insert Schema.Separate);
           Alcotest.test_case "current refresh writes no page" `Quick
             test_current_refresh_writes;
           Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
