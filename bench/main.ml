@@ -741,7 +741,7 @@ let add_gate_metrics bench kvs =
     :: List.remove_assoc bench !gate_metrics
 
 (* ------------------------------------------------------------------ *)
-(* P1: batched physically-ordered propagation and read-ahead            *)
+(* P1: batched physically-ordered propagation                         *)
 
 let p1 () =
   section "P1: batched propagation (physical order) vs per-object reference path";
@@ -803,34 +803,7 @@ let p1 () =
         "writes batched";
       ]
     (List.rev !rows);
-  add_gate_metrics "p1" [ ("p1_update_io", !batched_io) ];
-  (* Read-ahead: a cold full scan with sequential prefetch on vs off.  The
-     simulated disk charges the same page reads either way; the win is that
-     prefetched pages arrive before the demand miss (prefetch hits), i.e.
-     the reads become sequential batches instead of synchronous stalls. *)
-  Printf.printf "\nSequential read-ahead on a cold full scan of R:\n\n";
-  let scan_rows =
-    List.map
-      (fun depth ->
-        let b =
-          Gen.build { Gen.default_spec with Gen.s_count = 2000; seed = 59 }
-        in
-        let db = b.Gen.db in
-        Pager.set_prefetch (Db.pager db) depth;
-        Pager.run_cold (Db.pager db) (fun () ->
-            Db.scan db ~set:"R" (fun _ _ -> ()));
-        let s = Db.stats db in
-        [
-          string_of_int depth;
-          string_of_int s.Stats.page_reads;
-          string_of_int s.Stats.prefetch_issued;
-          string_of_int s.Stats.prefetch_hits;
-        ])
-      [ 0; 4; 16 ]
-  in
-  T.print
-    ~header:[ "prefetch depth"; "page reads"; "issued"; "hits" ]
-    scan_rows
+  add_gate_metrics "p1" [ ("p1_update_io", !batched_io) ]
 
 (* ------------------------------------------------------------------ *)
 (* T1: transaction throughput under contention                         *)

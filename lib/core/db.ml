@@ -216,9 +216,9 @@ let on_hidden_update t set oid = function
 
 type backend = Pager.backend = Mem | File of string option
 
-let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?(durable = false)
-    ?wal_path ?backend ?wal_fsync ?wal_flush_limit () =
-  let pager = Pager.create ~page_size ~frames ~prefetch ?backend () in
+let create ?(page_size = 4096) ?(frames = 256) ?(durable = false) ?wal_path
+    ?backend ?wal_fsync ?wal_flush_limit () =
+  let pager = Pager.create ~page_size ~frames ?backend () in
   let schema = Schema.create () in
   let store = Store.create pager in
   let rec t =

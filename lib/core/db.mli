@@ -44,7 +44,6 @@ type backend = Fieldrep_storage.Pager.backend = Mem | File of string option
 val create :
   ?page_size:int ->
   ?frames:int ->
-  ?prefetch:int ->
   ?durable:bool ->
   ?wal_path:string ->
   ?backend:backend ->
@@ -57,9 +56,7 @@ val create :
     database can be rebuilt after a crash from the last checkpoint plus the
     log tail ({!recover}).  The log lives at [wal_path] when given, else at
     a fresh temp file; passing [wal_path] alone implies durability.
-    [prefetch] sets the buffer pool's sequential read-ahead depth in pages
-    (default 0 = off, so cost-model validation sees exact per-page
-    counts).  [backend] selects the page store (see {!type-backend}).
+    [backend] selects the page store (see {!type-backend}).
     [wal_fsync] and [wal_flush_limit] are passed through to
     {!Fieldrep_wal.Wal.open_}: [wal_fsync:true] makes every WAL group
     commit an honest [fsync(2)] barrier, and [wal_flush_limit:1] defeats

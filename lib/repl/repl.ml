@@ -444,7 +444,7 @@ module Replica = struct
     mutable applied_bytes : int64;
         (* WAL bytes applied locally, on the same scale *)
     mutable max_lag_bytes : int option;
-    mutable on_reset : (fork:int64 -> Db.t) option;
+    on_reset : (fork:int64 -> Db.t) option;
   }
 
   let connect ?frames ?clock ?(liveness = default_liveness) ?on_reset tr =
@@ -491,7 +491,6 @@ module Replica = struct
   let commit_lsn r = r.commit_lsn
   let epoch r = r.epoch
   let master_state r = r.mstate
-  let set_on_reset r f = r.on_reset <- f
 
   (* --- bounded-staleness read gate ------------------------------------ *)
 

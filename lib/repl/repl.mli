@@ -211,7 +211,6 @@ module Replica : sig
 
   val epoch : t -> int
   val master_state : t -> state
-  val set_on_reset : t -> (fork:int64 -> Fieldrep.Db.t) option -> unit
 
   val lag_bytes : t -> int64
   (** How far behind the master's shipped log this replica is, in WAL

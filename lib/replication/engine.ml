@@ -69,13 +69,21 @@ let copy_link = copy_into link_buf ~room:0
 (* ------------------------------------------------------------------ *)
 (* Membership editor                                                   *)
 
+(* Each add of [es] applied to the membership in [buf]: its new length,
+   or -1 when none of them changed it. *)
+let rec add_all buf len changed = function
+  | [] -> if changed then len else -1
+  | e :: es -> (
+      match Link_object.add_at buf len e with
+      | -1 -> add_all buf len changed es
+      | len -> add_all buf len true es)
+
 (* The membership in [buf] edited: its new length, or -1 when the edit
-   leaves it as it was (an absent member's removal; an add always counts
-   as a change). *)
+   leaves it as it was (an absent member's removal, or adds of members
+   already present with their tags). *)
 let apply_edit buf len = function
   | Add e -> Link_object.add_at buf len e
-  | Add_all [] -> -1
-  | Add_all es -> List.fold_left (fun len e -> Link_object.add_at buf len e) len es
+  | Add_all es -> add_all buf len false es
   | Remove member -> Link_object.remove_at buf len member
   | Take_tagged (tag, taken) ->
       let len, es = Link_object.take_tagged_at buf tag in

@@ -93,28 +93,40 @@ let rec tags_nil_from buf i =
 let settle buf len =
   if tagged_at !buf && tags_nil_from !buf 0 then relayout buf ~tagged:false else len
 
+(* Does the [i]th entry carry [tag]?  Compared in place, decoding nothing. *)
+let tag_is buf i tag =
+  if tagged_at buf then
+    Oid.compare_at tag buf (entry_offset buf i + Oid.encoded_size) = 0
+  else Oid.is_nil tag
+
+(* [relayout] keeps every entry's index, so [i] survives a widening. *)
 let add_at buf len { member; tag } =
-  let len =
-    if Oid.is_nil tag || tagged_at !buf then len else relayout buf ~tagged:true
-  in
   let i = search !buf member in
-  let at = entry_offset !buf i in
-  let len =
-    if holds !buf i member then len
-    else begin
-      let w = width !buf in
-      Wire.grow ~keep:true buf (len + w);
-      Bytes.blit !buf at !buf (at + w) (len - at);
-      ignore (Wire.put_u16 !buf 0 (count_at !buf + 1));
-      ignore (Oid.encode !buf at member);
-      len + w
+  let present = holds !buf i member in
+  if present && tag_is !buf i tag then -1
+  else begin
+    let len =
+      if Oid.is_nil tag || tagged_at !buf then len
+      else relayout buf ~tagged:true
+    in
+    let at = entry_offset !buf i in
+    let len =
+      if present then len
+      else begin
+        let w = width !buf in
+        Wire.grow ~keep:true buf (len + w);
+        Bytes.blit !buf at !buf (at + w) (len - at);
+        ignore (Wire.put_u16 !buf 0 (count_at !buf + 1));
+        ignore (Oid.encode !buf at member);
+        len + w
+      end
+    in
+    if tagged_at !buf then begin
+      ignore (Oid.encode !buf (at + Oid.encoded_size) tag);
+      if Oid.is_nil tag then settle buf len else len
     end
-  in
-  if tagged_at !buf then begin
-    ignore (Oid.encode !buf (at + Oid.encoded_size) tag);
-    if Oid.is_nil tag then settle buf len else len
+    else len
   end
-  else len
 
 let remove_at buf len member =
   let i = search !buf member in

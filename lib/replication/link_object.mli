@@ -45,7 +45,8 @@ val entries_into : Bytes.t ref -> entry list -> int
     member. *)
 
 val add_at : Bytes.t ref -> int -> entry -> int
-(** Inserts keeping order; replaces the tag if the member is present. *)
+(** Inserts keeping order; replaces the tag if the member is present.  -1,
+    the bytes untouched, when the member is present with this tag. *)
 
 val remove_at : Bytes.t ref -> int -> Fieldrep_storage.Oid.t -> int
 (** -1, the bytes untouched, when the member is absent. *)

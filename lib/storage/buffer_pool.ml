@@ -9,7 +9,6 @@ type frame = {
   mutable dirty : bool;
   mutable referenced : bool;
   mutable occupied : bool;
-  mutable prefetched : bool;
   data : Bytes.t;
 }
 
@@ -28,14 +27,9 @@ type t = {
   scratch : Bytes.t;
       (* staging buffer for installs: the physical read lands here before
          the victim frame is touched *)
-  mutable prefetch_depth : int;  (* 0 disables read-ahead *)
-  mutable seq_file : int;
-  mutable seq_next : int;
-      (* last demand miss was (seq_file, seq_next - 1): a miss landing on
-         (seq_file, seq_next) means a sequential run *)
 }
 
-let create ?(prefetch = 0) disk ~frames =
+let create disk ~frames =
   if frames <= 0 then invalid_arg "Buffer_pool.create: frames must be positive";
   let make_frame _ =
     {
@@ -45,7 +39,6 @@ let create ?(prefetch = 0) disk ~frames =
       dirty = false;
       referenced = false;
       occupied = false;
-      prefetched = false;
       data = Bytes.make (Disk.page_size disk) '\000';
     }
   in
@@ -55,14 +48,9 @@ let create ?(prefetch = 0) disk ~frames =
     table = Table.create (2 * frames);
     hand = 0;
     scratch = Bytes.make (Disk.page_size disk) '\000';
-    prefetch_depth = max 0 prefetch;
-    seq_file = -1;
-    seq_next = -1;
   }
 
 let resident t = Table.length t.table
-let set_prefetch t depth = t.prefetch_depth <- max 0 depth
-let prefetch_depth t = t.prefetch_depth
 
 let write_back t f =
   if f.dirty then begin
@@ -76,8 +64,7 @@ let evict_frame t idx =
   write_back t f;
   Table.remove t.table (key ~file:f.file ~page:f.page);
   f.occupied <- false;
-  f.referenced <- false;
-  f.prefetched <- false
+  f.referenced <- false
 
 (* Clock sweep: skip pinned frames, give referenced frames a second chance.
    Two full sweeps with no victim means everything is pinned.  The miss
@@ -127,7 +114,6 @@ let install_at t idx ~file ~page ~read =
   f.dirty <- false;
   f.referenced <- true;
   f.occupied <- true;
-  f.prefetched <- false;
   if read then Bytes.blit t.scratch 0 f.data 0 (Bytes.length f.data)
   else Bytes.fill f.data 0 (Bytes.length f.data) '\000';
   Table.replace t.table (key ~file ~page) idx;
@@ -138,94 +124,37 @@ let install_at t idx ~file ~page ~read =
    cached page.  Failed installs leave the pool exactly as it was and are
    counted ([failed_reads]), so every lookup lands in exactly one of
    [buffer_hits], [page_reads] or [failed_reads]. *)
-let install t ~file ~page ~read =
+let install t ~file ~page =
   let idx = find_victim t in
-  if read then begin
-    (try read_with_retry t ~file ~page t.scratch 1
-     with e ->
-       Stats.bump (Disk.stats t.disk) Stats.Failed_reads;
-       raise e)
-  end;
-  install_at t idx ~file ~page ~read
-
-(* Read pages (page+1 .. page+depth) of [file] into the pool ahead of
-   demand.  Called with the frame for [page] pinned, so the demand page
-   cannot be chosen as a victim.  Best-effort: an exhausted pool or a
-   failing read simply ends the run — the demand path will face the fault
-   itself if the page is ever actually needed. *)
-let prefetch_run t ~file ~page =
-  let stats = Disk.stats t.disk in
-  let last = min (page + t.prefetch_depth) (Disk.page_count t.disk file - 1) in
-  (try
-     for p = page + 1 to last do
-       if not (Table.mem t.table (key ~file ~page:p)) then begin
-         let idx = install t ~file ~page:p ~read:true in
-         t.frames.(idx).prefetched <- true;
-         Stats.bump stats Stats.Prefetch_issued
-       end
-     done
-   with Exhausted | Disk.Read_error _ | Disk.Corrupt_page _ -> ());
-  if last > page then begin
-    t.seq_file <- file;
-    t.seq_next <- last + 1
-  end
+  (try read_with_retry t ~file ~page t.scratch 1
+   with e ->
+     Stats.bump (Disk.stats t.disk) Stats.Failed_reads;
+     raise e);
+  install_at t idx ~file ~page ~read:true
 
 (* [find] with a [Not_found] handler, not [find_opt]: a hit allocates no
    [Some]. *)
-let lookup t ~file ~page ~for_new =
+let lookup t ~file ~page =
   match Table.find t.table (key ~file ~page) with
   | idx ->
-      let stats = Disk.stats t.disk in
-      Stats.bump stats Stats.Buffer_hits;
-      let f = t.frames.(idx) in
-      if f.prefetched then begin
-        f.prefetched <- false;
-        Stats.bump stats Stats.Prefetch_hits
-      end;
-      f.referenced <- true;
+      Stats.bump (Disk.stats t.disk) Stats.Buffer_hits;
+      t.frames.(idx).referenced <- true;
       idx
-  | exception Not_found ->
-      let idx = install t ~file ~page ~read:(not for_new) in
-      if t.prefetch_depth > 0 && not for_new then begin
-        let sequential = file = t.seq_file && page = t.seq_next in
-        t.seq_file <- file;
-        t.seq_next <- page + 1;
-        if sequential then begin
-          (* Pin the demand frame across the run so the prefetcher's own
-             installs cannot evict it. *)
-          let f = t.frames.(idx) in
-          f.pins <- f.pins + 1;
-          Fun.protect
-            ~finally:(fun () -> f.pins <- f.pins - 1)
-            (fun () -> prefetch_run t ~file ~page)
-        end
-      end;
-      idx
-
-let pin_frame t ~file ~page ~dirty =
-  let f = t.frames.(lookup t ~file ~page ~for_new:false) in
-  Lockdep.acquire Lockdep.Pool_pin;
-  f.pins <- f.pins + 1;
-  if dirty then f.dirty <- true;
-  f
+  | exception Not_found -> install t ~file ~page
 
 let unpin_frame f =
-  if f.pins <= 0 then invalid_arg "Buffer_pool.unpin: frame is not pinned";
   Lockdep.release Lockdep.Pool_pin;
   f.pins <- f.pins - 1
 
-let pin t ~file ~page ~dirty = (pin_frame t ~file ~page ~dirty).data
-
-let unpin t ~file ~page =
-  match Table.find_opt t.table (key ~file ~page) with
-  | None -> invalid_arg "Buffer_pool.unpin: page not resident"
-  | Some idx -> unpin_frame t.frames.(idx)
-
-(* A pinned frame is never evicted, invalidated or dropped, so the frame
-   [pin_frame] returned is still the page's when the callback ends: no
-   second lookup, and no closure for a [~finally]. *)
+(* The only place a pin is taken.  A pinned frame is never evicted,
+   invalidated or dropped, so the frame pinned here is still the page's
+   when the callback ends: no second lookup, and no closure for a
+   [~finally]. *)
 let with_pin_arg t ~file ~page ~dirty fn arg =
-  let f = pin_frame t ~file ~page ~dirty in
+  let f = t.frames.(lookup t ~file ~page) in
+  Lockdep.acquire Lockdep.Pool_pin;
+  f.pins <- f.pins + 1;
+  if dirty then f.dirty <- true;
   match fn arg f.data with
   | r ->
       unpin_frame f;
@@ -241,10 +170,12 @@ let mark_dirty t ~file ~page =
   f.dirty <- true
 
 let apply fn buf = fn buf
-let with_pin t ~file ~page ~dirty fn = with_pin_arg t ~file ~page ~dirty apply fn
 
-let with_page_read t ~file ~page fn = with_pin t ~file ~page ~dirty:false fn
-let with_page_write t ~file ~page fn = with_pin t ~file ~page ~dirty:true fn
+let with_page_read t ~file ~page fn =
+  with_pin_arg t ~file ~page ~dirty:false apply fn
+
+let with_page_write t ~file ~page fn =
+  with_pin_arg t ~file ~page ~dirty:true apply fn
 
 let new_page t ~file =
   (* Claim the victim frame *before* allocating: there is no
@@ -267,7 +198,6 @@ let invalidate t ~file ~page =
       Table.remove t.table (key ~file ~page);
       f.occupied <- false;
       f.referenced <- false;
-      f.prefetched <- false;
       f.dirty <- false
 
 (* Both bulk-discard operations refuse *before* touching anything: a pinned
@@ -287,7 +217,6 @@ let drop_file t ~file =
         Table.remove t.table (key ~file:f.file ~page:f.page);
         f.occupied <- false;
         f.referenced <- false;
-        f.prefetched <- false;
         f.dirty <- false
       end)
     t.frames
@@ -299,10 +228,7 @@ let clear t =
     (fun f ->
       if f.occupied then begin
         f.occupied <- false;
-        f.referenced <- false;
-        f.prefetched <- false
+        f.referenced <- false
       end)
     t.frames;
-  Table.reset t.table;
-  t.seq_file <- -1;
-  t.seq_next <- -1
+  Table.reset t.table

@@ -2,10 +2,10 @@ type backend = Disk.backend_kind = Mem | File of string option
 
 type t = { disk : Disk.t; pool : Buffer_pool.t; stats : Stats.t }
 
-let create ?(page_size = 4096) ?(frames = 256) ?(prefetch = 0) ?backend () =
+let create ?(page_size = 4096) ?(frames = 256) ?backend () =
   let stats = Stats.create () in
   let disk = Disk.create ~page_size ?backend stats in
-  { disk; pool = Buffer_pool.create ~prefetch disk ~frames; stats }
+  { disk; pool = Buffer_pool.create disk ~frames; stats }
 
 let page_size t = Disk.page_size t.disk
 
@@ -13,10 +13,6 @@ let close t =
   Buffer_pool.flush t.pool;
   Disk.close t.disk
 
-(* Clamp here as well as in the pool: a negative depth must read as
-   "disabled" at every layer of the facade. *)
-let set_prefetch t depth = Buffer_pool.set_prefetch t.pool (max 0 depth)
-let prefetch_depth t = Buffer_pool.prefetch_depth t.pool
 let stats t = t.stats
 let disk t = t.disk
 let create_file t = Disk.create_file t.disk

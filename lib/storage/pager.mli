@@ -11,12 +11,9 @@ type backend = Disk.backend_kind = Mem | File of string option
     without referencing [Disk] (whose raw I/O surface is private to
     [lib/storage]). *)
 
-val create :
-  ?page_size:int -> ?frames:int -> ?prefetch:int -> ?backend:backend -> unit -> t
-(** Defaults: 4096-byte pages, 256 frames, no read-ahead, backend from the
-    [FIELDREP_BACKEND] environment variable (in-memory when unset).
-    [prefetch] is the sequential read-ahead depth in pages (see
-    {!Buffer_pool}). *)
+val create : ?page_size:int -> ?frames:int -> ?backend:backend -> unit -> t
+(** Defaults: 4096-byte pages, 256 frames, backend from the
+    [FIELDREP_BACKEND] environment variable (in-memory when unset). *)
 
 val page_size : t -> int
 
@@ -24,11 +21,6 @@ val close : t -> unit
 (** Flush the pool and release backend resources (descriptors, an
     auto-created backing directory).  Idempotent at the disk level. *)
 
-val set_prefetch : t -> int -> unit
-(** Change the sequential read-ahead depth; 0 disables.  Negative depths
-    are clamped to 0. *)
-
-val prefetch_depth : t -> int
 val stats : t -> Stats.t
 val disk : t -> Disk.t
 val create_file : t -> int

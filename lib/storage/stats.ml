@@ -23,8 +23,6 @@ type t = {
   mutable degraded_reads : int;
   mutable read_retries : int;
   mutable failed_reads : int;
-  mutable prefetch_issued : int;
-  mutable prefetch_hits : int;
   mutable wal_flushes : int;
   mutable frames_shipped : int;
   mutable frames_applied : int;
@@ -64,8 +62,6 @@ type counter =
   | Degraded_reads
   | Read_retries
   | Failed_reads
-  | Prefetch_issued
-  | Prefetch_hits
   | Wal_flushes
   | Frames_shipped
   | Frames_applied
@@ -111,8 +107,6 @@ let all =
     (Degraded_reads, "degraded_reads", Counter);
     (Read_retries, "read_retries", Counter);
     (Failed_reads, "failed_reads", Counter);
-    (Prefetch_issued, "prefetch_issued", Counter);
-    (Prefetch_hits, "prefetch_hits", Counter);
     (Frames_shipped, "frames_shipped", Counter);
     (Frames_applied, "frames_applied", Counter);
     (Acks_waited, "acks_waited", Counter);
@@ -150,8 +144,6 @@ let[@inline] get t = function
   | Degraded_reads -> t.degraded_reads
   | Read_retries -> t.read_retries
   | Failed_reads -> t.failed_reads
-  | Prefetch_issued -> t.prefetch_issued
-  | Prefetch_hits -> t.prefetch_hits
   | Wal_flushes -> t.wal_flushes
   | Frames_shipped -> t.frames_shipped
   | Frames_applied -> t.frames_applied
@@ -194,8 +186,6 @@ let[@inline] shift t c n =
   | Degraded_reads -> t.degraded_reads <- t.degraded_reads + n
   | Read_retries -> t.read_retries <- t.read_retries + n
   | Failed_reads -> t.failed_reads <- t.failed_reads + n
-  | Prefetch_issued -> t.prefetch_issued <- t.prefetch_issued + n
-  | Prefetch_hits -> t.prefetch_hits <- t.prefetch_hits + n
   | Wal_flushes -> t.wal_flushes <- t.wal_flushes + n
   | Frames_shipped -> t.frames_shipped <- t.frames_shipped + n
   | Frames_applied -> t.frames_applied <- t.frames_applied + n
@@ -239,8 +229,6 @@ let create () =
     degraded_reads = 0;
     read_retries = 0;
     failed_reads = 0;
-    prefetch_issued = 0;
-    prefetch_hits = 0;
     wal_flushes = 0;
     frames_shipped = 0;
     frames_applied = 0;

@@ -35,8 +35,6 @@ type t = {
   mutable degraded_reads : int;
   mutable read_retries : int;
   mutable failed_reads : int;
-  mutable prefetch_issued : int;
-  mutable prefetch_hits : int;
   mutable wal_flushes : int;
   mutable frames_shipped : int;
   mutable frames_applied : int;
@@ -81,8 +79,6 @@ type counter =
   | Failed_reads
       (** pool installs whose physical read failed after retries, so
           [buffer_hits + page_reads + failed_reads] covers every lookup *)
-  | Prefetch_issued  (** pages read ahead by the sequential prefetcher *)
-  | Prefetch_hits  (** lookups served by a frame the prefetcher loaded *)
   | Wal_flushes  (** physical log flushes (one per group-commit batch) *)
   | Frames_shipped  (** log frames shipped to peers by a master *)
   | Frames_applied  (** log frames redone by a replica *)

@@ -55,23 +55,21 @@ let distinct_block () =
     degraded_reads = 18;
     read_retries = 19;
     failed_reads = 20;
-    prefetch_issued = 21;
-    prefetch_hits = 22;
-    wal_flushes = 23;
-    frames_shipped = 24;
-    frames_applied = 25;
-    acks_waited = 26;
-    replica_lag_bytes = 27;
-    maint_steps = 28;
-    maint_pages_walked = 29;
-    maint_lock_yields = 30;
-    maint_backfill_pending = 31;
-    peer_deaths = 32;
-    ack_demotions = 33;
-    heartbeats_missed = 34;
-    failovers = 35;
-    reconnects = 36;
-    deadlock_upgrades = 37;
+    wal_flushes = 21;
+    frames_shipped = 22;
+    frames_applied = 23;
+    acks_waited = 24;
+    replica_lag_bytes = 25;
+    maint_steps = 26;
+    maint_pages_walked = 27;
+    maint_lock_yields = 28;
+    maint_backfill_pending = 29;
+    peer_deaths = 30;
+    ack_demotions = 31;
+    heartbeats_missed = 32;
+    failovers = 33;
+    reconnects = 34;
+    deadlock_upgrades = 35;
     by_file = Stats.File_table.create 1;
   }
 
@@ -80,23 +78,22 @@ let test_pp_pinned () =
   Alcotest.(check string)
     "pp"
     "reads=1 writes=2 hits=3 allocated=4 obj_read=5 obj_written=6 \
-     wal_appends=7 wal_bytes=8 wal_flushes=23 replays=9 commits=10 aborts=11 \
+     wal_appends=7 wal_bytes=8 wal_flushes=21 replays=9 commits=10 aborts=11 \
      lock_waits=12 deadlocks=13 undone=14 checksum_failures=15 scrub_pages=16 \
      repairs=17 degraded_reads=18 read_retries=19 failed_reads=20 \
-     prefetch_issued=21 prefetch_hits=22 frames_shipped=24 frames_applied=25 \
-     acks_waited=26 replica_lag_bytes=27 maint_steps=28 maint_pages_walked=29 \
-     maint_lock_yields=30 maint_backfill_pending=31 peer_deaths=32 \
-     ack_demotions=33 heartbeats_missed=34 failovers=35 reconnects=36 \
-     deadlock_upgrades=37"
+     frames_shipped=22 frames_applied=23 acks_waited=24 replica_lag_bytes=25 \
+     maint_steps=26 maint_pages_walked=27 maint_lock_yields=28 \
+     maint_backfill_pending=29 peer_deaths=30 ack_demotions=31 \
+     heartbeats_missed=32 failovers=33 reconnects=34 deadlock_upgrades=35"
     (Format.asprintf "%a" Stats.pp (distinct_block ()))
 
 let test_table_covers_every_counter () =
   let s = distinct_block () in
   Alcotest.(check (list int))
-    "each field read exactly once" (List.init 37 succ)
+    "each field read exactly once" (List.init 35 succ)
     (List.sort compare (List.map (fun (c, _, _) -> Stats.get s c) Stats.all));
   let names = List.map (fun (_, name, _) -> name) Stats.all in
-  checki "names distinct" 37 (List.length (List.sort_uniq compare names));
+  checki "names distinct" 35 (List.length (List.sort_uniq compare names));
   Alcotest.(check (list string))
     "gauges"
     [ "replica_lag_bytes"; "maint_backfill_pending" ]

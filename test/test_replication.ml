@@ -1175,11 +1175,11 @@ let test_membership_edit_pins () =
 (* An insert whose set roots an in-place, a collapsed and a separate path
    stores its record once, complete, and no hidden copy of it is
    rewritten after the insert.  The objects written are the source once,
-   the department's link object (once for each of the in-place and
-   separate paths that share its level), the organisation's tagged link
-   object and the shared S' object's reference count; writing the copies
-   after the insert, as a refresh, would write the source three times
-   more. *)
+   the department's link object once (the in-place and separate paths
+   share its level, and the second add finds the member already there),
+   the organisation's tagged link object and the shared S' object's
+   reference count; writing the copies after the insert, as a refresh,
+   would write the source three times more. *)
 let test_insert_born_complete () =
   let fx = employee_db () in
   Db.replicate fx.db ~strategy:Schema.Inplace (Path.parse "Emp1.dept.name");
@@ -1192,7 +1192,8 @@ let test_insert_born_complete () =
   let emp =
     Db.insert fx.db ~set:"Emp1" [ vstr "emp-new"; vint 30; vint 50_000; Value.VRef fx.depts.(1) ]
   in
-  checki "objects written: the source once, four memberships and claims" 5 (written () - w0);
+  checki "objects written: the source, two link objects and an S' claim" 4
+    (written () - w0);
   checkv "in-place copy" (vstr "dept-1") (Db.deref fx.db ~set:"Emp1" emp "dept.name");
   checkv "collapsed copy" (vstr "org-1") (Db.deref fx.db ~set:"Emp1" emp "dept.org.name");
   checkv "separate copy" (vint 200) (Db.deref fx.db ~set:"Emp1" emp "dept.budget");

@@ -276,18 +276,28 @@ let test_pool_eviction_writes_dirty () =
           Alcotest.(check char) "survives" (Char.chr (Char.code 'a' + i)) (Bytes.get buf 0)))
     pages
 
+(* After [clear], a sequential scan makes exactly one physical read per
+   page and no buffer hits. *)
 let test_pool_clear_forces_cold_reads () =
   let stats = Stats.create () in
   let disk = Disk.create ~page_size:64 stats in
   let pool = Buffer_pool.create disk ~frames:8 in
   let f = Disk.create_file disk in
-  let p = Buffer_pool.new_page pool ~file:f in
-  Buffer_pool.with_page_write pool ~file:f ~page:p (fun buf -> Bytes.fill buf 0 4 'k');
+  let pages = List.init 6 (fun _ -> Buffer_pool.new_page pool ~file:f) in
+  List.iter
+    (fun p ->
+      Buffer_pool.with_page_write pool ~file:f ~page:p (fun buf ->
+          Bytes.fill buf 0 4 'k'))
+    pages;
   Buffer_pool.clear pool;
-  let before = stats.Stats.page_reads in
-  Buffer_pool.with_page_read pool ~file:f ~page:p (fun buf ->
-      Alcotest.(check char) "data flushed" 'k' (Bytes.get buf 0));
-  checki "cold read" (before + 1) stats.Stats.page_reads
+  let reads = stats.Stats.page_reads and hits = stats.Stats.buffer_hits in
+  List.iter
+    (fun p ->
+      Buffer_pool.with_page_read pool ~file:f ~page:p (fun buf ->
+          Alcotest.(check char) "data flushed" 'k' (Bytes.get buf 0)))
+    pages;
+  checki "one cold read per page" (reads + 6) stats.Stats.page_reads;
+  checki "no hits on a cold scan" hits stats.Stats.buffer_hits
 
 (* Regression: Pager.delete_file used to clear the WHOLE pool, evicting
    every other file's frames; it must only drop the deleted file's. *)
@@ -447,64 +457,6 @@ let test_install_read_failure_keeps_victim () =
   checki "victim still resident" reads stats.Stats.page_reads;
   (* And the faulty page remains fetchable once the fault clears. *)
   Buffer_pool.with_page_read pool ~file:f ~page:p1 (fun _ -> ())
-
-(* Sequential read-ahead: two adjacent demand misses start a run; the next
-   [depth] pages are read ahead and later accesses to them are hits. *)
-let test_prefetch_sequential_scan () =
-  let pager = Pager.create ~page_size:64 ~frames:16 ~prefetch:4 () in
-  let stats = Pager.stats pager in
-  let f = Pager.create_file pager in
-  for _ = 0 to 7 do
-    ignore (Pager.new_page pager ~file:f)
-  done;
-  Pager.flush pager;
-  Pager.run_cold pager (fun () ->
-      for p = 0 to 7 do
-        Pager.with_page_read pager ~file:f ~page:p (fun _ -> ())
-      done);
-  (* Misses at 0 and 1; the miss at 1 prefetches 2-5; the miss at 6
-     continues the run and prefetches 7. *)
-  checki "pages read ahead" 5 stats.Stats.prefetch_issued;
-  checki "read-ahead absorbed the demand" 5 stats.Stats.prefetch_hits;
-  checki "every page read exactly once" 8 stats.Stats.page_reads;
-  checki "prefetched pages were hits" 5 stats.Stats.buffer_hits
-
-let test_prefetch_off_by_default () =
-  let pager = Pager.create ~page_size:64 ~frames:16 () in
-  let stats = Pager.stats pager in
-  let f = Pager.create_file pager in
-  for _ = 0 to 3 do
-    ignore (Pager.new_page pager ~file:f)
-  done;
-  Pager.flush pager;
-  Pager.run_cold pager (fun () ->
-      for p = 0 to 3 do
-        Pager.with_page_read pager ~file:f ~page:p (fun _ -> ())
-      done);
-  checki "no read-ahead" 0 stats.Stats.prefetch_issued;
-  checki "one read per page" 4 stats.Stats.page_reads
-
-(* Regression: a negative depth must clamp to "off", not poison the
-   adjacency arithmetic inside the pool. *)
-let test_prefetch_negative_depth_clamps () =
-  let pager = Pager.create ~page_size:64 ~frames:16 ~prefetch:4 () in
-  Pager.set_prefetch pager (-3);
-  checki "negative depth reads as off" 0 (Pager.prefetch_depth pager);
-  let stats = Pager.stats pager in
-  let f = Pager.create_file pager in
-  for _ = 0 to 3 do
-    ignore (Pager.new_page pager ~file:f)
-  done;
-  Pager.flush pager;
-  Pager.run_cold pager (fun () ->
-      for p = 0 to 3 do
-        Pager.with_page_read pager ~file:f ~page:p (fun _ -> ())
-      done);
-  checki "no read-ahead with clamped depth" 0 stats.Stats.prefetch_issued;
-  checki "one read per page" 4 stats.Stats.page_reads;
-  (* And setting a sane depth afterwards re-enables read-ahead. *)
-  Pager.set_prefetch pager 2;
-  checki "positive depth sticks" 2 (Pager.prefetch_depth pager)
 
 (* ------------------------------------------------------------------ *)
 (* Heap file                                                           *)
@@ -1383,10 +1335,6 @@ let () =
             test_clear_with_pinned_page_is_atomic;
           Alcotest.test_case "install read failure keeps victim" `Quick
             test_install_read_failure_keeps_victim;
-          Alcotest.test_case "sequential read-ahead" `Quick test_prefetch_sequential_scan;
-          Alcotest.test_case "read-ahead off by default" `Quick test_prefetch_off_by_default;
-          Alcotest.test_case "negative depth clamps" `Quick
-            test_prefetch_negative_depth_clamps;
         ] );
       ( "heap_file",
         [

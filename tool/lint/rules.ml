@@ -547,11 +547,11 @@ let c1_stats_fields =
     "recovery_replays"; "txn_commits"; "txn_aborts"; "lock_waits";
     "deadlocks"; "undo_applied"; "checksum_failures"; "scrub_pages";
     "repairs"; "degraded_reads"; "read_retries"; "failed_reads";
-    "prefetch_issued"; "prefetch_hits"; "wal_flushes"; "frames_shipped";
-    "frames_applied"; "acks_waited"; "replica_lag_bytes"; "maint_steps";
-    "maint_pages_walked"; "maint_lock_yields"; "maint_backfill_pending";
-    "peer_deaths"; "ack_demotions"; "heartbeats_missed"; "failovers";
-    "reconnects"; "file_reads"; "file_writes";
+    "wal_flushes"; "frames_shipped"; "frames_applied"; "acks_waited";
+    "replica_lag_bytes"; "maint_steps"; "maint_pages_walked";
+    "maint_lock_yields"; "maint_backfill_pending"; "peer_deaths";
+    "ack_demotions"; "heartbeats_missed"; "failovers"; "reconnects";
+    "deadlock_upgrades"; "file_reads"; "file_writes";
   ]
 
 let c1 i =

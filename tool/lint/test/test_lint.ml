@@ -147,6 +147,40 @@ let test_c1_stats_exempt () =
   let ds = lint ~as_path:"lib/storage/stats.ml" "c1_bad.ml" in
   check_count "stats.ml is the blessed mutation point" 0 "C1" ds
 
+(* C1's field list is kept by hand: it must name exactly the
+   [mutable _ : int] fields of [Stats.t] and [Stats.file_io], as
+   lib/storage/stats.mli declares them. *)
+let stats_int_fields (d : Parsetree.type_declaration) =
+  match (d.ptype_name.txt, d.ptype_kind) with
+  | ("t" | "file_io"), Ptype_record labels ->
+      List.filter_map
+        (fun (l : Parsetree.label_declaration) ->
+          match (l.pld_mutable, l.pld_type.ptyp_desc) with
+          | Mutable, Ptyp_constr ({ txt = Lident "int"; _ }, []) ->
+              Some l.pld_name.txt
+          | _ -> None)
+        labels
+  | _ -> []
+
+let test_c1_fields_match_stats () =
+  let ic = open_in_bin "../../../lib/storage/stats.mli" in
+  let sg =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> Parse.interface (Lexing.from_channel ic))
+  in
+  let fields =
+    List.concat_map
+      (fun (item : Parsetree.signature_item) ->
+        match item.psig_desc with
+        | Psig_type (_, decls) -> List.concat_map stats_int_fields decls
+        | _ -> [])
+      sg
+  in
+  Alcotest.(check (list string))
+    "C1 guards every Stats counter field" (List.sort compare fields)
+    (List.sort compare Core.Rules.c1_stats_fields)
+
 (* ---------------- R1 ---------------- *)
 
 let test_r1_bad () =
@@ -245,6 +279,7 @@ let () =
           tc "bad" test_c1_bad;
           tc "good" test_c1_good;
           tc "stats-exempt" test_c1_stats_exempt;
+          tc "fields match stats.mli" test_c1_fields_match_stats;
         ] );
       ( "R1",
         [ tc "bad" test_r1_bad; tc "good" test_r1_good; tc "out-of-scope" test_r1_out_of_scope ]
