@@ -1514,9 +1514,8 @@ let load_image ?(frames = 256) ?backend image =
   for _ = 1 to get_u16 () do
     let record =
       next (fun data off ->
-          let len = 8 + fst (Wire.get_u32 data off) in
-          Wire.check_bounds data off len;
-          (snd (Wal.decode_frame (Bytes.sub data off len)), off + len))
+          let _, record = Wal.decode_frame_at data off ~limit:sealed in
+          (record, Wal.frame_end data off))
     in
     match record with
     | Wal.Define_type ty ->
@@ -1726,11 +1725,12 @@ let open_replica ?frames ?backend image =
   t.replica_mode <- true;
   t
 
-(* The apply runs under [Lockdep.isolated]: a replica is a distinct node,
-   so locks held by the caller (e.g. the master's [Wal_sync] when an ack-mode
-   tap drives this loopback) must not combine with the replica's own
-   acquisition stack into cross-node lock-order edges. *)
-let replica_apply t lsn record =
+(* One bracket per shipped batch, not per record.  The apply runs under
+   [Lockdep.isolated]: a replica is a distinct node, so locks held by the
+   caller (e.g. the master's [Wal_sync] when an ack-mode tap drives this
+   loopback) must not combine with the replica's own acquisition stack
+   into cross-node lock-order edges. *)
+let replica_apply t f =
   if not t.replica_mode then invalid_arg "Db.replica_apply: not a replica";
   Lockdep.isolated @@ fun () ->
   let s =
@@ -1741,14 +1741,17 @@ let replica_apply t lsn record =
         t.repl_stream <- Some s;
         s
   in
+  let stats = Pager.stats t.pager in
   (* Records redo through the normal entry points; [replaying] both
      suppresses (nonexistent) WAL appends and opens the [check_primary]
      gate for the duration of the apply. *)
   t.replaying <- true;
   Fun.protect
     ~finally:(fun () -> t.replaying <- false)
-    (fun () -> Recovery.feed s lsn record);
-  Stats.bump (Pager.stats t.pager) Stats.Frames_applied
+    (fun () ->
+      f (fun lsn record ->
+          Recovery.feed s lsn record;
+          Stats.bump stats Stats.Frames_applied))
 
 (* Failover: turn this replica into the epoch's new master.  Its applied
    prefix becomes the authoritative history — a fresh log is attached at

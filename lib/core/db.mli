@@ -411,12 +411,16 @@ val open_replica : ?frames:int -> ?backend:backend -> string -> t
 
 val is_replica : t -> bool
 
-val replica_apply : t -> int64 -> Fieldrep_wal.Wal.record -> unit
-(** Apply one shipped log record through the streaming redo path
-    ({!Fieldrep_wal.Recovery.feed}).  Records must arrive in LSN order
-    with no gaps — ordering, gap detection and re-request live in the
-    transport layer above.  Raises [Fieldrep_wal.Recovery.Diverged] when
-    the stream cannot be reconciled (the replica must re-bootstrap), and
+val replica_apply :
+  t -> ((int64 -> Fieldrep_wal.Wal.record -> unit) -> 'a) -> 'a
+(** [replica_apply t f] opens one replay bracket for a shipped batch and
+    runs [f apply] inside it; [f] calls [apply lsn record] once per record,
+    which redoes it through the streaming redo path
+    ({!Fieldrep_wal.Recovery.feed}) and counts [frames_applied].  Records
+    must arrive in LSN order with no gaps — ordering, gap detection and
+    re-request live in the transport layer above.  [apply] raises
+    [Fieldrep_wal.Recovery.Diverged] when the stream cannot be reconciled
+    (the replica must re-bootstrap); [replica_apply] raises
     [Invalid_argument] on a database not opened with {!open_replica}. *)
 
 val epoch : t -> int

@@ -4,7 +4,7 @@ module Checksum = Fieldrep_storage.Checksum
 type msg =
   | Hello of { last_lsn : int64 }
   | Snapshot of { lsn : int64; bytes : int64; image : string }
-  | Frames of Bytes.t list
+  | Frames of { data : Bytes.t; off : int; len : int }
   | Commit of { lsn : int64; bytes : int64 }
   | Ack of { lsn : int64 }
   | Resend of { after : int64 }
@@ -30,8 +30,7 @@ let body_size = function
   | Commit _ | Ping _ -> 16
   | Fenced -> 0
   | Snapshot { image; _ } -> 16 + Wire.blob_size image
-  | Frames frames ->
-      List.fold_left (fun acc f -> acc + 4 + Bytes.length f) 4 frames
+  | Frames { len; _ } -> len
 
 let put_body buf off = function
   | Hello { last_lsn } -> Wire.put_i64 buf off last_lsn
@@ -46,11 +45,10 @@ let put_body buf off = function
       let off = Wire.put_i64 buf off lsn in
       let off = Wire.put_i64 buf off bytes in
       Wire.put_blob buf off image
-  | Frames frames ->
-      let off = Wire.put_u32 buf off (List.length frames) in
-      List.fold_left
-        (fun off f -> Wire.put_blob buf off (Bytes.to_string f))
-        off frames
+  | Frames { data; off = src; len } ->
+      Wire.check_bounds buf off len;
+      Bytes.blit data src buf off len;
+      off + len
 
 (* Envelope: [crc:u32 | epoch:u32 | tag:u8 | body], crc over epoch+tag+body.
    The epoch is in the envelope, not per-message, so *every* payload — data,
@@ -69,64 +67,40 @@ let encode ~epoch msg =
   ignore (Wire.put_u32 buf 0 (Checksum.sum32 buf 4 (4 + 1 + blen)));
   Bytes.unsafe_to_string buf
 
+(* The [i64] at [off] in the body, which starts after the 9-byte header. *)
+let body_i64 buf off = Wire.i64_at buf (9 + off)
+
+(* [msg], if the message of [n] bytes has the body [size] it must have. *)
+let sized n size msg =
+  if n <> 9 + size then raise (Wire.Corrupt "Proto: bad message length");
+  msg
+
+(* The received string is read where it lies, never copied or written:
+   a [Frames] body is handed on as a view of its region. *)
 let decode s =
-  let buf = Bytes.of_string s in
-  if Bytes.length buf < 9 then raise (Wire.Corrupt "Proto: short message");
-  let want_crc, off = Wire.get_u32 buf 0 in
-  if Checksum.sum32 buf 4 (Bytes.length buf - 4) <> want_crc then
+  let buf = Bytes.unsafe_of_string s in
+  let n = Bytes.length buf in
+  if n < 9 then raise (Wire.Corrupt "Proto: short message");
+  if Checksum.sum32 buf 4 (n - 4) <> Wire.u32_at buf 0 then
     raise (Wire.Corrupt "Proto: message checksum mismatch");
-  let epoch, off = Wire.get_u32 buf off in
-  let tag, off = Wire.get_u8 buf off in
-  let msg, off =
-    match tag with
-    | 0 ->
-        let last_lsn, off = Wire.get_i64 buf off in
-        (Hello { last_lsn }, off)
+  let epoch = Wire.u32_at buf 4 in
+  let msg =
+    match Wire.u8_at buf 8 with
+    | 0 -> sized n 8 (Hello { last_lsn = body_i64 buf 0 })
     | 1 ->
-        let lsn, off = Wire.get_i64 buf off in
-        let bytes, off = Wire.get_i64 buf off in
-        let image, off = Wire.get_blob buf off in
-        (Snapshot { lsn; bytes; image }, off)
-    | 2 ->
-        let count, off = Wire.get_u32 buf off in
-        (* Each frame costs at least its 4-byte length prefix; a count that
-           could not fit is a corrupt (or hostile) header, reject before
-           allocating. *)
-        if count * 4 > Bytes.length buf - off then
-          raise (Wire.Corrupt "Proto: absurd frame count");
-        let off = ref off in
-        let frames =
-          List.init count (fun _ ->
-              let f, o = Wire.get_blob buf !off in
-              off := o;
-              Bytes.of_string f)
-        in
-        (Frames frames, !off)
-    | 3 ->
-        let lsn, off = Wire.get_i64 buf off in
-        let bytes, off = Wire.get_i64 buf off in
-        (Commit { lsn; bytes }, off)
-    | 4 ->
-        let lsn, off = Wire.get_i64 buf off in
-        (Ack { lsn }, off)
-    | 5 ->
-        let after, off = Wire.get_i64 buf off in
-        (Resend { after }, off)
-    | 6 ->
-        let lsn, off = Wire.get_i64 buf off in
-        let bytes, off = Wire.get_i64 buf off in
-        (Ping { lsn; bytes }, off)
-    | 7 ->
-        let lsn, off = Wire.get_i64 buf off in
-        (Pong { lsn }, off)
-    | 8 -> (Fenced, off)
-    | 9 ->
-        let fork, off = Wire.get_i64 buf off in
-        (Reset { fork }, off)
+        let image, off = Wire.get_blob buf (9 + 16) in
+        if off <> n then raise (Wire.Corrupt "Proto: trailing bytes");
+        Snapshot { lsn = body_i64 buf 0; bytes = body_i64 buf 8; image }
+    | 2 -> Frames { data = buf; off = 9; len = n - 9 }
+    | 3 -> sized n 16 (Commit { lsn = body_i64 buf 0; bytes = body_i64 buf 8 })
+    | 4 -> sized n 8 (Ack { lsn = body_i64 buf 0 })
+    | 5 -> sized n 8 (Resend { after = body_i64 buf 0 })
+    | 6 -> sized n 16 (Ping { lsn = body_i64 buf 0; bytes = body_i64 buf 8 })
+    | 7 -> sized n 8 (Pong { lsn = body_i64 buf 0 })
+    | 8 -> sized n 0 Fenced
+    | 9 -> sized n 8 (Reset { fork = body_i64 buf 0 })
     | t -> raise (Wire.Corrupt (Printf.sprintf "Proto: unknown tag %d" t))
   in
-  if off <> Bytes.length buf then
-    raise (Wire.Corrupt "Proto: trailing bytes");
   (epoch, msg)
 
 let pp fmt = function
@@ -134,7 +108,7 @@ let pp fmt = function
   | Snapshot { lsn; bytes; image } ->
       Format.fprintf fmt "Snapshot{lsn=%Ld; bytes=%Ld; %d bytes}" lsn bytes
         (String.length image)
-  | Frames frames -> Format.fprintf fmt "Frames{%d}" (List.length frames)
+  | Frames { len; _ } -> Format.fprintf fmt "Frames{%d bytes}" len
   | Commit { lsn; bytes } ->
       Format.fprintf fmt "Commit{lsn=%Ld; bytes=%Ld}" lsn bytes
   | Ack { lsn } -> Format.fprintf fmt "Ack{lsn=%Ld}" lsn

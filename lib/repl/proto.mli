@@ -5,7 +5,7 @@
 
     {v replica -> master   Hello{last_lsn}      who I am, where I stopped
        master  -> replica  Snapshot{lsn;bytes;image}  bootstrap image
-       master  -> replica  Frames[...]          raw WAL frames, LSN order
+       master  -> replica  Frames{...}          raw WAL frames, LSN order
        master  -> replica  Commit{lsn;bytes}    durability barrier marker
        replica -> master   Ack{lsn}             applied through this LSN
        replica -> master   Resend{after}        gap or corruption: re-ship
@@ -26,9 +26,10 @@
     {!Fenced} to anything from a lower epoch, which is how a zombie
     master's frames and a stale replica's acks are kept out of the state.
 
-    [Frames] bodies carry {e raw WAL frames} exactly as
-    [Fieldrep_wal.Wal.encode_frame] produced them — each frame is itself
-    checksummed, so a replica re-validates twice before applying.
+    A [Frames] body is {e one range of concatenated WAL frames}, the bytes
+    the master's log holds for them (no count, no per-frame prefix): each
+    frame carries its own length and checksum, so a replica walks the
+    range frame by frame and re-validates each one after the envelope.
 
     [bytes] on {!Snapshot}/{!Commit}/{!Ping} is the master's cumulative
     WAL byte count at that position; replicas difference it against the
@@ -41,7 +42,11 @@ type msg =
   | Snapshot of { lsn : int64; bytes : int64; image : string }
       (** [Db.image] bytes stamped with the log position and cumulative
           WAL bytes they reflect *)
-  | Frames of Bytes.t list  (** raw WAL frames, in LSN order *)
+  | Frames of { data : Bytes.t; off : int; len : int }
+      (** raw WAL frames in LSN order, lying back to back in [data] from
+          [off] for [len] bytes.  {!encode} copies the range into the
+          envelope; {!decode} returns a read-only view of the received
+          payload's frames region, valid as long as that payload. *)
   | Commit of { lsn : int64; bytes : int64 }
       (** everything through [lsn] ([bytes] cumulative WAL bytes) is
           durable on the master; the replica always answers an {!Ack} *)
@@ -64,7 +69,9 @@ val encode : epoch:int -> msg -> string
 (** Raises [Invalid_argument] on a negative epoch. *)
 
 val decode : string -> int * msg
-(** [(epoch, msg)].  Raises [Fieldrep_util.Wire.Corrupt] on a short,
-    truncated, checksum-failing or trailing-garbage payload. *)
+(** [(epoch, msg)], read in place: the payload is not copied, and a
+    [Frames] message allocates the same few words whatever it carries.
+    Raises [Fieldrep_util.Wire.Corrupt] on a short, truncated,
+    checksum-failing or trailing-garbage payload. *)
 
 val pp : Format.formatter -> msg -> unit

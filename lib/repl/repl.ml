@@ -28,8 +28,11 @@ module Master = struct
   type peer = {
     tr : Transport.t;
     pump : unit -> unit;
-    mutable buf : (int64 * Bytes.t) list;  (* newest first *)
+    buf : Bytes.t ref;
+        (* async mode: the synced frames not yet shipped, back to back *)
     mutable buf_bytes : int;
+    mutable buf_count : int;
+    mutable buf_last : int64;
     mutable shipped_lsn : int64;
     mutable acked_lsn : int64;
     mutable alive : bool;
@@ -99,25 +102,22 @@ module Master = struct
 
   let wal_bytes m = Int64.of_int (Wal.bytes_written m.wal)
 
-  (* Ship frames (oldest first) followed by a [Commit] barrier.  Any
-     transport failure marks the peer dead (and counts it): a master must
-     survive a replica that vanishes mid-commit.  A deposed master ships
-     nothing — fencing means its history is no longer authoritative. *)
-  let ship_frames m peer frames =
+  (* Ship a batch of frames (one range, in LSN order) followed by a
+     [Commit] barrier.  Any transport failure marks the peer dead (and
+     counts it): a master must survive a replica that vanishes mid-commit.
+     A deposed master ships nothing — fencing means its history is no
+     longer authoritative. *)
+  let ship_frames m peer (b : Wal.batch) =
     if peer.alive && not m.deposed then
       try
-        (match frames with
-        | [] -> ()
-        | frames ->
-            peer.tr.Transport.send
-              (Proto.encode ~epoch:m.epoch
-                 (Proto.Frames (List.map snd frames)));
-            List.iter
-              (fun (lsn, _) ->
-                Stats.bump (stats m) Stats.Frames_shipped;
-                if Int64.compare lsn peer.shipped_lsn > 0 then
-                  peer.shipped_lsn <- lsn)
-              frames);
+        if b.count > 0 then begin
+          peer.tr.Transport.send
+            (Proto.encode ~epoch:m.epoch
+               (Proto.Frames { data = b.data; off = b.off; len = b.len }));
+          Stats.add (stats m) Stats.Frames_shipped b.count;
+          if Int64.compare b.last_lsn peer.shipped_lsn > 0 then
+            peer.shipped_lsn <- b.last_lsn
+        end;
         peer.tr.Transport.send
           (Proto.encode ~epoch:m.epoch
              (Proto.Commit { lsn = Wal.last_lsn m.wal; bytes = wal_bytes m }))
@@ -222,26 +222,35 @@ module Master = struct
             ignore (Unix.select [] [] [] 0.001)
     done
 
+  let no_frames =
+    { Wal.data = Bytes.empty; off = 0; len = 0; count = 0; last_lsn = 0L }
+
   let flush_peer m peer =
-    let frames = List.rev peer.buf in
-    peer.buf <- [];
+    let batch =
+      { Wal.data = !(peer.buf); off = 0; len = peer.buf_bytes;
+        count = peer.buf_count; last_lsn = peer.buf_last }
+    in
     peer.buf_bytes <- 0;
-    ship_frames m peer frames
+    peer.buf_count <- 0;
+    ship_frames m peer batch
 
   (* The tap: called inside [Wal.sync], after the physical flush, with the
-     batch that flush made durable. *)
-  let on_sync m batch =
+     batch that flush made durable.  Its bytes live only for this call: ack
+     mode ships them at once, an async peer copies them to its buffer. *)
+  let on_sync m (batch : Wal.batch) =
     if not m.deposed then
       match m.mode with
       | Async { buffer_bytes } ->
           List.iter
             (fun peer ->
               if peer.alive then begin
-                List.iter
-                  (fun (lsn, frame) ->
-                    peer.buf <- (lsn, frame) :: peer.buf;
-                    peer.buf_bytes <- peer.buf_bytes + Bytes.length frame)
-                  batch;
+                let len = peer.buf_bytes + batch.len in
+                Wire.grow ~keep:true peer.buf len;
+                Bytes.blit batch.data batch.off !(peer.buf) peer.buf_bytes
+                  batch.len;
+                peer.buf_bytes <- len;
+                peer.buf_count <- peer.buf_count + batch.count;
+                peer.buf_last <- batch.last_lsn;
                 if peer.buf_bytes > buffer_bytes then flush_peer m peer
               end)
             m.peers;
@@ -313,7 +322,8 @@ module Master = struct
       invalid_arg "Repl.Master.attach: not allowed while transactions are active";
     let last_lsn = negotiate m tr pump in
     let peer =
-      { tr; pump; buf = []; buf_bytes = 0; shipped_lsn = 0L; acked_lsn = 0L;
+      { tr; pump; buf = ref Bytes.empty; buf_bytes = 0; buf_count = 0;
+        buf_last = 0L; shipped_lsn = 0L; acked_lsn = 0L;
         alive = true; pstate = Live; synchronous = true;
         last_heard = Clock.now m.clock }
     in
@@ -343,9 +353,9 @@ module Master = struct
       List.iter
         (fun peer ->
           if peer.alive then begin
-            if peer.buf <> [] then flush_peer m peer
+            if peer.buf_count > 0 then flush_peer m peer
             else if Int64.compare peer.acked_lsn (Wal.last_lsn m.wal) < 0 then
-              ship_frames m peer [];
+              ship_frames m peer no_frames;
             (* Poll, never wait: pump drains what has already arrived.  Only
                an ack-mode barrier ([await_ack]) may block on a peer. *)
             let continue = ref true in
@@ -439,9 +449,9 @@ module Replica = struct
     mutable epoch : int;
     mutable last_heard : int;
     mutable mstate : state;  (* the master, as this replica sees it *)
-    mutable master_bytes : int64;
+    mutable master_bytes : int;
         (* the master's cumulative WAL bytes, from Ping/Commit/Snapshot *)
-    mutable applied_bytes : int64;
+    mutable applied_bytes : int;
         (* WAL bytes applied locally, on the same scale *)
     mutable max_lag_bytes : int option;
     on_reset : (fork:int64 -> Db.t) option;
@@ -452,7 +462,7 @@ module Replica = struct
     tr.Transport.send (Proto.encode ~epoch:0 (Proto.Hello { last_lsn = 0L }));
     { tr; db = None; last_applied = 0L; commit_lsn = 0L; gap_pending = false;
       frames; clock; liveness; epoch = 0; last_heard = Clock.now clock;
-      mstate = Live; master_bytes = 0L; applied_bytes = 0L;
+      mstate = Live; master_bytes = 0; applied_bytes = 0;
       max_lag_bytes = None; on_reset }
 
   (* Wrap an existing replica-mode db — a restarted replica, or an old
@@ -467,8 +477,8 @@ module Replica = struct
       (Proto.encode ~epoch (Proto.Hello { last_lsn = last_applied }));
     { tr; db = Some db; last_applied; commit_lsn = last_applied;
       gap_pending = false; frames; clock; liveness; epoch;
-      last_heard = Clock.now clock; mstate = Live; master_bytes = 0L;
-      applied_bytes = 0L; max_lag_bytes = None; on_reset }
+      last_heard = Clock.now clock; mstate = Live; master_bytes = 0;
+      applied_bytes = 0; max_lag_bytes = None; on_reset }
 
   let db r =
     match r.db with
@@ -495,8 +505,7 @@ module Replica = struct
   (* --- bounded-staleness read gate ------------------------------------ *)
 
   let lag_bytes r =
-    let lag = Int64.sub r.master_bytes r.applied_bytes in
-    if Int64.compare lag 0L > 0 then lag else 0L
+    Int64.of_int (max 0 (r.master_bytes - r.applied_bytes))
 
   let set_max_lag r limit = r.max_lag_bytes <- limit
 
@@ -532,31 +541,44 @@ module Replica = struct
                (Proto.Resend { after = r.last_applied }))
     end
 
-  let apply_frame r raw =
+  (* Walk a shipped range from [pos], decoding each frame where it lies
+     and applying it with [apply].  Duplicates are skipped by LSN.  A
+     corrupt or short frame (damaged in flight: each frame carries its own
+     checksum) or a gap (something was lost ahead of this frame) stops the
+     walk before anything past it is applied: [false], and the caller
+     requests the tail again.  [true] when the whole range was taken. *)
+  let rec apply_range r data limit apply pos =
+    pos >= limit
+    ||
+    match Wal.decode_frame_at data pos ~limit with
+    | exception Wire.Corrupt _ -> false
+    | lsn, record ->
+        let next = Wal.frame_end data pos in
+        if Int64.compare lsn r.last_applied <= 0 then
+          apply_range r data limit apply next
+        else if Int64.compare lsn (Int64.add r.last_applied 1L) > 0 then false
+        else begin
+          apply lsn record;
+          r.last_applied <- lsn;
+          r.applied_bytes <- r.applied_bytes + (next - pos);
+          r.gap_pending <- false;
+          apply_range r data limit apply next
+        end
+
+  (* The whole message is one replay bracket on the replica's [Db]. *)
+  let apply_frames r data off len =
     match r.db with
     | None -> request_resend r  (* frames before a snapshot: re-bootstrap *)
-    | Some _ -> (
-    match Wal.decode_frame raw with
-    | exception Wire.Corrupt _ ->
-        (* Damaged in flight (the frame carries its own checksum): ask for
-           the tail again rather than trusting anything further. *)
-        request_resend r
-    | lsn, record ->
-        if Int64.compare lsn r.last_applied <= 0 then ()  (* duplicate *)
-        else if Int64.compare lsn (Int64.add r.last_applied 1L) > 0 then
-          (* A gap: something was lost ahead of this frame.  Drop it and
-             request the tail; the resent stream restores contiguity. *)
-          request_resend r
-        else begin
-          Db.replica_apply (db r) lsn record;
-          r.last_applied <- lsn;
-          r.applied_bytes <-
-            Int64.add r.applied_bytes (Int64.of_int (Bytes.length raw));
-          r.gap_pending <- false
-        end)
+    | Some db ->
+        let whole =
+          Db.replica_apply db (fun apply ->
+              apply_range r data (off + len) apply off)
+        in
+        if not whole then request_resend r
 
   let note_master_bytes r bytes =
-    if Int64.compare bytes r.master_bytes > 0 then r.master_bytes <- bytes
+    let bytes = Int64.to_int bytes in
+    if bytes > r.master_bytes then r.master_bytes <- bytes
 
   (* A new epoch resets the staleness scale: the new master's log (and its
      byte counter) starts at the fork point, so both sides of the lag
@@ -564,8 +586,8 @@ module Replica = struct
   let adopt_epoch r ep =
     if ep > r.epoch then begin
       r.epoch <- ep;
-      r.master_bytes <- 0L;
-      r.applied_bytes <- 0L
+      r.master_bytes <- 0;
+      r.applied_bytes <- 0
     end
 
   (* The master declared our log diverged above [fork] (we were a master in
@@ -583,8 +605,8 @@ module Replica = struct
         r.last_applied <- 0L;
         r.commit_lsn <- 0L);
     r.gap_pending <- false;
-    r.applied_bytes <- 0L;
-    r.master_bytes <- 0L;
+    r.applied_bytes <- 0;
+    r.master_bytes <- 0;
     r.tr.Transport.send
       (Proto.encode ~epoch:r.epoch (Proto.Hello { last_lsn = r.last_applied }))
 
@@ -595,9 +617,9 @@ module Replica = struct
         r.last_applied <- lsn;
         r.commit_lsn <- lsn;
         r.gap_pending <- false;
-        r.applied_bytes <- bytes;
+        r.applied_bytes <- Int64.to_int bytes;
         note_master_bytes r bytes
-    | Proto.Frames frames -> List.iter (apply_frame r) frames
+    | Proto.Frames { data; off; len } -> apply_frames r data off len
     | Proto.Commit { lsn; bytes } ->
         note_master_bytes r bytes;
         if Int64.compare lsn r.last_applied > 0 then begin

@@ -6,7 +6,10 @@
     [TestReplic] shape).  A replica bootstraps from a checkpoint image,
     then applies raw WAL frames through the streaming redo path
     ({!Fieldrep.Db.replica_apply}) as the master's {!Fieldrep_wal.Wal.sync}
-    makes them durable.
+    makes them durable.  What ships is the log's own bytes: a sync's batch
+    is one range of frames, copied once into the [Frames] message, and the
+    replica decodes each frame where it lies in the received payload,
+    applying the whole message inside one replay bracket.
 
     {1 Shipping modes}
 

@@ -48,9 +48,11 @@ let put_i64 buf off v =
   Bytes.set_int64_le buf off v;
   off + 8
 
-let get_i64 buf off =
+let i64_at buf off =
   check_bounds buf off 8;
-  (Bytes.get_int64_le buf off, off + 8)
+  Bytes.get_int64_le buf off
+
+let get_i64 buf off = (i64_at buf off, off + 8)
 
 let put_int buf off v = put_i64 buf off (Int64.of_int v)
 

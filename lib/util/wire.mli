@@ -35,6 +35,7 @@ val u32_at : Bytes.t -> int -> int
 
 val put_i64 : Bytes.t -> int -> int64 -> int
 val get_i64 : Bytes.t -> int -> int64 * int
+val i64_at : Bytes.t -> int -> int64
 
 val put_int : Bytes.t -> int -> int -> int
 (** [put_int] stores an OCaml [int] as a signed 64-bit value. *)
@@ -55,7 +56,7 @@ val string_size : string -> int
 val put_blob : Bytes.t -> int -> string -> int
 (** [put_blob buf off s] writes a [u32] length prefix followed by the raw
     bytes of [s] — the large-payload variant of {!put_string}, used for
-    values (checkpoint images, raw log frames) that can exceed 64 KiB. *)
+    values (checkpoint images) that can exceed 64 KiB. *)
 
 val get_blob : Bytes.t -> int -> string * int
 

@@ -59,14 +59,40 @@ let put_ftype buf off = function
       let off = Wire.put_u8 buf off 2 in
       Wire.put_string buf off target
 
-let get_ftype buf off =
-  let k, off = Wire.get_u8 buf off in
-  match k with
-  | 0 -> (Ty.Scalar Ty.SInt, off)
-  | 1 -> (Ty.Scalar Ty.SString, off)
-  | 2 ->
-      let target, off = Wire.get_string buf off in
-      (Ty.Ref target, off)
+(* A read cursor over one frame's payload.  Every read is checked against
+   the payload's end, so a body never decodes into the bytes after it, and
+   reads return bare values: decoding allocates the record, not a pair
+   per field. *)
+type cursor = { b : Bytes.t; mutable pos : int; lim : int }
+
+(* Claim the next [n] bytes; the offset where they start. *)
+let take c n =
+  let p = c.pos in
+  Wire.check_limit c.lim p n;
+  c.pos <- p + n;
+  p
+
+let u8 c = Wire.u8_at c.b (take c 1)
+let u16 c = Wire.u16_at c.b (take c 2)
+let u32 c = Wire.u32_at c.b (take c 4)
+let i64 c = Wire.i64_at c.b (take c 8)
+
+let str c =
+  let n = u16 c in
+  Bytes.sub_string c.b (take c n) n
+
+let oid c = Oid.decode c.b (take c Oid.encoded_size)
+
+let value c =
+  let v = Value.decode_at c.b c.pos c.lim in
+  c.pos <- c.pos + Value.encoded_size v;
+  v
+
+let get_ftype c =
+  match u8 c with
+  | 0 -> Ty.Scalar Ty.SInt
+  | 1 -> Ty.Scalar Ty.SString
+  | 2 -> Ty.Ref (str c)
   | k -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad field kind %d" k))
 
 let kind_of = function
@@ -93,9 +119,12 @@ let kind_of = function
 let values_size values =
   List.fold_left (fun acc v -> acc + Value.encoded_size v) 2 values
 
+let rec put_each buf off = function
+  | [] -> off
+  | v :: rest -> put_each buf (Value.encode buf off v) rest
+
 let put_values buf off values =
-  let off = Wire.put_u16 buf off (List.length values) in
-  List.fold_left (fun off v -> Value.encode buf off v) off values
+  put_each buf (Wire.put_u16 buf off (List.length values)) values
 
 let rec body_size = function
   | Define_type ty ->
@@ -195,135 +224,111 @@ let rec put_body buf off = function
   | Maint_done { job } -> Wire.put_u32 buf off job
   | Epoch_change { epoch } -> Wire.put_u32 buf off epoch
 
-(* A value list from [off], and the offset just past its last value. *)
-let get_values buf off =
-  let n, off = Wire.get_u16 buf off in
-  let off = ref off in
-  let values =
-    List.init n (fun _ ->
-        let v = Value.decode buf !off in
-        off := !off + Value.encoded_size v;
-        v)
-  in
-  (values, !off)
+(* A value list: [count:u16] then the values. *)
+let get_values c =
+  let n = u16 c in
+  List.init n (fun _ -> value c)
 
-let rec get_body kind buf off =
+let flag c = u8 c = 1
+
+(* Reads are sequenced with [let]: the fields of a record expression are
+   evaluated in no fixed order. *)
+let rec get_body kind c =
   match kind with
   | 0 ->
-      let tname, off = Wire.get_string buf off in
-      let nfields, off = Wire.get_u16 buf off in
-      let off = ref off in
+      let tname = str c in
+      let nfields = u16 c in
       let fields =
         List.init nfields (fun _ ->
-            let fname, o = Wire.get_string buf !off in
-            let ftype, o = get_ftype buf o in
-            off := o;
+            let fname = str c in
+            let ftype = get_ftype c in
             { Ty.fname; ftype })
       in
-      (Define_type (Ty.make ~name:tname fields), !off)
+      Define_type (Ty.make ~name:tname fields)
   | 1 ->
-      let name, off = Wire.get_string buf off in
-      let elem_type, off = Wire.get_string buf off in
-      let reserve, off = Wire.get_u32 buf off in
-      (Create_set { name; elem_type; reserve }, off)
+      let name = str c in
+      let elem_type = str c in
+      let reserve = u32 c in
+      Create_set { name; elem_type; reserve }
   | 2 ->
-      let set, off = Wire.get_string buf off in
-      let values, off = get_values buf off in
-      (Insert { set; values }, off)
+      let set = str c in
+      let values = get_values c in
+      Insert { set; values }
   | 3 ->
-      let set, off = Wire.get_string buf off in
-      let oid = Oid.decode buf off in
-      let off = off + Oid.encoded_size in
-      let field, off = Wire.get_string buf off in
-      let value = Value.decode buf off in
-      (Update { set; oid; field; value }, off + Value.encoded_size value)
+      let set = str c in
+      let oid = oid c in
+      let field = str c in
+      let value = value c in
+      Update { set; oid; field; value }
   | 4 ->
-      let set, off = Wire.get_string buf off in
-      let oid = Oid.decode buf off in
-      let off = off + Oid.encoded_size in
-      (Delete { set; oid }, off)
+      let set = str c in
+      let oid = oid c in
+      Delete { set; oid }
   | 5 ->
-      let path, off = Wire.get_string buf off in
-      let s, off = Wire.get_u8 buf off in
+      let path = str c in
       let strategy =
-        match s with
+        match u8 c with
         | 0 -> Schema.Inplace
         | 1 -> Schema.Separate
         | s -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad strategy %d" s))
       in
-      let collapse, off = Wire.get_u8 buf off in
-      let small_link_threshold, off = Wire.get_u16 buf off in
-      let lazy_propagation, off = Wire.get_u8 buf off in
-      let cluster_links, off = Wire.get_u8 buf off in
-      ( Replicate
-          {
-            path;
-            strategy;
-            options =
-              {
-                Schema.collapse = collapse = 1;
-                small_link_threshold;
-                lazy_propagation = lazy_propagation = 1;
-                cluster_links = cluster_links = 1;
-              };
-          },
-        off )
+      let collapse = flag c in
+      let small_link_threshold = u16 c in
+      let lazy_propagation = flag c in
+      let cluster_links = flag c in
+      Replicate
+        {
+          path;
+          strategy;
+          options =
+            {
+              Schema.collapse;
+              small_link_threshold;
+              lazy_propagation;
+              cluster_links;
+            };
+        }
   | 6 ->
-      let name, off = Wire.get_string buf off in
-      let set, off = Wire.get_string buf off in
-      let field, off = Wire.get_string buf off in
-      let clustered, off = Wire.get_u8 buf off in
-      (Build_index { name; set; field; clustered = clustered = 1 }, off)
-  | 7 ->
-      let lsn, off = Wire.get_i64 buf off in
-      (Abort lsn, off)
-  | 9 ->
-      let txn, off = Wire.get_u32 buf off in
-      (Txn_commit txn, off)
-  | 10 ->
-      let txn, off = Wire.get_u32 buf off in
-      (Txn_abort txn, off)
+      let name = str c in
+      let set = str c in
+      let field = str c in
+      let clustered = flag c in
+      Build_index { name; set; field; clustered }
+  | 7 -> Abort (i64 c)
+  | 9 -> Txn_commit (u32 c)
+  | 10 -> Txn_abort (u32 c)
   | 12 ->
-      let set, off = Wire.get_string buf off in
-      let oid = Oid.decode buf off in
-      let values, off = get_values buf (off + Oid.encoded_size) in
-      (Insert_at { set; oid; values }, off)
+      let set = str c in
+      let oid = oid c in
+      let values = get_values c in
+      Insert_at { set; oid; values }
   | 13 ->
-      let txn, off = Wire.get_u32 buf off in
-      let ikind, off = Wire.get_u8 buf off in
+      let txn = u32 c in
+      let ikind = u8 c in
       if ikind = 13 then raise (Wire.Corrupt "Wal: nested Txn_op");
-      let op, off = get_body ikind buf off in
-      let has_before, off = Wire.get_u8 buf off in
-      let before, off =
-        match has_before with
-        | 0 -> (None, off)
-        | 1 ->
-            let values, off = get_values buf off in
-            (Some values, off)
+      let op = get_body ikind c in
+      let before =
+        match u8 c with
+        | 0 -> None
+        | 1 -> Some (get_values c)
         | b -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad before-image flag %d" b))
       in
-      (Txn_op { txn; op; before }, off)
+      Txn_op { txn; op; before }
   | 14 ->
-      let rep_id, off = Wire.get_u32 buf off in
-      (Scrub_repair { rep_id; source = Oid.decode buf off }, off + Oid.encoded_size)
+      let rep_id = u32 c in
+      Scrub_repair { rep_id; source = oid c }
   | 15 -> (
-      match get_body 5 buf off with
-      | Replicate { path; strategy; options }, off ->
-          (Replicate_online { path; strategy; options }, off)
+      match get_body 5 c with
+      | Replicate { path; strategy; options } ->
+          Replicate_online { path; strategy; options }
       | _ -> raise (Wire.Corrupt "Wal: bad Replicate_online body"))
-  | 16 ->
-      let path, off = Wire.get_string buf off in
-      (Unreplicate { path }, off)
+  | 16 -> Unreplicate { path = str c }
   | 17 ->
-      let job, off = Wire.get_u32 buf off in
-      let upto, off = Wire.get_u32 buf off in
-      (Maint_step { job; upto }, off)
-  | 18 ->
-      let job, off = Wire.get_u32 buf off in
-      (Maint_done { job }, off)
-  | 19 ->
-      let epoch, off = Wire.get_u32 buf off in
-      (Epoch_change { epoch }, off)
+      let job = u32 c in
+      let upto = u32 c in
+      Maint_step { job; upto }
+  | 18 -> Maint_done { job = u32 c }
+  | 19 -> Epoch_change { epoch = u32 c }
   | k -> raise (Wire.Corrupt (Printf.sprintf "Wal: bad record kind %d" k))
 
 (* The same function seals disk pages (see [Fieldrep_storage.Disk]). *)
@@ -340,6 +345,16 @@ let crc = Fieldrep_storage.Checksum.sum32
    lands exactly on the last synced record. *)
 let default_flush_limit = 1 lsl 16
 
+(* A run of whole frames, back to back, in [data] from [off] for [len]
+   bytes: [count] of them, the last with LSN [last_lsn]. *)
+type batch = {
+  data : Bytes.t;
+  off : int;
+  len : int;
+  count : int;
+  last_lsn : int64;
+}
+
 type t = {
   path : string;
   oc : out_channel;
@@ -353,8 +368,13 @@ type t = {
   fsync : bool;  (* fsync(2) on every sync: honest durability on real disks *)
   flush_limit : int;
   stats : Stats.t option;
-  mutable tap : ((int64 * Bytes.t) list -> unit) option;
-  mutable tap_pending : (int64 * Bytes.t) list;  (* newest first *)
+  mutable tap : (batch -> unit) option;
+  frames : Bytes.t ref;
+      (* frames are encoded here: with no tap each at offset 0, with a tap
+         appended to the batch the next sync hands it *)
+  mutable batch_len : int;
+  mutable batch_count : int;
+  mutable batch_last : int64;
 }
 
 let path t = t.path
@@ -366,6 +386,10 @@ let bytes_written t = t.bytes
 let flushes t = t.flushes
 let fsyncs t = t.fsyncs
 let pending_bytes t = t.pending_bytes
+
+let clear_batch t =
+  t.batch_len <- 0;
+  t.batch_count <- 0
 
 (* Lockdep class [Wal_sync] brackets the whole flush barrier, including the
    frame tap: anything the shipping hook does runs "under" the sync from
@@ -389,21 +413,31 @@ let sync t =
     t.flushes <- t.flushes + 1;
     (match t.stats with Some s -> Stats.bump s Stats.Wal_flushes | None -> ());
     (* The frame tap fires after the physical flush, with the batch this
-       sync made durable, in append order.  Replication shipping hangs off
-       this hook: anything a tap observer sees is already on disk, so a
-       re-send can always be served from the file — and a tap that blocks
-       (ack-mode shipping) makes [sync] itself the durability barrier. *)
+       sync made durable: the very bytes just written, in append order.
+       Replication shipping hangs off this hook: anything a tap observer
+       sees is already on disk, so a re-send can always be served from the
+       file — and a tap that blocks (ack-mode shipping) makes [sync]
+       itself the durability barrier.  The batch is cleared before the
+       call, so the range stays valid for the call only. *)
     match t.tap with
-    | Some f when t.tap_pending <> [] ->
-        let batch = List.rev t.tap_pending in
-        t.tap_pending <- [];
+    | Some f when t.batch_count > 0 ->
+        let batch =
+          {
+            data = !(t.frames);
+            off = 0;
+            len = t.batch_len;
+            count = t.batch_count;
+            last_lsn = t.batch_last;
+          }
+        in
+        clear_batch t;
         f batch
-    | Some _ | None -> t.tap_pending <- []
+    | Some _ | None -> clear_batch t
   end
 
 let set_tap t tap =
   t.tap <- tap;
-  t.tap_pending <- []
+  clear_batch t
 
 (* The whole file at [path], or [None] when there is none. *)
 let read_file path =
@@ -428,35 +462,57 @@ let check_magic ~op data =
            magic)
     else invalid_arg (Printf.sprintf "Wal.%s: not a fieldrep log" op)
 
+(* The payload length of the frame at [pos] if it is well formed and ends
+   by [limit] (header present, length in bounds, checksum good), else -1. *)
+let frame_len buf pos limit =
+  if pos + 8 > limit then -1
+  else
+    let flen = Wire.u32_at buf pos in
+    if
+      flen < 9
+      || pos + 8 + flen > limit
+      || crc buf (pos + 8) flen <> Wire.u32_at buf (pos + 4)
+    then -1
+    else flen
+
+let frame_end buf pos = pos + 8 + Wire.u32_at buf pos
+
 (* Walk the frames of a log file's contents, from just past the header.
-   Each well-formed frame (length in bounds, checksum good) is offered to
-   [f] with its offset and payload length; the walk stops at the first
-   short or corrupt frame, or when [f] returns [false].  Returns the offset
-   just past the last accepted frame. *)
+   Each well-formed frame is offered to [f] with its offset and payload
+   length; the walk stops at the first short or corrupt frame, or when
+   [f] returns [false].  Returns the offset just past the last accepted
+   frame. *)
 let walk_frames data f =
   let len = String.length data in
   let buf = Bytes.unsafe_of_string data in
   let rec go pos =
-    if pos + 8 > len then pos
-    else
-      let flen, p = Wire.get_u32 buf pos in
-      let fcrc, p = Wire.get_u32 buf p in
-      if flen < 9 || p + flen > len || crc buf p flen <> fcrc then pos
-      else if f buf pos flen then go (p + flen)
-      else pos
+    let flen = frame_len buf pos len in
+    if flen >= 0 && f buf pos flen then go (pos + 8 + flen) else pos
   in
   go (String.length magic)
 
 (* The LSN of the frame at [pos]. *)
-let frame_lsn buf pos = fst (Wire.get_i64 buf (pos + 8))
+let frame_lsn buf pos = Wire.i64_at buf (pos + 8)
 
 (* Decode a checksummed payload of [flen] bytes at [p]. *)
 let decode_payload buf p flen =
-  let lsn, o = Wire.get_i64 buf p in
-  let kind, o = Wire.get_u8 buf o in
-  let r, o = get_body kind buf o in
-  if o <> p + flen then raise (Wire.Corrupt "Wal: frame length mismatch");
+  let c = { b = buf; pos = p; lim = p + flen } in
+  let lsn = i64 c in
+  let kind = u8 c in
+  let r = get_body kind c in
+  if c.pos <> c.lim then raise (Wire.Corrupt "Wal: frame length mismatch");
   (lsn, r)
+
+let decode_frame_at buf off ~limit =
+  let flen = frame_len buf off (min limit (Bytes.length buf)) in
+  if flen < 0 then raise (Wire.Corrupt "Wal: short, torn or corrupt frame");
+  decode_payload buf (off + 8) flen
+
+let decode_frame frame =
+  let entry = decode_frame_at frame 0 ~limit:(Bytes.length frame) in
+  if frame_end frame 0 <> Bytes.length frame then
+    raise (Wire.Corrupt "Wal: bytes after the frame");
+  entry
 
 (* The (lsn, record) list of an existing log file's contents and the offset
    just past the last well-formed frame; a body that does not decode also
@@ -539,49 +595,59 @@ let open_ ?stats ?(flush_limit = default_flush_limit) ?fsync path =
     flush_limit = max 1 flush_limit;
     stats;
     tap = None;
-    tap_pending = [];
+    frames = ref (Bytes.create 256);
+    batch_len = 0;
+    batch_count = 0;
+    batch_last = 0L;
   }
 
+(* Write the frame of [record] at [off]; [flen] is its payload size. *)
+let put_frame buf off ~flen lsn record =
+  let p = Wire.put_u32 buf off flen in
+  let p = Wire.put_u32 buf p 0 (* crc patched below *) in
+  let p = Wire.put_i64 buf p lsn in
+  let p = Wire.put_u8 buf p (kind_of record) in
+  let p = put_body buf p record in
+  assert (p = off + 8 + flen);
+  ignore (Wire.put_u32 buf (off + 4) (crc buf (off + 8) flen))
+
 let encode_frame lsn record =
-  let blen = body_size record in
-  let flen = 8 + 1 + blen in
+  let flen = 8 + 1 + body_size record in
   let frame = Bytes.create (8 + flen) in
-  let off = Wire.put_u32 frame 0 flen in
-  let off = Wire.put_u32 frame off 0 (* crc patched below *) in
-  let off = Wire.put_i64 frame off lsn in
-  let off = Wire.put_u8 frame off (kind_of record) in
-  let off = put_body frame off record in
-  assert (off = 8 + flen);
-  ignore (Wire.put_u32 frame 4 (crc frame 8 flen));
+  put_frame frame 0 ~flen lsn record;
   frame
 
-let decode_frame frame =
-  if Bytes.length frame < 8 then raise (Wire.Corrupt "Wal: short frame");
-  let flen, p = Wire.get_u32 frame 0 in
-  let fcrc, p = Wire.get_u32 frame p in
-  if flen < 9 || p + flen <> Bytes.length frame then
-    raise (Wire.Corrupt "Wal: bad frame length");
-  if crc frame p flen <> fcrc then
-    raise (Wire.Corrupt "Wal: frame checksum mismatch");
-  decode_payload frame p flen
-
-(* Re-read raw frames from a log file, for serving replica re-send
-   requests.  The shipping tap only ever sees frames that have already
-   been flushed (see [sync]), so any frame a replica can legitimately ask
-   for again is present in the file. *)
+(* The frames of the log file at [path] above [after], as one range of
+   the file's contents.  The shipping tap only ever sees frames that have
+   already been flushed (see [sync]), so any frame a replica can
+   legitimately ask for again is present in the file.  LSNs rise along
+   the file, so the range runs from the first frame above [after] to the
+   last well-formed one. *)
 let read_frames path ~after =
   match read_file path with
-  | None | Some "" -> []
+  | None | Some "" ->
+      { data = Bytes.empty; off = 0; len = 0; count = 0; last_lsn = after }
   | Some data ->
       check_magic ~op:"read_frames" data;
-      let acc = ref [] in
-      ignore
-        (walk_frames data (fun buf pos flen ->
-             let lsn = frame_lsn buf pos in
-             if Int64.compare lsn after > 0 then
-               acc := (lsn, Bytes.sub buf pos (8 + flen)) :: !acc;
-             true));
-      List.rev !acc
+      let first = ref (-1) and count = ref 0 and last_lsn = ref after in
+      let stop =
+        walk_frames data (fun buf pos _ ->
+            let lsn = frame_lsn buf pos in
+            if Int64.compare lsn after > 0 then begin
+              if !first < 0 then first := pos;
+              incr count;
+              last_lsn := lsn
+            end;
+            true)
+      in
+      let off = if !first < 0 then stop else !first in
+      {
+        data = Bytes.unsafe_of_string data;
+        off;
+        len = stop - off;
+        count = !count;
+        last_lsn = !last_lsn;
+      }
 
 (* Physically discard every frame above [after] — the rejoin path for a
    deposed master whose unshipped tail diverged from the new epoch's
@@ -605,19 +671,29 @@ let truncate_file path ~after =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_substring oc data 0 keep)
 
+(* Encode the frame into [frames] — at the end of the pending batch when a
+   tap will want it, else at offset 0 as scratch — and write it from
+   there: an append allocates no frame of its own. *)
 let write_record t lsn record =
-  let frame = encode_frame lsn record in
-  output_bytes t.oc frame;
+  let flen = 8 + 1 + body_size record in
+  let size = 8 + flen in
+  let off = match t.tap with Some _ -> t.batch_len | None -> 0 in
+  Wire.grow ~keep:true t.frames (off + size);
+  put_frame !(t.frames) off ~flen lsn record;
+  output t.oc !(t.frames) off size;
+  (match t.tap with
+  | Some _ ->
+      t.batch_len <- off + size;
+      t.batch_count <- t.batch_count + 1;
+      t.batch_last <- lsn
+  | None -> ());
   t.appends <- t.appends + 1;
-  t.bytes <- t.bytes + Bytes.length frame;
-  t.pending_bytes <- t.pending_bytes + Bytes.length frame;
+  t.bytes <- t.bytes + size;
+  t.pending_bytes <- t.pending_bytes + size;
   (match t.stats with
   | Some s ->
       Stats.bump s Stats.Wal_appends;
-      Stats.add s Stats.Wal_bytes (Bytes.length frame)
-  | None -> ());
-  (match t.tap with
-  | Some _ -> t.tap_pending <- (lsn, frame) :: t.tap_pending
+      Stats.add s Stats.Wal_bytes size
   | None -> ());
   if t.pending_bytes >= t.flush_limit then sync t
 

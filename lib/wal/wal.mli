@@ -183,32 +183,62 @@ val ensure_lsn : t -> int64 -> unit
     a log to a database restored from an LSN-stamped checkpoint, so fresh
     appends sort after the checkpoint. *)
 
-val set_tap : t -> ((int64 * Bytes.t) list -> unit) option -> unit
-(** Install (or clear) a frame tap.  While installed, every appended frame
-    is stashed and the tap fires inside {!sync}, {e after} the physical
-    flush, with the batch that flush made durable, in append order — so
-    anything the observer sees can be re-read from the file with
-    {!read_frames}.  A tap that blocks turns [sync] itself into a
-    replication barrier (ack-mode shipping).  Install the tap before the
-    workload starts: frames appended while no tap is installed are not
-    retained.  Note the tap also fires on flush-limit overflow syncs, so an
-    observer may see mid-transaction records before their commit marker. *)
+(** A run of whole frames lying back to back in [data], from [off] for
+    [len] bytes: [count] frames, the last with LSN [last_lsn] — exactly the
+    bytes {!append} wrote to the log file for them. *)
+type batch = {
+  data : Bytes.t;
+  off : int;
+  len : int;
+  count : int;
+  last_lsn : int64;
+}
+
+val set_tap : t -> (batch -> unit) option -> unit
+(** Install (or clear) a frame tap.  While installed, {!append} also keeps
+    each frame in one growable pending-batch buffer, and the tap fires
+    inside {!sync}, {e after} the physical flush, with the batch that flush
+    made durable: the frames in append order, byte-identical to the range
+    just flushed to the file — so anything the observer sees can be
+    re-read from the file with {!read_frames}.  The batch's bytes are valid
+    only during the call: the buffer is reused by the next append, so a
+    tap that keeps them must copy them.  A tap that blocks turns [sync]
+    itself into a replication barrier (ack-mode shipping).  Install the
+    tap before the workload starts: frames appended while no tap is
+    installed are not retained.  Note the tap also fires on flush-limit
+    overflow syncs, so an observer may see mid-transaction records before
+    their commit marker. *)
 
 val encode_frame : int64 -> record -> Bytes.t
 (** Serialize one record into a self-validating wire frame
     ([len | crc | lsn | kind | body]) — exactly the bytes {!append} writes
     to the log file. *)
 
+val decode_frame_at : Bytes.t -> int -> limit:int -> int64 * record
+(** [decode_frame_at buf off ~limit] decodes the frame at [off] where it
+    lies, without copying it.  The frame must end by [limit] (and by the
+    end of [buf]); its length and checksum are checked before its body is
+    read, and the body must fill the frame exactly.  Raises
+    [Fieldrep_util.Wire.Corrupt] on a short, torn, checksum-failing or
+    ill-formed frame.  The next frame starts at {!frame_end}. *)
+
+val frame_end : Bytes.t -> int -> int
+(** [frame_end buf off] is the offset just past the frame at [off], read
+    from its length field: meaningful once {!decode_frame_at} accepted it. *)
+
 val decode_frame : Bytes.t -> int64 * record
-(** Inverse of {!encode_frame}.  Raises [Fieldrep_util.Wire.Corrupt] on a
+(** Inverse of {!encode_frame}: {!decode_frame_at} over the whole buffer,
+    which the frame must fill.  Raises [Fieldrep_util.Wire.Corrupt] on a
     short, truncated, trailing-garbage or checksum-failing frame. *)
 
-val read_frames : string -> after:int64 -> (int64 * Bytes.t) list
-(** Re-read the raw frames of the log file at a path, keeping those with
-    LSN strictly greater than [after], in LSN order.  Stops at the first
-    torn or corrupt frame (as {!open_} does); returns [[]] for a missing
-    or empty file; raises [Invalid_argument] on a file that is not a
-    fieldrep log.  Serves replica re-send and rejoin requests. *)
+val read_frames : string -> after:int64 -> batch
+(** The frames of the log file at a path with LSN strictly greater than
+    [after], as one range of the file's contents: from the first such
+    frame to the last well-formed one (LSNs rise along the file).  Stops
+    at the first torn or corrupt frame (as {!open_} does); an empty batch
+    ([count = 0], [last_lsn = after]) for a missing or empty file or when
+    no frame is above [after]; raises [Invalid_argument] on a file that
+    is not a fieldrep log.  Serves replica re-send and rejoin requests. *)
 
 val truncate_file : string -> after:int64 -> unit
 (** Physically discard every frame with LSN strictly greater than [after]

@@ -292,9 +292,7 @@ let run_chaos seed =
 
   (* ---- the old master rejoins as a replica below the new epoch ------ *)
   let old_last =
-    match List.rev (Wal.read_frames old_wal_path ~after:0L) with
-    | (lsn, _) :: _ -> lsn
-    | [] -> 0L
+    (Wal.read_frames old_wal_path ~after:0L).Wal.last_lsn
   in
   checkb "zombie history diverged past the fork" true
     (Int64.compare old_last fork > 0);

@@ -156,7 +156,11 @@ let proto_samples =
     Proto.Hello { last_lsn = 0L };
     Proto.Hello { last_lsn = 123456789L };
     Proto.Snapshot { lsn = 42L; bytes = 9_999L; image = String.make 100_000 'i' };
-    Proto.Frames [ Bytes.of_string "abc"; Bytes.create 0; Bytes.make 70_000 'f' ];
+    (* a range inside a larger buffer: only the range travels *)
+    Proto.Frames
+      { data = Bytes.of_string ("<<abc" ^ String.make 70_000 'f' ^ ">>");
+        off = 2; len = 70_003 };
+    Proto.Frames { data = Bytes.empty; off = 0; len = 0 };
     Proto.Commit { lsn = 7L; bytes = 1234L };
     Proto.Ack { lsn = 7L };
     Proto.Resend { after = 3L };
@@ -165,6 +169,14 @@ let proto_samples =
     Proto.Fenced;
     Proto.Reset { fork = 55L };
   ]
+
+(* A decoded [Frames] is a view of the received payload, so two of them
+   are the same message when their ranges hold the same bytes. *)
+let same_msg a b =
+  match (a, b) with
+  | Proto.Frames x, Proto.Frames y ->
+      Bytes.sub x.data x.off x.len = Bytes.sub y.data y.off y.len
+  | _ -> a = b
 
 let test_proto_roundtrip () =
   List.iter
@@ -175,7 +187,7 @@ let test_proto_roundtrip () =
           checkb
             (Format.asprintf "%a survives the codec" Proto.pp msg)
             true
-            (msg = back && epoch = back_epoch))
+            (same_msg msg back && epoch = back_epoch))
         [ 0; 1; 777 ])
     proto_samples;
   try
@@ -232,22 +244,67 @@ let test_read_frames () =
   in
   List.iter (fun r -> ignore (Wal.append w r)) records;
   Wal.sync w;
+  (* The (lsn, record) list a batch's range holds, decoded in place. *)
+  let entries (b : Wal.batch) =
+    let limit = b.off + b.len in
+    let rec go pos acc =
+      if pos >= limit then List.rev acc
+      else go (Wal.frame_end b.data pos) (Wal.decode_frame_at b.data pos ~limit :: acc)
+    in
+    go b.off []
+  in
   let all = Wal.read_frames path ~after:0L in
-  checki "all frames read back" 5 (List.length all);
+  checki "all frames read back" 5 all.count;
+  checkb "last lsn" true (Int64.equal all.last_lsn 5L);
   List.iteri
-    (fun i (lsn, frame) ->
-      let flsn, record = Wal.decode_frame frame in
-      checkb "frame is self-consistent" true
-        (Int64.equal lsn flsn && Int64.equal lsn (Int64.of_int (i + 1)));
+    (fun i (lsn, record) ->
+      checkb "frames in lsn order" true (Int64.equal lsn (Int64.of_int (i + 1)));
       checkb "record matches" true (record = List.nth records i))
-    all;
+    (entries all);
+  checki "frames fill the range" 5 (List.length (entries all));
   let tail = Wal.read_frames path ~after:3L in
-  checki "tail after 3" 2 (List.length tail);
-  checkb "tail starts at 4" true (Int64.equal (fst (List.hd tail)) 4L);
+  checki "tail after 3" 2 tail.count;
+  checkb "tail starts at 4" true
+    (List.map fst (entries tail) = [ 4L; 5L ]);
+  checki "tail ends where the range does" (all.off + all.len) (tail.off + tail.len);
+  checki "nothing above the last frame" 0 (Wal.read_frames path ~after:5L).len;
   checki "missing file is empty" 0
-    (List.length (Wal.read_frames (path ^ ".nope") ~after:0L));
+    (Wal.read_frames (path ^ ".nope") ~after:0L).count;
   Wal.close w;
   Sys.remove path
+
+(* Minor words allocated by [f ()], less the cost of measuring. *)
+let minor_words f =
+  let span g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  span f -. span ignore
+
+(* A [Frames] message of [n] insert frames, each carrying [pad] bytes. *)
+let frames_message ~n ~pad =
+  let b = Buffer.create 4096 in
+  for i = 1 to n do
+    Buffer.add_bytes b
+      (Wal.encode_frame (Int64.of_int i)
+         (Wal.Insert
+            { set = "R"; values = [ Value.VInt i; Value.VString (String.make pad 'v') ] }))
+  done;
+  let data = Buffer.to_bytes b in
+  Proto.encode ~epoch:1 (Proto.Frames { data; off = 0; len = Bytes.length data })
+
+(* Decoding a [Frames] message reads the payload where it lies: the words
+   it allocates do not depend on how many frames it carries or how big
+   they are.  A copy of the payload would cost a word per 8 bytes. *)
+let test_proto_decode_words () =
+  let words msg = minor_words (fun () -> ignore (Proto.decode msg)) in
+  let w100 = words (frames_message ~n:100 ~pad:10) in
+  Alcotest.(check (float 0.))
+    "100 big frames" w100
+    (words (frames_message ~n:100 ~pad:1000));
+  Alcotest.(check (float 0.)) "10 frames" w100 (words (frames_message ~n:10 ~pad:10));
+  checkb (Printf.sprintf "decode allocates %.0f words (bound 8)" w100) true (w100 <= 8.)
 
 (* ------------------------------------------------------------------ *)
 (* Transport                                                           *)
@@ -291,7 +348,10 @@ let test_socket_transport () =
   let a = Transport.of_socket ~label:"test:a" sa in
   let b = Transport.of_socket ~label:"test:b" sb in
   checkb "empty socket: no payload" true (b.Transport.recv ~block:false = None);
-  let msg = Proto.encode ~epoch:0 (Proto.Frames [ Bytes.make 10_000 'f' ]) in
+  let msg =
+    Proto.encode ~epoch:0
+      (Proto.Frames { data = Bytes.make 10_000 'f'; off = 0; len = 10_000 })
+  in
   a.Transport.send msg;
   a.Transport.send (Proto.encode ~epoch:2 (Proto.Commit { lsn = 3L; bytes = 64L }));
   checkb "payload survives the socket" true (b.Transport.recv ~block:true = Some msg);
@@ -381,6 +441,164 @@ let test_async_streaming () =
   checkb "replica applied frames" true
     ((Db.stats (Replica.db r)).Stats.frames_applied > 0);
   checkb "master shipped frames" true ((Db.stats mdb).Stats.frames_shipped > 0)
+
+(* The frames a replica applies, decoded from copies of a shipped range. *)
+let decode_range data =
+  let rec go pos acc =
+    if pos >= Bytes.length data then List.rev acc
+    else
+      let next = Wal.frame_end data pos in
+      go next (Wal.decode_frame (Bytes.sub data pos (next - pos)) :: acc)
+  in
+  go 0 []
+
+(* A replica's apply of a shipped batch — decode the envelope, walk the
+   range in place, one replay bracket — against the redo alone of the same
+   records, decoded beforehand, on a twin replica opened from the same
+   image.  The difference per frame is what shipping costs on the replica:
+   decoding the record where it lies plus the walk. *)
+let test_replica_apply_words () =
+  let mdb = build_master () in
+  let w = Option.get (Db.wal mdb) in
+  let image = Db.image mdb in
+  let lsn = Wal.last_lsn w in
+  let shipped = Buffer.create 4096 in
+  Wal.set_tap w
+    (Some (fun (b : Wal.batch) -> Buffer.add_subbytes shipped b.data b.off b.len));
+  let ss = s_oids mdb and rs = r_oids mdb in
+  for i = 0 to 39 do
+    let s = ss.(i mod Array.length ss) in
+    Db.update_field mdb ~set:"S" s ~field:"repfield"
+      (Value.VString (Printf.sprintf "%020d" i));
+    ignore
+      (Db.insert mdb ~set:"R"
+         [ Value.VInt (90_000 + i); Value.VString (String.make 65 'n'); Value.VRef s ]);
+    Db.delete mdb ~set:"R" rs.(i)
+  done;
+  Wal.set_tap w None;
+  let data = Buffer.to_bytes shipped in
+  let entries = decode_range data in
+  let frames = List.length entries in
+  checki "three frames a round" 120 frames;
+  let ma, rb, _, _ = Transport.loopback () in
+  let r = Replica.connect rb in
+  ma.Transport.send (Proto.encode ~epoch:0 (Proto.Snapshot { lsn; bytes = 0L; image }));
+  ignore (Replica.drain r);
+  ma.Transport.send
+    (Proto.encode ~epoch:0 (Proto.Frames { data; off = 0; len = Bytes.length data }));
+  let twin = Db.open_replica image in
+  let shipping = minor_words (fun () -> ignore (Replica.step r)) in
+  let redo =
+    minor_words (fun () ->
+        Db.replica_apply twin (fun apply ->
+            List.iter (fun (lsn, record) -> apply lsn record) entries))
+  in
+  checkb "the whole batch applied" true
+    (Int64.equal (Replica.last_applied r) (Wal.last_lsn w));
+  check_converged ~what:"shipped replica" mdb (Replica.db r);
+  check_converged ~what:"twin replica" mdb twin;
+  let per_frame = (shipping -. redo) /. float_of_int frames in
+  checkb
+    (Printf.sprintf
+       "%.1f words a frame beyond the redo (%.0f in all, redo %.0f; bound 36)"
+       per_frame shipping redo)
+    true (per_frame <= 36.)
+
+(* The unit of shipping is the log's own bytes.  Over several syncs, an
+   async flush and a resend, the ranges shipped as the tap handed them are,
+   end to end, the log file after its header, and the resent range is the
+   file from the first frame above [after]. *)
+let test_shipped_bytes_are_the_log () =
+  let wal_path = Filename.temp_file "fieldrep_repl_bytes" ".wal" in
+  Sys.remove wal_path;
+  let mdb = Db.create ~page_size:1024 ~frames:64 ~wal_path () in
+  let m = Master.create ~mode:(Master.Async { buffer_bytes = 1 lsl 20 }) mdb in
+  let events = ref [] in
+  let ma, rb, fa, _ = Transport.loopback () in
+  let ma =
+    { ma with
+      Transport.send =
+        (fun p ->
+          (match Proto.decode p with
+          | _, Proto.Frames { data; off; len } ->
+              events := `Frames (Bytes.sub_string data off len) :: !events
+          | _ -> ());
+          ma.Transport.send p) }
+  in
+  let rb =
+    { rb with
+      Transport.send =
+        (fun p ->
+          (match Proto.decode p with
+          | _, Proto.Resend { after } -> events := `Resend after :: !events
+          | _ -> ());
+          rb.Transport.send p) }
+  in
+  let r = Replica.connect rb in
+  ignore (Master.attach ~pump:(fun () -> ignore (Replica.drain r)) m ma);
+  ignore (Replica.drain r);
+  Db.define_type mdb
+    (Ty.make ~name:"XT"
+       [ { Ty.fname = "v"; ftype = Ty.Scalar Ty.SInt };
+         { Ty.fname = "s"; ftype = Ty.Scalar Ty.SString } ]);
+  Db.create_set mdb ~name:"X" ~elem_type:"XT" ();
+  let xs =
+    List.init 6 (fun i ->
+        Db.insert mdb ~set:"X" [ Value.VInt i; Value.VString (String.make (i * 9) 'x') ])
+  in
+  converge m r;
+  List.iteri
+    (fun i x -> Db.update_field mdb ~set:"X" x ~field:"v" (Value.VInt (100 + i)))
+    xs;
+  converge m r;
+  (* the next flush is lost on the wire: the replica asks for the tail *)
+  fa.Transport.drop <- 1;
+  Db.delete mdb ~set:"X" (List.hd xs);
+  ignore (Db.insert mdb ~set:"X" [ Value.VInt 99; Value.VString "late" ]);
+  converge m r;
+  let rows db =
+    let acc = ref [] in
+    Db.scan db ~set:"X" (fun oid record ->
+        acc := (oid, Db.user_values db ~set:"X" record) :: !acc);
+    !acc
+  in
+  checkb "replica rows = master rows" true (rows mdb = rows (Replica.db r));
+  checkb "replica pages byte-identical" true
+    (disk_digest mdb = disk_digest (Replica.db r));
+  let w = Option.get (Db.wal mdb) in
+  checkb "several syncs" true (Wal.flushes w >= 10);
+  let file = In_channel.with_open_bin wal_path In_channel.input_all in
+  let body = String.sub file 8 (String.length file - 8) in
+  (* Split the traffic: a range that answers a [Resend] is a re-read of the
+     file; every other one is what the tap handed over. *)
+  let rec split tapped resent = function
+    | [] -> (List.rev tapped, List.rev resent)
+    | `Resend after :: `Frames f :: rest -> split tapped ((after, f) :: resent) rest
+    | `Resend _ :: rest -> split tapped resent rest
+    | `Frames f :: rest -> split (f :: tapped) resent rest
+  in
+  let tapped, resent = split [] [] (List.rev !events) in
+  checkb "more than one async flush" true (List.length tapped >= 3);
+  checks "tap ranges, end to end, are the log after its header" body
+    (String.concat "" tapped);
+  (* The barrier that revealed the gap and the one queued behind the first
+     resend's answer each ask once. *)
+  checkb "the lost flush was resent" true (resent <> []);
+  List.iter
+    (fun (after, tail) ->
+      (* the offset of the first frame above [after], walked by hand *)
+      let rec first_above pos =
+        if pos >= String.length file then pos
+        else if Int64.compare (String.get_int64_le file (pos + 8)) after > 0 then pos
+        else first_above (pos + 8 + Int32.to_int (String.get_int32_le file pos))
+      in
+      let from = first_above 8 in
+      checkb "the resend starts inside the log" true (from < String.length file);
+      checks "the resent range is the file after [after]"
+        (String.sub file from (String.length file - from)) tail)
+    resent;
+  Db.close mdb;
+  Sys.remove wal_path
 
 (* A query on the master between two DDLs: its output file is not logged
    and so must not shift the file ids the replica's replay hands the later
@@ -888,9 +1106,7 @@ let test_failover_fence_rejoin () =
   in
   (* it reopens with its full (divergent) log, then obeys the Reset *)
   let old_last =
-    match List.rev (Wal.read_frames old_wal_path ~after:0L) with
-    | (lsn, _) :: _ -> lsn
-    | [] -> 0L
+    (Wal.read_frames old_wal_path ~after:0L).Wal.last_lsn
   in
   checkb "old master's log runs past the fork" true
     (Int64.compare old_last fork > 0);
@@ -952,6 +1168,8 @@ let () =
             test_proto_rejects_corruption;
           Alcotest.test_case "wal frame codec" `Quick test_wal_frame_codec;
           Alcotest.test_case "read_frames" `Quick test_read_frames;
+          Alcotest.test_case "proto decode allocates no copy" `Quick
+            test_proto_decode_words;
         ] );
       ( "transport",
         [
@@ -973,6 +1191,10 @@ let () =
             test_ack_replica_space_reuse;
           Alcotest.test_case "replica is read-only" `Quick test_replica_read_only;
           Alcotest.test_case "two replicas" `Quick test_two_replicas;
+          Alcotest.test_case "apply words beyond the redo" `Quick
+            test_replica_apply_words;
+          Alcotest.test_case "shipped bytes are the log" `Quick
+            test_shipped_bytes_are_the_log;
         ] );
       ( "faults",
         [

@@ -159,6 +159,265 @@ let test_wal_roundtrip () =
   Wal.close w2;
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* The in-place frame codec                                            *)
+
+module Wire = Fieldrep_util.Wire
+
+let random_name rng =
+  String.init (1 + Splitmix.int rng 10) (fun _ -> Char.chr (97 + Splitmix.int rng 26))
+
+let random_oid rng =
+  let file = Splitmix.int rng 60 in
+  let page = Splitmix.int rng 5000 in
+  { Oid.file; page; slot = Splitmix.int rng 200 }
+
+let random_value rng =
+  match Splitmix.int rng 4 with
+  | 0 -> Value.VInt (Splitmix.int rng 2_000_001 - 1_000_000)
+  | 1 ->
+      Value.VString (String.init (Splitmix.int rng 40) (fun i -> Char.chr (i land 255)))
+  | 2 -> Value.VRef (random_oid rng)
+  | _ -> Value.VNull
+
+let random_values rng = List.init (Splitmix.int rng 6) (fun _ -> random_value rng)
+
+let random_replicate rng =
+  let path = random_name rng in
+  let strategy = if Splitmix.bool rng then Schema.Inplace else Schema.Separate in
+  let collapse = Splitmix.bool rng in
+  let small_link_threshold = Splitmix.int rng 100 in
+  let lazy_propagation = Splitmix.bool rng in
+  let cluster_links = Splitmix.bool rng in
+  ( path,
+    strategy,
+    { Schema.collapse; small_link_threshold; lazy_propagation; cluster_links } )
+
+(* The operations a [Txn_op] may carry. *)
+let random_dml rng =
+  let set = random_name rng in
+  match Splitmix.int rng 4 with
+  | 0 -> Wal.Insert { set; values = random_values rng }
+  | 1 ->
+      let oid = random_oid rng in
+      let field = random_name rng in
+      Wal.Update { set; oid; field; value = random_value rng }
+  | 2 -> Wal.Delete { set; oid = random_oid rng }
+  | _ ->
+      let oid = random_oid rng in
+      Wal.Insert_at { set; oid; values = random_values rng }
+
+(* One record of every kind, picked at random. *)
+let random_record rng =
+  match Splitmix.int rng 18 with
+  | 0 ->
+      let fields =
+        List.init (Splitmix.int rng 4) (fun i ->
+            let ftype =
+              match Splitmix.int rng 3 with
+              | 0 -> Ty.Scalar Ty.SInt
+              | 1 -> Ty.Scalar Ty.SString
+              | _ -> Ty.Ref (random_name rng)
+            in
+            { Ty.fname = Printf.sprintf "f%d" i; ftype })
+      in
+      Wal.Define_type (Ty.make ~name:(random_name rng) fields)
+  | 1 ->
+      let name = random_name rng in
+      let elem_type = random_name rng in
+      Wal.Create_set { name; elem_type; reserve = Splitmix.int rng 1000 }
+  | 2 | 3 | 4 | 5 -> random_dml rng
+  | 6 ->
+      let path, strategy, options = random_replicate rng in
+      Wal.Replicate { path; strategy; options }
+  | 7 ->
+      let name = random_name rng in
+      let set = random_name rng in
+      let field = random_name rng in
+      Wal.Build_index { name; set; field; clustered = Splitmix.bool rng }
+  | 8 -> Wal.Abort (Int64.of_int (Splitmix.int rng 1_000_000))
+  | 9 -> Wal.Txn_commit (Splitmix.int rng 100_000)
+  | 10 -> Wal.Txn_abort (Splitmix.int rng 100_000)
+  | 11 ->
+      let txn = Splitmix.int rng 100_000 in
+      let op = random_dml rng in
+      let before = if Splitmix.bool rng then Some (random_values rng) else None in
+      Wal.Txn_op { txn; op; before }
+  | 12 ->
+      let rep_id = Splitmix.int rng 1000 in
+      Wal.Scrub_repair { rep_id; source = random_oid rng }
+  | 13 ->
+      let path, strategy, options = random_replicate rng in
+      Wal.Replicate_online { path; strategy; options }
+  | 14 -> Wal.Unreplicate { path = random_name rng }
+  | 15 ->
+      let job = Splitmix.int rng 100 in
+      Wal.Maint_step { job; upto = Splitmix.int rng 100_000 }
+  | 16 -> Wal.Maint_done { job = Splitmix.int rng 100 }
+  | _ -> Wal.Epoch_change { epoch = Splitmix.int rng 1000 }
+
+(* Append [records] to a fresh log with a tap that keeps a copy of every
+   batch; the kept bytes, concatenated, and the log file's contents. *)
+let shipped_and_file name records =
+  let path = tmp name ".wal" in
+  let w = Wal.open_ path in
+  let kept = Buffer.create 1024 in
+  Wal.set_tap w
+    (Some (fun (b : Wal.batch) -> Buffer.add_subbytes kept b.data b.off b.len));
+  List.iter (fun r -> ignore (Wal.append w r)) records;
+  Wal.close w;
+  let file = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (Buffer.to_bytes kept, file)
+
+(* Walk [data] from [off] to [limit], decoding each frame in place: the
+   entries decoded, and whether the walk stopped on a damaged frame. *)
+let walk_in_place data off limit =
+  let rec go pos acc =
+    if pos >= limit then (List.rev acc, false)
+    else
+      match Wal.decode_frame_at data pos ~limit with
+      | entry -> go (Wal.frame_end data pos) (entry :: acc)
+      | exception Wire.Corrupt _ -> (List.rev acc, true)
+  in
+  go off []
+
+(* The same range cut into frame copies, each decoded by [decode_frame]. *)
+let decode_copies data =
+  let rec go pos acc =
+    if pos >= Bytes.length data then List.rev acc
+    else
+      let next = Wal.frame_end data pos in
+      go next (Wal.decode_frame (Bytes.sub data pos (next - pos)) :: acc)
+  in
+  go 0 []
+
+let test_frame_walk_property () =
+  let rng = Splitmix.create (17 + seed_base) in
+  for round = 1 to 300 do
+    let records = List.init (1 + Splitmix.int rng 12) (fun _ -> random_record rng) in
+    let shipped, file = shipped_and_file "walk" records in
+    let expected = List.mapi (fun i r -> (Int64.of_int (i + 1), r)) records in
+    let walked, damaged = walk_in_place shipped 0 (Bytes.length shipped) in
+    if damaged || walked <> expected then
+      Alcotest.failf "round %d: the in-place walk disagrees with the records" round;
+    if decode_copies shipped <> walked then
+      Alcotest.failf "round %d: decode_frame on copies disagrees" round;
+    checks "the tap's bytes are the file's after its header"
+      (String.sub file 8 (String.length file - 8))
+      (Bytes.to_string shipped)
+  done
+
+(* Three frames, cut at every point and damaged at every byte: the walk
+   stops at or before the damaged frame and never reads past the range. *)
+let test_frame_walk_damage () =
+  let records =
+    [
+      Wal.Txn_op
+        {
+          txn = 3;
+          op = Wal.Insert { set = "R"; values = [ Value.VInt 1; Value.VString "pad" ] };
+          before = None;
+        };
+      Wal.Txn_op
+        {
+          txn = 3;
+          op =
+            Wal.Update
+              { set = "S"; oid = { Oid.file = 2; page = 0; slot = 4 }; field = "repfield";
+                value = Value.VString "new" };
+          before = Some [ Value.VInt 9; Value.VString "old" ];
+        };
+      Wal.Txn_commit 3;
+    ]
+  in
+  let range, _ = shipped_and_file "damage" records in
+  let len = Bytes.length range in
+  let frame_ends =
+    let rec go pos acc =
+      if pos >= len then List.rev acc
+      else
+        let next = Wal.frame_end range pos in
+        go next (next :: acc)
+    in
+    go 0 []
+  in
+  let whole = List.mapi (fun i r -> (Int64.of_int (i + 1), r)) records in
+  let frames_before limit = List.length (List.filter (fun e -> e <= limit) frame_ends) in
+  let take n = List.filteri (fun i _ -> i < n) whole in
+  (* Every truncation point, with the rest of the bytes still lying past
+     the limit: frames wholly inside are decoded, the cut one stops the
+     walk, nothing past the limit is read. *)
+  for cut = 0 to len - 1 do
+    let walked, damaged = walk_in_place range 0 cut in
+    let n = frames_before cut in
+    if walked <> take n then Alcotest.failf "cut at %d: wrong frames decoded" cut;
+    if damaged <> not (List.mem cut (0 :: frame_ends)) then
+      Alcotest.failf "cut at %d: the walk did not stop on the cut frame" cut
+  done;
+  (* A flipped byte anywhere: the walk stops on the frame holding it. *)
+  for i = 0 to len - 1 do
+    let b = Bytes.copy range in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a));
+    let walked, damaged = walk_in_place b 0 len in
+    let n = frames_before i in
+    if not damaged then Alcotest.failf "byte %d flipped: walk did not stop" i;
+    if List.length walked > n || walked <> take (List.length walked) then
+      Alcotest.failf "byte %d flipped: decoded past the damaged frame" i
+  done
+
+(* Minor words allocated by [f ()], less the cost of measuring. *)
+let minor_words f =
+  let span g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  span f -. span ignore
+
+(* An append encodes into the log's reused buffer: its words do not grow
+   with the frame, with or without a tap keeping the batch.  A frame of
+   its own would cost a word per 8 bytes (about 60 for the big one, which
+   stays small enough for the minor heap, where the count sees it). *)
+let test_append_words () =
+  let path = tmp "append_words" ".wal" in
+  let w = Wal.open_ ~flush_limit:(1 lsl 30) path in
+  let insert pad =
+    Wal.Txn_op
+      {
+        txn = 7;
+        op =
+          Wal.Insert
+            {
+              set = "R";
+              values =
+                [
+                  Value.VInt 42;
+                  Value.VString pad;
+                  Value.VRef { Oid.file = 2; page = 1; slot = 3 };
+                ];
+            };
+        before = None;
+      }
+  in
+  let small = insert "p" and big = insert (String.make 400 'p') in
+  let measure tap =
+    Wal.set_tap w tap;
+    (* warm the buffer up past two frames, then start an empty batch *)
+    for _ = 1 to 4 do
+      ignore (Wal.append w big)
+    done;
+    Wal.sync w;
+    let ws = minor_words (fun () -> ignore (Wal.append w small)) in
+    let wb = minor_words (fun () -> ignore (Wal.append w big)) in
+    Alcotest.(check (float 0.)) "words do not grow with the frame" ws wb;
+    checkb (Printf.sprintf "append allocates %.0f words (bound 12)" wb) true (wb <= 12.)
+  in
+  measure None;
+  measure (Some (fun (_ : Wal.batch) -> ()));
+  Wal.close w;
+  Sys.remove path
+
 let test_wal_abort_rescinds () =
   let path = tmp "abort" ".wal" in
   let w = Wal.open_ path in
@@ -967,6 +1226,14 @@ let () =
             test_wal_duplicate_abort_markers;
           Alcotest.test_case "abort marker without target" `Quick
             test_wal_abort_marker_missing_target;
+        ] );
+      ( "frame codec",
+        [
+          Alcotest.test_case "in-place walk matches decode_frame" `Quick
+            test_frame_walk_property;
+          Alcotest.test_case "truncated or damaged range" `Quick
+            test_frame_walk_damage;
+          Alcotest.test_case "append allocates no frame" `Quick test_append_words;
         ] );
       ( "group commit",
         [

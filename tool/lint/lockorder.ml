@@ -52,13 +52,20 @@ let of_constructor = function
 (* subsystems' own entry points, so a caller of [Buffer_pool.pin] gets   *)
 (* the same held-context the runtime recorder would give it.             *)
 
-(* Held for the rest of the enclosing sequence, until a release head. *)
-let bare_heads = [ ("pin", Pool_pin); ("read_batch", Pool_pin); ("acquire", Txn_lock); ("grant", Txn_lock) ]
-let release_heads = [ ("unpin", Pool_pin); ("update_batch", Pool_pin); ("release_all", Txn_lock) ]
+(* Held for the rest of the enclosing sequence, until a release head.  The
+   pool exports no bare [pin]/[unpin]; the names stay as a guard, so one
+   reintroduced is tracked from its first caller. *)
+let bare_heads = [ ("pin", Pool_pin); ("acquire", Txn_lock); ("grant", Txn_lock) ]
+let release_heads = [ ("unpin", Pool_pin); ("release_all", Txn_lock) ]
 
-(* Held for the lambda argument only (never leaks). *)
+(* Held for the function argument only (never leaks): a lambda, or a named
+   step such as [Pager.with_pin_arg]'s, which runs as a call under it. *)
 let bracket_heads =
-  [ ("with_pin", Pool_pin); ("with_page_read", Pool_pin); ("with_page_write", Pool_pin) ]
+  [
+    ("with_pin_arg", Pool_pin);
+    ("with_page_read", Pool_pin);
+    ("with_page_write", Pool_pin);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-definition facts gathered by the walk.                           *)
@@ -156,6 +163,15 @@ let collect_def env cur_module d body =
   let note_call callee call_loc held isolated =
     d.calls <- { callee; call_loc; held_at_call = held; call_isolated = isolated } :: d.calls
   in
+  let note_ident_call lid loc held iso =
+    let key =
+      match List.rev (Lint_ast.resolve env lid.Location.txt) with
+      | name :: qual :: _ -> Some (qual, name)
+      | [ name ] -> Some (cur_module, name)
+      | [] -> None
+    in
+    Option.iter (fun k -> note_call k loc held iso) key
+  in
   let rec walk ~iso held e =
     match e.pexp_desc with
     | Pexp_apply (fn0, args0) -> begin
@@ -172,12 +188,12 @@ let collect_def env cur_module d body =
           | Some "release", Some c -> remove_one c held
           | Some "with_held", Some c ->
               note_acq c e.pexp_loc held iso;
-              List.iter (fun (_, a) -> walk_arg ~iso (c :: held) a) args;
+              walk_bracket_args ~iso (c :: held) args;
               held
           | Some "isolated", _ ->
               (* A fresh node boundary: the lambda runs under no inherited
                  locks, and nothing inside propagates to callers. *)
-              List.iter (fun (_, a) -> walk_arg ~iso:true [] a) args;
+              walk_bracket_args ~iso:true [] args;
               held
           | _ ->
               List.iter (fun (_, a) -> ignore (walk ~iso held a)) args;
@@ -187,7 +203,7 @@ let collect_def env cur_module d body =
           match head_in bracket_heads env fn with
           | Some c ->
               note_acq c e.pexp_loc held iso;
-              List.iter (fun (_, a) -> walk_arg ~iso (c :: held) a) args;
+              walk_bracket_args ~iso (c :: held) args;
               held
           | None -> (
               match head_in bare_heads env fn with
@@ -202,14 +218,7 @@ let collect_def env cur_module d body =
                       remove_one c held
                   | None ->
                       (match fn.pexp_desc with
-                      | Pexp_ident lid ->
-                          let key =
-                            match List.rev (Lint_ast.resolve env lid.Location.txt) with
-                            | name :: qual :: _ -> Some (qual, name)
-                            | [ name ] -> Some (cur_module, name)
-                            | [] -> None
-                          in
-                          Option.iter (fun k -> note_call k e.pexp_loc held iso) key
+                      | Pexp_ident lid -> note_ident_call lid e.pexp_loc held iso
                       | _ -> ());
                       List.fold_left (fun h (_, a) -> walk ~iso h a) held args))
         end
@@ -249,13 +258,19 @@ let collect_def env cur_module d body =
     | _ ->
         Lint_ast.iter_child_exprs (fun child -> ignore (walk ~iso held child)) e;
         held
-  (* A lambda argument to a bracket runs under the bracket's class; any
+  (* A lambda argument to a bracket runs under the bracket's class, and so
+     does a named function passed unlabelled (it is called in there); any
      other expression argument is evaluated in the current context. *)
-  and walk_arg ~iso held a =
-    match a.pexp_desc with
-    | Pexp_fun (_, _, _, body) -> ignore (walk ~iso held body)
-    | Pexp_function cases -> List.iter (fun c -> ignore (walk ~iso held c.pc_rhs)) cases
-    | _ -> ignore (walk ~iso held a)
+  and walk_bracket_args ~iso held args =
+    List.iter
+      (fun (label, a) ->
+        match (label, a.pexp_desc) with
+        | _, Pexp_fun (_, _, _, body) -> ignore (walk ~iso held body)
+        | _, Pexp_function cases ->
+            List.iter (fun c -> ignore (walk ~iso held c.pc_rhs)) cases
+        | Asttypes.Nolabel, Pexp_ident lid -> note_ident_call lid a.pexp_loc held iso
+        | _ -> ignore (walk ~iso held a))
+      args
   in
   ignore (walk ~iso:false [] body)
 

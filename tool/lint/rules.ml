@@ -67,14 +67,15 @@ let l1 i =
   end
 
 (* ------------------------------------------------------------------ *)
-(* P1: pin discipline.  Every [pin]/[read_batch] call must be            *)
-(* post-dominated by [unpin]/[update_batch] (or divergence) on every     *)
-(* straight-line, match and if path — or sit inside a [Fun.protect]      *)
-(* whose [~finally] releases.  The blessed way out is the [with_pin] /   *)
-(* [with_page_read] / [with_page_write] combinators, which never leak.   *)
+(* P1: pin discipline.  Every [pin] call must be post-dominated by        *)
+(* [unpin] (or divergence) on every straight-line, match and if path —   *)
+(* or sit inside a [Fun.protect] whose [~finally] releases.  The pool    *)
+(* takes a pin only through its [with_pin_arg] / [with_page_read] /      *)
+(* [with_page_write] brackets, which never leak, and exports no bare     *)
+(* [pin]/[unpin]: the names stay as a guard against one coming back.    *)
 
-let acquire_names = [ "pin"; "read_batch" ]
-let release_names = [ "unpin"; "update_batch" ]
+let acquire_names = [ "pin" ]
+let release_names = [ "unpin" ]
 let diverge_names = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg"; "exit" ]
 
 let is_named names fn =
@@ -133,8 +134,8 @@ let p1 i =
         then
           acc :=
             diag "P1" e.pexp_loc
-              "%s is not post-dominated by a release (unpin/update_batch); \
-               use with_pin/with_page_read/with_page_write or Fun.protect"
+              "%s is not post-dominated by a release (unpin); use \
+               with_pin_arg/with_page_read/with_page_write or Fun.protect"
               (match Lint_ast.apply_head fn with Some n -> n | None -> "acquire")
             :: !acc;
         (* A lambda passed to Fun.protect runs under its ~finally. *)

@@ -26,3 +26,13 @@ let loopback locks =
   Lockdep.with_held Lockdep.Wal_sync @@ fun () ->
   Lockdep.isolated @@ fun () ->
   takes_txn locks
+
+(* A named step under a pin may sync the log: a pin covers a WAL sync
+   (commit writes the log while the page is still pinned). *)
+module Pager = Fieldrep_storage.Pager
+
+let sync_step wal _buf =
+  Lockdep.with_held Lockdep.Wal_sync (fun () -> ignore wal)
+
+let pinned_sync pager wal =
+  Pager.with_pin_arg pager ~file:3 ~page:0 ~dirty:true sync_step wal

@@ -127,6 +127,10 @@ let test_o1_bad () =
   (* one direct inversion, one through the call graph *)
   check_count "reverse-order acquisitions flagged" 2 "O1" ds
 
+let test_o1_step_bad () =
+  let ds = lint ~as_path:"lib/core/fixture.ml" "o1_step_bad.ml" in
+  check_count "a lock taken in a step run under with_pin_arg flagged" 1 "O1" ds
+
 let test_o1_good () =
   check_clean "forward order, release spans and isolated boundary accepted"
     (lint ~as_path:"lib/core/fixture.ml" "o1_good.ml")
@@ -273,7 +277,12 @@ let () =
           tc "protected-by" test_s1_protected_by;
           tc "protected-by-wrong-rule" test_s1_protected_by_wrong_rule;
         ] );
-      ("O1", [ tc "bad" test_o1_bad; tc "good" test_o1_good ]);
+      ( "O1",
+        [
+          tc "bad" test_o1_bad;
+          tc "step under with_pin_arg" test_o1_step_bad;
+          tc "good" test_o1_good;
+        ] );
       ( "C1",
         [
           tc "bad" test_c1_bad;
