@@ -51,7 +51,7 @@ module Itbl = Hashtbl.Make (Int)
 type t = {
   pager : Pager.t;
   schema : Schema.t;
-  sets : (string, Heap_file.t) Hashtbl.t;
+  sets : Heap_file.t Stbl.t;
   data_files : (string * Heap_file.t) Itbl.t;  (* file id -> set, file *)
   indexes : (string, index_rt) Hashtbl.t;
   set_indexes : index_rt list Stbl.t;
@@ -68,7 +68,6 @@ type t = {
       (* rollback in progress: operations skip locking, undo capture and
          reference-liveness validation, and log as plain (untagged) records
          so the rollback itself is replayable *)
-  mutable charging : bool;  (* re-entrancy guard for per-txn I/O accounting *)
   mutable replica_mode : bool;
       (* opened as a streaming-replication replica: reads only; mutations
          arrive exclusively through [replica_apply] *)
@@ -87,6 +86,8 @@ type t = {
       (* the object [update_field] rewrites, copied once and spliced in
          place; per handle, since an ack-mode sync can run a replica's
          redo before the write *)
+  copy_update : Bytes.t -> int -> int -> int;
+      (* [Heap_file.read_with]'s step that copies into [update_buf] *)
 }
 
 let schema t = t.schema
@@ -99,56 +100,105 @@ let set_batching t v = t.engine.Engine.batching <- v
 let lock_manager t = t.locks
 let active_txn_count t = Hashtbl.length t.active
 
+(* ------------------------------------------------------------------ *)
+(* The operation protocol: live, validate, lock, log, apply, charge   *)
+
+let txn_check t tx =
+  if not (Txn.is_active tx && Hashtbl.mem t.active (Txn.id tx)) then
+    invalid_arg "Db: transaction is not active"
+
+(* The transaction an operation locks, charges and captures undo for, once
+   validated.  A rollback acts for none, as it touches only objects its
+   transaction holds exclusively, and so does single-threaded replay. *)
+let live t txn =
+  match txn with
+  | Some tx when not (t.compensating || t.replaying) ->
+      txn_check t tx;
+      txn
+  | Some _ | None -> None
+
+(* Run [f] as a rollback or as a redo of logged records. *)
+let compensate t f =
+  t.compensating <- true;
+  Fun.protect ~finally:(fun () -> t.compensating <- false) f
+
+let replay t f =
+  t.replaying <- true;
+  Fun.protect ~finally:(fun () -> t.replaying <- false) f
+
+let io t = Stats.total_io (stats t)
+
+(* Only this database's I/O: an ack-mode replica in the same process
+   applies frames inside our [Wal.sync]. *)
+let charge t tx io0 =
+  match tx with Some tx -> Txn.charge_io tx (io t - io0) | None -> ()
+
+(* None without a WAL or while replaying it: callers build a record only
+   under [Some], and their LSN under [None] is 0, never rescinded. *)
+let logging t = if t.replaying then None else t.wal
+
 (* Write-ahead rule: the record is durable before the operation touches any
-   page.  If the operation then fails validation (no crash, an ordinary
-   exception), the record is rescinded with an abort marker so recovery
-   will not redo it.  A [Disk.Crash] rescinds nothing: the record survives
-   and replay *completes* the half-applied operation.  A transactional
-   record carries the object's first-touch image [before] (see
-   [first_touch]); the first one marks the transaction begun, so read-only
+   page.  Group commit: a transactional record, carrying the object's
+   first-touch image [before], and an abort's compensation stay buffered
+   until their marker syncs; an autocommit record is its own commit
+   point.  The first [Txn_op] marks the transaction begun, so read-only
    transactions leave no trace in the log. *)
-let log_mutation ?txn ?before t record f =
-  match t.wal with
-  | None -> f ()
-  | Some _ when t.replaying -> f ()
-  | Some w -> (
-      let record, buffered =
-        match txn with
-        | Some tx when not t.compensating ->
-            Txn.mark_begun tx;
-            (Wal.Txn_op { txn = Txn.id tx; op = record; before }, true)
-        | _ -> (record, t.compensating)
-      in
+let log_op t w tx ?before record =
+  match tx with
+  | Some tx ->
+      Txn.mark_begun tx;
+      Wal.append w (Wal.Txn_op { txn = Txn.id tx; op = record; before })
+  | None ->
       let lsn = Wal.append w record in
-      (* Group commit: transactional records (and abort compensations) stay
-         buffered until their commit/abort marker syncs; an autocommit
-         record is its own commit point and must be durable before the
-         operation touches any page. *)
-      if not buffered then Wal.sync w;
-      try f ()
-      with
-      | Disk.Crash _ as e -> raise e
-      | e ->
+      if not t.compensating then Wal.sync w;
+      lsn
+
+(* An operation that fails after logging (an ordinary exception) rescinds
+   its record with an abort marker, so recovery will not redo it.  A
+   [Disk.Crash] rescinds nothing: the record survives and replay
+   *completes* the half-applied operation. *)
+let rescind t lsn = function
+  | Disk.Crash _ -> ()
+  | _ -> (
+      match logging t with
+      | Some w ->
           Wal.append_abort w ~aborted:lsn;
-          Wal.sync w;
-          raise e)
+          Wal.sync w
+      | None -> ())
+
+(* The DDL's form of the protocol: log [record], then apply [f]. *)
+let log_mutation t record f =
+  match logging t with
+  | None -> f ()
+  | Some w -> (
+      let lsn = log_op t w None record in
+      try f ()
+      with e ->
+        rescind t lsn e;
+        raise e)
+
+(* A marker, maintenance step or scrub repair: durable before anything it
+   covers touches a page. *)
+let log_sync t record =
+  match logging t with
+  | Some w ->
+      ignore (Wal.append w record);
+      Wal.sync w
+  | None -> ()
 
 let set_file t name =
-  match Hashtbl.find_opt t.sets name with
-  | Some hf -> hf
-  | None -> invalid_arg (Printf.sprintf "Db: unknown set %s" name)
+  match Stbl.find t.sets name with
+  | hf -> hf
+  | exception Not_found -> invalid_arg (Printf.sprintf "Db: unknown set %s" name)
 
-let file_of_oid t (oid : Oid.t) =
+let data_file t (oid : Oid.t) =
   match Itbl.find t.data_files oid.Oid.file with
-  | _, hf -> hf
+  | entry -> entry
   | exception Not_found ->
       invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
 
-let set_of_oid t (oid : Oid.t) =
-  match Itbl.find t.data_files oid.Oid.file with
-  | set, _ -> set
-  | exception Not_found ->
-      invalid_arg (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid))
+let file_of_oid t oid = snd (data_file t oid)
+let set_of_oid t oid = fst (data_file t oid)
 
 (* ------------------------------------------------------------------ *)
 (* Index plumbing                                                      *)
@@ -223,26 +273,19 @@ let create ?(page_size = 4096) ?(frames = 256) ?(durable = false) ?wal_path
   let store = Store.create pager in
   let rec t =
     lazy
-      (let sets = Hashtbl.create 8 in
+      (let sets = Stbl.create 8 in
        let data_files = Itbl.create 8 in
        let engine =
          Engine.make_env ~schema ~store
-           ~file_of_set:(fun name ->
-             match Hashtbl.find_opt sets name with
-             | Some hf -> hf
-             | None -> invalid_arg (Printf.sprintf "Db: unknown set %s" name))
-           ~file_of_oid:(fun oid ->
-             match Itbl.find data_files oid.Oid.file with
-             | _, hf -> hf
-             | exception Not_found ->
-                 invalid_arg
-                   (Printf.sprintf "Db: OID %s is not a data object" (Oid.to_string oid)))
+           ~file_of_set:(fun name -> set_file (Lazy.force t) name)
+           ~file_of_oid:(fun oid -> file_of_oid (Lazy.force t) oid)
            ~on_hidden_update:(fun set oid change ->
              on_hidden_update (Lazy.force t) set oid change)
            ~hidden_indexed:(fun set -> hidden_indexed (Lazy.force t) set)
            ()
        in
        let locks = Lock.create ~stats:(Pager.stats pager) () in
+       let update_buf = ref (Bytes.create 256) in
        {
          pager;
          schema;
@@ -258,13 +301,17 @@ let create ?(page_size = 4096) ?(frames = 256) ?(durable = false) ?wal_path
          next_txn = 1;
          active = Hashtbl.create 8;
          compensating = false;
-         charging = false;
          replica_mode = false;
          repl_stream = None;
          epoch = 0;
          maint = Maint.create ~locks ~stats:(Pager.stats pager);
          plans = Hashtbl.create 8;
-         update_buf = ref (Bytes.create 256);
+         update_buf;
+         copy_update =
+           (fun page off n ->
+             Wire.grow update_buf n;
+             Bytes.blit page off !update_buf 0 n;
+             n);
        })
   in
   let t = Lazy.force t in
@@ -315,7 +362,7 @@ let create_set t ?(reserve = 0) ~name ~elem_type () =
   log_mutation t (Wal.Create_set { name; elem_type; reserve }) (fun () ->
       Schema.create_set t.schema ~name ~elem_type;
       let hf = Heap_file.create ~reserve t.pager in
-      Hashtbl.replace t.sets name hf;
+      Stbl.replace t.sets name hf;
       Itbl.replace t.data_files (Heap_file.file_id hf) (name, hf))
 
 (* ------------------------------------------------------------------ *)
@@ -328,66 +375,42 @@ let fresh_owner t =
   t.next_txn <- t.next_txn + 1;
   id
 
-(* Maintenance records run outside any transaction: durable before the
-   quantum (or completion) touches pages, like autocommit mutations. *)
-let log_maint t record =
-  match t.wal with
-  | Some w when not t.replaying ->
-      ignore (Wal.append w record);
-      Wal.sync w
-  | Some _ | None -> ()
-
-(* A walk job's per-source step: one walk of the stored record names the
-   quantum's lock targets and feeds the operation applied under them. *)
-let maint_prepare t ~set hf prepare apply oid =
-  let walk = prepare t.engine ~set (Heap_file.read_with hf oid Record.decode_at) in
-  ( List.map (fun o -> (set_of_oid t o, o)) (Engine.touches walk),
-    fun () -> apply walk oid )
-
 (* The job id IS the rep id: [Maint_step]/[Maint_done] records name it,
    and a declaration never has two jobs in flight (Building and Dropping
-   are mutually exclusive states). *)
-let enqueue_backfill t (rep : Schema.replication) =
+   are mutually exclusive states).  Its per-source step walks the stored
+   record once: the walk names the quantum's lock targets and feeds the
+   operation applied under them. *)
+let enqueue_walk t (rep : Schema.replication) ~verb prepare apply ~complete =
   let set = rep.Schema.rpath.Path.source_set in
   let hf = set_file t set in
-  let job =
-    Maint.walk_job
-      ~label:(Printf.sprintf "backfill %s" (Path.to_string rep.Schema.rpath))
-      ~job_id:rep.Schema.rep_id ~owner:(fresh_owner t) ~set ~file:hf
-      ~prepare:
-        (maint_prepare t ~set hf Engine.prepare_attach
-           (Engine.backfill_source t.engine rep))
-      ~log_step:(fun ~upto ->
-        log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
-      ~complete:(fun () ->
-        log_maint t (Wal.Maint_done { job = rep.Schema.rep_id });
-        Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Active)
-  in
-  Maint.enqueue t.maint job
+  let job = rep.Schema.rep_id in
+  Maint.enqueue t.maint
+    (Maint.walk_job
+       ~label:(Printf.sprintf "%s %s" verb (Path.to_string rep.Schema.rpath))
+       ~job_id:job ~owner:(fresh_owner t) ~set ~file:hf
+       ~prepare:(fun oid ->
+         let walk = prepare t.engine ~set (Heap_file.read_with hf oid Record.decode_at) in
+         ( List.map (fun o -> (set_of_oid t o, o)) (Engine.touches walk),
+           fun () -> apply t.engine rep walk oid ))
+       ~log_step:(fun ~upto -> log_sync t (Wal.Maint_step { job; upto }))
+       ~complete:(fun () ->
+         log_sync t (Wal.Maint_done { job });
+         complete ()))
+
+let enqueue_backfill t (rep : Schema.replication) =
+  enqueue_walk t rep ~verb:"backfill" Engine.prepare_attach Engine.backfill_source
+    ~complete:(fun () -> Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Active)
 
 let enqueue_teardown t (rep : Schema.replication) =
-  let set = rep.Schema.rpath.Path.source_set in
-  let hf = set_file t set in
-  let job =
-    Maint.walk_job
-      ~label:(Printf.sprintf "teardown %s" (Path.to_string rep.Schema.rpath))
-      ~job_id:rep.Schema.rep_id ~owner:(fresh_owner t) ~set ~file:hf
-      ~prepare:
-        (maint_prepare t ~set hf Engine.prepare_detach
-           (Engine.teardown_source t.engine rep))
-      ~log_step:(fun ~upto ->
-        log_maint t (Wal.Maint_step { job = rep.Schema.rep_id; upto }))
-      ~complete:(fun () ->
-        log_maint t (Wal.Maint_done { job = rep.Schema.rep_id });
-        Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropped;
-        (* erase the declaration's links from the compiled registry so
-           writers stop maintaining the (now dead) derived state, then
-           unbind its emptied files — a re-replication of the same path
-           reuses the same link IDs and must build from nothing *)
-        Engine.recompile t.engine;
-        Engine.gc_dead_derived t.engine)
-  in
-  Maint.enqueue t.maint job
+  enqueue_walk t rep ~verb:"teardown" Engine.prepare_detach Engine.teardown_source
+    ~complete:(fun () ->
+      Schema.set_rep_state t.schema rep.Schema.rep_id Schema.Dropped;
+      (* erase the declaration's links from the compiled registry so
+         writers stop maintaining the (now dead) derived state, then
+         unbind its emptied files — a re-replication of the same path
+         reuses the same link IDs and must build from nothing *)
+      Engine.recompile t.engine;
+      Engine.gc_dead_derived t.engine)
 
 (* Start an online reconfiguration; the entry points and log replay share
    these. *)
@@ -585,78 +608,70 @@ let check_value t ~context (field : Ty.field) v =
 (* ------------------------------------------------------------------ *)
 (* Locking and undo-capture plumbing                                   *)
 
-(* Operations on behalf of a transaction acquire their whole lock set
+(* An operation acting for a transaction acquires its whole lock set
    before mutating anything, so a [Lock.Would_block] or [Lock.Deadlock]
    surfaces with no partial effects and the operation can simply be
-   retried (or the transaction aborted).  Compensations and log replay
-   run lock-free: rollback only ever touches objects the transaction
-   already holds exclusively, and replay is single-threaded. *)
-let locking t txn k =
-  match txn with
-  | Some tx when not (t.compensating || t.replaying) ->
-      if not (Txn.is_active tx && Hashtbl.mem t.active (Txn.id tx)) then
-        invalid_arg "Db: transaction is not active";
-      k tx
-  | _ -> ()
+   retried (or the transaction aborted).  Each helper takes the
+   operation's [live] transaction and locks nothing without one. *)
+let lock_set t tx set mode =
+  match tx with
+  | Some tx -> Lock.acquire t.locks ~txn:(Txn.id tx) (Lock.Set set) mode
+  | None -> ()
 
-let lock t tx resource mode = Lock.acquire t.locks ~txn:(Txn.id tx) resource mode
+let lock_obj t tx oid mode =
+  match tx with
+  | Some tx -> Lock.acquire t.locks ~txn:(Txn.id tx) (Lock.Obj oid) mode
+  | None -> ()
 
 let lock_read t tx ~set oid =
-  lock t tx (Lock.Set set) Lock.IS;
-  lock t tx (Lock.Obj oid) Lock.S
+  lock_set t tx set Lock.IS;
+  lock_obj t tx oid Lock.S
 
 let lock_write t tx ~set oid =
-  lock t tx (Lock.Set set) Lock.IX;
-  lock t tx (Lock.Obj oid) Lock.X
+  lock_set t tx set Lock.IX;
+  lock_obj t tx oid Lock.X
+
+(* A shared lock on the data object a value references. *)
+let lock_ref t tx = function
+  | Value.VRef oid when Option.is_some tx ->
+      lock_read t tx ~set:(set_of_oid t oid) oid
+  | Value.VRef _ | Value.VInt _ | Value.VString _ | Value.VNull -> ()
 
 (* Exclusive locks on the data objects a prepared operation will write,
    each with an intention lock on its owning set. *)
 let rec lock_targets t tx = function
-  | [] -> ()
-  | oid :: oids ->
+  | oid :: oids when Option.is_some tx ->
       lock_write t tx ~set:(set_of_oid t oid) oid;
       lock_targets t tx oids
+  | _ :: _ | [] -> ()
 
-(* Attribute the physical I/O of one operation to the transaction that
-   issued it.  Re-entrancy guard: [deref] calls [get] internally and the
-   pages must not be counted twice. *)
-let with_charge t txn f =
-  match txn with
-  | Some tx when not (t.compensating || t.replaying || t.charging) -> (
-      t.charging <- true;
-      let io0 = Stats.total_io Stats.grand in
-      match f () with
-      | r ->
-          t.charging <- false;
-          Txn.charge_io tx (Stats.total_io Stats.grand - io0);
-          r
-      | exception e ->
-          (* re-raising the caught exception keeps its backtrace *)
-          t.charging <- false;
-          raise e)
-  | _ -> f ()
+let user_values t ~set (record : Record.t) =
+  List.init (Ty.arity (Schema.set_type t.schema set)) (Record.field record)
 
 (* The object's user values if this is the transaction's first touch of
    it: the before-image its redo record carries, so crash recovery can roll
    the transaction back from the log alone. *)
-let first_touch t txn ~set oid record =
-  match txn with
-  | Some tx when not (t.compensating || t.replaying || Txn.touched tx oid) ->
-      Some (List.init (Ty.arity (Schema.set_type t.schema set)) (Record.field record))
+let first_touch t tx ~set oid record =
+  match tx with
+  | Some tx when not (Txn.touched tx oid) -> Some (user_values t ~set record)
   | Some _ | None -> None
 
-(* Record the touch in memory once the operation has succeeded.  Not
-   before: a failed operation's record is rescinded together with the image
-   it carried, so the object's next touch must log the image again. *)
-let note_touch txn ~set oid ~present values =
-  match txn with
-  | Some tx ->
+(* Record a first touch's image in memory once the operation has
+   succeeded.  Not before: a failed operation's record is rescinded
+   together with the image it carried, so the object's next touch must log
+   the image again. *)
+let note_touch tx ~set oid ~present image =
+  match (tx, image) with
+  | Some tx, Some values ->
       Txn.record_touch tx oid
         { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values }
-  | None -> ()
+  | None, _ | Some _, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* DML                                                                 *)
+
+let make_record t (ty : Ty.t) values =
+  Record.make ~type_tag:(Schema.type_tag t.schema ty.Ty.tname) (Array.of_list values)
 
 (* Store a new object born complete from its walk, in the tombstoned
    slot [at] or, when it is nil, a fresh one: one encoding, one write,
@@ -677,171 +692,182 @@ let store_new t ~set walk record ~at =
 
 let insert ?txn t ~set values =
   check_primary t "Db.insert";
+  let tx = live t txn in
   let ty = Schema.set_type t.schema set in
   if List.length values <> Ty.arity ty then
     invalid_arg
       (Printf.sprintf "Db.insert: %s has %d fields, got %d values" set (Ty.arity ty)
          (List.length values));
   List.iter2 (fun f v -> check_value t ~context:"Db.insert" f v) ty.Ty.fields values;
-  let record =
-    Record.make ~type_tag:(Schema.type_tag t.schema ty.Ty.tname) (Array.of_list values)
-  in
+  let record = make_record t ty values in
+  let io0 = io t in
+  lock_set t tx set Lock.IX;
+  (* referenced objects stay shared-locked so validation cannot be
+     invalidated by a concurrent committed delete *)
+  if Option.is_some tx then List.iter (lock_ref t tx) values;
+  let walk = Engine.prepare_attach t.engine ~set record in
+  lock_targets t tx (Engine.touches walk);
   (* The OID is not logged: physical allocation is deterministic, so the
      replayed insert lands on the same OID as the original run. *)
-  with_charge t txn (fun () ->
-      locking t txn (fun tx ->
-          lock t tx (Lock.Set set) Lock.IX;
-          (* referenced objects stay shared-locked so validation cannot be
-             invalidated by a concurrent committed delete *)
-          List.iter
-            (function
-              | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
-              | Value.VInt _ | Value.VString _ | Value.VNull -> ())
-            values);
-      let walk = Engine.prepare_attach t.engine ~set record in
-      locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
-      let oid =
-        log_mutation ?txn t (Wal.Insert { set; values }) (fun () ->
-            store_new t ~set walk record ~at:Oid.nil)
-      in
-      locking t txn (fun tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X);
-      (* first touch is the creation itself: undo deletes the object *)
-      note_touch txn ~set oid ~present:false [];
-      oid)
+  let lsn =
+    match logging t with
+    | Some w -> log_op t w tx (Wal.Insert { set; values })
+    | None -> 0L
+  in
+  let oid =
+    try store_new t ~set walk record ~at:Oid.nil
+    with e ->
+      rescind t lsn e;
+      raise e
+  in
+  (match tx with
+  | Some tx -> Lock.grant t.locks ~txn:(Txn.id tx) (Lock.Obj oid) Lock.X
+  | None -> ());
+  (* first touch is the creation itself: undo deletes the object *)
+  note_touch tx ~set oid ~present:false (Some []);
+  charge t tx io0;
+  oid
 
 (* Re-create an object in its original slot: the second half of undoing a
    delete.  The slot is still pinned by the deleting transaction's
    tombstone, so the OID cannot have been recycled. *)
 let insert_at_impl t ~set oid values =
-  log_mutation t (Wal.Insert_at { set; oid; values }) (fun () ->
-      let ty = Schema.set_type t.schema set in
-      let record =
-        Record.make ~type_tag:(Schema.type_tag t.schema ty.Ty.tname)
-          (Array.of_list values)
-      in
-      let walk = Engine.prepare_revive t.engine ~set record in
-      ignore (store_new t ~set walk record ~at:oid))
+  let record = make_record t (Schema.set_type t.schema set) values in
+  let lsn =
+    match logging t with
+    | Some w -> log_op t w None (Wal.Insert_at { set; oid; values })
+    | None -> 0L
+  in
+  try
+    let walk = Engine.prepare_revive t.engine ~set record in
+    ignore (store_new t ~set walk record ~at:oid)
+  with e ->
+    rescind t lsn e;
+    raise e
 
-(* Outside a transaction nothing is locked or charged, so the common read
-   builds no closure. *)
+(* Locked but uncharged: the entry points charge. *)
+let read t tx ~set oid =
+  lock_read t tx ~set oid;
+  Heap_file.read_with (set_file t set) oid Record.decode_at
+
 let get ?txn t ~set oid =
-  match txn with
-  | None -> Heap_file.read_with (set_file t set) oid Record.decode_at
-  | Some _ ->
-      locking t txn (fun tx -> lock_read t tx ~set oid);
-      with_charge t txn (fun () ->
-          Heap_file.read_with (set_file t set) oid Record.decode_at)
+  let tx = live t txn in
+  let io0 = io t in
+  let record = read t tx ~set oid in
+  charge t tx io0;
+  record
 
 (* [pin]: leave a tombstone in the slot instead of freeing it, so the OID
    cannot be recycled while the deleting transaction is undecided. *)
-let delete_impl ?txn ~pin t ~set oid =
-  with_charge t txn (fun () ->
-      locking t txn (fun tx -> lock_write t tx ~set oid);
-      let hf = set_file t set in
-      (* Detaching rewrites only link sections and S' objects, so this
-         one decode serves the walk, the before-image and index removal. *)
-      let record = Heap_file.read_with hf oid Record.decode_at in
-      let walk = Engine.prepare_detach t.engine ~set record in
-      locking t txn (fun tx -> lock_targets t tx (Engine.touches walk));
-      let before = first_touch t txn ~set oid record in
-      log_mutation ?txn ?before t (Wal.Delete { set; oid }) (fun () ->
-          Engine.on_delete t.engine walk oid;
-          List.iter (fun rt -> index_remove rt oid record) (indexes_of_set t set);
-          if pin then Heap_file.delete_pinned hf oid else Heap_file.delete hf oid);
-      (match before with
-      | Some values -> note_touch txn ~set oid ~present:true values
-      | None -> ());
-      match txn with
-      | Some tx when pin -> Txn.add_tombstone tx ~set oid
-      | Some _ | None -> ())
+let delete_impl t tx ~pin ~set oid =
+  let io0 = io t in
+  lock_write t tx ~set oid;
+  let hf = set_file t set in
+  (* Detaching rewrites only link sections and S' objects, so this
+     one decode serves the walk, the before-image and index removal. *)
+  let record = Heap_file.read_with hf oid Record.decode_at in
+  let walk = Engine.prepare_detach t.engine ~set record in
+  lock_targets t tx (Engine.touches walk);
+  let before = first_touch t tx ~set oid record in
+  let lsn =
+    match logging t with
+    | Some w -> log_op t w tx ?before (Wal.Delete { set; oid })
+    | None -> 0L
+  in
+  (try
+     Engine.on_delete t.engine walk oid;
+     List.iter (fun rt -> index_remove rt oid record) (indexes_of_set t set);
+     if pin then Heap_file.delete_pinned hf oid else Heap_file.delete hf oid
+   with e ->
+     rescind t lsn e;
+     raise e);
+  note_touch tx ~set oid ~present:true before;
+  (match tx with Some tx when pin -> Txn.add_tombstone tx ~set oid | Some _ | None -> ());
+  charge t tx io0
 
 let delete ?txn t ~set oid =
   check_primary t "Db.delete";
-  let pin =
-    match txn with
-    | Some _ when not (t.compensating || t.replaying) -> true
-    | Some _ | None -> false
-  in
-  delete_impl ?txn ~pin t ~set oid
+  let tx = live t txn in
+  delete_impl t tx ~pin:(Option.is_some tx) ~set oid
+
+let rec update_indexes oid idx ~before ~after = function
+  | [] -> ()
+  | rt :: rts ->
+      if rt.value_index = idx then index_update rt oid ~before ~after;
+      update_indexes oid idx ~before ~after rts
 
 let update_field ?txn t ~set oid ~field value =
   check_primary t "Db.update_field";
+  let tx = live t txn in
   let ty = Schema.set_type t.schema set in
-  let fdef =
-    match Ty.field_opt ty field with
-    | Some f -> f
-    | None -> invalid_arg (Printf.sprintf "Db.update_field: %s has no field %s" set field)
+  let idx =
+    match Ty.field_index ty field with
+    | idx -> idx
+    | exception Not_found ->
+        invalid_arg (Printf.sprintf "Db.update_field: %s has no field %s" set field)
   in
+  let fdef = Listx.nth_exn ~what:"Db.update_field" ty.Ty.fields idx in
   check_value t ~context:"Db.update_field" fdef value;
-  let idx = Ty.field_index ty field in
+  let io0 = io t in
   let hf = set_file t set in
-  with_charge t txn @@ fun () ->
-  locking t txn (fun tx -> lock_write t tx ~set oid);
-  let buf = t.update_buf and len = ref 0 in
-  let read_before () =
-    len :=
-      Heap_file.read_with hf oid (fun page off n ->
-          Wire.grow buf n;
-          Bytes.blit page off !buf 0 n;
-          n);
-    Record.decode_at !buf 0 !len
-  in
-  let before, propagate =
-    match fdef.Ty.ftype with
-    | Ty.Scalar _ ->
-        let before = read_before () in
-        (* inverted-path fan-out, locked even if the value is unchanged *)
-        let fanout =
-          if txn = None && Value.equal (Record.field before idx) value then None
-          else Some (Engine.prepare_scalar t.engine before ~field)
-        in
-        locking t txn (fun tx ->
-            Option.iter (fun f -> lock_targets t tx (Engine.fanout_touches f)) fanout);
-        (before, `Scalar fanout)
-    | Ty.Ref _ ->
-        (* A reference update restructures inverted paths; the set of
-           affected sources is unbounded, so escalate to set-level
-           exclusive locks on every source set of a path through this
-           step (the inverted path names them directly). *)
-        locking t txn (fun tx ->
-            List.iter
-              (fun s -> lock t tx (Lock.Set s) Lock.X)
-              (Engine.ref_update_scope t.engine ~set ~field);
-            match value with
-            | Value.VRef o -> lock_read t tx ~set:(set_of_oid t o) o
-            | Value.VInt _ | Value.VString _ | Value.VNull -> ());
-        let before = read_before () in
-        locking t txn (fun tx ->
-            let targets =
-              List.filter_map
-                (function Value.VRef o -> Some o | _ -> None)
-                [ Record.field before idx; value ]
-            in
-            lock_targets t tx
-              (Engine.write_set_ref_targets t.engine ~set ~field targets));
-        (before, `Ref)
-  in
+  lock_write t tx ~set oid;
+  (match (tx, fdef.Ty.ftype) with
+  | Some _, Ty.Ref _ ->
+      (* A reference update restructures inverted paths; the set of
+         affected sources is unbounded, so escalate to set-level
+         exclusive locks on every source set of a path through this
+         step (the inverted path names them directly). *)
+      List.iter
+        (fun s -> lock_set t tx s Lock.X)
+        (Engine.ref_update_scope t.engine ~set ~field);
+      lock_ref t tx value
+  | Some _, Ty.Scalar _ | None, _ -> ());
+  let len = Heap_file.read_with hf oid t.copy_update in
+  let buf = t.update_buf in
+  let before = Record.decode_at !buf 0 len in
   let old_value = Record.field before idx in
-  if not (Value.equal old_value value) then begin
-    let image = first_touch t txn ~set oid before in
-    log_mutation ?txn ?before:image t (Wal.Update { set; oid; field; value }) (fun () ->
-        Wire.grow ~keep:true buf (!len + idx + Value.encoded_size value);
-        Heap_file.update ~len:(Record.set_value_at !buf 0 !len idx value) hf oid !buf;
-        (* User-field indexes first, then replication propagation (which may
-           fire hidden-index maintenance via the engine callback). *)
-        List.iter
-          (fun rt ->
-            if rt.value_index = idx then index_update rt oid ~before:old_value ~after:value)
-          (indexes_of_set t set);
-        match propagate with
-        | `Scalar fanout ->
-            Option.iter (fun f -> Engine.on_scalar_update t.engine f ~field value) fanout
-        | `Ref ->
-            Engine.on_ref_update t.engine ~set oid ~field ~old_value ~new_value:value);
-    match image with
-    | Some values -> note_touch txn ~set oid ~present:true values
-    | None -> ()
-  end
+  let changed = not (Value.equal old_value value) in
+  (* the inverted-path fan-out, locked even if the value is unchanged *)
+  let fanout =
+    match fdef.Ty.ftype with
+    | Ty.Scalar _ when changed || Option.is_some tx ->
+        Some (Engine.prepare_scalar t.engine before ~field)
+    | Ty.Scalar _ | Ty.Ref _ -> None
+  in
+  (* A transaction's scalar update always has its fan-out, so only a
+     reference update has none here (and in the apply below). *)
+  (match (tx, fanout) with
+  | Some _, Some f -> lock_targets t tx (Engine.fanout_touches f)
+  | Some _, None ->
+      let targets =
+        List.filter_map
+          (function Value.VRef o -> Some o | _ -> None)
+          [ old_value; value ]
+      in
+      lock_targets t tx (Engine.write_set_ref_targets t.engine ~set ~field targets)
+  | None, _ -> ());
+  if changed then begin
+    let image = first_touch t tx ~set oid before in
+    let lsn =
+      match logging t with
+      | Some w -> log_op t w tx ?before:image (Wal.Update { set; oid; field; value })
+      | None -> 0L
+    in
+    (try
+       Wire.grow ~keep:true buf (len + idx + Value.encoded_size value);
+       Heap_file.update ~len:(Record.set_value_at !buf 0 len idx value) hf oid !buf;
+       (* User-field indexes first, then replication propagation (which may
+          fire hidden-index maintenance via the engine callback). *)
+       update_indexes oid idx ~before:old_value ~after:value (indexes_of_set t set);
+       match fanout with
+       | Some f -> Engine.on_scalar_update t.engine f ~field value
+       | None -> Engine.on_ref_update t.engine ~set oid ~field ~old_value ~new_value:value
+     with e ->
+       rescind t lsn e;
+       raise e);
+    note_touch tx ~set oid ~present:true image
+  end;
+  charge t tx io0
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
@@ -857,10 +883,6 @@ let begin_txn t =
   Hashtbl.replace t.active (Txn.id tx) tx;
   tx
 
-let txn_check t tx =
-  if not (Txn.is_active tx && Hashtbl.mem t.active (Txn.id tx)) then
-    invalid_arg "Db: transaction is not active"
-
 let free_txn_tombstones t stones =
   List.iter
     (fun (set, oid) ->
@@ -868,26 +890,23 @@ let free_txn_tombstones t stones =
       ignore (Heap_file.free_tombstone (set_file t set) oid))
     (List.rev stones)
 
-let finish t tx state =
-  Hashtbl.remove t.active (Txn.id tx);
+(* A transaction's outcome.  Its marker is the group-commit point: one
+   physical flush covers it and every record the transaction buffered. *)
+let finish t tx io0 state =
+  let id = Txn.id tx and committed = state = Txn.Committed in
+  if Txn.begun tx then
+    log_sync t (if committed then Wal.Txn_commit id else Wal.Txn_abort id);
+  charge t (Some tx) io0;
+  Hashtbl.remove t.active id;
   Txn.set_state tx state;
-  Lock.release_all t.locks ~txn:(Txn.id tx)
+  Lock.release_all t.locks ~txn:id;
+  Stats.bump (stats t) (if committed then Stats.Txn_commits else Stats.Txn_aborts)
 
 let commit t tx =
   txn_check t tx;
-  let io0 = Stats.total_io Stats.grand in
+  let io0 = io t in
   free_txn_tombstones t (Txn.tombstones tx);
-  (match t.wal with
-  | Some w when Txn.begun tx && not t.replaying ->
-      ignore (Wal.append w (Wal.Txn_commit (Txn.id tx)));
-      (* The group-commit point: one physical flush covers this marker and
-         every record the transaction buffered. *)
-      Wal.sync w
-  | _ -> ());
-  Txn.charge_io tx (Stats.total_io Stats.grand - io0);
-  finish t tx Txn.Committed;
-  let s = stats t in
-  Stats.bump s Stats.Txn_commits
+  finish t tx io0 Txn.Committed
 
 (* Roll one before-image back through the normal engine code, so indexes,
    link objects, hidden copies and S' objects all follow.  Runs with
@@ -910,16 +929,12 @@ let restore_image t (img : Txn.undo_image) =
   | true, false -> insert_at_impl t ~set oid img.Txn.u_values
   | false, true -> delete t ~set oid
   | false, false -> ());
-  let s = stats t in
-  Stats.bump s Stats.Undo_applied
+  Stats.bump (stats t) Stats.Undo_applied
 
 let abort t tx =
   txn_check t tx;
-  let io0 = Stats.total_io Stats.grand in
-  t.compensating <- true;
-  Fun.protect
-    ~finally:(fun () -> t.compensating <- false)
-    (fun () ->
+  let io0 = io t in
+  compensate t (fun () ->
       List.iter (restore_image t) (Txn.undo_images tx);
       (* Settle the lazy-propagation debt this transaction created: its
          invalidation entries must not leak repair work (and I/O) onto
@@ -930,31 +945,21 @@ let abort t tx =
       in
       Engine.flush_keys t.engine added;
       free_txn_tombstones t (Txn.tombstones tx));
-  (match t.wal with
-  | Some w when Txn.begun tx && not t.replaying ->
-      ignore (Wal.append w (Wal.Txn_abort (Txn.id tx)));
-      Wal.sync w
-  | _ -> ());
-  Txn.charge_io tx (Stats.total_io Stats.grand - io0);
-  finish t tx Txn.Aborted;
-  let s = stats t in
-  Stats.bump s Stats.Txn_aborts
+  finish t tx io0 Txn.Aborted
 
 (* ------------------------------------------------------------------ *)
 (* Reads                                                               *)
-
-let user_values t ~set (record : Record.t) =
-  let n = Ty.arity (Schema.set_type t.schema set) in
-  List.init n (Record.field record)
 
 let field_value t ~set record field =
   let ty = Schema.set_type t.schema set in
   Record.field record (Ty.field_index ty field)
 
 let scan ?txn t ~set f =
-  locking t txn (fun tx -> lock t tx (Lock.Set set) Lock.S);
-  with_charge t txn (fun () ->
-      Heap_file.iter (set_file t set) Record.decode_at f)
+  let tx = live t txn in
+  let io0 = io t in
+  lock_set t tx set Lock.S;
+  Heap_file.iter (set_file t set) Record.decode_at f;
+  charge t tx io0
 
 let set_size t set = Heap_file.object_count (set_file t set)
 let set_pages t set = Heap_file.page_count (set_file t set)
@@ -1046,16 +1051,16 @@ let joins = function
 (* The fallbacks when a replicated copy cannot be trusted evaluate the
    functional join over the already-split [path], without locks, as a read
    of the authoritative source objects. *)
-let rec eval ?txn ?oid t e record =
+let rec eval_as t tx ?oid e record =
   match e with
   | Walk ([], idx) -> Record.field record idx
   | Walk (first :: rest, terminal_idx) ->
       (* Follow the references from [record], reading only the field each
-         hop needs and read-locking each object reached under [txn]. *)
+         hop needs and read-locking each object reached for [tx]. *)
       let hop v idx =
         match v with
         | Value.VRef oid ->
-            locking t txn (fun tx -> lock_read t tx ~set:(set_of_oid t oid) oid);
+            lock_ref t tx v;
             Heap_file.read_with (file_of_oid t oid) oid (fun buf off len ->
                 Record.field_at buf off len idx)
         | Value.VNull -> Value.VNull
@@ -1071,16 +1076,15 @@ let rec eval ?txn ?oid t e record =
         match oid with
         | Some oid ->
             (* the repair rewrites the source object itself *)
-            locking t txn (fun tx ->
-                if Engine.is_pending t.engine rep oid then
-                  lock_write t tx ~set:path.set oid);
+            if Option.is_some tx && Engine.is_pending t.engine rep oid then
+              lock_write t tx ~set:path.set oid;
             Engine.repair t.engine rep oid;
             let record = Heap_file.read_with (set_file t path.set) oid Record.decode_at in
             Record.field record idx
         | None ->
             if Engine.pending_count t.engine = 0 then Record.field record idx
             else (* correctness first: evaluate through the references *)
-              eval t (compile_walk t path) record)
+              eval_as t None (compile_walk t path) record)
   | Sprime (idx, offset, path) -> (
       match Record.field record idx with
       | Value.VRef sp -> (
@@ -1090,7 +1094,7 @@ let rec eval ?txn ?oid t e record =
               | Some f -> f
               | None -> invalid_arg "Db.eval: dangling S' reference"
             in
-            match txn with
+            match tx with
             | None ->
                 Heap_file.read_with file sp (fun buf off len ->
                     Record.field_at buf off len offset)
@@ -1102,19 +1106,18 @@ let rec eval ?txn ?oid t e record =
                   Heap_file.read_with file sp (fun buf off len ->
                       (Record.field_at buf off len 1, Record.field_at buf off len offset))
                 in
-                locking t txn (fun tx ->
-                    match owner with
-                    | Value.VRef owner -> lock_read t tx ~set:(set_of_oid t owner) owner
-                    | Value.VInt _ | Value.VString _ | Value.VNull -> ());
+                lock_ref t tx owner;
                 v
           with Disk.Corrupt_page _ ->
             (* The S' page is quarantined.  The replicated value is only a
                copy: degrade gracefully to the functional join over the
                source objects, which remain authoritative. *)
             Stats.bump (stats t) Stats.Degraded_reads;
-            eval t (compile_walk t path) record)
+            eval_as t None (compile_walk t path) record)
       | Value.VNull -> Value.VNull
       | Value.VInt _ | Value.VString _ -> invalid_arg "Db.eval: corrupt sref slot")
+
+let eval ?txn ?oid t e record = eval_as t (live t txn) ?oid e record
 
 (* [deref] plans a (set, source) pair once per schema generation: a new
    declaration or a Building, Active or Dropping transition bumps the
@@ -1129,13 +1132,13 @@ let plan t ~set source =
       Hashtbl.replace t.plans (set, source) (generation, e);
       e
 
-(* Outside a transaction there is no I/O to charge, so the common read
-   builds no [with_charge] closure. *)
 let deref ?txn t ~set oid source =
+  let tx = live t txn in
+  let io0 = io t in
   let e = plan t ~set source in
-  match txn with
-  | None -> eval ~oid t e (get t ~set oid)
-  | Some _ -> with_charge t txn (fun () -> eval ?txn ~oid t e (get ?txn t ~set oid))
+  let v = eval_as t tx ~oid e (read t tx ~set oid) in
+  charge t tx io0;
+  v
 
 let deref_would_join t ~set source = joins (plan t ~set source)
 
@@ -1148,18 +1151,25 @@ let index_rt t name =
   | None -> invalid_arg (Printf.sprintf "Db: unknown index %s" name)
 
 let index_lookup ?txn t ~index key =
+  let tx = live t txn in
+  let io0 = io t in
   let rt = index_rt t index in
-  locking t txn (fun tx -> lock t tx (Lock.Set rt.def.Schema.iset) Lock.IS);
-  let oids = with_charge t txn (fun () -> Btree.find rt.tree key) in
-  locking t txn (fun tx ->
-      List.iter (fun o -> lock_read t tx ~set:rt.def.Schema.iset o) oids);
+  let set = rt.def.Schema.iset in
+  lock_set t tx set Lock.IS;
+  let oids = Btree.find rt.tree key in
+  if Option.is_some tx then List.iter (lock_read t tx ~set) oids;
+  charge t tx io0;
   oids
 
 let index_range ?txn t ~index ~lo ~hi ~init ~f =
+  let tx = live t txn in
+  let io0 = io t in
   let rt = index_rt t index in
   (* range reads lock the whole set: no per-key phantom protection *)
-  locking t txn (fun tx -> lock t tx (Lock.Set rt.def.Schema.iset) Lock.S);
-  with_charge t txn (fun () -> Btree.fold_range rt.tree ~lo ~hi ~init ~f)
+  lock_set t tx rt.def.Schema.iset Lock.S;
+  let acc = Btree.fold_range rt.tree ~lo ~hi ~init ~f in
+  charge t tx io0;
+  acc
 
 type index_stats = { entries : int; height : int; leaves : int; pages : int }
 
@@ -1217,7 +1227,7 @@ let referencers t ~source_set ~attr target_oid =
 
 let check_integrity t =
   Invariants.check t.engine;
-  Hashtbl.iter (fun _ hf -> Heap_file.check hf) t.sets;
+  Stbl.iter (fun _ hf -> Heap_file.check hf) t.sets;
   let links, sprimes = Store.bindings t.store in
   List.iter (fun (id, _) -> Option.iter Heap_file.check (Store.link_file_opt t.store id)) links;
   List.iter
@@ -1247,18 +1257,10 @@ let check_integrity t =
 let scrub t =
   check_primary t "Db.scrub";
   let data_sets =
-    Hashtbl.fold (fun name hf acc -> (name, hf) :: acc) t.sets []
+    Stbl.fold (fun name hf acc -> (name, hf) :: acc) t.sets []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let log_repair ~rep_id ~source =
-    match t.wal with
-    | Some w when not t.replaying ->
-        ignore (Wal.append w (Wal.Scrub_repair { rep_id; source }));
-        (* Repair records run outside any transaction: durable before the
-           repair itself touches pages, like autocommit mutations. *)
-        Wal.sync w
-    | Some _ | None -> ()
-  in
+  let log_repair ~rep_id ~source = log_sync t (Wal.Scrub_repair { rep_id; source }) in
   (* The physical sweep runs as a maintenance job so queued backfills and
      teardowns keep making progress while scrub reads pages.  The sweep is
      never logged: a crash mid-sweep just loses the sweep. *)
@@ -1298,7 +1300,7 @@ let io_breakdown t =
   let stats = Pager.stats t.pager in
   let label_of_file =
     let tbl = Hashtbl.create 16 in
-    Hashtbl.iter (fun name hf -> Hashtbl.replace tbl (Heap_file.file_id hf) ("set " ^ name)) t.sets;
+    Stbl.iter (fun name hf -> Hashtbl.replace tbl (Heap_file.file_id hf) ("set " ^ name)) t.sets;
     Hashtbl.iter
       (fun name rt -> Hashtbl.replace tbl (Btree.file_id rt.tree) ("index " ^ name))
       t.indexes;
@@ -1526,7 +1528,7 @@ let load_image ?(frames = 256) ?backend image =
         Schema.create_set t.schema ~name ~elem_type;
         let file = get_u32 () in
         let hf = Heap_file.attach ~reserve t.pager ~file in
-        Hashtbl.replace t.sets name hf;
+        Stbl.replace t.sets name hf;
         Itbl.replace t.data_files file (name, hf)
     | Wal.Replicate { path; strategy; options } ->
         let rep_id = get_u16 () in
@@ -1602,10 +1604,10 @@ let rec redo t record =
       update_field t ~set oid ~field value;
       None
   | Wal.Delete { set; oid } ->
-      delete_impl ~pin:false t ~set oid;
+      delete_impl t None ~pin:false ~set oid;
       None
   | Wal.Txn_op { op = Wal.Delete { set; oid }; _ } ->
-      delete_impl ~pin:true t ~set oid;
+      delete_impl t None ~pin:true ~set oid;
       None
   | Wal.Txn_op { op; _ } -> redo t op
   | Wal.Insert_at { set; oid; values } ->
@@ -1628,7 +1630,7 @@ let rec redo t record =
       | None -> ()
       | Some rep ->
           let set = rep.Schema.rpath.Path.source_set in
-          if Hashtbl.mem t.sets set && Heap_file.exists (set_file t set) source
+          if Stbl.mem t.sets set && Heap_file.exists (set_file t set) source
           then Engine.refresh t.engine rep source);
       None
   | Wal.Replicate_online { path; strategy; options } ->
@@ -1665,23 +1667,18 @@ let recovery_applier t =
    marker, so a crash during (or after) rollback recovers to the same
    state, and a replica of this log resolves the transaction the same
    way. *)
-let rollback_losers t w losers =
+let rollback_losers t losers =
   List.iter
     (fun (l : Recovery.loser) ->
-      t.compensating <- true;
-      Fun.protect
-        ~finally:(fun () -> t.compensating <- false)
-        (fun () ->
+      compensate t (fun () ->
           List.iter
             (fun (set, oid, present, values) ->
               restore_image t
                 { Txn.u_set = set; u_oid = oid; u_present = present; u_values = values })
             l.Recovery.l_images;
           free_txn_tombstones t l.Recovery.l_tombstones);
-      ignore (Wal.append w (Wal.Txn_abort l.Recovery.l_txn));
-      Wal.sync w;
-      let s = Pager.stats t.pager in
-      Stats.bump s Stats.Txn_aborts)
+      log_sync t (Wal.Txn_abort l.Recovery.l_txn);
+      Stats.bump (stats t) Stats.Txn_aborts)
     losers
 
 (* Reopen a checkpoint image and redo its log tail; the returned stream
@@ -1701,19 +1698,16 @@ let replay_log ?frames ?wal_path ?backend path =
   let w = Wal.open_ ~stats:(Pager.stats t.pager) wal_file in
   Wal.ensure_lsn w checkpoint_lsn;
   t.wal <- Some w;
-  t.replaying <- true;
   let stream =
-    Fun.protect
-      ~finally:(fun () -> t.replaying <- false)
-      (fun () -> Recovery.replay w ~after:checkpoint_lsn (recovery_applier t))
+    replay t (fun () -> Recovery.replay w ~after:checkpoint_lsn (recovery_applier t))
   in
   Stats.bump (Pager.stats t.pager) Stats.Recovery_replays;
   (t, w, stream)
 
 (* The losers are the transactions live at the crash. *)
 let recover ?frames ?wal_path ?backend path =
-  let t, w, stream = replay_log ?frames ?wal_path ?backend path in
-  rollback_losers t w (Recovery.losers stream);
+  let t, _, stream = replay_log ?frames ?wal_path ?backend path in
+  rollback_losers t (Recovery.losers stream);
   Invariants.check t.engine;
   t
 
@@ -1745,10 +1739,7 @@ let replica_apply t f =
   (* Records redo through the normal entry points; [replaying] both
      suppresses (nonexistent) WAL appends and opens the [check_primary]
      gate for the duration of the apply. *)
-  t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () ->
+  replay t (fun () ->
       f (fun lsn record ->
           Recovery.feed s lsn record;
           Stats.bump stats Stats.Frames_applied))
@@ -1782,12 +1773,11 @@ let promote_replica t ~wal_path ~last_lsn =
   Wal.ensure_lsn w last_lsn;
   t.wal <- Some w;
   t.epoch <- t.epoch + 1;
-  ignore (Wal.append w (Wal.Epoch_change { epoch = t.epoch }));
-  Wal.sync w;
+  log_sync t (Wal.Epoch_change { epoch = t.epoch });
   (* The transactions still open at the fork lost their master: roll them
      back in the new epoch, where every replica of this log sees the
      compensations and the [Txn_abort]. *)
-  rollback_losers t w losers;
+  rollback_losers t losers;
   t.epoch
 
 (* Rejoin: redo a deposed master's (truncated) image + log, then demote
@@ -1808,7 +1798,7 @@ let recover_replica ?frames ?wal_path ?backend path =
 
 let space_report t =
   let sets =
-    Hashtbl.fold (fun name hf acc -> (("set " ^ name), Heap_file.page_count hf) :: acc) t.sets []
+    Stbl.fold (fun name hf acc -> (("set " ^ name), Heap_file.page_count hf) :: acc) t.sets []
   in
   let indexes =
     Hashtbl.fold (fun name rt acc -> (("index " ^ name), Btree.page_count rt.tree) :: acc) t.indexes []

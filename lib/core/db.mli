@@ -266,7 +266,8 @@ val deref_would_join : t -> set:string -> string -> int
     planner's choice, for tests and benchmarks. *)
 
 val scan : ?txn:txn -> t -> set:string -> (Oid.t -> Record.t -> unit) -> unit
-(** Physical-order scan. *)
+(** Physical-order scan.  A transaction is charged its whole I/O, [f]'s
+    included. *)
 
 val set_size : t -> string -> int
 val set_pages : t -> string -> int

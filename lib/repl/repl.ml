@@ -34,6 +34,7 @@ module Master = struct
     mutable buf_count : int;
     mutable buf_last : int64;
     mutable shipped_lsn : int64;
+    mutable barriers : int;  (* [Commit]s sent, for [pump] *)
     mutable acked_lsn : int64;
     mutable alive : bool;
     mutable pstate : state;
@@ -120,7 +121,8 @@ module Master = struct
         end;
         peer.tr.Transport.send
           (Proto.encode ~epoch:m.epoch
-             (Proto.Commit { lsn = Wal.last_lsn m.wal; bytes = wal_bytes m }))
+             (Proto.Commit { lsn = Wal.last_lsn m.wal; bytes = wal_bytes m }));
+        peer.barriers <- peer.barriers + 1
       with Transport.Disconnected -> kill_peer m peer
 
   (* Bootstrap (or re-bootstrap) a peer from a database image.  [Db.image]
@@ -323,7 +325,7 @@ module Master = struct
     let last_lsn = negotiate m tr pump in
     let peer =
       { tr; pump; buf = ref Bytes.empty; buf_bytes = 0; buf_count = 0;
-        buf_last = 0L; shipped_lsn = 0L; acked_lsn = 0L;
+        buf_last = 0L; shipped_lsn = 0L; barriers = 0; acked_lsn = 0L;
         alive = true; pstate = Live; synchronous = true;
         last_heard = Clock.now m.clock }
     in
@@ -342,20 +344,18 @@ module Master = struct
     m.peers <- m.peers @ [ peer ];
     peer
 
-  (* Drive progress outside a sync: flush async buffers, re-issue the
-     durability barrier to lagging peers (the anti-entropy retry: a
-     behind replica answers a bare [Commit] with an [Ack] or a [Resend],
-     even if its earlier [Resend] was lost), drain replica-to-master
-     traffic (acks, resend requests), and re-promote caught-up demoted
-     peers back to synchronous. *)
+  (* Drive progress outside a sync: drain replica-to-master traffic (acks,
+     resend requests), flush async buffers, re-issue the durability
+     barrier to lagging peers (the anti-entropy retry: a behind replica
+     answers a bare [Commit] with an [Ack] or a [Resend], even if its
+     earlier [Resend] was lost) unless the drain's answer to a [Resend]
+     just sent one, and re-promote caught-up demoted peers. *)
   let pump m =
     if not m.deposed then begin
       List.iter
         (fun peer ->
           if peer.alive then begin
-            if peer.buf_count > 0 then flush_peer m peer
-            else if Int64.compare peer.acked_lsn (Wal.last_lsn m.wal) < 0 then
-              ship_frames m peer no_frames;
+            let barriers = peer.barriers in
             (* Poll, never wait: pump drains what has already arrived.  Only
                an ack-mode barrier ([await_ack]) may block on a peer. *)
             let continue = ref true in
@@ -364,6 +364,11 @@ module Master = struct
               | Some payload -> handle_peer_msg m peer payload
               | None -> continue := false
             done;
+            if peer.buf_count > 0 then flush_peer m peer
+            else if
+              peer.barriers = barriers
+              && Int64.compare peer.acked_lsn (Wal.last_lsn m.wal) < 0
+            then ship_frames m peer no_frames;
             match m.mode with
             | Ack
               when (not peer.synchronous) && peer.alive

@@ -128,10 +128,10 @@ module Master : sig
       epoch. *)
 
   val pump : t -> unit
-  (** Flush async buffers, re-ship the durability barrier to lagging
-      peers, drain replica-to-master traffic (acks, resend requests), and
-      re-promote caught-up demoted peers.  Call between workload batches;
-      ack mode largely drives itself from inside [Wal.sync]. *)
+  (** Drain replica-to-master traffic (acks, resend requests), flush async
+      buffers, re-ship the durability barrier to lagging peers this round
+      sent none, and re-promote caught-up demoted peers.  Call between
+      workload batches; ack mode largely drives itself from [Wal.sync]. *)
 
   val tick : t -> unit
   (** The liveness beat: {!pump}, then advance each peer's

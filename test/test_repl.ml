@@ -47,7 +47,7 @@ let seed_base =
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures                                                     *)
 
-let build_master ?(s_count = 30) ?(seed = 5) ?wal_flush_limit () =
+let build_master ?(s_count = 30) ?(seed = 5) ?(frames = 64) ?wal_flush_limit () =
   let built =
     Gen.build
       {
@@ -56,7 +56,7 @@ let build_master ?(s_count = 30) ?(seed = 5) ?wal_flush_limit () =
         sharing = 2;
         strategy = Params.Inplace;
         page_size = 1024;
-        frames = 64;
+        frames;
         seed = seed + seed_base;
         durable = true;
         wal_flush_limit;
@@ -507,14 +507,16 @@ let test_replica_apply_words () =
 (* The unit of shipping is the log's own bytes.  Over several syncs, an
    async flush and a resend, the ranges shipped as the tap handed them are,
    end to end, the log file after its header, and the resent range is the
-   file from the first frame above [after]. *)
-let test_shipped_bytes_are_the_log () =
+   file from the first frame above [after].  One lost flush costs one
+   resent tail; when the replica's [Resend] is lost too, the next round's
+   bare barrier makes it ask again, and that answer brings it level. *)
+let shipped_bytes_are_the_log ~lose_resend () =
   let wal_path = Filename.temp_file "fieldrep_repl_bytes" ".wal" in
   Sys.remove wal_path;
   let mdb = Db.create ~page_size:1024 ~frames:64 ~wal_path () in
   let m = Master.create ~mode:(Master.Async { buffer_bytes = 1 lsl 20 }) mdb in
   let events = ref [] in
-  let ma, rb, fa, _ = Transport.loopback () in
+  let ma, rb, fa, fb = Transport.loopback () in
   let ma =
     { ma with
       Transport.send =
@@ -553,6 +555,7 @@ let test_shipped_bytes_are_the_log () =
   converge m r;
   (* the next flush is lost on the wire: the replica asks for the tail *)
   fa.Transport.drop <- 1;
+  if lose_resend then fb.Transport.drop <- 1;
   Db.delete mdb ~set:"X" (List.hd xs);
   ignore (Db.insert mdb ~set:"X" [ Value.VInt 99; Value.VString "late" ]);
   converge m r;
@@ -581,9 +584,11 @@ let test_shipped_bytes_are_the_log () =
   checkb "more than one async flush" true (List.length tapped >= 3);
   checks "tap ranges, end to end, are the log after its header" body
     (String.concat "" tapped);
-  (* The barrier that revealed the gap and the one queued behind the first
-     resend's answer each ask once. *)
-  checkb "the lost flush was resent" true (resent <> []);
+  let asked =
+    List.length (List.filter (function `Resend _ -> true | `Frames _ -> false) !events)
+  in
+  checki "resend requests, the lost one included" (if lose_resend then 2 else 1) asked;
+  checki "one resent tail" 1 (List.length resent);
   List.iter
     (fun (after, tail) ->
       (* the offset of the first frame above [after], walked by hand *)
@@ -667,6 +672,36 @@ let test_ack_mode_blocks () =
        (Wal.last_lsn (Option.get (Db.wal mdb))));
   check_converged ~what:"ack replica" mdb (Replica.db r);
   ignore m
+
+(* A transaction pays its own database's I/O.  Master and ack-mode
+   replica each run on a pool of four frames, so both miss; the replica
+   applies the commit's frames inside the master's [Wal.sync], and none
+   of its page I/O is charged to the master's transaction. *)
+let test_ack_txn_io_is_its_own () =
+  let mdb = build_master ~frames:4 () in
+  let m = Master.create ~mode:Master.Ack mdb in
+  let ma, rb, _, _ = Transport.loopback () in
+  let r = Replica.connect ~frames:4 rb in
+  ignore (Master.attach ~pump:(fun () -> ignore (Replica.drain r)) m ma);
+  ignore (Replica.drain r);
+  let ss = s_oids mdb in
+  let io db = Stats.total_io (Db.stats db) in
+  let rdb = Replica.db r in
+  let master0 = io mdb and replica0 = io rdb in
+  let tx = Db.begin_txn mdb in
+  Array.iteri
+    (fun i s ->
+      if i < 8 then
+        Db.update_field ~txn:tx mdb ~set:"S" s ~field:"repfield"
+          (Value.VString (Printf.sprintf "own-io-%02d" i)))
+    ss;
+  Db.commit mdb tx;
+  checkb "the replica applied the commit" true
+    (Int64.equal (Replica.last_applied r) (Wal.last_lsn (Option.get (Db.wal mdb))));
+  checkb "the master missed its pool" true (io mdb > master0);
+  checkb "the replica's redo missed its pool" true (io rdb > replica0);
+  checki "txn I/O = the master's own I/O" (io mdb - master0) (Db.Txn.io tx);
+  check_converged ~what:"small-pool ack replica" mdb rdb
 
 (* Space reuse on a replica.  The master runs a rolling window over R —
    delete the oldest object, insert a new one — for a turnover and then
@@ -1187,6 +1222,8 @@ let () =
           Alcotest.test_case "retrieve between DDLs" `Quick
             test_retrieve_between_ddls;
           Alcotest.test_case "ack mode blocks" `Quick test_ack_mode_blocks;
+          Alcotest.test_case "a txn pays only its own I/O" `Quick
+            test_ack_txn_io_is_its_own;
           Alcotest.test_case "ack replica reuses space" `Quick
             test_ack_replica_space_reuse;
           Alcotest.test_case "replica is read-only" `Quick test_replica_read_only;
@@ -1194,7 +1231,9 @@ let () =
           Alcotest.test_case "apply words beyond the redo" `Quick
             test_replica_apply_words;
           Alcotest.test_case "shipped bytes are the log" `Quick
-            test_shipped_bytes_are_the_log;
+            (shipped_bytes_are_the_log ~lose_resend:false);
+          Alcotest.test_case "a lost resend is asked again" `Quick
+            (shipped_bytes_are_the_log ~lose_resend:true);
         ] );
       ( "faults",
         [

@@ -623,6 +623,52 @@ let test_commit_applies () =
     (Db.deref db ~set:"R" fresh "sref.repfield");
   Db.check_integrity db
 
+(* A finished transaction is refused at every entry point, before the
+   operation reads, writes or logs anything. *)
+let finished_txn_refused outcome () =
+  let built = Gen.build (small_spec ~durable:true Params.Inplace 11) in
+  let db = built.Gen.db in
+  let wal = Option.get (Db.wal db) in
+  let r0 = r_of db 0 and r1 = r_of db 1 and s0 = s_of db 0 in
+  let txn = Db.begin_txn db in
+  Db.update_field ~txn db ~set:"S" s0 ~field:"repfield" (Value.VString "touched");
+  (match outcome with `Commit -> Db.commit db txn | `Abort -> Db.abort db txn);
+  let calls =
+    [
+      ( "insert",
+        fun () ->
+          ignore
+            (Db.insert ~txn db ~set:"R"
+               [ Value.VInt 888; Value.VString "late"; Value.VRef s0 ]) );
+      ("delete", fun () -> Db.delete ~txn db ~set:"R" r1);
+      ( "update_field",
+        fun () -> Db.update_field ~txn db ~set:"R" r0 ~field:"field_r" (Value.VInt 999) );
+      ("get", fun () -> ignore (Db.get ~txn db ~set:"R" r0));
+      ("scan", fun () -> Db.scan ~txn db ~set:"R" (fun _ _ -> ()));
+      ("deref", fun () -> ignore (Db.deref ~txn db ~set:"R" r0 "sref.repfield"));
+      ( "index_lookup",
+        fun () -> ignore (Db.index_lookup ~txn db ~index:Gen.r_index (Key.Int 0)) );
+      ( "index_range",
+        fun () ->
+          ignore
+            (Db.index_range ~txn db ~index:Gen.r_index ~lo:(Key.Int 0) ~hi:(Key.Int 10)
+               ~init:0 ~f:(fun n _ _ -> n + 1)) );
+    ]
+  in
+  List.iter
+    (fun (name, call) ->
+      let snap = Stats.copy (Db.stats db) and lsn = Wal.last_lsn wal in
+      (match call () with
+      | () -> Alcotest.failf "%s: a finished transaction was accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (name ^ " refused") "Db: transaction is not active" msg);
+      let d = Stats.diff (Db.stats db) snap in
+      checki (name ^ ": objects read") 0 d.Stats.objects_read;
+      checki (name ^ ": objects written") 0 d.Stats.objects_written;
+      checkb (name ^ ": nothing logged") true (Int64.equal lsn (Wal.last_lsn wal)))
+    calls;
+  Db.check_integrity db
+
 let abort_restores strategy () =
   let built = Gen.build (small_spec strategy 7) in
   let db = built.Gen.db in
@@ -1131,6 +1177,10 @@ let () =
       ( "commit/abort",
         [
           Alcotest.test_case "commit applies" `Quick test_commit_applies;
+          Alcotest.test_case "a committed txn is refused" `Quick
+            (finished_txn_refused `Commit);
+          Alcotest.test_case "an aborted txn is refused" `Quick
+            (finished_txn_refused `Abort);
           Alcotest.test_case "abort restores (no replication)" `Quick
             (abort_restores Params.No_replication);
           Alcotest.test_case "abort restores (in-place)" `Quick
