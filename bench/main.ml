@@ -603,8 +603,9 @@ let warm_cache () =
       where = Some (Ast.between "field_r" (Value.VInt lo) (Value.VInt (lo + 19)));
     }
   in
-  (* Keep the output files alive until the end: dropping one clears the
-     whole buffer pool, which is exactly the effect we are not measuring. *)
+  (* Keep the output files until the end, so each run finds the pool as
+     the run before left it, output pages included: dropping a file frees
+     its frames. *)
   let outputs = ref [] in
   let run query =
     let before = Stats.copy (Db.stats db) in

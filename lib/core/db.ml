@@ -800,13 +800,13 @@ let update_field ?txn t ~set oid ~field value =
   check_primary t "Db.update_field";
   let tx = live t txn in
   let ty = Schema.set_type t.schema set in
-  let idx =
-    match Ty.field_index ty field with
-    | idx -> idx
+  let fdef =
+    match Ty.field ty field with
+    | fdef -> fdef
     | exception Not_found ->
         invalid_arg (Printf.sprintf "Db.update_field: %s has no field %s" set field)
   in
-  let fdef = Listx.nth_exn ~what:"Db.update_field" ty.Ty.fields idx in
+  let idx = Ty.field_index ty field in
   check_value t ~context:"Db.update_field" fdef value;
   let io0 = io t in
   let hf = set_file t set in
@@ -973,18 +973,17 @@ let compile_walk t { set; steps; terminal } =
   let rec compile ty_name acc = function
     | [] -> (
         let ty = Schema.find_type t.schema ty_name in
-        match Ty.field_opt ty terminal with
-        | Some { Ty.ftype = Ty.Scalar _ | Ty.Ref _; _ } ->
-            Walk (List.rev acc, Ty.field_index ty terminal)
-        | None ->
+        match Ty.field_index ty terminal with
+        | idx -> Walk (List.rev acc, idx)
+        | exception Not_found ->
             invalid_arg
               (Printf.sprintf "Db.expr: type %s has no field %s" ty_name terminal))
     | step :: rest -> (
         let ty = Schema.find_type t.schema ty_name in
-        match Ty.field_opt ty step with
-        | Some { Ty.ftype = Ty.Ref target; _ } ->
+        match Ty.field ty step with
+        | { Ty.ftype = Ty.Ref target; _ } ->
             compile target (Ty.field_index ty step :: acc) rest
-        | Some _ | None ->
+        | { Ty.ftype = Ty.Scalar _; _ } | (exception Not_found) ->
             invalid_arg
               (Printf.sprintf "Db.expr: %s.%s is not a reference attribute" ty_name
                  step))

@@ -25,8 +25,8 @@ let rec encode_links buf off = function
       let off = Oid.encode buf off l.link_oid in
       encode_links buf (Wire.put_u8 buf off l.link_id) rest
 
-let encode_to buf t =
-  let off = Wire.put_u16 buf 0 t.type_tag in
+let encode_to buf off t =
+  let off = Wire.put_u16 buf off t.type_tag in
   let off = Wire.put_u8 buf off (List.length t.links) in
   let off = encode_links buf off t.links in
   let off = ref (Wire.put_u16 buf off (Array.length t.values)) in
@@ -37,7 +37,7 @@ let encode_to buf t =
 
 let encode t =
   let buf = Bytes.create (encoded_size t) in
-  let off = encode_to buf t in
+  let off = encode_to buf 0 t in
   assert (off = Bytes.length buf);
   buf
 

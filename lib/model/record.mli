@@ -40,9 +40,9 @@ val field : t -> int -> Value.t
 
 val encoded_size : t -> int
 
-val encode_to : Bytes.t -> t -> int
-(** [encode_to buf t] writes [t] at the start of [buf], which must hold
-    [encoded_size t] bytes, and returns that size. *)
+val encode_to : Bytes.t -> int -> t -> int
+(** [encode_to buf off t] writes [t] at [off] in [buf], which must hold
+    [encoded_size t] bytes from there, and returns the offset past it. *)
 
 val encode : t -> Bytes.t
 

@@ -15,17 +15,18 @@ let make ~name fields =
     fields;
   { tname = name; fields }
 
-let field_opt t name = List.find_opt (fun f -> f.fname = name) t.fields
+(* Top-level walks that take the name: a lookup builds no closure. *)
+let rec find_field name = function
+  | [] -> raise Not_found
+  | f :: rest -> if String.equal f.fname name then f else find_field name rest
 
-let field t name =
-  match field_opt t name with Some f -> f | None -> raise Not_found
+let rec index_from name i = function
+  | [] -> raise Not_found
+  | f :: rest -> if String.equal f.fname name then i else index_from name (i + 1) rest
 
-let field_index t name =
-  let rec go i = function
-    | [] -> raise Not_found
-    | f :: rest -> if f.fname = name then i else go (i + 1) rest
-  in
-  go 0 t.fields
+let field t name = find_field name t.fields
+let field_opt t name = match field t name with f -> Some f | exception Not_found -> None
+let field_index t name = index_from name 0 t.fields
 
 let arity t = List.length t.fields
 

@@ -17,7 +17,9 @@ val make : name:string -> field list -> t
     Raises [Invalid_argument] otherwise. *)
 
 val field : t -> string -> field
-(** Raises [Not_found]. *)
+(** Raises [Not_found].  Allocates nothing, like {!field_index}: a hot
+    path that must tell a missing field from a present one matches on
+    this, not on {!field_opt}. *)
 
 val field_opt : t -> string -> field option
 val field_index : t -> string -> int

@@ -70,20 +70,23 @@ let explain_retrieve db (q : Ast.retrieve) =
       List.map (fun s -> (s, Db.joins (Db.expr db ~set s))) q.Ast.projections;
   }
 
+(* The OIDs an index plan selects, in key order. *)
+let index_oids db ~index (where : Ast.predicate option) =
+  (* choose_access only picks an index scan off a bounded predicate. *)
+  let lo, hi =
+    match Option.map key_bounds where with
+    | Some (Some bounds) -> bounds
+    | Some None | None -> invalid_arg "Exec: index plan without key bounds"
+  in
+  (* Collect first: callbacks may mutate the tree's pages' residency. *)
+  List.rev (Db.index_range db ~index ~lo ~hi ~init:[] ~f:(fun acc _ oid -> oid :: acc))
+
 (* Feed every selected (oid, record) to [f].  Index scans visit in key
    order; file scans in physical order. *)
 let iter_selected db ~set (where : Ast.predicate option) f =
   match choose_access db ~set where with
   | Index_scan index ->
-      (* choose_access only picks an index scan off a bounded predicate. *)
-      let lo, hi =
-        match Option.map key_bounds where with
-        | Some (Some bounds) -> bounds
-        | Some None | None -> invalid_arg "Exec: index plan without key bounds"
-      in
-      (* Collect first: callbacks may mutate the tree's pages' residency. *)
-      let oids = Db.index_range db ~index ~lo ~hi ~init:[] ~f:(fun acc _ oid -> oid :: acc) in
-      List.iter (fun oid -> f oid (Db.get db ~set oid)) (List.rev oids)
+      List.iter (fun oid -> f oid (Db.get db ~set oid)) (index_oids db ~index where)
   | File_scan -> (
       match where with
       | None -> Db.scan db ~set f
@@ -92,33 +95,57 @@ let iter_selected db ~set (where : Ast.predicate option) f =
           Db.scan db ~set (fun oid record ->
               if value_in_range p (Db.eval ~oid db e record) then f oid record))
 
+(* An index plan reads no target to find it. *)
 let matching_oids db ~set where =
-  let acc = ref [] in
-  iter_selected db ~set where (fun oid _ -> acc := oid :: !acc);
-  List.rev !acc
+  match choose_access db ~set where with
+  | Index_scan index -> index_oids db ~index where
+  | File_scan ->
+      let acc = ref [] in
+      iter_selected db ~set where (fun oid _ -> acc := oid :: !acc);
+      List.rev !acc
 
 type retrieve_result = { rows : int; output_file : int; output_pages : int }
+
+(* A retrieve's rows not yet stored, encoded end to end as {!Heap_file.insert_run}
+   takes them; one per domain, so a warm retrieve allocates neither. *)
+type staging = { bytes : Bytes.t ref; mutable bounds : int array; mutable staged : int }
+
+let staging = Domain.DLS.new_key (fun () -> { bytes = ref Bytes.empty; bounds = [| 0 |]; staged = 0 })
+
+(* Store the staged rows, or with [~all:false] those that fill whole
+   pages, and move the rest to the front. *)
+let place out run ~all =
+  let placed = Heap_file.insert_run out ~all !(run.bytes) run.bounds run.staged in
+  let from = run.bounds.(placed) in
+  run.staged <- run.staged - placed;
+  for i = 1 to run.staged do
+    run.bounds.(i) <- run.bounds.(placed + i) - from
+  done;
+  Bytes.blit !(run.bytes) from !(run.bytes) 0 run.bounds.(run.staged)
 
 let retrieve db (q : Ast.retrieve) =
   let set = q.Ast.from_set in
   let projections = Array.of_list (compile db ~set q.Ast.projections) in
   let out = Heap_file.create_output (Db.pager db) in
-  let rows = ref 0 in
-  (* One tuple and one encoding buffer serve every row: each row's values
-     are evaluated into the tuple and encoded once, straight into the
-     buffer the insert reads. *)
+  (* One tuple serves every row: its values are evaluated into the tuple
+     and encoded once, after the rows staged before it.  The output file
+     takes them a page's worth at a time, each page under one pin. *)
   let tuple = Record.make ~type_tag:0 (Array.make (Array.length projections) Value.VNull) in
-  let buf = ref Bytes.empty in
+  let run = Domain.DLS.get staging in
+  run.staged <- 0;
   iter_selected db ~set q.Ast.where (fun oid record ->
       for i = 0 to Array.length projections - 1 do
         tuple.Record.values.(i) <- Db.eval ~oid db projections.(i) record
       done;
-      let len = Record.encoded_size tuple in
-      Wire.grow buf len;
-      ignore (Record.encode_to !buf tuple);
-      ignore (Heap_file.insert ~len out !buf);
-      incr rows);
-  { rows = !rows; output_file = Heap_file.file_id out; output_pages = Heap_file.page_count out }
+      let pos = run.bounds.(run.staged) in
+      Wire.grow ~keep:true run.bytes (pos + Record.encoded_size tuple);
+      if run.staged + 1 = Array.length run.bounds then run.bounds <- Array.append run.bounds run.bounds;
+      run.staged <- run.staged + 1;
+      run.bounds.(run.staged) <- Record.encode_to !(run.bytes) pos tuple;
+      if run.bounds.(run.staged) >= Pager.page_size (Db.pager db) then place out run ~all:false);
+  place out run ~all:true;
+  let rows = Heap_file.object_count out in
+  { rows; output_file = Heap_file.file_id out; output_pages = Heap_file.page_count out }
 
 let drop_output db file = Pager.delete_file (Db.pager db) file
 

@@ -533,7 +533,7 @@ let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
     let sp = Record.make ~type_tag:tag values in
     let sp_buf = Domain.DLS.get encoding_buf in
     Wire.grow sp_buf (Record.encoded_size sp);
-    let sp_oid = Heap_file.insert ~len:(Record.encode_to !sp_buf sp) hf !sp_buf in
+    let sp_oid = Heap_file.insert ~len:(Record.encode_to !sp_buf 0 sp) hf !sp_buf in
     Heap_file.update
       ~len:(Record.set_link_at buf len { Record.link_oid = sp_oid; link_id = sref_link })
       final_file final_oid buf;

@@ -28,6 +28,14 @@ type t = {
   mutable run_first : Oid.t;
   mutable run_rest : Oid.t list;
   mutable run_deferred : (Oid.t * Bytes.t) list;
+  (* [place_run]'s records [ins_i] to [ins_n - 1] of [ins_buf], laid out
+     by [ins_bounds] as {!insert_run} says, and {!insert}'s bounds *)
+  mutable ins_buf : Bytes.t;
+  mutable ins_bounds : int array;
+  mutable ins_i : int;
+  mutable ins_n : int;
+  mutable tail_refuses : int;  (* a size the tail page, as it is, refuses *)
+  one : int array;
 }
 
 and edit = Keep | Patched | Rewrite of Bytes.t * int
@@ -112,6 +120,12 @@ let handle ~reserve pager file =
       run_first = Oid.nil;
       run_rest = [];
       run_deferred = [];
+      ins_buf = Bytes.empty;
+      ins_bounds = [||];
+      ins_i = 0;
+      ins_n = 0;
+      tail_refuses = max_int;
+      one = [| 0; 0 |];
     }
   in
   t
@@ -161,6 +175,7 @@ let usable t buf =
 (* Bring the map up to date with a page just changed: called at the end of
    every closure that writes a page of this file. *)
 let note t page buf =
+  if page = t.tail_page then t.tail_refuses <- max_int;
   let entry = usable t buf in
   if t.space.(page) >= 0 then t.candidates <- t.candidates - 1;
   if entry >= 0 then t.candidates <- t.candidates + 1;
@@ -180,32 +195,63 @@ let insert_step t buf =
     slot
   end
 
-let try_page t page =
-  t.at_page <- page;
-  Pager.with_pin_arg t.pager ~file:t.file ~page ~dirty:true insert_step t
+(* Stage record [ins_i] of the run, only its head chunk when it outgrows a
+   page. *)
+let stage_next t =
+  let pos = t.ins_bounds.(t.ins_i) in
+  stage t ~kind:kind_head ~next:Oid.nil t.ins_buf pos
+    (min (t.ins_bounds.(t.ins_i + 1) - pos) (max_record t - header_size))
 
-(* Place the staged record. *)
-let insert_staged t =
-  let len = t.staged in
-  let reuse = if t.candidates > 0 then lowest_fit t len 0 else -1 in
-  let slot = if reuse >= 0 then try_page t reuse else -1 in
-  if slot >= 0 then { Oid.file = t.file; page = reuse; slot }
-  else
-    let slot = if t.tail_page >= 0 then try_page t t.tail_page else -1 in
-    if slot >= 0 then { Oid.file = t.file; page = t.tail_page; slot }
-    else begin
-      let page = Pager.new_page t.pager ~file:t.file in
-      Pager.with_page_write t.pager ~file:t.file ~page Page.init;
-      if page >= Array.length t.space then begin
-        let space = Array.make (max 8 (2 * page)) (-1) in
-        Array.blit t.space 0 space 0 (Array.length t.space);
-        t.space <- space
-      end;
-      t.tail_page <- page;
-      let slot = try_page t page in
-      if slot < 0 then invalid_arg "Heap_file: record larger than a page";
-      { Oid.file = t.file; page; slot }
+(* The insert policy: the lowest reuse candidate the staged record fits,
+   which always takes it, else the tail page unless that is known to
+   refuse it, else -1 for a new page. *)
+let offer t =
+  let reuse = if t.candidates > 0 then lowest_fit t t.staged 0 else -1 in
+  if reuse >= 0 || t.staged >= t.tail_refuses then reuse else t.tail_page
+
+(* The step on the pinned [at_page], a new one when [at_slot] < 0: put the
+   staged segment there and, for record [ins_i] of a run, each next record
+   while the last was whole and the policy offers this page.  False, and
+   the refusal remembered, when the tail page refuses the first. *)
+let rec place_step t buf =
+  if t.at_slot < 0 then Page.init buf;
+  let slot = insert_step t buf in
+  if slot < 0 then t.tail_refuses <- t.staged
+  else begin
+    t.at_slot <- slot;
+    if t.ins_i < t.ins_n then begin
+      let whole = t.staged - header_size = t.ins_bounds.(t.ins_i + 1) - t.ins_bounds.(t.ins_i) in
+      t.ins_i <- t.ins_i + 1;
+      t.count <- t.count + 1;
+      Stats.bump (Pager.stats t.pager) Stats.Objects_written;
+      if whole && t.ins_i < t.ins_n then begin
+        stage_next t;
+        if offer t = t.at_page then ignore (place_step t buf)
+      end
     end
+  end;
+  slot >= 0
+
+(* Place the staged segment, and the run's records after it that land on
+   its page, under one pin.  Only the tail page may refuse; the policy
+   then offers a new page. *)
+let rec place_staged t =
+  let offered = offer t in
+  t.at_slot <- offered;
+  t.at_page <- offered;
+  if offered < 0 then begin
+    let page = Pager.new_page t.pager ~file:t.file in
+    if page >= Array.length t.space then begin
+      let space = Array.make (max 8 (2 * page)) (-1) in
+      Array.blit t.space 0 space 0 (Array.length t.space);
+      t.space <- space
+    end;
+    t.tail_page <- page;
+    t.at_page <- page
+  end;
+  if not (Pager.with_pin_arg t.pager ~file:t.file ~page:t.at_page ~dirty:true place_step t) then
+    if offered <> t.tail_page then invalid_arg "Heap_file: record larger than a page"
+    else place_staged t
 
 (* What a head step asks for when it is not one kind: to look only (no
    live record has kind -1), or to act on a live record of any kind. *)
@@ -274,25 +320,25 @@ let refuse t oid message =
   invalid_arg message
 
 (* Write over the [kind] record at [oid] the head of a chain that goes on
-   at [next]: [chunk] payload bytes, no more than the record holds, so the
-   write succeeds in place. *)
-let write_chain_head t oid ~kind payload chunk next =
-  stage t ~kind:kind_head ~next payload 0 chunk;
+   at [next]: [chunk] payload bytes from [pos], no more than the record
+   holds, so the write succeeds in place. *)
+let write_chain_head t oid ~kind payload pos chunk next =
+  stage t ~kind:kind_head ~next payload pos chunk;
   let ok = head_at t oid kind in
   assert ok
 
-(* Append the payload's bytes from [pos] up to [len] as a chain of
+(* Append the payload's bytes from [pos] up to [stop] as a chain of
    continuation segments, returning the OID of the first one (or nil when
    done). *)
-let rec spill t payload pos len =
-  let remaining = len - pos in
-  if remaining = 0 then Oid.nil
+let rec spill t payload pos stop =
+  if pos = stop then Oid.nil
   else begin
-    let room = max_record t - header_size in
-    let chunk = min remaining room in
-    let next = spill t payload (pos + chunk) len in
+    let chunk = min (stop - pos) (max_record t - header_size) in
+    let next = spill t payload (pos + chunk) stop in
     stage t ~kind:kind_segment ~next payload pos chunk;
-    insert_staged t
+    t.ins_n <- 0;
+    place_staged t;
+    { Oid.file = t.file; page = t.at_page; slot = t.at_slot }
   end
 
 (* Put [len] payload bytes over the [want] record at [oid] with one head
@@ -313,22 +359,40 @@ let place t oid want payload len =
 let spill_head t oid ~kind payload len ~keep =
   let keep = min len keep in
   let next = spill t payload keep len in
-  write_chain_head t oid ~kind payload keep next
+  write_chain_head t oid ~kind payload 0 keep next
+
+(* Place records [i] to [n - 1] of a run; see {!insert_run}.  A record
+   that outgrows a page puts its head chunk down like any other, then
+   spills the rest and points the head at it, so [at_page]/[at_slot] end
+   on the last record's head. *)
+let rec place_run t ~all buf bounds i n =
+  t.ins_buf <- buf;
+  t.ins_bounds <- bounds;
+  t.ins_i <- i;
+  t.ins_n <- n;
+  if i < n then stage_next t;
+  if i = n || not (all || offer t >= 0 || bounds.(n) - bounds.(i) >= Pager.page_size t.pager)
+  then begin
+    t.ins_buf <- Bytes.empty;
+    i
+  end
+  else begin
+    place_staged t;
+    let last = t.ins_i - 1 and room = max_record t - header_size in
+    let pos = bounds.(last) + room in
+    if pos < bounds.(last + 1) then begin
+      let head = { Oid.file = t.file; page = t.at_page; slot = t.at_slot } in
+      write_chain_head t head ~kind:kind_head buf bounds.(last) room (spill t buf pos bounds.(last + 1))
+    end;
+    place_run t ~all buf bounds (last + 1) n
+  end
+
+let insert_run t ~all buf bounds n = place_run t ~all buf bounds 0 n
 
 let insert ?len t payload =
-  let len = match len with Some len -> len | None -> Bytes.length payload in
-  (* Head goes first, so while no page qualifies for reuse home slots
-     appear in insertion order; oversize payloads spill their tail into
-     segments allocated just after. *)
-  let head_chunk = min len (max_record t - header_size) in
-  stage t ~kind:kind_head ~next:Oid.nil payload 0 head_chunk;
-  let head_oid = insert_staged t in
-  let next = spill t payload head_chunk len in
-  if not (Oid.is_nil next) then
-    write_chain_head t head_oid ~kind:kind_head payload head_chunk next;
-  t.count <- t.count + 1;
-  Stats.bump (Pager.stats t.pager) Stats.Objects_written;
-  head_oid
+  t.one.(1) <- (match len with Some len -> len | None -> Bytes.length payload);
+  ignore (place_run t ~all:true payload t.one 0 1);
+  { Oid.file = t.file; page = t.at_page; slot = t.at_slot }
 
 (* A continuation segment's chunk and the segment after it, nil at the
    end. *)

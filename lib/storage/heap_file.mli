@@ -59,6 +59,13 @@ val insert : ?len:int -> t -> Bytes.t -> Oid.t
     qualifying page.  Each segment is staged in a per-domain scratch
     buffer, so an insert that fits one page allocates only its OID. *)
 
+val insert_run : t -> all:bool -> Bytes.t -> int array -> int -> int
+(** [insert_run t ~all buf bounds n] stores [n] objects, object [i] the
+    bytes of [buf] from [bounds.(i)] to [bounds.(i + 1)], each where
+    {!insert} would put it but under one pin per page.  With [~all:false]
+    it stops before a new page that the objects left might not fill.
+    Returns how many it stored, the first ones. *)
+
 val read_with : t -> Oid.t -> (Bytes.t -> int -> int -> 'a) -> 'a
 (** [read_with t oid decode] is [decode buf off len] over the object's
     payload, [buf.[off .. off+len-1]].  For an object of one segment [buf]

@@ -63,6 +63,18 @@ let test_ty_missing_field () =
    with Not_found -> ());
   checkb "field_opt" true (Ty.field_opt emp_ty "nope" = None)
 
+(* A lookup walks the fields with a top-level function that takes the
+   name, so a warm one builds no closure and allocates nothing. *)
+let test_ty_lookup_allocates_nothing () =
+  let name = "dept" in
+  ignore (Ty.field_index emp_ty name);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Ty.field_index emp_ty name));
+    ignore (Sys.opaque_identity (Ty.field emp_ty name))
+  done;
+  checki "words for 1000 warm lookups" 0 (int_of_float (Gc.minor_words () -. before))
+
 (* ------------------------------------------------------------------ *)
 (* Value                                                               *)
 
@@ -559,6 +571,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_ty_basics;
           Alcotest.test_case "validation" `Quick test_ty_validation;
           Alcotest.test_case "missing field" `Quick test_ty_missing_field;
+          Alcotest.test_case "lookup allocates nothing" `Quick
+            test_ty_lookup_allocates_nothing;
         ] );
       ( "value",
         [
