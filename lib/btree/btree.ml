@@ -35,7 +35,6 @@ type t = {
   mutable bounded : bool;  (* the scan ends within the leaf the descent reaches *)
   mutable next : int;  (* the leaf a scan continues at, -1 when it ends *)
   mutable hits : Oid.t list;  (* a lookup's OIDs, newest first *)
-  mutable first_only : bool;  (* a lookup stops at its first hit *)
   mutable scan_keys : Key.t array;  (* one leaf's scan hits *)
   mutable scan_oids : Oid.t array;
   mutable underfull : bool;  (* the node a delete step just left *)
@@ -243,7 +242,6 @@ let make pager ~file ~root ~count ~free_pages =
     bounded = false;
     next = -1;
     hits = [];
-    first_only = false;
     scan_keys = [||];
     scan_oids = [||];
     underfull = false;
@@ -348,11 +346,7 @@ let rec push_oids t buf off k =
 
 let lookup_step seek t buf =
   let off = scan_start t buf ~seek in
-  if t.first_only && t.seek_idx > 0 then begin
-    t.next <- -1;
-    push_oids t buf off 1
-  end
-  else push_oids t buf off t.seek_idx
+  push_oids t buf off t.seek_idx
 
 let lookup_chain t buf = lookup_step false t buf
 
@@ -423,10 +417,9 @@ let iter_range t ~lo ~hi f =
     hand_out ()
   end
 
-(* The OIDs under [key], newest first; all of them, or the first. *)
-let lookup t key ~first_only =
+(* The OIDs under [key], newest first. *)
+let lookup t key =
   start_scan t ~lo:key ~hi:key;
-  t.first_only <- first_only;
   t.hits <- [];
   descend_scan t t.root lookup_descend;
   while t.next >= 0 do
@@ -441,10 +434,8 @@ let fold_range t ~lo ~hi ~init ~f =
   iter_range t ~lo ~hi (fun k o -> acc := f !acc k o);
   !acc
 
-let find t key = List.rev (lookup t key ~first_only:false)
-
-let find_first t key =
-  match lookup t key ~first_only:true with o :: _ -> Some o | [] -> None
+let find t key = List.rev (lookup t key)
+let find_first t key = match find t key with o :: _ -> Some o | [] -> None
 
 let iter_all t f =
   (* Left-most leaf, then the chain. *)

@@ -60,7 +60,7 @@ val find : t -> Key.t -> Fieldrep_storage.Oid.t list
 (** All OIDs under the key, in OID order. *)
 
 val find_first : t -> Key.t -> Fieldrep_storage.Oid.t option
-
+(** The head of {!find}. *)
 
 val iter_range : t -> lo:Key.t -> hi:Key.t -> (Key.t -> Fieldrep_storage.Oid.t -> unit) -> unit
 (** Entries with [lo <= key <= hi] in order. *)

@@ -64,15 +64,13 @@
 (** Peer liveness as seen by the failure detector. *)
 type state = Live | Suspect | Dead
 
-(** Failure-detector deadlines, in clock ticks. *)
+(** Failure-detector deadlines, in clock ticks; by default
+    [{heartbeat_every = 50; suspect_after = 120; dead_after = 250}]. *)
 type liveness = {
   heartbeat_every : int;  (** send a [Ping] when this long since the last *)
   suspect_after : int;  (** silence before [Live] decays to [Suspect] *)
   dead_after : int;  (** silence before the peer is declared [Dead] *)
 }
-
-val default_liveness : liveness
-(** [{heartbeat_every = 50; suspect_after = 120; dead_after = 250}]. *)
 
 module Master : sig
   type mode =
@@ -224,13 +222,10 @@ module Replica : sig
   val set_max_lag : t -> int option -> unit
   (** Arm (or disarm, with [None]) the bounded-staleness read gate. *)
 
-  val check_staleness : t -> unit
-  (** Raises {!Stale} when the gate is armed and {!lag_bytes} exceeds
-      it. *)
-
   val read : t -> (Fieldrep.Db.t -> 'a) -> 'a
-  (** [read r f] applies [f] to the replica database after
-      {!check_staleness} — the gated read entry point. *)
+  (** [read r f] applies [f] to the replica database — the gated read
+      entry point: it raises {!Stale} instead when the gate is armed and
+      {!lag_bytes} exceeds it. *)
 
   val step : t -> bool
   (** Process at most one pending message; [false] when none was

@@ -55,8 +55,8 @@ let copy_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 let link_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 let encoding_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
 
-(* [Heap_file.read_with] decoders that copy the payload into [key]'s
-   buffer, leaving [room] bytes past it, and return its length. *)
+(* Copy the payload at [off] into [key]'s buffer, leaving [room] bytes
+   past it, and return its length. *)
 let copy_into key ~room buf off len =
   let copy = Domain.DLS.get key in
   Wire.grow copy (len + room);
@@ -111,21 +111,27 @@ let link_step ed _ buf off len =
     Heap_file.Rewrite (!lbuf, edited)
   else Heap_file.Keep
 
-(* The target's pair for the link set to [link_oid], in the frame when
-   the pair is there already ([at]), else in a copy in [copy_buf]. *)
-let set_pair ed buf off len at link_oid =
-  if at >= 0 then begin
-    if Oid.equal (Oid.decode buf at) link_oid then Heap_file.Keep
+(* The pair for link [link_id] in the record at [off] set to [loid], or
+   removed when [loid] is nil: patched in the frame when the pair is there
+   and stays, else spliced in a copy in [copy_buf].  Every pair edit is
+   this one. *)
+let pair_edit ~link_id loid buf off len =
+  let at = Record.link_at buf off len link_id in
+  if at >= 0 && not (Oid.is_nil loid) then begin
+    if Oid.compare_at loid buf at = 0 then Heap_file.Keep
     else begin
-      ignore (Oid.encode buf at link_oid);
+      ignore (Oid.encode buf at loid);
       Heap_file.Patched
     end
   end
+  else if at < 0 && Oid.is_nil loid then Heap_file.Keep
   else begin
     let n = copy_record buf off len in
     let copy = !(Domain.DLS.get copy_buf) in
     Heap_file.Rewrite
-      (copy, Record.set_link_at copy n { Record.link_oid; link_id = ed.link_id })
+      ( copy,
+        if Oid.is_nil loid then Record.remove_link_at copy n link_id
+        else Record.set_link_at copy n { Record.link_oid = loid; link_id } )
   end
 
 (* The step under the target's pin: read its pair for the link, edit the
@@ -157,20 +163,14 @@ let target_step ed _ buf off len =
   in
   let count = Link_object.count_at !lbuf in
   ed.now_empty <- count = 0;
-  if needs_object ed count then
-    if is_object then Heap_file.Keep
-    else
-      set_pair ed buf off len at (Heap_file.insert ~len:link_len hf !lbuf)
-  else begin
-    if is_object then Heap_file.delete hf pair;
-    if count > 0 then set_pair ed buf off len at (Link_object.member_at !lbuf 0)
-    else if at < 0 then Heap_file.Keep
-    else begin
-      let n = copy_record buf off len in
-      let copy = !(Domain.DLS.get copy_buf) in
-      Heap_file.Rewrite (copy, Record.remove_link_at copy n ed.link_id)
-    end
-  end
+  pair_edit ~link_id:ed.link_id
+    (if needs_object ed count then
+       if is_object then pair else Heap_file.insert ~len:link_len hf !lbuf
+     else begin
+       if is_object then Heap_file.delete hf pair;
+       if count > 0 then Link_object.member_at !lbuf 0 else Oid.nil
+     end)
+    buf off len
 
 let make_editor links =
   let no_step _ _ _ _ = Heap_file.Keep in
@@ -283,6 +283,10 @@ let data_file env (oid : Oid.t) =
   | Some hf -> hf
   | None -> env.file_of_oid oid
 
+(* Edit one stored object under its page's one pin. *)
+let edit_object env oid f =
+  ignore (Heap_file.modify_run (data_file env oid) oid [] ~f)
+
 let read_record env oid = Heap_file.read_with (data_file env oid) oid Record.decode_at
 
 let read_field env oid idx =
@@ -340,6 +344,10 @@ let members_onto env ~link_id loid acc =
 
 let members env ~link_id loid = List.rev (members_onto env ~link_id loid [])
 
+let set_pair env oid ~link_id loid =
+  edit_object env oid (fun _ buf off len ->
+      pair_edit ~link_id loid buf off len)
+
 (* Apply [edit] to the membership of [target] under link [link_id] and
    store the result, all under one pin of the target's page: the link
    object's edit pins its page once more, and creating or freeing one
@@ -349,8 +357,7 @@ let modify_membership env ~link_id ~threshold target_oid edit =
   ed.link_id <- link_id;
   ed.threshold <- threshold;
   ed.edit <- edit;
-  ignore
-    (Heap_file.modify_run (data_file env target_oid) target_oid [] ~f:ed.target_step);
+  edit_object env target_oid ed.target_step;
   (ed.was_empty, ed.now_empty)
 
 let edit_member env node target_oid edit =
@@ -512,61 +519,53 @@ let walk_path env ~values (rep : Schema.replication) source_rec =
 
 let sprime_field_offset = 2
 
-(* Fetch or create the S' object of a final object for a separate path.
-   The final is read here, not taken from a walk: an earlier write of the
-   same operation may have rewritten its link section.  Fresh S' objects
-   start with refcount 0; callers bump it. *)
+(* Fetch or create the S' object of a final object for a separate path,
+   under the final's one pin: a new S' object is inserted there and its
+   pair spliced in.  The final is read here, not taken from a walk: an
+   earlier write of the same operation may have rewritten its link
+   section.  Fresh S' objects start with refcount 0; callers bump it. *)
 let sprime_for env ((final_node : Registry.node), (term : Registry.terminal))
     ~sref_link final_oid =
-  let final_file = data_file env final_oid in
-  let len = Heap_file.read_with final_file final_oid copy_record in
-  let buf = !(Domain.DLS.get copy_buf) in
-  let at = Record.link_at buf 0 len sref_link in
-  if at >= 0 then Oid.decode buf at
-  else begin
-    let values =
-      Array.of_list
-        (Value.VInt 0 :: Value.VRef final_oid :: terminal_values term buf 0 len)
-    in
-    let tag = Schema.type_tag env.schema final_node.Registry.to_type in
-    let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
-    let sp = Record.make ~type_tag:tag values in
-    let sp_buf = Domain.DLS.get encoding_buf in
-    Wire.grow sp_buf (Record.encoded_size sp);
-    let sp_oid = Heap_file.insert ~len:(Record.encode_to !sp_buf 0 sp) hf !sp_buf in
-    Heap_file.update
-      ~len:(Record.set_link_at buf len { Record.link_oid = sp_oid; link_id = sref_link })
-      final_file final_oid buf;
-    sp_oid
-  end
+  let sp_oid = ref Oid.nil in
+  edit_object env final_oid (fun _ buf off len ->
+      let at = Record.link_at buf off len sref_link in
+      if at >= 0 then begin
+        sp_oid := Oid.decode buf at;
+        Heap_file.Keep
+      end
+      else begin
+        let values =
+          Array.of_list
+            (Value.VInt 0 :: Value.VRef final_oid :: terminal_values term buf off len)
+        in
+        let tag = Schema.type_tag env.schema final_node.Registry.to_type in
+        let hf = Store.sprime_file env.store term.Registry.rep.Schema.rep_id in
+        let sp = Record.make ~type_tag:tag values in
+        let sp_buf = Domain.DLS.get encoding_buf in
+        Wire.grow sp_buf (Record.encoded_size sp);
+        sp_oid := Heap_file.insert ~len:(Record.encode_to !sp_buf 0 sp) hf !sp_buf;
+        pair_edit ~link_id:sref_link !sp_oid buf off len
+      end);
+  !sp_oid
 
-(* Copy [oid]'s record into [copy_buf], let [edit] change it there and
-   write the result back: one read pin, then the update's. *)
-let rewrite_copy env oid edit =
-  let hf = data_file env oid in
-  let len = Heap_file.read_with hf oid copy_record in
-  let buf = !(Domain.DLS.get copy_buf) in
-  match edit oid buf 0 len with
-  | Heap_file.Keep -> ()
-  | Heap_file.Patched -> Heap_file.update ~len hf oid buf
-  | Heap_file.Rewrite (payload, len) -> Heap_file.update ~len hf oid payload
-
+(* A count is an int: it keeps its size, so it is patched in the frame.
+   The last claim's release frees the S' object and its owner's pair. *)
 let sprime_refcount_add env ~sref_link sp_oid delta =
-  let hf = data_file env sp_oid in
-  let len = Heap_file.read_with hf sp_oid copy_record in
-  let buf = !(Domain.DLS.get copy_buf) in
-  let count = Value.as_int (Record.field_at buf 0 len 0) + delta in
-  assert (count >= 0);
-  if count = 0 then begin
-    let owner = Value.as_ref (Record.field_at buf 0 len 1) in
-    Heap_file.delete hf sp_oid;
-    rewrite_copy env owner (fun _ buf _ len ->
-        Heap_file.Rewrite (buf, Record.remove_link_at buf len sref_link))
-  end
-  else begin
-    (* A count is an int: it keeps its size. *)
-    ignore (Record.set_value_at buf 0 len 0 (Value.VInt count));
-    Heap_file.update ~len hf sp_oid buf
+  let owner = ref Oid.nil in
+  edit_object env sp_oid (fun _ buf off len ->
+      let count = Value.as_int (Record.field_at buf off len 0) + delta in
+      assert (count >= 0);
+      if count = 0 then begin
+        owner := Value.as_ref (Record.field_at buf off len 1);
+        Heap_file.Keep
+      end
+      else begin
+        ignore (Record.set_value_at buf off len 0 (Value.VInt count));
+        Heap_file.Patched
+      end);
+  if not (Oid.is_nil !owner) then begin
+    Heap_file.delete (data_file env sp_oid) sp_oid;
+    set_pair env !owner ~link_id:sref_link Oid.nil
   end
 
 (* ------------------------------------------------------------------ *)
@@ -624,20 +623,18 @@ let set_hidden ~force slots buf off len =
       Heap_file.Rewrite (!copy, splice_slots ~force !copy 0 len slots)
 
 let set_values env oid slots =
-  rewrite_copy env oid (fun _ buf off len -> set_hidden ~force:true slots buf off len)
+  edit_object env oid (fun _ buf off len ->
+      set_hidden ~force:true slots buf off len)
 
-(* One page of [oids] at a time (one object without batching), firing the
-   hook for the indexed rewrites each page collected. *)
+(* One page of [oids] at a time, firing the hook for the indexed rewrites
+   each page collected.  Without batching no other object shares the
+   first one's pin. *)
 let rec rewrite_pages env ~set edit changes = function
   | [] -> ()
   | (first : Oid.t) :: rest ->
-      let rest =
-        if env.batching then Heap_file.modify_run (data_file env first) first rest ~f:edit
-        else begin
-          rewrite_copy env first edit;
-          rest
-        end
-      in
+      let shared = if env.batching then rest else [] in
+      let left = Heap_file.modify_run (data_file env first) first shared ~f:edit in
+      let rest = if env.batching then left else rest in
       if !changes <> [] then begin
         List.iter
           (fun (oid, before, after) ->
@@ -653,7 +650,7 @@ let rec rewrite_pages env ~set edit changes = function
    it runs with the object's page pinned and may only read other objects.
    With batching on, each page's objects are edited under one pin — the
    paper's reason for keeping inverted structures in the referenced set's
-   physical order — instead of a read and an update per object.  The
+   physical order — instead of one pin per object.  The
    change hook fires once per rewritten object; when the set indexes a
    hidden field it gets the decoded records, after the page's write. *)
 let batched_rewrite env ~set oids ~edit =

@@ -56,8 +56,8 @@ type env = {
           physical OID order, grouped by page, and each page's hidden-field
           edits happen under one pin — the access-layer half of the
           paper's keep-links-in-referenced-set-order argument.  Clearing it
-          restores the per-object reference path (a read pin and an update
-          per source), used as the comparison baseline. *)
+          restores the per-object reference path (one pin per source),
+          used as the comparison baseline. *)
   pending : (int * int64, unit) Hashtbl.t;
       (** the lazy-propagation invalidation table: (rep_id, packed source
           OID) pairs whose hidden copies are stale.  Kept in memory, like
@@ -180,15 +180,19 @@ val refresh : env -> Schema.replication -> Oid.t -> unit
     drives, and the operation a replayed [Scrub_repair] WAL record
     re-runs. *)
 
-val rewrite_copy :
-  env -> Oid.t -> (Oid.t -> Bytes.t -> int -> int -> Fieldrep_storage.Heap_file.edit) -> unit
-(** [rewrite_copy env oid edit] lets [edit oid buf 0 len] change a copy
-    of the object's bytes, with {!Record.link_size} bytes of room, and
-    writes the result back: one read pin, then the update's. *)
-
 val set_values : env -> Oid.t -> (int * Fieldrep_model.Value.t) list -> unit
 (** [set_values env oid slots] sets each (index, value) of [slots] in the
-    stored object with {!Record.set_value_at}, through {!rewrite_copy}. *)
+    stored object with {!Record.set_value_at}, under the object's one pin:
+    in its frame when every value keeps its encoded size. *)
+
+val link_pair : env -> link_id:int -> Oid.t -> Oid.t
+(** [link_pair env ~link_id oid] is the link OID of [oid]'s pair for
+    [link_id], read in its frame; nil when it has none. *)
+
+val set_pair : env -> Oid.t -> link_id:int -> Oid.t -> unit
+(** [set_pair env oid ~link_id loid] sets [oid]'s pair for [link_id] to
+    [loid] (a nil [loid] removes it) under the object's one pin, by the
+    pair editor that the membership editor and the S' bookkeeping use. *)
 
 (** {1 Online reconfiguration}
 

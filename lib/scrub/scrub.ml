@@ -279,14 +279,9 @@ let finish ~log_repair ~guard (sw : sweep) =
   (* Phase 3: logical repair.  {!Invariants} audits the derived state
      against the recomputed ground truth; scrub repairs its findings, a
      tier per round, until a round repairs nothing.  Only derived state
-     is written, each repair as one stored object's bytes edited in a
-     copy ({!Engine.rewrite_copy}): no record is decoded or re-encoded. *)
-  let rewrite oid edit = Engine.rewrite_copy env oid (fun _ buf _ len -> edit buf len) in
-  (* The link OID of the pair for [link_id] in the copy [rewrite] edits. *)
-  let pair_in buf len link_id =
-    let at = Record.link_at buf 0 len link_id in
-    if at < 0 then None else Some (Oid.decode buf at)
-  in
+     is written, each repair as one stored object's bytes edited under
+     its one pin, as the engine edits them ({!Engine.set_pair},
+     {!Engine.set_values}): no record is decoded or re-encoded. *)
   (* Per round: link objects rebuilt this round, and refreshes already
      run.  A purge never frees an OID a rebuild claimed — freed slots are
      recycled, so a stale pair may now name another target's fresh link
@@ -347,12 +342,8 @@ let finish ~log_repair ~guard (sw : sweep) =
     | None -> `Left
     | Some stored_as ->
         fix (rep_of_link registry link_id) target (fun () ->
-            rewrite target (fun buf len ->
-                (match pair_in buf len link_id with
-                | Some link_oid when purge -> purge_link link_oid
-                | Some _ | None -> ());
-                Heap_file.Rewrite
-                  (buf, Record.set_link_at buf len { Record.link_oid = stored_as (); link_id })))
+            if purge then purge_link (Engine.link_pair env ~link_id target);
+            Engine.set_pair env target ~link_id (stored_as ()))
   in
   (* The owner an S' record names, when it still decodes. *)
   let sprime_owner hf sp =
@@ -366,11 +357,8 @@ let finish ~log_repair ~guard (sw : sweep) =
   let drop_pair owner link_id sp =
     match
       ignore (env.Engine.file_of_oid owner);
-      rewrite owner (fun buf len ->
-          match pair_in buf len link_id with
-          | Some pair when Oid.equal pair sp ->
-              Heap_file.Rewrite (buf, Record.remove_link_at buf len link_id)
-          | Some _ | None -> Heap_file.Keep)
+      if Oid.equal (Engine.link_pair env ~link_id owner) sp then
+        Engine.set_pair env owner ~link_id Oid.nil
     with
     | () -> ()
     | exception _ -> ()
@@ -414,15 +402,11 @@ let finish ~log_repair ~guard (sw : sweep) =
             repaired ()
         | Some _ | None -> `Left)
     | Sref_pair { rep_id; link_id; owner; stored = None; wanted = Some sp } ->
-        fix (Some rep_id) owner (fun () ->
-            rewrite owner (fun buf len ->
-                Heap_file.Rewrite
-                  (buf, Record.set_link_at buf len { Record.link_oid = sp; link_id })))
+        fix (Some rep_id) owner (fun () -> Engine.set_pair env owner ~link_id sp)
     | Stray_link { link_id; target } ->
         fix (rep_of_link registry link_id) target (fun () ->
-            rewrite target (fun buf len ->
-                Option.iter purge_link (pair_in buf len link_id);
-                Heap_file.Rewrite (buf, Record.remove_link_at buf len link_id)))
+            purge_link (Engine.link_pair env ~link_id target);
+            Engine.set_pair env target ~link_id Oid.nil)
     | Membership { link_id; target; expected; _ } ->
         rebuild ~purge:true link_id target expected
     | Shared_link { link_id; target; expected; _ } ->

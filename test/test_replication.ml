@@ -1309,6 +1309,43 @@ let test_update_field_words () =
   checkv "last value stored" (vint !salary) (Record.field (Db.get fx.db ~set:"Emp1" emp) 2);
   check_all fx
 
+(* Dept.budget replicated separately: the four employees of a department
+   share its S' object. *)
+let separate_fixture () =
+  let fx = employee_db () in
+  Db.replicate fx.db ~strategy:Schema.Separate (Path.parse "Emp1.dept.budget");
+  fx
+
+(* An autocommit update of a separately replicated field pins its target
+   to read it and again to write it, and its S' object once, to splice
+   the value in the frame.  Reading the S' object and then updating it
+   would take one lookup more. *)
+let test_sprime_update_pins () =
+  let fx = separate_fixture () in
+  checki "target read, target write, S' edit" 3
+    (lookups fx.db (fun () ->
+         Db.update_field fx.db ~set:"Dept" fx.depts.(1) ~field:"budget" (vint 999)));
+  checkv "copy follows" (vint 999) (Db.deref fx.db ~set:"Emp1" fx.emps.(1) "dept.budget");
+  check_all fx
+
+(* A detach under a one-level separate path, which keeps no link, pins
+   only the shared S' object, once, to release the claim in its frame.
+   Reading the S' object and then updating it would take one lookup
+   more.  Completing the walk claims the S' object again, so the attach
+   that follows restores the state. *)
+let test_sprime_release_pins () =
+  let fx = separate_fixture () in
+  let env = Db.engine fx.db in
+  let emp = fx.emps.(5) in
+  let record = Db.get fx.db ~set:"Emp1" emp in
+  let detach = Engine.prepare_detach env ~set:"Emp1" record in
+  checki "detach: the S' object" 1
+    (lookups fx.db (fun () -> Engine.on_delete env detach emp));
+  let attach = Engine.prepare_attach env ~set:"Emp1" record in
+  ignore (Engine.complete env attach record);
+  Engine.on_insert env attach emp;
+  check_all fx
+
 (* A link object as the list of its entries, sorted by member: the model
    the byte editor is held to. *)
 let rec model_add entries (e : Link_object.entry) =
@@ -1574,6 +1611,10 @@ let () =
           Alcotest.test_case "membership edit words" `Quick test_membership_edit_words;
           Alcotest.test_case "same-size fan-out words" `Quick test_fanout_words;
           Alcotest.test_case "update splices the bytes it read" `Quick test_update_field_words;
+          Alcotest.test_case "separate update pins its S' object once" `Quick
+            test_sprime_update_pins;
+          Alcotest.test_case "separate detach pins its S' object once" `Quick
+            test_sprime_release_pins;
           Alcotest.test_case "membership narrowing" `Quick test_membership_narrowing;
           QCheck_alcotest.to_alcotest ~long:false prop_membership_editor;
           QCheck_alcotest.to_alcotest ~long:false prop_link_object_prefix;
